@@ -8,6 +8,7 @@ recorded in the dataset manifest).
 from __future__ import annotations
 
 import datetime as dt
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -164,13 +165,16 @@ def epoch_to_date(ts: int) -> dt.date:
 # --- validation --------------------------------------------------------------
 
 
+# for str patterns ``\s`` matches exactly the characters str.isspace() accepts
+_WHITESPACE = re.compile(r"\s")
+
+
 def validate_app_id(app: str) -> list[str]:
-    violations = []
     if not app:
-        violations.append("app id empty")
-    elif any(c.isspace() for c in app):
-        violations.append("app id contains whitespace")
-    return violations
+        return ["app id empty"]
+    if _WHITESPACE.search(app):
+        return ["app id contains whitespace"]
+    return []
 
 
 def validate_snapshot(s: AppSnapshot) -> list[str]:

@@ -1,9 +1,15 @@
 """Append-log store for snapshots, reviews and top-k observations.
 
 Three newline-delimited JSON logs plus a JSON manifest live in one
-directory. An in-memory index (entity -> byte offsets) is rebuilt
-lazily per log on first access; nothing but the logs is persisted.
-Single writer, any number of readers; queries return immutable values.
+directory, and the logs are the only source of truth. Each log has an
+index (entity -> byte offsets of its committed lines). After every ingest
+the writer persists that index as a ``<kind>.idx`` sidecar, which names
+the log prefix it covers and a digest of those bytes. Opening a log loads
+the sidecar, verifies the digest and scans only the log past the covered
+prefix. A missing or mismatched sidecar means scanning the whole log, so
+a reader always gets the index a full scan would build. Readers never
+write to the store directory. Single writer, any number of readers;
+queries return immutable values.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import fcntl
 import hashlib
 import json
 import os
+import struct
 import threading
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -50,8 +58,29 @@ TOPK = "topk"
 KINDS = (SNAPSHOTS, REVIEWS, TOPK)
 
 _LOG_FILES = {kind: f"{kind}.jsonl" for kind in KINDS}
+_SIDECAR_FILES = {kind: f"{kind}.idx" for kind in KINDS}
 _MANIFEST_FILE = "manifest.json"
 _BATCH_LINES = 1000
+
+# A <kind>.idx sidecar is a header, one column per record field, then the
+# interned entity names, each followed by a byte that UTF-8 never uses.
+# Columns are arrays in native byte order: a sidecar from a machine of the
+# other byte order fails the magic check and is ignored. The digest is sha1
+# over the covered log bytes followed by everything after the header, so a
+# change to either makes readers scan the log instead.
+_SIDECAR_MAGIC = 0x4D505831
+# magic, covered log bytes, digest, records, names, skipped corrupt lines
+_SIDECAR_HEADER = struct.Struct("=IQ20sQQQ")
+# per record (28 bytes): entity name id, id + 1 of the entity's second part
+# (0 when it has none), time key, offset and length of the line
+_SIDECAR_COLUMNS = (
+    ("group_ids", "I"),
+    ("second_ids", "I"),
+    ("times", "q"),
+    ("offsets", "Q"),
+    ("lengths", "I"),
+)
+_NAME_END = b"\xff"
 
 
 @dataclass(frozen=True)
@@ -143,11 +172,15 @@ class IngestReport:
     accepted: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
     deduplicated: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
     rejected: list = field(default_factory=list)
+    # malformed committed lines the index of each log skipped; kept out of
+    # to_record() so the ingest summary format stays as it was
+    skipped_corrupt: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
 
     def merge(self, other: "IngestReport") -> None:
         for kind in KINDS:
             self.accepted[kind] += other.accepted[kind]
             self.deduplicated[kind] += other.deduplicated[kind]
+            self.skipped_corrupt[kind] += other.skipped_corrupt[kind]
         self.rejected.extend(other.rejected)
 
     @property
@@ -170,7 +203,7 @@ class IngestReport:
 
 
 # per-kind codecs: decode(dict) -> record, validate(record) -> violations,
-# entity/time keys for dedup and index grouping
+# encode(record) -> canonical dict
 _DECODERS: dict[str, Callable] = {
     SNAPSHOTS: snapshot_from_record,
     REVIEWS: review_from_record,
@@ -182,10 +215,24 @@ _TRUSTED_DECODERS: dict[str, Callable] = {
     REVIEWS: review_from_trusted_record,
     TOPK: topk_from_trusted_record,
 }
+_VALIDATORS: dict[str, Callable] = {
+    SNAPSHOTS: validate_snapshot,
+    REVIEWS: validate_review,
+    TOPK: validate_topk,
+}
+_ENCODERS: dict[str, Callable] = {
+    SNAPSHOTS: snapshot_to_record,
+    REVIEWS: review_to_record,
+    TOPK: topk_to_record,
+}
 
 
-def _raw_entity_time_key(kind: str, rec: dict) -> tuple:
-    """Entity/time key straight from the raw dict (fast path for index scans)."""
+def _entity_time_key(kind: str, rec: dict) -> tuple:
+    """(entity, time key) of a record dict, for dedup and index grouping.
+
+    The first entity part groups the index (app or list type); reviews add
+    the review id.
+    """
     if kind == SNAPSHOTS:
         app, ts = rec["app"], rec["fetch_time"]
         if not isinstance(app, str) or isinstance(ts, bool) or not isinstance(ts, int):
@@ -200,42 +247,169 @@ def _raw_entity_time_key(kind: str, rec: dict) -> tuple:
     if not isinstance(list_type, str) or isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError("bad topk keys")
     return (list_type,), ts
-_VALIDATORS: dict[str, Callable] = {
-    SNAPSHOTS: validate_snapshot,
-    REVIEWS: validate_review,
-    TOPK: validate_topk,
-}
-_ENCODERS: dict[str, Callable] = {
-    SNAPSHOTS: snapshot_to_record,
-    REVIEWS: review_to_record,
-    TOPK: topk_to_record,
-}
 
 
-def _entity_time_key(kind: str, record) -> tuple:
-    if kind == SNAPSHOTS:
-        return (record.app,), record.fetch_time
-    if kind == REVIEWS:
-        return (record.app, record.review_id), date_to_epoch(record.date)
-    return (record.list_type.value,), record.fetch_time
+def _canonical_json(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
-def _payload_hash(rec: dict) -> str:
-    canonical = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(canonical.encode("utf-8")).hexdigest()
+def _same_payload(committed: bytes, line: bytes) -> bool:
+    """Whether a committed log line holds the same record as canonical ``line``.
+
+    Lines this store writes are canonical already; a line written another
+    way is canonicalised before it counts as a conflict.
+    """
+    if committed == line:
+        return True
+    return (_canonical_json(json.loads(committed)) + "\n").encode("utf-8") == line
+
+
+def _hash_prefix(path: Path, length: int):
+    """sha1 state over the first ``length`` bytes of ``path``, or None if
+    the file is shorter or cannot be read."""
+    sha = hashlib.sha1()
+    try:
+        with open(path, "rb") as f:
+            while length:
+                chunk = f.read(min(length, 1 << 20))
+                if not chunk:
+                    return None
+                sha.update(chunk)
+                length -= len(chunk)
+    except OSError:
+        return None
+    return sha
 
 
 class _LogIndex:
-    """Byte offsets of committed records in one log, grouped by entity."""
+    """Committed records of one log, in log order and grouped by entity.
+
+    Entity strings are interned in ``names``. Per record the columns hold
+    the name id of the entity's first part, the name id + 1 of its second
+    part (0 when it has none), the time key and the line's offset and
+    length. ``digest`` is the sha1 state over the first ``scanned_bytes``
+    bytes of the log; ``sidecar_bytes`` is the prefix the sidecar on disk
+    covers.
+    """
 
     def __init__(self):
+        self.names: list[str] = []
+        self.name_ids: dict[str, int] = {}
+        self.group_ids: list[int] = []
+        self.second_ids: list[int] = []
+        self.times: list[int] = []
+        self.offsets: list[int] = []
+        self.lengths: list[int] = []
         # entity group key -> list of (time_key, offset, length)
         self.by_group: dict = {}
-        # (entity key, time_key) -> payload hash, built lazily for writers
-        self.hashes: dict | None = None
+        # (entity, time_key) -> (offset, length), built on first use by a writer
+        self._keys: dict | None = None
+        self.digest = hashlib.sha1()
         self.scanned_bytes = 0
+        self.sidecar_bytes = 0
         self.skipped_tail = 0
-        self.scanned_once = False
+        self.skipped_corrupt = 0
+
+    def _name_id(self, name: str) -> int:
+        name_id = self.name_ids.get(name)
+        if name_id is None:
+            name_id = self.name_ids[name] = len(self.names)
+            self.names.append(name)
+        return name_id
+
+    def add(self, entity: tuple, time_key: int, offset: int, length: int) -> None:
+        self.group_ids.append(self._name_id(entity[0]))
+        self.second_ids.append(self._name_id(entity[1]) + 1 if len(entity) > 1 else 0)
+        self.times.append(time_key)
+        self.offsets.append(offset)
+        self.lengths.append(length)
+        self.by_group.setdefault(entity[0], []).append((time_key, offset, length))
+        if self._keys is not None:
+            self._keys[(entity, time_key)] = (offset, length)
+
+    def keys(self) -> dict:
+        """(entity, time_key) -> (offset, length); a later line wins."""
+        if self._keys is None:
+            names = self.names
+            self._keys = {
+                ((names[g],) if s == 0 else (names[g], names[s - 1]), t): (o, n)
+                for g, s, t, o, n in zip(
+                    self.group_ids, self.second_ids, self.times, self.offsets, self.lengths
+                )
+            }
+        return self._keys
+
+    def to_sidecar(self) -> bytes:
+        """The sidecar covering the first ``scanned_bytes`` of the log.
+
+        Raises OverflowError when a value does not fit its column.
+        """
+        body = b"".join(
+            array(code, getattr(self, column)).tobytes()
+            for column, code in _SIDECAR_COLUMNS
+        ) + b"".join(
+            name.encode("utf-8", "surrogatepass") + _NAME_END for name in self.names
+        )
+        sha = self.digest.copy()
+        sha.update(body)
+        header = _SIDECAR_HEADER.pack(
+            _SIDECAR_MAGIC,
+            self.scanned_bytes,
+            sha.digest(),
+            len(self.times),
+            len(self.names),
+            self.skipped_corrupt,
+        )
+        return header + body
+
+    @classmethod
+    def from_sidecar(cls, sidecar: Path, log: Path) -> "_LogIndex | None":
+        """The index persisted in ``sidecar``, or None unless the sidecar is
+        intact and ``log`` still begins with the bytes it covers."""
+        try:
+            data = sidecar.read_bytes()
+            magic, covered, digest, count, n_names, skipped = (
+                _SIDECAR_HEADER.unpack_from(data)
+            )
+        except (OSError, struct.error):
+            return None
+        if magic != _SIDECAR_MAGIC:
+            return None
+        index = cls()
+        body = memoryview(data)[_SIDECAR_HEADER.size:]
+        pos = 0
+        try:
+            for column, code in _SIDECAR_COLUMNS:
+                values = array(code)
+                end = pos + values.itemsize * count
+                values.frombytes(body[pos:end])
+                if len(values) != count:
+                    return None
+                setattr(index, column, values.tolist())
+                pos = end
+            names = bytes(body[pos:]).split(_NAME_END)
+            if len(names) != n_names + 1 or names[-1]:
+                return None
+            index.names = [name.decode("utf-8", "surrogatepass") for name in names[:-1]]
+        except ValueError:
+            return None
+        sha = _hash_prefix(log, covered)
+        if sha is None:
+            return None
+        index.digest = sha.copy()
+        sha.update(body)
+        if sha.digest() != digest:
+            return None
+        index.name_ids = {name: i for i, name in enumerate(index.names)}
+        groups: list[list] = [[] for _ in index.names]
+        for g, t, o, n in zip(index.group_ids, index.times, index.offsets, index.lengths):
+            groups[g].append((t, o, n))
+        index.by_group = {
+            name: entries for name, entries in zip(index.names, groups) if entries
+        }
+        index.scanned_bytes = index.sidecar_bytes = covered
+        index.skipped_corrupt = skipped
+        return index
 
 
 class SnapStore:
@@ -277,41 +451,46 @@ class SnapStore:
     def _log_path(self, kind: str) -> Path:
         return self.root / _LOG_FILES[kind]
 
+    def _sidecar_path(self, kind: str) -> Path:
+        return self.root / _SIDECAR_FILES[kind]
+
     # -- indexing ---------------------------------------------------------
 
-    def _index(self, kind: str, with_hashes: bool = False) -> _LogIndex:
-        """Per-log index, scanned once per store object.
+    def _index(self, kind: str) -> _LogIndex:
+        """Per-log index, loaded once per store object.
 
-        A store object caches its view of the committed log; appends made
-        through the same object keep the index current, while appends from
-        other processes become visible after ``refresh()`` or reopening.
+        A sidecar that still matches the log stands in for scanning the
+        prefix it covers. A store object caches its view of the committed
+        log; appends made through the same object keep the index current,
+        while appends from other handles become visible after ``refresh()``,
+        reopening, or at this object's next ingest.
         """
         index = self._indexes[kind]
         if index is None:
-            index = _LogIndex()
-            self._indexes[kind] = index
-        if with_hashes and index.hashes is None:
-            index.hashes = {}
-            index.by_group = {}
-            index.scanned_bytes = 0
-            index.scanned_once = False
-        if not index.scanned_once:
+            index = _LogIndex.from_sidecar(
+                self._sidecar_path(kind), self._log_path(kind)
+            ) or _LogIndex()
             self._scan(kind, index)
-            index.scanned_once = True
+            self._indexes[kind] = index
         return index
 
     def refresh(self) -> None:
         """Pick up records committed by other writers since the last scan."""
         for kind, index in self._indexes.items():
-            if index is not None and index.scanned_once:
+            if index is not None:
                 self._scan(kind, index)
 
     def _scan(self, kind: str, index: _LogIndex) -> None:
+        """Index the committed lines past ``index.scanned_bytes``.
+
+        A malformed committed line is skipped and counted; a last line
+        without its newline is an uncommitted tail and stays unindexed.
+        """
         path = self._log_path(kind)
         if not path.exists():
             return
-        size = path.stat().st_size
-        if size <= index.scanned_bytes:
+        index.skipped_tail = 0
+        if path.stat().st_size <= index.scanned_bytes:
             return
         with self._io_lock, open(path, "rb") as f:
             f.seek(index.scanned_bytes)
@@ -322,17 +501,14 @@ class SnapStore:
                     # uncommitted tail from an interrupted write: not indexed
                     index.skipped_tail = length
                     break
+                index.digest.update(raw)
                 try:
                     rec = json.loads(raw.decode("utf-8"))
-                    entity, time_key = _raw_entity_time_key(kind, rec)
+                    entity, time_key = _entity_time_key(kind, rec)
                 except (KeyError, TypeError, ValueError):
-                    offset += length
-                    continue
-                index.by_group.setdefault(entity[0], []).append(
-                    (time_key, offset, length)
-                )
-                if index.hashes is not None:
-                    index.hashes[(entity, time_key)] = _payload_hash(rec)
+                    index.skipped_corrupt += 1
+                else:
+                    index.add(entity, time_key, offset, length)
                 offset += length
             index.scanned_bytes = offset
 
@@ -370,15 +546,15 @@ class SnapStore:
     def ingest_lines(self, kind: str, lines: Iterable[str]) -> IngestReport:
         """Validate, dedup and append raw JSONL ``lines`` of one ``kind``.
 
-        Exact duplicates (same entity, time and payload hash) are counted
-        as deduplicated; a different payload at an existing (entity, time)
-        is rejected as a conflict. Writes are committed in batches; on an
-        I/O failure the store keeps every batch committed so far.
+        A record whose (entity, time) is already stored is counted as
+        deduplicated when its canonical bytes equal the stored line's, and
+        rejected as a conflict otherwise. Writes are committed in batches;
+        on an I/O failure the log is cut back to the end of the last
+        committed batch. The index sidecar is rewritten after the last one.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         report = IngestReport()
-        index = self._index(kind, with_hashes=True)
         decoder, validator, encoder = _DECODERS[kind], _VALIDATORS[kind], _ENCODERS[kind]
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:
@@ -388,13 +564,20 @@ class SnapStore:
                 raise ConcurrentWriteError(
                     "another ingest is in progress on this store"
                 ) from None
+            # catch up under the lock: records other handles committed since
+            # this one last looked must take part in the dedup
+            index = self._index(kind)
+            self._scan(kind, index)
+            report.skipped_corrupt[kind] = index.skipped_corrupt
+            committed = index.keys()
             if index.skipped_tail:
                 # drop the uncommitted tail of an interrupted write so new
                 # records never glue onto a partial line
                 with self._io_lock, open(self._log_path(kind), "r+b") as f:
                     f.truncate(index.scanned_bytes)
                 index.skipped_tail = 0
-            batch: list[tuple[bytes, tuple, int, str]] = []
+            # (entity, time_key) -> canonical line, not yet committed
+            batch: dict[tuple, bytes] = {}
             for line_no, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
@@ -413,13 +596,17 @@ class SnapStore:
                     )
                     continue
                 canonical = encoder(record)
-                entity, time_key = _entity_time_key(kind, record)
-                payload = _payload_hash(canonical)
-                existing = index.hashes.get((entity, time_key))
-                if existing is not None:
-                    if existing == payload:
+                raw = (_canonical_json(canonical) + "\n").encode("utf-8")
+                key = _entity_time_key(kind, canonical)
+                previous = batch.get(key)
+                if previous is None and key in committed:
+                    offset, length = committed[key]
+                    previous = os.pread(self._read_fd(kind), length, offset)
+                if previous is not None:
+                    if _same_payload(previous, raw):
                         report.deduplicated[kind] += 1
                     else:
+                        entity, time_key = key
                         report.rejected.append(
                             Rejection(
                                 kind,
@@ -429,47 +616,66 @@ class SnapStore:
                             )
                         )
                     continue
-                raw = (
-                    json.dumps(canonical, sort_keys=True, separators=(",", ":")) + "\n"
-                ).encode("utf-8")
-                batch.append((raw, entity, time_key, payload))
-                index.hashes[(entity, time_key)] = payload
+                batch[key] = raw
                 report.accepted[kind] += 1
                 if len(batch) >= _BATCH_LINES:
                     self._commit(kind, index, batch)
-                    batch = []
+                    batch = {}
             if batch:
                 self._commit(kind, index, batch)
+            self._write_sidecar(kind, index)
         return report
 
-    def _commit(self, kind: str, index: _LogIndex, batch: list) -> None:
-        data = b"".join(raw for raw, _, _, _ in batch)
+    def _commit(self, kind: str, index: _LogIndex, batch: dict) -> None:
+        """Append and fsync ``batch``; on failure no byte of it stays."""
+        data = b"".join(batch.values())
         path = self._log_path(kind)
-        try:
-            with self._io_lock, open(path, "ab") as f:
-                offset = f.tell()
-                f.write(data)
-                f.flush()
-                os.fsync(f.fileno())
-        except OSError as exc:
-            for _, entity, time_key, _ in batch:
-                index.hashes.pop((entity, time_key), None)
-            raise StoreIOError(f"failed to commit batch to {path}: {exc}") from exc
-        for raw, entity, time_key, _ in batch:
-            index.by_group.setdefault(entity[0], []).append(
-                (time_key, offset, len(raw))
-            )
+        with self._io_lock:
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                offset = os.lseek(fd, 0, os.SEEK_END)
+                try:
+                    pending = memoryview(data)
+                    while pending:
+                        pending = pending[os.write(fd, pending):]
+                    os.fsync(fd)
+                except OSError as exc:
+                    os.ftruncate(fd, offset)
+                    raise StoreIOError(
+                        f"failed to commit batch to {path}: {exc}"
+                    ) from exc
+            finally:
+                os.close(fd)
+        index.digest.update(data)
+        for (entity, time_key), raw in batch.items():
+            index.add(entity, time_key, offset, len(raw))
             offset += len(raw)
         index.scanned_bytes = offset
+
+    def _write_sidecar(self, kind: str, index: _LogIndex) -> None:
+        """Persist ``index`` next to its log; called under the ingest lock.
+
+        The sidecar is replaced atomically but not fsynced: after a crash a
+        torn or stale one fails verification or covers a shorter prefix,
+        and readers scan the rest of the log. For the same reason a failed
+        write only leaves the previous sidecar in place.
+        """
+        if index.sidecar_bytes == index.scanned_bytes:
+            return
+        path = self._sidecar_path(kind)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_bytes(index.to_sidecar())
+            os.replace(tmp, path)
+        except (OverflowError, OSError):
+            tmp.unlink(missing_ok=True)
+            return
+        index.sidecar_bytes = index.scanned_bytes
 
     def ingest_records(self, kind: str, records: Iterable) -> IngestReport:
         """Ingest typed records through the same validation/dedup path."""
         encoder = _ENCODERS[kind]
-        lines = (
-            json.dumps(encoder(r), sort_keys=True, separators=(",", ":"))
-            for r in records
-        )
-        return self.ingest_lines(kind, lines)
+        return self.ingest_lines(kind, (_canonical_json(encoder(r)) for r in records))
 
     def ingest_dir(self, data_dir: Path | str) -> IngestReport:
         """Ingest the standard three JSONL logs found under ``data_dir``."""

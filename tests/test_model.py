@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from marketpulse.model import (
     topk_from_record,
     topk_to_record,
     validate_review,
+    validate_app_id,
     validate_snapshot,
     validate_topk,
 )
@@ -55,6 +57,36 @@ class TestValidateSnapshot:
         snap = make_snapshot(app="", rating_avg=-1.0, rating_count=-5)
         violations = validate_snapshot(snap)
         assert len(violations) == 3
+
+
+def _per_character_validate_app_id(app):
+    # the original definition, kept as the reference
+    violations = []
+    if not app:
+        violations.append("app id empty")
+    elif any(c.isspace() for c in app):
+        violations.append("app id contains whitespace")
+    return violations
+
+
+_SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+class TestValidateAppId:
+    @given(st.text())
+    def test_agrees_with_per_character_definition(self, app):
+        assert validate_app_id(app) == _per_character_validate_app_id(app)
+
+    @given(st.text(), st.sampled_from(_SPACES), st.text())
+    def test_agrees_around_every_whitespace_character(self, head, space, tail):
+        app = head + space + tail
+        assert validate_app_id(app) == _per_character_validate_app_id(app)
+
+    def test_every_code_point_classified_alike(self):
+        flagged = [
+            c for c in range(sys.maxunicode + 1) if validate_app_id("a" + chr(c)) != []
+        ]
+        assert flagged == [ord(space) for space in _SPACES]
 
 
 class TestValidateReview:

@@ -1,10 +1,13 @@
 import datetime as dt
+import errno
 import json
+import os
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from marketpulse.errors import InvalidWindowError
+from marketpulse.errors import InvalidWindowError, StoreIOError
 from marketpulse.model import (
     ListType,
     date_to_epoch,
@@ -253,3 +256,274 @@ def test_thousand_simgen_snapshots_all_accepted(tmp_path, manifest):
     report = store.ingest_lines("snapshots", lines)
     assert report.accepted["snapshots"] == 1000
     assert report.total_rejected == 0
+
+
+# --- writer correctness ------------------------------------------------------------
+
+
+def test_refresh_picks_up_commits_of_another_handle(store):
+    other = SnapStore.open(store.root)
+    assert store.apps() == []
+    other.ingest_records("snapshots", [make_snapshot()])
+    assert store.apps() == []
+    store.refresh()
+    assert store.apps() == ["com.example.app"]
+
+
+def test_stale_handle_does_not_append_a_duplicate(store):
+    first, second = make_snapshot(day=DAY0), make_snapshot(day=DAY0 + dt.timedelta(days=1))
+    other = SnapStore.open(store.root)
+    store.ingest_records("snapshots", [first])
+    assert other.ingest_records("snapshots", [second]).accepted["snapshots"] == 1
+    report = store.ingest_records("snapshots", [second])
+    assert report.accepted["snapshots"] == 0
+    assert report.deduplicated["snapshots"] == 1
+    times = [
+        s.fetch_time
+        for s in SnapStore.open(store.root).query_app_series("com.example.app").snapshots
+    ]
+    assert times == [first.fetch_time, second.fetch_time]
+
+
+def _torn_write(real_write):
+    calls = []
+
+    def write(fd, data):
+        # half the batch reaches the file, then the disk fills up
+        calls.append(fd)
+        if len(calls) == 1:
+            return real_write(fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    return write
+
+
+def _failing_fsync(fd):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize("failure", ["write", "fsync"])
+def test_failed_commit_leaves_no_part_of_the_batch(store, monkeypatch, failure):
+    store.ingest_records("snapshots", [make_snapshot(day=DAY0)])
+    log, sidecar = store.root / "snapshots.jsonl", store.root / "snapshots.idx"
+    committed, committed_sidecar = log.read_bytes(), sidecar.read_bytes()
+    later = [make_snapshot(day=DAY0 + dt.timedelta(days=i)) for i in range(1, 4)]
+    with monkeypatch.context() as patch:
+        if failure == "write":
+            patch.setattr(os, "write", _torn_write(os.write))
+        else:
+            patch.setattr(os, "fsync", _failing_fsync)
+        with pytest.raises(StoreIOError):
+            store.ingest_records("snapshots", later)
+    assert log.read_bytes() == committed
+    assert sidecar.read_bytes() == committed_sidecar
+    assert store.ingest_records("snapshots", later).accepted["snapshots"] == 3
+    data = log.read_bytes()
+    assert data.startswith(committed) and data.endswith(b"\n")
+    assert len([json.loads(line) for line in data.splitlines()]) == 4
+    fresh = SnapStore.open(store.root)
+    assert len(fresh.query_app_series("com.example.app")) == 4
+    assert fresh._index("snapshots").skipped_corrupt == 0
+
+
+def test_malformed_committed_line_is_skipped_and_counted(store):
+    store.ingest_records("snapshots", [make_snapshot(day=DAY0)])
+    with open(store.root / "snapshots.jsonl", "ab") as f:
+        f.write(b'{"app": 7}\n')
+    report = SnapStore.open(store.root).ingest_records(
+        "snapshots", [make_snapshot(day=DAY0 + dt.timedelta(days=1))]
+    )
+    assert report.skipped_corrupt == {"snapshots": 1, "reviews": 0, "topk": 0}
+    assert set(report.to_record()) == {"accepted", "deduplicated", "rejected"}
+    fresh = SnapStore.open(store.root)
+    assert fresh._index("snapshots").skipped_corrupt == 1
+    assert len(fresh.query_app_series("com.example.app")) == 2
+
+
+# --- index sidecar -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def market():
+    from marketpulse import simgen
+    from marketpulse.simgen import TopKListConfig
+
+    return simgen.generate(
+        simgen.MarketScript(
+            seed=11,
+            n_developers=30,
+            observation_days=12,
+            topk_lists={ListType.FREE: TopKListConfig(length=10)},
+        )
+    )
+
+
+def _ingest_market(root, market, days=None):
+    """Ingest ``market`` into a new store at ``root`` (only the first ``days``
+    snapshot days when given) and return the store."""
+    store = SnapStore.create(root, market.manifest)
+    snapshots = market.snapshots
+    if days is not None:
+        cutoff = min(s.fetch_time for s in snapshots) + days * 86400
+        snapshots = [s for s in snapshots if s.fetch_time < cutoff]
+    store.ingest_records("snapshots", snapshots)
+    store.ingest_records("reviews", market.reviews)
+    store.ingest_records("topk", market.topk)
+    return store
+
+
+def _full_scan(root, tmp_path):
+    """A handle on a copy of the store without sidecars: it scans every log."""
+    copy = tmp_path / "full-scan"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(root, copy)
+    for path in copy.glob("*.idx"):
+        path.unlink()
+    return SnapStore.open(copy)
+
+
+def _index_state(store):
+    state = {}
+    for kind in ("snapshots", "reviews", "topk"):
+        index = store._index(kind)
+        state[kind] = (
+            index.names,
+            index.group_ids,
+            index.second_ids,
+            index.times,
+            index.offsets,
+            index.lengths,
+            index.by_group,
+            index.keys(),
+            index.scanned_bytes,
+            index.skipped_corrupt,
+            index.digest.digest(),
+        )
+    return state
+
+
+def _query_results(store):
+    return (
+        store.apps(),
+        store.reviewed_apps(),
+        store.review_counts(),
+        store.latest_snapshots(),
+        [store.query_app_series(app) for app in store.apps()],
+        [store.query_reviews(app) for app in store.reviewed_apps()],
+        [store.query_list_series(list_type) for list_type in ListType],
+    )
+
+
+def _sidecar_bytes(store):
+    return {kind: store._index(kind).sidecar_bytes for kind in ("snapshots", "reviews", "topk")}
+
+
+def _log_sizes(root):
+    return {
+        kind: (root / f"{kind}.jsonl").stat().st_size
+        for kind in ("snapshots", "reviews", "topk")
+    }
+
+
+def test_sidecar_index_equals_full_scan(tmp_path, market):
+    root = tmp_path / "store"
+    _ingest_market(root, market)
+    assert sorted(p.name for p in root.glob("*.idx")) == [
+        "reviews.idx",
+        "snapshots.idx",
+        "topk.idx",
+    ]
+    loaded, scanned = SnapStore.open(root), _full_scan(root, tmp_path)
+    assert _sidecar_bytes(loaded) == _log_sizes(root)
+    assert _sidecar_bytes(scanned) == {"snapshots": 0, "reviews": 0, "topk": 0}
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+    for kind in ("snapshots", "reviews", "topk"):
+        index = loaded._index(kind)
+        names = sum(len(name.encode()) + 1 for name in index.names)
+        per_record = ((root / f"{kind}.idx").stat().st_size - names) / len(index.times)
+        assert per_record <= 32
+
+
+def _remove(path):
+    path.unlink()
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _garble_body(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _garble_header(path):
+    path.write_bytes(b"\x00" * 8 + path.read_bytes()[8:])
+
+
+@pytest.mark.parametrize(
+    "damage", [_remove, _truncate, _garble_body, _garble_header], ids=lambda f: f.__name__
+)
+def test_damaged_sidecar_falls_back_to_full_scan(tmp_path, market, damage):
+    root = tmp_path / "store"
+    _ingest_market(root, market)
+    for kind in ("snapshots", "reviews", "topk"):
+        damage(root / f"{kind}.idx")
+    loaded = SnapStore.open(root)
+    assert _sidecar_bytes(loaded) == {"snapshots": 0, "reviews": 0, "topk": 0}
+    scanned = _full_scan(root, tmp_path)
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+
+
+def test_stale_sidecar_scans_only_the_tail(tmp_path, market):
+    root = tmp_path / "store"
+    _ingest_market(root, market, days=5)
+    old_sidecar = (root / "snapshots.idx").read_bytes()
+    covered = (root / "snapshots.jsonl").stat().st_size
+    SnapStore.open(root).ingest_records("snapshots", market.snapshots)
+    (root / "snapshots.idx").write_bytes(old_sidecar)
+    loaded = SnapStore.open(root)
+    assert loaded._index("snapshots").sidecar_bytes == covered
+    assert loaded._index("snapshots").scanned_bytes > covered
+    scanned = _full_scan(root, tmp_path)
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+
+
+def test_log_edited_in_place_fails_the_digest(tmp_path, market):
+    root = tmp_path / "store"
+    _ingest_market(root, market)
+    log = root / "snapshots.jsonl"
+    data = log.read_bytes()
+    at = data.index(b'"rating_count":') + len(b'"rating_count":')
+    digit = data[at : at + 1]
+    assert digit.isdigit()
+    edited = data[:at] + (b"9" if digit != b"9" else b"8") + data[at + 1 :]
+    log.write_bytes(edited)
+    loaded = SnapStore.open(root)
+    assert loaded._index("snapshots").sidecar_bytes == 0
+    scanned = _full_scan(root, tmp_path)
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+
+
+def test_read_only_store_serves_every_query(tmp_path, market):
+    root = tmp_path / "store"
+    _ingest_market(root, market, days=5)
+    old_sidecar = (root / "snapshots.idx").read_bytes()
+    SnapStore.open(root).ingest_records("snapshots", market.snapshots)
+    (root / "snapshots.idx").write_bytes(old_sidecar)
+    expected = _query_results(_full_scan(root, tmp_path))
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    paths = [root, *root.iterdir()]
+    for path in paths:
+        path.chmod(0o555 if path.is_dir() else 0o444)
+    try:
+        assert _query_results(SnapStore.open(root)) == expected
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+    finally:
+        for path in paths:
+            path.chmod(0o755 if path.is_dir() else 0o644)
