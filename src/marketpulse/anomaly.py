@@ -129,26 +129,21 @@ class DangerousPermissionPolicy:
 
     @classmethod
     def load(cls, path: Path | str) -> "DangerousPermissionPolicy":
-        names = set()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                names.add(line)
-        return cls(dangerous=frozenset(names))
+        return cls._parse(Path(path).read_text(encoding="utf-8"))
 
     @classmethod
     def default(cls) -> "DangerousPermissionPolicy":
-        text = (
+        return cls._parse(
             resources.files("marketpulse.data")
             .joinpath("dangerous_permissions.txt")
             .read_text(encoding="utf-8")
         )
-        names = {
-            line.strip()
-            for line in text.splitlines()
-            if line.strip() and not line.startswith("#")
-        }
-        return cls(dangerous=frozenset(names))
+
+    @classmethod
+    def _parse(cls, text: str) -> "DangerousPermissionPolicy":
+        """One name per line; blank lines and ``#`` comments are skipped."""
+        names = (line.strip() for line in text.splitlines())
+        return cls(dangerous=frozenset(n for n in names if n and not n.startswith("#")))
 
 
 _PERMISSION_KINDS = (AttributeKind.PERMISSIONS_UP, AttributeKind.PERMISSIONS_DOWN)
@@ -156,17 +151,16 @@ _PERMISSION_KINDS = (AttributeKind.PERMISSIONS_UP, AttributeKind.PERMISSIONS_DOW
 
 def permission_flags(
     timeline: AppTimeline,
-    policy: DangerousPermissionPolicy | None,
+    policy: DangerousPermissionPolicy,
     churn_window_days: int = 7,
 ) -> list[PermissionFlag]:
     """Suspicious permission-timeline patterns for one app.
 
     Flags dangerous additions (per policy), permissions removed and
     re-added (or added and removed) within ``churn_window_days``, and
-    permission changes on days without a version change. Pass
-    ``policy=None`` to skip the dangerous classification entirely.
+    permission changes on days without a version change.
     """
-    if policy is not None and not policy.dangerous:
+    if not policy.dangerous:
         raise ConfigError("dangerous-permission policy is empty")
     flags = []
     version_days = {
@@ -179,17 +173,16 @@ def permission_flags(
             continue
         added = event.added_permissions
         removed = event.removed_permissions
-        if policy is not None:
-            dangerous_added = added & policy.dangerous
-            if dangerous_added:
-                flags.append(
-                    PermissionFlag(
-                        app=timeline.app,
-                        day=event.day,
-                        kind=PermissionFlagKind.DANGEROUS_ADDED,
-                        detail=tuple(sorted(dangerous_added)),
-                    )
+        dangerous_added = added & policy.dangerous
+        if dangerous_added:
+            flags.append(
+                PermissionFlag(
+                    app=timeline.app,
+                    day=event.day,
+                    kind=PermissionFlagKind.DANGEROUS_ADDED,
+                    detail=tuple(sorted(dangerous_added)),
                 )
+            )
         churned = set()
         for name in added:
             when = removed_at.get(name)
@@ -268,15 +261,6 @@ def _title_trigrams(title: str) -> frozenset[str]:
     if len(normalized) < 3:
         return frozenset([normalized]) if normalized else frozenset()
     return frozenset(normalized[i : i + 3] for i in range(len(normalized) - 2))
-
-
-def title_similarity(a: str, b: str) -> float:
-    """Jaccard similarity of lowercase character trigrams."""
-    ta, tb = _title_trigrams(a), _title_trigrams(b)
-    if not ta and not tb:
-        return 1.0
-    union = len(ta | tb)
-    return len(ta & tb) / union if union else 0.0
 
 
 def scam_pattern_scan(

@@ -46,19 +46,32 @@ class _UsageError(Exception):
     pass
 
 
-def _write_json(path: Path, payload) -> None:
+def _replace_file(path: Path, write) -> None:
+    """Run ``write(f)`` on a temp file beside ``path``, then rename it over
+    ``path``: a failed write leaves the previous file whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, payload) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _replace_file(path, lambda f: f.write(text))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    def write(f):
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
+
+    _replace_file(path, write)
 
 
 def _fmt(value) -> str:
@@ -87,13 +100,15 @@ def _histogram(values, bins: int = 50) -> list[tuple[float, float, int]]:
     ]
 
 
-def _open_store(args) -> SnapStore:
+def _store_path(args) -> Path:
     store_path = args.store or os.environ.get(STORE_ENV_VAR)
     if not store_path:
-        raise _UsageError(
-            f"--store is required (or set {STORE_ENV_VAR})"
-        )
-    return SnapStore.open(store_path)
+        raise _UsageError(f"--store is required (or set {STORE_ENV_VAR})")
+    return Path(store_path)
+
+
+def _open_store(args) -> SnapStore:
+    return SnapStore.open(_store_path(args))
 
 
 def _timelines(store: SnapStore):
@@ -121,9 +136,7 @@ def cmd_ingest(args) -> int:
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise FileNotFoundError(f"data directory {data_dir} does not exist")
-    store_path = Path(args.store or os.environ.get(STORE_ENV_VAR) or "")
-    if not str(store_path):
-        raise _UsageError(f"--store is required (or set {STORE_ENV_VAR})")
+    store_path = _store_path(args)
     manifest_path = data_dir / "manifest.json"
     if (store_path / "manifest.json").exists():
         store = SnapStore.open(store_path)
@@ -338,8 +351,6 @@ def cmd_metrics(args) -> int:
             payload["downloads_ratings_slope"] = None
         _write_json(out / "powerlaw.json", payload)
         print(json.dumps(payload, sort_keys=True))
-    else:  # pragma: no cover
-        raise _UsageError(f"unknown metrics subcommand {args.what!r}")
     return EXIT_OK
 
 
@@ -425,7 +436,8 @@ def _parse_slice(text: str, series) -> tuple[int, int]:
     if text == "top24":
         return 1, 24
     if text == "last25":
-        length = max(len(o.ranking) for o in series.observations)
+        # no observations: overlap_stats reports that itself
+        length = max((len(o.ranking) for o in series.observations), default=0)
         return max(1, length - 24), length
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -516,8 +528,6 @@ def cmd_topk(args) -> int:
         }
         _write_json(out / f"lifetime_{tag}.json", payload)
         print(json.dumps(payload, sort_keys=True))
-    else:  # pragma: no cover
-        raise _UsageError(f"unknown topk subcommand {args.what!r}")
     return EXIT_OK
 
 
@@ -628,8 +638,6 @@ def cmd_anomaly(args) -> int:
         payload = {"apps": len(joined), "selected": sum(f.selected for f in joined)}
         _write_json(out / "external_flags.json", payload)
         print(json.dumps(payload, sort_keys=True))
-    else:  # pragma: no cover
-        raise _UsageError(f"unknown anomaly subcommand {args.what!r}")
     return EXIT_OK
 
 
@@ -735,13 +743,13 @@ def main(argv=None) -> int:
     except StoreIOError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MarketPulseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,7 +14,7 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 from .errors import (
@@ -23,12 +23,7 @@ from .errors import (
     MalformedDocumentError,
     MissingFieldError,
 )
-from .model import (
-    AppSnapshot,
-    DownloadBucket,
-    parse_date,
-    validate_snapshot,
-)
+from .model import AppSnapshot, DownloadBucket, parse_date
 
 NOT_FOUND = "404"
 
@@ -157,26 +152,17 @@ def _tokenize(raw: str):
 
 
 @dataclass(frozen=True)
-class MarketPage:
-    """A fetched page: its raw text and the app it was requested for."""
-
-    raw: str
-    app: str = ""
-
-
-@dataclass(frozen=True)
 class ParsedPage:
     snapshot: AppSnapshot
     similar: tuple[str, ...]
 
 
-def parse_page(page: str | MarketPage) -> ParsedPage:
+def parse_page(raw: str) -> ParsedPage:
     """Extract the snapshot and the ordered, deduplicated similar-app list.
 
     Raises MissingFieldError when a required meta tag is absent and
     MalformedDocumentError when the block structure is broken.
     """
-    raw = page.raw if isinstance(page, MarketPage) else page
     if not raw or not raw.strip():
         raise MalformedDocumentError("empty page")
     app: str | None = None
@@ -406,7 +392,6 @@ class WorkerState:
     worker_id: int
     consecutive_404: int = 0
     active: bool = True
-    politeness_delay_ms: int = DEFAULT_POLITENESS_MS
     attempts: int = 0
 
 
@@ -532,21 +517,8 @@ def crawl(
     run = _CrawlRun(market, config)
     for seed in seeds:
         run.frontier.try_enqueue(seed)
-    workers = [
-        WorkerState(worker_id=i, politeness_delay_ms=config.politeness_delay_ms)
-        for i in range(config.workers)
-    ]
-    if config.workers == 1:
-        worker = workers[0]
-        while worker.active:
-            app = run.frontier.pop()
-            if app is None:
-                break
-            run.process_one(worker, app)
-            if worker.active and config.politeness_delay_ms:
-                time.sleep(config.politeness_delay_ms / 1000.0)
-    else:
-        _crawl_threaded(run, workers)
+    workers = [WorkerState(worker_id=i) for i in range(config.workers)]
+    _crawl_threaded(run, workers)
     run.report.frontier_exhausted = run.frontier.pending() == 0
     # snapshots stay in emission order: with one worker that is BFS order
     return CrawlResult(snapshots=run.snapshots, report=run.report, workers=workers)
@@ -577,8 +549,8 @@ def _crawl_threaded(run: _CrawlRun, workers: list[WorkerState]) -> None:
                 if not worker.active:
                     active[0] -= 1
                 cond.notify_all()
-            if worker.active and worker.politeness_delay_ms:
-                time.sleep(worker.politeness_delay_ms / 1000.0)
+            if worker.active and run.config.politeness_delay_ms:
+                time.sleep(run.config.politeness_delay_ms / 1000.0)
 
     threads = [
         threading.Thread(target=loop, args=(worker,), daemon=True)
@@ -588,51 +560,3 @@ def _crawl_threaded(run: _CrawlRun, workers: list[WorkerState]) -> None:
         t.start()
     for t in threads:
         t.join()
-
-
-# --- merge + assertion checking ---------------------------------------------------
-
-
-@dataclass
-class AssertionReport:
-    duplicates_removed: int = 0
-    invalid: list = field(default_factory=list)  # (app, fetch_time, violations)
-
-    def to_record(self) -> dict:
-        return {
-            "duplicates_removed": self.duplicates_removed,
-            "invalid": [
-                {"app": app, "fetch_time": ts, "violations": list(v)}
-                for app, ts, v in self.invalid
-            ],
-        }
-
-
-@dataclass
-class MergeResult:
-    snapshots: list[AppSnapshot]
-    report: AssertionReport
-
-
-def merge_parsed(batches: Iterable[Iterable[AppSnapshot]]) -> MergeResult:
-    """Combine parsed snapshot batches, dropping exact (app, fetch_time)
-    duplicates and records that fail validation.
-
-    Validation is best-effort: failures are reported, never fatal.
-    """
-    seen: set[tuple[str, int]] = set()
-    merged: list[AppSnapshot] = []
-    report = AssertionReport()
-    for batch in batches:
-        for snap in batch:
-            key = (snap.app, snap.fetch_time)
-            if key in seen:
-                report.duplicates_removed += 1
-                continue
-            seen.add(key)
-            violations = validate_snapshot(snap)
-            if violations:
-                report.invalid.append((snap.app, snap.fetch_time, violations))
-                continue
-            merged.append(snap)
-    return MergeResult(snapshots=merged, report=report)

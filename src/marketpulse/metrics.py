@@ -73,7 +73,7 @@ def classify_popularity(bucket: DownloadBucket) -> PopularityClass:
     return PopularityClass.MOST_POPULAR
 
 
-# --- update cadence and bandwidth --------------------------------------------
+# --- update cadence -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -82,47 +82,16 @@ class UpdateStats:
     aui_days: float | None  # mean gap between consecutive update days
 
 
-def update_stats(
-    timeline: AppTimeline,
-    span: tuple[dt.date, dt.date] | None = None,
-) -> UpdateStats:
+def update_stats(timeline: AppTimeline) -> UpdateStats:
     """Update count and average update interval of one app.
 
     The AUI is undefined (None) below two updates.
     """
-    days = list(timeline.update_days)
-    if span is not None:
-        start, end = span
-        days = [d for d in days if start <= d <= end]
+    days = timeline.update_days
     if len(days) < 2:
         return UpdateStats(update_count=len(days), aui_days=None)
     gaps = [(b - a).days for a, b in zip(days, days[1:])]
     return UpdateStats(update_count=len(days), aui_days=sum(gaps) / len(gaps))
-
-
-@dataclass(frozen=True)
-class BandwidthEstimate:
-    """Bytes pushed by updates: per user, and fleet-wide per update/total."""
-
-    per_user_bytes: int
-    fleet_bytes_lo: int
-    fleet_bytes_hi: int
-    fleet_total_lo: int
-    fleet_total_hi: int
-
-
-def update_bandwidth(
-    size_bytes: int, downloads: DownloadBucket, update_count: int
-) -> BandwidthEstimate:
-    if update_count < 0:
-        raise InvalidInputError("update_count must be non-negative")
-    return BandwidthEstimate(
-        per_user_bytes=size_bytes * update_count,
-        fleet_bytes_lo=size_bytes * downloads.lo,
-        fleet_bytes_hi=size_bytes * downloads.hi,
-        fleet_total_lo=size_bytes * downloads.lo * update_count,
-        fleet_total_hi=size_bytes * downloads.hi * update_count,
-    )
 
 
 # --- price statistics ---------------------------------------------------------
@@ -408,10 +377,9 @@ class AssociationMatrix:
 
 def attribute_event_sets(
     timelines: Iterable[AppTimeline],
-    kinds: Sequence[AttributeKind] = ASSOCIATION_KINDS,
 ) -> tuple[dict, frozenset]:
     """Per-kind (day, app) event sets plus the changed-tuple universe."""
-    sets: dict = {kind: set() for kind in kinds}
+    sets: dict = {kind: set() for kind in ASSOCIATION_KINDS}
     universe = set()
     for timeline in timelines:
         for event in timeline.events:
@@ -428,26 +396,18 @@ def attribute_event_sets(
     )
 
 
-def association_matrix(
-    timelines: Iterable[AppTimeline],
-    kinds: Sequence[AttributeKind] = ASSOCIATION_KINDS,
-    extra_universe: Iterable | None = None,
-) -> AssociationMatrix:
+def association_matrix(timelines: Iterable[AppTimeline]) -> AssociationMatrix:
     """Pairwise Yule Q over all attribute kinds.
 
     The universe is every (day, app) tuple with at least one change of
-    any kind; ``extra_universe`` widens it (e.g. with neutral observed
-    days) when a different convention is wanted.
+    any kind.
     """
-    event_sets, universe = attribute_event_sets(timelines, kinds)
-    if extra_universe is not None:
-        universe = frozenset(universe | set(extra_universe))
+    kinds = ASSOCIATION_KINDS
+    event_sets, universe = attribute_event_sets(timelines)
     values = {}
     for i, ka in enumerate(kinds):
         for kb in kinds[i:]:
             q = yule_association(event_sets[ka], event_sets[kb], universe)
             values[(ka, kb)] = q
             values[(kb, ka)] = q
-    return AssociationMatrix(
-        kinds=tuple(kinds), values=values, universe_size=len(universe)
-    )
+    return AssociationMatrix(kinds=kinds, values=values, universe_size=len(universe))

@@ -122,11 +122,6 @@ class ReviewRecord:
     text: str
 
 
-class _TopKDict(dict):
-    # plain dict subclass so a frozen dataclass can cache it in __dict__
-    pass
-
-
 @dataclass(frozen=True)
 class TopKObservation:
     """One hourly observation of a ranked list (rank 1 first)."""
@@ -134,14 +129,6 @@ class TopKObservation:
     list_type: ListType
     fetch_time: int
     ranking: tuple[str, ...]
-
-    def rank_of(self, app: str) -> int | None:
-        """1-based rank of ``app`` in this observation, or None if absent."""
-        index = self.__dict__.get("_rank_index")
-        if index is None:
-            index = _TopKDict((a, i + 1) for i, a in enumerate(self.ranking))
-            self.__dict__["_rank_index"] = index
-        return index.get(app)
 
 
 # --- date/time helpers -------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .harvester import render_page
-from .metrics import classify_popularity
+from .metrics import DEFAULT_STALENESS_WINDOW_DAYS, classify_popularity
 from .model import (
     AppSnapshot,
     AttributeKind,
@@ -247,6 +247,15 @@ def _default_review_rates() -> dict:
     }
 
 
+# fixed generator parameters (not script keys)
+DEV_APP_ALPHA = 2.5  # power-law exponent of apps per developer
+MAX_APPS_PER_DEVELOPER = 50
+FRAUD_BASELINE_DAILY = 5.0  # organic daily reviews of a fraud-campaign target
+CATEGORY_CHANGE_FRACTION = 0.019
+DOWNLOADS_GROWTH_FRACTION = 0.05
+RATING_DOWNLOAD_RATIO = 1.0 / 300.0
+
+
 @dataclass(frozen=True)
 class MarketScript:
     """Full recipe for one synthetic market; see generate()."""
@@ -255,26 +264,19 @@ class MarketScript:
     name: str = "synthetic-market"
     currency: str = "USD"
     n_developers: int = 100
-    dev_app_alpha: float = 2.5
-    max_apps_per_developer: int = 50
     observation_start: dt.date = dt.date(2014, 10, 24)
     observation_days: int = 30
     snapshot_cadence_days: int = 1
     topk_lists: dict = field(default_factory=dict)
     fraud_campaigns: tuple = ()
-    fraud_baseline_daily: float = 5.0
     scam_developers: tuple = ()
     decoupling_rate: float = 0.05
     popularity_mix: dict = field(default_factory=_default_popularity_mix)
     stale_fraction: float = 0.3
-    staleness_window_days: int = 365
     update_gap_model: dict = field(default_factory=_default_update_gap_model)
     price_change_model: PriceChangeModel = PriceChangeModel()
     permission_change_model: PermissionChangeModel = PermissionChangeModel()
     permission_churn_apps: int = 0
-    category_change_fraction: float = 0.019
-    downloads_growth_fraction: float = 0.05
-    rating_download_ratio: float = 1.0 / 300.0
 
     review_rates: dict = field(default_factory=_default_review_rates)
 
@@ -285,8 +287,6 @@ class MarketScript:
     def validate(self) -> None:
         if self.n_developers < 1:
             raise ConfigError("n_developers must be >= 1")
-        if self.dev_app_alpha <= 1.0:
-            raise ConfigError("dev_app_alpha must exceed 1")
         if self.observation_days < 1:
             raise ConfigError("observation_days must be >= 1")
         if self.snapshot_cadence_days < 1:
@@ -299,12 +299,7 @@ class MarketScript:
                 raise ConfigError(f"update_fraction out of [0, 1] for {klass.value}")
             if not 1 <= gap_model.gap_days_lo <= gap_model.gap_days_hi:
                 raise ConfigError(f"bad update gap range for {klass.value}")
-        for rate_name in (
-            "decoupling_rate",
-            "stale_fraction",
-            "category_change_fraction",
-            "downloads_growth_fraction",
-        ):
+        for rate_name in ("decoupling_rate", "stale_fraction"):
             rate = getattr(self, rate_name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{rate_name} must be within [0, 1], got {rate}")
@@ -388,8 +383,6 @@ def script_to_record(script: MarketScript) -> dict:
         "name": script.name,
         "currency": script.currency,
         "n_developers": script.n_developers,
-        "dev_app_alpha": script.dev_app_alpha,
-        "max_apps_per_developer": script.max_apps_per_developer,
         "observation_start": script.observation_start.isoformat(),
         "observation_days": script.observation_days,
         "snapshot_cadence_days": script.snapshot_cadence_days,
@@ -397,21 +390,16 @@ def script_to_record(script: MarketScript) -> dict:
             lt.value: vars(cfg).copy() for lt, cfg in script.topk_lists.items()
         },
         "fraud_campaigns": [vars(c).copy() for c in script.fraud_campaigns],
-        "fraud_baseline_daily": script.fraud_baseline_daily,
         "scam_developers": [vars(s).copy() for s in script.scam_developers],
         "decoupling_rate": script.decoupling_rate,
         "popularity_mix": {k.value: v for k, v in script.popularity_mix.items()},
         "stale_fraction": script.stale_fraction,
-        "staleness_window_days": script.staleness_window_days,
         "update_gap_model": {
             k.value: vars(v).copy() for k, v in script.update_gap_model.items()
         },
         "price_change_model": vars(script.price_change_model).copy(),
         "permission_change_model": vars(script.permission_change_model).copy(),
         "permission_churn_apps": script.permission_churn_apps,
-        "category_change_fraction": script.category_change_fraction,
-        "downloads_growth_fraction": script.downloads_growth_fraction,
-        "rating_download_ratio": script.rating_download_ratio,
         "review_rates": {k.value: v for k, v in script.review_rates.items()},
     }
 
@@ -608,7 +596,7 @@ def _plan_app(
     bucket0 = DownloadBucket(*bucket0)
 
     end = script.observation_end
-    window = script.staleness_window_days
+    window = DEFAULT_STALENESS_WINDOW_DAYS
     stale = bool(rng.random() < script.stale_fraction)
     if stale:
         age = window + 30 + int(rng.integers(0, 365))
@@ -642,7 +630,7 @@ def _plan_app(
         int(
             round(
                 bucket0.midpoint()
-                * script.rating_download_ratio
+                * RATING_DOWNLOAD_RATIO
                 * rng.uniform(0.9, 1.1)
             )
         ),
@@ -800,7 +788,7 @@ def _plan_app(
             current = set(new_set)
 
     # one within-class downloads bump for a small share of apps
-    if rng.random() < script.downloads_growth_fraction:
+    if rng.random() < DOWNLOADS_GROWTH_FRACTION:
         idx = DOWNLOAD_LADDER.index((plan.bucket0.lo, plan.bucket0.hi))
         if idx + 1 < len(DOWNLOAD_LADDER):
             next_bucket = DownloadBucket(*DOWNLOAD_LADDER[idx + 1])
@@ -834,7 +822,7 @@ def _plan_app(
             count += delta
 
     # rare category change
-    if rng.random() < script.category_change_fraction and eligible:
+    if rng.random() < CATEGORY_CHANGE_FRACTION and eligible:
         day = _choice(rng, eligible)
         others = [c for c in CATEGORIES if c != plan.category]
         changes.append(
@@ -941,10 +929,7 @@ def plan_market(script: MarketScript) -> _MarketPlan:
 
     dev_rng = keyed_rng(script.seed, "developers")
     counts = discrete_power_law_samples(
-        dev_rng,
-        script.dev_app_alpha,
-        script.n_developers,
-        x_max=max(2, script.max_apps_per_developer),
+        dev_rng, DEV_APP_ALPHA, script.n_developers, x_max=MAX_APPS_PER_DEVELOPER
     )
     plans: list[_AppPlan] = []
     for di in range(script.n_developers):
@@ -974,7 +959,7 @@ def plan_market(script: MarketScript) -> _MarketPlan:
             if target is None:
                 raise ConfigError(f"fraud campaign app {campaign.app!r} unknown")
         target.campaigns.append(campaign)
-        target.review_base_daily = script.fraud_baseline_daily
+        target.review_base_daily = FRAUD_BASELINE_DAILY
 
     churned = 0
     for plan in plans:
@@ -1303,13 +1288,12 @@ def render_mock_market(
     n_seeds: int = 5,
     seed: int = 0,
     extra_links: int = 2,
-    connected: bool = True,
 ) -> MockMarketData:
     """Render one page per snapshot and a similar-apps graph.
 
-    With ``connected`` every app is reachable from the seed set: each
-    non-seed app is linked from some earlier-placed app. ``extra_links``
-    adds that many random extra anchors per page on average.
+    Every app is reachable from the seed set: each non-seed app is linked
+    from some earlier-placed app. ``extra_links`` adds up to that many
+    random extra anchors per page.
     """
     if not snapshots:
         raise ConfigError("render_mock_market needs at least one snapshot")
@@ -1319,14 +1303,13 @@ def render_mock_market(
     seeds = apps[:n_seeds]
     rng = keyed_rng(seed, "mock-market")
     graph: dict[str, list[str]] = {app: [] for app in apps}
-    if connected:
-        placed = list(seeds)
-        rest = apps[n_seeds:]
-        order = [rest[int(i)] for i in rng.permutation(len(rest))]
-        for app in order:
-            parent = placed[int(rng.integers(0, len(placed)))]
-            graph[parent].append(app)
-            placed.append(app)
+    placed = list(seeds)
+    rest = apps[n_seeds:]
+    order = [rest[int(i)] for i in rng.permutation(len(rest))]
+    for app in order:
+        parent = placed[int(rng.integers(0, len(placed)))]
+        graph[parent].append(app)
+        placed.append(app)
     for app in apps:
         k = int(rng.integers(0, extra_links + 1))
         for _ in range(k):

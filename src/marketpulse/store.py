@@ -153,10 +153,6 @@ class RankedListSeries:
     def __len__(self) -> int:
         return len(self.observations)
 
-    def rank_of(self, app: str, n: int) -> int | None:
-        """Rank of ``app`` in the n-th observation (0-based), None if absent."""
-        return self.observations[n].rank_of(app)
-
 
 @dataclass
 class Rejection:

@@ -10,8 +10,8 @@ version-string changes, which can move independently.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from .errors import InvalidInputError, InvalidPairError
 from .model import AppSnapshot, AttributeKind, ReviewRecord, epoch_to_date
@@ -52,9 +52,6 @@ class AppTimeline:
     app: str
     events: tuple[ChangeEvent, ...]
     update_days: tuple[dt.date, ...]
-
-    def events_on(self, day: dt.date) -> tuple[ChangeEvent, ...]:
-        return tuple(e for e in self.events if e.day == day)
 
 
 @dataclass(frozen=True)
@@ -158,41 +155,6 @@ def build_app_timeline(series: AppSeries) -> AppTimeline:
     return AppTimeline(
         app=series.app, events=tuple(events), update_days=tuple(update_days)
     )
-
-
-def apply_events(snapshot: AppSnapshot, events: Iterable[ChangeEvent]) -> dict:
-    """Replay ``events`` over a snapshot's tracked fields.
-
-    Returns the resulting field dict {price_cents, downloads, rating_count,
-    version, permissions, category}; used to check that a timeline folds
-    back to the final observed state.
-    """
-    state = {
-        "price_cents": snapshot.price_cents,
-        "downloads": snapshot.downloads,
-        "rating_count": snapshot.rating_count,
-        "version": snapshot.version,
-        "permissions": snapshot.permissions,
-        "category": snapshot.category,
-    }
-    field_of = {
-        AttributeKind.PRICE_UP: "price_cents",
-        AttributeKind.PRICE_DOWN: "price_cents",
-        AttributeKind.DOWNLOADS_UP: "downloads",
-        AttributeKind.REVIEW_COUNT_UP: "rating_count",
-        AttributeKind.VERSION_UP: "version",
-        AttributeKind.PERMISSIONS_UP: "permissions",
-        AttributeKind.PERMISSIONS_DOWN: "permissions",
-        AttributeKind.CATEGORY_CHANGE: "category",
-    }
-    for event in events:
-        state[field_of[event.kind]] = event.new
-    return state
-
-
-def tracked_fields(snapshot: AppSnapshot) -> dict:
-    """The field dict ``apply_events`` reproduces."""
-    return apply_events(snapshot, ())
 
 
 def build_review_timeline(

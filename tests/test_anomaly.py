@@ -1,7 +1,9 @@
 import datetime as dt
+from pathlib import Path
 
 import pytest
 
+import marketpulse
 from marketpulse.anomaly import (
     DangerousPermissionPolicy,
     Polarity,
@@ -13,7 +15,6 @@ from marketpulse.anomaly import (
     permission_flags,
     permission_version_decoupling_rate,
     scam_pattern_scan,
-    title_similarity,
 )
 from marketpulse.errors import ConfigError, ParseError
 from marketpulse.model import AttributeKind
@@ -167,14 +168,14 @@ class TestPermissionFlags:
 
     def test_change_without_version_change(self):
         events = [_perm_event(3, {"X"}, {"X", "Y"})]
-        flags = permission_flags(timeline_of(*events), policy=None)
+        flags = permission_flags(timeline_of(*events), POLICY)
         assert [f.kind for f in flags] == [
             PermissionFlagKind.CHANGE_WITHOUT_VERSION_CHANGE
         ]
 
     def test_change_with_version_change_not_flagged(self):
         events = [_version_event(3), _perm_event(3, {"X"}, {"X", "Y"})]
-        flags = permission_flags(timeline_of(*events), policy=None)
+        flags = permission_flags(timeline_of(*events), POLICY)
         assert flags == []
 
     def test_dangerous_added(self):
@@ -194,6 +195,8 @@ class TestPermissionFlags:
         policy = DangerousPermissionPolicy.default()
         assert "CAMERA" in policy.dangerous
         assert len(policy.dangerous) >= 10
+        packaged = Path(marketpulse.__file__).parent / "data" / "dangerous_permissions.txt"
+        assert policy == DangerousPermissionPolicy.load(packaged)
 
     def test_policy_file_load(self, tmp_path):
         p = tmp_path / "policy.txt"
@@ -235,22 +238,25 @@ class TestDecouplingRate:
 
 
 class TestScamScan:
-    def _clone(self, i, developer="CloneWorks", price=199):
+    def _clone(self, i, developer="CloneWorks", price=199, base=None):
+        base = base or f"{developer} Premium Puzzle Mania Deluxe Edition"
         return make_snapshot(
             app=f"com.scam.c{i:02d}",
-            title=f"{developer} Premium Puzzle Mania Deluxe Edition {i + 1:02d}",
+            title=f"{base} {i + 1:02d}",
             developer=developer,
             price_cents=price,
         )
 
     def test_near_identical_titles_cluster(self):
-        snaps = [self._clone(i) for i in range(10)]
-        clusters = scam_pattern_scan(snaps)
-        assert len(clusters) == 1
-        cluster = clusters[0]
-        assert cluster.developer == "CloneWorks"
-        assert len(cluster.apps) == 10
-        assert cluster.price_mean_cents == 199
+        # the bare title shares fewer trigrams: the clones must still link
+        for base in (None, "Premium Puzzle Mania Deluxe Edition"):
+            snaps = [self._clone(i, base=base) for i in range(10)]
+            clusters = scam_pattern_scan(snaps)
+            assert len(clusters) == 1
+            cluster = clusters[0]
+            assert cluster.developer == "CloneWorks"
+            assert len(cluster.apps) == 10
+            assert cluster.price_mean_cents == 199
 
     def test_dissimilar_free_apps_no_cluster(self):
         titles = [
@@ -287,12 +293,6 @@ class TestScamScan:
         snaps += [self._clone(i, developer="DevB") for i in range(5)]
         clusters = scam_pattern_scan(snaps)
         assert sorted(c.developer for c in clusters) == ["DevA", "DevB"]
-
-    def test_title_similarity_metric(self):
-        assert title_similarity("abc", "abc") == 1.0
-        assert title_similarity("abc", "xyz") == 0.0
-        base = "Premium Puzzle Mania Deluxe Edition"
-        assert title_similarity(f"{base} 01", f"{base} 02") > 0.8
 
 
 class TestExternalFlags:

@@ -1,7 +1,7 @@
 import json
 import pytest
 
-from marketpulse import simgen
+from marketpulse import cli, simgen
 from marketpulse.cli import main
 from marketpulse.model import ListType
 from marketpulse.simgen import (
@@ -199,9 +199,13 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert main(["metrics", "staleness", "--bogus"]) == 1
 
-    def test_missing_store_is_validation_error(self, monkeypatch):
+    def test_missing_store_is_validation_error(self, monkeypatch, tmp_path):
         monkeypatch.delenv("MARKETPULSE_STORE", raising=False)
+        monkeypatch.chdir(tmp_path)
         assert main(["metrics", "staleness"]) == 1
+        # ingest resolves the store the same way: nothing lands in the cwd
+        assert main(["ingest", "--data", str(tmp_path)]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_nonexistent_store_is_io_error(self, tmp_path):
         assert main(["metrics", "staleness", "--store", str(tmp_path / "nope")]) == 2
@@ -240,3 +244,36 @@ class TestExitCodes:
 
 def test_ingest_missing_data_dir_is_io_error(tmp_path):
     assert main(["ingest", "--data", str(tmp_path / "absent"), "--store", str(tmp_path / "s")]) == 2
+
+
+def test_overlap_on_empty_list_is_too_few_observations(tmp_path, capsys):
+    empty, store = tmp_path / "empty", tmp_path / "store"
+    empty.mkdir()
+    assert main(["ingest", "--data", str(empty), "--store", str(store)]) == 0
+    for slice_ in ("top24", "last25"):
+        argv = ["topk", "overlap", "--list", "Free", "--slice", slice_]
+        assert main([*argv, "--store", str(store), "--out", str(tmp_path / "r")]) == 1
+        assert "need at least 2 observations" in capsys.readouterr().err
+
+
+def test_failed_report_write_keeps_previous_file(tmp_path, monkeypatch):
+    out = tmp_path / "reports"
+    csv_path, json_path = out / "updates.csv", out / "updates.json"
+    cli._write_csv(csv_path, ["app"], [("com.a",)])
+    cli._write_json(json_path, {"apps": 1})
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def rows():
+        yield ("com.b",)
+        raise OSError("injected write failure")
+
+    with pytest.raises(OSError):
+        cli._write_csv(csv_path, ["app"], rows())
+
+    def failing_replace(src, dst):
+        raise OSError("injected rename failure")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli._write_json(json_path, {"apps": 2})
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

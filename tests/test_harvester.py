@@ -14,7 +14,6 @@ from marketpulse.harvester import (
     MarketServer,
     RemoteMarket,
     crawl,
-    merge_parsed,
     parse_page,
     render_page,
 )
@@ -242,41 +241,3 @@ class TestRemoteTransport:
         )
         assert result.report.fetch_errors == 2
         assert result.report.workers_banned == 1
-
-
-class TestMergeParsed:
-    def test_shared_record_collapsed(self):
-        a = [make_snapshot(app="com.x"), make_snapshot(app="com.y")]
-        b = [make_snapshot(app="com.y"), make_snapshot(app="com.z")]
-        result = merge_parsed([a, b])
-        assert len(result.snapshots) == 3
-        assert result.report.duplicates_removed == 1
-
-    def test_invalid_record_reported_not_fatal(self):
-        bad = make_snapshot(app="com.bad", rating_avg=9.0)
-        result = merge_parsed([[make_snapshot(app="com.ok"), bad]])
-        assert [s.app for s in result.snapshots] == ["com.ok"]
-        assert len(result.report.invalid) == 1
-        app, _, violations = result.report.invalid[0]
-        assert app == "com.bad"
-        assert "rating_avg out of [0,5]" in violations
-
-    def test_empty_input(self):
-        result = merge_parsed([])
-        assert result.snapshots == []
-        assert result.report.duplicates_removed == 0
-
-    def test_different_fetch_times_not_duplicates(self):
-        a = make_snapshot(app="com.x", hour=10)
-        b = make_snapshot(app="com.x", hour=11)
-        result = merge_parsed([[a], [b]])
-        assert len(result.snapshots) == 2
-
-
-def test_parse_accepts_market_page_wrapper():
-    from marketpulse.harvester import MarketPage
-
-    snap = make_snapshot(app="com.wrap")
-    page = MarketPage(raw=render_page(snap, ["com.x"]), app="com.wrap")
-    parsed = parse_page(page)
-    assert parsed.snapshot == snap

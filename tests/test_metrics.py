@@ -24,7 +24,6 @@ from marketpulse.metrics import (
     price_dispersion_cov,
     scan_x_min,
     seasonal_trend_decompose,
-    update_bandwidth,
     update_stats,
     yule_association,
     yule_q,
@@ -101,33 +100,6 @@ class TestUpdateStats:
         stats = update_stats(_timeline_with_updates(days))
         assert stats.update_count == 4
         assert stats.aui_days == 14.0
-
-    def test_span_filter(self):
-        days = [DAY0 + dt.timedelta(days=d) for d in (0, 10, 20, 30)]
-        stats = update_stats(
-            _timeline_with_updates(days), span=(DAY0, DAY0 + dt.timedelta(days=15))
-        )
-        assert stats.update_count == 2
-
-
-class TestBandwidth:
-    def test_per_user_matches_reported_value(self):
-        # 1.8 MiB app with 91 updates pushes ~163.8 MiB to each user
-        size = int(1.8 * 2**20)
-        estimate = update_bandwidth(size, DownloadBucket(500_000, 1_000_000), 91)
-        assert estimate.per_user_bytes == size * 91
-        assert estimate.per_user_bytes / 2**20 == pytest.approx(163.8, abs=0.01)
-
-    def test_fleet_upper_bound_in_tib(self):
-        size = int(1.8 * 2**20)
-        estimate = update_bandwidth(size, DownloadBucket(500_000, 1_000_000), 91)
-        assert estimate.fleet_bytes_hi / 2**40 == pytest.approx(1.716, abs=0.01)
-        assert estimate.fleet_total_hi == estimate.fleet_bytes_hi * 91
-
-    def test_zero_size(self):
-        estimate = update_bandwidth(0, DownloadBucket(10, 50), 5)
-        assert estimate.per_user_bytes == 0
-        assert estimate.fleet_total_hi == 0
 
 
 class TestPriceChangeCcdf:
@@ -430,6 +402,3 @@ class TestAssociationMatrix:
         ]
         matrix = association_matrix(timelines)
         assert matrix.universe_size == 1
-        extra = {(DAY0 + dt.timedelta(days=9), "com.zz")}
-        wider = association_matrix(timelines, extra_universe=extra)
-        assert wider.universe_size == 2

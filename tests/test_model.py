@@ -118,13 +118,6 @@ class TestValidateTopk:
         assert any("longer" in v for v in validate_topk(make_topk(ranking)))
 
 
-def test_rank_of():
-    obs = make_topk(["a", "b", "c"])
-    assert obs.rank_of("a") == 1
-    assert obs.rank_of("c") == 3
-    assert obs.rank_of("zzz") is None
-
-
 def test_download_ladder_is_sane():
     for lo, hi in DOWNLOAD_LADDER:
         assert lo < hi

@@ -102,13 +102,14 @@ class TestQueries:
         assert len(series) == 0
 
     def test_list_series_window(self, store):
-        observations = [make_topk(["a", "b"], hour=h) for h in range(10)]
+        observations = [make_topk(["a", "b", "c"], hour=h) for h in range(10)]
         store.ingest_records("topk", observations)
         window = TimeWindow(
             observations[0].fetch_time, observations[4].fetch_time
         )
         series = store.query_list_series(ListType.FREE, window)
         assert len(series) == 5
+        assert series.observations[0].ranking == ("a", "b", "c")
 
     def test_empty_store_gives_empty_list_series(self, store):
         assert len(store.query_list_series(ListType.PAID)) == 0
@@ -129,12 +130,6 @@ class TestQueries:
         store.ingest_records("reviews", reviews)
         assert store.review_counts() == {"com.example.app": 4}
         assert len(store.query_reviews("com.example.app")) == 4
-
-    def test_rank_function_lookup(self, store):
-        store.ingest_records("topk", [make_topk(["a", "b", "c"], hour=0)])
-        series = store.query_list_series(ListType.FREE)
-        assert series.rank_of("b", 0) == 2
-        assert series.rank_of("zzz", 0) is None
 
 
 # --- property tests --------------------------------------------------------------

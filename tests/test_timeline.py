@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marketpulse.errors import InvalidInputError, InvalidPairError
-from marketpulse.model import AttributeKind, DOWNLOAD_LADDER, DownloadBucket
+from marketpulse.model import AppSnapshot, AttributeKind, DOWNLOAD_LADDER, DownloadBucket
 from marketpulse.store import AppSeries
 from marketpulse.timeline import (
     PolarityThresholds,
-    apply_events,
     build_app_timeline,
     build_review_timeline,
     diff_snapshots,
     timeline_csv_rows,
-    tracked_fields,
 )
 
 from conftest import DAY0, make_review, make_snapshot
@@ -201,6 +199,41 @@ def monotone_histories(draw):
             )
         )
     return snaps
+
+
+def apply_events(snapshot: AppSnapshot, events) -> dict:
+    """Replay ``events`` over a snapshot's tracked fields.
+
+    Returns the resulting field dict {price_cents, downloads, rating_count,
+    version, permissions, category}; used to check that a timeline folds
+    back to the final observed state.
+    """
+    state = {
+        "price_cents": snapshot.price_cents,
+        "downloads": snapshot.downloads,
+        "rating_count": snapshot.rating_count,
+        "version": snapshot.version,
+        "permissions": snapshot.permissions,
+        "category": snapshot.category,
+    }
+    field_of = {
+        AttributeKind.PRICE_UP: "price_cents",
+        AttributeKind.PRICE_DOWN: "price_cents",
+        AttributeKind.DOWNLOADS_UP: "downloads",
+        AttributeKind.REVIEW_COUNT_UP: "rating_count",
+        AttributeKind.VERSION_UP: "version",
+        AttributeKind.PERMISSIONS_UP: "permissions",
+        AttributeKind.PERMISSIONS_DOWN: "permissions",
+        AttributeKind.CATEGORY_CHANGE: "category",
+    }
+    for event in events:
+        state[field_of[event.kind]] = event.new
+    return state
+
+
+def tracked_fields(snapshot: AppSnapshot) -> dict:
+    """The field dict ``apply_events`` reproduces."""
+    return apply_events(snapshot, ())
 
 
 @settings(max_examples=120, deadline=None)
