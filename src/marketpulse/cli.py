@@ -17,9 +17,15 @@ import sys
 from pathlib import Path
 
 from . import anomaly as anomaly_mod
-from . import harvester, metrics, simgen, topk as topk_mod
+from . import metrics, topk as topk_mod
 from .errors import MarketPulseError, StoreIOError
-from .model import ListType, epoch_to_date, parse_date, snapshot_to_record
+from .model import (
+    SECONDS_PER_DAY,
+    ListType,
+    epoch_day_to_date,
+    parse_date,
+    snapshot_to_record,
+)
 from .store import DatasetManifest, SnapStore
 from .timeline import (
     PolarityThresholds,
@@ -112,13 +118,16 @@ def _open_store(args) -> SnapStore:
 
 
 def _timelines(store: SnapStore):
-    return [build_app_timeline(series) for series in store.iter_app_series()]
+    return [build_app_timeline(store.app_states(app)) for app in store.apps()]
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
+    # simgen needs numpy; commands that never simulate skip importing it
+    from . import simgen
+
     script = simgen.load_script(args.script)
     truth = simgen.write_dataset(
         script, args.out, render_market_seeds=args.render_market
@@ -163,6 +172,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_crawl(args) -> int:
+    from . import harvester
+
     seeds = [
         line.strip()
         for line in Path(args.seeds).read_text(encoding="utf-8").splitlines()
@@ -178,16 +189,20 @@ def cmd_crawl(args) -> int:
         market = harvester.RemoteMarket(host, int(port))
     else:
         market = harvester.DictMarket.load(market_arg)
+    # flags left unset keep CrawlConfig's defaults
+    given = {
+        "ban_threshold": args.ban_threshold,
+        "politeness_delay_ms": args.politeness_delay_ms,
+    }
     config = harvester.CrawlConfig(
         workers=args.workers,
-        ban_threshold=args.ban_threshold,
-        politeness_delay_ms=args.politeness_delay_ms,
+        **{name: value for name, value in given.items() if value is not None},
     )
     result = harvester.crawl(seeds, market, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # file output is sorted so multi-worker crawls stay byte-deterministic
-    with open(out / "snapshots.jsonl", "w", encoding="utf-8") as f:
+
+    def write_snapshots(f):
+        # sorted so multi-worker crawls stay byte-deterministic
         for snap in sorted(result.snapshots, key=lambda s: (s.fetch_time, s.app)):
             f.write(
                 json.dumps(
@@ -195,6 +210,8 @@ def cmd_crawl(args) -> int:
                 )
                 + "\n"
             )
+
+    _replace_file(out / "snapshots.jsonl", write_snapshots)
     _write_json(out / "crawl_report.json", result.report.to_record())
     print(json.dumps(result.report.to_record(), sort_keys=True))
     return EXIT_OK
@@ -202,7 +219,7 @@ def cmd_crawl(args) -> int:
 
 def cmd_timeline(args) -> int:
     store = _open_store(args)
-    timeline = build_app_timeline(store.query_app_series(args.app))
+    timeline = build_app_timeline(store.app_states(args.app))
     rows = timeline_csv_rows(timeline)
     writer = csv.writer(sys.stdout)
     writer.writerow(["app", "day", "kind", "old", "new"])
@@ -363,20 +380,23 @@ def _metrics_price(args, store: SnapStore, out: Path) -> int:
     medians = metrics.median_price_split(paid_latest, reference, args.window_days)
     cov = metrics.price_dispersion_cov([p for p, _ in paid_latest])
     change_counts = []
-    daily_prices: dict = {}
-    for series in store.iter_app_series():
+    # epoch day -> prices of the paid snapshots fetched that day; a stored
+    # snapshot is free exactly when its price is 0 (checked at ingest)
+    daily_prices: dict[int, list[int]] = {}
+    for app in store.apps():
+        series = store.app_states(app)
         timeline = build_app_timeline(series)
         n_changes = sum(
             1
             for e in timeline.events
             if e.kind.value in ("price_up", "price_down")
         )
-        if series.snapshots and not all(s.free for s in series.snapshots):
+        if any(s.price_cents for s in series.states):
             change_counts.append(n_changes)
-        for snap in series.snapshots:
-            if not snap.free:
-                daily_prices.setdefault(epoch_to_date(snap.fetch_time), []).append(
-                    snap.price_cents
+        for time, state in zip(series.times, series.states):
+            if state.price_cents:
+                daily_prices.setdefault(time // SECONDS_PER_DAY, []).append(
+                    state.price_cents
                 )
     ccdf = metrics.price_change_ccdf(change_counts)
     _write_csv(
@@ -384,8 +404,9 @@ def _metrics_price(args, store: SnapStore, out: Path) -> int:
         ["changes_exceeding", "sqrt_apps"],
         [(x, repr(y)) for x, y in ccdf],
     )
-    days = sorted(daily_prices)
-    avg_series = [statistics.fmean(daily_prices[d]) for d in days]
+    day_keys = sorted(daily_prices)
+    avg_series = [statistics.fmean(daily_prices[d]) for d in day_keys]
+    days = [epoch_day_to_date(d) for d in day_keys]
     decomposition_rows = []
     decomposition_error = None
     try:
@@ -673,10 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="host:port, a market_pages.jsonl file, or a dataset directory",
     )
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--ban-threshold", type=int, default=harvester.DEFAULT_BAN_THRESHOLD)
-    p.add_argument(
-        "--politeness-delay-ms", type=int, default=harvester.DEFAULT_POLITENESS_MS
-    )
+    # unset means the harvester's default, applied in cmd_crawl so that
+    # building the parser does not import the harvester
+    p.add_argument("--ban-threshold", type=int, default=None)
+    p.add_argument("--politeness-delay-ms", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_crawl)
 

@@ -11,9 +11,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DegenerateTailError,
@@ -22,6 +20,9 @@ from .errors import (
 )
 from .model import AttributeKind, DownloadBucket, PopularityClass
 from .timeline import AppTimeline
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Class boundaries on the download-bucket lower bound (half-open).
 POPULAR_MIN_DOWNLOADS = 1_000
@@ -187,6 +188,8 @@ def seasonal_trend_decompose(
     series, normalized to sum to zero over one period. The remainder is
     exactly observed - trend - seasonal wherever the trend is defined.
     """
+    import numpy as np
+
     if period < 2:
         raise InvalidInputError("period must be >= 2")
     x = np.asarray(series, dtype=float)
@@ -240,6 +243,8 @@ def fit_power_law(
     alpha = 1 + n / sum(ln(x_i / x_min)); the KS distance is the sup gap
     between the empirical tail CDF and the fitted model CDF.
     """
+    import numpy as np
+
     if x_min <= 0:
         raise InvalidInputError("x_min must be positive")
     x = np.asarray(samples, dtype=float)
@@ -272,6 +277,8 @@ def scan_x_min(
     largest), thinned to at most ``max_candidates``. Tails smaller than
     ``min_tail`` are skipped to keep the KS statistic meaningful.
     """
+    import numpy as np
+
     x = np.asarray(samples, dtype=float)
     candidates = np.unique(x)[:-1]
     if len(candidates) == 0:

@@ -11,6 +11,7 @@ import datetime as dt
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 SECONDS_PER_DAY = 86400
 SECONDS_PER_HOUR = 3600
@@ -109,6 +110,31 @@ class AppSnapshot:
     permissions: frozenset[str] = field(default_factory=frozenset)
 
 
+class TimelineState(NamedTuple):
+    """The fields of a snapshot that its app's timeline reads: the ones
+    change events diff, plus last_updated for update days."""
+
+    price_cents: int
+    downloads: DownloadBucket
+    rating_count: int
+    version: str
+    category: str
+    permissions: frozenset[str]
+    last_updated: dt.date
+
+
+def timeline_state(s: AppSnapshot) -> TimelineState:
+    return TimelineState(
+        s.price_cents,
+        s.downloads,
+        s.rating_count,
+        s.version,
+        s.category,
+        s.permissions,
+        s.last_updated,
+    )
+
+
 @dataclass(frozen=True)
 class ReviewRecord:
     """One user review; ``review_id`` is unique within an app."""
@@ -147,6 +173,15 @@ def date_to_epoch(day: dt.date) -> int:
 
 def epoch_to_date(ts: int) -> dt.date:
     return dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date()
+
+
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+
+def epoch_day_to_date(day: int) -> dt.date:
+    """UTC date of epoch day ``day``: ``epoch_to_date(ts)`` for any ``ts``
+    with ``ts // SECONDS_PER_DAY == day``."""
+    return dt.date.fromordinal(_EPOCH_ORDINAL + day)
 
 
 # --- validation --------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 Three newline-delimited JSON logs plus a JSON manifest live in one
 directory, and the logs are the only source of truth. Each log has an
-index (entity -> byte offsets of its committed lines). After every ingest
-the writer persists that index as a ``<kind>.idx`` sidecar, which names
-the log prefix it covers and a digest of those bytes. Opening a log loads
-the sidecar, verifies the digest and scans only the log past the covered
-prefix. A missing or mismatched sidecar means scanning the whole log, so
-a reader always gets the index a full scan would build. Readers never
-write to the store directory. Single writer, any number of readers;
+index (entity -> byte offsets of its committed lines). The snapshot index
+also gives each record the id of its timeline state (the fields change
+events and update days are computed from), with the distinct states in a
+table, so app timelines are built without decoding a log line. After every
+ingest the writer persists that index as a ``<kind>.idx`` sidecar, which
+names the log prefix it covers and a digest of those bytes. Opening a log
+loads the sidecar, verifies the digest and scans only the log past the
+covered prefix. A missing or mismatched sidecar means scanning the whole
+log, so a reader always gets the index a full scan would build. Readers
+never write to the store directory. Single writer, any number of readers;
 queries return immutable values.
 """
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import datetime as dt
 import fcntl
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -24,7 +28,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import (
     ConcurrentWriteError,
@@ -33,8 +37,10 @@ from .errors import (
 )
 from .model import (
     AppSnapshot,
+    DownloadBucket,
     ListType,
     ReviewRecord,
+    TimelineState,
     TopKObservation,
     date_to_epoch,
     parse_date,
@@ -62,15 +68,17 @@ _SIDECAR_FILES = {kind: f"{kind}.idx" for kind in KINDS}
 _MANIFEST_FILE = "manifest.json"
 _BATCH_LINES = 1000
 
-# A <kind>.idx sidecar is a header, one column per record field, then the
-# interned entity names, each followed by a byte that UTF-8 never uses.
-# Columns are arrays in native byte order: a sidecar from a machine of the
-# other byte order fails the magic check and is ignored. The digest is sha1
-# over the covered log bytes followed by everything after the header, so a
-# change to either makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505831
-# magic, covered log bytes, digest, records, names, skipped corrupt lines
-_SIDECAR_HEADER = struct.Struct("=IQ20sQQQ")
+# A <kind>.idx sidecar is a header, one column per record field, the state
+# table (snapshots only), then the interned entity names, each followed by
+# a byte that UTF-8 never uses. Columns are arrays in native byte order: a
+# sidecar from a machine of the other byte order fails the magic check and
+# is ignored, as does one in an earlier layout. The digest is sha1 over the
+# covered log bytes followed by everything after the header, so a change to
+# either makes readers scan the log instead.
+_SIDECAR_MAGIC = 0x4D505832
+# magic, covered log bytes, digest, records, names, skipped corrupt lines,
+# state table bytes
+_SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
 # per record (28 bytes): entity name id, id + 1 of the entity's second part
 # (0 when it has none), time key, offset and length of the line
 _SIDECAR_COLUMNS = (
@@ -80,6 +88,12 @@ _SIDECAR_COLUMNS = (
     ("offsets", "Q"),
     ("lengths", "I"),
 )
+# snapshots add 4 bytes per record: the id of the record's timeline state.
+# The state table is compact JSON, {"permission_names": [name, ...],
+# "permissions": [[name id, ...], ...], "states": [[price_cents,
+# downloads_lo, downloads_hi, rating_count, version, category, permission
+# set id, last_updated ordinal], ...]}.
+_STATE_COLUMN = ("state_ids", "I")
 _NAME_END = b"\xff"
 
 
@@ -141,6 +155,16 @@ class AppSeries:
 
     def __len__(self) -> int:
         return len(self.snapshots)
+
+
+@dataclass(frozen=True)
+class AppStates:
+    """The timeline states of one app's snapshots with their fetch times,
+    in (fetch_time, log offset) order."""
+
+    app: str
+    times: tuple[int, ...]
+    states: tuple[TimelineState, ...]
 
 
 @dataclass(frozen=True)
@@ -245,6 +269,38 @@ def _entity_time_key(kind: str, rec: dict) -> tuple:
     return (list_type,), ts
 
 
+# A timeline state is interned by a key of the ``TimelineState`` fields,
+# with downloads as lo and hi and last_updated as a date ordinal.
+
+
+def _snapshot_state_key(s: AppSnapshot) -> tuple:
+    return (
+        s.price_cents,
+        s.downloads.lo,
+        s.downloads.hi,
+        s.rating_count,
+        s.version,
+        s.category,
+        s.permissions,
+        s.last_updated.toordinal(),
+    )
+
+
+def _record_state_key(rec: dict) -> tuple:
+    """``_snapshot_state_key`` of a snapshots.jsonl record dict. Raises
+    KeyError, TypeError or ValueError on a malformed record."""
+    return (
+        rec["price_cents"],
+        rec["downloads_lo"],
+        rec["downloads_hi"],
+        rec["rating_count"],
+        rec["version"],
+        rec["category"],
+        frozenset(rec["permissions"]),
+        dt.date.fromisoformat(rec["last_updated"]).toordinal(),
+    )
+
+
 def _canonical_json(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
@@ -283,12 +339,16 @@ class _LogIndex:
     Entity strings are interned in ``names``. Per record the columns hold
     the name id of the entity's first part, the name id + 1 of its second
     part (0 when it has none), the time key and the line's offset and
-    length. ``digest`` is the sha1 state over the first ``scanned_bytes``
-    bytes of the log; ``sidecar_bytes`` is the prefix the sidecar on disk
-    covers.
+    length. A snapshot index adds ``state_ids``, the id of each record's
+    timeline state in ``states``, the table of distinct state keys (see
+    ``_snapshot_state_key``); other logs have ``state_ids`` None. Entries of
+    ``by_group`` are (time key, offset, length), plus the state id for
+    snapshots. ``digest`` is the sha1 state over the first
+    ``scanned_bytes`` bytes of the log; ``sidecar_bytes`` is the prefix the
+    sidecar on disk covers.
     """
 
-    def __init__(self):
+    def __init__(self, kind: str):
         self.names: list[str] = []
         self.name_ids: dict[str, int] = {}
         self.group_ids: list[int] = []
@@ -296,7 +356,13 @@ class _LogIndex:
         self.times: list[int] = []
         self.offsets: list[int] = []
         self.lengths: list[int] = []
-        # entity group key -> list of (time_key, offset, length)
+        self.state_ids: list[int] | None = [] if kind == SNAPSHOTS else None
+        self.states: list[tuple] = []
+        # state key -> id, built on first use by a scan or a writer
+        self._state_lookup: dict | None = None
+        # TimelineState of each state id, built on first use by a query
+        self._state_values: list[TimelineState] = []
+        # entity group key -> list of entries
         self.by_group: dict = {}
         # (entity, time_key) -> (offset, length), built on first use by a writer
         self._keys: dict | None = None
@@ -306,6 +372,11 @@ class _LogIndex:
         self.skipped_tail = 0
         self.skipped_corrupt = 0
 
+    def _columns(self) -> tuple:
+        if self.state_ids is None:
+            return _SIDECAR_COLUMNS
+        return _SIDECAR_COLUMNS + (_STATE_COLUMN,)
+
     def _name_id(self, name: str) -> int:
         name_id = self.name_ids.get(name)
         if name_id is None:
@@ -313,13 +384,56 @@ class _LogIndex:
             self.names.append(name)
         return name_id
 
-    def add(self, entity: tuple, time_key: int, offset: int, length: int) -> None:
+    def intern_state(self, key: tuple) -> int:
+        """Id of the state ``key``, added to the table on first sight.
+        Raises TypeError, adding nothing, when ``key`` is unhashable."""
+        lookup = self._state_lookup
+        if lookup is None:
+            lookup = self._state_lookup = {s: i for i, s in enumerate(self.states)}
+        state_id = lookup.get(key)
+        if state_id is None:
+            state_id = lookup[key] = len(self.states)
+            self.states.append(key)
+        return state_id
+
+    def state_values(self) -> list[TimelineState]:
+        """The ``TimelineState`` of every state id."""
+        values = self._state_values
+        values.extend(
+            TimelineState(
+                price,
+                DownloadBucket(lo, hi),
+                ratings,
+                version,
+                category,
+                permissions,
+                dt.date.fromordinal(updated),
+            )
+            for price, lo, hi, ratings, version, category, permissions, updated in (
+                self.states[len(values):]
+            )
+        )
+        return values
+
+    def add(
+        self,
+        entity: tuple,
+        time_key: int,
+        offset: int,
+        length: int,
+        state_id: int | None = None,
+    ) -> None:
         self.group_ids.append(self._name_id(entity[0]))
         self.second_ids.append(self._name_id(entity[1]) + 1 if len(entity) > 1 else 0)
         self.times.append(time_key)
         self.offsets.append(offset)
         self.lengths.append(length)
-        self.by_group.setdefault(entity[0], []).append((time_key, offset, length))
+        if state_id is None:
+            entry = (time_key, offset, length)
+        else:
+            self.state_ids.append(state_id)
+            entry = (time_key, offset, length, state_id)
+        self.by_group.setdefault(entity[0], []).append(entry)
         if self._keys is not None:
             self._keys[(entity, time_key)] = (offset, length)
 
@@ -335,16 +449,42 @@ class _LogIndex:
             }
         return self._keys
 
+    def _state_table(self) -> bytes:
+        name_ids: dict[str, int] = {}
+        permission_ids: dict[frozenset, int] = {}
+        states = [
+            [*key[:6], permission_ids.setdefault(key[6], len(permission_ids)), key[7]]
+            for key in self.states
+        ]
+        permissions = [
+            [name_ids.setdefault(name, len(name_ids)) for name in sorted(p)]
+            for p in permission_ids
+        ]
+        return json.dumps(
+            {
+                "permission_names": list(name_ids),
+                "permissions": permissions,
+                "states": states,
+            },
+            separators=(",", ":"),
+        ).encode("ascii")
+
     def to_sidecar(self) -> bytes:
         """The sidecar covering the first ``scanned_bytes`` of the log.
 
-        Raises OverflowError when a value does not fit its column.
+        Raises OverflowError when a value does not fit its column, and
+        TypeError when a state of a hand-written line is not JSON data.
         """
-        body = b"".join(
-            array(code, getattr(self, column)).tobytes()
-            for column, code in _SIDECAR_COLUMNS
-        ) + b"".join(
-            name.encode("utf-8", "surrogatepass") + _NAME_END for name in self.names
+        table = b"" if self.state_ids is None else self._state_table()
+        body = (
+            b"".join(
+                array(code, getattr(self, column)).tobytes()
+                for column, code in self._columns()
+            )
+            + table
+            + b"".join(
+                name.encode("utf-8", "surrogatepass") + _NAME_END for name in self.names
+            )
         )
         sha = self.digest.copy()
         sha.update(body)
@@ -355,27 +495,28 @@ class _LogIndex:
             len(self.times),
             len(self.names),
             self.skipped_corrupt,
+            len(table),
         )
         return header + body
 
     @classmethod
-    def from_sidecar(cls, sidecar: Path, log: Path) -> "_LogIndex | None":
+    def from_sidecar(cls, kind: str, sidecar: Path, log: Path) -> "_LogIndex | None":
         """The index persisted in ``sidecar``, or None unless the sidecar is
         intact and ``log`` still begins with the bytes it covers."""
         try:
             data = sidecar.read_bytes()
-            magic, covered, digest, count, n_names, skipped = (
+            magic, covered, digest, count, n_names, skipped, table_bytes = (
                 _SIDECAR_HEADER.unpack_from(data)
             )
         except (OSError, struct.error):
             return None
         if magic != _SIDECAR_MAGIC:
             return None
-        index = cls()
+        index = cls(kind)
         body = memoryview(data)[_SIDECAR_HEADER.size:]
         pos = 0
         try:
-            for column, code in _SIDECAR_COLUMNS:
+            for column, code in index._columns():
                 values = array(code)
                 end = pos + values.itemsize * count
                 values.frombytes(body[pos:end])
@@ -383,11 +524,25 @@ class _LogIndex:
                     return None
                 setattr(index, column, values.tolist())
                 pos = end
+            if index.state_ids is not None:
+                table = json.loads(bytes(body[pos:pos + table_bytes]))
+                names = table["permission_names"]
+                permission_sets = [
+                    frozenset([names[i] for i in p]) for p in table["permissions"]
+                ]
+                index.states = [
+                    (*row[:6], permission_sets[row[6]], row[7]) for row in table["states"]
+                ]
+                if max(index.state_ids, default=-1) >= len(index.states):
+                    return None
+            elif table_bytes:
+                return None
+            pos += table_bytes
             names = bytes(body[pos:]).split(_NAME_END)
             if len(names) != n_names + 1 or names[-1]:
                 return None
             index.names = [name.decode("utf-8", "surrogatepass") for name in names[:-1]]
-        except ValueError:
+        except (ValueError, TypeError, KeyError, IndexError):
             return None
         sha = _hash_prefix(log, covered)
         if sha is None:
@@ -398,8 +553,11 @@ class _LogIndex:
             return None
         index.name_ids = {name: i for i, name in enumerate(index.names)}
         groups: list[list] = [[] for _ in index.names]
-        for g, t, o, n in zip(index.group_ids, index.times, index.offsets, index.lengths):
-            groups[g].append((t, o, n))
+        entry_columns = [index.times, index.offsets, index.lengths]
+        if index.state_ids is not None:
+            entry_columns.append(index.state_ids)
+        for g, entry in zip(index.group_ids, zip(*entry_columns)):
+            groups[g].append(entry)
         index.by_group = {
             name: entries for name, entries in zip(index.names, groups) if entries
         }
@@ -464,8 +622,8 @@ class SnapStore:
         index = self._indexes[kind]
         if index is None:
             index = _LogIndex.from_sidecar(
-                self._sidecar_path(kind), self._log_path(kind)
-            ) or _LogIndex()
+                kind, self._sidecar_path(kind), self._log_path(kind)
+            ) or _LogIndex(kind)
             self._scan(kind, index)
             self._indexes[kind] = index
         return index
@@ -501,10 +659,15 @@ class SnapStore:
                 try:
                     rec = json.loads(raw.decode("utf-8"))
                     entity, time_key = _entity_time_key(kind, rec)
+                    state_id = (
+                        None
+                        if index.state_ids is None
+                        else index.intern_state(_record_state_key(rec))
+                    )
                 except (KeyError, TypeError, ValueError):
                     index.skipped_corrupt += 1
                 else:
-                    index.add(entity, time_key, offset, length)
+                    index.add(entity, time_key, offset, length, state_id)
                 offset += length
             index.scanned_bytes = offset
 
@@ -516,8 +679,9 @@ class SnapStore:
         return fd
 
     def _read_records(self, kind: str, entries) -> list:
-        """Decode the records at ``entries`` [(time, offset, length)],
-        returned in time order; reads happen in offset order for locality."""
+        """Decode the records at index ``entries`` (time, offset, length,
+        ...), returned in time order; reads happen in offset order for
+        locality."""
         decoder = _TRUSTED_DECODERS[kind]
         by_offset = sorted(entries, key=lambda e: e[1])
         fd = self._read_fd(kind)
@@ -527,7 +691,7 @@ class SnapStore:
                 offset,
                 decoder(json.loads(os.pread(fd, length, offset).decode("utf-8"))),
             )
-            for time_key, offset, length in by_offset
+            for time_key, offset, length, *_ in by_offset
         ]
         out.sort(key=lambda pair: (pair[0], pair[1]))
         return [record for _, _, record in out]
@@ -572,8 +736,10 @@ class SnapStore:
                 with self._io_lock, open(self._log_path(kind), "r+b") as f:
                     f.truncate(index.scanned_bytes)
                 index.skipped_tail = 0
-            # (entity, time_key) -> canonical line, not yet committed
+            # (entity, time_key) -> canonical line, not yet committed, and
+            # the state keys of snapshot lines in the same order
             batch: dict[tuple, bytes] = {}
+            states: list[tuple] = []
             for line_no, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
@@ -613,17 +779,20 @@ class SnapStore:
                         )
                     continue
                 batch[key] = raw
+                if kind == SNAPSHOTS:
+                    states.append(_snapshot_state_key(record))
                 report.accepted[kind] += 1
                 if len(batch) >= _BATCH_LINES:
-                    self._commit(kind, index, batch)
-                    batch = {}
+                    self._commit(kind, index, batch, states)
+                    batch, states = {}, []
             if batch:
-                self._commit(kind, index, batch)
+                self._commit(kind, index, batch, states)
             self._write_sidecar(kind, index)
         return report
 
-    def _commit(self, kind: str, index: _LogIndex, batch: dict) -> None:
-        """Append and fsync ``batch``; on failure no byte of it stays."""
+    def _commit(self, kind: str, index: _LogIndex, batch: dict, states: list) -> None:
+        """Append and fsync ``batch``; on failure no byte of it stays.
+        ``states`` holds the state key of each snapshot line, or nothing."""
         data = b"".join(batch.values())
         path = self._log_path(kind)
         with self._io_lock:
@@ -643,8 +812,9 @@ class SnapStore:
             finally:
                 os.close(fd)
         index.digest.update(data)
-        for (entity, time_key), raw in batch.items():
-            index.add(entity, time_key, offset, len(raw))
+        state_ids = map(index.intern_state, states) if states else itertools.repeat(None)
+        for ((entity, time_key), raw), state_id in zip(batch.items(), state_ids):
+            index.add(entity, time_key, offset, len(raw), state_id)
             offset += len(raw)
         index.scanned_bytes = offset
 
@@ -663,7 +833,7 @@ class SnapStore:
         try:
             tmp.write_bytes(index.to_sidecar())
             os.replace(tmp, path)
-        except (OverflowError, OSError):
+        except (OverflowError, TypeError, OSError):
             tmp.unlink(missing_ok=True)
             return
         index.sidecar_bytes = index.scanned_bytes
@@ -708,9 +878,17 @@ class SnapStore:
         ]
         return AppSeries(app=app, snapshots=tuple(self._read_records(SNAPSHOTS, entries)))
 
-    def iter_app_series(self, window: TimeWindow | None = None) -> Iterator[AppSeries]:
-        for app in self.apps():
-            yield self.query_app_series(app, window)
+    def app_states(self, app: str) -> AppStates:
+        """Fetch times and timeline states of ``app``'s snapshots in
+        (fetch_time, offset) order, from the index: no log line is read."""
+        index = self._index(SNAPSHOTS)
+        entries = sorted(index.by_group.get(app, ()))
+        values = index.state_values()
+        return AppStates(
+            app=app,
+            times=tuple(e[0] for e in entries),
+            states=tuple(values[e[3]] for e in entries),
+        )
 
     def latest_snapshots(self) -> dict[str, AppSnapshot]:
         """The newest snapshot of every app."""

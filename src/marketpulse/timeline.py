@@ -4,7 +4,9 @@ Change events are keyed by (day, app): the event day is the UTC date of
 the later snapshot, and when several snapshots fall on one day only the
 last one counts, so each day yields at most one event per attribute.
 Update days (last_updated transitions) are tracked separately from
-version-string changes, which can move independently.
+version-string changes, which can move independently. Both are computed
+from snapshot states (``TimelineState``), the fields a timeline reads,
+which the store keeps interned in its index.
 """
 
 from __future__ import annotations
@@ -14,8 +16,17 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import InvalidInputError, InvalidPairError
-from .model import AppSnapshot, AttributeKind, ReviewRecord, epoch_to_date
-from .store import AppSeries
+from .model import (
+    SECONDS_PER_DAY,
+    AppSnapshot,
+    AttributeKind,
+    ReviewRecord,
+    TimelineState,
+    epoch_day_to_date,
+    epoch_to_date,
+    timeline_state,
+)
+from .store import AppStates
 
 
 @dataclass(frozen=True)
@@ -82,23 +93,20 @@ class PolarityThresholds:
             raise InvalidInputError("negative_max must be below positive_min")
 
 
-def diff_snapshots(prev: AppSnapshot, next: AppSnapshot) -> list[ChangeEvent]:
-    """Typed change events between two snapshots of the same app.
+def diff_states(
+    app: str, day: dt.date, prev: TimelineState, next: TimelineState
+) -> list[ChangeEvent]:
+    """Typed change events of ``app`` on ``day`` between two states.
 
     Only upward moves of the monotone counters (downloads bucket, rating
     count) are classified; a decrease has no attribute kind and emits
     nothing. Permission changes are classified by total count, carrying
     the old and new permission sets; a same-count swap emits nothing.
     """
-    if prev.app != next.app:
-        raise InvalidPairError(f"app mismatch: {prev.app!r} vs {next.app!r}")
-    if prev.fetch_time >= next.fetch_time:
-        raise InvalidPairError("snapshots must be strictly increasing in fetch_time")
-    day = epoch_to_date(next.fetch_time)
     events = []
 
     def emit(kind: AttributeKind, old, new):
-        events.append(ChangeEvent(app=next.app, day=day, kind=kind, old=old, new=new))
+        events.append(ChangeEvent(app=app, day=day, kind=kind, old=old, new=new))
 
     if next.price_cents != prev.price_cents:
         kind = (
@@ -125,8 +133,23 @@ def diff_snapshots(prev: AppSnapshot, next: AppSnapshot) -> list[ChangeEvent]:
     return events
 
 
-def build_app_timeline(series: AppSeries) -> AppTimeline:
-    """Fold an app's snapshot series into its change-event timeline.
+def diff_snapshots(prev: AppSnapshot, next: AppSnapshot) -> list[ChangeEvent]:
+    """Typed change events between two snapshots of the same app, dated
+    on the later one's UTC day; see ``diff_states``."""
+    if prev.app != next.app:
+        raise InvalidPairError(f"app mismatch: {prev.app!r} vs {next.app!r}")
+    if prev.fetch_time >= next.fetch_time:
+        raise InvalidPairError("snapshots must be strictly increasing in fetch_time")
+    return diff_states(
+        next.app,
+        epoch_to_date(next.fetch_time),
+        timeline_state(prev),
+        timeline_state(next),
+    )
+
+
+def build_app_timeline(series: AppStates) -> AppTimeline:
+    """Fold an app's snapshot states into its change-event timeline.
 
     Days with several snapshots count first-vs-last: each day is
     represented by its last snapshot, and the very first day's opening
@@ -134,24 +157,32 @@ def build_app_timeline(series: AppSeries) -> AppTimeline:
     one event. An update day is a day on which the observed last_updated
     value changed.
     """
-    if not series.snapshots:
+    times, states = series.times, series.states
+    if not times:
         return AppTimeline(app=series.app, events=(), update_days=())
-    daily: list[AppSnapshot] = []
-    for snap in series.snapshots:
-        day = epoch_to_date(snap.fetch_time)
-        if daily and epoch_to_date(daily[-1].fetch_time) == day:
-            daily[-1] = snap
+    # epoch day and state of the last snapshot of each day
+    days: list[int] = []
+    daily: list[TimelineState] = []
+    for time, state in zip(times, states):
+        day = time // SECONDS_PER_DAY
+        if days and days[-1] == day:
+            daily[-1] = state
         else:
-            daily.append(snap)
-    first = series.snapshots[0]
-    if daily[0] is not first:
-        daily.insert(0, first)
+            days.append(day)
+            daily.append(state)
+    # several snapshots on the first day: its opening one is the anchor
+    if len(times) > 1 and times[1] // SECONDS_PER_DAY == days[0]:
+        days.insert(0, days[0])
+        daily.insert(0, states[0])
     events: list[ChangeEvent] = []
     update_days: list[dt.date] = []
-    for prev, cur in zip(daily, daily[1:]):
-        events.extend(diff_snapshots(prev, cur))
+    for prev, cur, day in zip(daily, daily[1:], days[1:]):
+        if cur == prev:
+            continue
+        date = epoch_day_to_date(day)
+        events.extend(diff_states(series.app, date, prev, cur))
         if cur.last_updated != prev.last_updated:
-            update_days.append(epoch_to_date(cur.fetch_time))
+            update_days.append(date)
     return AppTimeline(
         app=series.app, events=tuple(events), update_days=tuple(update_days)
     )

@@ -13,8 +13,9 @@ from marketpulse.model import (
     ReviewRecord,
     TopKObservation,
     date_to_epoch,
+    timeline_state,
 )
-from marketpulse.store import DatasetManifest, SnapStore
+from marketpulse.store import AppSeries, AppStates, DatasetManifest, SnapStore
 
 DAY0 = dt.date(2012, 4, 1)
 
@@ -45,6 +46,15 @@ def make_snapshot(
     if "price_cents" in overrides and "free" not in overrides:
         fields["free"] = fields["price_cents"] == 0
     return AppSnapshot(**fields)
+
+
+def states_of(series: AppSeries) -> AppStates:
+    """The state series ``build_app_timeline`` folds, from decoded snapshots."""
+    return AppStates(
+        series.app,
+        tuple(s.fetch_time for s in series.snapshots),
+        tuple(timeline_state(s) for s in series.snapshots),
+    )
 
 
 def make_review(
@@ -78,6 +88,36 @@ def make_topk(
         fetch_time=date_to_epoch(day) + hour * 3600,
         ranking=tuple(ranking),
     )
+
+
+@pytest.fixture(scope="module")
+def market():
+    """A small simulated market with a top-k list."""
+    from marketpulse import simgen
+    from marketpulse.simgen import TopKListConfig
+
+    return simgen.generate(
+        simgen.MarketScript(
+            seed=11,
+            n_developers=30,
+            observation_days=12,
+            topk_lists={ListType.FREE: TopKListConfig(length=10)},
+        )
+    )
+
+
+def ingest_market(root, market, days=None) -> SnapStore:
+    """Ingest ``market`` into a new store at ``root`` (only the first ``days``
+    snapshot days when given) and return the store."""
+    store = SnapStore.create(root, market.manifest)
+    snapshots = market.snapshots
+    if days is not None:
+        cutoff = min(s.fetch_time for s in snapshots) + days * 86400
+        snapshots = [s for s in snapshots if s.fetch_time < cutoff]
+    store.ingest_records("snapshots", snapshots)
+    store.ingest_records("reviews", market.reviews)
+    store.ingest_records("topk", market.topk)
+    return store
 
 
 @pytest.fixture

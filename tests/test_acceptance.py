@@ -61,7 +61,7 @@ from marketpulse.store import AppSeries, DatasetManifest, SnapStore, TimeWindow
 from marketpulse.timeline import build_app_timeline
 from marketpulse.topk import inverse_rank_measure, lifecycle_summaries
 
-from conftest import DAY0, make_snapshot, make_topk
+from conftest import DAY0, make_snapshot, make_topk, states_of
 from test_topk import oracle_inverse_rank, series_of
 
 
@@ -326,7 +326,7 @@ def test_criterion_06_fraud_indicators(big_run):
     for snap in market.snapshots:
         by_app.setdefault(snap.app, []).append(snap)
     timelines = [
-        build_app_timeline(AppSeries(app=app, snapshots=tuple(snaps)))
+        build_app_timeline(states_of(AppSeries(app=app, snapshots=tuple(snaps))))
         for app, snaps in sorted(by_app.items())
     ]
     total_events = sum(t.permission_events for t in market.ground_truth.apps.values())

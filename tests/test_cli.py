@@ -1,9 +1,18 @@
+import csv
 import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from marketpulse import cli, simgen
+from marketpulse import store as store_mod
 from marketpulse.cli import main
-from marketpulse.model import ListType
+from marketpulse.model import ListType, epoch_to_date
+from marketpulse.store import SnapStore
 from marketpulse.simgen import (
     FraudCampaign,
     MarketScript,
@@ -11,6 +20,8 @@ from marketpulse.simgen import (
     TopKListConfig,
     script_to_record,
 )
+
+from test_timeline import oracle_timeline
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +288,119 @@ def test_failed_report_write_keeps_previous_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cli._write_json(json_path, {"apps": 2})
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_cli_import_leaves_out_numpy_simgen_and_harvester():
+    # only simulate needs simgen (and numpy), only crawl the harvester
+    src = Path(cli.__file__).resolve().parent.parent
+    code = (
+        "import json, sys\n"
+        "import marketpulse.cli as cli\n"
+        "cli.build_parser().parse_args(['crawl', '--seeds', 's', '--market', 'm', '--out', 'o'])\n"
+        "print(json.dumps([m for m in ('numpy', 'marketpulse.simgen', 'marketpulse.harvester')"
+        " if m in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == []
+
+
+def test_timeline_reports_decode_no_snapshot(dataset, monkeypatch):
+    # the five timeline reports fold the states in the index; only
+    # metrics price decodes, and only the latest snapshot of each app
+    real = store_mod._TRUSTED_DECODERS["snapshots"]
+
+    def refuse(rec):
+        raise AssertionError("a timeline report decoded a snapshot")
+
+    monkeypatch.setitem(store_mod._TRUSTED_DECODERS, "snapshots", refuse)
+    for argv in (
+        ("metrics", "updates"),
+        ("metrics", "association"),
+        ("anomaly", "permissions"),
+        ("anomaly", "decoupling"),
+    ):
+        assert run(dataset, *argv)[0] == 0
+    store = SnapStore.open(dataset["store"])
+    app = store.apps()[0]
+    assert main(["timeline", "--store", str(dataset["store"]), "--app", app]) == 0
+    decoded = []
+
+    def counting(rec):
+        decoded.append((rec["app"], rec["fetch_time"]))
+        return real(rec)
+
+    monkeypatch.setitem(store_mod._TRUSTED_DECODERS, "snapshots", counting)
+    assert run(dataset, "metrics", "price")[0] == 0
+    latest = sorted((app, store.app_states(app).times[-1]) for app in store.apps())
+    assert sorted(decoded) == latest
+
+
+def test_failed_crawl_write_keeps_previous_output(dataset, tmp_path, monkeypatch):
+    pages = (dataset["data"] / "market_pages.jsonl").read_text().splitlines()[:8]
+    market, seeds, out = tmp_path / "pages.jsonl", tmp_path / "seeds.txt", tmp_path / "crawl"
+    market.write_text("\n".join(pages) + "\n")
+    seeds.write_text("".join(json.loads(page)["app"] + "\n" for page in pages))
+    argv = [
+        "crawl",
+        "--seeds", str(seeds),
+        "--market", str(market),
+        "--ban-threshold", "1000",
+        "--politeness-delay-ms", "0",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["crawl_report.json", "snapshots.jsonl"]
+    assert len(before["snapshots.jsonl"].splitlines()) == 8
+    calls = []
+    encode = cli.snapshot_to_record
+
+    def failing(snap):
+        calls.append(snap.app)
+        if len(calls) == 4:
+            raise OSError("injected write failure")
+        return encode(snap)
+
+    monkeypatch.setattr(cli, "snapshot_to_record", failing)
+    assert main(argv) == 2
+    assert len(calls) == 4
+    # same bytes, and no temp file left beside them
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_metrics_price_matches_decoded_snapshots(dataset):
+    # the price report reads states; recompute it from decoded snapshots
+    code, out = run(dataset, "metrics", "price")
+    assert code == 0
+    store = SnapStore.open(dataset["store"])
+    change_counts, daily = [], {}
+    for app in store.apps():
+        series = store.query_app_series(app)
+        if all(s.free for s in series.snapshots):
+            continue
+        events = oracle_timeline(series).events
+        change_counts.append(sum(e.kind.value in ("price_up", "price_down") for e in events))
+        for snap in series.snapshots:
+            if not snap.free:
+                daily.setdefault(epoch_to_date(snap.fetch_time), []).append(snap.price_cents)
+    payload = json.loads((out / "price.json").read_text())
+    changers = sum(1 for c in change_counts if c > 0)
+    assert changers > 0
+    assert payload["apps_with_price_change"] == changers
+    assert payload["price_changer_share"] == changers / len(change_counts)
+    with open(out / "price_decomposition.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    # observed is the repr of a numpy float
+    observed = [
+        (day, float(value.removeprefix("np.float64(").removesuffix(")")))
+        for day, value, *_ in rows
+    ]
+    assert observed == [
+        (day.isoformat(), statistics.fmean(daily[day])) for day in sorted(daily)
+    ]

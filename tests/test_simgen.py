@@ -45,6 +45,8 @@ from marketpulse.timeline import (
 )
 from marketpulse.topk import lifetime_at_rank, rank_occupancy
 
+from conftest import states_of
+
 
 def small_script(**overrides):
     fields = dict(seed=7, n_developers=40, observation_days=15)
@@ -57,7 +59,9 @@ def series_by_app(snapshots):
     for snap in snapshots:
         by_app.setdefault(snap.app, []).append(snap)
     return {
-        app: AppSeries(app=app, snapshots=tuple(sorted(snaps, key=lambda s: s.fetch_time)))
+        app: states_of(
+            AppSeries(app=app, snapshots=tuple(sorted(snaps, key=lambda s: s.fetch_time)))
+        )
         for app, snaps in by_app.items()
     }
 

@@ -3,6 +3,8 @@ import errno
 import json
 import os
 import shutil
+import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,10 @@ from marketpulse.model import (
     snapshot_to_record,
     topk_to_record,
 )
+from marketpulse import store as store_mod
 from marketpulse.store import DatasetManifest, SnapStore, TimeWindow
 
-from conftest import DAY0, make_review, make_snapshot, make_topk
+from conftest import DAY0, ingest_market, make_review, make_snapshot, make_topk
 
 
 def _lines(records, encoder):
@@ -338,35 +341,6 @@ def test_malformed_committed_line_is_skipped_and_counted(store):
 # --- index sidecar -----------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def market():
-    from marketpulse import simgen
-    from marketpulse.simgen import TopKListConfig
-
-    return simgen.generate(
-        simgen.MarketScript(
-            seed=11,
-            n_developers=30,
-            observation_days=12,
-            topk_lists={ListType.FREE: TopKListConfig(length=10)},
-        )
-    )
-
-
-def _ingest_market(root, market, days=None):
-    """Ingest ``market`` into a new store at ``root`` (only the first ``days``
-    snapshot days when given) and return the store."""
-    store = SnapStore.create(root, market.manifest)
-    snapshots = market.snapshots
-    if days is not None:
-        cutoff = min(s.fetch_time for s in snapshots) + days * 86400
-        snapshots = [s for s in snapshots if s.fetch_time < cutoff]
-    store.ingest_records("snapshots", snapshots)
-    store.ingest_records("reviews", market.reviews)
-    store.ingest_records("topk", market.topk)
-    return store
-
-
 def _full_scan(root, tmp_path):
     """A handle on a copy of the store without sidecars: it scans every log."""
     copy = tmp_path / "full-scan"
@@ -388,6 +362,9 @@ def _index_state(store):
             index.times,
             index.offsets,
             index.lengths,
+            index.state_ids,
+            index.states,
+            index.state_values(),
             index.by_group,
             index.keys(),
             index.scanned_bytes,
@@ -422,7 +399,7 @@ def _log_sizes(root):
 
 def test_sidecar_index_equals_full_scan(tmp_path, market):
     root = tmp_path / "store"
-    _ingest_market(root, market)
+    ingest_market(root, market)
     assert sorted(p.name for p in root.glob("*.idx")) == [
         "reviews.idx",
         "snapshots.idx",
@@ -433,11 +410,18 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
     assert _sidecar_bytes(scanned) == {"snapshots": 0, "reviews": 0, "topk": 0}
     assert _index_state(loaded) == _index_state(scanned)
     assert _query_results(loaded) == _query_results(scanned)
-    for kind in ("snapshots", "reviews", "topk"):
+    for kind, columns in (("snapshots", 32), ("reviews", 28), ("topk", 28)):
         index = loaded._index(kind)
         names = sum(len(name.encode()) + 1 for name in index.names)
-        per_record = ((root / f"{kind}.idx").stat().st_size - names) / len(index.times)
-        assert per_record <= 32
+        header = store_mod._SIDECAR_HEADER
+        table = header.unpack_from((root / f"{kind}.idx").read_bytes())[-1]
+        per_record = (
+            (root / f"{kind}.idx").stat().st_size - header.size - table - names
+        ) / len(index.times)
+        assert per_record == columns
+    # the distinct timeline states are few next to the snapshots
+    snapshots = loaded._index("snapshots")
+    assert 0 < len(snapshots.states) < len(snapshots.times) / 2
 
 
 def _remove(path):
@@ -463,7 +447,7 @@ def _garble_header(path):
 )
 def test_damaged_sidecar_falls_back_to_full_scan(tmp_path, market, damage):
     root = tmp_path / "store"
-    _ingest_market(root, market)
+    ingest_market(root, market)
     for kind in ("snapshots", "reviews", "topk"):
         damage(root / f"{kind}.idx")
     loaded = SnapStore.open(root)
@@ -475,7 +459,7 @@ def test_damaged_sidecar_falls_back_to_full_scan(tmp_path, market, damage):
 
 def test_stale_sidecar_scans_only_the_tail(tmp_path, market):
     root = tmp_path / "store"
-    _ingest_market(root, market, days=5)
+    ingest_market(root, market, days=5)
     old_sidecar = (root / "snapshots.idx").read_bytes()
     covered = (root / "snapshots.jsonl").stat().st_size
     SnapStore.open(root).ingest_records("snapshots", market.snapshots)
@@ -490,7 +474,7 @@ def test_stale_sidecar_scans_only_the_tail(tmp_path, market):
 
 def test_log_edited_in_place_fails_the_digest(tmp_path, market):
     root = tmp_path / "store"
-    _ingest_market(root, market)
+    ingest_market(root, market)
     log = root / "snapshots.jsonl"
     data = log.read_bytes()
     at = data.index(b'"rating_count":') + len(b'"rating_count":')
@@ -507,7 +491,7 @@ def test_log_edited_in_place_fails_the_digest(tmp_path, market):
 
 def test_read_only_store_serves_every_query(tmp_path, market):
     root = tmp_path / "store"
-    _ingest_market(root, market, days=5)
+    ingest_market(root, market, days=5)
     old_sidecar = (root / "snapshots.idx").read_bytes()
     SnapStore.open(root).ingest_records("snapshots", market.snapshots)
     (root / "snapshots.idx").write_bytes(old_sidecar)
@@ -522,3 +506,51 @@ def test_read_only_store_serves_every_query(tmp_path, market):
     finally:
         for path in paths:
             path.chmod(0o755 if path.is_dir() else 0o644)
+
+
+def _previous_format_sidecar(index) -> bytes:
+    """``index`` in the sidecar layout before timeline states were kept: a
+    six-field header, 28 bytes per record, then the names, with a valid
+    digest."""
+    columns = (
+        ("group_ids", "I"),
+        ("second_ids", "I"),
+        ("times", "q"),
+        ("offsets", "Q"),
+        ("lengths", "I"),
+    )
+    body = b"".join(array(code, getattr(index, name)).tobytes() for name, code in columns)
+    body += b"".join(name.encode() + b"\xff" for name in index.names)
+    sha = index.digest.copy()
+    sha.update(body)
+    header = struct.pack(
+        "=IQ20sQQQ",
+        0x4D505831,
+        index.scanned_bytes,
+        sha.digest(),
+        len(index.times),
+        len(index.names),
+        index.skipped_corrupt,
+    )
+    return header + body
+
+
+def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    for kind in ("snapshots", "reviews", "topk"):
+        old = _previous_format_sidecar(SnapStore.open(root)._index(kind))
+        (root / f"{kind}.idx").write_bytes(old)
+    loaded = SnapStore.open(root)
+    assert _sidecar_bytes(loaded) == {"snapshots": 0, "reviews": 0, "topk": 0}
+    scanned = _full_scan(root, tmp_path)
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+    # the next ingest, even of nothing new, writes the current layout
+    for kind in ("snapshots", "reviews", "topk"):
+        SnapStore.open(root).ingest_lines(kind, [])
+        magic = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
+        assert magic == store_mod._SIDECAR_MAGIC != 0x4D505831
+    reopened = SnapStore.open(root)
+    assert _sidecar_bytes(reopened) == _log_sizes(root)
+    assert _index_state(reopened) == _index_state(scanned)

@@ -1,12 +1,22 @@
 import datetime as dt
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from marketpulse.errors import InvalidInputError, InvalidPairError
-from marketpulse.model import AppSnapshot, AttributeKind, DOWNLOAD_LADDER, DownloadBucket
-from marketpulse.store import AppSeries
+from marketpulse.model import (
+    AppSnapshot,
+    AttributeKind,
+    DOWNLOAD_LADDER,
+    DownloadBucket,
+    epoch_to_date,
+    snapshot_to_record,
+)
+from marketpulse.store import AppSeries, AppStates, SnapStore
 from marketpulse.timeline import (
+    AppTimeline,
+    ChangeEvent,
     PolarityThresholds,
     build_app_timeline,
     build_review_timeline,
@@ -14,7 +24,7 @@ from marketpulse.timeline import (
     timeline_csv_rows,
 )
 
-from conftest import DAY0, make_review, make_snapshot
+from conftest import DAY0, ingest_market, make_review, make_snapshot, states_of
 
 
 def day(n: int) -> dt.date:
@@ -86,7 +96,7 @@ class TestDiffSnapshots:
 
 class TestBuildAppTimeline:
     def _series(self, snaps):
-        return AppSeries(app=snaps[0].app, snapshots=tuple(snaps))
+        return states_of(AppSeries(app=snaps[0].app, snapshots=tuple(snaps)))
 
     def test_update_count_from_last_updated_transitions(self):
         d1, d2, d3 = day(-40), day(-20), day(-5)
@@ -105,7 +115,7 @@ class TestBuildAppTimeline:
         assert timeline.update_days == ()
 
     def test_empty_series(self):
-        timeline = build_app_timeline(AppSeries(app="com.x", snapshots=()))
+        timeline = build_app_timeline(AppStates(app="com.x", times=(), states=()))
         assert timeline.events == ()
 
     def test_same_day_snapshots_collapse_to_last(self):
@@ -240,7 +250,8 @@ def tracked_fields(snapshot: AppSnapshot) -> dict:
 @given(monotone_histories())
 def test_fold_property(snaps):
     series = AppSeries(app=snaps[0].app, snapshots=tuple(snaps))
-    timeline = build_app_timeline(series)
+    timeline = build_app_timeline(states_of(series))
+    assert timeline == oracle_timeline(series)
     assert apply_events(snaps[0], timeline.events) == tracked_fields(snaps[-1])
 
 
@@ -258,6 +269,192 @@ def test_diff_self_is_empty(snaps):
         category=base.category,
     )
     assert diff_snapshots(base, shifted) == []
+
+
+# --- oracle: the fold over decoded snapshots ---------------------------------------
+#
+# Timelines used to be folded over decoded AppSnapshots, with this diff;
+# build_app_timeline now folds the states the store keeps in its index.
+# Both must give the same timeline for every series.
+
+
+def _oracle_diff(prev: AppSnapshot, next: AppSnapshot) -> list[ChangeEvent]:
+    day = epoch_to_date(next.fetch_time)
+    events = []
+
+    def emit(kind, old, new):
+        events.append(ChangeEvent(app=next.app, day=day, kind=kind, old=old, new=new))
+
+    if next.price_cents != prev.price_cents:
+        kind = (
+            AttributeKind.PRICE_UP
+            if next.price_cents > prev.price_cents
+            else AttributeKind.PRICE_DOWN
+        )
+        emit(kind, prev.price_cents, next.price_cents)
+    if next.downloads.lo > prev.downloads.lo:
+        emit(AttributeKind.DOWNLOADS_UP, prev.downloads, next.downloads)
+    if next.rating_count > prev.rating_count:
+        emit(AttributeKind.REVIEW_COUNT_UP, prev.rating_count, next.rating_count)
+    if next.version != prev.version:
+        emit(AttributeKind.VERSION_UP, prev.version, next.version)
+    if len(next.permissions) != len(prev.permissions):
+        kind = (
+            AttributeKind.PERMISSIONS_UP
+            if len(next.permissions) > len(prev.permissions)
+            else AttributeKind.PERMISSIONS_DOWN
+        )
+        emit(kind, prev.permissions, next.permissions)
+    if next.category != prev.category:
+        emit(AttributeKind.CATEGORY_CHANGE, prev.category, next.category)
+    return events
+
+
+def oracle_timeline(series: AppSeries) -> AppTimeline:
+    if not series.snapshots:
+        return AppTimeline(app=series.app, events=(), update_days=())
+    daily: list[AppSnapshot] = []
+    for snap in series.snapshots:
+        day = epoch_to_date(snap.fetch_time)
+        if daily and epoch_to_date(daily[-1].fetch_time) == day:
+            daily[-1] = snap
+        else:
+            daily.append(snap)
+    first = series.snapshots[0]
+    if daily[0] is not first:
+        daily.insert(0, first)
+    events: list[ChangeEvent] = []
+    update_days: list[dt.date] = []
+    for prev, cur in zip(daily, daily[1:]):
+        events.extend(_oracle_diff(prev, cur))
+        if cur.last_updated != prev.last_updated:
+            update_days.append(epoch_to_date(cur.fetch_time))
+    return AppTimeline(app=series.app, events=tuple(events), update_days=tuple(update_days))
+
+
+@st.composite
+def hourly_histories(draw):
+    """Snapshots at distinct hours over a few days, several on some days,
+    each field drawn from a small set so states repeat."""
+    hours = draw(st.lists(st.integers(0, 24 * 6 - 1), min_size=1, max_size=12, unique=True))
+    snaps = []
+    for hour in sorted(hours):
+        day = DAY0 + dt.timedelta(days=hour // 24)
+        snaps.append(
+            make_snapshot(
+                day=day,
+                hour=hour % 24,
+                price_cents=draw(st.sampled_from([0, 99, 199])),
+                downloads=DownloadBucket(*DOWNLOAD_LADDER[draw(st.integers(3, 5))]),
+                rating_count=draw(st.integers(0, 3)),
+                version=draw(st.sampled_from(["1.0", "1.1"])),
+                category=draw(st.sampled_from(["Tools", "Casual"])),
+                permissions=frozenset(draw(st.sets(st.sampled_from("ABC")))),
+                last_updated=DAY0 - dt.timedelta(days=draw(st.integers(0, 2))),
+            )
+        )
+    return snaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(hourly_histories())
+def test_state_fold_matches_snapshot_fold(snaps):
+    series = AppSeries(app=snaps[0].app, snapshots=tuple(snaps))
+    assert build_app_timeline(states_of(series)) == oracle_timeline(series)
+
+
+def _timelines_match_oracle(store: SnapStore) -> int:
+    """Check every app's timeline from the store's states against the
+    oracle fold over its decoded snapshots; returns the event count."""
+    events = 0
+    apps = store.apps()
+    assert apps
+    for app in apps:
+        expected = oracle_timeline(store.query_app_series(app))
+        assert build_app_timeline(store.app_states(app)) == expected, app
+        events += len(expected.events)
+    return events
+
+
+def test_store_states_fold_like_snapshots_with_sidecar(tmp_path, market):
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    store = SnapStore.open(root)
+    assert store._index("snapshots").sidecar_bytes == (root / "snapshots.jsonl").stat().st_size
+    assert _timelines_match_oracle(store) > 0
+
+
+def test_store_states_fold_like_snapshots_without_sidecar(tmp_path, market):
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    (root / "snapshots.idx").unlink()
+    store = SnapStore.open(root)
+    assert store._index("snapshots").sidecar_bytes == 0
+    assert _timelines_match_oracle(store) > 0
+
+
+def test_store_states_fold_like_snapshots_with_stale_sidecar(tmp_path, market):
+    root = tmp_path / "store"
+    ingest_market(root, market, days=5)
+    old_sidecar = (root / "snapshots.idx").read_bytes()
+    covered = (root / "snapshots.jsonl").stat().st_size
+    SnapStore.open(root).ingest_records("snapshots", market.snapshots)
+    (root / "snapshots.idx").write_bytes(old_sidecar)
+    store = SnapStore.open(root)
+    index = store._index("snapshots")
+    assert index.sidecar_bytes == covered < index.scanned_bytes
+    assert _timelines_match_oracle(store) > 0
+
+
+def test_store_states_fold_like_snapshots_after_another_handle_ingests(tmp_path, market):
+    root = tmp_path / "store"
+    first = ingest_market(root, market, days=5)
+    _timelines_match_oracle(first)
+    second = SnapStore.open(root)
+    second.app_states(first.apps()[0])
+    second.ingest_records("snapshots", market.snapshots)
+    first.refresh()
+    # the writer's states come from its commits, the reader's from a scan
+    for store in (first, second, SnapStore.open(root)):
+        assert _timelines_match_oracle(store) > 0
+
+
+def test_store_states_fold_like_snapshots_over_hand_written_lines(tmp_path, manifest):
+    root = tmp_path / "store"
+    SnapStore.create(root, manifest)
+    snaps = []
+    for day, hour, price, perms, version in [
+        (0, 1, 99, ("VIBRATE", "INTERNET"), "1.0"),
+        (0, 9, 199, ("INTERNET", "VIBRATE"), "1.0"),
+        (0, 23, 299, ("CAMERA", "VIBRATE", "INTERNET"), "1.1"),
+        (1, 2, 299, ("INTERNET", "CAMERA", "VIBRATE"), "1.1"),
+        (1, 20, 99, ("VIBRATE", "INTERNET"), "1.2"),
+        (3, 12, 99, ("INTERNET", "VIBRATE"), "1.2"),
+        (3, 13, 99, ("INTERNET",), "1.3"),
+    ]:
+        rec = snapshot_to_record(
+            make_snapshot(
+                day=DAY0 + dt.timedelta(days=day),
+                hour=hour,
+                price_cents=price,
+                version=version,
+                last_updated=DAY0 - dt.timedelta(days=1 - day // 2),
+            )
+        )
+        rec["permissions"] = list(perms)
+        snaps.append(rec)
+    # written by hand: key order and permission order as given, not canonical
+    with open(root / "snapshots.jsonl", "w", encoding="utf-8") as f:
+        for rec in snaps:
+            f.write(json.dumps(dict(reversed(list(rec.items())))) + "\n")
+    store = SnapStore.open(root)
+    assert _timelines_match_oracle(store) > 0
+    # the states survive a sidecar round trip (an ingest writes one)
+    store.ingest_lines("snapshots", [])
+    reopened = SnapStore.open(root)
+    assert reopened._index("snapshots").sidecar_bytes > 0
+    assert reopened._index("snapshots").states == store._index("snapshots").states
+    assert _timelines_match_oracle(reopened) > 0
 
 
 class TestReviewTimeline:
