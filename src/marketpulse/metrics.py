@@ -266,43 +266,6 @@ def fit_power_law(
     return PowerLawFit(alpha=alpha, x_min=x_min, n_tail=n, ks_distance=ks)
 
 
-def scan_x_min(
-    samples: Sequence[float] | np.ndarray,
-    min_tail: int = 10,
-    max_candidates: int = 200,
-) -> PowerLawFit:
-    """Slow path: pick x_min by minimizing the KS distance over sample values.
-
-    Candidate x_min values are the unique sample values (all but the
-    largest), thinned to at most ``max_candidates``. Tails smaller than
-    ``min_tail`` are skipped to keep the KS statistic meaningful.
-    """
-    import numpy as np
-
-    x = np.asarray(samples, dtype=float)
-    candidates = np.unique(x)[:-1]
-    if len(candidates) == 0:
-        raise InsufficientDataError("need at least two distinct sample values")
-    if len(candidates) > max_candidates:
-        idx = np.linspace(0, len(candidates) - 1, max_candidates).astype(int)
-        candidates = candidates[idx]
-    best: PowerLawFit | None = None
-    for x_min in candidates:
-        if x_min <= 0:
-            continue
-        try:
-            fit = fit_power_law(x, x_min=float(x_min))
-        except (DegenerateTailError, InsufficientDataError):
-            continue
-        if fit.n_tail < min_tail:
-            continue
-        if best is None or fit.ks_distance < best.ks_distance:
-            best = fit
-    if best is None:
-        raise InsufficientDataError("no candidate x_min left a usable tail")
-    return best
-
-
 def downloads_ratings_slope(
     points: Sequence[tuple[float, float]],
 ) -> float | None:

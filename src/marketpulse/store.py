@@ -364,7 +364,8 @@ class _LogIndex:
         self._state_values: list[TimelineState] = []
         # entity group key -> list of entries
         self.by_group: dict = {}
-        # (entity, time_key) -> (offset, length), built on first use by a writer
+        # (entity, time_key) -> (offset, length), built on first use by a
+        # writer or by a scan of lines past the sidecar
         self._keys: dict | None = None
         self.digest = hashlib.sha1()
         self.scanned_bytes = 0
@@ -438,7 +439,8 @@ class _LogIndex:
             self._keys[(entity, time_key)] = (offset, length)
 
     def keys(self) -> dict:
-        """(entity, time_key) -> (offset, length); a later line wins."""
+        """(entity, time_key) -> (offset, length) of the indexed line; first
+        line wins, since ``_scan`` indexes no later line of a key."""
         if self._keys is None:
             names = self.names
             self._keys = {
@@ -637,8 +639,10 @@ class SnapStore:
     def _scan(self, kind: str, index: _LogIndex) -> None:
         """Index the committed lines past ``index.scanned_bytes``.
 
-        A malformed committed line is skipped and counted; a last line
-        without its newline is an uncommitted tail and stays unindexed.
+        A malformed committed line is skipped and counted, and so is a line
+        whose (entity, time) an earlier line holds: the first line wins, as
+        ingest would have kept it. A last line without its newline is an
+        uncommitted tail and stays unindexed.
         """
         path = self._log_path(kind)
         if not path.exists():
@@ -646,6 +650,7 @@ class SnapStore:
         index.skipped_tail = 0
         if path.stat().st_size <= index.scanned_bytes:
             return
+        indexed = index.keys()
         with self._io_lock, open(path, "rb") as f:
             f.seek(index.scanned_bytes)
             offset = index.scanned_bytes
@@ -658,7 +663,9 @@ class SnapStore:
                 index.digest.update(raw)
                 try:
                     rec = json.loads(raw.decode("utf-8"))
-                    entity, time_key = _entity_time_key(kind, rec)
+                    key = _entity_time_key(kind, rec)
+                    if key in indexed:
+                        raise ValueError("an earlier line holds this key")
                     state_id = (
                         None
                         if index.state_ids is None
@@ -667,7 +674,7 @@ class SnapStore:
                 except (KeyError, TypeError, ValueError):
                     index.skipped_corrupt += 1
                 else:
-                    index.add(entity, time_key, offset, length, state_id)
+                    index.add(*key, offset, length, state_id)
                 offset += length
             index.scanned_bytes = offset
 
@@ -708,9 +715,13 @@ class SnapStore:
 
         A record whose (entity, time) is already stored is counted as
         deduplicated when its canonical bytes equal the stored line's, and
-        rejected as a conflict otherwise. Writes are committed in batches;
-        on an I/O failure the log is cut back to the end of the last
-        committed batch. The index sidecar is rewritten after the last one.
+        rejected as a conflict otherwise. A line byte-identical to the
+        stored one (newline aside) is deduplicated before it is decoded:
+        a committed line counts as validated, the rule trusted decoding
+        also follows, so a copy of it is never checked again. Writes are
+        committed in batches; on an I/O failure the log is cut back to the
+        end of the last committed batch. The index sidecar is rewritten
+        after the last one.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
@@ -747,6 +758,28 @@ class SnapStore:
                     rec = json.loads(line)
                     if not isinstance(rec, dict):
                         raise ValueError("record must be a JSON object")
+                except (ValueError, TypeError) as exc:
+                    report.rejected.append(Rejection(kind, line_no, str(exc)))
+                    continue
+                # the key of every record the decoder accepts equals the key
+                # of its canonical form; one the key cannot be read from is
+                # left to the decoder, which names what is wrong with it
+                try:
+                    key = _entity_time_key(kind, rec)
+                except (KeyError, TypeError, ValueError):
+                    key = None
+                previous = batch.get(key)
+                if previous is None and key in committed:
+                    offset, length = committed[key]
+                    previous = os.pread(self._read_fd(kind), length, offset)
+                if previous is not None:
+                    # a lone surrogate never matches a stored line; it must
+                    # not raise here either, since the decoder accepts it
+                    data = line.encode("utf-8", "surrogatepass")
+                    if previous == (data if data.endswith(b"\n") else data + b"\n"):
+                        report.deduplicated[kind] += 1
+                        continue
+                try:
                     record = decoder(rec)
                 except (ValueError, TypeError) as exc:
                     report.rejected.append(Rejection(kind, line_no, str(exc)))
@@ -757,13 +790,7 @@ class SnapStore:
                         Rejection(kind, line_no, "; ".join(violations))
                     )
                     continue
-                canonical = encoder(record)
-                raw = (_canonical_json(canonical) + "\n").encode("utf-8")
-                key = _entity_time_key(kind, canonical)
-                previous = batch.get(key)
-                if previous is None and key in committed:
-                    offset, length = committed[key]
-                    previous = os.pread(self._read_fd(kind), length, offset)
+                raw = (_canonical_json(encoder(record)) + "\n").encode("utf-8")
                 if previous is not None:
                     if _same_payload(previous, raw):
                         report.deduplicated[kind] += 1

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import datetime as dt
 
+import numpy as np
 import pytest
 
+from marketpulse.errors import DegenerateTailError, InsufficientDataError
+from marketpulse.metrics import PowerLawFit, fit_power_law
 from marketpulse.model import (
     AppSnapshot,
     DownloadBucket,
@@ -55,6 +58,38 @@ def states_of(series: AppSeries) -> AppStates:
         tuple(s.fetch_time for s in series.snapshots),
         tuple(timeline_state(s) for s in series.snapshots),
     )
+
+
+def scan_x_min(samples, min_tail: int = 10, max_candidates: int = 200) -> PowerLawFit:
+    """Reference power-law fit: pick x_min by minimizing the KS distance
+    over sample values.
+
+    Candidate x_min values are the unique sample values (all but the
+    largest), thinned to at most ``max_candidates``. Tails smaller than
+    ``min_tail`` are skipped to keep the KS statistic meaningful.
+    """
+    x = np.asarray(samples, dtype=float)
+    candidates = np.unique(x)[:-1]
+    if len(candidates) == 0:
+        raise InsufficientDataError("need at least two distinct sample values")
+    if len(candidates) > max_candidates:
+        idx = np.linspace(0, len(candidates) - 1, max_candidates).astype(int)
+        candidates = candidates[idx]
+    best: PowerLawFit | None = None
+    for x_min in candidates:
+        if x_min <= 0:
+            continue
+        try:
+            fit = fit_power_law(x, x_min=float(x_min))
+        except (DegenerateTailError, InsufficientDataError):
+            continue
+        if fit.n_tail < min_tail:
+            continue
+        if best is None or fit.ks_distance < best.ks_distance:
+            best = fit
+    if best is None:
+        raise InsufficientDataError("no candidate x_min left a usable tail")
+    return best
 
 
 def make_review(

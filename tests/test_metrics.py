@@ -22,7 +22,6 @@ from marketpulse.metrics import (
     median_price_split,
     price_change_ccdf,
     price_dispersion_cov,
-    scan_x_min,
     seasonal_trend_decompose,
     update_stats,
     yule_association,
@@ -31,7 +30,7 @@ from marketpulse.metrics import (
 from marketpulse.model import AttributeKind, DownloadBucket, PopularityClass
 from marketpulse.timeline import AppTimeline, ChangeEvent
 
-from conftest import DAY0
+from conftest import DAY0, scan_x_min
 
 
 class TestStaleness:

@@ -17,7 +17,6 @@ from marketpulse.metrics import (
     classify_popularity,
     downloads_ratings_slope,
     fit_power_law,
-    scan_x_min,
     update_stats,
 )
 from marketpulse.model import AttributeKind, ListType, PopularityClass
@@ -45,7 +44,7 @@ from marketpulse.timeline import (
 )
 from marketpulse.topk import lifetime_at_rank, rank_occupancy
 
-from conftest import states_of
+from conftest import scan_x_min, states_of
 
 
 def small_script(**overrides):

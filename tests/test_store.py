@@ -19,6 +19,7 @@ from marketpulse.model import (
 )
 from marketpulse import store as store_mod
 from marketpulse.store import DatasetManifest, SnapStore, TimeWindow
+from marketpulse.timeline import build_app_timeline
 
 from conftest import DAY0, ingest_market, make_review, make_snapshot, make_topk
 
@@ -336,6 +337,204 @@ def test_malformed_committed_line_is_skipped_and_counted(store):
     fresh = SnapStore.open(store.root)
     assert fresh._index("snapshots").skipped_corrupt == 1
     assert len(fresh.query_app_series("com.example.app")) == 2
+
+
+def _canonical(rec) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def test_duplicate_key_in_committed_log_keeps_the_first_line(tmp_path, manifest):
+    # a log written outside ingest, with two lines for one (app, fetch_time)
+    store = SnapStore.create(tmp_path / "store", manifest)
+    first, second = (
+        _canonical(snapshot_to_record(make_snapshot(price_cents=price)))
+        for price in (99, 199)
+    )
+    (store.root / "snapshots.jsonl").write_text(first + "\n" + second + "\n")
+    reopened = SnapStore.open(store.root)
+    series = reopened.query_app_series("com.example.app")
+    assert [s.price_cents for s in series.snapshots] == [99]
+    assert build_app_timeline(reopened.app_states("com.example.app")).events == ()
+    assert reopened._index("snapshots").skipped_corrupt == 1
+    # ingest keeps the first line too: the second is a conflict
+    report = reopened.ingest_lines("snapshots", [second])
+    assert report.accepted["snapshots"] == 0
+    assert [r.reason for r in report.rejected] == [
+        f"conflicting payload for existing record (entity ('com.example.app',), "
+        f"time {make_snapshot().fetch_time})"
+    ]
+    loaded = SnapStore.open(store.root)
+    assert _sidecar_bytes(loaded)["snapshots"] == _log_sizes(store.root)["snapshots"]
+    scanned = _full_scan(store.root, tmp_path)
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+
+
+# --- re-ingest -----------------------------------------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a duplicate line was decoded, validated or encoded")
+
+
+def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch):
+    from marketpulse import simgen
+    from marketpulse.simgen import TopKListConfig
+
+    data = tmp_path / "data"
+    simgen.write_dataset(
+        simgen.MarketScript(
+            seed=11,
+            n_developers=30,
+            observation_days=12,
+            topk_lists={ListType.FREE: TopKListConfig(length=10)},
+        ),
+        data,
+    )
+    manifest = DatasetManifest.from_record(json.loads((data / "manifest.json").read_text()))
+    store = SnapStore.create(tmp_path / "store", manifest)
+    first = store.ingest_dir(data)
+    assert first.total_rejected == 0
+    logs = {p.name: p.read_bytes() for p in store.root.iterdir()}
+    for codecs in (store_mod._DECODERS, store_mod._VALIDATORS, store_mod._ENCODERS):
+        for kind in ("snapshots", "reviews", "topk"):
+            monkeypatch.setitem(codecs, kind, _refuse)
+    monkeypatch.setattr(json, "dumps", _refuse)
+    report = SnapStore.open(store.root).ingest_dir(data)
+    assert report.accepted == {"snapshots": 0, "reviews": 0, "topk": 0}
+    assert report.deduplicated == first.accepted
+    assert all(report.deduplicated.values())
+    assert report.rejected == []
+    assert {p.name: p.read_bytes() for p in store.root.iterdir()} == logs
+    # a line without its newline is a byte-identical copy too
+    last = (data / "snapshots.jsonl").read_text().splitlines()[-1]
+    report = SnapStore.open(store.root).ingest_lines("snapshots", [last])
+    assert report.deduplicated["snapshots"] == 1
+
+
+def _reordered_with_spaces(rec):
+    return json.dumps(dict(reversed(list(rec.items()))), separators=(" , ", " : "))
+
+
+def _padded(rec):
+    return "  " + _canonical(rec) + " \t"
+
+
+@pytest.mark.parametrize("form", [_reordered_with_spaces, _padded], ids=lambda f: f.__name__)
+def test_non_canonical_copy_of_a_stored_record_dedupes(store, form):
+    rec = snapshot_to_record(make_snapshot())
+    store.ingest_lines("snapshots", [_canonical(rec)])
+    log = (store.root / "snapshots.jsonl").read_bytes()
+    report = SnapStore.open(store.root).ingest_lines("snapshots", [form(rec)])
+    assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 1)
+    assert report.rejected == []
+    assert (store.root / "snapshots.jsonl").read_bytes() == log
+
+
+def test_changed_copy_of_a_stored_or_batched_record_is_a_conflict(store):
+    snap = make_snapshot()
+    line = _canonical(snapshot_to_record(snap))
+    changed = _canonical(snapshot_to_record(make_snapshot(rating_count=999)))
+    reason = (
+        "conflicting payload for existing record "
+        f"(entity ('com.example.app',), time {snap.fetch_time})"
+    )
+    # against the batch, then against the committed log
+    report = store.ingest_lines("snapshots", [line, changed])
+    assert [(r.line_no, r.reason) for r in report.rejected] == [(2, reason)]
+    report = SnapStore.open(store.root).ingest_lines("snapshots", [changed])
+    assert [(r.line_no, r.reason) for r in report.rejected] == [(1, reason)]
+    review = review_to_record(make_review())
+    store.ingest_lines("reviews", [_canonical(review)])
+    report = store.ingest_lines("reviews", [_canonical({**review, "text": "changed"})])
+    assert [r.reason for r in report.rejected] == [
+        "conflicting payload for existing record "
+        f"(entity ('com.example.app', 'r1'), time {date_to_epoch(DAY0)})"
+    ]
+
+
+def test_duplicates_in_a_batch_and_line_endings_count_as_before(store):
+    a = _canonical(snapshot_to_record(make_snapshot(day=DAY0)))
+    b = _canonical(snapshot_to_record(make_snapshot(day=DAY0 + dt.timedelta(days=1))))
+    lines = [a + "\n", a + "\n", a + "\r\n", a, b]  # b is a last line without "\n"
+    report = store.ingest_lines("snapshots", lines)
+    assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (2, 3)
+    assert report.rejected == []
+    log = (store.root / "snapshots.jsonl").read_bytes()
+    assert log == (a + "\n" + b + "\n").encode()
+    report = SnapStore.open(store.root).ingest_lines("snapshots", lines)
+    assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 5)
+    assert report.rejected == []
+    assert (store.root / "snapshots.jsonl").read_bytes() == log
+
+
+def test_line_with_a_lone_surrogate_dedupes_like_any_other(store):
+    rec = {**_SNAPSHOT, "title": "broken \ud800 title"}
+    line = json.dumps(rec, ensure_ascii=False)
+    for reingest in range(2):
+        report = store.ingest_lines("snapshots", [line, line])
+        assert report.accepted["snapshots"] == 1 - reingest
+        assert report.deduplicated["snapshots"] == 1 + reingest
+        assert report.rejected == []
+
+
+def _without(rec, field):
+    return {k: v for k, v in rec.items() if k != field}
+
+
+_SNAPSHOT = snapshot_to_record(make_snapshot())
+_REVIEW = review_to_record(make_review())
+_TOPK = topk_to_record(make_topk(["a", "b"]))
+
+
+@pytest.mark.parametrize(
+    "kind, rec, reason",
+    [
+        ("snapshots", _without(_SNAPSHOT, "app"), "missing field 'app'"),
+        ("snapshots", _without(_SNAPSHOT, "fetch_time"), "missing field 'fetch_time'"),
+        ("snapshots", _without(_SNAPSHOT, "title"), "missing field 'title'"),
+        ("snapshots", {**_SNAPSHOT, "app": 7}, "field 'app' must be a string"),
+        (
+            "snapshots",
+            {**_SNAPSHOT, "fetch_time": float(_SNAPSHOT["fetch_time"])},
+            "field 'fetch_time' must be an integer",
+        ),
+        ("snapshots", {**_SNAPSHOT, "fetch_time": True}, "field 'fetch_time' must be an integer"),
+        ("snapshots", {**_SNAPSHOT, "price_cents": -1, "free": False}, "price_cents negative"),
+        ("reviews", _without(_REVIEW, "review_id"), "missing field 'review_id'"),
+        ("reviews", _without(_REVIEW, "date"), "missing field 'date'"),
+        ("reviews", {**_REVIEW, "date": 20120401}, "field 'date' must be a string"),
+        ("reviews", {**_REVIEW, "date": "2012-13-01"}, "month must be in 1..12"),
+        ("reviews", {**_REVIEW, "review_id": None}, "field 'review_id' must be a string"),
+        ("topk", _without(_TOPK, "list_type"), "missing field 'list_type'"),
+        ("topk", {**_TOPK, "list_type": 3}, "unknown list_type 3"),
+        ("topk", _without(_TOPK, "fetch_time"), "missing field 'fetch_time'"),
+    ],
+)
+def test_line_with_a_bad_key_or_field_keeps_its_rejection_text(store, kind, rec, reason):
+    # the valid record under the same key is stored already
+    valid = {"snapshots": _SNAPSHOT, "reviews": _REVIEW, "topk": _TOPK}[kind]
+    store.ingest_lines(kind, [_canonical(valid)])
+    report = store.ingest_lines(kind, [_canonical(rec)])
+    assert [(r.kind, r.line_no, r.reason) for r in report.rejected] == [(kind, 1, reason)]
+    assert report.accepted[kind] == report.deduplicated[kind] == 0
+
+
+def test_committed_line_counts_as_validated(store):
+    # a hand-written committed line that ingest validation would reject
+    rec = {**_SNAPSHOT, "price_cents": -5, "free": False}
+    line = _canonical(rec)
+    (store.root / "snapshots.jsonl").write_text(line + "\n")
+    log = (store.root / "snapshots.jsonl").read_bytes()
+    # a byte-identical copy is deduplicated without being checked again
+    report = SnapStore.open(store.root).ingest_lines("snapshots", [line])
+    assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 1)
+    assert report.rejected == []
+    # a reformatted copy goes through validation and is rejected
+    report = SnapStore.open(store.root).ingest_lines("snapshots", [json.dumps(rec)])
+    assert [r.reason for r in report.rejected] == ["price_cents negative"]
+    assert report.deduplicated["snapshots"] == 0
+    assert (store.root / "snapshots.jsonl").read_bytes() == log
 
 
 # --- index sidecar -----------------------------------------------------------------
