@@ -16,12 +16,11 @@ import statistics
 import sys
 from pathlib import Path
 
-from . import anomaly as anomaly_mod
-from . import metrics, topk as topk_mod
 from .errors import MarketPulseError, StoreIOError
 from .model import (
     SECONDS_PER_DAY,
     ListType,
+    canonical_json,
     epoch_day_to_date,
     parse_date,
     snapshot_to_record,
@@ -204,12 +203,7 @@ def cmd_crawl(args) -> int:
     def write_snapshots(f):
         # sorted so multi-worker crawls stay byte-deterministic
         for snap in sorted(result.snapshots, key=lambda s: (s.fetch_time, s.app)):
-            f.write(
-                json.dumps(
-                    snapshot_to_record(snap), sort_keys=True, separators=(",", ":")
-                )
-                + "\n"
-            )
+            f.write(canonical_json(snapshot_to_record(snap)) + "\n")
 
     _replace_file(out / "snapshots.jsonl", write_snapshots)
     _write_json(out / "crawl_report.json", result.report.to_record())
@@ -236,6 +230,9 @@ def _reference_date(args, store: SnapStore):
 
 
 def cmd_metrics(args) -> int:
+    # each report command imports only its own layer
+    from . import metrics
+
     store = _open_store(args)
     out = Path(args.out)
     if args.what == "staleness":
@@ -372,6 +369,8 @@ def cmd_metrics(args) -> int:
 
 
 def _metrics_price(args, store: SnapStore, out: Path) -> int:
+    from . import metrics
+
     reference = _reference_date(args, store)
     latest = store.latest_snapshots()
     paid_latest = [
@@ -470,6 +469,8 @@ def _parse_slice(text: str, series) -> tuple[int, int]:
 
 
 def cmd_topk(args) -> int:
+    from . import topk as topk_mod
+
     store = _open_store(args)
     out = Path(args.out)
     list_type = ListType(args.list)
@@ -553,6 +554,8 @@ def cmd_topk(args) -> int:
 
 
 def cmd_anomaly(args) -> int:
+    from . import anomaly as anomaly_mod
+
     store = _open_store(args)
     out = Path(args.out)
     if args.what == "reviews":

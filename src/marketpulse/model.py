@@ -8,9 +8,11 @@ recorded in the dataset manifest).
 from __future__ import annotations
 
 import datetime as dt
+import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 SECONDS_PER_DAY = 86400
@@ -199,54 +201,153 @@ def validate_app_id(app: str) -> list[str]:
     return []
 
 
-def validate_snapshot(s: AppSnapshot) -> list[str]:
-    """Every violated invariant of ``s``; the snapshot is valid iff empty."""
-    violations = validate_app_id(s.app)
-    if s.price_cents < 0:
+# --- canonical lines (the wire schema of the store logs) ----------------------
+
+
+# the C encoder json.dumps builds on every call, built once; its arguments:
+# markers (None: no cycle check), default, str encoder, indent, key separator,
+# item separator, sort_keys, skipkeys, allow_nan
+_encode_json = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True
+)
+
+
+def canonical_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``: the
+    encoding of every JSONL line the package writes."""
+    return _encode_json(value, 0)[0]
+
+
+# A line codec checks a json.loads record dict field by field in a fixed order
+# and raises ValueError naming the first field missing or of the wrong JSON
+# type (an int is no boolean), then one listing every violated invariant.
+# Per field type: the JSON types it may have, how an error names them, and
+# the parse its value goes through (dates are ISO strings).
+_STR = ((str,), "a string", None)
+_INT = ((int,), "an integer", None)
+_BOOL = ((bool,), "a boolean", None)
+_NUMBER = ((int, float), "a number", None)
+_DATE = ((str,), "a string", parse_date)
+
+_SNAPSHOT_FIELDS = (
+    ("app", _STR), ("fetch_time", _INT), ("title", _STR), ("developer", _STR),
+    ("category", _STR), ("price_cents", _INT), ("free", _BOOL),
+    ("downloads_lo", _INT), ("downloads_hi", _INT), ("rating_avg", _NUMBER),
+    ("rating_count", _INT), ("version", _STR), ("last_updated", _DATE),
+    ("size_bytes", _INT),
+)
+_REVIEW_FIELDS = (
+    ("app", _STR), ("review_id", _STR), ("reviewer_id", _STR), ("date", _DATE),
+    ("rating", _INT), ("title", _STR), ("text", _STR),
+)
+_LIST_TYPES = frozenset(t.value for t in ListType)
+
+
+def _fields(rec: dict, fields: tuple) -> dict:
+    """The values of ``fields`` in ``rec``, checked in order, dates parsed."""
+    out = {}
+    for name, (types, noun, parse) in fields:
+        try:
+            value = rec[name]
+        except KeyError:
+            raise ValueError(f"missing field {name!r}") from None
+        if type(value) not in types:
+            raise ValueError(f"field {name!r} must be {noun}")
+        out[name] = value if parse is None else parse(value)
+    return out
+
+
+def _strings(rec: dict, name: str) -> list:
+    try:
+        value = rec[name]
+    except KeyError:
+        raise ValueError(f"missing field {name!r}") from None
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise ValueError(f"{name} must be an array of strings")
+    return value
+
+
+def snapshot_line(rec: dict) -> tuple[bytes, tuple]:
+    """The canonical line of a snapshots.jsonl record and its timeline-state
+    key: the ``TimelineState`` fields, downloads as lo and hi and
+    last_updated as a date ordinal."""
+    permissions = _strings(rec, "permissions")
+    permission_set = frozenset(permissions)
+    if len(permission_set) != len(permissions):
+        raise ValueError("permissions has duplicates")
+    s = _fields(rec, _SNAPSHOT_FIELDS)
+    price, lo, hi = s["price_cents"], s["downloads_lo"], s["downloads_hi"]
+    updated = s["last_updated"].toordinal()
+    violations = validate_app_id(s["app"])
+    if price < 0:
         violations.append("price_cents negative")
-    if s.free != (s.price_cents == 0):
+    if s["free"] != (price == 0):
         violations.append("free flag inconsistent with price_cents")
-    if not (0.0 <= s.rating_avg <= 5.0):
+    if 0.0 <= s["rating_avg"] <= 5.0:
+        # float() of an out-of-range integer can overflow
+        s["rating_avg"] = float(s["rating_avg"])
+    else:
         violations.append("rating_avg out of [0,5]")
-    if s.rating_count < 0:
+    if s["rating_count"] < 0:
         violations.append("rating_count negative")
-    if s.downloads.lo < 0:
+    if lo < 0:
         violations.append("downloads lower bound negative")
-    if s.downloads.lo >= s.downloads.hi:
+    if lo >= hi:
         violations.append("downloads bucket empty (lo >= hi)")
-    if s.size_bytes < 0:
+    if s["size_bytes"] < 0:
         violations.append("size_bytes negative")
-    if date_to_epoch(s.last_updated) > s.fetch_time:
+    if (updated - _EPOCH_ORDINAL) * SECONDS_PER_DAY > s["fetch_time"]:
         violations.append("last_updated in future")
-    return violations
+    if violations:
+        raise ValueError("; ".join(violations))
+    state = (price, lo, hi, s["rating_count"], s["version"], s["category"])
+    s["last_updated"] = s["last_updated"].isoformat()
+    s["permissions"] = sorted(permissions)
+    return (canonical_json(s) + "\n").encode("utf-8"), (*state, permission_set, updated)
 
 
-def validate_review(r: ReviewRecord) -> list[str]:
-    violations = validate_app_id(r.app)
-    if not r.review_id:
+def review_line(rec: dict) -> tuple[bytes, None]:
+    """The canonical line of a reviews.jsonl record (reviews have no state)."""
+    r = _fields(rec, _REVIEW_FIELDS)
+    violations = validate_app_id(r["app"])
+    if not r["review_id"]:
         violations.append("review_id empty")
-    if r.rating not in (1, 2, 3, 4, 5):
+    if r["rating"] not in (1, 2, 3, 4, 5):
         violations.append("rating out of range")
-    return violations
+    if violations:
+        raise ValueError("; ".join(violations))
+    r["date"] = r["date"].isoformat()
+    return (canonical_json(r) + "\n").encode("utf-8"), None
 
 
-def validate_topk(o: TopKObservation) -> list[str]:
+def topk_line(rec: dict) -> tuple[bytes, None]:
+    """The canonical line of a topk.jsonl record (top-k records have no state)."""
+    if "list_type" not in rec:
+        raise ValueError("missing field 'list_type'")
+    list_type = rec["list_type"]
+    if type(list_type) is not str or list_type not in _LIST_TYPES:
+        raise ValueError(f"unknown list_type {list_type!r}")
+    ranking = _strings(rec, "ranking")
+    o = _fields(rec, (("fetch_time", _INT),))
+    o["list_type"], o["ranking"] = list_type, ranking
     violations = []
-    if len(o.ranking) > MAX_RANKING_LENGTH:
+    if len(ranking) > MAX_RANKING_LENGTH:
         violations.append(f"ranking longer than {MAX_RANKING_LENGTH}")
-    if len(set(o.ranking)) != len(o.ranking):
+    if len(set(ranking)) != len(ranking):
         violations.append("duplicate app in ranking")
-    if o.fetch_time % SECONDS_PER_HOUR != 0:
+    if o["fetch_time"] % SECONDS_PER_HOUR != 0:
         violations.append("fetch_time not aligned to the hour")
-    for app in o.ranking:
+    for app in ranking:
         bad = validate_app_id(app)
         if bad:
             violations.extend(f"ranking entry: {v}" for v in bad)
             break
-    return violations
+    if violations:
+        raise ValueError("; ".join(violations))
+    return (canonical_json(o) + "\n").encode("utf-8"), None
 
 
-# --- record codecs (flat JSON dicts, the wire schema of the store logs) ------
+# --- record dicts of typed records -------------------------------------------
 
 
 def snapshot_to_record(s: AppSnapshot) -> dict:
@@ -269,38 +370,6 @@ def snapshot_to_record(s: AppSnapshot) -> dict:
     }
 
 
-def snapshot_from_record(rec: dict) -> AppSnapshot:
-    """Decode one snapshots.jsonl record. Raises ValueError on bad shape."""
-    try:
-        permissions = rec["permissions"]
-        if not isinstance(permissions, list) or not all(
-            isinstance(p, str) for p in permissions
-        ):
-            raise ValueError("permissions must be an array of strings")
-        if len(set(permissions)) != len(permissions):
-            raise ValueError("permissions has duplicates")
-        return AppSnapshot(
-            app=_expect_str(rec, "app"),
-            fetch_time=_expect_int(rec, "fetch_time"),
-            title=_expect_str(rec, "title"),
-            developer=_expect_str(rec, "developer"),
-            category=_expect_str(rec, "category"),
-            price_cents=_expect_int(rec, "price_cents"),
-            free=_expect_bool(rec, "free"),
-            downloads=DownloadBucket(
-                _expect_int(rec, "downloads_lo"), _expect_int(rec, "downloads_hi")
-            ),
-            rating_avg=float(_expect_number(rec, "rating_avg")),
-            rating_count=_expect_int(rec, "rating_count"),
-            version=_expect_str(rec, "version"),
-            last_updated=parse_date(_expect_str(rec, "last_updated")),
-            size_bytes=_expect_int(rec, "size_bytes"),
-            permissions=frozenset(permissions),
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r}") from None
-
-
 def review_to_record(r: ReviewRecord) -> dict:
     return {
         "app": r.app,
@@ -313,21 +382,6 @@ def review_to_record(r: ReviewRecord) -> dict:
     }
 
 
-def review_from_record(rec: dict) -> ReviewRecord:
-    try:
-        return ReviewRecord(
-            app=_expect_str(rec, "app"),
-            review_id=_expect_str(rec, "review_id"),
-            reviewer_id=_expect_str(rec, "reviewer_id"),
-            date=parse_date(_expect_str(rec, "date")),
-            rating=_expect_int(rec, "rating"),
-            title=_expect_str(rec, "title"),
-            text=_expect_str(rec, "text"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r}") from None
-
-
 def topk_to_record(o: TopKObservation) -> dict:
     return {
         "list_type": o.list_type.value,
@@ -336,31 +390,9 @@ def topk_to_record(o: TopKObservation) -> dict:
     }
 
 
-def topk_from_record(rec: dict) -> TopKObservation:
-    try:
-        list_type = ListType(_expect_str(rec, "list_type"))
-    except ValueError:
-        raise ValueError(f"unknown list_type {rec.get('list_type')!r}") from None
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r}") from None
-    try:
-        ranking = rec["ranking"]
-        if not isinstance(ranking, list) or not all(
-            isinstance(a, str) for a in ranking
-        ):
-            raise ValueError("ranking must be an array of strings")
-        return TopKObservation(
-            list_type=list_type,
-            fetch_time=_expect_int(rec, "fetch_time"),
-            ranking=tuple(ranking),
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r}") from None
-
-
-# trusted decoders: no per-field type checks, for lines this package wrote
-# and validated at ingest; constructed via __dict__ to skip frozen-dataclass
-# per-field __setattr__ overhead on bulk reads
+# trusted decoders: no per-field type checks, for store lines validated at
+# ingest and for simulator records; built via __dict__ to skip the frozen
+# dataclass's per-field __setattr__ overhead on bulk reads
 
 
 def snapshot_from_trusted_record(rec: dict) -> AppSnapshot:
@@ -406,31 +438,3 @@ def topk_from_trusted_record(rec: dict) -> TopKObservation:
         ranking=tuple(rec["ranking"]),
     )
     return obs
-
-
-def _expect_str(rec: dict, key: str) -> str:
-    value = rec[key]
-    if not isinstance(value, str):
-        raise ValueError(f"field {key!r} must be a string")
-    return value
-
-
-def _expect_int(rec: dict, key: str) -> int:
-    value = rec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {key!r} must be an integer")
-    return value
-
-
-def _expect_bool(rec: dict, key: str) -> bool:
-    value = rec[key]
-    if not isinstance(value, bool):
-        raise ValueError(f"field {key!r} must be a boolean")
-    return value
-
-
-def _expect_number(rec: dict, key: str) -> float:
-    value = rec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {key!r} must be a number")
-    return value

@@ -28,9 +28,12 @@ from .model import (
     DownloadBucket,
     ListType,
     PopularityClass,
+    canonical_json,
     date_to_epoch,
     parse_date,
-    snapshot_from_record,
+    review_from_trusted_record,
+    snapshot_from_trusted_record,
+    topk_from_trusted_record,
 )
 from .store import DatasetManifest
 from .timeline import format_event_value
@@ -1202,12 +1205,10 @@ class GeneratedMarket:
 
 def generate(script: MarketScript) -> GeneratedMarket:
     """Materialize the full market in memory (small scripts / tests)."""
-    from .model import review_from_record, topk_from_record
-
     plan = plan_market(script)
-    snapshots = [snapshot_from_record(r) for r in _iter_snapshot_records(plan)]
-    reviews = [review_from_record(r) for r in _iter_review_records(plan)]
-    topk = [topk_from_record(r) for r in _iter_topk_records(plan)]
+    snapshots = [snapshot_from_trusted_record(r) for r in _iter_snapshot_records(plan)]
+    reviews = [review_from_trusted_record(r) for r in _iter_review_records(plan)]
+    topk = [topk_from_trusted_record(r) for r in _iter_topk_records(plan)]
     return GeneratedMarket(
         manifest=plan.manifest,
         snapshots=snapshots,
@@ -1241,32 +1242,25 @@ def write_dataset(
     last_epoch = date_to_epoch(last_day) + _SNAPSHOT_HOUR_OFFSET
     with open(out / "snapshots.jsonl", "w", encoding="utf-8") as f:
         for rec in _iter_snapshot_records(plan):
-            f.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            f.write(canonical_json(rec) + "\n")
             if render_market_seeds and rec["fetch_time"] == last_epoch:
                 last_day_records.append(rec)
     with open(out / "reviews.jsonl", "w", encoding="utf-8") as f:
         for rec in _iter_review_records(plan):
-            f.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            f.write(canonical_json(rec) + "\n")
     with open(out / "topk.jsonl", "w", encoding="utf-8") as f:
         for rec in _iter_topk_records(plan):
-            f.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            f.write(canonical_json(rec) + "\n")
     truth = _ground_truth(plan)
     truth.save(out / "ground_truth.json")
     if render_market_seeds:
-        snapshots = [snapshot_from_record(r) for r in last_day_records]
+        snapshots = [snapshot_from_trusted_record(r) for r in last_day_records]
         market = render_mock_market(
             snapshots, n_seeds=render_market_seeds, seed=script.seed
         )
         with open(out / "market_pages.jsonl", "w", encoding="utf-8") as f:
             for app in sorted(market.pages):
-                f.write(
-                    json.dumps(
-                        {"app": app, "page": market.pages[app]},
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+                f.write(canonical_json({"app": app, "page": market.pages[app]}) + "\n")
         (out / "seeds.txt").write_text(
             "\n".join(market.seeds) + "\n", encoding="utf-8"
         )

@@ -42,20 +42,18 @@ from .model import (
     ReviewRecord,
     TimelineState,
     TopKObservation,
+    canonical_json,
     date_to_epoch,
     parse_date,
-    review_from_record,
     review_from_trusted_record,
+    review_line,
     review_to_record,
-    snapshot_from_record,
     snapshot_from_trusted_record,
+    snapshot_line,
     snapshot_to_record,
-    topk_from_record,
     topk_from_trusted_record,
+    topk_line,
     topk_to_record,
-    validate_review,
-    validate_snapshot,
-    validate_topk,
 )
 
 SNAPSHOTS = "snapshots"
@@ -75,7 +73,7 @@ _BATCH_LINES = 1000
 # is ignored, as does one in an earlier layout. The digest is sha1 over the
 # covered log bytes followed by everything after the header, so a change to
 # either makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505832
+_SIDECAR_MAGIC = 0x4D505833
 # magic, covered log bytes, digest, records, names, skipped corrupt lines,
 # state table bytes
 _SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
@@ -222,12 +220,12 @@ class IngestReport:
         }
 
 
-# per-kind codecs: decode(dict) -> record, validate(record) -> violations,
-# encode(record) -> canonical dict
-_DECODERS: dict[str, Callable] = {
-    SNAPSHOTS: snapshot_from_record,
-    REVIEWS: review_from_record,
-    TOPK: topk_from_record,
+# per-kind line codecs: record dict -> (canonical line, state key or None);
+# they raise ValueError naming what is wrong with the record
+_CODECS: dict[str, Callable] = {
+    SNAPSHOTS: snapshot_line,
+    REVIEWS: review_line,
+    TOPK: topk_line,
 }
 # store-owned lines were validated at ingest; queries skip the field checks
 _TRUSTED_DECODERS: dict[str, Callable] = {
@@ -235,12 +233,8 @@ _TRUSTED_DECODERS: dict[str, Callable] = {
     REVIEWS: review_from_trusted_record,
     TOPK: topk_from_trusted_record,
 }
-_VALIDATORS: dict[str, Callable] = {
-    SNAPSHOTS: validate_snapshot,
-    REVIEWS: validate_review,
-    TOPK: validate_topk,
-}
-_ENCODERS: dict[str, Callable] = {
+# typed record -> record dict, for ingest_records
+_TO_RECORD: dict[str, Callable] = {
     SNAPSHOTS: snapshot_to_record,
     REVIEWS: review_to_record,
     TOPK: topk_to_record,
@@ -269,26 +263,9 @@ def _entity_time_key(kind: str, rec: dict) -> tuple:
     return (list_type,), ts
 
 
-# A timeline state is interned by a key of the ``TimelineState`` fields,
-# with downloads as lo and hi and last_updated as a date ordinal.
-
-
-def _snapshot_state_key(s: AppSnapshot) -> tuple:
-    return (
-        s.price_cents,
-        s.downloads.lo,
-        s.downloads.hi,
-        s.rating_count,
-        s.version,
-        s.category,
-        s.permissions,
-        s.last_updated.toordinal(),
-    )
-
-
 def _record_state_key(rec: dict) -> tuple:
-    """``_snapshot_state_key`` of a snapshots.jsonl record dict. Raises
-    KeyError, TypeError or ValueError on a malformed record."""
+    """The timeline-state key ``snapshot_line`` gives a snapshots.jsonl record.
+    Raises KeyError, TypeError or ValueError on a malformed record."""
     return (
         rec["price_cents"],
         rec["downloads_lo"],
@@ -301,19 +278,27 @@ def _record_state_key(rec: dict) -> tuple:
     )
 
 
-def _canonical_json(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
-
-
-def _same_payload(committed: bytes, line: bytes) -> bool:
+def _same_payload(codec: Callable, committed: bytes, line: bytes) -> bool:
     """Whether a committed log line holds the same record as canonical ``line``.
 
     Lines this store writes are canonical already; a line written another
-    way is canonicalised before it counts as a conflict.
+    way is canonicalised by the kind's ``codec`` before it counts as a
+    conflict, and one the codec rejects is a conflict.
     """
     if committed == line:
         return True
-    return (_canonical_json(json.loads(committed)) + "\n").encode("utf-8") == line
+    try:
+        return codec(json.loads(committed))[0] == line
+    except ValueError:
+        return False
+
+
+def _fsync_path(path: Path, flags: int = os.O_RDONLY) -> None:
+    fd = os.open(path, flags, 0o644)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _hash_prefix(path: Path, length: int):
@@ -416,27 +401,26 @@ class _LogIndex:
         )
         return values
 
-    def add(
-        self,
-        entity: tuple,
-        time_key: int,
-        offset: int,
-        length: int,
-        state_id: int | None = None,
-    ) -> None:
-        self.group_ids.append(self._name_id(entity[0]))
-        self.second_ids.append(self._name_id(entity[1]) + 1 if len(entity) > 1 else 0)
-        self.times.append(time_key)
-        self.offsets.append(offset)
-        self.lengths.append(length)
-        if state_id is None:
-            entry = (time_key, offset, length)
+    def extend(self, keys: list, offsets: list, lengths: list, state_ids) -> None:
+        """Index the lines at ``offsets`` with ``lengths`` under ``keys``, their
+        (entity, time key) pairs; ``state_ids`` is a list for snapshots, else None."""
+        for entity, _ in keys:
+            self.group_ids.append(self._name_id(entity[0]))
+            self.second_ids.append(self._name_id(entity[1]) + 1 if len(entity) > 1 else 0)
+        times = [time_key for _, time_key in keys]
+        self.times += times
+        self.offsets += offsets
+        self.lengths += lengths
+        if state_ids is None:
+            entries = zip(times, offsets, lengths)
         else:
-            self.state_ids.append(state_id)
-            entry = (time_key, offset, length, state_id)
-        self.by_group.setdefault(entity[0], []).append(entry)
+            self.state_ids += state_ids
+            entries = zip(times, offsets, lengths, state_ids)
+        by_group = self.by_group
+        for (entity, _), entry in zip(keys, entries):
+            by_group.setdefault(entity[0], []).append(entry)
         if self._keys is not None:
-            self._keys[(entity, time_key)] = (offset, length)
+            self._keys.update(zip(keys, zip(offsets, lengths)))
 
     def keys(self) -> dict:
         """(entity, time_key) -> (offset, length) of the indexed line; first
@@ -582,15 +566,27 @@ class SnapStore:
 
     @classmethod
     def create(cls, root: Path | str, manifest: DatasetManifest) -> "SnapStore":
+        """Create the logs (kept if present) and then the manifest, which
+        marks ``root`` as a store. Each is fsynced and so is the directory,
+        and the manifest is renamed into place whole: after a crash there
+        is either no manifest or a complete one over durable logs."""
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
-        manifest_path = root / _MANIFEST_FILE
-        manifest_path.write_text(
-            json.dumps(manifest.to_record(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
         for kind in KINDS:
-            (root / _LOG_FILES[kind]).touch()
+            _fsync_path(root / _LOG_FILES[kind], os.O_WRONLY | os.O_CREAT)
+        manifest_path = root / _MANIFEST_FILE
+        tmp = manifest_path.with_name(manifest_path.name + ".tmp")
+        try:
+            tmp.write_text(
+                json.dumps(manifest.to_record(), sort_keys=True, indent=2) + "\n",
+                encoding="utf-8",
+            )
+            _fsync_path(tmp)
+            os.replace(tmp, manifest_path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
+        _fsync_path(root)
         return cls(root, manifest)
 
     @classmethod
@@ -651,6 +647,8 @@ class SnapStore:
         if path.stat().st_size <= index.scanned_bytes:
             return
         indexed = index.keys()
+        keys, offsets, lengths = [], [], []
+        state_ids = None if index.state_ids is None else []
         with self._io_lock, open(path, "rb") as f:
             f.seek(index.scanned_bytes)
             offset = index.scanned_bytes
@@ -666,16 +664,17 @@ class SnapStore:
                     key = _entity_time_key(kind, rec)
                     if key in indexed:
                         raise ValueError("an earlier line holds this key")
-                    state_id = (
-                        None
-                        if index.state_ids is None
-                        else index.intern_state(_record_state_key(rec))
-                    )
+                    if state_ids is not None:
+                        state_ids.append(index.intern_state(_record_state_key(rec)))
                 except (KeyError, TypeError, ValueError):
                     index.skipped_corrupt += 1
                 else:
-                    index.add(*key, offset, length, state_id)
+                    indexed[key] = (offset, length)
+                    keys.append(key)
+                    offsets.append(offset)
+                    lengths.append(length)
                 offset += length
+            index.extend(keys, offsets, lengths, state_ids)
             index.scanned_bytes = offset
 
     def _read_fd(self, kind: str) -> int:
@@ -713,9 +712,11 @@ class SnapStore:
     def ingest_lines(self, kind: str, lines: Iterable[str]) -> IngestReport:
         """Validate, dedup and append raw JSONL ``lines`` of one ``kind``.
 
-        A record whose (entity, time) is already stored is counted as
-        deduplicated when its canonical bytes equal the stored line's, and
-        rejected as a conflict otherwise. A line byte-identical to the
+        Each line is checked and canonicalised by its kind's line codec. A
+        record whose (entity, time) is already stored is counted as
+        deduplicated when its canonical line equals the stored line, or the
+        stored line canonicalised by the same codec, and rejected as a
+        conflict otherwise. A line byte-identical to the
         stored one (newline aside) is deduplicated before it is decoded:
         a committed line counts as validated, the rule trusted decoding
         also follows, so a copy of it is never checked again. Writes are
@@ -726,7 +727,7 @@ class SnapStore:
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         report = IngestReport()
-        decoder, validator, encoder = _DECODERS[kind], _VALIDATORS[kind], _ENCODERS[kind]
+        codec = _CODECS[kind]
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:
             try:
@@ -761,9 +762,9 @@ class SnapStore:
                 except (ValueError, TypeError) as exc:
                     report.rejected.append(Rejection(kind, line_no, str(exc)))
                     continue
-                # the key of every record the decoder accepts equals the key
-                # of its canonical form; one the key cannot be read from is
-                # left to the decoder, which names what is wrong with it
+                # the key of every record the codec accepts equals the key of
+                # its canonical form; one the key cannot be read from is left
+                # to the codec, which names what is wrong with it
                 try:
                     key = _entity_time_key(kind, rec)
                 except (KeyError, TypeError, ValueError):
@@ -774,25 +775,18 @@ class SnapStore:
                     previous = os.pread(self._read_fd(kind), length, offset)
                 if previous is not None:
                     # a lone surrogate never matches a stored line; it must
-                    # not raise here either, since the decoder accepts it
+                    # not raise here either, since the codec accepts it
                     data = line.encode("utf-8", "surrogatepass")
                     if previous == (data if data.endswith(b"\n") else data + b"\n"):
                         report.deduplicated[kind] += 1
                         continue
                 try:
-                    record = decoder(rec)
-                except (ValueError, TypeError) as exc:
+                    raw, state = codec(rec)
+                except ValueError as exc:
                     report.rejected.append(Rejection(kind, line_no, str(exc)))
                     continue
-                violations = validator(record)
-                if violations:
-                    report.rejected.append(
-                        Rejection(kind, line_no, "; ".join(violations))
-                    )
-                    continue
-                raw = (_canonical_json(encoder(record)) + "\n").encode("utf-8")
                 if previous is not None:
-                    if _same_payload(previous, raw):
+                    if _same_payload(codec, previous, raw):
                         report.deduplicated[kind] += 1
                     else:
                         entity, time_key = key
@@ -806,8 +800,7 @@ class SnapStore:
                         )
                     continue
                 batch[key] = raw
-                if kind == SNAPSHOTS:
-                    states.append(_snapshot_state_key(record))
+                states.append(state)
                 report.accepted[kind] += 1
                 if len(batch) >= _BATCH_LINES:
                     self._commit(kind, index, batch, states)
@@ -819,7 +812,7 @@ class SnapStore:
 
     def _commit(self, kind: str, index: _LogIndex, batch: dict, states: list) -> None:
         """Append and fsync ``batch``; on failure no byte of it stays.
-        ``states`` holds the state key of each snapshot line, or nothing."""
+        ``states`` holds the state key of each line (None but for snapshots)."""
         data = b"".join(batch.values())
         path = self._log_path(kind)
         with self._io_lock:
@@ -839,11 +832,14 @@ class SnapStore:
             finally:
                 os.close(fd)
         index.digest.update(data)
-        state_ids = map(index.intern_state, states) if states else itertools.repeat(None)
-        for ((entity, time_key), raw), state_id in zip(batch.items(), state_ids):
-            index.add(entity, time_key, offset, len(raw), state_id)
-            offset += len(raw)
-        index.scanned_bytes = offset
+        lengths = [len(raw) for raw in batch.values()]
+        index.extend(
+            list(batch),
+            list(itertools.accumulate(lengths[:-1], initial=offset)),
+            lengths,
+            None if index.state_ids is None else list(map(index.intern_state, states)),
+        )
+        index.scanned_bytes = offset + len(data)
 
     def _write_sidecar(self, kind: str, index: _LogIndex) -> None:
         """Persist ``index`` next to its log; called under the ingest lock.
@@ -867,8 +863,8 @@ class SnapStore:
 
     def ingest_records(self, kind: str, records: Iterable) -> IngestReport:
         """Ingest typed records through the same validation/dedup path."""
-        encoder = _ENCODERS[kind]
-        return self.ingest_lines(kind, (_canonical_json(encoder(r)) for r in records))
+        to_record = _TO_RECORD[kind]
+        return self.ingest_lines(kind, (canonical_json(to_record(r)) for r in records))
 
     def ingest_dir(self, data_dir: Path | str) -> IngestReport:
         """Ingest the standard three JSONL logs found under ``data_dir``."""

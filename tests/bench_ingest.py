@@ -4,9 +4,10 @@ pytest collects ``test_*.py`` only, so run this file by name:
 
     PYTHONPATH=src python -m pytest tests/bench_ingest.py --benchmark-only
 
-Both cases ingest the same 10k canonical snapshot lines, as a simulated
+Two cases ingest the same 10k canonical snapshot lines, as a simulated
 dataset holds them: once more into a store that already has every one of
-them (all deduplicated), and into an empty store (all accepted).
+them (all deduplicated), and into an empty store (all accepted). A third
+ingests a simulated dataset of all three record kinds into an empty store.
 """
 
 import itertools
@@ -15,8 +16,9 @@ import json
 import pytest
 
 from marketpulse import simgen
-from marketpulse.model import snapshot_to_record
-from marketpulse.store import SnapStore
+from marketpulse.model import ListType, snapshot_to_record
+from marketpulse.simgen import TopKListConfig
+from marketpulse.store import KINDS, SnapStore
 
 N_LINES = 10_000
 
@@ -61,3 +63,37 @@ def test_bulk_ingest_into_empty_store(benchmark, tmp_path, market, lines):
     report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
     assert report.accepted["snapshots"] == N_LINES
     assert report.deduplicated["snapshots"] == report.total_rejected == 0
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    data = tmp_path_factory.mktemp("data")
+    simgen.write_dataset(
+        simgen.MarketScript(
+            seed=5,
+            n_developers=300,
+            observation_days=30,
+            topk_lists={
+                ListType.FREE: TopKListConfig(length=100),
+                ListType.PAID: TopKListConfig(length=100),
+            },
+        ),
+        data,
+    )
+    return data
+
+
+def test_ingest_dir_of_three_kinds_into_empty_store(benchmark, tmp_path, market, dataset):
+    fresh = itertools.count()
+
+    def empty_store():
+        return (SnapStore.create(tmp_path / f"store{next(fresh)}", market.manifest),), {}
+
+    def ingest(store):
+        return store.ingest_dir(dataset)
+
+    report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
+    for kind in KINDS:
+        lines = (dataset / f"{kind}.jsonl").read_text().splitlines()
+        assert report.accepted[kind] == len(lines) > 0
+    assert sum(report.deduplicated.values()) == report.total_rejected == 0

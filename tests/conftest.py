@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -10,13 +11,20 @@ import pytest
 from marketpulse.errors import DegenerateTailError, InsufficientDataError
 from marketpulse.metrics import PowerLawFit, fit_power_law
 from marketpulse.model import (
+    MAX_RANKING_LENGTH,
+    SECONDS_PER_HOUR,
     AppSnapshot,
     DownloadBucket,
     ListType,
     ReviewRecord,
     TopKObservation,
     date_to_epoch,
+    parse_date,
+    review_to_record,
+    snapshot_to_record,
     timeline_state,
+    topk_to_record,
+    validate_app_id,
 )
 from marketpulse.store import AppSeries, AppStates, DatasetManifest, SnapStore
 
@@ -169,3 +177,187 @@ def manifest() -> DatasetManifest:
 @pytest.fixture
 def store(tmp_path, manifest) -> SnapStore:
     return SnapStore.create(tmp_path / "store", manifest)
+
+
+# --- reference record path -----------------------------------------------------
+# The reference for the line codecs of marketpulse.model: decode the record
+# dict into a dataclass with per-field checks, validate the dataclass, turn
+# it back into a dict and dump that.
+
+
+def _expect_str(rec: dict, key: str) -> str:
+    value = rec[key]
+    if not isinstance(value, str):
+        raise ValueError(f"field {key!r} must be a string")
+    return value
+
+
+def _expect_int(rec: dict, key: str) -> int:
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {key!r} must be an integer")
+    return value
+
+
+def _expect_bool(rec: dict, key: str) -> bool:
+    value = rec[key]
+    if not isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be a boolean")
+    return value
+
+
+def _expect_number(rec: dict, key: str) -> float:
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {key!r} must be a number")
+    return value
+
+
+def snapshot_from_record(rec: dict) -> AppSnapshot:
+    """Decode one snapshots.jsonl record. Raises ValueError on bad shape."""
+    try:
+        permissions = rec["permissions"]
+        if not isinstance(permissions, list) or not all(
+            isinstance(p, str) for p in permissions
+        ):
+            raise ValueError("permissions must be an array of strings")
+        if len(set(permissions)) != len(permissions):
+            raise ValueError("permissions has duplicates")
+        return AppSnapshot(
+            app=_expect_str(rec, "app"),
+            fetch_time=_expect_int(rec, "fetch_time"),
+            title=_expect_str(rec, "title"),
+            developer=_expect_str(rec, "developer"),
+            category=_expect_str(rec, "category"),
+            price_cents=_expect_int(rec, "price_cents"),
+            free=_expect_bool(rec, "free"),
+            downloads=DownloadBucket(
+                _expect_int(rec, "downloads_lo"), _expect_int(rec, "downloads_hi")
+            ),
+            rating_avg=float(_expect_number(rec, "rating_avg")),
+            rating_count=_expect_int(rec, "rating_count"),
+            version=_expect_str(rec, "version"),
+            last_updated=parse_date(_expect_str(rec, "last_updated")),
+            size_bytes=_expect_int(rec, "size_bytes"),
+            permissions=frozenset(permissions),
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+
+
+def review_from_record(rec: dict) -> ReviewRecord:
+    try:
+        return ReviewRecord(
+            app=_expect_str(rec, "app"),
+            review_id=_expect_str(rec, "review_id"),
+            reviewer_id=_expect_str(rec, "reviewer_id"),
+            date=parse_date(_expect_str(rec, "date")),
+            rating=_expect_int(rec, "rating"),
+            title=_expect_str(rec, "title"),
+            text=_expect_str(rec, "text"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+
+
+def topk_from_record(rec: dict) -> TopKObservation:
+    try:
+        list_type = ListType(_expect_str(rec, "list_type"))
+    except ValueError:
+        raise ValueError(f"unknown list_type {rec.get('list_type')!r}") from None
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+    try:
+        ranking = rec["ranking"]
+        if not isinstance(ranking, list) or not all(
+            isinstance(a, str) for a in ranking
+        ):
+            raise ValueError("ranking must be an array of strings")
+        return TopKObservation(
+            list_type=list_type,
+            fetch_time=_expect_int(rec, "fetch_time"),
+            ranking=tuple(ranking),
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+
+
+def validate_snapshot(s: AppSnapshot) -> list[str]:
+    """Every violated invariant of ``s``; the snapshot is valid iff empty."""
+    violations = validate_app_id(s.app)
+    if s.price_cents < 0:
+        violations.append("price_cents negative")
+    if s.free != (s.price_cents == 0):
+        violations.append("free flag inconsistent with price_cents")
+    if not (0.0 <= s.rating_avg <= 5.0):
+        violations.append("rating_avg out of [0,5]")
+    if s.rating_count < 0:
+        violations.append("rating_count negative")
+    if s.downloads.lo < 0:
+        violations.append("downloads lower bound negative")
+    if s.downloads.lo >= s.downloads.hi:
+        violations.append("downloads bucket empty (lo >= hi)")
+    if s.size_bytes < 0:
+        violations.append("size_bytes negative")
+    if date_to_epoch(s.last_updated) > s.fetch_time:
+        violations.append("last_updated in future")
+    return violations
+
+
+def validate_review(r: ReviewRecord) -> list[str]:
+    violations = validate_app_id(r.app)
+    if not r.review_id:
+        violations.append("review_id empty")
+    if r.rating not in (1, 2, 3, 4, 5):
+        violations.append("rating out of range")
+    return violations
+
+
+def validate_topk(o: TopKObservation) -> list[str]:
+    violations = []
+    if len(o.ranking) > MAX_RANKING_LENGTH:
+        violations.append(f"ranking longer than {MAX_RANKING_LENGTH}")
+    if len(set(o.ranking)) != len(o.ranking):
+        violations.append("duplicate app in ranking")
+    if o.fetch_time % SECONDS_PER_HOUR != 0:
+        violations.append("fetch_time not aligned to the hour")
+    for app in o.ranking:
+        bad = validate_app_id(app)
+        if bad:
+            violations.extend(f"ranking entry: {v}" for v in bad)
+            break
+    return violations
+
+
+def snapshot_state_key(s: AppSnapshot) -> tuple:
+    return (
+        s.price_cents,
+        s.downloads.lo,
+        s.downloads.hi,
+        s.rating_count,
+        s.version,
+        s.category,
+        s.permissions,
+        s.last_updated.toordinal(),
+    )
+
+
+_REFERENCE_PATHS = {
+    "snapshots": (snapshot_from_record, validate_snapshot, snapshot_to_record),
+    "reviews": (review_from_record, validate_review, review_to_record),
+    "topk": (topk_from_record, validate_topk, topk_to_record),
+}
+
+
+def reference_line(kind: str, rec: dict) -> tuple[bytes, tuple | None]:
+    """What the line codec of ``kind`` (``marketpulse.model.snapshot_line``,
+    ``review_line`` or ``topk_line``) returns for ``rec``, by the reference
+    path; raises ValueError with the same message."""
+    decode, validate, encode = _REFERENCE_PATHS[kind]
+    record = decode(rec)
+    violations = validate(record)
+    if violations:
+        raise ValueError("; ".join(violations))
+    line = json.dumps(encode(record), sort_keys=True, separators=(",", ":")) + "\n"
+    state = snapshot_state_key(record) if kind == "snapshots" else None
+    return line.encode("utf-8"), state

@@ -290,15 +290,25 @@ def test_failed_report_write_keeps_previous_file(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+_COMMAND_LAYERS = (
+    "numpy",
+    "marketpulse.simgen",
+    "marketpulse.harvester",
+    "marketpulse.anomaly",
+    "marketpulse.metrics",
+    "marketpulse.topk",
+)
+
+
 def test_cli_import_leaves_out_numpy_simgen_and_harvester():
-    # only simulate needs simgen (and numpy), only crawl the harvester
+    # only simulate needs simgen (and numpy), only crawl the harvester, and
+    # each report command imports its own layer
     src = Path(cli.__file__).resolve().parent.parent
     code = (
         "import json, sys\n"
         "import marketpulse.cli as cli\n"
         "cli.build_parser().parse_args(['crawl', '--seeds', 's', '--market', 'm', '--out', 'o'])\n"
-        "print(json.dumps([m for m in ('numpy', 'marketpulse.simgen', 'marketpulse.harvester')"
-        " if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {_COMMAND_LAYERS!r} if m in sys.modules]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

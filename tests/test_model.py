@@ -1,27 +1,38 @@
 import datetime as dt
+import itertools
 import json
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from marketpulse.model import (
     DOWNLOAD_LADDER,
     DownloadBucket,
     ListType,
-    review_from_record,
+    canonical_json,
+    review_line,
     review_to_record,
-    snapshot_from_record,
+    snapshot_line,
     snapshot_to_record,
-    topk_from_record,
+    topk_line,
     topk_to_record,
-    validate_review,
     validate_app_id,
+)
+
+from conftest import (
+    DAY0,
+    make_review,
+    make_snapshot,
+    make_topk,
+    reference_line,
+    review_from_record,
+    snapshot_from_record,
+    topk_from_record,
+    validate_review,
     validate_snapshot,
     validate_topk,
 )
-
-from conftest import DAY0, make_review, make_snapshot, make_topk
 
 
 class TestValidateSnapshot:
@@ -206,3 +217,169 @@ def test_decode_rejects_duplicate_permissions():
 def test_validate_accepts_factory_snapshots(snap):
     # generator produces only invariant-satisfying snapshots
     assert validate_snapshot(snap) == []
+
+
+# --- line codecs against the reference path ------------------------------------
+
+_LINE_CODECS = {"snapshots": snapshot_line, "reviews": review_line, "topk": topk_line}
+_TO_RECORD = {
+    "snapshots": snapshot_to_record,
+    "reviews": review_to_record,
+    "topk": topk_to_record,
+}
+
+
+def _outcome(codec, rec):
+    try:
+        return codec(rec)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_codec_matches_reference(kind, rec):
+    # the codecs read what json.loads returns
+    rec = json.loads(json.dumps(rec))
+    expected = _outcome(lambda r: reference_line(kind, r), rec)
+    assert _outcome(_LINE_CODECS[kind], rec) == expected
+
+
+_RANKING_481 = [f"com.app{i}" for i in range(481)]
+_odd_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**6), max_value=10**12),
+    st.floats(),
+    st.text(max_size=5),
+    st.lists(st.text(max_size=3), max_size=3),
+)
+_odd_texts = st.text(max_size=8) | st.lists(
+    st.sampled_from(["\ud800", "\udfff", "\u00e9", "\u65e5", " ", "\t", "a", "\\", '"']),
+    max_size=5,
+).map("".join)
+_odd_dates = st.dates().map(dt.date.isoformat) | st.sampled_from(
+    ["2012-13-01", "2012-02-30", "20120401", "2012-W14-1", "2012-4-1", "", "2012-04-01T00:00"]
+)
+
+
+@st.composite
+def _mutated(draw, rec):
+    """``rec`` after up to four random edits of its fields."""
+    rec = dict(rec)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        key = draw(st.sampled_from(sorted(rec) or ["app"]))
+        edit = draw(st.sampled_from(["drop", "odd", "text", "int", "date", "list", "extra"]))
+        if edit == "drop":
+            rec.pop(key, None)
+        elif edit == "odd":
+            rec[key] = draw(_odd_values)
+        elif edit == "text":
+            rec[key] = draw(_odd_texts)
+        elif edit == "int":
+            rec[key] = draw(st.integers(min_value=-5, max_value=10**10) | st.just(rec.get(key, 0)))
+            if key == "fetch_time" and isinstance(rec[key], int) and draw(st.booleans()):
+                rec[key] += draw(st.integers(min_value=1, max_value=3599))
+        elif edit == "date":
+            rec[key] = draw(_odd_dates)
+        elif edit == "list":
+            items = rec[key] if isinstance(rec.get(key), list) else ["a"]
+            rec[key] = draw(
+                st.sampled_from(
+                    [items + items[:1], items[::-1], [*items, 7], items + [""], items + ["x y"]]
+                )
+                | st.just(_RANKING_481)
+            )
+        else:
+            rec[draw(st.text(max_size=5))] = draw(_odd_values)
+    return rec
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_line_codecs_match_the_reference_path(market, data):
+    # same acceptance, message text, canonical bytes and state key
+    kind = data.draw(st.sampled_from(sorted(_LINE_CODECS)))
+    records = {"snapshots": market.snapshots, "reviews": market.reviews, "topk": market.topk}
+    rec = _TO_RECORD[kind](data.draw(st.sampled_from(records[kind])))
+    _assert_codec_matches_reference(kind, data.draw(_mutated(rec)))
+
+
+_SNAPSHOT = snapshot_to_record(make_snapshot())
+_REVIEW = review_to_record(make_review())
+_TOPK = topk_to_record(make_topk(["a", "b"]))
+
+
+@pytest.mark.parametrize(
+    "kind, rec",
+    [
+        ("snapshots", _SNAPSHOT),
+        ("snapshots", {k: v for k, v in _SNAPSHOT.items() if k != "size_bytes"}),
+        ("snapshots", {**_SNAPSHOT, "price_cents": True}),
+        ("snapshots", {**_SNAPSHOT, "rating_count": "12"}),
+        ("snapshots", {**_SNAPSHOT, "size_bytes": 1.0}),
+        ("snapshots", {**_SNAPSHOT, "free": 1}),
+        ("snapshots", {**_SNAPSHOT, "rating_avg": 4}),
+        ("snapshots", {**_SNAPSHOT, "rating_avg": True}),
+        ("snapshots", {**_SNAPSHOT, "rating_count": -1, "size_bytes": -1, "app": "a b"}),
+        ("snapshots", {**_SNAPSHOT, "downloads_lo": -5, "price_cents": -1}),
+        ("snapshots", {**_SNAPSHOT, "last_updated": "20120401"}),
+        ("snapshots", {**_SNAPSHOT, "last_updated": "2012-W14-1"}),
+        ("snapshots", {**_SNAPSHOT, "last_updated": "2012-02-30", "size_bytes": None}),
+        ("snapshots", {**_SNAPSHOT, "last_updated": "2099-01-01"}),
+        ("snapshots", {**_SNAPSHOT, "permissions": ["VIBRATE", "INTERNET"]}),
+        ("snapshots", {**_SNAPSHOT, "permissions": ["A", "A"], "app": 7}),
+        ("snapshots", {**_SNAPSHOT, "permissions": ["A", 1]}),
+        ("snapshots", {**_SNAPSHOT, "extra": [1, 2]}),
+        ("snapshots", {**_SNAPSHOT, "title": "caf\u00e9 \ud800 \u65e5"}),
+        ("snapshots", {**_SNAPSHOT, "rating_avg": float("nan")}),
+        ("reviews", _REVIEW),
+        ("reviews", {**_REVIEW, "rating": 0, "review_id": "", "app": ""}),
+        ("reviews", {**_REVIEW, "date": "2012-13-01"}),
+        ("reviews", {**_REVIEW, "date": "20120401"}),
+        ("reviews", {**_REVIEW, "date": "2012-W14-1"}),
+        ("reviews", {**_REVIEW, "text": "\udfff", "extra": 1}),
+        ("topk", _TOPK),
+        ("topk", {**_TOPK, "list_type": 3}),
+        ("topk", {**_TOPK, "list_type": "free"}),
+        ("topk", {k: v for k, v in _TOPK.items() if k != "list_type"}),
+        ("topk", {**_TOPK, "ranking": _RANKING_481}),
+        ("topk", {**_TOPK, "ranking": ["a", "a", "b c"], "fetch_time": _TOPK["fetch_time"] + 60}),
+        ("topk", {**_TOPK, "ranking": "a"}),
+        ("topk", {**_TOPK, "fetch_time": None}),
+    ],
+)
+def test_line_codec_matches_the_reference_path_on_named_cases(kind, rec):
+    _assert_codec_matches_reference(kind, rec)
+
+
+@pytest.mark.parametrize("kind, valid", [("snapshots", _SNAPSHOT), ("reviews", _REVIEW), ("topk", _TOPK)])
+def test_line_codec_names_the_same_field_when_two_are_bad(kind, valid):
+    # the order in which fields are checked decides the message
+    for bad in (None, True, "7", 1.5, []):
+        for a, b in itertools.combinations(valid, 2):
+            _assert_codec_matches_reference(kind, {**valid, a: bad, b: bad})
+            _assert_codec_matches_reference(kind, {k: v for k, v in valid.items() if k != a} | {b: bad})
+
+
+def test_huge_integer_rating_avg_is_a_violation_not_an_overflow():
+    rec = {**_SNAPSHOT, "rating_avg": 10**400}
+    with pytest.raises(OverflowError):
+        reference_line("snapshots", rec)
+    with pytest.raises(ValueError, match=r"^rating_avg out of \[0,5\]$"):
+        snapshot_line(rec)
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.lists(st.sampled_from(["\ud800", "\udbff\udc00", "\x7f", "\u2028", "\x00"])).map("".join),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_json_values)
+def test_canonical_json_is_json_dumps_with_sorted_keys(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))

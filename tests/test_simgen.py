@@ -414,7 +414,7 @@ class TestTopKStream:
             topk_lists={ListType.FREE: TopKListConfig(length=12, churn_lo=0.01, churn_hi=0.2)}
         )
         market = generate(script)
-        from marketpulse.model import validate_topk
+        from conftest import validate_topk
 
         for obs in market.topk:
             assert validate_topk(obs) == []

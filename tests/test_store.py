@@ -5,6 +5,7 @@ import os
 import shutil
 import struct
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -396,9 +397,8 @@ def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch)
     first = store.ingest_dir(data)
     assert first.total_rejected == 0
     logs = {p.name: p.read_bytes() for p in store.root.iterdir()}
-    for codecs in (store_mod._DECODERS, store_mod._VALIDATORS, store_mod._ENCODERS):
-        for kind in ("snapshots", "reviews", "topk"):
-            monkeypatch.setitem(codecs, kind, _refuse)
+    for kind in ("snapshots", "reviews", "topk"):
+        monkeypatch.setitem(store_mod._CODECS, kind, _refuse)
     monkeypatch.setattr(json, "dumps", _refuse)
     report = SnapStore.open(store.root).ingest_dir(data)
     assert report.accepted == {"snapshots": 0, "reviews": 0, "topk": 0}
@@ -537,6 +537,19 @@ def test_committed_line_counts_as_validated(store):
     assert (store.root / "snapshots.jsonl").read_bytes() == log
 
 
+def test_copy_of_a_hand_written_line_dedupes_against_its_canonical_form(store):
+    # unsorted permissions and an integer rating_avg: valid, but not canonical
+    rec = {**_SNAPSHOT, "permissions": ["VIBRATE", "INTERNET"], "rating_avg": 4}
+    (store.root / "snapshots.jsonl").write_text(_canonical(rec) + "\n")
+    log = (store.root / "snapshots.jsonl").read_bytes()
+    canonical = _canonical({**rec, "permissions": ["INTERNET", "VIBRATE"], "rating_avg": 4.0})
+    for line in (json.dumps(rec), canonical):
+        report = SnapStore.open(store.root).ingest_lines("snapshots", [line])
+        assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 1)
+        assert report.rejected == []
+    assert (store.root / "snapshots.jsonl").read_bytes() == log
+
+
 # --- index sidecar -----------------------------------------------------------------
 
 
@@ -621,6 +634,23 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
     # the distinct timeline states are few next to the snapshots
     snapshots = loaded._index("snapshots")
     assert 0 < len(snapshots.states) < len(snapshots.times) / 2
+
+
+def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
+    # new apps keep appearing after the first batch of 1,000 lines
+    root = tmp_path / "store"
+    reviews = [make_review(app=f"com.app{i // 100}", review_id=f"r{i}") for i in range(2500)]
+    snapshots = [
+        make_snapshot(app=f"com.app{i // 100}", day=DAY0 + dt.timedelta(days=i % 100))
+        for i in range(2500)
+    ]
+    store = SnapStore.create(root, manifest)
+    assert store.ingest_records("reviews", reviews).accepted["reviews"] == 2500
+    assert store.ingest_records("snapshots", snapshots).accepted["snapshots"] == 2500
+    loaded, scanned = SnapStore.open(root), _full_scan(root, tmp_path)
+    assert _sidecar_bytes(loaded) == _log_sizes(root)
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _index_state(store) == _index_state(scanned)
 
 
 def _remove(path):
@@ -753,3 +783,83 @@ def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
     reopened = SnapStore.open(root)
     assert _sidecar_bytes(reopened) == _log_sizes(root)
     assert _index_state(reopened) == _index_state(scanned)
+
+
+def test_sidecar_of_the_previous_magic_over_a_duplicate_key_is_rebuilt(tmp_path, manifest):
+    # a log with two lines for one (app, fetch_time), and the sidecar the
+    # previous code wrote over it, which indexed both lines
+    store = SnapStore.create(tmp_path / "store", manifest)
+    first, second = (
+        _canonical(snapshot_to_record(make_snapshot(price_cents=price))) + "\n"
+        for price in (99, 199)
+    )
+    log = store.root / "snapshots.jsonl"
+    log.write_text(first + second)
+    index = store_mod._LogIndex("snapshots")
+    key = (("com.example.app",), make_snapshot().fetch_time)
+    states = [
+        index.intern_state(store_mod._record_state_key(json.loads(line)))
+        for line in (first, second)
+    ]
+    index.extend([key, key], [0, len(first)], [len(first), len(second)], states)
+    index.digest.update(log.read_bytes())
+    index.scanned_bytes = log.stat().st_size
+    sidecar = struct.pack("=I", 0x4D505832) + index.to_sidecar()[4:]
+    (store.root / "snapshots.idx").write_bytes(sidecar)
+    reopened = SnapStore.open(store.root)
+    series = reopened.query_app_series("com.example.app")
+    assert [s.price_cents for s in series.snapshots] == [99]
+    assert reopened._index("snapshots").sidecar_bytes == 0
+    # the next ingest, even of nothing new, rewrites the sidecar
+    reopened.ingest_lines("snapshots", [])
+    sidecar = (store.root / "snapshots.idx").read_bytes()
+    assert struct.unpack_from("=I", sidecar)[0] == store_mod._SIDECAR_MAGIC == 0x4D505833
+    loaded = SnapStore.open(store.root)
+    assert _sidecar_bytes(loaded)["snapshots"] == log.stat().st_size
+    assert _index_state(loaded) == _index_state(_full_scan(store.root, tmp_path))
+
+
+def test_create_fsyncs_the_logs_the_manifest_and_the_directory(tmp_path, manifest, monkeypatch):
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    root = tmp_path / "store"
+    SnapStore.create(root, manifest)
+    assert sorted(synced) == sorted(p.stat().st_ino for p in [root, *root.iterdir()])
+
+
+class _Crash(BaseException):
+    """Stands in for the process dying: no handler runs."""
+
+
+@pytest.mark.parametrize("failure", [OSError, _Crash])
+def test_failed_manifest_write_leaves_no_manifest(tmp_path, manifest, monkeypatch, failure):
+    write_text = Path.write_text
+    written = []
+
+    def torn_write(path, data, *args, **kwargs):
+        written.append(path.name)
+        write_text(path, data[: len(data) // 2], *args, **kwargs)
+        raise failure(errno.ENOSPC, "injected: no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    root = tmp_path / "store"
+    with pytest.raises(failure, match="injected"):
+        SnapStore.create(root, manifest)
+    assert "manifest.json" not in written
+    logs = ["reviews.jsonl", "snapshots.jsonl", "topk.jsonl"]
+    # an OSError removes the temp file; after a crash it may stay behind
+    left = sorted(p.name for p in root.iterdir())
+    assert left == logs if failure is OSError else sorted(logs + written)
+    with pytest.raises(FileNotFoundError):
+        SnapStore.open(root)
+    # a retry creates the store over the logs
+    monkeypatch.setattr(Path, "write_text", write_text)
+    store = SnapStore.create(root, manifest)
+    assert SnapStore.open(root).manifest == store.manifest == manifest
+    assert sorted(p.name for p in root.iterdir()) == ["manifest.json"] + logs
