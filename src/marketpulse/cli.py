@@ -361,7 +361,7 @@ def cmd_metrics(args) -> int:
             payload["downloads_ratings_slope"] = metrics.downloads_ratings_slope(
                 points
             )
-        except MarketPulseError as exc:
+        except MarketPulseError:
             payload["downloads_ratings_slope"] = None
         _write_json(out / "powerlaw.json", payload)
         print(json.dumps(payload, sort_keys=True))

@@ -382,10 +382,6 @@ class Frontier:
         with self._lock:
             return len(self._queue) - self._head
 
-    def seen_count(self) -> int:
-        with self._lock:
-            return len(self._seen)
-
 
 @dataclass
 class WorkerState:

@@ -1,18 +1,26 @@
 """Append-log store for snapshots, reviews and top-k observations.
 
 Three newline-delimited JSON logs plus a JSON manifest live in one
-directory, and the logs are the only source of truth. Each log has an
-index (entity -> byte offsets of its committed lines). The snapshot index
-also gives each record the id of its timeline state (the fields change
-events and update days are computed from), with the distinct states in a
-table, so app timelines are built without decoding a log line. After every
-ingest the writer persists that index as a ``<kind>.idx`` sidecar, which
-names the log prefix it covers and a digest of those bytes. Opening a log
-loads the sidecar, verifies the digest and scans only the log past the
-covered prefix. A missing or mismatched sidecar means scanning the whole
-log, so a reader always gets the index a full scan would build. Readers
-never write to the store directory. Single writer, any number of readers;
-queries return immutable values.
+directory, and the logs are the only source of truth. A committed line
+counts only when its kind's line codec accepts it, the rule ingest
+applies: the index of each log holds every such line (the first one of
+each entity and time) and skips and counts any other. Per entity the index
+keeps one entry per line: time key, byte offset and length, then the
+review id (reviews) or the id of the snapshot's timeline state (the fields
+change events and update days are computed from), with the distinct states
+in a table, so app timelines are built without decoding a log line.
+
+After every ingest the writer persists the index as a ``<kind>.idx``
+sidecar (layout ``MPX4``: entry counts per entity, then the entry columns
+in entity order), which names the log prefix it covers and a digest of
+those bytes. Opening a log loads the sidecar, verifies the digest and
+scans only the log past the covered prefix. A missing or mismatched
+sidecar, or one of an earlier layout, means scanning the whole log, which
+runs every line through the codec; so a reader always gets the index a
+full scan would build. Sidecars up to ``MPX3`` are ignored because the
+code that wrote them indexed lines the codec rejects. Readers never write
+to the store directory. Single writer, any number of readers; queries
+return immutable values.
 """
 
 from __future__ import annotations
@@ -66,32 +74,25 @@ _SIDECAR_FILES = {kind: f"{kind}.idx" for kind in KINDS}
 _MANIFEST_FILE = "manifest.json"
 _BATCH_LINES = 1000
 
-# A <kind>.idx sidecar is a header, one column per record field, the state
-# table (snapshots only), then the interned entity names, each followed by
-# a byte that UTF-8 never uses. Columns are arrays in native byte order: a
-# sidecar from a machine of the other byte order fails the magic check and
-# is ignored, as does one in an earlier layout. The digest is sha1 over the
-# covered log bytes followed by everything after the header, so a change to
-# either makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505833
-# magic, covered log bytes, digest, records, names, skipped corrupt lines,
+# A <kind>.idx sidecar is a header, the entry count of each entity, one
+# column per entry field in entity order, the state table (snapshots only),
+# then the entity names and, for reviews, the distinct review ids, each
+# followed by a byte that UTF-8 never uses. Columns are arrays in native
+# byte order: a sidecar from a machine of the other byte order fails the
+# magic check and is ignored, as does one in an earlier layout. The digest
+# is sha1 over the covered log bytes followed by everything after the
+# header, so a change to either makes readers scan the log instead.
+_SIDECAR_MAGIC = 0x4D505834
+# magic, covered log bytes, digest, entries, entities, skipped corrupt lines,
 # state table bytes
 _SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
-# per record (28 bytes): entity name id, id + 1 of the entity's second part
-# (0 when it has none), time key, offset and length of the line
-_SIDECAR_COLUMNS = (
-    ("group_ids", "I"),
-    ("second_ids", "I"),
-    ("times", "q"),
-    ("offsets", "Q"),
-    ("lengths", "I"),
-)
-# snapshots add 4 bytes per record: the id of the record's timeline state.
-# The state table is compact JSON, {"permission_names": [name, ...],
-# "permissions": [[name id, ...], ...], "states": [[price_cents,
-# downloads_lo, downloads_hi, rating_count, version, category, permission
-# set id, last_updated ordinal], ...]}.
-_STATE_COLUMN = ("state_ids", "I")
+# per entry: time key, offset and length of the line, then the timeline
+# state id (snapshots) or the name id of the review id (reviews). The state
+# table is compact JSON, {"permission_names": [name, ...], "permissions":
+# [[name id, ...], ...], "states": [[price_cents, downloads_lo,
+# downloads_hi, rating_count, version, category, permission set id,
+# last_updated ordinal], ...]}.
+_ENTRY_CODES = {SNAPSHOTS: "qQII", REVIEWS: "qQII", TOPK: "qQI"}
 _NAME_END = b"\xff"
 
 
@@ -263,34 +264,14 @@ def _entity_time_key(kind: str, rec: dict) -> tuple:
     return (list_type,), ts
 
 
-def _record_state_key(rec: dict) -> tuple:
-    """The timeline-state key ``snapshot_line`` gives a snapshots.jsonl record.
-    Raises KeyError, TypeError or ValueError on a malformed record."""
-    return (
-        rec["price_cents"],
-        rec["downloads_lo"],
-        rec["downloads_hi"],
-        rec["rating_count"],
-        rec["version"],
-        rec["category"],
-        frozenset(rec["permissions"]),
-        dt.date.fromisoformat(rec["last_updated"]).toordinal(),
-    )
-
-
 def _same_payload(codec: Callable, committed: bytes, line: bytes) -> bool:
     """Whether a committed log line holds the same record as canonical ``line``.
 
     Lines this store writes are canonical already; a line written another
-    way is canonicalised by the kind's ``codec`` before it counts as a
-    conflict, and one the codec rejects is a conflict.
+    way is canonicalised by the kind's ``codec``, which accepts every line
+    the index holds.
     """
-    if committed == line:
-        return True
-    try:
-        return codec(json.loads(committed))[0] == line
-    except ValueError:
-        return False
+    return committed == line or codec(json.loads(committed))[0] == line
 
 
 def _fsync_path(path: Path, flags: int = os.O_RDONLY) -> None:
@@ -319,29 +300,19 @@ def _hash_prefix(path: Path, length: int):
 
 
 class _LogIndex:
-    """Committed records of one log, in log order and grouped by entity.
+    """Committed records of one log, grouped by entity.
 
-    Entity strings are interned in ``names``. Per record the columns hold
-    the name id of the entity's first part, the name id + 1 of its second
-    part (0 when it has none), the time key and the line's offset and
-    length. A snapshot index adds ``state_ids``, the id of each record's
-    timeline state in ``states``, the table of distinct state keys (see
-    ``_snapshot_state_key``); other logs have ``state_ids`` None. Entries of
-    ``by_group`` are (time key, offset, length), plus the state id for
-    snapshots. ``digest`` is the sha1 state over the first
+    ``by_group`` maps each entity (app or list type) to its entries in log
+    order: the time key, offset and length of the line, then for snapshots
+    the id of the record's timeline state in ``states``, the table of
+    distinct state keys ``snapshot_line`` returned, and for reviews the
+    review id. ``digest`` is the sha1 state over the first
     ``scanned_bytes`` bytes of the log; ``sidecar_bytes`` is the prefix the
     sidecar on disk covers.
     """
 
     def __init__(self, kind: str):
-        self.names: list[str] = []
-        self.name_ids: dict[str, int] = {}
-        self.group_ids: list[int] = []
-        self.second_ids: list[int] = []
-        self.times: list[int] = []
-        self.offsets: list[int] = []
-        self.lengths: list[int] = []
-        self.state_ids: list[int] | None = [] if kind == SNAPSHOTS else None
+        self.kind = kind
         self.states: list[tuple] = []
         # state key -> id, built on first use by a scan or a writer
         self._state_lookup: dict | None = None
@@ -358,21 +329,8 @@ class _LogIndex:
         self.skipped_tail = 0
         self.skipped_corrupt = 0
 
-    def _columns(self) -> tuple:
-        if self.state_ids is None:
-            return _SIDECAR_COLUMNS
-        return _SIDECAR_COLUMNS + (_STATE_COLUMN,)
-
-    def _name_id(self, name: str) -> int:
-        name_id = self.name_ids.get(name)
-        if name_id is None:
-            name_id = self.name_ids[name] = len(self.names)
-            self.names.append(name)
-        return name_id
-
     def intern_state(self, key: tuple) -> int:
-        """Id of the state ``key``, added to the table on first sight.
-        Raises TypeError, adding nothing, when ``key`` is unhashable."""
+        """Id of the state ``key``, added to the table on first sight."""
         lookup = self._state_lookup
         if lookup is None:
             lookup = self._state_lookup = {s: i for i, s in enumerate(self.states)}
@@ -401,24 +359,17 @@ class _LogIndex:
         )
         return values
 
-    def extend(self, keys: list, offsets: list, lengths: list, state_ids) -> None:
+    def extend(self, keys: list, offsets: list, lengths: list, states: list) -> None:
         """Index the lines at ``offsets`` with ``lengths`` under ``keys``, their
-        (entity, time key) pairs; ``state_ids`` is a list for snapshots, else None."""
-        for entity, _ in keys:
-            self.group_ids.append(self._name_id(entity[0]))
-            self.second_ids.append(self._name_id(entity[1]) + 1 if len(entity) > 1 else 0)
-        times = [time_key for _, time_key in keys]
-        self.times += times
-        self.offsets += offsets
-        self.lengths += lengths
-        if state_ids is None:
-            entries = zip(times, offsets, lengths)
+        (entity, time key) pairs; ``states`` holds each line's state key, as
+        the kind's codec returned it."""
+        if self.kind == SNAPSHOTS:
+            tags = ((self.intern_state(state),) for state in states)
         else:
-            self.state_ids += state_ids
-            entries = zip(times, offsets, lengths, state_ids)
+            tags = (entity[1:] for entity, _ in keys)
         by_group = self.by_group
-        for (entity, _), entry in zip(keys, entries):
-            by_group.setdefault(entity[0], []).append(entry)
+        for (entity, time_key), offset, length, tag in zip(keys, offsets, lengths, tags):
+            by_group.setdefault(entity[0], []).append((time_key, offset, length, *tag))
         if self._keys is not None:
             self._keys.update(zip(keys, zip(offsets, lengths)))
 
@@ -426,12 +377,11 @@ class _LogIndex:
         """(entity, time_key) -> (offset, length) of the indexed line; first
         line wins, since ``_scan`` indexes no later line of a key."""
         if self._keys is None:
-            names = self.names
+            tagged = self.kind == REVIEWS
             self._keys = {
-                ((names[g],) if s == 0 else (names[g], names[s - 1]), t): (o, n)
-                for g, s, t, o, n in zip(
-                    self.group_ids, self.second_ids, self.times, self.offsets, self.lengths
-                )
+                ((group, *entry[3:]) if tagged else (group,), entry[0]): entry[1:3]
+                for group, entries in self.by_group.items()
+                for entry in entries
             }
         return self._keys
 
@@ -458,19 +408,22 @@ class _LogIndex:
     def to_sidecar(self) -> bytes:
         """The sidecar covering the first ``scanned_bytes`` of the log.
 
-        Raises OverflowError when a value does not fit its column, and
-        TypeError when a state of a hand-written line is not JSON data.
+        Raises OverflowError when a value does not fit its column.
         """
-        table = b"" if self.state_ids is None else self._state_table()
+        codes = _ENTRY_CODES[self.kind]
+        entries = list(itertools.chain.from_iterable(self.by_group.values()))
+        columns = list(zip(*entries)) or [()] * len(codes)
+        names = list(self.by_group)
+        if self.kind == REVIEWS:
+            review_ids: dict[str, int] = {}
+            columns[3] = [review_ids.setdefault(r, len(review_ids)) for r in columns[3]]
+            names += review_ids
+        table = self._state_table() if self.kind == SNAPSHOTS else b""
         body = (
-            b"".join(
-                array(code, getattr(self, column)).tobytes()
-                for column, code in self._columns()
-            )
+            array("I", map(len, self.by_group.values())).tobytes()
+            + b"".join(array(code, column).tobytes() for code, column in zip(codes, columns))
             + table
-            + b"".join(
-                name.encode("utf-8", "surrogatepass") + _NAME_END for name in self.names
-            )
+            + b"".join(name.encode("utf-8", "surrogatepass") + _NAME_END for name in names)
         )
         sha = self.digest.copy()
         sha.update(body)
@@ -478,8 +431,8 @@ class _LogIndex:
             _SIDECAR_MAGIC,
             self.scanned_bytes,
             sha.digest(),
-            len(self.times),
-            len(self.names),
+            len(entries),
+            len(self.by_group),
             self.skipped_corrupt,
             len(table),
         )
@@ -491,7 +444,7 @@ class _LogIndex:
         intact and ``log`` still begins with the bytes it covers."""
         try:
             data = sidecar.read_bytes()
-            magic, covered, digest, count, n_names, skipped, table_bytes = (
+            magic, covered, digest, count, n_groups, skipped, table_bytes = (
                 _SIDECAR_HEADER.unpack_from(data)
             )
         except (OSError, struct.error):
@@ -501,16 +454,21 @@ class _LogIndex:
         index = cls(kind)
         body = memoryview(data)[_SIDECAR_HEADER.size:]
         pos = 0
+        codes = _ENTRY_CODES[kind]
+        columns = []
         try:
-            for column, code in index._columns():
+            for code, size in zip("I" + codes, [n_groups] + [count] * len(codes)):
                 values = array(code)
-                end = pos + values.itemsize * count
+                end = pos + values.itemsize * size
                 values.frombytes(body[pos:end])
-                if len(values) != count:
+                if len(values) != size:
                     return None
-                setattr(index, column, values.tolist())
+                columns.append(values.tolist())
                 pos = end
-            if index.state_ids is not None:
+            counts, *columns = columns
+            if sum(counts) != count or 0 in counts:
+                return None
+            if kind == SNAPSHOTS:
                 table = json.loads(bytes(body[pos:pos + table_bytes]))
                 names = table["permission_names"]
                 permission_sets = [
@@ -519,15 +477,20 @@ class _LogIndex:
                 index.states = [
                     (*row[:6], permission_sets[row[6]], row[7]) for row in table["states"]
                 ]
-                if max(index.state_ids, default=-1) >= len(index.states):
+                if max(columns[3], default=-1) >= len(index.states):
                     return None
             elif table_bytes:
                 return None
             pos += table_bytes
             names = bytes(body[pos:]).split(_NAME_END)
-            if len(names) != n_names + 1 or names[-1]:
+            if len(names) <= n_groups or names[-1]:
                 return None
-            index.names = [name.decode("utf-8", "surrogatepass") for name in names[:-1]]
+            names = [name.decode("utf-8", "surrogatepass") for name in names[:-1]]
+            groups, review_ids = names[:n_groups], names[n_groups:]
+            if kind == REVIEWS:
+                columns[3] = list(map(review_ids.__getitem__, columns[3]))
+            elif review_ids:
+                return None
         except (ValueError, TypeError, KeyError, IndexError):
             return None
         sha = _hash_prefix(log, covered)
@@ -537,15 +500,11 @@ class _LogIndex:
         sha.update(body)
         if sha.digest() != digest:
             return None
-        index.name_ids = {name: i for i, name in enumerate(index.names)}
-        groups: list[list] = [[] for _ in index.names]
-        entry_columns = [index.times, index.offsets, index.lengths]
-        if index.state_ids is not None:
-            entry_columns.append(index.state_ids)
-        for g, entry in zip(index.group_ids, zip(*entry_columns)):
-            groups[g].append(entry)
+        entries = list(zip(*columns))
+        bounds = list(itertools.accumulate(counts, initial=0))
         index.by_group = {
-            name: entries for name, entries in zip(index.names, groups) if entries
+            group: entries[start:end]
+            for group, start, end in zip(groups, bounds, bounds[1:])
         }
         index.scanned_bytes = index.sidecar_bytes = covered
         index.skipped_corrupt = skipped
@@ -635,10 +594,11 @@ class SnapStore:
     def _scan(self, kind: str, index: _LogIndex) -> None:
         """Index the committed lines past ``index.scanned_bytes``.
 
-        A malformed committed line is skipped and counted, and so is a line
-        whose (entity, time) an earlier line holds: the first line wins, as
-        ingest would have kept it. A last line without its newline is an
-        uncommitted tail and stays unindexed.
+        A line is indexed only when the kind's codec accepts it, the rule
+        ingest applies. Any other committed line is skipped and counted,
+        and so is a line whose (entity, time) an earlier line holds: the
+        first line wins, as ingest would have kept it. A last line without
+        its newline is an uncommitted tail and stays unindexed.
         """
         path = self._log_path(kind)
         if not path.exists():
@@ -646,9 +606,9 @@ class SnapStore:
         index.skipped_tail = 0
         if path.stat().st_size <= index.scanned_bytes:
             return
+        codec = _CODECS[kind]
         indexed = index.keys()
-        keys, offsets, lengths = [], [], []
-        state_ids = None if index.state_ids is None else []
+        keys, offsets, lengths, states = [], [], [], []
         with self._io_lock, open(path, "rb") as f:
             f.seek(index.scanned_bytes)
             offset = index.scanned_bytes
@@ -661,20 +621,21 @@ class SnapStore:
                 index.digest.update(raw)
                 try:
                     rec = json.loads(raw.decode("utf-8"))
+                    state = codec(rec)[1]
                     key = _entity_time_key(kind, rec)
-                    if key in indexed:
-                        raise ValueError("an earlier line holds this key")
-                    if state_ids is not None:
-                        state_ids.append(index.intern_state(_record_state_key(rec)))
-                except (KeyError, TypeError, ValueError):
+                except (TypeError, ValueError):
+                    # not a JSON object, or a record the codec rejects
+                    key = None
+                if key is None or key in indexed:
                     index.skipped_corrupt += 1
                 else:
                     indexed[key] = (offset, length)
                     keys.append(key)
                     offsets.append(offset)
                     lengths.append(length)
+                    states.append(state)
                 offset += length
-            index.extend(keys, offsets, lengths, state_ids)
+            index.extend(keys, offsets, lengths, states)
             index.scanned_bytes = offset
 
     def _read_fd(self, kind: str) -> int:
@@ -716,13 +677,12 @@ class SnapStore:
         record whose (entity, time) is already stored is counted as
         deduplicated when its canonical line equals the stored line, or the
         stored line canonicalised by the same codec, and rejected as a
-        conflict otherwise. A line byte-identical to the
-        stored one (newline aside) is deduplicated before it is decoded:
-        a committed line counts as validated, the rule trusted decoding
-        also follows, so a copy of it is never checked again. Writes are
-        committed in batches; on an I/O failure the log is cut back to the
-        end of the last committed batch. The index sidecar is rewritten
-        after the last one.
+        conflict otherwise. A line byte-identical to the stored one
+        (newline aside) is deduplicated before it is decoded: the index
+        holds only lines the codec accepts, so that shortcut gives the
+        outcome the codec would. Writes are committed in batches; on an I/O
+        failure the log is cut back to the end of the last committed batch.
+        The index sidecar is rewritten after the last one.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
@@ -834,10 +794,7 @@ class SnapStore:
         index.digest.update(data)
         lengths = [len(raw) for raw in batch.values()]
         index.extend(
-            list(batch),
-            list(itertools.accumulate(lengths[:-1], initial=offset)),
-            lengths,
-            None if index.state_ids is None else list(map(index.intern_state, states)),
+            list(batch), list(itertools.accumulate(lengths[:-1], initial=offset)), lengths, states
         )
         index.scanned_bytes = offset + len(data)
 
@@ -856,7 +813,7 @@ class SnapStore:
         try:
             tmp.write_bytes(index.to_sidecar())
             os.replace(tmp, path)
-        except (OverflowError, TypeError, OSError):
+        except (OverflowError, OSError):
             tmp.unlink(missing_ok=True)
             return
         index.sidecar_bytes = index.scanned_bytes

@@ -8,10 +8,13 @@ Two cases ingest the same 10k canonical snapshot lines, as a simulated
 dataset holds them: once more into a store that already has every one of
 them (all deduplicated), and into an empty store (all accepted). A third
 ingests a simulated dataset of all three record kinds into an empty store.
+Two more open a store of those 10k snapshots and list its apps, once from
+the index sidecar and once by a full scan of the log, with no sidecar.
 """
 
 import itertools
 import json
+import shutil
 
 import pytest
 
@@ -97,3 +100,31 @@ def test_ingest_dir_of_three_kinds_into_empty_store(benchmark, tmp_path, market,
         lines = (dataset / f"{kind}.jsonl").read_text().splitlines()
         assert report.accepted[kind] == len(lines) > 0
     assert sum(report.deduplicated.values()) == report.total_rejected == 0
+
+
+@pytest.fixture(scope="module")
+def snapshot_store(tmp_path_factory, market, lines):
+    root = tmp_path_factory.mktemp("snapshots") / "store"
+    SnapStore.create(root, market.manifest).ingest_lines("snapshots", lines)
+    return root
+
+
+def _open_and_list_apps(root):
+    return SnapStore.open(root).apps()
+
+
+def test_open_and_list_apps_from_the_sidecar(benchmark, snapshot_store):
+    assert (snapshot_store / "snapshots.idx").exists()
+    apps = benchmark(_open_and_list_apps, snapshot_store)
+    assert SnapStore.open(snapshot_store)._index("snapshots").sidecar_bytes > 0
+    assert len(apps) > 0
+
+
+def test_open_and_list_apps_by_a_full_scan(benchmark, tmp_path, snapshot_store):
+    root = tmp_path / "store"
+    shutil.copytree(snapshot_store, root)
+    for path in root.glob("*.idx"):
+        path.unlink()
+    apps = benchmark(_open_and_list_apps, root)
+    assert not list(root.glob("*.idx"))
+    assert apps == _open_and_list_apps(snapshot_store)

@@ -11,7 +11,7 @@ import pytest
 from marketpulse import cli, simgen
 from marketpulse import store as store_mod
 from marketpulse.cli import main
-from marketpulse.model import ListType, epoch_to_date
+from marketpulse.model import ListType, epoch_to_date, snapshot_to_record
 from marketpulse.store import SnapStore
 from marketpulse.simgen import (
     FraudCampaign,
@@ -21,6 +21,7 @@ from marketpulse.simgen import (
     script_to_record,
 )
 
+from conftest import make_snapshot
 from test_timeline import oracle_timeline
 
 
@@ -201,6 +202,21 @@ class TestPipelineCommands:
         store2 = dataset["root"] / "store2"
         code = main(["ingest", "--data", str(out), "--store", str(store2)])
         assert code == 0
+
+
+def test_committed_line_without_a_title_is_skipped_by_every_report(store, tmp_path):
+    valid = [make_snapshot(app=f"com.valid{i}") for i in range(2)]
+    store.ingest_records("snapshots", valid)
+    rec = snapshot_to_record(make_snapshot(app="com.untitled"))
+    del rec["title"]
+    with open(store.root / "snapshots.jsonl", "a") as f:
+        f.write(json.dumps(rec) + "\n")
+    out = tmp_path / "reports"
+    assert main(["metrics", "staleness", "--store", str(store.root), "--out", str(out)]) == 0
+    assert json.loads((out / "staleness.json").read_text())["apps"] == 2
+    with open(out / "staleness.csv", newline="") as f:
+        assert [row["app"] for row in csv.DictReader(f)] == ["com.valid0", "com.valid1"]
+    assert SnapStore.open(store.root)._index("snapshots").skipped_corrupt == 1
 
 
 class TestExitCodes:

@@ -1,9 +1,12 @@
 import datetime as dt
 import errno
+import hashlib
+import itertools
 import json
 import os
 import shutil
 import struct
+import tempfile
 from array import array
 from pathlib import Path
 
@@ -22,7 +25,15 @@ from marketpulse import store as store_mod
 from marketpulse.store import DatasetManifest, SnapStore, TimeWindow
 from marketpulse.timeline import build_app_timeline
 
-from conftest import DAY0, ingest_market, make_review, make_snapshot, make_topk
+from conftest import (
+    DAY0,
+    ingest_market,
+    make_review,
+    make_snapshot,
+    make_topk,
+    reference_line,
+    snapshot_state_key,
+)
 
 
 def _lines(records, encoder):
@@ -520,21 +531,24 @@ def test_line_with_a_bad_key_or_field_keeps_its_rejection_text(store, kind, rec,
     assert report.accepted[kind] == report.deduplicated[kind] == 0
 
 
-def test_committed_line_counts_as_validated(store):
+def test_copy_of_a_committed_line_the_codec_rejects_is_rejected(store):
     # a hand-written committed line that ingest validation would reject
     rec = {**_SNAPSHOT, "price_cents": -5, "free": False}
     line = _canonical(rec)
     (store.root / "snapshots.jsonl").write_text(line + "\n")
     log = (store.root / "snapshots.jsonl").read_bytes()
-    # a byte-identical copy is deduplicated without being checked again
-    report = SnapStore.open(store.root).ingest_lines("snapshots", [line])
-    assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 1)
-    assert report.rejected == []
-    # a reformatted copy goes through validation and is rejected
-    report = SnapStore.open(store.root).ingest_lines("snapshots", [json.dumps(rec)])
-    assert [r.reason for r in report.rejected] == ["price_cents negative"]
-    assert report.deduplicated["snapshots"] == 0
+    # neither a byte-identical nor a reformatted copy is deduplicated
+    for copy in (line, json.dumps(rec)):
+        report = SnapStore.open(store.root).ingest_lines("snapshots", [copy])
+        assert [r.reason for r in report.rejected] == ["price_cents negative"]
+        assert report.accepted["snapshots"] == report.deduplicated["snapshots"] == 0
+        assert report.skipped_corrupt["snapshots"] == 1
     assert (store.root / "snapshots.jsonl").read_bytes() == log
+    # and the line is served to no query
+    reopened = SnapStore.open(store.root)
+    assert reopened.apps() == []
+    assert reopened.latest_snapshots() == {}
+    assert len(reopened.query_app_series(rec["app"])) == 0
 
 
 def test_copy_of_a_hand_written_line_dedupes_against_its_canonical_form(store):
@@ -548,6 +562,143 @@ def test_copy_of_a_hand_written_line_dedupes_against_its_canonical_form(store):
         assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 1)
         assert report.rejected == []
     assert (store.root / "snapshots.jsonl").read_bytes() == log
+
+
+# Lines of each kind: records under two keys with two payloads each, then
+# an edit that keeps the record valid but not canonical, makes the codec
+# reject it or makes it no JSON object, in a canonical or spaced form.
+_RECORDS = {
+    "snapshots": st.builds(
+        lambda app, day, ratings: {
+            **_SNAPSHOT, "app": app, "fetch_time": _SNAPSHOT["fetch_time"] + day * 86400,
+            "rating_count": ratings,
+        },
+        st.sampled_from(["com.a", "com.b"]),
+        st.integers(0, 1),
+        st.sampled_from([120, 121]),
+    ),
+    "reviews": st.builds(
+        lambda app, review_id, text: {**_REVIEW, "app": app, "review_id": review_id, "text": text},
+        st.sampled_from(["com.a", "com.b"]),
+        st.sampled_from(["r1", "r2"]),
+        st.sampled_from(["ok", "meh"]),
+    ),
+    "topk": st.builds(
+        lambda list_type, hour, ranking: {
+            **_TOPK, "list_type": list_type, "fetch_time": _TOPK["fetch_time"] + hour * 3600,
+            "ranking": ranking,
+        },
+        st.sampled_from(["Free", "Paid"]),
+        st.integers(0, 1),
+        st.sampled_from([["a", "b"], ["b", "a"]]),
+    ),
+}
+_EDITS = {
+    "snapshots": [
+        lambda rec: {**rec, "rating_avg": 4},
+        lambda rec: {**rec, "permissions": rec["permissions"][::-1]},
+        lambda rec: {**rec, "price_cents": -5, "free": False},
+        lambda rec: _without(rec, "title"),
+        lambda rec: {**rec, "app": "com a"},
+    ],
+    "reviews": [
+        lambda rec: {**rec, "date": rec["date"].replace("-", "")},
+        lambda rec: {**rec, "rating": 9},
+        lambda rec: _without(rec, "text"),
+        lambda rec: {**rec, "review_id": 7},
+    ],
+    "topk": [
+        lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 1},
+        lambda rec: {**rec, "ranking": ["a", "a"]},
+        lambda rec: {**rec, "list_type": "Bogus"},
+    ],
+}
+_ANY_KIND_EDITS = [lambda rec: rec, lambda rec: {**rec, "extra": 1}, lambda rec: [rec]]
+
+
+@st.composite
+def _log_lines(draw, kind):
+    rec = draw(st.sampled_from(_EDITS[kind] + _ANY_KIND_EDITS))(draw(_RECORDS[kind]))
+    return draw(st.sampled_from([_canonical, json.dumps]))(rec)
+
+
+def _reference_key(kind, canonical):
+    rec = json.loads(canonical)
+    if kind == "reviews":
+        return (rec["app"], rec["review_id"]), date_to_epoch(dt.date.fromisoformat(rec["date"]))
+    return (rec["list_type" if kind == "topk" else "app"],), rec["fetch_time"]
+
+
+def _reference_ingest(kind, log, lines):
+    """What ingest of ``lines`` into a log of the committed lines ``log``
+    gives by the reference path, every line decoded, validated and encoded
+    (``reference_line``) and no raw-byte shortcut: the report record, the
+    committed lines skipped and the log after."""
+    stored, skipped = {}, 0
+    for line in log:
+        try:
+            canonical = reference_line(kind, json.loads(line))[0]
+        except (TypeError, ValueError):
+            skipped += 1
+            continue
+        key = _reference_key(kind, canonical)
+        if key in stored:
+            skipped += 1
+        else:
+            stored[key] = canonical
+    accepted = deduplicated = 0
+    rejected, after = [], "".join(log)
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("record must be a JSON object")
+            canonical = reference_line(kind, rec)[0]
+        except ValueError as exc:
+            rejected.append({"kind": kind, "line_no": line_no, "reason": str(exc)})
+            continue
+        key = _reference_key(kind, canonical)
+        if key not in stored:
+            stored[key] = canonical
+            accepted += 1
+            after += canonical.decode()
+        elif stored[key] == canonical:
+            deduplicated += 1
+        else:
+            entity, time_key = key
+            reason = f"conflicting payload for existing record (entity {entity}, time {time_key})"
+            rejected.append({"kind": kind, "line_no": line_no, "reason": reason})
+    counts = dict.fromkeys(("snapshots", "reviews", "topk"), 0)
+    report = {
+        "accepted": {**counts, kind: accepted},
+        "deduplicated": {**counts, kind: deduplicated},
+        "rejected": rejected,
+    }
+    return report, skipped, after
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ingest_gives_what_the_reference_path_gives_without_the_raw_byte_shortcut(data):
+    kind = data.draw(st.sampled_from(["snapshots", "reviews", "topk"]))
+    log = [line + "\n" for line in data.draw(st.lists(_log_lines(kind), max_size=6))]
+    # byte-identical copies of committed lines, with and without the newline
+    copies = st.sampled_from(log).flatmap(lambda line: st.sampled_from([line, line[:-1]]))
+    lines = data.draw(st.lists(_log_lines(kind) | (copies if log else st.nothing()), max_size=6))
+    manifest = DatasetManifest(
+        name="t", currency="USD", observation_start=DAY0, observation_end=DAY0
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        SnapStore.create(root, manifest)
+        path = root / f"{kind}.jsonl"
+        path.write_text("".join(log))
+        # from a full scan of the log, then from the sidecar that ingest wrote
+        for _ in range(2):
+            expected = _reference_ingest(kind, log, lines)
+            report = SnapStore.open(root).ingest_lines(kind, lines)
+            assert (report.to_record(), report.skipped_corrupt[kind], path.read_text()) == expected
+            log = path.read_text().splitlines(keepends=True)
 
 
 # --- index sidecar -----------------------------------------------------------------
@@ -568,17 +719,10 @@ def _index_state(store):
     for kind in ("snapshots", "reviews", "topk"):
         index = store._index(kind)
         state[kind] = (
-            index.names,
-            index.group_ids,
-            index.second_ids,
-            index.times,
-            index.offsets,
-            index.lengths,
-            index.state_ids,
-            index.states,
-            index.state_values(),
             index.by_group,
             index.keys(),
+            index.states,
+            index.state_values(),
             index.scanned_bytes,
             index.skipped_corrupt,
             index.digest.digest(),
@@ -622,18 +766,25 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
     assert _sidecar_bytes(scanned) == {"snapshots": 0, "reviews": 0, "topk": 0}
     assert _index_state(loaded) == _index_state(scanned)
     assert _query_results(loaded) == _query_results(scanned)
-    for kind, columns in (("snapshots", 32), ("reviews", 28), ("topk", 28)):
+    # per entry 24 bytes (snapshots, reviews) or 20 (top-k), plus 4 per entity
+    for kind, per_entry in (("snapshots", 24), ("reviews", 24), ("topk", 20)):
         index = loaded._index(kind)
-        names = sum(len(name.encode()) + 1 for name in index.names)
+        entries = [e for group in index.by_group.values() for e in group]
+        names = list(index.by_group)
+        if kind == "reviews":
+            names += dict.fromkeys(e[3] for e in entries)
         header = store_mod._SIDECAR_HEADER
         table = header.unpack_from((root / f"{kind}.idx").read_bytes())[-1]
-        per_record = (
-            (root / f"{kind}.idx").stat().st_size - header.size - table - names
-        ) / len(index.times)
-        assert per_record == columns
+        columns = (
+            (root / f"{kind}.idx").stat().st_size
+            - header.size
+            - table
+            - sum(len(name.encode()) + 1 for name in names)
+        )
+        assert columns == per_entry * len(entries) + 4 * len(index.by_group)
     # the distinct timeline states are few next to the snapshots
     snapshots = loaded._index("snapshots")
-    assert 0 < len(snapshots.states) < len(snapshots.times) / 2
+    assert 0 < len(snapshots.states) < len(snapshots.keys()) / 2
 
 
 def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
@@ -737,86 +888,141 @@ def test_read_only_store_serves_every_query(tmp_path, market):
             path.chmod(0o755 if path.is_dir() else 0o644)
 
 
-def _previous_format_sidecar(index) -> bytes:
-    """``index`` in the sidecar layout before timeline states were kept: a
-    six-field header, 28 bytes per record, then the names, with a valid
-    digest."""
-    columns = (
-        ("group_ids", "I"),
-        ("second_ids", "I"),
-        ("times", "q"),
-        ("offsets", "Q"),
-        ("lengths", "I"),
-    )
-    body = b"".join(array(code, getattr(index, name)).tobytes() for name, code in columns)
-    body += b"".join(name.encode() + b"\xff" for name in index.names)
-    sha = index.digest.copy()
+_MPX1, _MPX2, _MPX3 = 0x4D505831, 0x4D505832, 0x4D505833
+
+
+def _log_order_records(index):
+    """(entity, time, offset, length, state key) of every line ``index``
+    holds, in log order."""
+    records = []
+    for group, entries in index.by_group.items():
+        for time, offset, length, *tag in entries:
+            if index.kind == "snapshots":
+                records.append(((group,), time, offset, length, index.states[tag[0]]))
+            else:
+                records.append(((group, *tag), time, offset, length, None))
+    return sorted(records, key=lambda record: record[2])
+
+
+def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
+    """A sidecar of a layout before MPX4 over the whole of ``log`` that
+    indexes ``records`` (as ``_log_order_records`` gives them), with a
+    valid digest. Both layouts hold per record, in log order, the name id of
+    the entity, the name id + 1 of its second part (0 when it has none), the
+    time key and the line's offset and length (28 bytes), then the names.
+    ``MPX1`` has a six-field header; ``MPX2`` and ``MPX3`` add the state
+    table bytes to it, and snapshots add a state id per record and the
+    state table."""
+    names, states = {}, {}
+    columns = [[], [], [], [], [], []]
+    for entity, time, offset, length, state in records:
+        columns[0].append(names.setdefault(entity[0], len(names)))
+        columns[1].append(names.setdefault(entity[1], len(names)) + 1 if len(entity) > 1 else 0)
+        columns[2].append(time)
+        columns[3].append(offset)
+        columns[4].append(length)
+        columns[5].append(states.setdefault(state, len(states)))
+    with_states = kind == "snapshots" and magic != _MPX1
+    table = b""
+    if with_states:
+        index = store_mod._LogIndex(kind)
+        index.states = list(states)
+        table = index._state_table()
+    codes = "IIqQII" if with_states else "IIqQI"
+    body = b"".join(array(code, column).tobytes() for code, column in zip(codes, columns))
+    body += table + b"".join(name.encode() + b"\xff" for name in names)
+    sha = hashlib.sha1(log.read_bytes())
     sha.update(body)
-    header = struct.pack(
-        "=IQ20sQQQ",
-        0x4D505831,
-        index.scanned_bytes,
-        sha.digest(),
-        len(index.times),
-        len(index.names),
-        index.skipped_corrupt,
-    )
-    return header + body
+    fields = (magic, log.stat().st_size, sha.digest(), len(records), len(names), skipped)
+    if magic == _MPX1:
+        return struct.pack("=IQ20sQQQ", *fields) + body
+    return struct.pack("=IQ20sQQQQ", *fields, len(table)) + body
 
 
 def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
     root = tmp_path / "store"
     ingest_market(root, market)
-    for kind in ("snapshots", "reviews", "topk"):
-        old = _previous_format_sidecar(SnapStore.open(root)._index(kind))
-        (root / f"{kind}.idx").write_bytes(old)
-    loaded = SnapStore.open(root)
-    assert _sidecar_bytes(loaded) == {"snapshots": 0, "reviews": 0, "topk": 0}
     scanned = _full_scan(root, tmp_path)
-    assert _index_state(loaded) == _index_state(scanned)
-    assert _query_results(loaded) == _query_results(scanned)
-    # the next ingest, even of nothing new, writes the current layout
-    for kind in ("snapshots", "reviews", "topk"):
-        SnapStore.open(root).ingest_lines(kind, [])
-        magic = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
-        assert magic == store_mod._SIDECAR_MAGIC != 0x4D505831
-    reopened = SnapStore.open(root)
-    assert _sidecar_bytes(reopened) == _log_sizes(root)
-    assert _index_state(reopened) == _index_state(scanned)
+    for magic in (_MPX1, _MPX3):
+        for kind in ("snapshots", "reviews", "topk"):
+            index = SnapStore.open(root)._index(kind)
+            records = _log_order_records(index)
+            old = _earlier_layout_sidecar(
+                kind, magic, root / f"{kind}.jsonl", records, index.skipped_corrupt
+            )
+            (root / f"{kind}.idx").write_bytes(old)
+        loaded = SnapStore.open(root)
+        assert _sidecar_bytes(loaded) == {"snapshots": 0, "reviews": 0, "topk": 0}
+        assert _index_state(loaded) == _index_state(scanned)
+        assert _query_results(loaded) == _query_results(scanned)
+        # the next ingest, even of nothing new, writes the current layout
+        for kind in ("snapshots", "reviews", "topk"):
+            SnapStore.open(root).ingest_lines(kind, [])
+            current = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
+            assert current == store_mod._SIDECAR_MAGIC == 0x4D505834
+        reopened = SnapStore.open(root)
+        assert _sidecar_bytes(reopened) == _log_sizes(root)
+        assert _index_state(reopened) == _index_state(scanned)
+
+
+def _hand_written_snapshot_log(store, snapshots):
+    """Write ``snapshots`` as canonical lines to the snapshot log of
+    ``store`` and return, per line, its (entity, time, offset, length,
+    state key)."""
+    lines = [_canonical(snapshot_to_record(snap)) + "\n" for snap in snapshots]
+    (store.root / "snapshots.jsonl").write_text("".join(lines))
+    offsets = itertools.accumulate(map(len, lines[:-1]), initial=0)
+    return [
+        ((snap.app,), snap.fetch_time, offset, len(line), snapshot_state_key(snap))
+        for snap, line, offset in zip(snapshots, lines, offsets)
+    ]
+
+
+def _assert_rebuilt_on_next_ingest(store, tmp_path):
+    log = store.root / "snapshots.jsonl"
+    SnapStore.open(store.root).ingest_lines("snapshots", [])
+    sidecar = (store.root / "snapshots.idx").read_bytes()
+    assert struct.unpack_from("=I", sidecar)[0] == store_mod._SIDECAR_MAGIC
+    loaded = SnapStore.open(store.root)
+    assert _sidecar_bytes(loaded)["snapshots"] == log.stat().st_size
+    assert _index_state(loaded) == _index_state(_full_scan(store.root, tmp_path))
 
 
 def test_sidecar_of_the_previous_magic_over_a_duplicate_key_is_rebuilt(tmp_path, manifest):
     # a log with two lines for one (app, fetch_time), and the sidecar the
-    # previous code wrote over it, which indexed both lines
+    # MPX2 code wrote over it, which indexed both lines
     store = SnapStore.create(tmp_path / "store", manifest)
-    first, second = (
-        _canonical(snapshot_to_record(make_snapshot(price_cents=price))) + "\n"
-        for price in (99, 199)
-    )
+    snapshots = [make_snapshot(price_cents=price) for price in (99, 199)]
+    records = _hand_written_snapshot_log(store, snapshots)
     log = store.root / "snapshots.jsonl"
-    log.write_text(first + second)
-    index = store_mod._LogIndex("snapshots")
-    key = (("com.example.app",), make_snapshot().fetch_time)
-    states = [
-        index.intern_state(store_mod._record_state_key(json.loads(line)))
-        for line in (first, second)
-    ]
-    index.extend([key, key], [0, len(first)], [len(first), len(second)], states)
-    index.digest.update(log.read_bytes())
-    index.scanned_bytes = log.stat().st_size
-    sidecar = struct.pack("=I", 0x4D505832) + index.to_sidecar()[4:]
-    (store.root / "snapshots.idx").write_bytes(sidecar)
+    (store.root / "snapshots.idx").write_bytes(
+        _earlier_layout_sidecar("snapshots", _MPX2, log, records)
+    )
     reopened = SnapStore.open(store.root)
     series = reopened.query_app_series("com.example.app")
     assert [s.price_cents for s in series.snapshots] == [99]
     assert reopened._index("snapshots").sidecar_bytes == 0
-    # the next ingest, even of nothing new, rewrites the sidecar
-    reopened.ingest_lines("snapshots", [])
-    sidecar = (store.root / "snapshots.idx").read_bytes()
-    assert struct.unpack_from("=I", sidecar)[0] == store_mod._SIDECAR_MAGIC == 0x4D505833
-    loaded = SnapStore.open(store.root)
-    assert _sidecar_bytes(loaded)["snapshots"] == log.stat().st_size
-    assert _index_state(loaded) == _index_state(_full_scan(store.root, tmp_path))
+    _assert_rebuilt_on_next_ingest(store, tmp_path)
+
+
+def test_sidecar_of_the_previous_magic_over_a_rejected_line_is_rebuilt(tmp_path, manifest):
+    # the MPX3 code indexed a committed line the codec rejects; the index
+    # of today skips it
+    store = SnapStore.create(tmp_path / "store", manifest)
+    valid = make_snapshot(day=DAY0)
+    rejected = make_snapshot(day=DAY0 + dt.timedelta(days=1), price_cents=-5, free=False)
+    records = _hand_written_snapshot_log(store, [valid, rejected])
+    log = store.root / "snapshots.jsonl"
+    (store.root / "snapshots.idx").write_bytes(
+        _earlier_layout_sidecar("snapshots", _MPX3, log, records)
+    )
+    reopened = SnapStore.open(store.root)
+    series = reopened.query_app_series("com.example.app")
+    assert series.snapshots == (valid,)
+    assert len(reopened.app_states("com.example.app").states) == 1
+    index = reopened._index("snapshots")
+    assert (index.sidecar_bytes, index.skipped_corrupt) == (0, 1)
+    _assert_rebuilt_on_next_ingest(store, tmp_path)
 
 
 def test_create_fsyncs_the_logs_the_manifest_and_the_directory(tmp_path, manifest, monkeypatch):
