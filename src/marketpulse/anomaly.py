@@ -82,6 +82,9 @@ def detect_review_spikes(
         counts = [row[column] for row in dense]
         for i, (day, *_) in enumerate(dense):
             count = counts[i]
+            if count <= 0 or count < params.min_abs:
+                # below the threshold whatever the window holds
+                continue
             window = counts[max(0, i - params.window_days) : i]
             if window:
                 baseline = statistics.median(window)

@@ -5,11 +5,18 @@ id line, the server answers with either a page document or a "404"
 status line. Pages are an HTML-like subset: a metadata block of
 ``<meta name="..." content="...">`` tags and a similar-apps block of
 ``<a class="similar" href="APPID">`` anchors.
+
+A page is tokenized by two compiled patterns, one over the tags of the page
+and one over the attributes of a tag. They accept only what the character
+scanner below (``_tokenize``, ``_parse_tag``) accepts, and read it the same
+way; a page they reject goes to that scanner, which raises the error. So
+the grammar, the tokens and every error message stay the scanner's.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import socket
 import socketserver
 import threading
@@ -151,6 +158,37 @@ def _tokenize(raw: str):
         pos = end + 1
 
 
+# The patterns mirror the scanner step by step; possessive quantifiers keep
+# them from reading a tag any other way than its greedy loops do. For str
+# patterns ``\s`` matches exactly what str.isspace() and str.strip() treat as
+# whitespace. A tag is "<", the body ``_parse_tag`` strips (an optional "/",
+# the name up to whitespace, then attributes: a name up to "=", space or tab,
+# optional whitespace, "=" and a quoted value up to the next quote), ">".
+# Bodies holding "<" or ">" are left to the scanner. ``split`` gives the text
+# before each tag, then its slash, name and attribute text, then the text
+# after the last tag.
+_PAGE_TAGS = re.compile(
+    r'<\s*+(/?+)([^\s<>]++)((?:\s*+[^= \t<>]*+\s*+="[^"<>]*+")*+)\s*+>'
+)
+_TAG_ATTRS = re.compile(r'\s*+([^= \t]*+)\s*+="([^"]*+)"')
+
+
+def _page_tokens(raw: str) -> list | None:
+    """The tokens ``_tokenize`` yields for ``raw``, or None when the patterns
+    reject it, which they do for every page the scanner fails on."""
+    parts = _PAGE_TAGS.split(raw)
+    if "".join(parts[::4]).strip():
+        return None
+    tokens = []
+    for slash, name, attr_text in zip(parts[1::4], parts[2::4], parts[3::4]):
+        attrs = {}
+        if attr_text:
+            for attr, value in _TAG_ATTRS.findall(attr_text):
+                attrs[attr] = unescape_attr(value) if "&" in value else value
+        tokens.append((name, attrs, bool(slash)))
+    return tokens
+
+
 @dataclass(frozen=True)
 class ParsedPage:
     snapshot: AppSnapshot
@@ -171,7 +209,8 @@ def parse_page(raw: str) -> ParsedPage:
     seen_similar: set[str] = set()
     # block state machine: expect market-page > metadata > similar > close
     state = "start"
-    for name, attrs, closing in _tokenize(raw):
+    tokens = _page_tokens(raw)
+    for name, attrs, closing in _tokenize(raw) if tokens is None else tokens:
         if state == "start":
             if closing or name != "market-page":
                 raise MalformedDocumentError("page must open with market-page")

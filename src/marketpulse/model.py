@@ -241,6 +241,8 @@ _REVIEW_FIELDS = (
     ("rating", _INT), ("title", _STR), ("text", _STR),
 )
 _LIST_TYPES = frozenset(t.value for t in ListType)
+# fetch times are stored in a signed 64-bit column of the index sidecar
+_FETCH_TIME_RANGE = range(-(2**63), 2**63)
 
 
 def _fields(rec: dict, fields: tuple) -> dict:
@@ -279,6 +281,8 @@ def snapshot_line(rec: dict) -> tuple[bytes, tuple]:
     price, lo, hi = s["price_cents"], s["downloads_lo"], s["downloads_hi"]
     updated = s["last_updated"].toordinal()
     violations = validate_app_id(s["app"])
+    if s["fetch_time"] not in _FETCH_TIME_RANGE:
+        violations.append("fetch_time outside the signed 64-bit range")
     if price < 0:
         violations.append("price_cents negative")
     if s["free"] != (price == 0):
@@ -335,6 +339,8 @@ def topk_line(rec: dict) -> tuple[bytes, None]:
         violations.append(f"ranking longer than {MAX_RANKING_LENGTH}")
     if len(set(ranking)) != len(ranking):
         violations.append("duplicate app in ranking")
+    if o["fetch_time"] not in _FETCH_TIME_RANGE:
+        violations.append("fetch_time outside the signed 64-bit range")
     if o["fetch_time"] % SECONDS_PER_HOUR != 0:
         violations.append("fetch_time not aligned to the hour")
     for app in ranking:

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import datetime as dt
 import fcntl
+import functools
 import hashlib
 import itertools
 import json
 import os
+import re
 import struct
 import threading
 from array import array
@@ -262,6 +264,66 @@ def _entity_time_key(kind: str, rec: dict) -> tuple:
     if not isinstance(list_type, str) or isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError("bad topk keys")
     return (list_type,), ts
+
+
+# Lookup hints, read from the text of an ingested line before it is decoded:
+# the (entity, time) key the line has if it is a canonical line of its kind
+# (keys sorted, no spaces). A hint only picks the stored line to compare
+# bytes with, so it may be wrong, and it is None when the line does not look
+# canonical or a key string holds a backslash, whose escape the text does
+# not resolve. Snapshots: the app (the first key) and fetch_time; reviews:
+# app, date and review_id; top-k: fetch_time and list_type. Key fields after
+# the first are reached over the pairs between, none of whose values may
+# hold a comma. Times of more than 19 digits give no hint.
+_SNAPSHOT_HINT = re.compile(
+    r'\{"app":"([^"\\]*+)"(?:,"[^"]*+":[^,]*+)*?,"fetch_time":(-?[0-9]{1,19})[,}]'
+)
+_REVIEW_HINT = re.compile(
+    r'\{"app":"([^"\\]*+)","date":"([^"\\]*+)"(?:,"[^"]*+":[^,]*+)*?,"review_id":"([^"\\]*+)"'
+)
+_TOPK_HINT = re.compile(r'\{"fetch_time":(-?[0-9]{1,19}),"list_type":"([^"\\]*+)"')
+
+
+@functools.lru_cache(maxsize=1024)
+def _day_epoch(text: str) -> int:
+    return date_to_epoch(parse_date(text))
+
+
+def _snapshot_hint(line: str) -> tuple | None:
+    match = _SNAPSHOT_HINT.match(line)
+    return None if match is None else ((match[1],), int(match[2]))
+
+
+def _review_hint(line: str) -> tuple | None:
+    match = _REVIEW_HINT.match(line)
+    if match is None:
+        return None
+    try:
+        return (match[1], match[3]), _day_epoch(match[2])
+    except ValueError:
+        return None
+
+
+def _topk_hint(line: str) -> tuple | None:
+    match = _TOPK_HINT.match(line)
+    return None if match is None else ((match[2],), int(match[1]))
+
+
+_HINTS: dict[str, Callable] = {
+    SNAPSHOTS: _snapshot_hint,
+    REVIEWS: _review_hint,
+    TOPK: _topk_hint,
+}
+
+
+def _is_copy(stored: bytes, line: str) -> bool:
+    """Whether ``line`` is the ``stored`` line byte for byte, newline aside.
+
+    A lone surrogate never matches a stored line; it must not raise here
+    either, since the codec accepts it.
+    """
+    data = line.encode("utf-8", "surrogatepass")
+    return stored == (data if data.endswith(b"\n") else data + b"\n")
 
 
 def _same_payload(codec: Callable, committed: bytes, line: bytes) -> bool:
@@ -623,8 +685,9 @@ class SnapStore:
                     rec = json.loads(raw.decode("utf-8"))
                     state = codec(rec)[1]
                     key = _entity_time_key(kind, rec)
-                except (TypeError, ValueError):
-                    # not a JSON object, or a record the codec rejects
+                except (TypeError, ValueError, RecursionError):
+                    # not a JSON object (or nested too deep to decode), or a
+                    # record the codec rejects
                     key = None
                 if key is None or key in indexed:
                     index.skipped_corrupt += 1
@@ -673,16 +736,23 @@ class SnapStore:
     def ingest_lines(self, kind: str, lines: Iterable[str]) -> IngestReport:
         """Validate, dedup and append raw JSONL ``lines`` of one ``kind``.
 
-        Each line is checked and canonicalised by its kind's line codec. A
-        record whose (entity, time) is already stored is counted as
-        deduplicated when its canonical line equals the stored line, or the
-        stored line canonicalised by the same codec, and rejected as a
-        conflict otherwise. A line byte-identical to the stored one
-        (newline aside) is deduplicated before it is decoded: the index
-        holds only lines the codec accepts, so that shortcut gives the
-        outcome the codec would. Writes are committed in batches; on an I/O
-        failure the log is cut back to the end of the last committed batch.
-        The index sidecar is rewritten after the last one.
+        Each line is checked and canonicalised by its kind's line codec,
+        which also bounds a snapshot or top-k ``fetch_time`` to the signed
+        64-bit column of the index sidecar. A line ``json.loads`` cannot
+        decode, nested too deep included, is rejected. A record whose
+        (entity, time) is already stored is counted as deduplicated when
+        its canonical line equals the stored line, or the stored line
+        canonicalised by the same codec, and rejected as a conflict
+        otherwise. A line byte-identical to a stored one (newline aside) is
+        deduplicated with no more work: the index and the batch hold only
+        lines the codec accepted, so that gives the outcome the codec would.
+        When the log held committed lines as the call began, that check
+        comes before ``json.loads``: a key read from the line's text
+        (``_HINTS``) picks the stored line, and only byte identity dedups.
+        Every other line is decoded, and its decoded key picks the stored
+        line. Writes are committed in batches; on an I/O failure the log is
+        cut back to the end of the last committed batch. The index sidecar
+        is rewritten after the last one.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
@@ -712,14 +782,30 @@ class SnapStore:
             # the state keys of snapshot lines in the same order
             batch: dict[tuple, bytes] = {}
             states: list[tuple] = []
+            # a bulk load into an empty log would pay for hints it never uses
+            hint = _HINTS[kind] if committed else None
+
+            def stored(key) -> bytes | None:
+                """The committed or batch line under ``key``, if any (a key
+                is in the batch only while it is not committed)."""
+                place = committed.get(key)
+                if place is None:
+                    return batch.get(key)
+                return os.pread(self._read_fd(kind), place[1], place[0])
+
             for line_no, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
+                if hint is not None:
+                    previous = stored(hint(line))
+                    if previous is not None and _is_copy(previous, line):
+                        report.deduplicated[kind] += 1
+                        continue
                 try:
                     rec = json.loads(line)
                     if not isinstance(rec, dict):
                         raise ValueError("record must be a JSON object")
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, RecursionError) as exc:
                     report.rejected.append(Rejection(kind, line_no, str(exc)))
                     continue
                 # the key of every record the codec accepts equals the key of
@@ -729,17 +815,10 @@ class SnapStore:
                     key = _entity_time_key(kind, rec)
                 except (KeyError, TypeError, ValueError):
                     key = None
-                previous = batch.get(key)
-                if previous is None and key in committed:
-                    offset, length = committed[key]
-                    previous = os.pread(self._read_fd(kind), length, offset)
-                if previous is not None:
-                    # a lone surrogate never matches a stored line; it must
-                    # not raise here either, since the codec accepts it
-                    data = line.encode("utf-8", "surrogatepass")
-                    if previous == (data if data.endswith(b"\n") else data + b"\n"):
-                        report.deduplicated[kind] += 1
-                        continue
+                previous = stored(key)
+                if previous is not None and _is_copy(previous, line):
+                    report.deduplicated[kind] += 1
+                    continue
                 try:
                     raw, state = codec(rec)
                 except ValueError as exc:

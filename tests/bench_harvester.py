@@ -1,0 +1,33 @@
+"""Page-parse micro-benchmark, kept out of the default test run.
+
+pytest collects ``test_*.py`` only, so run this file by name:
+
+    PYTHONPATH=src python -m pytest tests/bench_harvester.py --benchmark-only
+
+The case parses 2,000 market pages as ``simulate --render-market`` renders
+them: one page per app, each linking up to five similar apps.
+"""
+
+import pytest
+
+from marketpulse import simgen
+from marketpulse.harvester import parse_page, render_page
+
+N_PAGES = 2_000
+
+
+@pytest.fixture(scope="module")
+def pages():
+    market = simgen.generate(simgen.MarketScript(seed=5, n_developers=1200, observation_days=1))
+    snapshots = market.snapshots[:N_PAGES]
+    assert len(snapshots) == N_PAGES
+    apps = [s.app for s in snapshots]
+    return [render_page(s, apps[i + 1 : i + 6]) for i, s in enumerate(snapshots)]
+
+
+def test_parse_rendered_pages(benchmark, pages):
+    def parse_all():
+        return [parse_page(page) for page in pages]
+
+    parsed = benchmark(parse_all)
+    assert len(parsed) == N_PAGES

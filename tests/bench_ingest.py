@@ -7,7 +7,9 @@ pytest collects ``test_*.py`` only, so run this file by name:
 Two cases ingest the same 10k canonical snapshot lines, as a simulated
 dataset holds them: once more into a store that already has every one of
 them (all deduplicated), and into an empty store (all accepted). A third
-ingests a simulated dataset of all three record kinds into an empty store.
+re-ingests the reviews of a simulated dataset into a store that has them
+all. A fourth ingests a simulated dataset of all three record kinds into an
+empty store.
 Two more open a store of those 10k snapshots and list its apps, once from
 the index sidecar and once by a full scan of the log, with no sidecar.
 """
@@ -84,6 +86,19 @@ def dataset(tmp_path_factory):
         data,
     )
     return data
+
+
+def test_reingest_of_stored_reviews(benchmark, tmp_path, market, dataset):
+    reviews = (dataset / "reviews.jsonl").read_text().splitlines(keepends=True)
+    root = tmp_path / "store"
+    SnapStore.create(root, market.manifest).ingest_lines("reviews", reviews)
+
+    def reingest():
+        return SnapStore.open(root).ingest_lines("reviews", reviews)
+
+    report = benchmark(reingest)
+    assert report.deduplicated["reviews"] == len(reviews) > 0
+    assert report.accepted["reviews"] == report.total_rejected == 0
 
 
 def test_ingest_dir_of_three_kinds_into_empty_store(benchmark, tmp_path, market, dataset):

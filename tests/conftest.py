@@ -285,6 +285,8 @@ def topk_from_record(rec: dict) -> TopKObservation:
 def validate_snapshot(s: AppSnapshot) -> list[str]:
     """Every violated invariant of ``s``; the snapshot is valid iff empty."""
     violations = validate_app_id(s.app)
+    if not -(2**63) <= s.fetch_time < 2**63:
+        violations.append("fetch_time outside the signed 64-bit range")
     if s.price_cents < 0:
         violations.append("price_cents negative")
     if s.free != (s.price_cents == 0):
@@ -319,6 +321,8 @@ def validate_topk(o: TopKObservation) -> list[str]:
         violations.append(f"ranking longer than {MAX_RANKING_LENGTH}")
     if len(set(o.ranking)) != len(o.ranking):
         violations.append("duplicate app in ranking")
+    if not -(2**63) <= o.fetch_time < 2**63:
+        violations.append("fetch_time outside the signed 64-bit range")
     if o.fetch_time % SECONDS_PER_HOUR != 0:
         violations.append("fetch_time not aligned to the hour")
     for app in o.ranking:

@@ -1,7 +1,10 @@
 import datetime as dt
+import statistics
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marketpulse
 from marketpulse.anomaly import (
@@ -9,7 +12,9 @@ from marketpulse.anomaly import (
     Polarity,
     PermissionFlagKind,
     ScamParams,
+    SpikeEvent,
     SpikeParams,
+    _dense_daily_counts,
     detect_review_spikes,
     join_external_flags,
     permission_flags,
@@ -115,6 +120,61 @@ class TestSpikes:
     def test_param_validation(self):
         with pytest.raises(ConfigError):
             SpikeParams(window_days=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(
+            st.tuples(st.sampled_from([0, 0, 1, 2, 3, 20, 25]), st.integers(0, 40)),
+            max_size=70,
+        ),
+        window_days=st.integers(1, 10),
+        mad_k=st.sampled_from([0.0, 0.5, 5.0]),
+        min_abs=st.sampled_from([0, 1, 2, 20]),
+    )
+    def test_spikes_equal_the_window_statistics_of_every_day(
+        self, counts, window_days, mad_k, min_abs
+    ):
+        # few distinct counts, so windows hold ties; gaps are zero days
+        timeline = ReviewTimeline(
+            app="com.x",
+            days=tuple(
+                DayReviewCounts(day=day(2 * i), positive=pos, negative=neg, neutral=0)
+                for i, (pos, neg) in enumerate(counts)
+            ),
+        )
+        params = SpikeParams(window_days=window_days, mad_k=mad_k, min_abs=min_abs)
+        assert detect_review_spikes(timeline, params) == _reference_spikes(timeline, params)
+
+
+def _reference_spikes(timeline, params):
+    """``detect_review_spikes`` computing the window median and MAD of every
+    day, spike or not."""
+    dense = _dense_daily_counts(timeline)
+    spikes = []
+    for polarity, column in ((Polarity.POSITIVE, 1), (Polarity.NEGATIVE, 2)):
+        counts = [row[column] for row in dense]
+        for i, (spike_day, *_) in enumerate(dense):
+            count = counts[i]
+            window = counts[max(0, i - params.window_days) : i]
+            if window:
+                baseline = statistics.median(window)
+                mad = statistics.median([abs(v - baseline) for v in window])
+            else:
+                baseline, mad = 0.0, 0.0
+            threshold = max(params.min_abs, baseline + params.mad_k * mad)
+            if count >= threshold and count > 0:
+                spikes.append(
+                    SpikeEvent(
+                        app=timeline.app,
+                        day=spike_day,
+                        polarity=polarity,
+                        count=count,
+                        baseline=float(baseline),
+                        score=count / max(baseline, 1.0),
+                    )
+                )
+    spikes.sort(key=lambda s: (s.day, s.polarity.value))
+    return spikes
 
 
 def _perm_event(offset, old, new):

@@ -219,6 +219,21 @@ def test_committed_line_without_a_title_is_skipped_by_every_report(store, tmp_pa
     assert SnapStore.open(store.root)._index("snapshots").skipped_corrupt == 1
 
 
+def test_committed_line_nested_too_deep_to_decode_is_skipped_and_rejected(store, tmp_path):
+    # json.loads raises RecursionError, not ValueError, on such a line
+    nested = "[" * 100_000
+    store.ingest_records("snapshots", [make_snapshot(app="com.valid")])
+    with open(store.root / "snapshots.jsonl", "a") as f:
+        f.write(nested + "\n")
+    out = tmp_path / "reports"
+    assert main(["metrics", "staleness", "--store", str(store.root), "--out", str(out)]) == 0
+    assert json.loads((out / "staleness.json").read_text())["apps"] == 1
+    assert SnapStore.open(store.root)._index("snapshots").skipped_corrupt == 1
+    report = SnapStore.open(store.root).ingest_lines("reviews", [nested])
+    assert [r.line_no for r in report.rejected] == [1]
+    assert "recursion" in report.rejected[0].reason
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -1,6 +1,10 @@
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from marketpulse import harvester
 from marketpulse.errors import (
     CrawlFailedError,
     InvalidInputError,
@@ -86,6 +90,100 @@ class TestParsePage:
         parsed = parse_page(render_page(snap, []))
         assert parsed.snapshot.title == title
         assert parsed.snapshot.permissions == frozenset(permissions)
+
+
+# --- pattern tokenizer against the character scanner ---------------------------
+
+
+def _outcome(page):
+    try:
+        return parse_page(page)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _scanner_outcome(page):
+    """What ``parse_page`` gives when every page goes to the scanner."""
+    with mock.patch.object(harvester, "_page_tokens", lambda raw: None):
+        return _outcome(page)
+
+
+_RENDERED_TAG = re.compile(r'<(/?)([^ >]*)((?: [^ =]+="[^"]*")*)>')
+_RENDERED_ATTR = re.compile(r' [^ =]+="[^"]*"')
+# rewrites of one rendered tag: (slash, name, its attributes each with
+# the leading space) -> tag text
+_TAG_EDITS = [
+    lambda slash, name, attrs: f"<{slash}{name}{''.join(reversed(attrs))}>",
+    lambda slash, name, attrs: f"<{slash}{name}{''.join(attrs + attrs[:1])}>",
+    lambda slash, name, attrs: f'<{slash}{name}{"".join(attrs)} name="other">',
+    lambda slash, name, attrs: f'<{slash}{name}{"".join(attrs)} extra="1">',
+    lambda slash, name, attrs: f"<{slash}{name}{''.join(a[1:] for a in attrs)}>",
+    lambda slash, name, attrs: f"<{slash}{name}{''.join(attrs).replace(' ', chr(9))}>",
+    lambda slash, name, attrs: f"<{slash}{name}{''.join(attrs).replace(' ', chr(10))}>",
+    lambda slash, name, attrs: f"<{slash}{name}{''.join(attrs).replace(' ', chr(0x2003))}>",
+    lambda slash, name, attrs: f"<{slash}{name}{''.join(attrs).replace('=', ' =')}>",
+    lambda slash, name, attrs: f"<{slash}{name}{''.join(attrs).replace('=', '= ')}>",
+    lambda slash, name, attrs: f"< \t{slash}{name}{''.join(attrs)} \n>",
+    lambda slash, name, attrs: f"<{slash} {name}{''.join(attrs)}>",
+    lambda slash, name, attrs: f"</{''.join(attrs)}>",
+    lambda slash, name, attrs: f"<{slash}{''.join(attrs)}>",
+    lambda slash, name, attrs: "<>",
+    lambda slash, name, attrs: "< >",
+]
+_EDIT_CHARS = '<>="/&; \t\n\x0b\u2003a'
+
+
+def _edit_page(page, edit):
+    what, where, arg = edit
+    if what == "insert":
+        at = where % (len(page) + 1)
+        return page[:at] + arg + page[at:]
+    if what == "delete":
+        at = where % len(page)
+        return page[:at] + page[at + 1:]
+    lines = page.split("\n")
+    at = where % len(lines)
+    tag = _RENDERED_TAG.fullmatch(lines[at])
+    if tag is None:
+        return page
+    attrs = _RENDERED_ATTR.findall(tag[3])
+    if what == "tag":
+        lines[at] = _TAG_EDITS[arg % len(_TAG_EDITS)](tag[1], tag[2], attrs)
+    elif what == "swap":
+        other = arg % len(lines)
+        lines[at], lines[other] = lines[other], lines[at]
+    else:  # duplicate the line
+        lines.insert(at, lines[at])
+    return "\n".join(lines)
+
+
+_PAGE_EDITS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(_EDIT_CHARS)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.none()),
+    st.tuples(st.sampled_from(["tag", "swap", "repeat"]), st.integers(0, 10**6), st.integers(0, 99)),
+)
+
+
+class TestPatternTokenizer:
+    def test_rendered_pages_are_tokenized_by_the_patterns(self):
+        page = page_for("com.a", ["com.b", "com.c"], title='A "quoted" <b> & title')
+        assert harvester._page_tokens(page) == list(harvester._tokenize(page))
+        assert len(harvester._page_tokens(page)) == 20
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        title=st.text(alphabet='ab&;"<>= /\t', max_size=8),
+        similar=st.lists(st.sampled_from(["com.b", "com.c", "com.b&c", 'com."q"']), max_size=3),
+        edits=st.lists(_PAGE_EDITS, max_size=3),
+    )
+    def test_edited_pages_parse_as_the_scanner_parses_them(self, title, similar, edits):
+        page = page_for("com.a", similar, title=title)
+        for edit in edits:
+            page = _edit_page(page, edit)
+        tokens = harvester._page_tokens(page)
+        if tokens is not None:
+            assert tokens == list(harvester._tokenize(page))
+        assert _outcome(page) == _scanner_outcome(page)
 
 
 class TestFrontier:

@@ -408,19 +408,36 @@ def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch)
     first = store.ingest_dir(data)
     assert first.total_rejected == 0
     logs = {p.name: p.read_bytes() for p in store.root.iterdir()}
+    last = (data / "snapshots.jsonl").read_text().splitlines()[-1]
+    # the manifest and the sidecar state table are JSON: open the store and
+    # load its indexes before json.loads is refused
+    reopened = SnapStore.open(store.root)
     for kind in ("snapshots", "reviews", "topk"):
+        assert reopened._index(kind).sidecar_bytes > 0
         monkeypatch.setitem(store_mod._CODECS, kind, _refuse)
     monkeypatch.setattr(json, "dumps", _refuse)
-    report = SnapStore.open(store.root).ingest_dir(data)
+    monkeypatch.setattr(json, "loads", _refuse)
+    report = reopened.ingest_dir(data)
     assert report.accepted == {"snapshots": 0, "reviews": 0, "topk": 0}
     assert report.deduplicated == first.accepted
     assert all(report.deduplicated.values())
     assert report.rejected == []
     assert {p.name: p.read_bytes() for p in store.root.iterdir()} == logs
     # a line without its newline is a byte-identical copy too
-    last = (data / "snapshots.jsonl").read_text().splitlines()[-1]
-    report = SnapStore.open(store.root).ingest_lines("snapshots", [last])
+    report = reopened.ingest_lines("snapshots", [last])
     assert report.deduplicated["snapshots"] == 1
+
+
+def test_reingest_of_lines_with_escapes_outside_their_keys_decodes_no_line(store, monkeypatch):
+    # canonical lines escape quotes, backslashes and every non-ASCII character
+    store.ingest_records("snapshots", [make_snapshot(title='Café "Olé", \\ 東京')])
+    store.ingest_records("reviews", [make_review(text='naïve "review", \\')])
+    lines = {kind: (store.root / f"{kind}.jsonl").read_text() for kind in ("snapshots", "reviews")}
+    assert all("\\u" in line and '\\"' in line for line in lines.values())
+    monkeypatch.setattr(json, "loads", _refuse)
+    for kind, line in lines.items():
+        report = store.ingest_lines(kind, [line])
+        assert (report.accepted[kind], report.deduplicated[kind]) == (0, 1)
 
 
 def _reordered_with_spaces(rec):
@@ -600,26 +617,59 @@ _EDITS = {
         lambda rec: {**rec, "price_cents": -5, "free": False},
         lambda rec: _without(rec, "title"),
         lambda rec: {**rec, "app": "com a"},
+        # traps for the key read from a line's text before it is decoded
+        lambda rec: {**rec, "app": rec["app"] + '"\\'},
+        lambda rec: {**rec, "title": f'x","fetch_time":{rec["fetch_time"] + 86400},"y":"'},
+        lambda rec: {**rec, "fetch_time": -rec["fetch_time"], "last_updated": "1900-01-01"},
+        lambda rec: {**rec, "fetch_time": 2**64},
     ],
     "reviews": [
         lambda rec: {**rec, "date": rec["date"].replace("-", "")},
         lambda rec: {**rec, "rating": 9},
         lambda rec: _without(rec, "text"),
         lambda rec: {**rec, "review_id": 7},
+        lambda rec: {**rec, "app": rec["app"] + '"'},
+        lambda rec: {**rec, "review_id": rec["review_id"] + "\\"},
+        lambda rec: {**rec, "date": "1960-01-01"},
     ],
     "topk": [
         lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 1},
         lambda rec: {**rec, "ranking": ["a", "a"]},
         lambda rec: {**rec, "list_type": "Bogus"},
+        lambda rec: {**rec, "fetch_time": -rec["fetch_time"]},
+        lambda rec: {**rec, "fetch_time": 2**64},
     ],
 }
 _ANY_KIND_EDITS = [lambda rec: rec, lambda rec: {**rec, "extra": 1}, lambda rec: [rec]]
+# the field whose other value gives a record a different key
+_KEY_FIELDS = {"snapshots": "app", "reviews": "review_id", "topk": "list_type"}
+_OTHER_VALUE = {"com.a": "com.b", "com.b": "com.a", "r1": "r2", "r2": "r1", "Free": "Paid"}
+
+
+def _with_decoy_keys(kind):
+    """Canonical JSON of the record after the keys of another record: a line
+    whose first key fields are not the ones ``json.loads`` keeps."""
+
+    def serialize(rec):
+        if not isinstance(rec, dict) or not isinstance(rec.get(_KEY_FIELDS[kind]), str):
+            return _canonical(rec)
+        field = _KEY_FIELDS[kind]
+        decoy = {**rec, field: _OTHER_VALUE.get(rec[field], "Free")}
+        return _canonical(decoy)[:-1] + "," + _canonical(rec)[1:]
+
+    return serialize
 
 
 @st.composite
 def _log_lines(draw, kind):
     rec = draw(st.sampled_from(_EDITS[kind] + _ANY_KIND_EDITS))(draw(_RECORDS[kind]))
-    return draw(st.sampled_from([_canonical, json.dumps]))(rec)
+    forms = [
+        _canonical,
+        json.dumps,
+        lambda rec: json.dumps(rec, sort_keys=True, separators=(", ", ":")),
+        _with_decoy_keys(kind),
+    ]
+    return draw(st.sampled_from(forms))(rec)
 
 
 def _reference_key(kind, canonical):
@@ -1023,6 +1073,30 @@ def test_sidecar_of_the_previous_magic_over_a_rejected_line_is_rebuilt(tmp_path,
     index = reopened._index("snapshots")
     assert (index.sidecar_bytes, index.skipped_corrupt) == (0, 1)
     _assert_rebuilt_on_next_ingest(store, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["snapshots", "topk"])
+def test_committed_fetch_time_beyond_64_bits_is_skipped_and_the_sidecar_covers_the_log(
+    tmp_path, manifest, kind
+):
+    # the sidecar keeps fetch times in a signed 64-bit column
+    store = SnapStore.create(tmp_path / "store", manifest)
+    rec = _SNAPSHOT if kind == "snapshots" else _TOPK
+    # the first hour past the range
+    too_late = _canonical({**rec, "fetch_time": (2**63 // 3600 + 1) * 3600})
+    report = store.ingest_lines(kind, [too_late])
+    assert [r.reason for r in report.rejected] == ["fetch_time outside the signed 64-bit range"]
+    log = store.root / f"{kind}.jsonl"
+    log.write_text(_canonical(rec) + "\n" + too_late + "\n")
+    reopened = SnapStore.open(store.root)
+    index = reopened._index(kind)
+    assert (index.sidecar_bytes, index.skipped_corrupt) == (0, 1)
+    assert len(index.keys()) == 1
+    other = {**rec, "fetch_time": rec["fetch_time"] + 3600}
+    assert reopened.ingest_lines(kind, [_canonical(other)]).accepted[kind] == 1
+    covered = SnapStore.open(store.root)._index(kind)
+    assert covered.sidecar_bytes == log.stat().st_size
+    assert (len(covered.keys()), covered.skipped_corrupt) == (2, 1)
 
 
 def test_create_fsyncs_the_logs_the_manifest_and_the_directory(tmp_path, manifest, monkeypatch):
