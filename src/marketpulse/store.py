@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import datetime as dt
 import fcntl
-import functools
 import hashlib
 import itertools
 import json
@@ -272,21 +271,15 @@ def _entity_time_key(kind: str, rec: dict) -> tuple:
 # bytes with, so it may be wrong, and it is None when the line does not look
 # canonical or a key string holds a backslash, whose escape the text does
 # not resolve. Snapshots: the app (the first key) and fetch_time; reviews:
-# app, date and review_id; top-k: fetch_time and list_type. Key fields after
-# the first are reached over the pairs between, none of whose values may
-# hold a comma. Times of more than 19 digits give no hint.
+# app, date and review_id. Top-k lists have no hint and are decoded. Key
+# fields after the first are reached over the pairs between, none of whose
+# values may hold a comma. Times of more than 19 digits give no hint.
 _SNAPSHOT_HINT = re.compile(
     r'\{"app":"([^"\\]*+)"(?:,"[^"]*+":[^,]*+)*?,"fetch_time":(-?[0-9]{1,19})[,}]'
 )
 _REVIEW_HINT = re.compile(
     r'\{"app":"([^"\\]*+)","date":"([^"\\]*+)"(?:,"[^"]*+":[^,]*+)*?,"review_id":"([^"\\]*+)"'
 )
-_TOPK_HINT = re.compile(r'\{"fetch_time":(-?[0-9]{1,19}),"list_type":"([^"\\]*+)"')
-
-
-@functools.lru_cache(maxsize=1024)
-def _day_epoch(text: str) -> int:
-    return date_to_epoch(parse_date(text))
 
 
 def _snapshot_hint(line: str) -> tuple | None:
@@ -299,21 +292,12 @@ def _review_hint(line: str) -> tuple | None:
     if match is None:
         return None
     try:
-        return (match[1], match[3]), _day_epoch(match[2])
+        return (match[1], match[3]), date_to_epoch(parse_date(match[2]))
     except ValueError:
         return None
 
 
-def _topk_hint(line: str) -> tuple | None:
-    match = _TOPK_HINT.match(line)
-    return None if match is None else ((match[2],), int(match[1]))
-
-
-_HINTS: dict[str, Callable] = {
-    SNAPSHOTS: _snapshot_hint,
-    REVIEWS: _review_hint,
-    TOPK: _topk_hint,
-}
+_HINTS: dict[str, Callable] = {SNAPSHOTS: _snapshot_hint, REVIEWS: _review_hint}
 
 
 def _is_copy(stored: bytes, line: str) -> bool:
@@ -747,10 +731,10 @@ class SnapStore:
         deduplicated with no more work: the index and the batch hold only
         lines the codec accepted, so that gives the outcome the codec would.
         When the log held committed lines as the call began, that check
-        comes before ``json.loads``: a key read from the line's text
-        (``_HINTS``) picks the stored line, and only byte identity dedups.
-        Every other line is decoded, and its decoded key picks the stored
-        line. Writes are committed in batches; on an I/O failure the log is
+        comes before ``json.loads`` for snapshots and reviews: a key read
+        from the line's text (``_HINTS``) picks the stored line, and only
+        byte identity dedups. Every other line is decoded, and its decoded
+        key picks the stored line. Writes are committed in batches; on an I/O failure the log is
         cut back to the end of the last committed batch. The index sidecar
         is rewritten after the last one.
         """
@@ -783,7 +767,7 @@ class SnapStore:
             batch: dict[tuple, bytes] = {}
             states: list[tuple] = []
             # a bulk load into an empty log would pay for hints it never uses
-            hint = _HINTS[kind] if committed else None
+            hint = _HINTS.get(kind) if committed else None
 
             def stored(key) -> bytes | None:
                 """The committed or batch line under ``key``, if any (a key
@@ -796,8 +780,10 @@ class SnapStore:
             for line_no, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
+                hinted = previous = None
                 if hint is not None:
-                    previous = stored(hint(line))
+                    hinted = hint(line)
+                    previous = stored(hinted)
                     if previous is not None and _is_copy(previous, line):
                         report.deduplicated[kind] += 1
                         continue
@@ -815,10 +801,12 @@ class SnapStore:
                     key = _entity_time_key(kind, rec)
                 except (KeyError, TypeError, ValueError):
                     key = None
-                previous = stored(key)
-                if previous is not None and _is_copy(previous, line):
-                    report.deduplicated[kind] += 1
-                    continue
+                # under the hinted key the stored line is known and no copy
+                if key != hinted:
+                    previous = stored(key)
+                    if previous is not None and _is_copy(previous, line):
+                        report.deduplicated[kind] += 1
+                        continue
                 try:
                     raw, state = codec(rec)
                 except ValueError as exc:

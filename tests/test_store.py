@@ -22,7 +22,7 @@ from marketpulse.model import (
     topk_to_record,
 )
 from marketpulse import store as store_mod
-from marketpulse.store import DatasetManifest, SnapStore, TimeWindow
+from marketpulse.store import DatasetManifest, IngestReport, SnapStore, TimeWindow
 from marketpulse.timeline import build_app_timeline
 
 from conftest import (
@@ -416,16 +416,23 @@ def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch)
         assert reopened._index(kind).sidecar_bytes > 0
         monkeypatch.setitem(store_mod._CODECS, kind, _refuse)
     monkeypatch.setattr(json, "dumps", _refuse)
-    monkeypatch.setattr(json, "loads", _refuse)
-    report = reopened.ingest_dir(data)
+    # snapshots and reviews are not even decoded; top-k lists are decoded
+    # for their key and deduplicated on their bytes
+    report = IngestReport()
+    with monkeypatch.context() as refusing:
+        refusing.setattr(json, "loads", _refuse)
+        for kind in ("snapshots", "reviews"):
+            with open(data / f"{kind}.jsonl", encoding="utf-8") as f:
+                report.merge(reopened.ingest_lines(kind, f))
+        # a line without its newline is a byte-identical copy too
+        assert reopened.ingest_lines("snapshots", [last]).deduplicated["snapshots"] == 1
+    with open(data / "topk.jsonl", encoding="utf-8") as f:
+        report.merge(reopened.ingest_lines("topk", f))
     assert report.accepted == {"snapshots": 0, "reviews": 0, "topk": 0}
     assert report.deduplicated == first.accepted
     assert all(report.deduplicated.values())
     assert report.rejected == []
     assert {p.name: p.read_bytes() for p in store.root.iterdir()} == logs
-    # a line without its newline is a byte-identical copy too
-    report = reopened.ingest_lines("snapshots", [last])
-    assert report.deduplicated["snapshots"] == 1
 
 
 def test_reingest_of_lines_with_escapes_outside_their_keys_decodes_no_line(store, monkeypatch):
