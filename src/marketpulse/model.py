@@ -269,6 +269,43 @@ def _strings(rec: dict, name: str) -> list:
     return value
 
 
+def _snapshot_violations(
+    app, fetch_time, price, free, rating_avg, rating_count, lo, hi, size, updated
+) -> list[str]:
+    """Every invariant a snapshot violates; ``updated`` is the date ordinal
+    of last_updated."""
+    violations = validate_app_id(app)
+    if fetch_time not in _FETCH_TIME_RANGE:
+        violations.append("fetch_time outside the signed 64-bit range")
+    if price < 0:
+        violations.append("price_cents negative")
+    if free != (price == 0):
+        violations.append("free flag inconsistent with price_cents")
+    if not 0.0 <= rating_avg <= 5.0:
+        violations.append("rating_avg out of [0,5]")
+    if rating_count < 0:
+        violations.append("rating_count negative")
+    if lo < 0:
+        violations.append("downloads lower bound negative")
+    if lo >= hi:
+        violations.append("downloads bucket empty (lo >= hi)")
+    if size < 0:
+        violations.append("size_bytes negative")
+    if (updated - _EPOCH_ORDINAL) * SECONDS_PER_DAY > fetch_time:
+        violations.append("last_updated in future")
+    return violations
+
+
+def _review_violations(app, review_id, rating) -> list[str]:
+    """Every invariant a review violates."""
+    violations = validate_app_id(app)
+    if not review_id:
+        violations.append("review_id empty")
+    if rating not in (1, 2, 3, 4, 5):
+        violations.append("rating out of range")
+    return violations
+
+
 def snapshot_line(rec: dict) -> tuple[bytes, tuple]:
     """The canonical line of a snapshots.jsonl record and its timeline-state
     key: the ``TimelineState`` fields, downloads as lo and hi and
@@ -280,30 +317,14 @@ def snapshot_line(rec: dict) -> tuple[bytes, tuple]:
     s = _fields(rec, _SNAPSHOT_FIELDS)
     price, lo, hi = s["price_cents"], s["downloads_lo"], s["downloads_hi"]
     updated = s["last_updated"].toordinal()
-    violations = validate_app_id(s["app"])
-    if s["fetch_time"] not in _FETCH_TIME_RANGE:
-        violations.append("fetch_time outside the signed 64-bit range")
-    if price < 0:
-        violations.append("price_cents negative")
-    if s["free"] != (price == 0):
-        violations.append("free flag inconsistent with price_cents")
-    if 0.0 <= s["rating_avg"] <= 5.0:
-        # float() of an out-of-range integer can overflow
-        s["rating_avg"] = float(s["rating_avg"])
-    else:
-        violations.append("rating_avg out of [0,5]")
-    if s["rating_count"] < 0:
-        violations.append("rating_count negative")
-    if lo < 0:
-        violations.append("downloads lower bound negative")
-    if lo >= hi:
-        violations.append("downloads bucket empty (lo >= hi)")
-    if s["size_bytes"] < 0:
-        violations.append("size_bytes negative")
-    if (updated - _EPOCH_ORDINAL) * SECONDS_PER_DAY > s["fetch_time"]:
-        violations.append("last_updated in future")
+    violations = _snapshot_violations(
+        s["app"], s["fetch_time"], price, s["free"], s["rating_avg"], s["rating_count"],
+        lo, hi, s["size_bytes"], updated,
+    )
     if violations:
         raise ValueError("; ".join(violations))
+    # in [0,5] now, so float() of an integer cannot overflow
+    s["rating_avg"] = float(s["rating_avg"])
     state = (price, lo, hi, s["rating_count"], s["version"], s["category"])
     s["last_updated"] = s["last_updated"].isoformat()
     s["permissions"] = sorted(permissions)
@@ -313,15 +334,136 @@ def snapshot_line(rec: dict) -> tuple[bytes, tuple]:
 def review_line(rec: dict) -> tuple[bytes, None]:
     """The canonical line of a reviews.jsonl record (reviews have no state)."""
     r = _fields(rec, _REVIEW_FIELDS)
-    violations = validate_app_id(r["app"])
-    if not r["review_id"]:
-        violations.append("review_id empty")
-    if r["rating"] not in (1, 2, 3, 4, 5):
-        violations.append("rating out of range")
+    violations = _review_violations(r["app"], r["review_id"], r["rating"])
     if violations:
         raise ValueError("; ".join(violations))
     r["date"] = r["date"].isoformat()
     return (canonical_json(r) + "\n").encode("utf-8"), None
+
+
+# A line in the canonical text of its kind is read without json.loads. That
+# text is the line canonical_json writes for a record the codec accepts
+# whose strings need no escape: the kind's keys in sorted order, no spaces,
+# only printable ASCII. Its pattern comes in two parts. The head runs through
+# the key fields and gives the line's (entity, time) key, so that a copy of
+# a stored line is found at the cost of the head alone; the rest matches the
+# fields after it. Key strings (app, review_id) and dates must hold no
+# escape, so that their text is their value; other strings may, so that a
+# line with escapes is matched to its stored copy too, but only a line
+# without any is admitted. ``snapshot_text_state`` and ``review_text_state``
+# admit a line only when it is the canonical line of a record the codec
+# accepts, and raise ValueError for any other line, which is left to
+# json.loads and the codec and their rejection texts.
+_KEY_TEXT = r'"([ !#-\[\]-~]*+)"'
+_STR_CHARS = r"(?:[ !#-\[\]-~]++|\\[ -~])*+"
+_STR_TEXT = '"(' + _STR_CHARS + ')"'
+_INT_TEXT = r"(0|-?[1-9][0-9]*+)"
+_DATE_TEXT = r'"([0-9]{4}-[0-9]{2}-[0-9]{2})"'
+_SNAPSHOT_HEAD = re.compile(
+    r'\{"app":' + _KEY_TEXT
+    + ',"category":' + _STR_TEXT
+    + ',"developer":' + _STR_TEXT
+    + ',"downloads_hi":' + _INT_TEXT
+    + ',"downloads_lo":' + _INT_TEXT
+    # at most 19 digits: int() of it never raises
+    + ',"fetch_time":(0|-?[1-9][0-9]{0,18}),'
+)
+_SNAPSHOT_REST = re.compile(
+    '"free":(true|false)'
+    + ',"last_updated":' + _DATE_TEXT
+    + r',"permissions":\[((?:"' + _STR_CHARS + '"(?:,"' + _STR_CHARS + r'")*+)?)\]'
+    + ',"price_cents":' + _INT_TEXT
+    + ',"rating_avg":([-+.0-9eE]++)'
+    + ',"rating_count":' + _INT_TEXT
+    + ',"size_bytes":' + _INT_TEXT
+    + ',"title":' + _STR_TEXT
+    + ',"version":' + _STR_TEXT
+    + r"\}\n?"
+)
+_REVIEW_HEAD = re.compile(
+    r'\{"app":' + _KEY_TEXT
+    + ',"date":' + _DATE_TEXT
+    + ',"rating":' + _INT_TEXT
+    + ',"review_id":' + _KEY_TEXT
+    + ","
+)
+_REVIEW_REST = re.compile(
+    '"reviewer_id":' + _STR_TEXT
+    + ',"text":' + _STR_TEXT
+    + ',"title":' + _STR_TEXT
+    + r"\}\n?"
+)
+
+
+def _rest(pattern: re.Pattern, head: re.Match) -> re.Match:
+    """The match of ``pattern`` over the line after ``head``, when the line
+    holds no escape; raises ValueError otherwise."""
+    line = head.string
+    rest = None if "\\" in line else pattern.fullmatch(line, head.end())
+    if rest is None:
+        raise ValueError("not in canonical text")
+    return rest
+
+
+def snapshot_text(line: str) -> tuple[tuple, re.Match] | None:
+    """The ((app,), fetch_time) key of ``line`` and the match of its head,
+    when the line begins as a canonical snapshot line does; else None."""
+    head = _SNAPSHOT_HEAD.match(line)
+    if head is None:
+        return None
+    return ((head[1],), int(head[6])), head
+
+
+def snapshot_text_state(head: re.Match) -> tuple:
+    """What ``snapshot_line`` returns as the state key of the line of
+    ``head``, which is then its canonical line; raises ValueError when it is
+    not."""
+    free, updated, permissions, price, rating_avg, rating_count, size, _, version = (
+        _rest(_SNAPSHOT_REST, head).groups()
+    )
+    app, category, _, hi, lo, fetch_time = head.groups()
+    hi, lo, fetch_time, price, rating_count, size = (
+        int(hi), int(lo), int(fetch_time), int(price), int(rating_count), int(size)
+    )
+    rating = float(rating_avg)
+    if repr(rating) != rating_avg:
+        raise ValueError("rating_avg not in its shortest form")
+    # a YYYY-MM-DD text that parses is the ISO form of its date
+    updated = dt.date.fromisoformat(updated).toordinal()
+    permissions = permissions[1:-1].split('","') if permissions else []
+    permission_set = frozenset(permissions)
+    if sorted(permission_set) != permissions:
+        raise ValueError("permissions not sorted and unique")
+    if _snapshot_violations(
+        app, fetch_time, price, free == "true", rating, rating_count, lo, hi, size, updated
+    ):
+        raise ValueError("snapshot violates an invariant")
+    return (price, lo, hi, rating_count, version, category, permission_set, updated)
+
+
+def review_text(line: str) -> tuple[tuple, re.Match] | None:
+    """The ((app, review_id), date epoch) key of ``line`` and the match of
+    its head, when the line begins as a canonical review line does; else
+    None."""
+    head = _REVIEW_HEAD.match(line)
+    if head is None:
+        return None
+    try:
+        day = dt.date.fromisoformat(head[2])
+    except ValueError:
+        return None
+    return ((head[1], head[4]), date_to_epoch(day)), head
+
+
+def review_text_state(head: re.Match) -> None:
+    """What ``review_line`` returns as the state key of the line of ``head``
+    (None), which is then its canonical line; raises ValueError when it is
+    not."""
+    _rest(_REVIEW_REST, head)
+    app, _, rating, review_id = head.groups()
+    if _review_violations(app, review_id, int(rating)):
+        raise ValueError("review violates an invariant")
+    return None
 
 
 def topk_line(rec: dict) -> tuple[bytes, None]:

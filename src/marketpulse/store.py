@@ -16,9 +16,12 @@ in entity order), which names the log prefix it covers and a digest of
 those bytes. Opening a log loads the sidecar, verifies the digest and
 scans only the log past the covered prefix. A missing or mismatched
 sidecar, or one of an earlier layout, means scanning the whole log, which
-runs every line through the codec; so a reader always gets the index a
-full scan would build. Sidecars up to ``MPX3`` are ignored because the
-code that wrote them indexed lines the codec rejects. Readers never write
+admits every line as ingest does: a snapshot or review line in its kind's
+canonical text by its pattern, with no decode or encode, and any other
+line through the codec. So a reader always gets the index a full scan
+would build, and a full scan of the logs ingest wrote decodes no snapshot
+or review line. Sidecars up to ``MPX3`` are ignored because the code that
+wrote them indexed lines the codec rejects. Readers never write
 to the store directory. Single writer, any number of readers; queries
 return immutable values.
 """
@@ -31,7 +34,6 @@ import hashlib
 import itertools
 import json
 import os
-import re
 import struct
 import threading
 from array import array
@@ -56,9 +58,13 @@ from .model import (
     parse_date,
     review_from_trusted_record,
     review_line,
+    review_text,
+    review_text_state,
     review_to_record,
     snapshot_from_trusted_record,
     snapshot_line,
+    snapshot_text,
+    snapshot_text_state,
     snapshot_to_record,
     topk_from_trusted_record,
     topk_line,
@@ -265,39 +271,31 @@ def _entity_time_key(kind: str, rec: dict) -> tuple:
     return (list_type,), ts
 
 
-# Lookup hints, read from the text of an ingested line before it is decoded:
-# the (entity, time) key the line has if it is a canonical line of its kind
-# (keys sorted, no spaces). A hint only picks the stored line to compare
-# bytes with, so it may be wrong, and it is None when the line does not look
-# canonical or a key string holds a backslash, whose escape the text does
-# not resolve. Snapshots: the app (the first key) and fetch_time; reviews:
-# app, date and review_id. Top-k lists have no hint and are decoded. Key
-# fields after the first are reached over the pairs between, none of whose
-# values may hold a comma. Times of more than 19 digits give no hint.
-_SNAPSHOT_HINT = re.compile(
-    r'\{"app":"([^"\\]*+)"(?:,"[^"]*+":[^,]*+)*?,"fetch_time":(-?[0-9]{1,19})[,}]'
-)
-_REVIEW_HINT = re.compile(
-    r'\{"app":"([^"\\]*+)","date":"([^"\\]*+)"(?:,"[^"]*+":[^,]*+)*?,"review_id":"([^"\\]*+)"'
-)
+# per-kind readers of a line in its kind's canonical text, without json.loads
+# (see model): line -> ((entity, time) key, match) or None, and match -> state
+# key, raising ValueError unless the line is the canonical line of a record
+# the codec accepts. Top-k lines are always decoded.
+_TEXT_READERS: dict[str, tuple[Callable, Callable]] = {
+    SNAPSHOTS: (snapshot_text, snapshot_text_state),
+    REVIEWS: (review_text, review_text_state),
+}
 
 
-def _snapshot_hint(line: str) -> tuple | None:
-    match = _SNAPSHOT_HINT.match(line)
-    return None if match is None else ((match[1],), int(match[2]))
-
-
-def _review_hint(line: str) -> tuple | None:
-    match = _REVIEW_HINT.match(line)
-    if match is None:
-        return None
-    try:
-        return (match[1], match[3]), date_to_epoch(parse_date(match[2]))
-    except ValueError:
-        return None
-
-
-_HINTS: dict[str, Callable] = {SNAPSHOTS: _snapshot_hint, REVIEWS: _review_hint}
+def _index_entry(kind: str, line: str) -> tuple:
+    """The (entity, time) key and state key of ``line``, a line the kind's
+    codec accepts; raises TypeError, ValueError or RecursionError for any
+    other line."""
+    reader = _TEXT_READERS.get(kind)
+    if reader is not None:
+        matched = reader[0](line)
+        if matched is not None:
+            try:
+                return matched[0], reader[1](matched[1])
+            except ValueError:
+                pass  # decoded below
+    rec = json.loads(line)
+    state = _CODECS[kind](rec)[1]
+    return _entity_time_key(kind, rec), state
 
 
 def _is_copy(stored: bytes, line: str) -> bool:
@@ -641,10 +639,12 @@ class SnapStore:
         """Index the committed lines past ``index.scanned_bytes``.
 
         A line is indexed only when the kind's codec accepts it, the rule
-        ingest applies. Any other committed line is skipped and counted,
-        and so is a line whose (entity, time) an earlier line holds: the
-        first line wins, as ingest would have kept it. A last line without
-        its newline is an uncommitted tail and stays unindexed.
+        ingest applies; a line in its kind's canonical text is admitted
+        without a decode (``_index_entry``). Any other committed line is
+        skipped and counted, and so is a line whose (entity, time) an
+        earlier line holds: the first line wins, as ingest would have kept
+        it. A last line without its newline is an uncommitted tail and
+        stays unindexed.
         """
         path = self._log_path(kind)
         if not path.exists():
@@ -652,7 +652,6 @@ class SnapStore:
         index.skipped_tail = 0
         if path.stat().st_size <= index.scanned_bytes:
             return
-        codec = _CODECS[kind]
         indexed = index.keys()
         keys, offsets, lengths, states = [], [], [], []
         with self._io_lock, open(path, "rb") as f:
@@ -666,9 +665,7 @@ class SnapStore:
                     break
                 index.digest.update(raw)
                 try:
-                    rec = json.loads(raw.decode("utf-8"))
-                    state = codec(rec)[1]
-                    key = _entity_time_key(kind, rec)
+                    key, state = _index_entry(kind, raw.decode("utf-8"))
                 except (TypeError, ValueError, RecursionError):
                     # not a JSON object (or nested too deep to decode), or a
                     # record the codec rejects
@@ -717,12 +714,13 @@ class SnapStore:
 
     # -- ingest -----------------------------------------------------------
 
-    def ingest_lines(self, kind: str, lines: Iterable[str]) -> IngestReport:
+    def ingest_lines(self, kind: str, lines: Iterable[str | bytes]) -> IngestReport:
         """Validate, dedup and append raw JSONL ``lines`` of one ``kind``.
 
         Each line is checked and canonicalised by its kind's line codec,
         which also bounds a snapshot or top-k ``fetch_time`` to the signed
-        64-bit column of the index sidecar. A line ``json.loads`` cannot
+        64-bit column of the index sidecar. A line given as bytes must be
+        UTF-8, and one that is not is rejected. A line ``json.loads`` cannot
         decode, nested too deep included, is rejected. A record whose
         (entity, time) is already stored is counted as deduplicated when
         its canonical line equals the stored line, or the stored line
@@ -730,18 +728,21 @@ class SnapStore:
         otherwise. A line byte-identical to a stored one (newline aside) is
         deduplicated with no more work: the index and the batch hold only
         lines the codec accepted, so that gives the outcome the codec would.
-        When the log held committed lines as the call began, that check
-        comes before ``json.loads`` for snapshots and reviews: a key read
-        from the line's text (``_HINTS``) picks the stored line, and only
-        byte identity dedups. Every other line is decoded, and its decoded
-        key picks the stored line. Writes are committed in batches; on an I/O failure the log is
-        cut back to the end of the last committed batch. The index sidecar
-        is rewritten after the last one.
+        A snapshot or review line in the form of its kind's canonical text
+        (``_TEXT_READERS``) is not decoded: the key read from its text picks
+        the stored line, and only byte identity dedups it. With no stored
+        line under that key, the line is admitted as it stands when it is
+        the canonical line of a record the codec accepts. Every other line
+        is decoded, and its decoded key picks the stored line. Writes are
+        committed in batches; on an I/O failure the log is cut back to the
+        end of the last committed batch. The index sidecar is rewritten
+        after the last one.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         report = IngestReport()
         codec = _CODECS[kind]
+        read_text, text_state = _TEXT_READERS.get(kind, (None, None))
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:
             try:
@@ -766,8 +767,6 @@ class SnapStore:
             # the state keys of snapshot lines in the same order
             batch: dict[tuple, bytes] = {}
             states: list[tuple] = []
-            # a bulk load into an empty log would pay for hints it never uses
-            hint = _HINTS.get(kind) if committed else None
 
             def stored(key) -> bytes | None:
                 """The committed or batch line under ``key``, if any (a key
@@ -777,16 +776,48 @@ class SnapStore:
                     return batch.get(key)
                 return os.pread(self._read_fd(kind), place[1], place[0])
 
+            def admit(key, raw: bytes, state) -> None:
+                batch[key] = raw
+                states.append(state)
+                report.accepted[kind] += 1
+                if len(batch) >= _BATCH_LINES:
+                    self._commit(kind, index, batch, states)
+                    batch.clear()
+                    states.clear()
+
             for line_no, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                hinted = previous = None
-                if hint is not None:
-                    hinted = hint(line)
-                    previous = stored(hinted)
-                    if previous is not None and _is_copy(previous, line):
+                if type(line) is bytes:
+                    try:
+                        line = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        report.rejected.append(
+                            Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
+                        )
+                        continue
+                matched = None if read_text is None else read_text(line)
+                if matched is None:
+                    text_key = previous = None
+                else:
+                    text_key, match = matched
+                    # past its ASCII head a line may hold a lone surrogate,
+                    # which the codec accepts
+                    raw = (line if line.endswith("\n") else line + "\n").encode(
+                        "utf-8", "surrogatepass"
+                    )
+                    previous = stored(text_key)
+                    if previous == raw:
                         report.deduplicated[kind] += 1
                         continue
+                    if previous is None:
+                        try:
+                            state = text_state(match)
+                        except ValueError:
+                            pass  # decoded below, where the codec names the fault
+                        else:
+                            admit(text_key, raw, state)
+                            continue
+                if not line.strip():
+                    continue
                 try:
                     rec = json.loads(line)
                     if not isinstance(rec, dict):
@@ -801,8 +832,9 @@ class SnapStore:
                     key = _entity_time_key(kind, rec)
                 except (KeyError, TypeError, ValueError):
                     key = None
-                # under the hinted key the stored line is known and no copy
-                if key != hinted:
+                # under the key read from the text the stored line is known
+                # and no copy
+                if key != text_key:
                     previous = stored(key)
                     if previous is not None and _is_copy(previous, line):
                         report.deduplicated[kind] += 1
@@ -826,12 +858,7 @@ class SnapStore:
                             )
                         )
                     continue
-                batch[key] = raw
-                states.append(state)
-                report.accepted[kind] += 1
-                if len(batch) >= _BATCH_LINES:
-                    self._commit(kind, index, batch, states)
-                    batch, states = {}, []
+                admit(key, raw, state)
             if batch:
                 self._commit(kind, index, batch, states)
             self._write_sidecar(kind, index)
@@ -898,7 +925,8 @@ class SnapStore:
             path = data_dir / _LOG_FILES[kind]
             if not path.exists():
                 continue
-            with open(path, "r", encoding="utf-8") as f:
+            # read as bytes: ingest_lines rejects a line that is not UTF-8
+            with open(path, "rb") as f:
                 report.merge(self.ingest_lines(kind, f))
         return report
 

@@ -8,8 +8,11 @@ Two cases ingest the same 10k canonical snapshot lines, as a simulated
 dataset holds them: once more into a store that already has every one of
 them (all deduplicated), and into an empty store (all accepted). A third
 re-ingests the reviews of a simulated dataset into a store that has them
-all. A fourth ingests a simulated dataset of all three record kinds into an
-empty store.
+all, and a fourth loads 10k canonical review lines into an empty store. A
+fifth ingests 10k new canonical snapshot lines into a store that holds the
+60k before them, the shape of a daily crawl's ingest, where each line pays
+the lookup of its key and then its admission. A sixth ingests a simulated
+dataset of all three record kinds into an empty store.
 Two more open a store of those 10k snapshots and list its apps, once from
 the index sidecar and once by a full scan of the log, with no sidecar.
 """
@@ -21,7 +24,7 @@ import shutil
 import pytest
 
 from marketpulse import simgen
-from marketpulse.model import ListType, snapshot_to_record
+from marketpulse.model import ListType, canonical_json, review_to_record, snapshot_to_record
 from marketpulse.simgen import TopKListConfig
 from marketpulse.store import KINDS, SnapStore
 
@@ -66,6 +69,53 @@ def test_bulk_ingest_into_empty_store(benchmark, tmp_path, market, lines):
         return store.ingest_lines("snapshots", lines)
 
     report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
+    assert report.accepted["snapshots"] == N_LINES
+    assert report.deduplicated["snapshots"] == report.total_rejected == 0
+
+
+@pytest.fixture(scope="module")
+def large_market():
+    """A simulated market of at least 70k snapshots and 10k reviews."""
+    market = simgen.generate(
+        simgen.MarketScript(seed=5, n_developers=1_500, observation_days=30)
+    )
+    assert len(market.snapshots) >= 7 * N_LINES and len(market.reviews) >= N_LINES
+    return market
+
+
+def test_bulk_ingest_of_reviews_into_empty_store(benchmark, tmp_path, large_market):
+    reviews = [canonical_json(review_to_record(r)) + "\n" for r in large_market.reviews[:N_LINES]]
+    fresh = itertools.count()
+
+    def empty_store():
+        return (SnapStore.create(tmp_path / f"store{next(fresh)}", large_market.manifest),), {}
+
+    def ingest(store):
+        return store.ingest_lines("reviews", reviews)
+
+    report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
+    assert report.accepted["reviews"] == N_LINES
+    assert report.deduplicated["reviews"] == report.total_rejected == 0
+
+
+def test_ingest_of_new_snapshots_into_a_populated_store(benchmark, tmp_path, large_market):
+    lines = [
+        canonical_json(snapshot_to_record(s)) + "\n"
+        for s in large_market.snapshots[: 7 * N_LINES]
+    ]
+    template = tmp_path / "template"
+    SnapStore.create(template, large_market.manifest).ingest_lines("snapshots", lines[:-N_LINES])
+    fresh = itertools.count()
+
+    def populated_store():
+        root = tmp_path / f"store{next(fresh)}"
+        shutil.copytree(template, root)
+        return (SnapStore.open(root),), {}
+
+    def ingest(store):
+        return store.ingest_lines("snapshots", lines[-N_LINES:])
+
+    report = benchmark.pedantic(ingest, setup=populated_store, rounds=5)
     assert report.accepted["snapshots"] == N_LINES
     assert report.deduplicated["snapshots"] == report.total_rejected == 0
 

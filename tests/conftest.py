@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,20 +134,25 @@ def make_topk(
     )
 
 
+def market_script():
+    """The script of the ``market`` fixture."""
+    from marketpulse import simgen
+    from marketpulse.simgen import TopKListConfig
+
+    return simgen.MarketScript(
+        seed=11,
+        n_developers=30,
+        observation_days=12,
+        topk_lists={ListType.FREE: TopKListConfig(length=10)},
+    )
+
+
 @pytest.fixture(scope="module")
 def market():
     """A small simulated market with a top-k list."""
     from marketpulse import simgen
-    from marketpulse.simgen import TopKListConfig
 
-    return simgen.generate(
-        simgen.MarketScript(
-            seed=11,
-            n_developers=30,
-            observation_days=12,
-            topk_lists={ListType.FREE: TopKListConfig(length=10)},
-        )
-    )
+    return simgen.generate(market_script())
 
 
 def ingest_market(root, market, days=None) -> SnapStore:
@@ -365,3 +371,43 @@ def reference_line(kind: str, rec: dict) -> tuple[bytes, tuple | None]:
     line = json.dumps(encode(record), sort_keys=True, separators=(",", ":")) + "\n"
     state = snapshot_state_key(record) if kind == "snapshots" else None
     return line.encode("utf-8"), state
+
+
+# --- text the encoder never writes ----------------------------------------------
+# Edits of a canonical line into text that json.loads accepts (or, for the
+# integers too long for int(), rejects) but that canonical_json never
+# writes: other escapes of the same characters, raw characters the encoder
+# escapes, and other spellings of a number or a date. An edit that finds
+# nothing to change leaves the line as it was.
+
+
+def _week_date(match) -> str:
+    try:
+        year, week, weekday = dt.date.fromisoformat(match[1]).isocalendar()
+    except ValueError:
+        return match[0]
+    return f'"{year}-W{week:02d}-{weekday}"'
+
+
+NONCANONICAL_TEXT_EDITS = {
+    "escaped slash": lambda line: line.replace("/", "\\/"),
+    "upper-case hex escape": lambda line: line.replace("\\u00e9", "\\u00E9"),
+    "escaped printable": lambda line: line.replace("A", "\\u0041", 1),
+    "hex escape of backspace": lambda line: line.replace("\\b", "\\u0008"),
+    "raw DEL": lambda line: line.replace("\\u007f", "\x7f"),
+    "raw non-ASCII": lambda line: line.replace("\\u00e9", "\u00e9"),
+    "minus zero": lambda line: re.sub(r":0([,}])", r":-0\1", line),
+    "trailing zero": lambda line: re.sub(r'("rating_avg":-?[0-9]+\.[0-9]+)', r"\g<1>0", line),
+    "exponent": lambda line: re.sub(r'("rating_avg":[-0-9.]+)', r"\g<1>e0", line),
+    "upper-case exponent": lambda line: re.sub(r'"rating_avg":[^,}]+', '"rating_avg":1E0', line),
+    "basic date": lambda line: re.sub(
+        r'"([0-9]{4})-([0-9]{2})-([0-9]{2})"', r'"\1\2\3"', line
+    ),
+    "week date": lambda line: re.sub(r'"([0-9]{4}-[0-9]{2}-[0-9]{2})"', _week_date, line),
+    "fetch_time beyond int()": lambda line: re.sub(
+        r'"fetch_time":-?[0-9]+', '"fetch_time":' + "1" * 4400, line
+    ),
+    "other int beyond int()": lambda line: re.sub(
+        r'"(size_bytes|rating)":-?[0-9]+', r'"\1":' + "2" * 4400, line
+    ),
+}

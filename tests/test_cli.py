@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -286,6 +287,28 @@ class TestExitCodes:
 
 def test_ingest_missing_data_dir_is_io_error(tmp_path):
     assert main(["ingest", "--data", str(tmp_path / "absent"), "--store", str(tmp_path / "s")]) == 2
+
+
+def test_ingest_rejects_a_line_that_is_not_utf8_and_ingests_the_rest(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("manifest.json", "snapshots.jsonl", "reviews.jsonl", "topk.jsonl"):
+        shutil.copy(dataset["data"] / name, data / name)
+    reviews = (data / "reviews.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(reviews) > 3
+    reviews[2] = reviews[2].replace(b"review", b"rev\xffiew", 1)
+    (data / "reviews.jsonl").write_bytes(b"".join(reviews))
+    capsys.readouterr()
+    assert main(["ingest", "--data", str(data), "--store", str(tmp_path / "store")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    lines = {
+        kind: len((data / f"{kind}.jsonl").read_bytes().splitlines())
+        for kind in ("snapshots", "topk")
+    }
+    assert report["accepted"] == {**lines, "reviews": len(reviews) - 1}
+    [rejection] = report["rejected"]
+    assert (rejection["kind"], rejection["line_no"]) == ("reviews", 3)
+    assert "UTF-8" in rejection["reason"]
 
 
 def test_overlap_on_empty_list_is_too_few_observations(tmp_path, capsys):

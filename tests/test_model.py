@@ -11,9 +11,14 @@ from marketpulse.model import (
     DownloadBucket,
     ListType,
     canonical_json,
+    date_to_epoch,
     review_line,
+    review_text,
+    review_text_state,
     review_to_record,
     snapshot_line,
+    snapshot_text,
+    snapshot_text_state,
     snapshot_to_record,
     topk_line,
     topk_to_record,
@@ -22,6 +27,7 @@ from marketpulse.model import (
 
 from conftest import (
     DAY0,
+    NONCANONICAL_TEXT_EDITS,
     make_review,
     make_snapshot,
     make_topk,
@@ -243,6 +249,41 @@ def _assert_codec_matches_reference(kind, rec):
     assert _outcome(_LINE_CODECS[kind], rec) == expected
 
 
+_TEXT_READERS = {
+    "snapshots": (snapshot_text, snapshot_text_state),
+    "reviews": (review_text, review_text_state),
+}
+
+
+def _decoded_key(kind, rec):
+    if kind == "reviews":
+        return (rec["app"], rec["review_id"]), date_to_epoch(dt.date.fromisoformat(rec["date"]))
+    return (rec["app"],), rec["fetch_time"]
+
+
+def _assert_line_matches_reference(kind, line):
+    """json.loads and the codec give the reference outcome of ``line``, and
+    so does the canonical-text reader wherever it admits the line: the line
+    itself, its state key and its decoded (entity, time) key."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:
+        expected = str(exc)
+    else:
+        expected = _outcome(lambda r: reference_line(kind, r), rec)
+        assert _outcome(_LINE_CODECS[kind], rec) == expected
+    reader = _TEXT_READERS.get(kind)
+    matched = reader and reader[0](line)
+    if not matched:
+        return
+    try:
+        state = reader[1](matched[1])
+    except ValueError:
+        return
+    assert ((line if line.endswith("\n") else line + "\n").encode(), state) == expected
+    assert matched[0] == _decoded_key(kind, rec)
+
+
 _RANKING_481 = [f"com.app{i}" for i in range(481)]
 _odd_values = st.one_of(
     st.none(),
@@ -253,7 +294,9 @@ _odd_values = st.one_of(
     st.lists(st.text(max_size=3), max_size=3),
 )
 _odd_texts = st.text(max_size=8) | st.lists(
-    st.sampled_from(["\ud800", "\udfff", "\u00e9", "\u65e5", " ", "\t", "a", "\\", '"']),
+    st.sampled_from(
+        ["\ud800", "\udfff", "\u00e9", "\u65e5", " ", "\t", "a", "A", "/", "\b", "\x7f", "\\", '"']
+    ),
     max_size=5,
 ).map("".join)
 _odd_dates = st.dates().map(dt.date.isoformat) | st.sampled_from(
@@ -263,7 +306,9 @@ _odd_dates = st.dates().map(dt.date.isoformat) | st.sampled_from(
 
 @st.composite
 def _mutated(draw, rec):
-    """``rec`` after up to four random edits of its fields."""
+    """The canonical line of ``rec`` after up to four random edits of its
+    fields, then up to two edits of the text into a form the encoder never
+    writes, with or without its newline."""
     rec = dict(rec)
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         key = draw(st.sampled_from(sorted(rec) or ["app"]))
@@ -290,7 +335,11 @@ def _mutated(draw, rec):
             )
         else:
             rec[draw(st.text(max_size=5))] = draw(_odd_values)
-    return rec
+    line = canonical_json(rec)
+    edits = st.lists(st.sampled_from(list(NONCANONICAL_TEXT_EDITS.values())), max_size=2)
+    for edit in draw(edits):
+        line = edit(line)
+    return line + draw(st.sampled_from(["\n", ""]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -300,7 +349,7 @@ def test_line_codecs_match_the_reference_path(market, data):
     kind = data.draw(st.sampled_from(sorted(_LINE_CODECS)))
     records = {"snapshots": market.snapshots, "reviews": market.reviews, "topk": market.topk}
     rec = _TO_RECORD[kind](data.draw(st.sampled_from(records[kind])))
-    _assert_codec_matches_reference(kind, data.draw(_mutated(rec)))
+    _assert_line_matches_reference(kind, data.draw(_mutated(rec)))
 
 
 _SNAPSHOT = snapshot_to_record(make_snapshot())
@@ -345,10 +394,30 @@ _TOPK = topk_to_record(make_topk(["a", "b"]))
         ("topk", {**_TOPK, "ranking": ["a", "a", "b c"], "fetch_time": _TOPK["fetch_time"] + 60}),
         ("topk", {**_TOPK, "ranking": "a"}),
         ("topk", {**_TOPK, "fetch_time": None}),
+        ("snapshots", {**_SNAPSHOT, "permissions": ["INTERNET", "INTERNET"]}),
     ],
 )
 def test_line_codec_matches_the_reference_path_on_named_cases(kind, rec):
-    _assert_codec_matches_reference(kind, rec)
+    _assert_line_matches_reference(kind, canonical_json(rec))
+
+
+# records whose canonical lines hold every text that NONCANONICAL_TEXT_EDITS
+# rewrites: characters the encoder escapes, a 0, a rating, dates and ints
+_ESCAPED_TEXT = "Caf\u00e9/A\x7f\b"
+_RICH_LINES = {
+    "snapshots": canonical_json({**_SNAPSHOT, "title": _ESCAPED_TEXT}),
+    "reviews": canonical_json({**_REVIEW, "text": _ESCAPED_TEXT}),
+}
+
+
+@pytest.mark.parametrize(
+    "edit", NONCANONICAL_TEXT_EDITS.values(), ids=NONCANONICAL_TEXT_EDITS.keys()
+)
+def test_text_the_encoder_never_writes_gives_the_reference_outcome(edit):
+    edited = {kind: edit(line) for kind, line in _RICH_LINES.items()}
+    assert edited != _RICH_LINES
+    for kind, line in edited.items():
+        _assert_line_matches_reference(kind, line)
 
 
 @pytest.mark.parametrize("kind, valid", [("snapshots", _SNAPSHOT), ("reviews", _REVIEW), ("topk", _TOPK)])

@@ -21,16 +21,19 @@ from marketpulse.model import (
     snapshot_to_record,
     topk_to_record,
 )
+from marketpulse import simgen
 from marketpulse import store as store_mod
-from marketpulse.store import DatasetManifest, IngestReport, SnapStore, TimeWindow
+from marketpulse.store import KINDS, DatasetManifest, IngestReport, SnapStore, TimeWindow
 from marketpulse.timeline import build_app_timeline
 
 from conftest import (
     DAY0,
+    NONCANONICAL_TEXT_EDITS,
     ingest_market,
     make_review,
     make_snapshot,
     make_topk,
+    market_script,
     reference_line,
     snapshot_state_key,
 )
@@ -447,6 +450,38 @@ def test_reingest_of_lines_with_escapes_outside_their_keys_decodes_no_line(store
         assert (report.accepted[kind], report.deduplicated[kind]) == (0, 1)
 
 
+def test_bulk_ingest_of_a_market_decodes_no_snapshot_or_review_line(tmp_path, market, monkeypatch):
+    data = tmp_path / "data"
+    simgen.write_dataset(market_script(), data)
+    lines = {
+        kind: (data / f"{kind}.jsonl").read_text().splitlines(keepends=True) for kind in KINDS
+    }
+    expected = {
+        kind: b"".join(reference_line(kind, json.loads(line))[0] for line in lines[kind])
+        for kind in KINDS
+    }
+    store = SnapStore.create(tmp_path / "store", market.manifest)
+    with monkeypatch.context() as refusing:
+        refusing.setattr(json, "loads", _refuse)
+        for kind in ("snapshots", "reviews"):
+            assert store.ingest_lines(kind, lines[kind]).accepted[kind] == len(lines[kind]) > 0
+    store.ingest_lines("topk", lines["topk"])
+    assert {kind: (store.root / f"{kind}.jsonl").read_bytes() for kind in KINDS} == expected
+    # the same logs and index sidecars as a store filled from typed records
+    by_records = ingest_market(tmp_path / "by_records", market)
+    for name in (f"{kind}{suffix}" for kind in KINDS for suffix in (".jsonl", ".idx")):
+        assert (store.root / name).read_bytes() == (by_records.root / name).read_bytes()
+    # and a full scan of those logs decodes none of their lines either
+    for path in store.root.glob("*.idx"):
+        path.unlink()
+    rescanned = SnapStore.open(store.root)
+    with monkeypatch.context() as refusing:
+        refusing.setattr(json, "loads", _refuse)
+        for kind in ("snapshots", "reviews"):
+            rescanned._index(kind)
+    assert _index_state(rescanned) == _index_state(by_records)
+
+
 def _reordered_with_spaces(rec):
     return json.dumps(dict(reversed(list(rec.items()))), separators=(" , ", " : "))
 
@@ -506,6 +541,17 @@ def test_duplicates_in_a_batch_and_line_endings_count_as_before(store):
 def test_line_with_a_lone_surrogate_dedupes_like_any_other(store):
     rec = {**_SNAPSHOT, "title": "broken \ud800 title"}
     line = json.dumps(rec, ensure_ascii=False)
+    for reingest in range(2):
+        report = store.ingest_lines("snapshots", [line, line])
+        assert report.accepted["snapshots"] == 1 - reingest
+        assert report.deduplicated["snapshots"] == 1 + reingest
+        assert report.rejected == []
+
+
+def test_line_with_a_lone_surrogate_after_a_canonical_head_dedupes(store):
+    # the line begins as a canonical snapshot line does
+    rec = {**_SNAPSHOT, "title": "broken \ud800 title"}
+    line = json.dumps(rec, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     for reingest in range(2):
         report = store.ingest_lines("snapshots", [line, line])
         assert report.accepted["snapshots"] == 1 - reingest
@@ -629,6 +675,9 @@ _EDITS = {
         lambda rec: {**rec, "title": f'x","fetch_time":{rec["fetch_time"] + 86400},"y":"'},
         lambda rec: {**rec, "fetch_time": -rec["fetch_time"], "last_updated": "1900-01-01"},
         lambda rec: {**rec, "fetch_time": 2**64},
+        # characters the encoder escapes, which the text edits unescape
+        lambda rec: {**rec, "title": "Caf\u00e9/\x7f\b"},
+        lambda rec: {**rec, "permissions": rec["permissions"] + rec["permissions"][:1]},
     ],
     "reviews": [
         lambda rec: {**rec, "date": rec["date"].replace("-", "")},
@@ -638,6 +687,7 @@ _EDITS = {
         lambda rec: {**rec, "app": rec["app"] + '"'},
         lambda rec: {**rec, "review_id": rec["review_id"] + "\\"},
         lambda rec: {**rec, "date": "1960-01-01"},
+        lambda rec: {**rec, "text": "Caf\u00e9/\x7f\b"},
     ],
     "topk": [
         lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 1},
@@ -670,11 +720,14 @@ def _with_decoy_keys(kind):
 @st.composite
 def _log_lines(draw, kind):
     rec = draw(st.sampled_from(_EDITS[kind] + _ANY_KIND_EDITS))(draw(_RECORDS[kind]))
+    edit = draw(st.sampled_from(list(NONCANONICAL_TEXT_EDITS.values())))
     forms = [
         _canonical,
         json.dumps,
         lambda rec: json.dumps(rec, sort_keys=True, separators=(", ", ":")),
         _with_decoy_keys(kind),
+        # text json.loads reads but the encoder never writes
+        lambda rec: edit(_canonical(rec)),
     ]
     return draw(st.sampled_from(forms))(rec)
 
@@ -749,13 +802,14 @@ def test_ingest_gives_what_the_reference_path_gives_without_the_raw_byte_shortcu
         root = Path(tmp) / "store"
         SnapStore.create(root, manifest)
         path = root / f"{kind}.jsonl"
-        path.write_text("".join(log))
+        path.write_text("".join(log), encoding="utf-8")
         # from a full scan of the log, then from the sidecar that ingest wrote
         for _ in range(2):
             expected = _reference_ingest(kind, log, lines)
             report = SnapStore.open(root).ingest_lines(kind, lines)
-            assert (report.to_record(), report.skipped_corrupt[kind], path.read_text()) == expected
-            log = path.read_text().splitlines(keepends=True)
+            after = path.read_text(encoding="utf-8")
+            assert (report.to_record(), report.skipped_corrupt[kind], after) == expected
+            log = after.splitlines(keepends=True)
 
 
 # --- index sidecar -----------------------------------------------------------------
