@@ -306,10 +306,10 @@ def _review_violations(app, review_id, rating) -> list[str]:
     return violations
 
 
-def snapshot_line(rec: dict) -> tuple[bytes, tuple]:
-    """The canonical line of a snapshots.jsonl record and its timeline-state
-    key: the ``TimelineState`` fields, downloads as lo and hi and
-    last_updated as a date ordinal."""
+def snapshot_line(rec: dict) -> tuple[tuple, bytes, tuple]:
+    """The ((app,), fetch_time) key of a snapshots.jsonl record, its
+    canonical line and its timeline-state key: the ``TimelineState`` fields,
+    downloads as lo and hi and last_updated as a date ordinal."""
     permissions = _strings(rec, "permissions")
     permission_set = frozenset(permissions)
     if len(permission_set) != len(permissions):
@@ -328,17 +328,23 @@ def snapshot_line(rec: dict) -> tuple[bytes, tuple]:
     state = (price, lo, hi, s["rating_count"], s["version"], s["category"])
     s["last_updated"] = s["last_updated"].isoformat()
     s["permissions"] = sorted(permissions)
-    return (canonical_json(s) + "\n").encode("utf-8"), (*state, permission_set, updated)
+    return (
+        ((s["app"],), s["fetch_time"]),
+        (canonical_json(s) + "\n").encode("utf-8"),
+        (*state, permission_set, updated),
+    )
 
 
-def review_line(rec: dict) -> tuple[bytes, None]:
-    """The canonical line of a reviews.jsonl record (reviews have no state)."""
+def review_line(rec: dict) -> tuple[tuple, bytes, None]:
+    """The ((app, review_id), date epoch) key of a reviews.jsonl record and
+    its canonical line (reviews have no state)."""
     r = _fields(rec, _REVIEW_FIELDS)
     violations = _review_violations(r["app"], r["review_id"], r["rating"])
     if violations:
         raise ValueError("; ".join(violations))
+    key = (r["app"], r["review_id"]), date_to_epoch(r["date"])
     r["date"] = r["date"].isoformat()
-    return (canonical_json(r) + "\n").encode("utf-8"), None
+    return key, (canonical_json(r) + "\n").encode("utf-8"), None
 
 
 # A line in the canonical text of its kind is read without json.loads. That
@@ -466,8 +472,9 @@ def review_text_state(head: re.Match) -> None:
     return None
 
 
-def topk_line(rec: dict) -> tuple[bytes, None]:
-    """The canonical line of a topk.jsonl record (top-k records have no state)."""
+def topk_line(rec: dict) -> tuple[tuple, bytes, None]:
+    """The ((list_type,), fetch_time) key of a topk.jsonl record and its
+    canonical line (top-k records have no state)."""
     if "list_type" not in rec:
         raise ValueError("missing field 'list_type'")
     list_type = rec["list_type"]
@@ -485,14 +492,16 @@ def topk_line(rec: dict) -> tuple[bytes, None]:
         violations.append("fetch_time outside the signed 64-bit range")
     if o["fetch_time"] % SECONDS_PER_HOUR != 0:
         violations.append("fetch_time not aligned to the hour")
-    for app in ranking:
-        bad = validate_app_id(app)
-        if bad:
-            violations.extend(f"ranking entry: {v}" for v in bad)
-            break
+    # one test of the whole ranking (str.split() splits at exactly the
+    # characters _WHITESPACE matches); the entries are walked only to name
+    # the first bad one
+    joined = "".join(ranking)
+    if "" in ranking or "".join(joined.split()) != joined:
+        bad = next(filter(None, map(validate_app_id, ranking)))
+        violations.extend(f"ranking entry: {v}" for v in bad)
     if violations:
         raise ValueError("; ".join(violations))
-    return (canonical_json(o) + "\n").encode("utf-8"), None
+    return ((list_type,), o["fetch_time"]), (canonical_json(o) + "\n").encode("utf-8"), None
 
 
 # --- record dicts of typed records -------------------------------------------

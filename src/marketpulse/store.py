@@ -1,29 +1,27 @@
 """Append-log store for snapshots, reviews and top-k observations.
 
 Three newline-delimited JSON logs plus a JSON manifest live in one
-directory, and the logs are the only source of truth. A committed line
-counts only when its kind's line codec accepts it, the rule ingest
-applies: the index of each log holds every such line (the first one of
-each entity and time) and skips and counts any other. Per entity the index
-keeps one entry per line: time key, byte offset and length, then the
-review id (reviews) or the id of the snapshot's timeline state (the fields
-change events and update days are computed from), with the distinct states
-in a table, so app timelines are built without decoding a log line.
+directory, and the logs are the only source of truth. Ingest and the log
+scan admit a line by one rule (``_admit``): its kind's line codec must
+accept it, and a line in its kind's canonical text is admitted by its
+pattern with no decode or encode. The index of each log holds every
+admitted line (the first one of each entity and time) and skips and counts
+any other. Per entity the index keeps one entry per line: time key, byte
+offset and length, then the review id (reviews) or the id of the
+snapshot's timeline state (the fields change events and update days are
+computed from), with the distinct states in a table, so app timelines are
+built without decoding a log line.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
 sidecar (layout ``MPX4``: entry counts per entity, then the entry columns
 in entity order), which names the log prefix it covers and a digest of
 those bytes. Opening a log loads the sidecar, verifies the digest and
 scans only the log past the covered prefix. A missing or mismatched
-sidecar, or one of an earlier layout, means scanning the whole log, which
-admits every line as ingest does: a snapshot or review line in its kind's
-canonical text by its pattern, with no decode or encode, and any other
-line through the codec. So a reader always gets the index a full scan
-would build, and a full scan of the logs ingest wrote decodes no snapshot
-or review line. Sidecars up to ``MPX3`` are ignored because the code that
-wrote them indexed lines the codec rejects. Readers never write
-to the store directory. Single writer, any number of readers; queries
-return immutable values.
+sidecar, or one of an earlier layout, means scanning the whole log, so a
+reader always gets the index a full scan would build. Sidecars up to
+``MPX3`` are ignored because the code that wrote them indexed lines the
+codec rejects. Readers never write to the store directory. Single writer,
+any number of readers; queries return immutable values.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from .model import (
     TimelineState,
     TopKObservation,
     canonical_json,
-    date_to_epoch,
     parse_date,
     review_from_trusted_record,
     review_line,
@@ -228,8 +225,8 @@ class IngestReport:
         }
 
 
-# per-kind line codecs: record dict -> (canonical line, state key or None);
-# they raise ValueError naming what is wrong with the record
+# per-kind line codecs: record dict -> ((entity, time) key, canonical line,
+# state key or None); they raise ValueError naming what is wrong with the record
 _CODECS: dict[str, Callable] = {
     SNAPSHOTS: snapshot_line,
     REVIEWS: review_line,
@@ -247,75 +244,46 @@ _TO_RECORD: dict[str, Callable] = {
     REVIEWS: review_to_record,
     TOPK: topk_to_record,
 }
-
-
-def _entity_time_key(kind: str, rec: dict) -> tuple:
-    """(entity, time key) of a record dict, for dedup and index grouping.
-
-    The first entity part groups the index (app or list type); reviews add
-    the review id.
-    """
-    if kind == SNAPSHOTS:
-        app, ts = rec["app"], rec["fetch_time"]
-        if not isinstance(app, str) or isinstance(ts, bool) or not isinstance(ts, int):
-            raise ValueError("bad snapshot keys")
-        return (app,), ts
-    if kind == REVIEWS:
-        app, review_id = rec["app"], rec["review_id"]
-        if not isinstance(app, str) or not isinstance(review_id, str):
-            raise ValueError("bad review keys")
-        return (app, review_id), date_to_epoch(parse_date(rec["date"]))
-    list_type, ts = rec["list_type"], rec["fetch_time"]
-    if not isinstance(list_type, str) or isinstance(ts, bool) or not isinstance(ts, int):
-        raise ValueError("bad topk keys")
-    return (list_type,), ts
-
-
 # per-kind readers of a line in its kind's canonical text, without json.loads
-# (see model): line -> ((entity, time) key, match) or None, and match -> state
-# key, raising ValueError unless the line is the canonical line of a record
-# the codec accepts. Top-k lines are always decoded.
-_TEXT_READERS: dict[str, tuple[Callable, Callable]] = {
+# (see model): line -> ((entity, time) key, head match) or None, and head
+# match -> state key, raising ValueError unless the line is the canonical
+# line of a record the codec accepts
+_TEXT_READERS: dict[str, tuple[Callable, Callable | None]] = {
     SNAPSHOTS: (snapshot_text, snapshot_text_state),
     REVIEWS: (review_text, review_text_state),
+    # top-k lines are always decoded
+    TOPK: (lambda line: None, None),
 }
 
 
-def _index_entry(kind: str, line: str) -> tuple:
-    """The (entity, time) key and state key of ``line``, a line the kind's
-    codec accepts; raises TypeError, ValueError or RecursionError for any
-    other line."""
-    reader = _TEXT_READERS.get(kind)
-    if reader is not None:
-        matched = reader[0](line)
-        if matched is not None:
-            try:
-                return matched[0], reader[1](matched[1])
-            except ValueError:
-                pass  # decoded below
-    rec = json.loads(line)
-    state = _CODECS[kind](rec)[1]
-    return _entity_time_key(kind, rec), state
+def _admit(kind: str, line: str, raw: bytes | None, head) -> tuple:
+    """The (entity, time) key, canonical line and state key of ``line``, a
+    line the kind's codec accepts; raises ValueError, TypeError or
+    RecursionError, with the rejection text, for any other line.
 
-
-def _is_copy(stored: bytes, line: str) -> bool:
-    """Whether ``line`` is the ``stored`` line byte for byte, newline aside.
-
-    A lone surrogate never matches a stored line; it must not raise here
-    either, since the codec accepts it.
+    ``head`` is what the kind's text reader returned for the line, and
+    ``raw`` the line's bytes with its newline when ``head`` is not None: a
+    line in canonical text is its own canonical line.
     """
-    data = line.encode("utf-8", "surrogatepass")
-    return stored == (data if data.endswith(b"\n") else data + b"\n")
+    if head is not None:
+        try:
+            return head[0], raw, _TEXT_READERS[kind][1](head[1])
+        except ValueError:
+            pass  # decoded below, where the codec names the fault
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("record must be a JSON object")
+    return _CODECS[kind](rec)
 
 
-def _same_payload(codec: Callable, committed: bytes, line: bytes) -> bool:
+def _same_payload(kind: str, committed: bytes, line: bytes) -> bool:
     """Whether a committed log line holds the same record as canonical ``line``.
 
     Lines this store writes are canonical already; a line written another
-    way is canonicalised by the kind's ``codec``, which accepts every line
-    the index holds.
+    way is canonicalised by the kind's codec, which accepts every line the
+    index holds.
     """
-    return committed == line or codec(json.loads(committed))[0] == line
+    return committed == line or _CODECS[kind](json.loads(committed))[1] == line
 
 
 def _fsync_path(path: Path, flags: int = os.O_RDONLY) -> None:
@@ -403,19 +371,15 @@ class _LogIndex:
         )
         return values
 
-    def extend(self, keys: list, offsets: list, lengths: list, states: list) -> None:
-        """Index the lines at ``offsets`` with ``lengths`` under ``keys``, their
-        (entity, time key) pairs; ``states`` holds each line's state key, as
-        the kind's codec returned it."""
-        if self.kind == SNAPSHOTS:
-            tags = ((self.intern_state(state),) for state in states)
-        else:
-            tags = (entity[1:] for entity, _ in keys)
-        by_group = self.by_group
-        for (entity, time_key), offset, length, tag in zip(keys, offsets, lengths, tags):
-            by_group.setdefault(entity[0], []).append((time_key, offset, length, *tag))
+    def add(self, key: tuple, offset: int, length: int, state) -> None:
+        """Index the line at ``offset`` with ``length`` under ``key``, its
+        (entity, time key) pair; ``state`` is its state key, as the kind's
+        codec returned it."""
+        entity, time_key = key
+        tag = (self.intern_state(state),) if self.kind == SNAPSHOTS else entity[1:]
+        self.by_group.setdefault(entity[0], []).append((time_key, offset, length, *tag))
         if self._keys is not None:
-            self._keys.update(zip(keys, zip(offsets, lengths)))
+            self._keys[key] = (offset, length)
 
     def keys(self) -> dict:
         """(entity, time_key) -> (offset, length) of the indexed line; first
@@ -638,13 +602,11 @@ class SnapStore:
     def _scan(self, kind: str, index: _LogIndex) -> None:
         """Index the committed lines past ``index.scanned_bytes``.
 
-        A line is indexed only when the kind's codec accepts it, the rule
-        ingest applies; a line in its kind's canonical text is admitted
-        without a decode (``_index_entry``). Any other committed line is
-        skipped and counted, and so is a line whose (entity, time) an
-        earlier line holds: the first line wins, as ingest would have kept
-        it. A last line without its newline is an uncommitted tail and
-        stays unindexed.
+        A line is indexed only when ``_admit`` admits it, as ingest does.
+        Any other committed line is skipped and counted, and so is a line
+        whose (entity, time) an earlier line holds: the first line wins, as
+        ingest would have kept it. A last line without its newline is an
+        uncommitted tail and stays unindexed.
         """
         path = self._log_path(kind)
         if not path.exists():
@@ -653,7 +615,7 @@ class SnapStore:
         if path.stat().st_size <= index.scanned_bytes:
             return
         indexed = index.keys()
-        keys, offsets, lengths, states = [], [], [], []
+        read_text = _TEXT_READERS[kind][0]
         with self._io_lock, open(path, "rb") as f:
             f.seek(index.scanned_bytes)
             offset = index.scanned_bytes
@@ -665,21 +627,15 @@ class SnapStore:
                     break
                 index.digest.update(raw)
                 try:
-                    key, state = _index_entry(kind, raw.decode("utf-8"))
+                    line = raw.decode("utf-8")
+                    key, _, state = _admit(kind, line, raw, read_text(line))
                 except (TypeError, ValueError, RecursionError):
-                    # not a JSON object (or nested too deep to decode), or a
-                    # record the codec rejects
                     key = None
                 if key is None or key in indexed:
                     index.skipped_corrupt += 1
                 else:
-                    indexed[key] = (offset, length)
-                    keys.append(key)
-                    offsets.append(offset)
-                    lengths.append(length)
-                    states.append(state)
+                    index.add(key, offset, length, state)
                 offset += length
-            index.extend(keys, offsets, lengths, states)
             index.scanned_bytes = offset
 
     def _read_fd(self, kind: str) -> int:
@@ -717,23 +673,12 @@ class SnapStore:
     def ingest_lines(self, kind: str, lines: Iterable[str | bytes]) -> IngestReport:
         """Validate, dedup and append raw JSONL ``lines`` of one ``kind``.
 
-        Each line is checked and canonicalised by its kind's line codec,
-        which also bounds a snapshot or top-k ``fetch_time`` to the signed
-        64-bit column of the index sidecar. A line given as bytes must be
-        UTF-8, and one that is not is rejected. A line ``json.loads`` cannot
-        decode, nested too deep included, is rejected. A record whose
-        (entity, time) is already stored is counted as deduplicated when
-        its canonical line equals the stored line, or the stored line
-        canonicalised by the same codec, and rejected as a conflict
-        otherwise. A line byte-identical to a stored one (newline aside) is
-        deduplicated with no more work: the index and the batch hold only
-        lines the codec accepted, so that gives the outcome the codec would.
-        A snapshot or review line in the form of its kind's canonical text
-        (``_TEXT_READERS``) is not decoded: the key read from its text picks
-        the stored line, and only byte identity dedups it. With no stored
-        line under that key, the line is admitted as it stands when it is
-        the canonical line of a record the codec accepts. Every other line
-        is decoded, and its decoded key picks the stored line. Writes are
+        A line given as bytes must be UTF-8. A line byte-identical to the
+        stored line under the key its canonical-text head names is
+        deduplicated at once. Every other line is admitted by ``_admit``,
+        or rejected with its text; a record whose (entity, time) is already
+        stored is then deduplicated when it holds the stored record
+        (``_same_payload``) and rejected as a conflict otherwise. Writes are
         committed in batches; on an I/O failure the log is cut back to the
         end of the last committed batch. The index sidecar is rewritten
         after the last one.
@@ -741,8 +686,7 @@ class SnapStore:
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         report = IngestReport()
-        codec = _CODECS[kind]
-        read_text, text_state = _TEXT_READERS.get(kind, (None, None))
+        read_text = _TEXT_READERS[kind][0]
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:
             try:
@@ -776,15 +720,6 @@ class SnapStore:
                     return batch.get(key)
                 return os.pread(self._read_fd(kind), place[1], place[0])
 
-            def admit(key, raw: bytes, state) -> None:
-                batch[key] = raw
-                states.append(state)
-                report.accepted[kind] += 1
-                if len(batch) >= _BATCH_LINES:
-                    self._commit(kind, index, batch, states)
-                    batch.clear()
-                    states.clear()
-
             for line_no, line in enumerate(lines, start=1):
                 if type(line) is bytes:
                     try:
@@ -794,71 +729,45 @@ class SnapStore:
                             Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
                         )
                         continue
-                matched = None if read_text is None else read_text(line)
-                if matched is None:
-                    text_key = previous = None
-                else:
-                    text_key, match = matched
+                head = read_text(line)
+                raw = None
+                if head is not None:
                     # past its ASCII head a line may hold a lone surrogate,
                     # which the codec accepts
                     raw = (line if line.endswith("\n") else line + "\n").encode(
                         "utf-8", "surrogatepass"
                     )
-                    previous = stored(text_key)
-                    if previous == raw:
+                    if stored(head[0]) == raw:
                         report.deduplicated[kind] += 1
                         continue
-                    if previous is None:
-                        try:
-                            state = text_state(match)
-                        except ValueError:
-                            pass  # decoded below, where the codec names the fault
-                        else:
-                            admit(text_key, raw, state)
-                            continue
-                if not line.strip():
+                elif not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
-                    if not isinstance(rec, dict):
-                        raise ValueError("record must be a JSON object")
+                    key, canonical, state = _admit(kind, line, raw, head)
                 except (ValueError, TypeError, RecursionError) as exc:
                     report.rejected.append(Rejection(kind, line_no, str(exc)))
                     continue
-                # the key of every record the codec accepts equals the key of
-                # its canonical form; one the key cannot be read from is left
-                # to the codec, which names what is wrong with it
-                try:
-                    key = _entity_time_key(kind, rec)
-                except (KeyError, TypeError, ValueError):
-                    key = None
-                # under the key read from the text the stored line is known
-                # and no copy
-                if key != text_key:
-                    previous = stored(key)
-                    if previous is not None and _is_copy(previous, line):
-                        report.deduplicated[kind] += 1
-                        continue
-                try:
-                    raw, state = codec(rec)
-                except ValueError as exc:
-                    report.rejected.append(Rejection(kind, line_no, str(exc)))
-                    continue
-                if previous is not None:
-                    if _same_payload(codec, previous, raw):
-                        report.deduplicated[kind] += 1
-                    else:
-                        entity, time_key = key
-                        report.rejected.append(
-                            Rejection(
-                                kind,
-                                line_no,
-                                "conflicting payload for existing record "
-                                f"(entity {entity}, time {time_key})",
-                            )
+                previous = stored(key)
+                if previous is None:
+                    batch[key] = canonical
+                    states.append(state)
+                    report.accepted[kind] += 1
+                    if len(batch) >= _BATCH_LINES:
+                        self._commit(kind, index, batch, states)
+                        batch.clear()
+                        states.clear()
+                elif _same_payload(kind, previous, canonical):
+                    report.deduplicated[kind] += 1
+                else:
+                    entity, time_key = key
+                    report.rejected.append(
+                        Rejection(
+                            kind,
+                            line_no,
+                            "conflicting payload for existing record "
+                            f"(entity {entity}, time {time_key})",
                         )
-                    continue
-                admit(key, raw, state)
+                    )
             if batch:
                 self._commit(kind, index, batch, states)
             self._write_sidecar(kind, index)
@@ -886,11 +795,10 @@ class SnapStore:
             finally:
                 os.close(fd)
         index.digest.update(data)
-        lengths = [len(raw) for raw in batch.values()]
-        index.extend(
-            list(batch), list(itertools.accumulate(lengths[:-1], initial=offset)), lengths, states
-        )
-        index.scanned_bytes = offset + len(data)
+        for (key, raw), state in zip(batch.items(), states):
+            index.add(key, offset, len(raw), state)
+            offset += len(raw)
+        index.scanned_bytes = offset
 
     def _write_sidecar(self, kind: str, index: _LogIndex) -> None:
         """Persist ``index`` next to its log; called under the ingest lock.

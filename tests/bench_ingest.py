@@ -12,7 +12,9 @@ all, and a fourth loads 10k canonical review lines into an empty store. A
 fifth ingests 10k new canonical snapshot lines into a store that holds the
 60k before them, the shape of a daily crawl's ingest, where each line pays
 the lookup of its key and then its admission. A sixth ingests a simulated
-dataset of all three record kinds into an empty store.
+dataset of all three record kinds into an empty store. A seventh loads the
+1,440 top-k lists of that dataset into an empty store, and an eighth
+ingests them once more into a store that has them all.
 Two more open a store of those 10k snapshots and list its apps, once from
 the index sidecar and once by a full scan of the log, with no sidecar.
 """
@@ -165,6 +167,34 @@ def test_ingest_dir_of_three_kinds_into_empty_store(benchmark, tmp_path, market,
         lines = (dataset / f"{kind}.jsonl").read_text().splitlines()
         assert report.accepted[kind] == len(lines) > 0
     assert sum(report.deduplicated.values()) == report.total_rejected == 0
+
+
+def test_bulk_ingest_of_topk_lists_into_empty_store(benchmark, tmp_path, market, dataset):
+    topk = (dataset / "topk.jsonl").read_text().splitlines(keepends=True)
+    fresh = itertools.count()
+
+    def empty_store():
+        return (SnapStore.create(tmp_path / f"store{next(fresh)}", market.manifest),), {}
+
+    def ingest(store):
+        return store.ingest_lines("topk", topk)
+
+    report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
+    assert report.accepted["topk"] == len(topk) > 0
+    assert report.deduplicated["topk"] == report.total_rejected == 0
+
+
+def test_reingest_of_stored_topk_lists(benchmark, tmp_path, market, dataset):
+    topk = (dataset / "topk.jsonl").read_text().splitlines(keepends=True)
+    root = tmp_path / "store"
+    SnapStore.create(root, market.manifest).ingest_lines("topk", topk)
+
+    def reingest():
+        return SnapStore.open(root).ingest_lines("topk", topk)
+
+    report = benchmark(reingest)
+    assert report.deduplicated["topk"] == len(topk) > 0
+    assert report.accepted["topk"] == report.total_rejected == 0
 
 
 @pytest.fixture(scope="module")

@@ -360,9 +360,10 @@ _REFERENCE_PATHS = {
 
 
 def reference_line(kind: str, rec: dict) -> tuple[bytes, tuple | None]:
-    """What the line codec of ``kind`` (``marketpulse.model.snapshot_line``,
-    ``review_line`` or ``topk_line``) returns for ``rec``, by the reference
-    path; raises ValueError with the same message."""
+    """The canonical line and state key the line codec of ``kind``
+    (``marketpulse.model.snapshot_line``, ``review_line`` or ``topk_line``)
+    returns for ``rec``, by the reference path; raises ValueError with the
+    same message."""
     decode, validate, encode = _REFERENCE_PATHS[kind]
     record = decode(rec)
     violations = validate(record)

@@ -235,18 +235,36 @@ _TO_RECORD = {
 }
 
 
-def _outcome(codec, rec):
+def _reference_outcome(kind, rec):
     try:
-        return codec(rec)
+        return reference_line(kind, rec)
     except ValueError as exc:
         return str(exc)
+
+
+def _decoded_key(kind, rec):
+    if kind == "reviews":
+        return (rec["app"], rec["review_id"]), date_to_epoch(dt.date.fromisoformat(rec["date"]))
+    return (rec["list_type" if kind == "topk" else "app"],), rec["fetch_time"]
+
+
+def _codec_outcome(kind, rec):
+    """The canonical line and state key the codec of ``kind`` returns for
+    ``rec``, once its key is checked to be the record's key; or its
+    rejection text."""
+    try:
+        key, line, state = _LINE_CODECS[kind](rec)
+    except ValueError as exc:
+        return str(exc)
+    assert key == _decoded_key(kind, rec)
+    return line, state
 
 
 def _assert_codec_matches_reference(kind, rec):
     # the codecs read what json.loads returns
     rec = json.loads(json.dumps(rec))
-    expected = _outcome(lambda r: reference_line(kind, r), rec)
-    assert _outcome(_LINE_CODECS[kind], rec) == expected
+    expected = _reference_outcome(kind, rec)
+    assert _codec_outcome(kind, rec) == expected
 
 
 _TEXT_READERS = {
@@ -255,23 +273,18 @@ _TEXT_READERS = {
 }
 
 
-def _decoded_key(kind, rec):
-    if kind == "reviews":
-        return (rec["app"], rec["review_id"]), date_to_epoch(dt.date.fromisoformat(rec["date"]))
-    return (rec["app"],), rec["fetch_time"]
-
-
 def _assert_line_matches_reference(kind, line):
     """json.loads and the codec give the reference outcome of ``line``, and
     so does the canonical-text reader wherever it admits the line: the line
-    itself, its state key and its decoded (entity, time) key."""
+    itself, its state key and its decoded (entity, time) key. The codec's
+    key is the decoded key of every record it accepts."""
     try:
         rec = json.loads(line)
     except ValueError as exc:
         expected = str(exc)
     else:
-        expected = _outcome(lambda r: reference_line(kind, r), rec)
-        assert _outcome(_LINE_CODECS[kind], rec) == expected
+        expected = _reference_outcome(kind, rec)
+        assert _codec_outcome(kind, rec) == expected
     reader = _TEXT_READERS.get(kind)
     matched = reader and reader[0](line)
     if not matched:
@@ -395,6 +408,9 @@ _TOPK = topk_to_record(make_topk(["a", "b"]))
         ("topk", {**_TOPK, "ranking": "a"}),
         ("topk", {**_TOPK, "fetch_time": None}),
         ("snapshots", {**_SNAPSHOT, "permissions": ["INTERNET", "INTERNET"]}),
+        ("topk", {**_TOPK, "ranking": ["a", "a b"]}),
+        ("topk", {**_TOPK, "ranking": ["a", "\xa0"]}),
+        ("topk", {**_TOPK, "ranking": ["a", "b\u2028", ""]}),
     ],
 )
 def test_line_codec_matches_the_reference_path_on_named_cases(kind, rec):

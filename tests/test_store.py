@@ -417,10 +417,11 @@ def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch)
     reopened = SnapStore.open(store.root)
     for kind in ("snapshots", "reviews", "topk"):
         assert reopened._index(kind).sidecar_bytes > 0
+    for kind in ("snapshots", "reviews"):
         monkeypatch.setitem(store_mod._CODECS, kind, _refuse)
     monkeypatch.setattr(json, "dumps", _refuse)
     # snapshots and reviews are not even decoded; top-k lists are decoded
-    # for their key and deduplicated on their bytes
+    # and run their codec, and their canonical line equals the stored one
     report = IngestReport()
     with monkeypatch.context() as refusing:
         refusing.setattr(json, "loads", _refuse)
