@@ -274,7 +274,9 @@ def scam_pattern_scan(
     Candidates are the latest snapshots of paid apps priced within the
     band; titles are linked when their trigram Jaccard similarity meets
     the threshold, and connected groups of at least ``min_cluster`` apps
-    are reported.
+    are reported. A pair already in one group is not compared: linking it
+    could not change the groups, which are listed in order of their first
+    app, whatever their union-find root.
     """
     lo, hi = params.price_band_cents
     by_dev: dict[str, list[AppSnapshot]] = {}
@@ -295,11 +297,14 @@ def scam_pattern_scan(
 
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
+                root_i, root_j = find(i), find(j)
+                if root_i == root_j:
+                    continue
                 ta, tb = trigrams[i], trigrams[j]
                 union = len(ta | tb)
                 sim = len(ta & tb) / union if union else 0.0
                 if sim >= params.title_similarity:
-                    parent[find(i)] = find(j)
+                    parent[root_i] = root_j
         groups: dict[int, list[AppSnapshot]] = {}
         for i, snap in enumerate(candidates):
             groups.setdefault(find(i), []).append(snap)

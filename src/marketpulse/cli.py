@@ -239,13 +239,12 @@ def cmd_metrics(args) -> int:
         reference = _reference_date(args, store)
         rows = []
         n_stale = 0
-        latest = store.latest_snapshots()
-        for app, snap in latest.items():
+        for app, state in store.latest_states().items():
             verdict = metrics.classify_staleness(
-                snap.last_updated, reference, args.window_days
+                state.last_updated, reference, args.window_days
             )
             n_stale += verdict.is_stale
-            rows.append((app, snap.last_updated.isoformat(), verdict.status.value))
+            rows.append((app, state.last_updated.isoformat(), verdict.status.value))
         _write_csv(out / "staleness.csv", ["app", "last_updated", "status"], rows)
         payload = {
             "apps": len(rows),
@@ -257,13 +256,12 @@ def cmd_metrics(args) -> int:
         _write_json(out / "staleness.json", payload)
         print(json.dumps(payload, sort_keys=True))
     elif args.what == "popularity":
-        latest = store.latest_snapshots()
         counts = {klass.value: 0 for klass in metrics.PopularityClass}
         rows = []
-        for app, snap in latest.items():
-            klass = metrics.classify_popularity(snap.downloads)
+        for app, state in store.latest_states().items():
+            klass = metrics.classify_popularity(state.downloads)
             counts[klass.value] += 1
-            rows.append((app, snap.downloads.lo, snap.downloads.hi, klass.value))
+            rows.append((app, state.downloads.lo, state.downloads.hi, klass.value))
         total = len(rows)
         _write_csv(
             out / "popularity.csv",
@@ -372,15 +370,16 @@ def _metrics_price(args, store: SnapStore, out: Path) -> int:
     from . import metrics
 
     reference = _reference_date(args, store)
-    latest = store.latest_snapshots()
+    # a stored snapshot is free exactly when its price is 0 (checked at ingest)
     paid_latest = [
-        (s.price_cents, s.last_updated) for s in latest.values() if not s.free
+        (s.price_cents, s.last_updated)
+        for s in store.latest_states().values()
+        if s.price_cents
     ]
     medians = metrics.median_price_split(paid_latest, reference, args.window_days)
     cov = metrics.price_dispersion_cov([p for p, _ in paid_latest])
     change_counts = []
-    # epoch day -> prices of the paid snapshots fetched that day; a stored
-    # snapshot is free exactly when its price is 0 (checked at ingest)
+    # epoch day -> prices of the paid snapshots fetched that day
     daily_prices: dict[int, list[int]] = {}
     for app in store.apps():
         series = store.app_states(app)

@@ -125,18 +125,6 @@ class TimelineState(NamedTuple):
     last_updated: dt.date
 
 
-def timeline_state(s: AppSnapshot) -> TimelineState:
-    return TimelineState(
-        s.price_cents,
-        s.downloads,
-        s.rating_count,
-        s.version,
-        s.category,
-        s.permissions,
-        s.last_updated,
-    )
-
-
 @dataclass(frozen=True)
 class ReviewRecord:
     """One user review; ``review_id`` is unique within an app."""

@@ -6,31 +6,36 @@ scan admit a line by one rule (``_admit``): its kind's line codec must
 accept it, and a line in its kind's canonical text is admitted by its
 pattern with no decode or encode. The index of each log holds every
 admitted line (the first one of each entity and time) and skips and counts
-any other. Per entity the index keeps one entry per line: time key, byte
-offset and length, then the review id (reviews) or the id of the
+any other. In memory the index is columns with one row per line: time
+key, byte offset and length, then the review id (reviews) or the id of the
 snapshot's timeline state (the fields change events and update days are
-computed from), with the distinct states in a table, so app timelines are
-built without decoding a log line.
+computed from), with the distinct states in a table. Each entity maps to
+its rows in (time, offset) order, so app timelines and the newest state of
+every app are read without decoding a log line.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
-sidecar (layout ``MPX4``: entry counts per entity, then the entry columns
-in entity order), which names the log prefix it covers and a digest of
-those bytes. Opening a log loads the sidecar, verifies the digest and
-scans only the log past the covered prefix. A missing or mismatched
-sidecar, or one of an earlier layout, means scanning the whole log, so a
-reader always gets the index a full scan would build. Sidecars up to
-``MPX3`` are ignored because the code that wrote them indexed lines the
-codec rejects. Readers never write to the store directory. Single writer,
-any number of readers; queries return immutable values.
+sidecar (layout ``MPX5``: row counts per entity, then the columns in
+entity order, each entity's rows in (time, offset) order), which names the
+log prefix it covers and a digest of those bytes. Opening a log loads the
+sidecar's columns as they are, verifies the digest and scans only the log
+past the covered prefix. A missing or mismatched sidecar, or one of an
+earlier layout, means scanning the whole log, so a reader always gets the
+index a full scan would build. Sidecars up to ``MPX3`` are ignored because
+the code that wrote them indexed lines the codec rejects, and ``MPX4``
+because it kept an entity's rows in log order. Readers never write to the
+store directory. Single writer, any number of readers; queries return
+immutable values.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import fcntl
 import hashlib
 import itertools
 import json
+import operator
 import os
 import struct
 import threading
@@ -79,14 +84,15 @@ _MANIFEST_FILE = "manifest.json"
 _BATCH_LINES = 1000
 
 # A <kind>.idx sidecar is a header, the entry count of each entity, one
-# column per entry field in entity order, the state table (snapshots only),
-# then the entity names and, for reviews, the distinct review ids, each
+# column per entry field in entity order (each entity's entries in (time,
+# offset) order), the state table (snapshots only), then the entity names
+# and, for reviews, the distinct review ids in order of first use, each
 # followed by a byte that UTF-8 never uses. Columns are arrays in native
 # byte order: a sidecar from a machine of the other byte order fails the
 # magic check and is ignored, as does one in an earlier layout. The digest
 # is sha1 over the covered log bytes followed by everything after the
 # header, so a change to either makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505834
+_SIDECAR_MAGIC = 0x4D505835
 # magic, covered log bytes, digest, entries, entities, skipped corrupt lines,
 # state table bytes
 _SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
@@ -311,27 +317,39 @@ def _hash_prefix(path: Path, length: int):
     return sha
 
 
-class _LogIndex:
-    """Committed records of one log, grouped by entity.
+def _at(column: array, rows) -> Iterable[int]:
+    """The values of ``column`` at ``rows``; a range of rows is a slice."""
+    if type(rows) is range:
+        return column[rows.start:rows.stop]
+    return map(column.__getitem__, rows)
 
-    ``by_group`` maps each entity (app or list type) to its entries in log
-    order: the time key, offset and length of the line, then for snapshots
-    the id of the record's timeline state in ``states``, the table of
-    distinct state keys ``snapshot_line`` returned, and for reviews the
-    review id. ``digest`` is the sha1 state over the first
-    ``scanned_bytes`` bytes of the log; ``sidecar_bytes`` is the prefix the
-    sidecar on disk covers.
+
+class _LogIndex:
+    """Committed records of one log, as columns of rows grouped by entity.
+
+    Row ``r`` is one indexed line: ``times[r]`` is its time key,
+    ``offsets[r]`` and ``lengths[r]`` locate it in the log, and ``tags[r]``
+    (not kept for top-k) is an id into ``table``, the distinct state keys
+    ``snapshot_line`` returned (snapshots) or the distinct review ids
+    (reviews). ``rows`` maps each entity (app or list type) to its row
+    numbers in (time, offset) order, so an entity's newest line is its last
+    row: a ``range`` for the rows a sidecar held, a list once a line is
+    added. ``digest`` is the sha1 state over the first ``scanned_bytes``
+    bytes of the log; ``sidecar_bytes`` is the prefix the sidecar on disk
+    covers.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
-        self.states: list[tuple] = []
-        # state key -> id, built on first use by a scan or a writer
-        self._state_lookup: dict | None = None
+        # the four columns of the snapshot and review logs; top-k keeps no tags
+        self.times, self.offsets, self.lengths, self.tags = map(array, "qQII")
+        self.table: list = []
+        # table value -> id, built on first use by a scan or a writer
+        self._table_lookup: dict | None = None
         # TimelineState of each state id, built on first use by a query
         self._state_values: list[TimelineState] = []
-        # entity group key -> list of entries
-        self.by_group: dict = {}
+        # entity -> its row numbers in (time, offset) order
+        self.rows: dict = {}
         # (entity, time_key) -> (offset, length), built on first use by a
         # writer or by a scan of lines past the sidecar
         self._keys: dict | None = None
@@ -341,16 +359,16 @@ class _LogIndex:
         self.skipped_tail = 0
         self.skipped_corrupt = 0
 
-    def intern_state(self, key: tuple) -> int:
-        """Id of the state ``key``, added to the table on first sight."""
-        lookup = self._state_lookup
+    def _intern(self, value) -> int:
+        """Id of ``value`` in ``table``, added on first sight."""
+        lookup = self._table_lookup
         if lookup is None:
-            lookup = self._state_lookup = {s: i for i, s in enumerate(self.states)}
-        state_id = lookup.get(key)
-        if state_id is None:
-            state_id = lookup[key] = len(self.states)
-            self.states.append(key)
-        return state_id
+            lookup = self._table_lookup = {v: i for i, v in enumerate(self.table)}
+        tag = lookup.get(value)
+        if tag is None:
+            tag = lookup[value] = len(self.table)
+            self.table.append(value)
+        return tag
 
     def state_values(self) -> list[TimelineState]:
         """The ``TimelineState`` of every state id."""
@@ -366,7 +384,7 @@ class _LogIndex:
                 dt.date.fromordinal(updated),
             )
             for price, lo, hi, ratings, version, category, permissions, updated in (
-                self.states[len(values):]
+                self.table[len(values):]
             )
         )
         return values
@@ -374,10 +392,28 @@ class _LogIndex:
     def add(self, key: tuple, offset: int, length: int, state) -> None:
         """Index the line at ``offset`` with ``length`` under ``key``, its
         (entity, time key) pair; ``state`` is its state key, as the kind's
-        codec returned it."""
+        codec returned it. The line lies past every indexed one."""
         entity, time_key = key
-        tag = (self.intern_state(state),) if self.kind == SNAPSHOTS else entity[1:]
-        self.by_group.setdefault(entity[0], []).append((time_key, offset, length, *tag))
+        times = self.times
+        row = len(times)
+        times.append(time_key)
+        self.offsets.append(offset)
+        self.lengths.append(length)
+        if self.kind == SNAPSHOTS:
+            self.tags.append(self._intern(state))
+        elif self.kind == REVIEWS:
+            self.tags.append(self._intern(entity[1]))
+        rows = self.rows.get(entity[0])
+        if rows is None:
+            self.rows[entity[0]] = [row]
+        else:
+            if type(rows) is range:
+                rows = self.rows[entity[0]] = list(rows)
+            if times[rows[-1]] <= time_key:
+                rows.append(row)
+            else:
+                # an older line appended later goes after the rows of its time
+                rows.insert(bisect.bisect_right(rows, time_key, key=times.__getitem__), row)
         if self._keys is not None:
             self._keys[key] = (offset, length)
 
@@ -385,20 +421,38 @@ class _LogIndex:
         """(entity, time_key) -> (offset, length) of the indexed line; first
         line wins, since ``_scan`` indexes no later line of a key."""
         if self._keys is None:
-            tagged = self.kind == REVIEWS
-            self._keys = {
-                ((group, *entry[3:]) if tagged else (group,), entry[0]): entry[1:3]
-                for group, entries in self.by_group.items()
-                for entry in entries
-            }
+            gather = self._gather()
+            if self.kind == REVIEWS:
+                groups = itertools.chain.from_iterable(
+                    itertools.repeat(group, len(rows)) for group, rows in self.rows.items()
+                )
+                entities = zip(groups, map(self.table.__getitem__, gather(self.tags)))
+            else:
+                entities = itertools.chain.from_iterable(
+                    itertools.repeat((group,), len(rows)) for group, rows in self.rows.items()
+                )
+            self._keys = dict(
+                zip(
+                    zip(entities, gather(self.times)),
+                    zip(gather(self.offsets), gather(self.lengths)),
+                )
+            )
         return self._keys
+
+    def _gather(self) -> Callable:
+        """column -> its values at every entity's rows in turn."""
+        order = list(itertools.chain.from_iterable(self.rows.values()))
+        if len(order) > 1:
+            return operator.itemgetter(*order)
+        # itemgetter of one item returns it bare
+        return lambda column: [column[r] for r in order]
 
     def _state_table(self) -> bytes:
         name_ids: dict[str, int] = {}
         permission_ids: dict[frozenset, int] = {}
         states = [
             [*key[:6], permission_ids.setdefault(key[6], len(permission_ids)), key[7]]
-            for key in self.states
+            for key in self.table
         ]
         permissions = [
             [name_ids.setdefault(name, len(name_ids)) for name in sorted(p)]
@@ -414,22 +468,26 @@ class _LogIndex:
         ).encode("ascii")
 
     def to_sidecar(self) -> bytes:
-        """The sidecar covering the first ``scanned_bytes`` of the log.
-
-        Raises OverflowError when a value does not fit its column.
-        """
+        """The sidecar covering the first ``scanned_bytes`` of the log."""
         codes = _ENTRY_CODES[self.kind]
-        entries = list(itertools.chain.from_iterable(self.by_group.values()))
-        columns = list(zip(*entries)) or [()] * len(codes)
-        names = list(self.by_group)
+        gather = self._gather()
+        columns = [
+            array(code, gather(column))
+            for code, column in zip(codes, (self.times, self.offsets, self.lengths, self.tags))
+        ]
+        names = list(self.rows)
         if self.kind == REVIEWS:
+            # review ids are numbered in order of first use, as a scan would
             review_ids: dict[str, int] = {}
-            columns[3] = [review_ids.setdefault(r, len(review_ids)) for r in columns[3]]
+            table = self.table
+            columns[3] = array(
+                "I", [review_ids.setdefault(table[t], len(review_ids)) for t in columns[3]]
+            )
             names += review_ids
         table = self._state_table() if self.kind == SNAPSHOTS else b""
         body = (
-            array("I", map(len, self.by_group.values())).tobytes()
-            + b"".join(array(code, column).tobytes() for code, column in zip(codes, columns))
+            array("I", map(len, self.rows.values())).tobytes()
+            + b"".join(column.tobytes() for column in columns)
             + table
             + b"".join(name.encode("utf-8", "surrogatepass") + _NAME_END for name in names)
         )
@@ -439,8 +497,8 @@ class _LogIndex:
             _SIDECAR_MAGIC,
             self.scanned_bytes,
             sha.digest(),
-            len(entries),
-            len(self.by_group),
+            len(self.times),
+            len(self.rows),
             self.skipped_corrupt,
             len(table),
         )
@@ -461,19 +519,16 @@ class _LogIndex:
             return None
         index = cls(kind)
         body = memoryview(data)[_SIDECAR_HEADER.size:]
+        counts = array("I")
+        columns = [counts, index.times, index.offsets, index.lengths, index.tags]
         pos = 0
-        codes = _ENTRY_CODES[kind]
-        columns = []
         try:
-            for code, size in zip("I" + codes, [n_groups] + [count] * len(codes)):
-                values = array(code)
-                end = pos + values.itemsize * size
-                values.frombytes(body[pos:end])
-                if len(values) != size:
+            for column, size in zip(columns, [n_groups] + [count] * len(_ENTRY_CODES[kind])):
+                end = pos + column.itemsize * size
+                column.frombytes(body[pos:end])
+                if len(column) != size:
                     return None
-                columns.append(values.tolist())
                 pos = end
-            counts, *columns = columns
             if sum(counts) != count or 0 in counts:
                 return None
             if kind == SNAPSHOTS:
@@ -482,11 +537,9 @@ class _LogIndex:
                 permission_sets = [
                     frozenset([names[i] for i in p]) for p in table["permissions"]
                 ]
-                index.states = [
+                index.table = [
                     (*row[:6], permission_sets[row[6]], row[7]) for row in table["states"]
                 ]
-                if max(columns[3], default=-1) >= len(index.states):
-                    return None
             elif table_bytes:
                 return None
             pos += table_bytes
@@ -496,8 +549,10 @@ class _LogIndex:
             names = [name.decode("utf-8", "surrogatepass") for name in names[:-1]]
             groups, review_ids = names[:n_groups], names[n_groups:]
             if kind == REVIEWS:
-                columns[3] = list(map(review_ids.__getitem__, columns[3]))
+                index.table = review_ids
             elif review_ids:
+                return None
+            if max(index.tags, default=-1) >= len(index.table):
                 return None
         except (ValueError, TypeError, KeyError, IndexError):
             return None
@@ -508,15 +563,19 @@ class _LogIndex:
         sha.update(body)
         if sha.digest() != digest:
             return None
-        entries = list(zip(*columns))
         bounds = list(itertools.accumulate(counts, initial=0))
-        index.by_group = {
-            group: entries[start:end]
-            for group, start, end in zip(groups, bounds, bounds[1:])
-        }
+        index.rows = dict(zip(groups, map(range, bounds, bounds[1:])))
         index.scanned_bytes = index.sidecar_bytes = covered
         index.skipped_corrupt = skipped
         return index
+
+    def newest(self) -> list[tuple]:
+        """(entity, row) of every entity's newest line, in (time, offset)
+        order."""
+        times, offsets = self.times, self.offsets
+        newest = [(group, rows[-1]) for group, rows in self.rows.items()]
+        newest.sort(key=lambda pair: (times[pair[1]], offsets[pair[1]]))
+        return newest
 
 
 class SnapStore:
@@ -645,23 +704,16 @@ class SnapStore:
             self._read_handles[kind] = fd
         return fd
 
-    def _read_records(self, kind: str, entries) -> list:
-        """Decode the records at index ``entries`` (time, offset, length,
-        ...), returned in time order; reads happen in offset order for
-        locality."""
+    def _read_records(self, kind: str, rows) -> list:
+        """Decode the records at the index ``rows``, in the order given."""
+        index = self._index(kind)
+        offsets, lengths = index.offsets, index.lengths
         decoder = _TRUSTED_DECODERS[kind]
-        by_offset = sorted(entries, key=lambda e: e[1])
         fd = self._read_fd(kind)
-        out = [
-            (
-                time_key,
-                offset,
-                decoder(json.loads(os.pread(fd, length, offset).decode("utf-8"))),
-            )
-            for time_key, offset, length, *_ in by_offset
+        return [
+            decoder(json.loads(os.pread(fd, lengths[r], offsets[r]).decode("utf-8")))
+            for r in rows
         ]
-        out.sort(key=lambda pair: (pair[0], pair[1]))
-        return [record for _, _, record in out]
 
     def close(self) -> None:
         for fd in self._read_handles.values():
@@ -815,7 +867,7 @@ class SnapStore:
         try:
             tmp.write_bytes(index.to_sidecar())
             os.replace(tmp, path)
-        except (OverflowError, OSError):
+        except OSError:
             tmp.unlink(missing_ok=True)
             return
         index.sidecar_bytes = index.scanned_bytes
@@ -842,44 +894,46 @@ class SnapStore:
 
     def apps(self) -> list[str]:
         """All app ids with at least one snapshot, sorted."""
-        index = self._index(SNAPSHOTS)
-        return sorted(index.by_group)
+        return sorted(self._index(SNAPSHOTS).rows)
 
     def reviewed_apps(self) -> list[str]:
-        index = self._index(REVIEWS)
-        return sorted(index.by_group)
+        return sorted(self._index(REVIEWS).rows)
 
     def query_app_series(
         self, app: str, window: TimeWindow | None = None
     ) -> AppSeries:
         """Snapshots of ``app`` within ``window``, sorted by fetch_time."""
         index = self._index(SNAPSHOTS)
-        entries = [
-            e
-            for e in index.by_group.get(app, ())
-            if window is None or window.contains(e[0])
+        rows = [
+            r
+            for r in index.rows.get(app, ())
+            if window is None or window.contains(index.times[r])
         ]
-        return AppSeries(app=app, snapshots=tuple(self._read_records(SNAPSHOTS, entries)))
+        return AppSeries(app=app, snapshots=tuple(self._read_records(SNAPSHOTS, rows)))
 
     def app_states(self, app: str) -> AppStates:
         """Fetch times and timeline states of ``app``'s snapshots in
         (fetch_time, offset) order, from the index: no log line is read."""
         index = self._index(SNAPSHOTS)
-        entries = sorted(index.by_group.get(app, ()))
+        rows = index.rows.get(app, ())
         values = index.state_values()
         return AppStates(
             app=app,
-            times=tuple(e[0] for e in entries),
-            states=tuple(values[e[3]] for e in entries),
+            times=tuple(_at(index.times, rows)),
+            states=tuple(map(values.__getitem__, _at(index.tags, rows))),
         )
 
     def latest_snapshots(self) -> dict[str, AppSnapshot]:
-        """The newest snapshot of every app."""
+        """The newest snapshot of every app, in (fetch_time, offset) order."""
+        newest = [r for _, r in self._index(SNAPSHOTS).newest()]
+        return {snap.app: snap for snap in self._read_records(SNAPSHOTS, newest)}
+
+    def latest_states(self) -> dict[str, TimelineState]:
+        """The timeline state of every app's newest snapshot, in the order
+        of ``latest_snapshots``, from the index: no log line is read."""
         index = self._index(SNAPSHOTS)
-        newest = [max(entries) for entries in index.by_group.values()]
-        return {
-            snap.app: snap for snap in self._read_records(SNAPSHOTS, newest)
-        }
+        values, tags = index.state_values(), index.tags
+        return {app: values[tags[r]] for app, r in index.newest()}
 
     def query_reviews(
         self,
@@ -893,7 +947,7 @@ class SnapStore:
         index = self._index(REVIEWS)
         reviews = [
             r
-            for r in self._read_records(REVIEWS, index.by_group.get(app, ()))
+            for r in self._read_records(REVIEWS, index.rows.get(app, ()))
             if (start is None or r.date >= start) and (end is None or r.date <= end)
         ]
         reviews.sort(key=lambda r: (r.date, r.review_id))
@@ -902,19 +956,19 @@ class SnapStore:
     def review_counts(self) -> dict[str, int]:
         """Number of stored reviews per app (no payload decoding)."""
         index = self._index(REVIEWS)
-        return {app: len(entries) for app, entries in sorted(index.by_group.items())}
+        return {app: len(rows) for app, rows in sorted(index.rows.items())}
 
     def query_list_series(
         self, list_type: ListType, window: TimeWindow | None = None
     ) -> RankedListSeries:
         """Observations of one list type within ``window``, time-sorted."""
         index = self._index(TOPK)
-        entries = [
-            e
-            for e in index.by_group.get(list_type.value, ())
-            if window is None or window.contains(e[0])
+        rows = [
+            r
+            for r in index.rows.get(list_type.value, ())
+            if window is None or window.contains(index.times[r])
         ]
         return RankedListSeries(
             list_type=list_type,
-            observations=tuple(self._read_records(TOPK, entries)),
+            observations=tuple(self._read_records(TOPK, rows)),
         )

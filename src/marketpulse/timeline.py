@@ -15,16 +15,13 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import InvalidInputError, InvalidPairError
+from .errors import InvalidInputError
 from .model import (
     SECONDS_PER_DAY,
-    AppSnapshot,
     AttributeKind,
     ReviewRecord,
     TimelineState,
     epoch_day_to_date,
-    epoch_to_date,
-    timeline_state,
 )
 from .store import AppStates
 
@@ -131,21 +128,6 @@ def diff_states(
     if next.category != prev.category:
         emit(AttributeKind.CATEGORY_CHANGE, prev.category, next.category)
     return events
-
-
-def diff_snapshots(prev: AppSnapshot, next: AppSnapshot) -> list[ChangeEvent]:
-    """Typed change events between two snapshots of the same app, dated
-    on the later one's UTC day; see ``diff_states``."""
-    if prev.app != next.app:
-        raise InvalidPairError(f"app mismatch: {prev.app!r} vs {next.app!r}")
-    if prev.fetch_time >= next.fetch_time:
-        raise InvalidPairError("snapshots must be strictly increasing in fetch_time")
-    return diff_states(
-        next.app,
-        epoch_to_date(next.fetch_time),
-        timeline_state(prev),
-        timeline_state(next),
-    )
 
 
 def build_app_timeline(series: AppStates) -> AppTimeline:

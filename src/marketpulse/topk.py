@@ -88,17 +88,12 @@ class SimilarityResult:
 
     m is 1 for identical lists and 0 for disjoint equal-length lists.
     For unequal lengths m is not proven to stay within [0, 1], so the
-    raw numerator and normalizer are kept and out-of-range values are
-    flagged rather than clamped.
+    raw numerator and normalizer are kept and m is never clamped.
     """
 
     m: float
     n_raw: float
     n_max: float
-
-    @property
-    def in_unit_range(self) -> bool:
-        return -1e-12 <= self.m <= 1.0 + 1e-12
 
 
 def _rankings(obs: TopKObservation | Sequence[str]) -> Sequence[str]:

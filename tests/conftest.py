@@ -9,7 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from marketpulse.errors import DegenerateTailError, InsufficientDataError
+from marketpulse.anomaly import ScamCluster, ScamParams, _title_trigrams
+from marketpulse.errors import DegenerateTailError, InsufficientDataError, InvalidPairError
 from marketpulse.metrics import PowerLawFit, fit_power_law
 from marketpulse.model import (
     MAX_RANKING_LENGTH,
@@ -18,16 +19,19 @@ from marketpulse.model import (
     DownloadBucket,
     ListType,
     ReviewRecord,
+    TimelineState,
     TopKObservation,
     date_to_epoch,
+    epoch_to_date,
     parse_date,
     review_to_record,
     snapshot_to_record,
-    timeline_state,
     topk_to_record,
     validate_app_id,
 )
 from marketpulse.store import AppSeries, AppStates, DatasetManifest, SnapStore
+from marketpulse.timeline import ChangeEvent, diff_states
+from marketpulse.topk import SimilarityResult
 
 DAY0 = dt.date(2012, 4, 1)
 
@@ -58,6 +62,85 @@ def make_snapshot(
     if "price_cents" in overrides and "free" not in overrides:
         fields["free"] = fields["price_cents"] == 0
     return AppSnapshot(**fields)
+
+
+def timeline_state(s: AppSnapshot) -> TimelineState:
+    """The fields of ``s`` that its app's timeline reads."""
+    return TimelineState(
+        s.price_cents,
+        s.downloads,
+        s.rating_count,
+        s.version,
+        s.category,
+        s.permissions,
+        s.last_updated,
+    )
+
+
+def diff_snapshots(prev: AppSnapshot, next: AppSnapshot) -> list[ChangeEvent]:
+    """Typed change events between two snapshots of the same app, dated
+    on the later one's UTC day; see ``diff_states``."""
+    if prev.app != next.app:
+        raise InvalidPairError(f"app mismatch: {prev.app!r} vs {next.app!r}")
+    if prev.fetch_time >= next.fetch_time:
+        raise InvalidPairError("snapshots must be strictly increasing in fetch_time")
+    return diff_states(
+        next.app,
+        epoch_to_date(next.fetch_time),
+        timeline_state(prev),
+        timeline_state(next),
+    )
+
+
+def in_unit_range(result: SimilarityResult) -> bool:
+    """Whether an inverse rank measure lies in [0, 1], up to rounding."""
+    return -1e-12 <= result.m <= 1.0 + 1e-12
+
+
+def reference_scam_scan(snapshots, params: ScamParams = ScamParams()) -> list[ScamCluster]:
+    """Reference ``scam_pattern_scan``: every candidate pair of a developer
+    is compared, linked ones included."""
+    lo, hi = params.price_band_cents
+    by_dev: dict[str, list[AppSnapshot]] = {}
+    for snap in snapshots:
+        if not snap.free and lo <= snap.price_cents <= hi:
+            by_dev.setdefault(snap.developer, []).append(snap)
+    clusters = []
+    for developer in sorted(by_dev):
+        candidates = sorted(by_dev[developer], key=lambda s: s.app)
+        trigrams = [_title_trigrams(s.title) for s in candidates]
+        parent = list(range(len(candidates)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i in range(len(candidates)):
+            for j in range(i + 1, len(candidates)):
+                ta, tb = trigrams[i], trigrams[j]
+                union = len(ta | tb)
+                sim = len(ta & tb) / union if union else 0.0
+                if sim >= params.title_similarity:
+                    parent[find(i)] = find(j)
+        groups: dict[int, list[AppSnapshot]] = {}
+        for i, snap in enumerate(candidates):
+            groups.setdefault(find(i), []).append(snap)
+        for group in groups.values():
+            if len(group) < params.min_cluster:
+                continue
+            prices = [s.price_cents for s in group]
+            clusters.append(
+                ScamCluster(
+                    developer=developer,
+                    apps=tuple(sorted(s.app for s in group)),
+                    price_min_cents=min(prices),
+                    price_max_cents=max(prices),
+                    price_mean_cents=sum(prices) / len(prices),
+                )
+            )
+    return clusters
 
 
 def states_of(series: AppSeries) -> AppStates:

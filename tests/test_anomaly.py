@@ -30,7 +30,7 @@ from marketpulse.timeline import (
     ReviewTimeline,
 )
 
-from conftest import DAY0, make_snapshot
+from conftest import DAY0, make_snapshot, reference_scam_scan
 
 
 def day(n):
@@ -353,6 +353,58 @@ class TestScamScan:
         snaps += [self._clone(i, developer="DevB") for i in range(5)]
         clusters = scam_pattern_scan(snaps)
         assert sorted(c.developer for c in clusters) == ["DevA", "DevB"]
+
+    def test_an_app_linked_only_to_a_grouped_app_joins_the_group(self):
+        # c0 links c1 and c2; c3 links only c1, a pair the scan reaches
+        # after c1 and c2 are already grouped
+        titles = [
+            "puzzle mania puzzle mania",
+            "mania puzzle zap mania",
+            "mania zap puzzle",
+            "mania puzzle deluxe zap",
+        ]
+        snaps = [
+            make_snapshot(app=f"com.c{i}", title=title, developer="Dev", price_cents=199)
+            for i, title in enumerate(titles)
+        ]
+        params = ScamParams(min_cluster=4, title_similarity=0.5)
+        clusters = scam_pattern_scan(snaps, params)
+        assert [c.apps for c in clusters] == [("com.c0", "com.c1", "com.c2", "com.c3")]
+        assert clusters == reference_scam_scan(snaps, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        titles=st.lists(
+            st.tuples(
+                st.sampled_from(["Dev A", "Dev B"]),
+                st.one_of(
+                    # clone-like: titles from a few shared words, so that
+                    # pairs link in chains as well as in cliques
+                    st.lists(
+                        st.sampled_from(["puzzle", "mania", "pro", "zap", "deluxe"]),
+                        min_size=1,
+                        max_size=4,
+                    ).map(" ".join),
+                    # distinct: free text
+                    st.text("abcdefgh ", max_size=12),
+                ),
+                # mostly within the default band of 100-299 cents
+                st.sampled_from([0, 150, 199, 299, 450]),
+            ),
+            max_size=24,
+        ),
+        min_cluster=st.integers(1, 5),
+        similarity=st.sampled_from([0.0, 0.3, 0.5, 0.6, 0.8, 1.0]),
+    )
+    def test_skipping_linked_pairs_gives_the_clusters_of_the_full_scan(
+        self, titles, min_cluster, similarity
+    ):
+        snaps = [
+            make_snapshot(app=f"com.c{i:02d}", title=title, developer=dev, price_cents=price)
+            for i, (dev, title, price) in enumerate(titles)
+        ]
+        params = ScamParams(min_cluster=min_cluster, title_similarity=similarity)
+        assert scam_pattern_scan(snaps, params) == reference_scam_scan(snaps, params)
 
 
 class TestExternalFlags:

@@ -22,7 +22,7 @@ from marketpulse.simgen import (
     script_to_record,
 )
 
-from conftest import make_snapshot
+from conftest import make_snapshot, timeline_state
 from test_timeline import oracle_timeline
 
 
@@ -375,17 +375,18 @@ def test_cli_import_leaves_out_numpy_simgen_and_harvester():
 
 
 def test_timeline_reports_decode_no_snapshot(dataset, monkeypatch):
-    # the five timeline reports fold the states in the index; only
-    # metrics price decodes, and only the latest snapshot of each app
-    real = store_mod._TRUSTED_DECODERS["snapshots"]
-
+    # the five timeline reports fold the states in the index, and the
+    # latest-state reports read each app's newest state from it
     def refuse(rec):
-        raise AssertionError("a timeline report decoded a snapshot")
+        raise AssertionError("a timeline or latest-state report decoded a snapshot")
 
     monkeypatch.setitem(store_mod._TRUSTED_DECODERS, "snapshots", refuse)
     for argv in (
         ("metrics", "updates"),
         ("metrics", "association"),
+        ("metrics", "staleness"),
+        ("metrics", "popularity"),
+        ("metrics", "price"),
         ("anomaly", "permissions"),
         ("anomaly", "decoupling"),
     ):
@@ -393,16 +394,16 @@ def test_timeline_reports_decode_no_snapshot(dataset, monkeypatch):
     store = SnapStore.open(dataset["store"])
     app = store.apps()[0]
     assert main(["timeline", "--store", str(dataset["store"]), "--app", app]) == 0
-    decoded = []
 
-    def counting(rec):
-        decoded.append((rec["app"], rec["fetch_time"]))
-        return real(rec)
 
-    monkeypatch.setitem(store_mod._TRUSTED_DECODERS, "snapshots", counting)
-    assert run(dataset, "metrics", "price")[0] == 0
-    latest = sorted((app, store.app_states(app).times[-1]) for app in store.apps())
-    assert sorted(decoded) == latest
+def test_latest_states_are_the_states_of_the_latest_snapshots(dataset):
+    store = SnapStore.open(dataset["store"])
+    latest = store.latest_snapshots()
+    expected = [(app, timeline_state(snap)) for app, snap in latest.items()]
+    assert list(store.latest_states().items()) == expected
+    # in (fetch_time, offset) order
+    times = [snap.fetch_time for snap in latest.values()]
+    assert times == sorted(times) and len(latest) == len(store.apps()) > 0
 
 
 def test_failed_crawl_write_keeps_previous_output(dataset, tmp_path, monkeypatch):

@@ -826,15 +826,34 @@ def _full_scan(root, tmp_path):
     return SnapStore.open(copy)
 
 
+def _entity_rows(index):
+    """(entity, time, offset, length, state key or review id) of every line
+    ``index`` holds, entity by entity, each entity's lines in row order."""
+    return [
+        (
+            group,
+            index.times[r],
+            index.offsets[r],
+            index.lengths[r],
+            index.table[index.tags[r]] if index.kind != "topk" else None,
+        )
+        for group, rows in index.rows.items()
+        for r in rows
+    ]
+
+
 def _index_state(store):
     state = {}
     for kind in ("snapshots", "reviews", "topk"):
         index = store._index(kind)
+        rows = _entity_rows(index)
+        # each entity's lines in (time, offset) order
+        assert all(a[1:3] < b[1:3] for a, b in zip(rows, rows[1:]) if a[0] == b[0])
         state[kind] = (
-            index.by_group,
+            rows,
             index.keys(),
-            index.states,
-            index.state_values(),
+            index.table if kind == "snapshots" else None,
+            index.state_values() if kind == "snapshots" else None,
             index.scanned_bytes,
             index.skipped_corrupt,
             index.digest.digest(),
@@ -881,10 +900,10 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
     # per entry 24 bytes (snapshots, reviews) or 20 (top-k), plus 4 per entity
     for kind, per_entry in (("snapshots", 24), ("reviews", 24), ("topk", 20)):
         index = loaded._index(kind)
-        entries = [e for group in index.by_group.values() for e in group]
-        names = list(index.by_group)
+        entries = _entity_rows(index)
+        names = list(index.rows)
         if kind == "reviews":
-            names += dict.fromkeys(e[3] for e in entries)
+            names += dict.fromkeys(e[4] for e in entries)
         header = store_mod._SIDECAR_HEADER
         table = header.unpack_from((root / f"{kind}.idx").read_bytes())[-1]
         columns = (
@@ -893,10 +912,10 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
             - table
             - sum(len(name.encode()) + 1 for name in names)
         )
-        assert columns == per_entry * len(entries) + 4 * len(index.by_group)
+        assert columns == per_entry * len(entries) + 4 * len(index.rows)
     # the distinct timeline states are few next to the snapshots
     snapshots = loaded._index("snapshots")
-    assert 0 < len(snapshots.states) < len(snapshots.keys()) / 2
+    assert 0 < len(snapshots.table) < len(snapshots.keys()) / 2
 
 
 def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
@@ -1000,19 +1019,17 @@ def test_read_only_store_serves_every_query(tmp_path, market):
             path.chmod(0o755 if path.is_dir() else 0o644)
 
 
-_MPX1, _MPX2, _MPX3 = 0x4D505831, 0x4D505832, 0x4D505833
+_MPX1, _MPX2, _MPX3, _MPX4 = 0x4D505831, 0x4D505832, 0x4D505833, 0x4D505834
 
 
 def _log_order_records(index):
     """(entity, time, offset, length, state key) of every line ``index``
     holds, in log order."""
-    records = []
-    for group, entries in index.by_group.items():
-        for time, offset, length, *tag in entries:
-            if index.kind == "snapshots":
-                records.append(((group,), time, offset, length, index.states[tag[0]]))
-            else:
-                records.append(((group, *tag), time, offset, length, None))
+    records = [
+        ((group,) if index.kind != "reviews" else (group, tag), time, offset, length,
+         tag if index.kind == "snapshots" else None)
+        for group, time, offset, length, tag in _entity_rows(index)
+    ]
     return sorted(records, key=lambda record: record[2])
 
 
@@ -1038,7 +1055,7 @@ def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
     table = b""
     if with_states:
         index = store_mod._LogIndex(kind)
-        index.states = list(states)
+        index.table = list(states)
         table = index._state_table()
     codes = "IIqQII" if with_states else "IIqQI"
     body = b"".join(array(code, column).tobytes() for code, column in zip(codes, columns))
@@ -1051,15 +1068,29 @@ def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
     return struct.pack("=IQ20sQQQQ", *fields, len(table)) + body
 
 
+def _mpx4_sidecar(index):
+    """The sidecar the MPX4 code wrote for ``index``: the layout of today,
+    with each entity's entries in log order rather than (time, offset)
+    order, and a valid digest (it does not cover the header)."""
+    rows = index.rows
+    index.rows = {group: sorted(r, key=index.offsets.__getitem__) for group, r in rows.items()}
+    try:
+        data = bytearray(index.to_sidecar())
+    finally:
+        index.rows = rows
+    struct.pack_into("=I", data, 0, _MPX4)
+    return bytes(data)
+
+
 def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
     root = tmp_path / "store"
     ingest_market(root, market)
     scanned = _full_scan(root, tmp_path)
-    for magic in (_MPX1, _MPX3):
+    for magic in (_MPX1, _MPX3, _MPX4):
         for kind in ("snapshots", "reviews", "topk"):
             index = SnapStore.open(root)._index(kind)
             records = _log_order_records(index)
-            old = _earlier_layout_sidecar(
+            old = _mpx4_sidecar(index) if magic == _MPX4 else _earlier_layout_sidecar(
                 kind, magic, root / f"{kind}.jsonl", records, index.skipped_corrupt
             )
             (root / f"{kind}.idx").write_bytes(old)
@@ -1071,10 +1102,67 @@ def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
         for kind in ("snapshots", "reviews", "topk"):
             SnapStore.open(root).ingest_lines(kind, [])
             current = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
-            assert current == store_mod._SIDECAR_MAGIC == 0x4D505834
+            assert current == store_mod._SIDECAR_MAGIC == 0x4D505835
         reopened = SnapStore.open(root)
         assert _sidecar_bytes(reopened) == _log_sizes(root)
         assert _index_state(reopened) == _index_state(scanned)
+
+
+def _out_of_order_store(root, manifest):
+    """A store whose logs hold, for one app, a snapshot and a review that
+    were appended after newer ones, and the sidecars written before them."""
+    store = SnapStore.create(root, manifest)
+    def snapshot(day):
+        return make_snapshot(day=DAY0 + dt.timedelta(days=day))
+
+    def review(review_id, day):
+        return make_review(review_id=review_id, day=DAY0 + dt.timedelta(days=day))
+
+    store.ingest_records("snapshots", [snapshot(0), snapshot(2)])
+    store.ingest_records("reviews", [review("r1", 5), review("r2", 5)])
+    sidecars = {kind: (root / f"{kind}.idx").read_bytes() for kind in ("snapshots", "reviews")}
+    # an older fetch_time and an earlier review date, appended later; then
+    # one more review on each date
+    store.ingest_records("snapshots", [snapshot(1)])
+    store.ingest_records("reviews", [review("r0", 3), review("r3", 3), review("r4", 5)])
+    return store, sidecars
+
+
+def test_lines_appended_out_of_time_order_are_read_in_time_order(tmp_path, manifest):
+    root = tmp_path / "store"
+    store, old_sidecars = _out_of_order_store(root, manifest)
+    app = "com.example.app"
+    times = tuple(make_snapshot(day=DAY0 + dt.timedelta(days=d)).fetch_time for d in range(3))
+    loaded, scanned = SnapStore.open(root), _full_scan(root, tmp_path)
+    assert _sidecar_bytes(loaded) == _log_sizes(root)
+    for handle in (store, loaded, scanned):
+        assert _index_state(handle) == _index_state(scanned)
+        assert _query_results(handle) == _query_results(scanned)
+        assert handle.app_states(app).times == times
+        assert tuple(s.fetch_time for s in handle.query_app_series(app).snapshots) == times
+        # the newest snapshot is the latest fetch_time, not the last line
+        assert handle.latest_snapshots()[app].fetch_time == times[-1]
+        assert [r.review_id for r in handle.query_reviews(app)] == ["r0", "r3", "r1", "r2", "r4"]
+        # rows in (date, offset) order: reviews of one date stay in log order
+        rows = _entity_rows(handle._index("reviews"))
+        assert [row[4] for row in rows] == ["r0", "r3", "r1", "r2", "r4"]
+    # a sidecar from before the out-of-order lines: the tail scan places them
+    for kind, sidecar in old_sidecars.items():
+        (root / f"{kind}.idx").write_bytes(sidecar)
+    tail = SnapStore.open(root)
+    for kind in old_sidecars:
+        index = tail._index(kind)
+        assert 0 < index.sidecar_bytes < index.scanned_bytes == _log_sizes(root)[kind]
+    assert _index_state(tail) == _index_state(scanned)
+    assert _query_results(tail) == _query_results(scanned)
+    # the sidecar the MPX4 code wrote kept the lines in log order: ignored
+    for kind in ("snapshots", "reviews"):
+        (root / f"{kind}.idx").write_bytes(_mpx4_sidecar(scanned._index(kind)))
+    ignored = SnapStore.open(root)
+    assert _sidecar_bytes(ignored) == {"snapshots": 0, "reviews": 0, "topk": 0}
+    assert _index_state(ignored) == _index_state(scanned)
+    assert _query_results(ignored) == _query_results(scanned)
+    _assert_rebuilt_on_next_ingest(store, tmp_path)
 
 
 def _hand_written_snapshot_log(store, snapshots):

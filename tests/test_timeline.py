@@ -20,11 +20,17 @@ from marketpulse.timeline import (
     PolarityThresholds,
     build_app_timeline,
     build_review_timeline,
-    diff_snapshots,
     timeline_csv_rows,
 )
 
-from conftest import DAY0, ingest_market, make_review, make_snapshot, states_of
+from conftest import (
+    DAY0,
+    diff_snapshots,
+    ingest_market,
+    make_review,
+    make_snapshot,
+    states_of,
+)
 
 
 def day(n: int) -> dt.date:
@@ -453,7 +459,7 @@ def test_store_states_fold_like_snapshots_over_hand_written_lines(tmp_path, mani
     store.ingest_lines("snapshots", [])
     reopened = SnapStore.open(root)
     assert reopened._index("snapshots").sidecar_bytes > 0
-    assert reopened._index("snapshots").states == store._index("snapshots").states
+    assert reopened._index("snapshots").table == store._index("snapshots").table
     assert _timelines_match_oracle(reopened) > 0
 
 

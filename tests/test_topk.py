@@ -14,7 +14,7 @@ from marketpulse.topk import (
     rank_occupancy,
 )
 
-from conftest import make_topk
+from conftest import in_unit_range, make_topk
 
 
 def series_of(rankings, list_type=ListType.FREE):
@@ -96,8 +96,7 @@ class TestInverseRankMeasure:
             cur = base[k - cut : 2 * k - cut]
             rng.shuffle(cur)
             result = inverse_rank_measure(prev, cur)
-            assert -1e-12 <= result.m <= 1.0 + 1e-12
-            assert result.in_unit_range
+            assert in_unit_range(result)
 
     def test_accepts_observations(self):
         a = make_topk(["a", "b"], hour=0)
