@@ -479,9 +479,12 @@ class _LogIndex:
         if self.kind == REVIEWS:
             # review ids are numbered in order of first use, as a scan would
             review_ids: dict[str, int] = {}
-            table = self.table
             columns[3] = array(
-                "I", [review_ids.setdefault(table[t], len(review_ids)) for t in columns[3]]
+                "I",
+                [
+                    review_ids.setdefault(r, len(review_ids))
+                    for r in map(self.table.__getitem__, columns[3])
+                ],
             )
             names += review_ids
         table = self._state_table() if self.kind == SNAPSHOTS else b""
