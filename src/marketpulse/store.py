@@ -9,22 +9,25 @@ admitted line (the first one of each entity and time) and skips and counts
 any other. In memory the index is columns with one row per line: time
 key, byte offset and length, then the review id (reviews) or the id of the
 snapshot's timeline state (the fields change events and update days are
-computed from), with the distinct states in a table. Each entity maps to
-its rows in (time, offset) order, so app timelines and the newest state of
-every app are read without decoding a log line.
+computed from), with the distinct states and review ids in tables in order
+of first use in the log. Each entity maps to its rows in key order: time,
+and for reviews (date, review id). Those rows are the one lookup structure:
+a line's key is found by bisection in its entity's rows, and app timelines
+and the newest state of every app are read without decoding a log line.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
-sidecar (layout ``MPX5``: row counts per entity, then the columns in
-entity order, each entity's rows in (time, offset) order), which names the
-log prefix it covers and a digest of those bytes. Opening a log loads the
-sidecar's columns as they are, verifies the digest and scans only the log
-past the covered prefix. A missing or mismatched sidecar, or one of an
-earlier layout, means scanning the whole log, so a reader always gets the
-index a full scan would build. Sidecars up to ``MPX3`` are ignored because
-the code that wrote them indexed lines the codec rejects, and ``MPX4``
-because it kept an entity's rows in log order. Readers never write to the
-store directory. Single writer, any number of readers; queries return
-immutable values.
+sidecar (layout ``MPX6``: row counts per entity, then the columns in
+entity order, each entity's rows in key order), which names the log prefix
+it covers and a digest of those bytes. Opening a log loads the sidecar's
+columns as they are, verifies the digest and scans only the log past the
+covered prefix. A missing or mismatched sidecar, or one of an earlier
+layout, means scanning the whole log, so a reader always gets the index a
+full scan would build. Sidecars up to ``MPX3`` are ignored because the
+code that wrote them indexed lines the codec rejects, ``MPX4`` because it
+kept an entity's rows in log order, and ``MPX5`` because it kept an
+app's reviews of one date in log order, not in review id order. Readers
+never write to the store directory. Single writer, any number of readers;
+queries return immutable values.
 """
 
 from __future__ import annotations
@@ -84,15 +87,15 @@ _MANIFEST_FILE = "manifest.json"
 _BATCH_LINES = 1000
 
 # A <kind>.idx sidecar is a header, the entry count of each entity, one
-# column per entry field in entity order (each entity's entries in (time,
-# offset) order), the state table (snapshots only), then the entity names
-# and, for reviews, the distinct review ids in order of first use, each
+# column per entry field in entity order (each entity's entries in key
+# order), the state table (snapshots only), then the entity names and, for
+# reviews, the distinct review ids in order of first use in the log, each
 # followed by a byte that UTF-8 never uses. Columns are arrays in native
 # byte order: a sidecar from a machine of the other byte order fails the
 # magic check and is ignored, as does one in an earlier layout. The digest
 # is sha1 over the covered log bytes followed by everything after the
 # header, so a change to either makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505835
+_SIDECAR_MAGIC = 0x4D505836
 # magic, covered log bytes, digest, entries, entities, skipped corrupt lines,
 # state table bytes
 _SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
@@ -169,7 +172,7 @@ class AppSeries:
 @dataclass(frozen=True)
 class AppStates:
     """The timeline states of one app's snapshots with their fetch times,
-    in (fetch_time, log offset) order."""
+    in fetch_time order."""
 
     app: str
     times: tuple[int, ...]
@@ -331,12 +334,13 @@ class _LogIndex:
     ``offsets[r]`` and ``lengths[r]`` locate it in the log, and ``tags[r]``
     (not kept for top-k) is an id into ``table``, the distinct state keys
     ``snapshot_line`` returned (snapshots) or the distinct review ids
-    (reviews). ``rows`` maps each entity (app or list type) to its row
-    numbers in (time, offset) order, so an entity's newest line is its last
-    row: a ``range`` for the rows a sidecar held, a list once a line is
-    added. ``digest`` is the sha1 state over the first ``scanned_bytes``
-    bytes of the log; ``sidecar_bytes`` is the prefix the sidecar on disk
-    covers.
+    (reviews), each in order of first use in the log. ``rows`` maps each
+    entity (app or list type) to its row numbers in key order: time, and
+    (date, review id) for reviews. It is the only lookup structure: ``find``
+    bisects it, and an entity's newest line is its last row. It holds a
+    ``range`` for the rows a sidecar held, a list once a line is added.
+    ``digest`` is the sha1 state over the first ``scanned_bytes`` bytes of
+    the log; ``sidecar_bytes`` is the prefix the sidecar on disk covers.
     """
 
     def __init__(self, kind: str):
@@ -348,11 +352,8 @@ class _LogIndex:
         self._table_lookup: dict | None = None
         # TimelineState of each state id, built on first use by a query
         self._state_values: list[TimelineState] = []
-        # entity -> its row numbers in (time, offset) order
+        # entity -> its row numbers in key order
         self.rows: dict = {}
-        # (entity, time_key) -> (offset, length), built on first use by a
-        # writer or by a scan of lines past the sidecar
-        self._keys: dict | None = None
         self.digest = hashlib.sha1()
         self.scanned_bytes = 0
         self.sidecar_bytes = 0
@@ -389,14 +390,38 @@ class _LogIndex:
         )
         return values
 
+    def _review_order(self, row: int) -> tuple:
+        return self.times[row], self.table[self.tags[row]]
+
+    def _order(self, key: tuple) -> tuple:
+        """The place of ``key``, an (entity, time key) pair, in the key
+        order of its entity's rows, and the function giving a row's."""
+        entity, time_key = key
+        if self.kind == REVIEWS:
+            return (time_key, entity[1]), self._review_order
+        return time_key, self.times.__getitem__
+
+    def find(self, key: tuple) -> int | None:
+        """The row of the line indexed under ``key``, an (entity, time key)
+        pair, or None; first line wins, since ``_scan`` indexes no later
+        line of a key."""
+        rows = self.rows.get(key[0][0])
+        if rows is None:
+            return None
+        place, order = self._order(key)
+        if order(rows[-1]) < place:
+            return None
+        row = rows[bisect.bisect_left(rows, place, key=order)]
+        return row if order(row) == place else None
+
     def add(self, key: tuple, offset: int, length: int, state) -> None:
         """Index the line at ``offset`` with ``length`` under ``key``, its
-        (entity, time key) pair; ``state`` is its state key, as the kind's
-        codec returned it. The line lies past every indexed one."""
-        entity, time_key = key
-        times = self.times
-        row = len(times)
-        times.append(time_key)
+        (entity, time key) pair, which ``find`` does not hold; ``state`` is
+        its state key, as the kind's codec returned it. The line lies past
+        every indexed one."""
+        entity = key[0]
+        row = len(self.times)
+        self.times.append(key[1])
         self.offsets.append(offset)
         self.lengths.append(length)
         if self.kind == SNAPSHOTS:
@@ -406,38 +431,15 @@ class _LogIndex:
         rows = self.rows.get(entity[0])
         if rows is None:
             self.rows[entity[0]] = [row]
+            return
+        if type(rows) is range:
+            rows = self.rows[entity[0]] = list(rows)
+        place, order = self._order(key)
+        if order(rows[-1]) < place:
+            rows.append(row)
         else:
-            if type(rows) is range:
-                rows = self.rows[entity[0]] = list(rows)
-            if times[rows[-1]] <= time_key:
-                rows.append(row)
-            else:
-                # an older line appended later goes after the rows of its time
-                rows.insert(bisect.bisect_right(rows, time_key, key=times.__getitem__), row)
-        if self._keys is not None:
-            self._keys[key] = (offset, length)
-
-    def keys(self) -> dict:
-        """(entity, time_key) -> (offset, length) of the indexed line; first
-        line wins, since ``_scan`` indexes no later line of a key."""
-        if self._keys is None:
-            gather = self._gather()
-            if self.kind == REVIEWS:
-                groups = itertools.chain.from_iterable(
-                    itertools.repeat(group, len(rows)) for group, rows in self.rows.items()
-                )
-                entities = zip(groups, map(self.table.__getitem__, gather(self.tags)))
-            else:
-                entities = itertools.chain.from_iterable(
-                    itertools.repeat((group,), len(rows)) for group, rows in self.rows.items()
-                )
-            self._keys = dict(
-                zip(
-                    zip(entities, gather(self.times)),
-                    zip(gather(self.offsets), gather(self.lengths)),
-                )
-            )
-        return self._keys
+            # a line appended out of key order goes to its key's place
+            rows.insert(bisect.bisect_left(rows, place, key=order), row)
 
     def _gather(self) -> Callable:
         """column -> its values at every entity's rows in turn."""
@@ -477,16 +479,7 @@ class _LogIndex:
         ]
         names = list(self.rows)
         if self.kind == REVIEWS:
-            # review ids are numbered in order of first use, as a scan would
-            review_ids: dict[str, int] = {}
-            columns[3] = array(
-                "I",
-                [
-                    review_ids.setdefault(r, len(review_ids))
-                    for r in map(self.table.__getitem__, columns[3])
-                ],
-            )
-            names += review_ids
+            names += self.table
         table = self._state_table() if self.kind == SNAPSHOTS else b""
         body = (
             array("I", map(len, self.rows.values())).tobytes()
@@ -676,7 +669,6 @@ class SnapStore:
         index.skipped_tail = 0
         if path.stat().st_size <= index.scanned_bytes:
             return
-        indexed = index.keys()
         read_text = _TEXT_READERS[kind][0]
         with self._io_lock, open(path, "rb") as f:
             f.seek(index.scanned_bytes)
@@ -693,7 +685,7 @@ class SnapStore:
                     key, _, state = _admit(kind, line, raw, read_text(line))
                 except (TypeError, ValueError, RecursionError):
                     key = None
-                if key is None or key in indexed:
+                if key is None or index.find(key) is not None:
                     index.skipped_corrupt += 1
                 else:
                     index.add(key, offset, length, state)
@@ -755,7 +747,6 @@ class SnapStore:
             index = self._index(kind)
             self._scan(kind, index)
             report.skipped_corrupt[kind] = index.skipped_corrupt
-            committed = index.keys()
             if index.skipped_tail:
                 # drop the uncommitted tail of an interrupted write so new
                 # records never glue onto a partial line
@@ -770,10 +761,10 @@ class SnapStore:
             def stored(key) -> bytes | None:
                 """The committed or batch line under ``key``, if any (a key
                 is in the batch only while it is not committed)."""
-                place = committed.get(key)
-                if place is None:
+                row = index.find(key)
+                if row is None:
                     return batch.get(key)
-                return os.pread(self._read_fd(kind), place[1], place[0])
+                return os.pread(self._read_fd(kind), index.lengths[row], index.offsets[row])
 
             for line_no, line in enumerate(lines, start=1):
                 if type(line) is bytes:
@@ -916,7 +907,7 @@ class SnapStore:
 
     def app_states(self, app: str) -> AppStates:
         """Fetch times and timeline states of ``app``'s snapshots in
-        (fetch_time, offset) order, from the index: no log line is read."""
+        fetch_time order, from the index: no log line is read."""
         index = self._index(SNAPSHOTS)
         rows = index.rows.get(app, ())
         values = index.state_values()
@@ -944,17 +935,16 @@ class SnapStore:
         start: dt.date | None = None,
         end: dt.date | None = None,
     ) -> list[ReviewRecord]:
-        """Reviews of ``app`` in [start, end], sorted by (date, review_id)."""
+        """Reviews of ``app`` in [start, end], sorted by (date, review_id):
+        the key order of the app's rows."""
         if start is not None and end is not None and end < start:
             raise InvalidWindowError(f"review window end {end} before start {start}")
         index = self._index(REVIEWS)
-        reviews = [
+        return [
             r
             for r in self._read_records(REVIEWS, index.rows.get(app, ()))
             if (start is None or r.date >= start) and (end is None or r.date <= end)
         ]
-        reviews.sort(key=lambda r: (r.date, r.review_id))
-        return reviews
 
     def review_counts(self) -> dict[str, int]:
         """Number of stored reviews per app (no payload decoding)."""

@@ -17,10 +17,14 @@ dataset of all three record kinds into an empty store. A seventh loads the
 ingests them once more into a store that has them all.
 Two more open a store of those 10k snapshots and list its apps, once from
 the index sidecar and once by a full scan of the log, with no sidecar.
+The last two load 20k reviews of one app on one day, their ids in shuffled
+order, into an empty store and once more into a store that has them all:
+each line goes to its (date, review id) place among the app's rows.
 """
 
 import itertools
 import json
+import random
 import shutil
 
 import pytest
@@ -28,7 +32,9 @@ import pytest
 from marketpulse import simgen
 from marketpulse.model import ListType, canonical_json, review_to_record, snapshot_to_record
 from marketpulse.simgen import TopKListConfig
-from marketpulse.store import KINDS, SnapStore
+from marketpulse.store import KINDS, DatasetManifest, SnapStore
+
+from conftest import DAY0, make_review
 
 N_LINES = 10_000
 
@@ -223,3 +229,47 @@ def test_open_and_list_apps_by_a_full_scan(benchmark, tmp_path, snapshot_store):
     apps = benchmark(_open_and_list_apps, root)
     assert not list(root.glob("*.idx"))
     assert apps == _open_and_list_apps(snapshot_store)
+
+
+N_SAME_DAY = 20_000
+
+
+@pytest.fixture(scope="module")
+def same_day_reviews():
+    ids = [f"r{i}" for i in range(N_SAME_DAY)]
+    random.Random(5).shuffle(ids)
+    return [canonical_json(review_to_record(make_review(review_id=i))) + "\n" for i in ids]
+
+
+def _one_day_manifest():
+    return DatasetManifest(
+        name="same-day", currency="USD", observation_start=DAY0, observation_end=DAY0
+    )
+
+
+def test_bulk_ingest_of_same_day_reviews_in_shuffled_id_order(
+    benchmark, tmp_path, same_day_reviews
+):
+    fresh = itertools.count()
+
+    def empty_store():
+        return (SnapStore.create(tmp_path / f"store{next(fresh)}", _one_day_manifest()),), {}
+
+    def ingest(store):
+        return store.ingest_lines("reviews", same_day_reviews)
+
+    report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
+    assert report.accepted["reviews"] == N_SAME_DAY
+    assert report.deduplicated["reviews"] == report.total_rejected == 0
+
+
+def test_reingest_of_same_day_reviews_in_shuffled_id_order(benchmark, tmp_path, same_day_reviews):
+    root = tmp_path / "store"
+    SnapStore.create(root, _one_day_manifest()).ingest_lines("reviews", same_day_reviews)
+
+    def reingest():
+        return SnapStore.open(root).ingest_lines("reviews", same_day_reviews)
+
+    report = benchmark(reingest)
+    assert report.deduplicated["reviews"] == N_SAME_DAY
+    assert report.accepted["reviews"] == report.total_rejected == 0

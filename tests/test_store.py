@@ -847,11 +847,22 @@ def _index_state(store):
     for kind in ("snapshots", "reviews", "topk"):
         index = store._index(kind)
         rows = _entity_rows(index)
-        # each entity's lines in (time, offset) order
-        assert all(a[1:3] < b[1:3] for a, b in zip(rows, rows[1:]) if a[0] == b[0])
+        # (entity, time) -> (offset, length) of its line
+        keys = {
+            ((group, tag) if kind == "reviews" else (group,), time): (offset, length)
+            for group, time, offset, length, tag in rows
+        }
+        # each entity's lines in key order: time, and (date, review id) for
+        # reviews; one line per key, which find gives
+        order = [(group, time, tag if kind == "reviews" else "") for group, time, _, _, tag in rows]
+        assert all(a[1:] < b[1:] for a, b in zip(order, order[1:]) if a[0] == b[0])
+        assert len(keys) == len(rows)
+        for key, place in keys.items():
+            row = index.find(key)
+            assert (index.offsets[row], index.lengths[row]) == place
         state[kind] = (
             rows,
-            index.keys(),
+            keys,
             index.table if kind == "snapshots" else None,
             index.state_values() if kind == "snapshots" else None,
             index.scanned_bytes,
@@ -915,7 +926,7 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
         assert columns == per_entry * len(entries) + 4 * len(index.rows)
     # the distinct timeline states are few next to the snapshots
     snapshots = loaded._index("snapshots")
-    assert 0 < len(snapshots.table) < len(snapshots.keys()) / 2
+    assert 0 < len(snapshots.table) < len(snapshots.times) / 2
 
 
 def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
@@ -1019,7 +1030,7 @@ def test_read_only_store_serves_every_query(tmp_path, market):
             path.chmod(0o755 if path.is_dir() else 0o644)
 
 
-_MPX1, _MPX2, _MPX3, _MPX4 = 0x4D505831, 0x4D505832, 0x4D505833, 0x4D505834
+_MPX1, _MPX2, _MPX3, _MPX4, _MPX5 = 0x4D505831, 0x4D505832, 0x4D505833, 0x4D505834, 0x4D505835
 
 
 def _log_order_records(index):
@@ -1068,29 +1079,50 @@ def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
     return struct.pack("=IQ20sQQQQ", *fields, len(table)) + body
 
 
-def _mpx4_sidecar(index):
-    """The sidecar the MPX4 code wrote for ``index``: the layout of today,
-    with each entity's entries in log order rather than (time, offset)
-    order, and a valid digest (it does not cover the header)."""
+def _reordered_sidecar(index, magic):
+    """The sidecar the ``MPX4`` or ``MPX5`` code wrote for ``index``: the
+    layout of today, with each entity's entries in log order (``MPX4``) or
+    in (time, offset) order (``MPX5``) rather than key order, and a valid
+    digest (it does not cover the header)."""
+    def order(r):
+        return index.offsets[r] if magic == _MPX4 else (index.times[r], index.offsets[r])
+
     rows = index.rows
-    index.rows = {group: sorted(r, key=index.offsets.__getitem__) for group, r in rows.items()}
+    index.rows = {group: sorted(r, key=order) for group, r in rows.items()}
     try:
         data = bytearray(index.to_sidecar())
     finally:
         index.rows = rows
-    struct.pack_into("=I", data, 0, _MPX4)
+    struct.pack_into("=I", data, 0, magic)
     return bytes(data)
+
+
+def _assert_reingest_appends_nothing(root):
+    """Every committed line, ingested once more through one new handle,
+    is deduplicated; the logs keep their bytes and the sidecar of every
+    log with a line takes the current layout."""
+    store, logs = SnapStore.open(root), {p.name: p.read_bytes() for p in root.glob("*.jsonl")}
+    for kind in ("snapshots", "reviews", "topk"):
+        lines = logs[f"{kind}.jsonl"].splitlines(keepends=True)
+        report = store.ingest_lines(kind, lines)
+        assert (report.accepted[kind], report.deduplicated[kind], report.rejected) == (
+            0, len(lines), []
+        )
+        if lines:
+            current = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
+            assert current == store_mod._SIDECAR_MAGIC == 0x4D505836
+    assert {p.name: p.read_bytes() for p in root.glob("*.jsonl")} == logs
 
 
 def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
     root = tmp_path / "store"
     ingest_market(root, market)
     scanned = _full_scan(root, tmp_path)
-    for magic in (_MPX1, _MPX3, _MPX4):
+    for magic in (_MPX1, _MPX3, _MPX4, _MPX5):
         for kind in ("snapshots", "reviews", "topk"):
             index = SnapStore.open(root)._index(kind)
             records = _log_order_records(index)
-            old = _mpx4_sidecar(index) if magic == _MPX4 else _earlier_layout_sidecar(
+            old = _reordered_sidecar(index, magic) if magic >= _MPX4 else _earlier_layout_sidecar(
                 kind, magic, root / f"{kind}.jsonl", records, index.skipped_corrupt
             )
             (root / f"{kind}.idx").write_bytes(old)
@@ -1098,11 +1130,9 @@ def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
         assert _sidecar_bytes(loaded) == {"snapshots": 0, "reviews": 0, "topk": 0}
         assert _index_state(loaded) == _index_state(scanned)
         assert _query_results(loaded) == _query_results(scanned)
-        # the next ingest, even of nothing new, writes the current layout
-        for kind in ("snapshots", "reviews", "topk"):
-            SnapStore.open(root).ingest_lines(kind, [])
-            current = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
-            assert current == store_mod._SIDECAR_MAGIC == 0x4D505835
+        # a re-ingest through a handle over the old sidecar finds every
+        # line and writes the current layout
+        _assert_reingest_appends_nothing(root)
         reopened = SnapStore.open(root)
         assert _sidecar_bytes(reopened) == _log_sizes(root)
         assert _index_state(reopened) == _index_state(scanned)
@@ -1110,7 +1140,9 @@ def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
 
 def _out_of_order_store(root, manifest):
     """A store whose logs hold, for one app, a snapshot and a review that
-    were appended after newer ones, and the sidecars written before them."""
+    were appended after newer ones, a review logged after the ones of its
+    date whose ids sort after its own, and the sidecars written before the
+    out-of-order snapshot and review."""
     store = SnapStore.create(root, manifest)
     def snapshot(day):
         return make_snapshot(day=DAY0 + dt.timedelta(days=day))
@@ -1119,7 +1151,7 @@ def _out_of_order_store(root, manifest):
         return make_review(review_id=review_id, day=DAY0 + dt.timedelta(days=day))
 
     store.ingest_records("snapshots", [snapshot(0), snapshot(2)])
-    store.ingest_records("reviews", [review("r1", 5), review("r2", 5)])
+    store.ingest_records("reviews", [review("r1", 5), review("r2", 5), review("r0", 5)])
     sidecars = {kind: (root / f"{kind}.idx").read_bytes() for kind in ("snapshots", "reviews")}
     # an older fetch_time and an earlier review date, appended later; then
     # one more review on each date
@@ -1142,10 +1174,11 @@ def test_lines_appended_out_of_time_order_are_read_in_time_order(tmp_path, manif
         assert tuple(s.fetch_time for s in handle.query_app_series(app).snapshots) == times
         # the newest snapshot is the latest fetch_time, not the last line
         assert handle.latest_snapshots()[app].fetch_time == times[-1]
-        assert [r.review_id for r in handle.query_reviews(app)] == ["r0", "r3", "r1", "r2", "r4"]
-        # rows in (date, offset) order: reviews of one date stay in log order
+        expected = ["r0", "r3", "r0", "r1", "r2", "r4"]
+        assert [r.review_id for r in handle.query_reviews(app)] == expected
+        # rows in key order: reviews of one date in review id order
         rows = _entity_rows(handle._index("reviews"))
-        assert [row[4] for row in rows] == ["r0", "r3", "r1", "r2", "r4"]
+        assert [row[4] for row in rows] == expected
     # a sidecar from before the out-of-order lines: the tail scan places them
     for kind, sidecar in old_sidecars.items():
         (root / f"{kind}.idx").write_bytes(sidecar)
@@ -1155,14 +1188,84 @@ def test_lines_appended_out_of_time_order_are_read_in_time_order(tmp_path, manif
         assert 0 < index.sidecar_bytes < index.scanned_bytes == _log_sizes(root)[kind]
     assert _index_state(tail) == _index_state(scanned)
     assert _query_results(tail) == _query_results(scanned)
-    # the sidecar the MPX4 code wrote kept the lines in log order: ignored
-    for kind in ("snapshots", "reviews"):
-        (root / f"{kind}.idx").write_bytes(_mpx4_sidecar(scanned._index(kind)))
-    ignored = SnapStore.open(root)
-    assert _sidecar_bytes(ignored) == {"snapshots": 0, "reviews": 0, "topk": 0}
-    assert _index_state(ignored) == _index_state(scanned)
-    assert _query_results(ignored) == _query_results(scanned)
+    # the sidecars the MPX4 and MPX5 code wrote kept the lines in log
+    # order and in (time, offset) order: ignored, or a re-ingest of the
+    # review r0 of the last date would miss its stored copy
+    for magic in (_MPX4, _MPX5):
+        for kind in ("snapshots", "reviews"):
+            (root / f"{kind}.idx").write_bytes(_reordered_sidecar(scanned._index(kind), magic))
+        ignored = SnapStore.open(root)
+        assert _sidecar_bytes(ignored) == {"snapshots": 0, "reviews": 0, "topk": 0}
+        assert _index_state(ignored) == _index_state(scanned)
+        assert _query_results(ignored) == _query_results(scanned)
+        _assert_reingest_appends_nothing(root)
     _assert_rebuilt_on_next_ingest(store, tmp_path)
+
+
+# Canonical lines of few enough keys that draws repeat them: a snapshot's
+# price and a review's rating change its line but not its key, so a repeat
+# is a duplicate or a conflict. Days drawn at random append older fetch
+# times and dates after newer ones, and review ids of one date in any order.
+_APPS = st.sampled_from(["com.a", "com.b"])
+_SEQUENCE_LINES = {
+    "snapshots": st.builds(
+        lambda app, day, price: _canonical(
+            snapshot_to_record(
+                make_snapshot(
+                    app=app, day=DAY0 + dt.timedelta(days=day), price_cents=price, free=price == 0
+                )
+            )
+        ),
+        _APPS,
+        st.integers(0, 3),
+        st.sampled_from([0, 99]),
+    ),
+    "reviews": st.builds(
+        lambda app, review_id, day, rating: _canonical(
+            review_to_record(
+                make_review(
+                    app=app, review_id=review_id, day=DAY0 + dt.timedelta(days=day), rating=rating
+                )
+            )
+        ),
+        _APPS,
+        st.sampled_from(["r0", "r1", "r10", "r2"]),
+        st.integers(0, 2),
+        st.sampled_from([1, 5]),
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(["snapshots", "reviews"]).flatmap(
+            lambda kind: st.tuples(st.just(kind), st.lists(_SEQUENCE_LINES[kind], max_size=8))
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_ingest_sequence_matches_a_dict_model_and_a_full_scan(batches):
+    manifest = DatasetManifest(
+        name="t", currency="USD", observation_start=DAY0, observation_end=DAY0
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        SnapStore.create(root, manifest)
+        logs = {"snapshots": [], "reviews": []}
+        # each batch through a new handle, which loads the sidecar the last wrote
+        for kind, lines in batches:
+            expected = _reference_ingest(kind, logs[kind], lines)
+            handle = SnapStore.open(root)
+            report = handle.ingest_lines(kind, lines)
+            after = (root / f"{kind}.jsonl").read_text(encoding="utf-8")
+            assert (report.to_record(), report.skipped_corrupt[kind], after) == expected
+            logs[kind] = after.splitlines(keepends=True)
+            scanned = _full_scan(root, Path(tmp))
+            for reader in (handle, SnapStore.open(root)):
+                assert _index_state(reader) == _index_state(scanned)
+                assert _query_results(reader) == _query_results(scanned)
 
 
 def _hand_written_snapshot_log(store, snapshots):
@@ -1241,12 +1344,12 @@ def test_committed_fetch_time_beyond_64_bits_is_skipped_and_the_sidecar_covers_t
     reopened = SnapStore.open(store.root)
     index = reopened._index(kind)
     assert (index.sidecar_bytes, index.skipped_corrupt) == (0, 1)
-    assert len(index.keys()) == 1
+    assert len(index.times) == 1
     other = {**rec, "fetch_time": rec["fetch_time"] + 3600}
     assert reopened.ingest_lines(kind, [_canonical(other)]).accepted[kind] == 1
     covered = SnapStore.open(store.root)._index(kind)
     assert covered.sidecar_bytes == log.stat().st_size
-    assert (len(covered.keys()), covered.skipped_corrupt) == (2, 1)
+    assert (len(covered.times), covered.skipped_corrupt) == (2, 1)
 
 
 def test_create_fsyncs_the_logs_the_manifest_and_the_directory(tmp_path, manifest, monkeypatch):
