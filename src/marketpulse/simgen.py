@@ -9,6 +9,7 @@ planned change events exactly recoverable by the snapshot-diff pipeline.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import hashlib
 import json
@@ -19,7 +20,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .harvester import render_page
 from .metrics import DEFAULT_STALENESS_WINDOW_DAYS, classify_popularity
 from .model import (
     AppSnapshot,
@@ -322,11 +322,23 @@ class MarketScript:
                 raise ConfigError("fraud campaign outside the observation window")
             if campaign.daily_volume < 1:
                 raise ConfigError("fraud campaign daily_volume must be >= 1")
+        slugs = set()
         for scam in self.scam_developers:
+            slug = _scam_slug(scam)
+            if slug in slugs:
+                raise ConfigError(
+                    f"two scam developers would share the app ids com.scam.{slug}.*"
+                )
+            slugs.add(slug)
             if scam.n_clones < 1:
                 raise ConfigError("scam developer needs at least one clone")
             if scam.price_cents < 1:
                 raise ConfigError("scam clones must be paid apps")
+
+
+def _scam_slug(scam: ScamDeveloperScript) -> str:
+    """The part of a scam developer's app ids that its name sets."""
+    return "".join(ch.lower() for ch in scam.developer if ch.isalnum()) or "scam"
 
 
 def script_from_record(rec: dict) -> MarketScript:
@@ -943,7 +955,7 @@ def plan_market(script: MarketScript) -> _MarketPlan:
                 _plan_app(script, app_id, developer, None, 0, snapshot_days)
             )
     for scam in script.scam_developers:
-        slug = "".join(ch.lower() for ch in scam.developer if ch.isalnum()) or "scam"
+        slug = _scam_slug(scam)
         for j in range(scam.n_clones):
             app_id = f"com.scam.{slug}.c{j:02d}"
             plans.append(
@@ -993,13 +1005,20 @@ def plan_market(script: MarketScript) -> _MarketPlan:
 # --- rendering ----------------------------------------------------------------
 
 
-def _iter_snapshot_records(plan: _MarketPlan) -> Iterator[dict]:
-    """Snapshot record dicts sorted by (fetch_time, app)."""
+def _snapshot_lines(plan: _MarketPlan) -> Iterator[list[str]]:
+    """Canonical snapshot lines: one list per snapshot day, in day order,
+    each sorted by app.
+
+    Between two of its state changes an app's lines differ only in
+    ``fetch_time``, so each state of an app is encoded once, and a line is
+    that text with the day's fetch time put in.
+    """
+    days = plan.snapshot_days
     apps = sorted(plan.apps, key=lambda p: p.app)
-    states = {}
-    pointers = {}
-    for p in apps:
-        states[p.app] = {
+    texts = []  # (head, tail) of each app's state on the current day
+    switches: dict[int, list] = {}  # day index -> [(app position, (head, tail))]
+    for pos, p in enumerate(apps):
+        state = {
             "price_cents": p.price0,
             "downloads": p.bucket0,
             "rating_count": p.rating_count0,
@@ -1008,92 +1027,106 @@ def _iter_snapshot_records(plan: _MarketPlan) -> Iterator[dict]:
             "category": p.category,
             "last_updated": p.last_updated0,
         }
-        pointers[p.app] = 0
-    update_pointers = {p.app: 0 for p in apps}
-    for day in plan.snapshot_days:
-        fetch_time = date_to_epoch(day) + _SNAPSHOT_HOUR_OFFSET
-        for p in apps:
-            state = states[p.app]
-            i = pointers[p.app]
-            while i < len(p.changes) and p.changes[i].day <= day:
-                state[p.changes[i].field] = p.changes[i].new
-                i += 1
-            pointers[p.app] = i
-            j = update_pointers[p.app]
-            while j < len(p.update_days) and p.update_days[j] <= day:
-                state["last_updated"] = p.update_days[j]
-                j += 1
-            update_pointers[p.app] = j
-            yield {
-                "app": p.app,
-                "fetch_time": fetch_time,
-                "title": p.title,
-                "developer": p.developer,
-                "category": state["category"],
-                "price_cents": state["price_cents"],
-                "free": state["price_cents"] == 0,
-                "downloads_lo": state["downloads"].lo,
-                "downloads_hi": state["downloads"].hi,
-                "rating_avg": p.rating_avg,
-                "rating_count": state["rating_count"],
-                "version": state["version"],
-                "last_updated": state["last_updated"].isoformat(),
-                "size_bytes": p.size_bytes,
-                "permissions": sorted(state["permissions"]),
-            }
+        # a change takes effect on the first snapshot day on or after its
+        # day (plans put each on a snapshot day after the first); within one
+        # day the changes apply in plan order, then the update days
+        updates: dict[int, list] = {}
+        for change in p.changes:
+            i = bisect.bisect_left(days, change.day)
+            updates.setdefault(i, []).append((change.field, change.new))
+        for day in p.update_days:
+            i = bisect.bisect_left(days, day)
+            updates.setdefault(i, []).append(("last_updated", day))
+        texts.append(_snapshot_text(p, state))
+        for i in sorted(updates):
+            state.update(updates[i])
+            switches.setdefault(i, []).append((pos, _snapshot_text(p, state)))
+    for i, day in enumerate(days):
+        for pos, text in switches.get(i, ()):
+            texts[pos] = text
+        fetch_time = str(date_to_epoch(day) + _SNAPSHOT_HOUR_OFFSET)
+        yield [head + fetch_time + tail for head, tail in texts]
 
 
-def _review_records_for_app(plan: _MarketPlan, app_plan: _AppPlan) -> list[dict]:
+def _snapshot_text(p: _AppPlan, state: dict) -> tuple[str, str]:
+    """The canonical line of ``p`` in ``state``, split around its
+    ``fetch_time`` value. A quote inside a JSON string is escaped, so the
+    first ``"fetch_time":`` is the key."""
+    text = canonical_json(
+        {
+            "app": p.app,
+            "fetch_time": 0,
+            "title": p.title,
+            "developer": p.developer,
+            "category": state["category"],
+            "price_cents": state["price_cents"],
+            "free": state["price_cents"] == 0,
+            "downloads_lo": state["downloads"].lo,
+            "downloads_hi": state["downloads"].hi,
+            "rating_avg": p.rating_avg,
+            "rating_count": state["rating_count"],
+            "version": state["version"],
+            "last_updated": state["last_updated"].isoformat(),
+            "size_bytes": p.size_bytes,
+            "permissions": sorted(state["permissions"]),
+        }
+    )
+    head, tail = text.split('"fetch_time":0,', 1)
+    return head + '"fetch_time":', "," + tail + "\n"
+
+
+def _review_lines(plan: _MarketPlan) -> list[str]:
+    """Canonical review lines sorted by (date, app, review id)."""
     script = plan.script
-    rng = keyed_rng(script.seed, f"reviews:{app_plan.app}")
     n_days = script.observation_days
-    organic = rng.poisson(app_plan.review_base_daily, n_days)
-    burst = np.zeros(n_days, dtype=int)
-    burst_rating = {}
-    for campaign in app_plan.campaigns:
-        rating = 5 if campaign.polarity == "positive" else 1
-        for offset in range(campaign.start_day, campaign.start_day + campaign.duration_days):
-            burst[offset] += campaign.daily_volume
-            burst_rating[offset] = rating
-    records = []
-    seq = 0
-    ratings_pool = np.arange(1, 6)
-    for offset in range(n_days):
-        day = script.observation_start + dt.timedelta(days=offset)
-        k = int(organic[offset])
-        if k:
-            ratings = rng.choice(ratings_pool, size=k, p=_RATING_WEIGHTS)
-        else:
-            ratings = ()
-        for rating in ratings:
-            records.append(_review_record(app_plan.app, day, int(rating), seq))
-            seq += 1
-        for _ in range(int(burst[offset])):
-            records.append(
-                _review_record(app_plan.app, day, burst_rating[offset], seq)
-            )
-            seq += 1
-    return records
-
-
-def _review_record(app: str, day: dt.date, rating: int, seq: int) -> dict:
-    return {
-        "app": app,
-        "review_id": f"r{seq:06d}",
-        "reviewer_id": f"u{seq:06d}",
-        "date": day.isoformat(),
-        "rating": rating,
-        "title": f"review {seq}",
-        "text": f"synthetic review {seq} of {app}",
-    }
-
-
-def _iter_review_records(plan: _MarketPlan) -> Iterator[dict]:
-    everything = []
-    for app_plan in sorted(plan.apps, key=lambda p: p.app):
-        everything.extend(_review_records_for_app(plan, app_plan))
-    everything.sort(key=lambda r: (r["date"], r["app"], r["review_id"]))
-    return iter(everything)
+    dates = [
+        (script.observation_start + dt.timedelta(days=offset)).isoformat()
+        for offset in range(n_days)
+    ]
+    # Generator.choice(..., p=_RATING_WEIGHTS) maps rng.random(k) through
+    # this cdf, so one draw for all of an app's days continues the same stream
+    cdf = np.cumsum(_RATING_WEIGHTS)
+    cdf /= cdf[-1]
+    by_day: list[list] = [[] for _ in range(n_days)]  # (app, review id, line)
+    for p in sorted(plan.apps, key=lambda p: p.app):
+        rng = keyed_rng(script.seed, f"reviews:{p.app}")
+        organic = rng.poisson(p.review_base_daily, n_days)
+        draws = rng.random(int(organic.sum()))
+        ratings = (cdf.searchsorted(draws, side="right") + 1).tolist()
+        burst = [0] * n_days
+        burst_rating = {}
+        for campaign in p.campaigns:
+            rating = 5 if campaign.polarity == "positive" else 1
+            for offset in range(campaign.start_day, campaign.start_day + campaign.duration_days):
+                burst[offset] += campaign.daily_volume
+                burst_rating[offset] = rating
+        app_json = canonical_json(p.app)
+        app_text = app_json[1:-1]
+        seq = drawn = 0
+        for offset, k in enumerate(organic.tolist()):
+            day_ratings = ratings[drawn : drawn + k]
+            drawn += k
+            if burst[offset]:
+                day_ratings += [burst_rating[offset]] * burst[offset]
+            prefix = f'{{"app":{app_json},"date":"{dates[offset]}","rating":'
+            for rating in day_ratings:
+                review_id = f"r{seq:06d}"
+                by_day[offset].append(
+                    (
+                        p.app,
+                        review_id,
+                        f'{prefix}{rating},"review_id":"{review_id}",'
+                        f'"reviewer_id":"u{seq:06d}",'
+                        f'"text":"synthetic review {seq} of {app_text}",'
+                        f'"title":"review {seq}"}}\n',
+                    )
+                )
+                seq += 1
+    lines = []
+    for day_reviews in by_day:
+        day_reviews.sort()
+        lines.extend(line for _, _, line in day_reviews)
+    return lines
 
 
 def _iter_topk_records(plan: _MarketPlan) -> Iterator[dict]:
@@ -1194,6 +1227,10 @@ def _ground_truth(plan: _MarketPlan) -> GroundTruth:
     return GroundTruth(apps=truths, dev_app_counts=dev_counts, app_ids=app_ids)
 
 
+def _decode_snapshots(lines) -> list[AppSnapshot]:
+    return [snapshot_from_trusted_record(json.loads(line)) for line in lines]
+
+
 @dataclass
 class GeneratedMarket:
     manifest: DatasetManifest
@@ -1206,8 +1243,10 @@ class GeneratedMarket:
 def generate(script: MarketScript) -> GeneratedMarket:
     """Materialize the full market in memory (small scripts / tests)."""
     plan = plan_market(script)
-    snapshots = [snapshot_from_trusted_record(r) for r in _iter_snapshot_records(plan)]
-    reviews = [review_from_trusted_record(r) for r in _iter_review_records(plan)]
+    snapshots = _decode_snapshots(
+        line for day_lines in _snapshot_lines(plan) for line in day_lines
+    )
+    reviews = [review_from_trusted_record(json.loads(line)) for line in _review_lines(plan)]
     topk = [topk_from_trusted_record(r) for r in _iter_topk_records(plan)]
     return GeneratedMarket(
         manifest=plan.manifest,
@@ -1228,7 +1267,8 @@ def write_dataset(
     Writes manifest.json, snapshots.jsonl, reviews.jsonl, topk.jsonl and
     ground_truth.json; with ``render_market_seeds`` > 0 also renders
     market_pages.jsonl plus a seeds.txt so a crawl can run against the
-    final day's market state.
+    final day's market state. Every line is in the store's canonical text
+    (``canonical_json``), so an ingest stores it as it is.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1237,26 +1277,20 @@ def write_dataset(
         json.dumps(plan.manifest.to_record(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    last_day_records: list[dict] = []
-    last_day = plan.snapshot_days[-1]
-    last_epoch = date_to_epoch(last_day) + _SNAPSHOT_HOUR_OFFSET
     with open(out / "snapshots.jsonl", "w", encoding="utf-8") as f:
-        for rec in _iter_snapshot_records(plan):
-            f.write(canonical_json(rec) + "\n")
-            if render_market_seeds and rec["fetch_time"] == last_epoch:
-                last_day_records.append(rec)
+        for day_lines in _snapshot_lines(plan):
+            f.writelines(day_lines)
     with open(out / "reviews.jsonl", "w", encoding="utf-8") as f:
-        for rec in _iter_review_records(plan):
-            f.write(canonical_json(rec) + "\n")
+        f.writelines(_review_lines(plan))
     with open(out / "topk.jsonl", "w", encoding="utf-8") as f:
         for rec in _iter_topk_records(plan):
             f.write(canonical_json(rec) + "\n")
     truth = _ground_truth(plan)
     truth.save(out / "ground_truth.json")
     if render_market_seeds:
-        snapshots = [snapshot_from_trusted_record(r) for r in last_day_records]
+        # day_lines holds the last snapshot day's lines
         market = render_mock_market(
-            snapshots, n_seeds=render_market_seeds, seed=script.seed
+            _decode_snapshots(day_lines), n_seeds=render_market_seeds, seed=script.seed
         )
         with open(out / "market_pages.jsonl", "w", encoding="utf-8") as f:
             for app in sorted(market.pages):
@@ -1289,6 +1323,8 @@ def render_mock_market(
     from some earlier-placed app. ``extra_links`` adds up to that many
     random extra anchors per page.
     """
+    from .harvester import render_page  # only --render-market needs the harvester
+
     if not snapshots:
         raise ConfigError("render_mock_market needs at least one snapshot")
     by_id = {s.app: s for s in snapshots}

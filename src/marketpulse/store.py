@@ -776,14 +776,15 @@ class SnapStore:
                         )
                         continue
                 head = read_text(line)
-                raw = None
+                raw = previous = None
                 if head is not None:
                     # past its ASCII head a line may hold a lone surrogate,
                     # which the codec accepts
                     raw = (line if line.endswith("\n") else line + "\n").encode(
                         "utf-8", "surrogatepass"
                     )
-                    if stored(head[0]) == raw:
+                    previous = stored(head[0])
+                    if previous == raw:
                         report.deduplicated[kind] += 1
                         continue
                 elif not line.strip():
@@ -793,7 +794,10 @@ class SnapStore:
                 except (ValueError, TypeError, RecursionError) as exc:
                     report.rejected.append(Rejection(kind, line_no, str(exc)))
                     continue
-                previous = stored(key)
+                if head is None or key != head[0]:
+                    # _admit touches neither the batch nor the index, so the
+                    # line stored under the head's key is still current
+                    previous = stored(key)
                 if previous is None:
                     batch[key] = canonical
                     states.append(state)

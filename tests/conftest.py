@@ -21,6 +21,7 @@ from marketpulse.model import (
     ReviewRecord,
     TimelineState,
     TopKObservation,
+    canonical_json,
     date_to_epoch,
     epoch_to_date,
     parse_date,
@@ -455,6 +456,117 @@ def reference_line(kind: str, rec: dict) -> tuple[bytes, tuple | None]:
     line = json.dumps(encode(record), sort_keys=True, separators=(",", ":")) + "\n"
     state = snapshot_state_key(record) if kind == "snapshots" else None
     return line.encode("utf-8"), state
+
+
+# --- reference simulated lines ------------------------------------------------
+# The reference for marketpulse.simgen's line generators: one record dict per
+# snapshot and per review, each through canonical_json, and one
+# Generator.choice draw per app-day that has organic reviews.
+
+
+def reference_snapshot_lines(plan) -> list[str]:
+    """Canonical snapshot lines of ``plan`` sorted by (fetch_time, app)."""
+    from marketpulse.simgen import _SNAPSHOT_HOUR_OFFSET
+
+    apps = sorted(plan.apps, key=lambda p: p.app)
+    states = {}
+    pointers = {}
+    for p in apps:
+        states[p.app] = {
+            "price_cents": p.price0,
+            "downloads": p.bucket0,
+            "rating_count": p.rating_count0,
+            "version": p.version0,
+            "permissions": p.permissions0,
+            "category": p.category,
+            "last_updated": p.last_updated0,
+        }
+        pointers[p.app] = 0
+    update_pointers = {p.app: 0 for p in apps}
+    lines = []
+    for day in plan.snapshot_days:
+        fetch_time = date_to_epoch(day) + _SNAPSHOT_HOUR_OFFSET
+        for p in apps:
+            state = states[p.app]
+            i = pointers[p.app]
+            while i < len(p.changes) and p.changes[i].day <= day:
+                state[p.changes[i].field] = p.changes[i].new
+                i += 1
+            pointers[p.app] = i
+            j = update_pointers[p.app]
+            while j < len(p.update_days) and p.update_days[j] <= day:
+                state["last_updated"] = p.update_days[j]
+                j += 1
+            update_pointers[p.app] = j
+            rec = {
+                "app": p.app,
+                "fetch_time": fetch_time,
+                "title": p.title,
+                "developer": p.developer,
+                "category": state["category"],
+                "price_cents": state["price_cents"],
+                "free": state["price_cents"] == 0,
+                "downloads_lo": state["downloads"].lo,
+                "downloads_hi": state["downloads"].hi,
+                "rating_avg": p.rating_avg,
+                "rating_count": state["rating_count"],
+                "version": state["version"],
+                "last_updated": state["last_updated"].isoformat(),
+                "size_bytes": p.size_bytes,
+                "permissions": sorted(state["permissions"]),
+            }
+            lines.append(canonical_json(rec) + "\n")
+    return lines
+
+
+def _reference_review_record(app: str, day: dt.date, rating: int, seq: int) -> dict:
+    return {
+        "app": app,
+        "review_id": f"r{seq:06d}",
+        "reviewer_id": f"u{seq:06d}",
+        "date": day.isoformat(),
+        "rating": rating,
+        "title": f"review {seq}",
+        "text": f"synthetic review {seq} of {app}",
+    }
+
+
+def reference_review_lines(plan) -> list[str]:
+    """Canonical review lines of ``plan`` sorted by (date, app, review id)."""
+    from marketpulse.simgen import _RATING_WEIGHTS, keyed_rng
+
+    script = plan.script
+    records = []
+    for app_plan in sorted(plan.apps, key=lambda p: p.app):
+        rng = keyed_rng(script.seed, f"reviews:{app_plan.app}")
+        n_days = script.observation_days
+        organic = rng.poisson(app_plan.review_base_daily, n_days)
+        burst = np.zeros(n_days, dtype=int)
+        burst_rating = {}
+        for campaign in app_plan.campaigns:
+            rating = 5 if campaign.polarity == "positive" else 1
+            for offset in range(campaign.start_day, campaign.start_day + campaign.duration_days):
+                burst[offset] += campaign.daily_volume
+                burst_rating[offset] = rating
+        seq = 0
+        ratings_pool = np.arange(1, 6)
+        for offset in range(n_days):
+            day = script.observation_start + dt.timedelta(days=offset)
+            k = int(organic[offset])
+            if k:
+                ratings = rng.choice(ratings_pool, size=k, p=_RATING_WEIGHTS)
+            else:
+                ratings = ()
+            for rating in ratings:
+                records.append(_reference_review_record(app_plan.app, day, int(rating), seq))
+                seq += 1
+            for _ in range(int(burst[offset])):
+                records.append(
+                    _reference_review_record(app_plan.app, day, burst_rating[offset], seq)
+                )
+                seq += 1
+    records.sort(key=lambda r: (r["date"], r["app"], r["review_id"]))
+    return [canonical_json(rec) + "\n" for rec in records]
 
 
 # --- text the encoder never writes ----------------------------------------------

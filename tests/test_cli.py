@@ -354,14 +354,13 @@ _COMMAND_LAYERS = (
 )
 
 
-def test_cli_import_leaves_out_numpy_simgen_and_harvester():
-    # only simulate needs simgen (and numpy), only crawl the harvester, and
-    # each report command imports its own layer
+def _layers_imported_by(statements: str) -> list[str]:
+    """The command layers in sys.modules after a new interpreter runs
+    ``statements``."""
     src = Path(cli.__file__).resolve().parent.parent
     code = (
         "import json, sys\n"
-        "import marketpulse.cli as cli\n"
-        "cli.build_parser().parse_args(['crawl', '--seeds', 's', '--market', 'm', '--out', 'o'])\n"
+        f"{statements}"
         f"print(json.dumps([m for m in {_COMMAND_LAYERS!r} if m in sys.modules]))\n"
     )
     proc = subprocess.run(
@@ -371,7 +370,18 @@ def test_cli_import_leaves_out_numpy_simgen_and_harvester():
         text=True,
         check=True,
     )
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_out_numpy_simgen_and_harvester():
+    # only simulate needs simgen (and numpy), only crawl the harvester, and
+    # each report command imports its own layer
+    assert _layers_imported_by(
+        "import marketpulse.cli as cli\n"
+        "cli.build_parser().parse_args(['crawl', '--seeds', 's', '--market', 'm', '--out', 'o'])\n"
+    ) == []
+    # of simulate, only --render-market renders pages with the harvester
+    assert "marketpulse.harvester" not in _layers_imported_by("import marketpulse.simgen\n")
 
 
 def test_timeline_reports_decode_no_snapshot(dataset, monkeypatch):

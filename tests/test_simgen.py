@@ -1,8 +1,11 @@
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from marketpulse import simgen
 from marketpulse.anomaly import (
@@ -19,7 +22,15 @@ from marketpulse.metrics import (
     fit_power_law,
     update_stats,
 )
-from marketpulse.model import AttributeKind, ListType, PopularityClass
+from marketpulse.model import (
+    AttributeKind,
+    ListType,
+    PopularityClass,
+    canonical_json,
+    review_to_record,
+    snapshot_from_trusted_record,
+    snapshot_to_record,
+)
 from marketpulse.simgen import (
     FraudCampaign,
     MarketScript,
@@ -44,7 +55,12 @@ from marketpulse.timeline import (
 )
 from marketpulse.topk import lifetime_at_rank, rank_occupancy
 
-from conftest import scan_x_min, states_of
+from conftest import (
+    reference_review_lines,
+    reference_snapshot_lines,
+    scan_x_min,
+    states_of,
+)
 
 
 def small_script(**overrides):
@@ -110,6 +126,158 @@ class TestDeterminism:
             assert base_by[app] == more_by[app]
 
 
+@st.composite
+def line_scripts(draw):
+    """Small scripts over every script key that shapes snapshot or review
+    lines; fraud campaigns may overlap, and scam developer names need
+    escaping in JSON."""
+    days = draw(st.integers(1, 16))
+    cadence = draw(st.integers(1, 4))
+    campaigns = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, days - 1))
+        campaigns.append(
+            FraudCampaign(
+                app=draw(st.integers(0, 3)),
+                polarity=draw(st.sampled_from(("positive", "negative"))),
+                start_day=start,
+                duration_days=draw(st.integers(1, days - start)),
+                daily_volume=draw(st.integers(1, 30)),
+            )
+        )
+    scams = draw(
+        st.lists(
+            st.builds(
+                ScamDeveloperScript,
+                developer=st.text(alphabet='aZ09 "\\\u00e9\u6771-', max_size=6),
+                n_clones=st.integers(1, 3),
+                price_cents=st.integers(1, 999),
+            ),
+            max_size=2,
+        )
+    )
+    churn = draw(st.integers(0, 2)) if cadence == 1 and days >= 4 else 0
+    return small_script(
+        seed=draw(st.integers(0, 2**32)),
+        n_developers=draw(st.integers(4, 10)),
+        observation_days=days,
+        snapshot_cadence_days=cadence,
+        fraud_campaigns=tuple(campaigns),
+        scam_developers=tuple(scams),
+        permission_churn_apps=churn,
+        stale_fraction=draw(st.floats(0.0, 1.0)),
+    )
+
+
+class TestLines:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(script=line_scripts())
+    def test_written_lines_equal_the_record_dict_path(self, script):
+        try:
+            plan = simgen.plan_market(script)
+        except ConfigError:
+            # too few apps or days for the permission churn, or two scam
+            # developers whose names give the same app ids
+            assume(False)
+        snapshots = reference_snapshot_lines(plan)
+        reviews = reference_review_lines(plan)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            write_dataset(script, out, render_market_seeds=2)
+            assert (out / "snapshots.jsonl").read_text() == "".join(snapshots)
+            assert (out / "reviews.jsonl").read_text() == "".join(reviews)
+            # the pages render the last snapshot day, decoded
+            last_day = [
+                snapshot_from_trusted_record(json.loads(line))
+                for line in snapshots[-len(plan.apps) :]
+            ]
+            market = render_mock_market(last_day, n_seeds=2, seed=script.seed)
+            assert (out / "market_pages.jsonl").read_text() == "".join(
+                canonical_json({"app": app, "page": market.pages[app]}) + "\n"
+                for app in sorted(market.pages)
+            )
+        # generate() decodes the same lines
+        market = generate(script)
+        assert [canonical_json(snapshot_to_record(s)) + "\n" for s in market.snapshots] == snapshots
+        assert [canonical_json(review_to_record(r)) + "\n" for r in market.reviews] == reviews
+
+    def test_each_app_state_is_encoded_once(self, monkeypatch):
+        script = small_script(n_developers=60, observation_days=30, permission_churn_apps=2)
+        plan = simgen.plan_market(script)
+        calls = []
+
+        def counting_canonical_json(value):
+            calls.append(value)
+            return canonical_json(value)
+
+        monkeypatch.setattr(simgen, "canonical_json", counting_canonical_json)
+        lines = [line for day_lines in simgen._snapshot_lines(plan) for line in day_lines]
+        # every change and update lands on a snapshot day; an app's changes
+        # of one day make one new state
+        states = len(plan.apps) + sum(
+            len({c.day for c in p.changes} | set(p.update_days)) for p in plan.apps
+        )
+        assert sum(1 for p in plan.apps if p.changes) > 10
+        assert len(calls) == states < len(lines) == len(plan.apps) * 30
+        assert lines == reference_snapshot_lines(plan)
+
+    def test_draws_on_the_rating_cdf_map_as_generator_choice_maps_them(self, monkeypatch):
+        # a draw equal to a cdf value takes the next rating (side="right")
+        cdf = np.cumsum(simgen._RATING_WEIGHTS)
+        cdf /= cdf[-1]
+        boundaries = np.concatenate(([0.0], cdf[:-1]))
+
+        class BoundaryGenerator(np.random.Generator):
+            """Draws 0 and the rating cdf's values, in turn."""
+
+            drawn = 0
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                n = int(np.prod(size))
+                picked = boundaries[(self.drawn + np.arange(n)) % len(boundaries)]
+                self.drawn += n
+                return picked.reshape(size)
+
+        plan = simgen.plan_market(
+            small_script(fraud_campaigns=(FraudCampaign(app=0, daily_volume=1),))
+        )
+        real_rng = simgen.keyed_rng
+        monkeypatch.setattr(
+            simgen,
+            "keyed_rng",
+            lambda seed, label: BoundaryGenerator(real_rng(seed, label).bit_generator),
+        )
+        lines = simgen._review_lines(plan)
+        assert {json.loads(line)["rating"] for line in lines} == {1, 2, 3, 4, 5}
+        assert lines == reference_review_lines(plan)
+
+    def test_review_ids_past_a_million_sort_as_strings(self):
+        # "r1000000" sorts between "r100000" and "r100001", as the review
+        # id strings of the store's key do; one app's burst of 10^6 + 1
+        # reviews on one day crosses that width
+        script = small_script(
+            n_developers=1,
+            observation_days=1,
+            fraud_campaigns=(
+                FraudCampaign(app=0, start_day=0, duration_days=1, daily_volume=10**6 + 1),
+            ),
+        )
+        plan = simgen.plan_market(script)
+        prefix = f'{{"app":"{plan.apps[0].app}"'
+        ids = [
+            line[line.index('"review_id":"') + 13 : line.index('","reviewer_id"')]
+            for line in simgen._review_lines(plan)
+            if line.startswith(prefix)
+        ]
+        assert len(ids) > 10**6
+        assert ids == sorted(ids)
+        assert ids.index("r1000000") == ids.index("r100000") + 1
+
+
 class TestScriptCodec:
     def test_round_trip(self):
         script = small_script(
@@ -140,6 +308,12 @@ class TestScriptCodec:
             script_from_record(
                 {"popularity_mix": {"Unpopular": 0.5, "Popular": 0.3, "MostPopular": 0.1}}
             )
+
+    def test_scam_developers_sharing_app_ids_rejected(self):
+        # both names reduce to the app ids com.scam.cloneworks.cNN
+        scams = [{"developer": "CloneWorks"}, {"developer": "clone-works!"}]
+        with pytest.raises(ConfigError, match="com.scam.cloneworks"):
+            script_from_record({"scam_developers": scams})
 
     def test_campaign_outside_window_rejected(self):
         with pytest.raises(ConfigError, match="campaign"):

@@ -483,6 +483,28 @@ def test_bulk_ingest_of_a_market_decodes_no_snapshot_or_review_line(tmp_path, ma
     assert _index_state(rescanned) == _index_state(by_records)
 
 
+def test_ingest_of_new_canonical_lines_looks_up_each_key_once(tmp_path, market, monkeypatch):
+    # the line stored under a canonical line's head key answers both the
+    # byte-identical check and the dedup of the admitted record
+    data = tmp_path / "data"
+    simgen.write_dataset(market_script(), data)
+    lines = {
+        kind: (data / f"{kind}.jsonl").read_text().splitlines(keepends=True) for kind in KINDS
+    }
+    calls = dict.fromkeys(KINDS, 0)
+    real_find = store_mod._LogIndex.find
+
+    def counting_find(index, key):
+        calls[index.kind] += 1
+        return real_find(index, key)
+
+    monkeypatch.setattr(store_mod._LogIndex, "find", counting_find)
+    store = SnapStore.create(tmp_path / "store", market.manifest)
+    for kind in KINDS:
+        assert store.ingest_lines(kind, lines[kind]).accepted[kind] == len(lines[kind]) > 0
+    assert calls == {kind: len(lines[kind]) for kind in KINDS}
+
+
 def _reordered_with_spaces(rec):
     return json.dumps(dict(reversed(list(rec.items()))), separators=(" , ", " : "))
 
