@@ -326,6 +326,10 @@ def scam_pattern_scan(
 
 # --- external scan flags ----------------------------------------------------------
 
+# an app is selected for scanning with this many flags and stored reviews
+_MIN_FLAGS = 3
+_MIN_REVIEWS = 10
+
 
 @dataclass(frozen=True)
 class FlaggedApp:
@@ -338,14 +342,12 @@ class FlaggedApp:
 def join_external_flags(
     flag_rows: Iterable[str] | Path | str,
     review_counts: dict[str, int],
-    min_flags: int = 3,
-    min_reviews: int = 10,
 ) -> list[FlaggedApp]:
     """Join an external scanner's flag CSV (columns: app, flag_count)
     against stored review counts, marking apps selected for scanning.
 
-    An app is selected when it has at least ``min_flags`` flags and at
-    least ``min_reviews`` stored reviews.
+    An app is selected when it has at least ``_MIN_FLAGS`` flags and at
+    least ``_MIN_REVIEWS`` stored reviews.
     """
     if isinstance(flag_rows, (Path, str)):
         lines = Path(flag_rows).read_text(encoding="utf-8").splitlines()
@@ -375,7 +377,7 @@ def join_external_flags(
                 app=app,
                 flag_count=flag_count,
                 review_count=n_reviews,
-                selected=flag_count >= min_flags and n_reviews >= min_reviews,
+                selected=flag_count >= _MIN_FLAGS and n_reviews >= _MIN_REVIEWS,
             )
         )
     out.sort(key=lambda f: f.app)

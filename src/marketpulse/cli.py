@@ -27,7 +27,6 @@ from .model import (
 )
 from .store import DatasetManifest, SnapStore
 from .timeline import (
-    PolarityThresholds,
     build_app_timeline,
     build_review_timeline,
     timeline_csv_rows,
@@ -132,8 +131,8 @@ def cmd_simulate(args) -> int:
         script, args.out, render_market_seeds=args.render_market
     )
     summary = {
-        "apps": len(truth.app_ids),
-        "developers": len(truth.dev_app_counts),
+        "apps": len(truth["app_ids"]),
+        "developers": len(truth["dev_app_counts"]),
         "out": str(args.out),
     }
     print(json.dumps(summary, sort_keys=True))
@@ -561,11 +560,10 @@ def cmd_anomaly(args) -> int:
         params = anomaly_mod.SpikeParams(
             window_days=args.window_days, mad_k=args.mad_k, min_abs=args.min_abs
         )
-        thresholds = PolarityThresholds()
         all_spikes = []
         for app in store.reviewed_apps():
             reviews = store.query_reviews(app)
-            timeline = build_review_timeline(reviews, thresholds, app=app)
+            timeline = build_review_timeline(reviews, app=app)
             all_spikes.extend(anomaly_mod.detect_review_spikes(timeline, params))
         rows = [
             (

@@ -13,10 +13,6 @@ class InvalidInputError(MarketPulseError):
     """Operation received arguments that violate its preconditions."""
 
 
-class InvalidPairError(InvalidInputError):
-    """Snapshot pair cannot be diffed (app mismatch or non-increasing time)."""
-
-
 class InsufficientDataError(MarketPulseError):
     """Not enough observations to compute the requested statistic."""
 

@@ -165,7 +165,7 @@ class Decomposition:
 
     ``trend`` and ``remainder`` are NaN at the floor(period/2) edge points
     on each side where the centered moving average is undefined.
-    ``seasonal_profile`` holds one period of the (zero-sum) seasonal component.
+    ``seasonal`` repeats one zero-sum period, ``seasonal[:period]``.
     """
 
     observed: np.ndarray
@@ -173,10 +173,6 @@ class Decomposition:
     seasonal: np.ndarray
     remainder: np.ndarray
     period: int
-
-    @property
-    def seasonal_profile(self) -> np.ndarray:
-        return self.seasonal[: self.period]
 
 
 def seasonal_trend_decompose(

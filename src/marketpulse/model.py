@@ -161,16 +161,12 @@ def date_to_epoch(day: dt.date) -> int:
     )
 
 
-def epoch_to_date(ts: int) -> dt.date:
-    return dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date()
-
-
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 def epoch_day_to_date(day: int) -> dt.date:
-    """UTC date of epoch day ``day``: ``epoch_to_date(ts)`` for any ``ts``
-    with ``ts // SECONDS_PER_DAY == day``."""
+    """UTC date of epoch day ``day``: the UTC date of every epoch second
+    ``ts`` with ``ts // SECONDS_PER_DAY == day``."""
     return dt.date.fromordinal(_EPOCH_ORDINAL + day)
 
 
@@ -512,26 +508,6 @@ def snapshot_to_record(s: AppSnapshot) -> dict:
         "last_updated": s.last_updated.isoformat(),
         "size_bytes": s.size_bytes,
         "permissions": sorted(s.permissions),
-    }
-
-
-def review_to_record(r: ReviewRecord) -> dict:
-    return {
-        "app": r.app,
-        "review_id": r.review_id,
-        "reviewer_id": r.reviewer_id,
-        "date": r.date.isoformat(),
-        "rating": r.rating,
-        "title": r.title,
-        "text": r.text,
-    }
-
-
-def topk_to_record(o: TopKObservation) -> dict:
-    return {
-        "list_type": o.list_type.value,
-        "fetch_time": o.fetch_time,
-        "ranking": list(o.ranking),
     }
 
 

@@ -31,9 +31,7 @@ from .model import (
     canonical_json,
     date_to_epoch,
     parse_date,
-    review_from_trusted_record,
     snapshot_from_trusted_record,
-    topk_from_trusted_record,
 )
 from .store import DatasetManifest
 from .timeline import format_event_value
@@ -141,16 +139,6 @@ def keyed_rng(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def power_law_samples(
-    rng: np.random.Generator, alpha: float, x_min: float, n: int
-) -> np.ndarray:
-    """Continuous inverse-CDF samples with density ~ x^-alpha for x >= x_min."""
-    if alpha <= 1.0:
-        raise ConfigError("power-law exponent must exceed 1")
-    u = rng.random(n)
-    return x_min * (1.0 - u) ** (-1.0 / (alpha - 1.0))
-
-
 def discrete_power_law_samples(
     rng: np.random.Generator, alpha: float, n: int, x_max: int = 1000
 ) -> np.ndarray:
@@ -223,23 +211,15 @@ def _default_update_gap_model() -> dict:
     }
 
 
-def normalized_mix(
-    unpopular: float, popular: float, most_popular: float
-) -> dict:
-    """Class weights scaled to sum to one (validate() requires exact 1)."""
-    total = unpopular + popular + most_popular
-    if total <= 0:
-        raise ConfigError("popularity mix weights must be positive")
-    return {
-        PopularityClass.UNPOPULAR: unpopular / total,
-        PopularityClass.POPULAR: popular / total,
-        PopularityClass.MOST_POPULAR: most_popular / total,
-    }
-
-
 def _default_popularity_mix() -> dict:
-    # 74.14 / 24.1 / 0.7 scaled up; the raw shares leave 1.06% unassigned
-    return normalized_mix(0.7414, 0.241, 0.007)
+    # 74.14 / 24.1 / 0.7 scaled up to sum to one (validate() requires it);
+    # the raw shares leave 1.06% unassigned
+    total = 0.7414 + 0.241 + 0.007
+    return {
+        PopularityClass.UNPOPULAR: 0.7414 / total,
+        PopularityClass.POPULAR: 0.241 / total,
+        PopularityClass.MOST_POPULAR: 0.007 / total,
+    }
 
 
 def _default_review_rates() -> dict:
@@ -261,7 +241,7 @@ RATING_DOWNLOAD_RATIO = 1.0 / 300.0
 
 @dataclass(frozen=True)
 class MarketScript:
-    """Full recipe for one synthetic market; see generate()."""
+    """Full recipe for one synthetic market; see write_dataset()."""
 
     seed: int = 0
     name: str = "synthetic-market"
@@ -392,144 +372,8 @@ def script_from_record(rec: dict) -> MarketScript:
     return script
 
 
-def script_to_record(script: MarketScript) -> dict:
-    return {
-        "seed": script.seed,
-        "name": script.name,
-        "currency": script.currency,
-        "n_developers": script.n_developers,
-        "observation_start": script.observation_start.isoformat(),
-        "observation_days": script.observation_days,
-        "snapshot_cadence_days": script.snapshot_cadence_days,
-        "topk_lists": {
-            lt.value: vars(cfg).copy() for lt, cfg in script.topk_lists.items()
-        },
-        "fraud_campaigns": [vars(c).copy() for c in script.fraud_campaigns],
-        "scam_developers": [vars(s).copy() for s in script.scam_developers],
-        "decoupling_rate": script.decoupling_rate,
-        "popularity_mix": {k.value: v for k, v in script.popularity_mix.items()},
-        "stale_fraction": script.stale_fraction,
-        "update_gap_model": {
-            k.value: vars(v).copy() for k, v in script.update_gap_model.items()
-        },
-        "price_change_model": vars(script.price_change_model).copy(),
-        "permission_change_model": vars(script.permission_change_model).copy(),
-        "permission_churn_apps": script.permission_churn_apps,
-        "review_rates": {k.value: v for k, v in script.review_rates.items()},
-    }
-
-
 def load_script(path: Path | str) -> MarketScript:
     return script_from_record(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-# --- ground truth -------------------------------------------------------------
-
-
-@dataclass
-class TruthEvent:
-    day: dt.date
-    kind: AttributeKind
-    old: str
-    new: str
-
-    def key(self) -> tuple:
-        return (self.day, self.kind.value, self.old, self.new)
-
-
-@dataclass
-class AppTruth:
-    app: str
-    developer: str
-    klass: PopularityClass
-    stale: bool
-    update_days: list = field(default_factory=list)
-    events: list = field(default_factory=list)  # TruthEvent
-    fraud_days: list = field(default_factory=list)  # (date, polarity, volume)
-    scam_cluster: str | None = None
-    permission_events: int = 0
-    decoupled_events: int = 0
-
-
-@dataclass
-class GroundTruth:
-    apps: dict  # app id -> AppTruth
-    dev_app_counts: dict  # developer -> number of apps
-    app_ids: list  # generation order
-
-    def to_record(self) -> dict:
-        return {
-            "dev_app_counts": dict(sorted(self.dev_app_counts.items())),
-            "app_ids": list(self.app_ids),
-            "apps": {
-                app: {
-                    "developer": truth.developer,
-                    "class": truth.klass.value,
-                    "stale": truth.stale,
-                    "update_days": [d.isoformat() for d in truth.update_days],
-                    "events": [
-                        {
-                            "day": e.day.isoformat(),
-                            "kind": e.kind.value,
-                            "old": e.old,
-                            "new": e.new,
-                        }
-                        for e in truth.events
-                    ],
-                    "fraud_days": [
-                        {"day": d.isoformat(), "polarity": p, "volume": v}
-                        for d, p, v in truth.fraud_days
-                    ],
-                    "scam_cluster": truth.scam_cluster,
-                    "permission_events": truth.permission_events,
-                    "decoupled_events": truth.decoupled_events,
-                }
-                for app, truth in sorted(self.apps.items())
-            },
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "GroundTruth":
-        apps = {}
-        for app, t in rec["apps"].items():
-            apps[app] = AppTruth(
-                app=app,
-                developer=t["developer"],
-                klass=PopularityClass(t["class"]),
-                stale=t["stale"],
-                update_days=[parse_date(d) for d in t["update_days"]],
-                events=[
-                    TruthEvent(
-                        day=parse_date(e["day"]),
-                        kind=AttributeKind(e["kind"]),
-                        old=e["old"],
-                        new=e["new"],
-                    )
-                    for e in t["events"]
-                ],
-                fraud_days=[
-                    (parse_date(f["day"]), f["polarity"], f["volume"])
-                    for f in t["fraud_days"]
-                ],
-                scam_cluster=t["scam_cluster"],
-                permission_events=t["permission_events"],
-                decoupled_events=t["decoupled_events"],
-            )
-        return cls(
-            apps=apps,
-            dev_app_counts=dict(rec["dev_app_counts"]),
-            app_ids=list(rec["app_ids"]),
-        )
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_record(), sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "GroundTruth":
-        return cls.from_record(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # --- planning -----------------------------------------------------------------
@@ -1184,91 +1028,62 @@ def _iter_topk_records(plan: _MarketPlan) -> Iterator[dict]:
     return iter(merged)
 
 
-def _ground_truth(plan: _MarketPlan) -> GroundTruth:
-    truths = {}
-    dev_counts: dict[str, int] = {}
-    app_ids = []
+def _truth_record(plan: _MarketPlan) -> dict:
+    """The ground_truth.json record: each app's planned labels, change
+    events and fraud days, with the app ids in generation order and the
+    number of apps of each developer."""
+    start = plan.script.observation_start
+    dev_app_counts: dict[str, int] = {}
+    apps = {}
     for p in plan.apps:
-        app_ids.append(p.app)
-        dev_counts[p.developer] = dev_counts.get(p.developer, 0) + 1
-        events = [
-            TruthEvent(
-                day=c.day,
-                kind=c.kind,
-                old=format_event_value(c.old),
-                new=format_event_value(c.new),
-            )
-            for c in p.changes
-        ]
-        fraud_days = []
-        for campaign in p.campaigns:
-            for offset in range(
-                campaign.start_day, campaign.start_day + campaign.duration_days
-            ):
-                fraud_days.append(
-                    (
-                        plan.script.observation_start + dt.timedelta(days=offset),
-                        campaign.polarity,
-                        campaign.daily_volume,
-                    )
-                )
-        truths[p.app] = AppTruth(
-            app=p.app,
-            developer=p.developer,
-            klass=p.klass,
-            stale=p.stale,
-            update_days=list(p.update_days),
-            events=events,
-            fraud_days=sorted(fraud_days),
-            scam_cluster=p.scam_cluster,
-            permission_events=p.permission_events,
-            decoupled_events=p.decoupled_events,
+        dev_app_counts[p.developer] = dev_app_counts.get(p.developer, 0) + 1
+        fraud_days = sorted(
+            (start + dt.timedelta(days=offset), c.polarity, c.daily_volume)
+            for c in p.campaigns
+            for offset in range(c.start_day, c.start_day + c.duration_days)
         )
-    return GroundTruth(apps=truths, dev_app_counts=dev_counts, app_ids=app_ids)
-
-
-def _decode_snapshots(lines) -> list[AppSnapshot]:
-    return [snapshot_from_trusted_record(json.loads(line)) for line in lines]
-
-
-@dataclass
-class GeneratedMarket:
-    manifest: DatasetManifest
-    snapshots: list
-    reviews: list
-    topk: list
-    ground_truth: GroundTruth
-
-
-def generate(script: MarketScript) -> GeneratedMarket:
-    """Materialize the full market in memory (small scripts / tests)."""
-    plan = plan_market(script)
-    snapshots = _decode_snapshots(
-        line for day_lines in _snapshot_lines(plan) for line in day_lines
-    )
-    reviews = [review_from_trusted_record(json.loads(line)) for line in _review_lines(plan)]
-    topk = [topk_from_trusted_record(r) for r in _iter_topk_records(plan)]
-    return GeneratedMarket(
-        manifest=plan.manifest,
-        snapshots=snapshots,
-        reviews=reviews,
-        topk=topk,
-        ground_truth=_ground_truth(plan),
-    )
+        apps[p.app] = {
+            "developer": p.developer,
+            "class": p.klass.value,
+            "stale": p.stale,
+            "update_days": [d.isoformat() for d in p.update_days],
+            "events": [
+                {
+                    "day": c.day.isoformat(),
+                    "kind": c.kind.value,
+                    "old": format_event_value(c.old),
+                    "new": format_event_value(c.new),
+                }
+                for c in p.changes
+            ],
+            "fraud_days": [
+                {"day": d.isoformat(), "polarity": polarity, "volume": volume}
+                for d, polarity, volume in fraud_days
+            ],
+            "scam_cluster": p.scam_cluster,
+            "permission_events": p.permission_events,
+            "decoupled_events": p.decoupled_events,
+        }
+    return {
+        "app_ids": [p.app for p in plan.apps],
+        "dev_app_counts": dev_app_counts,
+        "apps": apps,
+    }
 
 
 def write_dataset(
     script: MarketScript,
     out_dir: Path | str,
     render_market_seeds: int = 0,
-) -> GroundTruth:
+) -> dict:
     """Stream the market to ``out_dir`` in the store's JSONL schemas.
 
     Writes manifest.json, snapshots.jsonl, reviews.jsonl, topk.jsonl and
     ground_truth.json; with ``render_market_seeds`` > 0 also renders
     market_pages.jsonl plus a seeds.txt so a crawl can run against the
     final day's market state. Every line is in the store's canonical text
-    (``canonical_json``), so an ingest stores it as it is.
+    (``canonical_json``), so an ingest stores it as it is. Returns the
+    ground-truth record.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1285,12 +1100,16 @@ def write_dataset(
     with open(out / "topk.jsonl", "w", encoding="utf-8") as f:
         for rec in _iter_topk_records(plan):
             f.write(canonical_json(rec) + "\n")
-    truth = _ground_truth(plan)
-    truth.save(out / "ground_truth.json")
+    truth = _truth_record(plan)
+    (out / "ground_truth.json").write_text(
+        json.dumps(truth, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+    )
     if render_market_seeds:
         # day_lines holds the last snapshot day's lines
         market = render_mock_market(
-            _decode_snapshots(day_lines), n_seeds=render_market_seeds, seed=script.seed
+            [snapshot_from_trusted_record(json.loads(line)) for line in day_lines],
+            n_seeds=render_market_seeds,
+            seed=script.seed,
         )
         with open(out / "market_pages.jsonl", "w", encoding="utf-8") as f:
             for app in sorted(market.pages):

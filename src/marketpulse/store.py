@@ -59,21 +59,17 @@ from .model import (
     ReviewRecord,
     TimelineState,
     TopKObservation,
-    canonical_json,
     parse_date,
     review_from_trusted_record,
     review_line,
     review_text,
     review_text_state,
-    review_to_record,
     snapshot_from_trusted_record,
     snapshot_line,
     snapshot_text,
     snapshot_text_state,
-    snapshot_to_record,
     topk_from_trusted_record,
     topk_line,
-    topk_to_record,
 )
 
 SNAPSHOTS = "snapshots"
@@ -246,12 +242,6 @@ _TRUSTED_DECODERS: dict[str, Callable] = {
     SNAPSHOTS: snapshot_from_trusted_record,
     REVIEWS: review_from_trusted_record,
     TOPK: topk_from_trusted_record,
-}
-# typed record -> record dict, for ingest_records
-_TO_RECORD: dict[str, Callable] = {
-    SNAPSHOTS: snapshot_to_record,
-    REVIEWS: review_to_record,
-    TOPK: topk_to_record,
 }
 # per-kind readers of a line in its kind's canonical text, without json.loads
 # (see model): line -> ((entity, time) key, head match) or None, and head
@@ -870,11 +860,6 @@ class SnapStore:
             return
         index.sidecar_bytes = index.scanned_bytes
 
-    def ingest_records(self, kind: str, records: Iterable) -> IngestReport:
-        """Ingest typed records through the same validation/dedup path."""
-        to_record = _TO_RECORD[kind]
-        return self.ingest_lines(kind, (canonical_json(to_record(r)) for r in records))
-
     def ingest_dir(self, data_dir: Path | str) -> IngestReport:
         """Ingest the standard three JSONL logs found under ``data_dir``."""
         data_dir = Path(data_dir)
@@ -933,22 +918,10 @@ class SnapStore:
         values, tags = index.state_values(), index.tags
         return {app: values[tags[r]] for app, r in index.newest()}
 
-    def query_reviews(
-        self,
-        app: str,
-        start: dt.date | None = None,
-        end: dt.date | None = None,
-    ) -> list[ReviewRecord]:
-        """Reviews of ``app`` in [start, end], sorted by (date, review_id):
-        the key order of the app's rows."""
-        if start is not None and end is not None and end < start:
-            raise InvalidWindowError(f"review window end {end} before start {start}")
-        index = self._index(REVIEWS)
-        return [
-            r
-            for r in self._read_records(REVIEWS, index.rows.get(app, ()))
-            if (start is None or r.date >= start) and (end is None or r.date <= end)
-        ]
+    def query_reviews(self, app: str) -> list[ReviewRecord]:
+        """Reviews of ``app`` sorted by (date, review_id): the key order of
+        the app's rows."""
+        return self._read_records(REVIEWS, self._index(REVIEWS).rows.get(app, ()))
 
     def review_counts(self) -> dict[str, int]:
         """Number of stored reviews per app (no payload decoding)."""

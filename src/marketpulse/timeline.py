@@ -78,16 +78,9 @@ class ReviewTimeline:
     days: tuple[DayReviewCounts, ...]
 
 
-@dataclass(frozen=True)
-class PolarityThresholds:
-    """Rating cutoffs: >= positive_min is positive, <= negative_max negative."""
-
-    positive_min: int = 4
-    negative_max: int = 2
-
-    def __post_init__(self):
-        if self.negative_max >= self.positive_min:
-            raise InvalidInputError("negative_max must be below positive_min")
+# review polarity: a rating of at least this is positive, at most that negative
+_POSITIVE_MIN = 4
+_NEGATIVE_MAX = 2
 
 
 def diff_states(
@@ -171,9 +164,7 @@ def build_app_timeline(series: AppStates) -> AppTimeline:
 
 
 def build_review_timeline(
-    reviews: Sequence[ReviewRecord],
-    polarity: PolarityThresholds = PolarityThresholds(),
-    app: str | None = None,
+    reviews: Sequence[ReviewRecord], app: str | None = None
 ) -> ReviewTimeline:
     """Per-day positive/negative/neutral counts for one app's reviews."""
     if app is None:
@@ -185,9 +176,9 @@ def build_review_timeline(
                 f"mixed app ids in review timeline: {review.app!r} vs {app!r}"
             )
         bucket = counts.setdefault(review.date, [0, 0, 0])
-        if review.rating >= polarity.positive_min:
+        if review.rating >= _POSITIVE_MIN:
             bucket[0] += 1
-        elif review.rating <= polarity.negative_max:
+        elif review.rating <= _NEGATIVE_MAX:
             bucket[1] += 1
         else:
             bucket[2] += 1

@@ -13,12 +13,14 @@ import pytest
 from marketpulse import simgen
 from marketpulse.harvester import parse_page, render_page
 
+from conftest import generate
+
 N_PAGES = 2_000
 
 
 @pytest.fixture(scope="module")
 def pages():
-    market = simgen.generate(simgen.MarketScript(seed=5, n_developers=1200, observation_days=1))
+    market = generate(simgen.MarketScript(seed=5, n_developers=1200, observation_days=1))
     snapshots = market.snapshots[:N_PAGES]
     assert len(snapshots) == N_PAGES
     apps = [s.app for s in snapshots]

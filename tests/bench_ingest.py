@@ -30,18 +30,18 @@ import shutil
 import pytest
 
 from marketpulse import simgen
-from marketpulse.model import ListType, canonical_json, review_to_record, snapshot_to_record
+from marketpulse.model import ListType, canonical_json, snapshot_to_record
 from marketpulse.simgen import TopKListConfig
 from marketpulse.store import KINDS, DatasetManifest, SnapStore
 
-from conftest import DAY0, make_review
+from conftest import DAY0, generate, make_review, review_to_record
 
 N_LINES = 10_000
 
 
 @pytest.fixture(scope="module")
 def market():
-    return simgen.generate(
+    return generate(
         simgen.MarketScript(seed=5, n_developers=300, observation_days=30)
     )
 
@@ -84,7 +84,7 @@ def test_bulk_ingest_into_empty_store(benchmark, tmp_path, market, lines):
 @pytest.fixture(scope="module")
 def large_market():
     """A simulated market of at least 70k snapshots and 10k reviews."""
-    market = simgen.generate(
+    market = generate(
         simgen.MarketScript(seed=5, n_developers=1_500, observation_days=30)
     )
     assert len(market.snapshots) >= 7 * N_LINES and len(market.reviews) >= N_LINES

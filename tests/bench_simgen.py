@@ -51,7 +51,7 @@ def test_write_dataset(benchmark, tmp_path, script):
         return simgen.write_dataset(script, tmp_path / f"data{next(fresh)}")
 
     truth = benchmark.pedantic(write, rounds=3)
-    assert len(truth.app_ids) == 2_428
+    assert len(truth["app_ids"]) == 2_428
 
 
 def test_snapshot_lines(benchmark, plan):

@@ -5,15 +5,22 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from marketpulse.anomaly import ScamCluster, ScamParams, _title_trigrams
-from marketpulse.errors import DegenerateTailError, InsufficientDataError, InvalidPairError
+from marketpulse.errors import (
+    ConfigError,
+    DegenerateTailError,
+    InsufficientDataError,
+    InvalidInputError,
+)
 from marketpulse.metrics import PowerLawFit, fit_power_law
 from marketpulse.model import (
     MAX_RANKING_LENGTH,
+    SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     AppSnapshot,
     DownloadBucket,
@@ -23,11 +30,12 @@ from marketpulse.model import (
     TopKObservation,
     canonical_json,
     date_to_epoch,
-    epoch_to_date,
+    epoch_day_to_date,
     parse_date,
-    review_to_record,
+    review_from_trusted_record,
+    snapshot_from_trusted_record,
     snapshot_to_record,
-    topk_to_record,
+    topk_from_trusted_record,
     validate_app_id,
 )
 from marketpulse.store import AppSeries, AppStates, DatasetManifest, SnapStore
@@ -35,6 +43,11 @@ from marketpulse.timeline import ChangeEvent, diff_states
 from marketpulse.topk import SimilarityResult
 
 DAY0 = dt.date(2012, 4, 1)
+
+
+def epoch_to_date(ts: int) -> dt.date:
+    """UTC date of the epoch second ``ts``."""
+    return epoch_day_to_date(ts // SECONDS_PER_DAY)
 
 
 def make_snapshot(
@@ -76,6 +89,10 @@ def timeline_state(s: AppSnapshot) -> TimelineState:
         s.permissions,
         s.last_updated,
     )
+
+
+class InvalidPairError(InvalidInputError):
+    """Snapshot pair cannot be diffed (app mismatch or non-increasing time)."""
 
 
 def diff_snapshots(prev: AppSnapshot, next: AppSnapshot) -> list[ChangeEvent]:
@@ -231,12 +248,86 @@ def market_script():
     )
 
 
+@dataclass
+class GeneratedMarket:
+    """A simulated market in memory: the plan, whose apps hold the ground
+    truth, and the decoded records ``write_dataset`` writes for it."""
+
+    plan: object  # simgen._MarketPlan
+    snapshots: list
+    reviews: list
+    topk: list
+
+    @property
+    def manifest(self) -> DatasetManifest:
+        return self.plan.manifest
+
+
+def generate(script) -> GeneratedMarket:
+    """Plan ``script`` and decode the lines of its simulated market."""
+    from marketpulse import simgen
+
+    plan = simgen.plan_market(script)
+    return GeneratedMarket(
+        plan=plan,
+        snapshots=[
+            snapshot_from_trusted_record(json.loads(line))
+            for day_lines in simgen._snapshot_lines(plan)
+            for line in day_lines
+        ],
+        reviews=[
+            review_from_trusted_record(json.loads(line))
+            for line in simgen._review_lines(plan)
+        ],
+        topk=[topk_from_trusted_record(r) for r in simgen._iter_topk_records(plan)],
+    )
+
+
+def power_law_samples(rng, alpha: float, x_min: float, n: int) -> np.ndarray:
+    """Continuous inverse-CDF samples with density ~ x^-alpha for x >= x_min."""
+    if alpha <= 1.0:
+        raise ConfigError("power-law exponent must exceed 1")
+    u = rng.random(n)
+    return x_min * (1.0 - u) ** (-1.0 / (alpha - 1.0))
+
+
 @pytest.fixture(scope="module")
 def market():
     """A small simulated market with a top-k list."""
-    from marketpulse import simgen
+    return generate(market_script())
 
-    return simgen.generate(market_script())
+
+def review_to_record(r: ReviewRecord) -> dict:
+    return {
+        "app": r.app,
+        "review_id": r.review_id,
+        "reviewer_id": r.reviewer_id,
+        "date": r.date.isoformat(),
+        "rating": r.rating,
+        "title": r.title,
+        "text": r.text,
+    }
+
+
+def topk_to_record(o: TopKObservation) -> dict:
+    return {
+        "list_type": o.list_type.value,
+        "fetch_time": o.fetch_time,
+        "ranking": list(o.ranking),
+    }
+
+
+TO_RECORD = {  # kind -> typed record to record dict
+    "snapshots": snapshot_to_record,
+    "reviews": review_to_record,
+    "topk": topk_to_record,
+}
+
+
+def ingest_records(store: SnapStore, kind: str, records):
+    """Ingest typed records of ``kind`` through ``store.ingest_lines``."""
+    to_record = TO_RECORD[kind]
+    return store.ingest_lines(kind, (canonical_json(to_record(r)) for r in records))
 
 
 def ingest_market(root, market, days=None) -> SnapStore:
@@ -247,9 +338,9 @@ def ingest_market(root, market, days=None) -> SnapStore:
     if days is not None:
         cutoff = min(s.fetch_time for s in snapshots) + days * 86400
         snapshots = [s for s in snapshots if s.fetch_time < cutoff]
-    store.ingest_records("snapshots", snapshots)
-    store.ingest_records("reviews", market.reviews)
-    store.ingest_records("topk", market.topk)
+    ingest_records(store, "snapshots", snapshots)
+    ingest_records(store, "reviews", market.reviews)
+    ingest_records(store, "topk", market.topk)
     return store
 
 

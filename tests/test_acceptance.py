@@ -48,20 +48,26 @@ from marketpulse.model import (
     PopularityClass,
 )
 from marketpulse.simgen import (
-    FraudCampaign,
     MarketScript,
     PermissionChangeModel,
     TopKListConfig,
     UpdateGapModel,
     keyed_rng,
-    power_law_samples,
-    script_to_record,
+    script_from_record,
 )
 from marketpulse.store import AppSeries, DatasetManifest, SnapStore, TimeWindow
 from marketpulse.timeline import build_app_timeline
 from marketpulse.topk import inverse_rank_measure, lifecycle_summaries
 
-from conftest import DAY0, make_snapshot, make_topk, states_of
+from conftest import (
+    DAY0,
+    generate,
+    ingest_records,
+    make_snapshot,
+    make_topk,
+    power_law_samples,
+    states_of,
+)
 from test_topk import oracle_inverse_rank, series_of
 
 
@@ -78,22 +84,25 @@ TOPK_COMMANDS = ["lifecycle", "similarity", "overlap", "occupancy", "lifetime"]
 ANOMALY_COMMANDS = ["reviews", "permissions", "scam", "decoupling"]
 
 
+BIG_SCRIPT = {
+    "seed": BIG_SEED,
+    "n_developers": 6000,
+    "observation_days": 30,
+    "topk_lists": {
+        "Free": {"length": 100, "churn_lo": 0.002, "churn_hi": 0.06},
+        "Paid": {"length": 100, "churn_lo": 0.004, "churn_hi": 0.08},
+    },
+    "fraud_campaigns": [
+        {"app": 0, "polarity": "positive", "start_day": 10, "duration_days": 5, "daily_volume": 200},
+        {"app": 1, "polarity": "negative", "start_day": 15, "duration_days": 4, "daily_volume": 150},
+        {"app": 2, "polarity": "positive", "start_day": 20, "duration_days": 3, "daily_volume": 300},
+    ],
+    "stale_fraction": 0.3,
+}
+
+
 def big_script() -> MarketScript:
-    return MarketScript(
-        seed=BIG_SEED,
-        n_developers=6000,
-        observation_days=30,
-        topk_lists={
-            ListType.FREE: TopKListConfig(length=100, churn_lo=0.002, churn_hi=0.06),
-            ListType.PAID: TopKListConfig(length=100, churn_lo=0.004, churn_hi=0.08),
-        },
-        fraud_campaigns=(
-            FraudCampaign(app=0, polarity="positive", start_day=10, duration_days=5, daily_volume=200),
-            FraudCampaign(app=1, polarity="negative", start_day=15, duration_days=4, daily_volume=150),
-            FraudCampaign(app=2, polarity="positive", start_day=20, duration_days=3, daily_volume=300),
-        ),
-        stale_fraction=0.3,
-    )
+    return script_from_record(BIG_SCRIPT)
 
 
 def run_chain(root: Path, script_path: Path) -> float:
@@ -125,7 +134,7 @@ def run_chain(root: Path, script_path: Path) -> float:
 def big_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance")
     script_path = root / "script.json"
-    script_path.write_text(json.dumps(script_to_record(big_script()), sort_keys=True))
+    script_path.write_text(json.dumps(BIG_SCRIPT, sort_keys=True))
     elapsed = run_chain(root / "a", script_path)
     return {"root": root, "script_path": script_path, "a": root / "a", "elapsed": elapsed}
 
@@ -242,7 +251,7 @@ def test_criterion_04_lifecycle_six_tuple():
                 ListType.FREE: TopKListConfig(length=30, churn_lo=0.01, churn_hi=0.2)
             },
         )
-        market = simgen.generate(script)
+        market = generate(script)
         observations = tuple(o for o in market.topk if o.list_type is ListType.FREE)
         from marketpulse.store import RankedListSeries
 
@@ -295,11 +304,11 @@ def test_criterion_05_popularity_staleness_closed_loop(big_run):
 def test_criterion_06_fraud_indicators(big_run):
     # spike detection recovers exactly the labeled campaign days
     reports = big_run["a"] / "reports"
-    truth = simgen.GroundTruth.load(big_run["a"] / "data" / "ground_truth.json")
+    truth = json.loads((big_run["a"] / "data" / "ground_truth.json").read_text())
     labeled = {
-        (app, day.isoformat(), polarity)
-        for app, t in truth.apps.items()
-        for day, polarity, _ in t.fraud_days
+        (app, fraud["day"], fraud["polarity"])
+        for app, t in truth["apps"].items()
+        for fraud in t["fraud_days"]
     }
     assert labeled
     rows = (reports / "review_spikes.csv").read_text().splitlines()[1:]
@@ -321,7 +330,7 @@ def test_criterion_06_fraud_indicators(big_run):
         permission_churn_apps=2,
         review_rates={k: 0.0 for k in PopularityClass},
     )
-    market = simgen.generate(script)
+    market = generate(script)
     by_app = {}
     for snap in market.snapshots:
         by_app.setdefault(snap.app, []).append(snap)
@@ -329,7 +338,7 @@ def test_criterion_06_fraud_indicators(big_run):
         build_app_timeline(states_of(AppSeries(app=app, snapshots=tuple(snaps))))
         for app, snaps in sorted(by_app.items())
     ]
-    total_events = sum(t.permission_events for t in market.ground_truth.apps.values())
+    total_events = sum(p.permission_events for p in market.plan.apps)
     assert total_events >= 10_000
     rate = permission_version_decoupling_rate(timelines)
     assert abs(rate - 0.05) <= 0.01, rate
@@ -355,7 +364,7 @@ def test_criterion_06_fraud_indicators(big_run):
 def test_criterion_07_harvester():
     started = time.monotonic()
     script = MarketScript(seed=11, n_developers=330, observation_days=2)
-    market = simgen.generate(script)
+    market = generate(script)
     latest = {}
     for snap in market.snapshots:
         latest[snap.app] = snap
@@ -407,7 +416,7 @@ def test_criterion_08_decomposition():
     mixed = seasonal_trend_decompose(signal, period)
     interior = ~np.isnan(mixed.trend)
     assert np.abs(mixed.remainder[interior]).max() < 1e-9
-    assert abs(mixed.seasonal_profile.sum()) < 1e-9
+    assert abs(mixed.seasonal[:period].sum()) < 1e-9
 
     # reconstruction: bitwise on well-scaled data, and always far inside
     # 1e-12 even when observations sit near zero (IEEE reassembly rounds
@@ -417,7 +426,7 @@ def test_criterion_08_decomposition():
     assert np.array_equal(recomposed, signal[mask])
     rng = np.random.default_rng(5)
     noisy = seasonal_trend_decompose(rng.random(40) * 7, 4)
-    assert abs(noisy.seasonal_profile.sum()) < 1e-9
+    assert abs(noisy.seasonal[:4].sum()) < 1e-9
     mask = ~np.isnan(noisy.trend)
     recomposed = (noisy.trend[mask] + noisy.seasonal[mask]) + noisy.remainder[mask]
     assert np.abs(recomposed - noisy.observed[mask]).max() <= 1e-12
@@ -452,9 +461,9 @@ def _snapshot_batch(draw):
 @given(_snapshot_batch())
 def test_criterion_09a_double_ingest_idempotent(tmp_path_factory, snaps):
     store = _fresh_store(tmp_path_factory)
-    store.ingest_records("snapshots", snaps)
+    ingest_records(store, "snapshots", snaps)
     before = {app: store.query_app_series(app).snapshots for app in store.apps()}
-    report = store.ingest_records("snapshots", snaps)
+    report = ingest_records(store, "snapshots", snaps)
     assert report.total_accepted == 0
     for app, snapshots in before.items():
         assert store.query_app_series(app).snapshots == snapshots
@@ -464,7 +473,7 @@ def test_criterion_09a_double_ingest_idempotent(tmp_path_factory, snaps):
 @given(_snapshot_batch(), st.integers(0, 30))
 def test_criterion_09b_split_window_equivalence(tmp_path_factory, snaps, split):
     store = _fresh_store(tmp_path_factory)
-    store.ingest_records("snapshots", snaps)
+    ingest_records(store, "snapshots", snaps)
     from marketpulse.model import date_to_epoch
 
     lo, hi = date_to_epoch(DAY0), date_to_epoch(DAY0 + dt.timedelta(days=31))
@@ -482,8 +491,8 @@ def test_criterion_09b_split_window_equivalence(tmp_path_factory, snaps, split):
 @given(_snapshot_batch(), st.permutations(list(range(6))))
 def test_criterion_09c_strict_ordering(tmp_path_factory, snaps, hours):
     store = _fresh_store(tmp_path_factory)
-    store.ingest_records("snapshots", snaps)
-    store.ingest_records("topk", [make_topk(["a", "b"], hour=h) for h in hours])
+    ingest_records(store, "snapshots", snaps)
+    ingest_records(store, "topk", [make_topk(["a", "b"], hour=h) for h in hours])
     for app in store.apps():
         times = [s.fetch_time for s in store.query_app_series(app).snapshots]
         assert all(a < b for a, b in zip(times, times[1:]))

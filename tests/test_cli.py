@@ -9,20 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from marketpulse import cli, simgen
+from marketpulse import cli
 from marketpulse import store as store_mod
 from marketpulse.cli import main
-from marketpulse.model import ListType, epoch_to_date, snapshot_to_record
+from marketpulse.model import snapshot_to_record
 from marketpulse.store import SnapStore
-from marketpulse.simgen import (
-    FraudCampaign,
-    MarketScript,
-    ScamDeveloperScript,
-    TopKListConfig,
-    script_to_record,
-)
 
-from conftest import make_snapshot, timeline_state
+from conftest import epoch_to_date, ingest_records, make_snapshot, timeline_state
 from test_timeline import oracle_timeline
 
 
@@ -30,20 +23,20 @@ from test_timeline import oracle_timeline
 def dataset(tmp_path_factory):
     """A small simulated dataset plus an ingested store, shared per module."""
     root = tmp_path_factory.mktemp("cli")
-    script = MarketScript(
-        seed=23,
-        n_developers=60,
-        observation_days=20,
-        topk_lists={
-            ListType.FREE: TopKListConfig(length=15, churn_lo=0.01, churn_hi=0.15),
-            ListType.PAID: TopKListConfig(length=10, churn_lo=0.0, churn_hi=0.0),
+    script = {
+        "seed": 23,
+        "n_developers": 60,
+        "observation_days": 20,
+        "topk_lists": {
+            "Free": {"length": 15, "churn_lo": 0.01, "churn_hi": 0.15},
+            "Paid": {"length": 10, "churn_lo": 0.0, "churn_hi": 0.0},
         },
-        fraud_campaigns=(FraudCampaign(app=0, start_day=8, duration_days=3),),
-        scam_developers=(ScamDeveloperScript(developer="CloneWorks", n_clones=6),),
-        permission_churn_apps=1,
-    )
+        "fraud_campaigns": [{"app": 0, "start_day": 8, "duration_days": 3}],
+        "scam_developers": [{"developer": "CloneWorks", "n_clones": 6}],
+        "permission_churn_apps": 1,
+    }
     script_path = root / "script.json"
-    script_path.write_text(json.dumps(script_to_record(script)))
+    script_path.write_text(json.dumps(script))
     data = root / "data"
     store = root / "store"
     assert main(["simulate", "--script", str(script_path), "--out", str(data), "--render-market", "3"]) == 0
@@ -207,7 +200,7 @@ class TestPipelineCommands:
 
 def test_committed_line_without_a_title_is_skipped_by_every_report(store, tmp_path):
     valid = [make_snapshot(app=f"com.valid{i}") for i in range(2)]
-    store.ingest_records("snapshots", valid)
+    ingest_records(store, "snapshots", valid)
     rec = snapshot_to_record(make_snapshot(app="com.untitled"))
     del rec["title"]
     with open(store.root / "snapshots.jsonl", "a") as f:
@@ -223,7 +216,7 @@ def test_committed_line_without_a_title_is_skipped_by_every_report(store, tmp_pa
 def test_committed_line_nested_too_deep_to_decode_is_skipped_and_rejected(store, tmp_path):
     # json.loads raises RecursionError, not ValueError, on such a line
     nested = "[" * 100_000
-    store.ingest_records("snapshots", [make_snapshot(app="com.valid")])
+    ingest_records(store, "snapshots", [make_snapshot(app="com.valid")])
     with open(store.root / "snapshots.jsonl", "a") as f:
         f.write(nested + "\n")
     out = tmp_path / "reports"
@@ -264,14 +257,14 @@ class TestExitCodes:
         assert code == 0
 
     def test_all_free_dataset_price_degenerate_ok(self, tmp_path):
-        script = MarketScript(
-            seed=5,
-            n_developers=12,
-            observation_days=16,
-            price_change_model=simgen.PriceChangeModel(paid_fraction=0.0),
-        )
+        script = {
+            "seed": 5,
+            "n_developers": 12,
+            "observation_days": 16,
+            "price_change_model": {"paid_fraction": 0.0},
+        }
         script_path = tmp_path / "s.json"
-        script_path.write_text(json.dumps(script_to_record(script)))
+        script_path.write_text(json.dumps(script))
         data, store = tmp_path / "d", tmp_path / "st"
         assert main(["simulate", "--script", str(script_path), "--out", str(data)]) == 0
         assert main(["ingest", "--data", str(data), "--store", str(store)]) == 0

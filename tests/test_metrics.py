@@ -190,7 +190,7 @@ class TestDecomposition:
         rng = np.random.default_rng(3)
         x = rng.random(40) * 10
         decomposition = seasonal_trend_decompose(x, period=5)
-        assert abs(decomposition.seasonal_profile.sum()) < 1e-9
+        assert abs(decomposition.seasonal[: decomposition.period].sum()) < 1e-9
 
     def test_exact_reconstruction_where_trend_defined(self):
         rng = np.random.default_rng(4)

@@ -15,26 +15,27 @@ from marketpulse.model import (
     review_line,
     review_text,
     review_text_state,
-    review_to_record,
     snapshot_line,
     snapshot_text,
     snapshot_text_state,
     snapshot_to_record,
     topk_line,
-    topk_to_record,
     validate_app_id,
 )
 
 from conftest import (
     DAY0,
     NONCANONICAL_TEXT_EDITS,
+    TO_RECORD,
     make_review,
     make_snapshot,
     make_topk,
     reference_line,
     review_from_record,
+    review_to_record,
     snapshot_from_record,
     topk_from_record,
+    topk_to_record,
     validate_review,
     validate_snapshot,
     validate_topk,
@@ -228,11 +229,6 @@ def test_validate_accepts_factory_snapshots(snap):
 # --- line codecs against the reference path ------------------------------------
 
 _LINE_CODECS = {"snapshots": snapshot_line, "reviews": review_line, "topk": topk_line}
-_TO_RECORD = {
-    "snapshots": snapshot_to_record,
-    "reviews": review_to_record,
-    "topk": topk_to_record,
-}
 
 
 def _reference_outcome(kind, rec):
@@ -361,7 +357,7 @@ def test_line_codecs_match_the_reference_path(market, data):
     # same acceptance, message text, canonical bytes and state key
     kind = data.draw(st.sampled_from(sorted(_LINE_CODECS)))
     records = {"snapshots": market.snapshots, "reviews": market.reviews, "topk": market.topk}
-    rec = _TO_RECORD[kind](data.draw(st.sampled_from(records[kind])))
+    rec = TO_RECORD[kind](data.draw(st.sampled_from(records[kind])))
     _assert_line_matches_reference(kind, data.draw(_mutated(rec)))
 
 

@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import tempfile
 from collections import Counter
@@ -27,24 +28,22 @@ from marketpulse.model import (
     ListType,
     PopularityClass,
     canonical_json,
-    review_to_record,
     snapshot_from_trusted_record,
     snapshot_to_record,
 )
 from marketpulse.simgen import (
     FraudCampaign,
     MarketScript,
+    PermissionChangeModel,
+    PriceChangeModel,
     ScamDeveloperScript,
     TopKListConfig,
     UpdateGapModel,
     discrete_power_law_samples,
-    generate,
     keyed_rng,
     load_script,
-    power_law_samples,
     render_mock_market,
     script_from_record,
-    script_to_record,
     write_dataset,
 )
 from marketpulse.store import AppSeries
@@ -56,8 +55,11 @@ from marketpulse.timeline import (
 from marketpulse.topk import lifetime_at_rank, rank_occupancy
 
 from conftest import (
+    generate,
+    power_law_samples,
     reference_review_lines,
     reference_snapshot_lines,
+    review_to_record,
     scan_x_min,
     states_of,
 )
@@ -78,6 +80,29 @@ def series_by_app(snapshots):
             AppSeries(app=app, snapshots=tuple(sorted(snaps, key=lambda s: s.fetch_time)))
         )
         for app, snaps in by_app.items()
+    }
+
+
+def planned_events(p) -> list:
+    """(day, kind, old, new) of each planned change of ``p``, as the
+    timeline CSV writes the values."""
+    return [
+        (c.day, c.kind.value, format_event_value(c.old), format_event_value(c.new))
+        for c in p.changes
+    ]
+
+
+def planned_fraud_days(plan) -> dict:
+    """App id -> sorted (day, polarity, volume) of each day of its fraud
+    campaigns."""
+    start = plan.script.observation_start
+    return {
+        p.app: sorted(
+            (start + dt.timedelta(days=offset), c.polarity, c.daily_volume)
+            for c in p.campaigns
+            for offset in range(c.start_day, c.start_day + c.duration_days)
+        )
+        for p in plan.apps
     }
 
 
@@ -118,7 +143,7 @@ class TestDeterminism:
         # per-app keyed RNG: the same app id draws the same plan
         base = generate(small_script(n_developers=20))
         more = generate(small_script(n_developers=30))
-        shared = set(base.ground_truth.app_ids) & set(more.ground_truth.app_ids)
+        shared = {p.app for p in base.plan.apps} & {p.app for p in more.plan.apps}
         assert shared
         base_by = {s.app: s for s in base.snapshots if s.app in shared}
         more_by = {s.app: s for s in more.snapshots if s.app in shared}
@@ -200,7 +225,7 @@ class TestLines:
                 canonical_json({"app": app, "page": market.pages[app]}) + "\n"
                 for app in sorted(market.pages)
             )
-        # generate() decodes the same lines
+        # the test helper generate() decodes the same lines
         market = generate(script)
         assert [canonical_json(snapshot_to_record(s)) + "\n" for s in market.snapshots] == snapshots
         assert [canonical_json(review_to_record(r)) + "\n" for r in market.reviews] == reviews
@@ -280,24 +305,98 @@ class TestLines:
 
 class TestScriptCodec:
     def test_round_trip(self):
-        script = small_script(
+        # every script key, each nested type in its JSON form
+        rec = {
+            "seed": 7,
+            "name": "round-trip",
+            "currency": "EUR",
+            "n_developers": 40,
+            "observation_start": "2013-02-03",
+            "observation_days": 15,
+            "snapshot_cadence_days": 2,
+            "topk_lists": {"Free": {"length": 10, "churn_lo": 0.01, "churn_hi": 0.1}},
+            "fraud_campaigns": [
+                {
+                    "app": 2,
+                    "polarity": "negative",
+                    "start_day": 3,
+                    "duration_days": 4,
+                    "daily_volume": 50,
+                },
+                {"app": "com.sim.d00001.a00"},
+            ],
+            "scam_developers": [
+                {"developer": "CloneWorks", "n_clones": 4, "price_cents": 299}
+            ],
+            "decoupling_rate": 0.1,
+            "popularity_mix": {"Unpopular": 0.5, "Popular": 0.25, "MostPopular": 0.25},
+            "stale_fraction": 0.2,
+            "update_gap_model": {
+                "Unpopular": {"update_fraction": 0.5, "gap_days_lo": 5, "gap_days_hi": 20},
+                "Popular": {"update_fraction": 0.9, "gap_days_lo": 3, "gap_days_hi": 10},
+                "MostPopular": {"update_fraction": 0.9, "gap_days_lo": 3, "gap_days_hi": 10},
+            },
+            "price_change_model": {
+                "paid_fraction": 0.3,
+                "change_fraction": 0.1,
+                "max_changes": 2,
+                "down_bias": 0.5,
+                "version_coupling": 0.8,
+            },
+            "permission_change_model": {"change_fraction": 0.2, "max_events": 2},
+            "permission_churn_apps": 1,
+            "review_rates": {"Unpopular": 0.1, "Popular": 1.0, "MostPopular": 3.0},
+        }
+        assert script_from_record(json.loads(json.dumps(rec))) == MarketScript(
+            seed=7,
+            name="round-trip",
+            currency="EUR",
+            n_developers=40,
+            observation_start=dt.date(2013, 2, 3),
+            observation_days=15,
+            snapshot_cadence_days=2,
             topk_lists={ListType.FREE: TopKListConfig(length=10, churn_lo=0.01, churn_hi=0.1)},
-            fraud_campaigns=(FraudCampaign(app=2, polarity="negative"),),
-            scam_developers=(ScamDeveloperScript(developer="CloneWorks"),),
+            fraud_campaigns=(
+                FraudCampaign(
+                    app=2, polarity="negative", start_day=3, duration_days=4, daily_volume=50
+                ),
+                FraudCampaign(app="com.sim.d00001.a00"),
+            ),
+            scam_developers=(
+                ScamDeveloperScript(developer="CloneWorks", n_clones=4, price_cents=299),
+            ),
+            decoupling_rate=0.1,
+            popularity_mix={
+                PopularityClass.UNPOPULAR: 0.5,
+                PopularityClass.POPULAR: 0.25,
+                PopularityClass.MOST_POPULAR: 0.25,
+            },
+            stale_fraction=0.2,
             update_gap_model={
                 PopularityClass.UNPOPULAR: UpdateGapModel(0.5, 5, 20),
                 PopularityClass.POPULAR: UpdateGapModel(0.9, 3, 10),
                 PopularityClass.MOST_POPULAR: UpdateGapModel(0.9, 3, 10),
             },
+            price_change_model=PriceChangeModel(
+                paid_fraction=0.3,
+                change_fraction=0.1,
+                max_changes=2,
+                down_bias=0.5,
+                version_coupling=0.8,
+            ),
+            permission_change_model=PermissionChangeModel(change_fraction=0.2, max_events=2),
+            permission_churn_apps=1,
+            review_rates={
+                PopularityClass.UNPOPULAR: 0.1,
+                PopularityClass.POPULAR: 1.0,
+                PopularityClass.MOST_POPULAR: 3.0,
+            },
         )
-        rec = script_to_record(script)
-        assert script_from_record(json.loads(json.dumps(rec))) == script
 
     def test_load_script_file(self, tmp_path):
-        script = small_script()
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(script_to_record(script)))
-        assert load_script(path) == script
+        path.write_text(json.dumps({"seed": 7, "n_developers": 40, "observation_days": 15}))
+        assert load_script(path) == small_script()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown script keys"):
@@ -330,7 +429,7 @@ class TestGroundTruthClosure:
             fraud_campaigns=(FraudCampaign(app=0),),
         )
         market = generate(script)
-        truth = market.ground_truth
+        plans = {p.app: p for p in market.plan.apps}
         total_events = 0
         for app, series in series_by_app(market.snapshots).items():
             timeline = build_app_timeline(series)
@@ -338,22 +437,21 @@ class TestGroundTruthClosure:
                 (e.day, e.kind.value, format_event_value(e.old), format_event_value(e.new))
                 for e in timeline.events
             )
-            want = sorted(t.key() for t in truth.apps[app].events)
+            want = sorted(planned_events(plans[app]))
             assert got == want, app
-            assert list(timeline.update_days) == truth.apps[app].update_days, app
+            assert list(timeline.update_days) == plans[app].update_days, app
             total_events += len(want)
         assert total_events > 0
 
     def test_an_app_with_scripted_changes_matches_kind_for_kind(self):
         script = small_script(n_developers=80)
         market = generate(script)
-        truth = market.ground_truth
         series = series_by_app(market.snapshots)
-        richest = max(truth.apps.values(), key=lambda t: len(t.events))
-        assert len(richest.events) >= 2
+        richest = max(market.plan.apps, key=lambda p: len(p.changes))
+        assert len(richest.changes) >= 2
         timeline = build_app_timeline(series[richest.app])
         assert [e.kind.value for e in timeline.events] == [
-            t.kind.value for t in richest.events
+            c.kind.value for c in richest.changes
         ]
 
     def test_aui_matches_scripted_gaps(self):
@@ -370,15 +468,12 @@ class TestGroundTruthClosure:
         market = generate(script)
         series = series_by_app(market.snapshots)
         checked = 0
-        for app, truth in market.ground_truth.apps.items():
-            if len(truth.update_days) < 2:
+        for p in market.plan.apps:
+            if len(p.update_days) < 2:
                 continue
-            stats = update_stats(build_app_timeline(series[app]))
-            gaps = [
-                (b - a).days
-                for a, b in zip(truth.update_days, truth.update_days[1:])
-            ]
-            assert stats.update_count == len(truth.update_days)
+            stats = update_stats(build_app_timeline(series[p.app]))
+            gaps = [(b - a).days for a, b in zip(p.update_days, p.update_days[1:])]
+            assert stats.update_count == len(p.update_days)
             assert stats.aui_days == pytest.approx(sum(gaps) / len(gaps))
             checked += 1
         assert checked > 5
@@ -388,8 +483,67 @@ class TestGroundTruthClosure:
         latest = {}
         for snap in market.snapshots:
             latest[snap.app] = snap
-        for app, truth in market.ground_truth.apps.items():
-            assert classify_popularity(latest[app].downloads) is truth.klass
+        for p in market.plan.apps:
+            assert classify_popularity(latest[p.app].downloads) is p.klass
+
+
+def test_ground_truth_file_records_the_plan(tmp_path):
+    # overlapping campaigns on one app, scam clones and permission churn
+    # give every field of the record a value
+    script = small_script(
+        n_developers=30,
+        permission_churn_apps=1,
+        fraud_campaigns=(
+            FraudCampaign(app=0, polarity="negative", start_day=6, duration_days=3),
+            FraudCampaign(app=0, start_day=2, duration_days=5, daily_volume=40),
+            FraudCampaign(app=4, start_day=9),
+        ),
+        scam_developers=(ScamDeveloperScript(developer="CloneWorks", n_clones=3),),
+    )
+    returned = write_dataset(script, tmp_path)
+    text = (tmp_path / "ground_truth.json").read_text()
+    truth = json.loads(text)
+    assert truth == returned
+    assert text == json.dumps(returned, sort_keys=True, indent=1) + "\n"
+
+    plan = simgen.plan_market(script)
+    assert truth["app_ids"] == [p.app for p in plan.apps]
+    assert truth["dev_app_counts"] == Counter(p.developer for p in plan.apps)
+    assert sorted(truth["apps"]) == sorted(truth["app_ids"])
+    fraud_days = planned_fraud_days(plan)
+    for p in plan.apps:
+        record = truth["apps"][p.app]
+        assert record["events"] == [
+            {"day": day.isoformat(), "kind": kind, "old": old, "new": new}
+            for day, kind, old, new in planned_events(p)
+        ], p.app
+        assert record["update_days"] == [d.isoformat() for d in p.update_days]
+        assert record["fraud_days"] == [
+            {"day": day.isoformat(), "polarity": polarity, "volume": volume}
+            for day, polarity, volume in fraud_days[p.app]
+        ]
+        assert (
+            record["developer"],
+            record["class"],
+            record["stale"],
+            record["scam_cluster"],
+            record["permission_events"],
+            record["decoupled_events"],
+        ) == (
+            p.developer,
+            p.klass.value,
+            p.stale,
+            p.scam_cluster,
+            p.permission_events,
+            p.decoupled_events,
+        )
+    # the two campaigns of app 0 overlap on days 6 and 7, in day order
+    first = truth["apps"][plan.apps[0].app]["fraud_days"]
+    assert [f["day"] for f in first] == sorted(f["day"] for f in first)
+    assert len(first) == 8
+    assert sum(bool(r["events"]) for r in truth["apps"].values()) > 5
+    assert sum(r["scam_cluster"] == "CloneWorks" for r in truth["apps"].values()) == 3
+    assert sum(r["permission_events"] for r in truth["apps"].values()) >= 2
 
 
 class TestSamplers:
@@ -433,7 +587,6 @@ class TestFraudCampaigns:
             ),
         )
         market = generate(script)
-        truth = market.ground_truth
         reviews_by_app = {}
         for review in market.reviews:
             reviews_by_app.setdefault(review.app, []).append(review)
@@ -444,22 +597,20 @@ class TestFraudCampaigns:
                 flagged.add((app, spike.day, spike.polarity.value))
         labeled = {
             (app, day, polarity)
-            for app, t in truth.apps.items()
-            for day, polarity, _ in t.fraud_days
+            for app, days in planned_fraud_days(market.plan).items()
+            for day, polarity, _ in days
         }
         assert labeled
         assert flagged == labeled  # precision = recall = 1.0
 
     def test_campaign_by_app_id(self):
-        base = generate(small_script())
-        target = base.ground_truth.app_ids[3]
+        target = simgen.plan_market(small_script()).apps[3].app
         script = small_script(fraud_campaigns=(FraudCampaign(app=target),))
-        market = generate(script)
-        assert market.ground_truth.apps[target].fraud_days
+        assert planned_fraud_days(simgen.plan_market(script))[target]
 
     def test_bad_campaign_index(self):
         with pytest.raises(ConfigError, match="out of range"):
-            generate(small_script(fraud_campaigns=(FraudCampaign(app=10**6),)))
+            simgen.plan_market(small_script(fraud_campaigns=(FraudCampaign(app=10**6),)))
 
 
 class TestDecoupling:
@@ -473,14 +624,13 @@ class TestDecoupling:
             update_gap_model={
                 klass: UpdateGapModel(1.0, 3, 8) for klass in PopularityClass
             },
-            permission_change_model=simgen.PermissionChangeModel(
+            permission_change_model=PermissionChangeModel(
                 change_fraction=1.0, max_events=4
             ),
         )
         market = generate(script)
-        truth = market.ground_truth
-        total = sum(t.permission_events for t in truth.apps.values())
-        decoupled = sum(t.decoupled_events for t in truth.apps.values())
+        total = sum(p.permission_events for p in market.plan.apps)
+        decoupled = sum(p.decoupled_events for p in market.plan.apps)
         assert total > 500
         # scripted rate honored by the generator itself
         assert decoupled / total == pytest.approx(0.05, abs=0.02)
@@ -497,20 +647,19 @@ class TestDecoupling:
     def test_churn_pattern_flagged(self):
         script = small_script(n_developers=60, permission_churn_apps=2)
         market = generate(script)
-        truth = market.ground_truth
         series = series_by_app(market.snapshots)
         policy = DangerousPermissionPolicy.default()
         churn_flagged = set()
-        for app in truth.apps:
-            timeline = build_app_timeline(series[app])
+        for p in market.plan.apps:
+            timeline = build_app_timeline(series[p.app])
             for flag in permission_flags(timeline, policy):
                 if flag.kind is PermissionFlagKind.CHURN_WITHIN_WINDOW:
-                    churn_flagged.add(app)
+                    churn_flagged.add(p.app)
         assert len(churn_flagged) >= 2
 
     def test_churn_needs_room(self):
         with pytest.raises(ConfigError, match="churn"):
-            generate(small_script(observation_days=1, permission_churn_apps=1))
+            simgen.plan_market(small_script(observation_days=1, permission_churn_apps=1))
 
 
 class TestScamDevelopers:
@@ -530,11 +679,7 @@ class TestScamDevelopers:
         assert any(
             c.developer == "CloneWorks" and len(c.apps) == 10 for c in clusters
         )
-        labeled = {
-            app
-            for app, t in market.ground_truth.apps.items()
-            if t.scam_cluster == "CloneWorks"
-        }
+        labeled = {p.app for p in market.plan.apps if p.scam_cluster == "CloneWorks"}
         scanned = next(c for c in clusters if c.developer == "CloneWorks")
         assert set(scanned.apps) == labeled
 
@@ -650,7 +795,7 @@ def test_scripted_price_version_coupling_drives_association():
         update_gap_model={
             klass: UpdateGapModel(1.0, 5, 10) for klass in PopularityClass
         },
-        price_change_model=simgen.PriceChangeModel(
+        price_change_model=PriceChangeModel(
             paid_fraction=0.6, change_fraction=1.0, max_changes=3,
             down_bias=1.0, version_coupling=1.0,
         ),

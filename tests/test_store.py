@@ -1,5 +1,6 @@
 import datetime as dt
 import errno
+import fcntl
 import hashlib
 import itertools
 import json
@@ -13,14 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from marketpulse.errors import InvalidWindowError, StoreIOError
-from marketpulse.model import (
-    ListType,
-    date_to_epoch,
-    review_to_record,
-    snapshot_to_record,
-    topk_to_record,
-)
+from marketpulse.errors import ConcurrentWriteError, InvalidWindowError, StoreIOError
+from marketpulse.model import ListType, date_to_epoch, snapshot_to_record
 from marketpulse import simgen
 from marketpulse import store as store_mod
 from marketpulse.store import KINDS, DatasetManifest, IngestReport, SnapStore, TimeWindow
@@ -29,13 +24,17 @@ from marketpulse.timeline import build_app_timeline
 from conftest import (
     DAY0,
     NONCANONICAL_TEXT_EDITS,
+    generate,
     ingest_market,
+    ingest_records,
     make_review,
     make_snapshot,
     make_topk,
     market_script,
     reference_line,
+    review_to_record,
     snapshot_state_key,
+    topk_to_record,
 )
 
 
@@ -93,7 +92,7 @@ class TestIngest:
 
     def test_ingest_persists_across_reopen(self, store):
         snaps = [make_snapshot(day=DAY0 + dt.timedelta(days=i)) for i in range(3)]
-        store.ingest_records("snapshots", snaps)
+        ingest_records(store, "snapshots", snaps)
         reopened = SnapStore.open(store.root)
         series = reopened.query_app_series("com.example.app")
         assert len(series) == 3
@@ -106,7 +105,7 @@ class TestIngest:
 class TestQueries:
     def test_window_filters_snapshots(self, store):
         days = [DAY0 + dt.timedelta(days=i) for i in range(3)]
-        store.ingest_records("snapshots", [make_snapshot(day=d) for d in days])
+        ingest_records(store, "snapshots", [make_snapshot(day=d) for d in days])
         window = TimeWindow(date_to_epoch(days[0]), date_to_epoch(days[1]) + 86399)
         series = store.query_app_series("com.example.app", window)
         assert len(series) == 2
@@ -122,7 +121,7 @@ class TestQueries:
 
     def test_list_series_window(self, store):
         observations = [make_topk(["a", "b", "c"], hour=h) for h in range(10)]
-        store.ingest_records("topk", observations)
+        ingest_records(store, "topk", observations)
         window = TimeWindow(
             observations[0].fetch_time, observations[4].fetch_time
         )
@@ -134,7 +133,8 @@ class TestQueries:
         assert len(store.query_list_series(ListType.PAID)) == 0
 
     def test_latest_snapshots(self, store):
-        store.ingest_records(
+        ingest_records(
+            store,
             "snapshots",
             [
                 make_snapshot(day=DAY0, rating_count=1),
@@ -146,7 +146,7 @@ class TestQueries:
 
     def test_review_counts_and_query(self, store):
         reviews = [make_review(review_id=f"r{i}") for i in range(4)]
-        store.ingest_records("reviews", reviews)
+        ingest_records(store, "reviews", reviews)
         assert store.review_counts() == {"com.example.app": 4}
         assert len(store.query_reviews("com.example.app")) == 4
 
@@ -179,12 +179,12 @@ def test_double_ingest_is_idempotent(tmp_path_factory, snaps):
     )
     root = tmp_path_factory.mktemp("dstore")
     store = SnapStore.create(root, manifest)
-    store.ingest_records("snapshots", snaps)
+    ingest_records(store, "snapshots", snaps)
     first = {
         app: SnapStore.open(root).query_app_series(app).snapshots
         for app in store.apps()
     }
-    store.ingest_records("snapshots", snaps)
+    ingest_records(store, "snapshots", snaps)
     for app, snapshots in first.items():
         assert store.query_app_series(app).snapshots == snapshots
 
@@ -196,7 +196,7 @@ def test_split_window_equals_full_window(tmp_path_factory, snaps, split_day):
         name="t", currency="USD", observation_start=DAY0, observation_end=DAY0
     )
     store = SnapStore.create(tmp_path_factory.mktemp("wstore"), manifest)
-    store.ingest_records("snapshots", snaps)
+    ingest_records(store, "snapshots", snaps)
     lo = date_to_epoch(DAY0)
     hi = date_to_epoch(DAY0 + dt.timedelta(days=41))
     mid = date_to_epoch(DAY0 + dt.timedelta(days=split_day))
@@ -216,7 +216,7 @@ def test_series_strictly_increasing_regardless_of_ingest_order(
         name="t", currency="USD", observation_start=DAY0, observation_end=DAY0
     )
     store = SnapStore.create(tmp_path_factory.mktemp("ostore"), manifest)
-    store.ingest_records("snapshots", snaps)
+    ingest_records(store, "snapshots", snaps)
     for app in store.apps():
         times = [s.fetch_time for s in store.query_app_series(app).snapshots]
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -230,7 +230,7 @@ def test_shuffled_topk_ingest_returns_sorted(tmp_path_factory, hour_order):
     )
     store = SnapStore.create(tmp_path_factory.mktemp("tstore"), manifest)
     observations = [make_topk(["a", "b"], hour=h) for h in hour_order]
-    store.ingest_records("topk", observations)
+    ingest_records(store, "topk", observations)
     series = store.query_list_series(ListType.FREE)
     times = [o.fetch_time for o in series.observations]
     assert times == sorted(times)
@@ -239,14 +239,14 @@ def test_shuffled_topk_ingest_returns_sorted(tmp_path_factory, hour_order):
 
 def test_partial_tail_ignored_and_truncated_on_next_ingest(tmp_path, manifest):
     store = SnapStore.create(tmp_path / "tstore", manifest)
-    store.ingest_records("snapshots", [make_snapshot(day=DAY0)])
+    ingest_records(store, "snapshots", [make_snapshot(day=DAY0)])
     # simulate an interrupted write: a trailing line without newline
     with open(store.root / "snapshots.jsonl", "ab") as f:
         f.write(b'{"app": "com.broken"')
     reopened = SnapStore.open(store.root)
     assert reopened.apps() == ["com.example.app"]
-    report = reopened.ingest_records(
-        "snapshots", [make_snapshot(day=DAY0 + dt.timedelta(days=1))]
+    report = ingest_records(
+        reopened, "snapshots", [make_snapshot(day=DAY0 + dt.timedelta(days=1))]
     )
     assert report.accepted["snapshots"] == 1
     fresh = SnapStore.open(store.root)
@@ -259,7 +259,7 @@ def test_thousand_simgen_snapshots_all_accepted(tmp_path, manifest):
     from marketpulse import simgen
     from marketpulse.model import snapshot_to_record
 
-    market = simgen.generate(
+    market = generate(
         simgen.MarketScript(seed=3, n_developers=80, observation_days=15)
     )
     assert len(market.snapshots) >= 1000
@@ -278,7 +278,7 @@ def test_thousand_simgen_snapshots_all_accepted(tmp_path, manifest):
 def test_refresh_picks_up_commits_of_another_handle(store):
     other = SnapStore.open(store.root)
     assert store.apps() == []
-    other.ingest_records("snapshots", [make_snapshot()])
+    ingest_records(other, "snapshots", [make_snapshot()])
     assert store.apps() == []
     store.refresh()
     assert store.apps() == ["com.example.app"]
@@ -287,9 +287,9 @@ def test_refresh_picks_up_commits_of_another_handle(store):
 def test_stale_handle_does_not_append_a_duplicate(store):
     first, second = make_snapshot(day=DAY0), make_snapshot(day=DAY0 + dt.timedelta(days=1))
     other = SnapStore.open(store.root)
-    store.ingest_records("snapshots", [first])
-    assert other.ingest_records("snapshots", [second]).accepted["snapshots"] == 1
-    report = store.ingest_records("snapshots", [second])
+    ingest_records(store, "snapshots", [first])
+    assert ingest_records(other, "snapshots", [second]).accepted["snapshots"] == 1
+    report = ingest_records(store, "snapshots", [second])
     assert report.accepted["snapshots"] == 0
     assert report.deduplicated["snapshots"] == 1
     times = [
@@ -297,6 +297,40 @@ def test_stale_handle_does_not_append_a_duplicate(store):
         for s in SnapStore.open(store.root).query_app_series("com.example.app").snapshots
     ]
     assert times == [first.fetch_time, second.fetch_time]
+
+
+def test_ingest_while_another_holds_the_lock_raises_and_writes_nothing(
+    store, tmp_path, capsys
+):
+    from marketpulse.cli import main
+
+    ingest_records(store, "snapshots", [make_snapshot(day=DAY0)])
+    later = make_snapshot(day=DAY0 + dt.timedelta(days=1))
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "snapshots.jsonl").write_text(json.dumps(snapshot_to_record(later)) + "\n")
+
+    def store_files():
+        return {
+            p.name: p.read_bytes() for p in store.root.iterdir() if p.name != ".ingest.lock"
+        }
+
+    before = store_files()
+    assert {"snapshots.jsonl", "snapshots.idx"} <= set(before)
+    # a second open file description of the lock file stands for another writer
+    with open(store.root / ".ingest.lock", "w") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(ConcurrentWriteError, match="another ingest is in progress"):
+            ingest_records(store, "snapshots", [later])
+        assert store_files() == before
+        capsys.readouterr()
+        assert main(["ingest", "--data", str(data), "--store", str(store.root)]) == 1
+        assert capsys.readouterr().err == (
+            "error: another ingest is in progress on this store\n"
+        )
+        assert store_files() == before
+    # with the lock released the same ingest goes through
+    assert ingest_records(store, "snapshots", [later]).accepted["snapshots"] == 1
 
 
 def _torn_write(real_write):
@@ -318,7 +352,7 @@ def _failing_fsync(fd):
 
 @pytest.mark.parametrize("failure", ["write", "fsync"])
 def test_failed_commit_leaves_no_part_of_the_batch(store, monkeypatch, failure):
-    store.ingest_records("snapshots", [make_snapshot(day=DAY0)])
+    ingest_records(store, "snapshots", [make_snapshot(day=DAY0)])
     log, sidecar = store.root / "snapshots.jsonl", store.root / "snapshots.idx"
     committed, committed_sidecar = log.read_bytes(), sidecar.read_bytes()
     later = [make_snapshot(day=DAY0 + dt.timedelta(days=i)) for i in range(1, 4)]
@@ -328,10 +362,10 @@ def test_failed_commit_leaves_no_part_of_the_batch(store, monkeypatch, failure):
         else:
             patch.setattr(os, "fsync", _failing_fsync)
         with pytest.raises(StoreIOError):
-            store.ingest_records("snapshots", later)
+            ingest_records(store, "snapshots", later)
     assert log.read_bytes() == committed
     assert sidecar.read_bytes() == committed_sidecar
-    assert store.ingest_records("snapshots", later).accepted["snapshots"] == 3
+    assert ingest_records(store, "snapshots", later).accepted["snapshots"] == 3
     data = log.read_bytes()
     assert data.startswith(committed) and data.endswith(b"\n")
     assert len([json.loads(line) for line in data.splitlines()]) == 4
@@ -341,11 +375,11 @@ def test_failed_commit_leaves_no_part_of_the_batch(store, monkeypatch, failure):
 
 
 def test_malformed_committed_line_is_skipped_and_counted(store):
-    store.ingest_records("snapshots", [make_snapshot(day=DAY0)])
+    ingest_records(store, "snapshots", [make_snapshot(day=DAY0)])
     with open(store.root / "snapshots.jsonl", "ab") as f:
         f.write(b'{"app": 7}\n')
-    report = SnapStore.open(store.root).ingest_records(
-        "snapshots", [make_snapshot(day=DAY0 + dt.timedelta(days=1))]
+    report = ingest_records(
+        SnapStore.open(store.root), "snapshots", [make_snapshot(day=DAY0 + dt.timedelta(days=1))]
     )
     assert report.skipped_corrupt == {"snapshots": 1, "reviews": 0, "topk": 0}
     assert set(report.to_record()) == {"accepted", "deduplicated", "rejected"}
@@ -441,8 +475,8 @@ def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch)
 
 def test_reingest_of_lines_with_escapes_outside_their_keys_decodes_no_line(store, monkeypatch):
     # canonical lines escape quotes, backslashes and every non-ASCII character
-    store.ingest_records("snapshots", [make_snapshot(title='Café "Olé", \\ 東京')])
-    store.ingest_records("reviews", [make_review(text='naïve "review", \\')])
+    ingest_records(store, "snapshots", [make_snapshot(title='Café "Olé", \\ 東京')])
+    ingest_records(store, "reviews", [make_review(text='naïve "review", \\')])
     lines = {kind: (store.root / f"{kind}.jsonl").read_text() for kind in ("snapshots", "reviews")}
     assert all("\\u" in line and '\\"' in line for line in lines.values())
     monkeypatch.setattr(json, "loads", _refuse)
@@ -960,8 +994,8 @@ def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
         for i in range(2500)
     ]
     store = SnapStore.create(root, manifest)
-    assert store.ingest_records("reviews", reviews).accepted["reviews"] == 2500
-    assert store.ingest_records("snapshots", snapshots).accepted["snapshots"] == 2500
+    assert ingest_records(store, "reviews", reviews).accepted["reviews"] == 2500
+    assert ingest_records(store, "snapshots", snapshots).accepted["snapshots"] == 2500
     loaded, scanned = SnapStore.open(root), _full_scan(root, tmp_path)
     assert _sidecar_bytes(loaded) == _log_sizes(root)
     assert _index_state(loaded) == _index_state(scanned)
@@ -1006,7 +1040,7 @@ def test_stale_sidecar_scans_only_the_tail(tmp_path, market):
     ingest_market(root, market, days=5)
     old_sidecar = (root / "snapshots.idx").read_bytes()
     covered = (root / "snapshots.jsonl").stat().st_size
-    SnapStore.open(root).ingest_records("snapshots", market.snapshots)
+    ingest_records(SnapStore.open(root), "snapshots", market.snapshots)
     (root / "snapshots.idx").write_bytes(old_sidecar)
     loaded = SnapStore.open(root)
     assert loaded._index("snapshots").sidecar_bytes == covered
@@ -1037,7 +1071,7 @@ def test_read_only_store_serves_every_query(tmp_path, market):
     root = tmp_path / "store"
     ingest_market(root, market, days=5)
     old_sidecar = (root / "snapshots.idx").read_bytes()
-    SnapStore.open(root).ingest_records("snapshots", market.snapshots)
+    ingest_records(SnapStore.open(root), "snapshots", market.snapshots)
     (root / "snapshots.idx").write_bytes(old_sidecar)
     expected = _query_results(_full_scan(root, tmp_path))
     before = {p.name: p.read_bytes() for p in root.iterdir()}
@@ -1172,13 +1206,13 @@ def _out_of_order_store(root, manifest):
     def review(review_id, day):
         return make_review(review_id=review_id, day=DAY0 + dt.timedelta(days=day))
 
-    store.ingest_records("snapshots", [snapshot(0), snapshot(2)])
-    store.ingest_records("reviews", [review("r1", 5), review("r2", 5), review("r0", 5)])
+    ingest_records(store, "snapshots", [snapshot(0), snapshot(2)])
+    ingest_records(store, "reviews", [review("r1", 5), review("r2", 5), review("r0", 5)])
     sidecars = {kind: (root / f"{kind}.idx").read_bytes() for kind in ("snapshots", "reviews")}
     # an older fetch_time and an earlier review date, appended later; then
     # one more review on each date
-    store.ingest_records("snapshots", [snapshot(1)])
-    store.ingest_records("reviews", [review("r0", 3), review("r3", 3), review("r4", 5)])
+    ingest_records(store, "snapshots", [snapshot(1)])
+    ingest_records(store, "reviews", [review("r0", 3), review("r3", 3), review("r4", 5)])
     return store, sidecars
 
 

@@ -4,20 +4,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from marketpulse.errors import InvalidInputError, InvalidPairError
+from marketpulse.errors import InvalidInputError
 from marketpulse.model import (
     AppSnapshot,
     AttributeKind,
     DOWNLOAD_LADDER,
     DownloadBucket,
-    epoch_to_date,
     snapshot_to_record,
 )
 from marketpulse.store import AppSeries, AppStates, SnapStore
 from marketpulse.timeline import (
     AppTimeline,
     ChangeEvent,
-    PolarityThresholds,
     build_app_timeline,
     build_review_timeline,
     timeline_csv_rows,
@@ -25,8 +23,11 @@ from marketpulse.timeline import (
 
 from conftest import (
     DAY0,
+    InvalidPairError,
     diff_snapshots,
+    epoch_to_date,
     ingest_market,
+    ingest_records,
     make_review,
     make_snapshot,
     states_of,
@@ -404,7 +405,7 @@ def test_store_states_fold_like_snapshots_with_stale_sidecar(tmp_path, market):
     ingest_market(root, market, days=5)
     old_sidecar = (root / "snapshots.idx").read_bytes()
     covered = (root / "snapshots.jsonl").stat().st_size
-    SnapStore.open(root).ingest_records("snapshots", market.snapshots)
+    ingest_records(SnapStore.open(root), "snapshots", market.snapshots)
     (root / "snapshots.idx").write_bytes(old_sidecar)
     store = SnapStore.open(root)
     index = store._index("snapshots")
@@ -418,7 +419,7 @@ def test_store_states_fold_like_snapshots_after_another_handle_ingests(tmp_path,
     _timelines_match_oracle(first)
     second = SnapStore.open(root)
     second.app_states(first.apps()[0])
-    second.ingest_records("snapshots", market.snapshots)
+    ingest_records(second, "snapshots", market.snapshots)
     first.refresh()
     # the writer's states come from its commits, the reader's from a scan
     for store in (first, second, SnapStore.open(root)):
@@ -495,15 +496,3 @@ class TestReviewTimeline:
         ]
         timeline = build_review_timeline(reviews)
         assert [d.day for d in timeline.days] == [day(1), day(5)]
-
-    def test_custom_thresholds(self):
-        reviews = [make_review(review_id=f"r{r}", rating=r) for r in (1, 2, 3, 4, 5)]
-        timeline = build_review_timeline(
-            reviews, PolarityThresholds(positive_min=5, negative_max=1)
-        )
-        entry = timeline.days[0]
-        assert (entry.positive, entry.negative, entry.neutral) == (1, 1, 3)
-
-    def test_bad_thresholds_raise(self):
-        with pytest.raises(InvalidInputError):
-            PolarityThresholds(positive_min=2, negative_max=3)
