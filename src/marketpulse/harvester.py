@@ -1,4 +1,4 @@
-"""Crawl-frontier engine with ban detection, plus the market page grammar.
+"""Crawl engine with ban detection, plus the market page grammar.
 
 The market speaks a one-line request protocol: the client sends an app
 id line, the server answers with either a page document or a "404"
@@ -6,11 +6,15 @@ status line. Pages are an HTML-like subset: a metadata block of
 ``<meta name="..." content="...">`` tags and a similar-apps block of
 ``<a class="similar" href="APPID">`` anchors.
 
-A page is tokenized by two compiled patterns, one over the tags of the page
-and one over the attributes of a tag. They accept only what the character
-scanner below (``_tokenize``, ``_parse_tag``) accepts, and read it the same
-way; a page they reject goes to that scanner, which raises the error. So
-the grammar, the tokens and every error message stay the scanner's.
+One compiled pattern tokenizes a page, and a second splits the attributes
+of each tag it matched. A page is tags with only whitespace between them.
+A tag is "<", optional whitespace, an optional "/", a name of one or more
+characters other than whitespace and ">", then any number of attributes,
+optional whitespace and ">". An attribute is optional whitespace, a name
+(possibly empty) of characters other than "=", space, tab and ">",
+optional whitespace, "=" and a double-quoted value holding neither '"'
+nor ">"; ``&amp;``, ``&quot;``, ``&lt;`` and ``&gt;`` in a value are
+unescaped. A page that is not all tags and whitespace is malformed.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from collections import deque
+from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import Protocol, Sequence
 
 from .errors import (
     CrawlFailedError,
@@ -103,82 +109,26 @@ def render_page(snapshot: AppSnapshot, similar: Sequence[str]) -> str:
 # --- page parsing -------------------------------------------------------------
 
 
-def _parse_tag(tag: str) -> tuple[str, dict[str, str], bool]:
-    """(name, attributes, is_closing) of one tag body (no angle brackets)."""
-    tag = tag.strip()
-    closing = tag.startswith("/")
-    if closing:
-        tag = tag[1:]
-    i = 0
-    while i < len(tag) and not tag[i].isspace():
-        i += 1
-    name = tag[:i]
-    if not name:
-        raise MalformedDocumentError("empty tag")
-    attrs: dict[str, str] = {}
-    while i < len(tag):
-        while i < len(tag) and tag[i].isspace():
-            i += 1
-        if i >= len(tag):
-            break
-        j = i
-        while j < len(tag) and tag[j] not in "= \t":
-            j += 1
-        attr = tag[i:j]
-        while j < len(tag) and tag[j].isspace():
-            j += 1
-        if j >= len(tag) or tag[j] != "=":
-            raise MalformedDocumentError(f"attribute {attr!r} has no value")
-        j += 1
-        if j >= len(tag) or tag[j] != '"':
-            raise MalformedDocumentError(f"attribute {attr!r} value not quoted")
-        j += 1
-        end = tag.find('"', j)
-        if end < 0:
-            raise MalformedDocumentError(f"attribute {attr!r} value unterminated")
-        attrs[attr] = unescape_attr(tag[j:end])
-        i = end + 1
-    return name, attrs, closing
-
-
-def _tokenize(raw: str):
-    pos = 0
-    while True:
-        start = raw.find("<", pos)
-        if start < 0:
-            if raw[pos:].strip():
-                raise MalformedDocumentError("stray text outside tags")
-            return
-        if raw[pos:start].strip():
-            raise MalformedDocumentError("stray text between tags")
-        end = raw.find(">", start)
-        if end < 0:
-            raise MalformedDocumentError("unterminated tag")
-        yield _parse_tag(raw[start + 1 : end])
-        pos = end + 1
-
-
-# The patterns mirror the scanner step by step; possessive quantifiers keep
-# them from reading a tag any other way than its greedy loops do. For str
-# patterns ``\s`` matches exactly what str.isspace() and str.strip() treat as
-# whitespace. A tag is "<", the body ``_parse_tag`` strips (an optional "/",
-# the name up to whitespace, then attributes: a name up to "=", space or tab,
-# optional whitespace, "=" and a quoted value up to the next quote), ">".
-# Bodies holding "<" or ">" are left to the scanner. ``split`` gives the text
-# before each tag, then its slash, name and attribute text, then the text
-# after the last tag.
+# Possessive quantifiers keep each pattern from reading a tag any way but
+# one. For str patterns ``\s`` matches exactly what str.isspace() treats as
+# whitespace. A tag cannot hold ">", so a match ends at the first ">" after
+# its "<". ``split`` gives the text before each tag, then its slash, name and
+# attribute text, then the text after the last tag.
 _PAGE_TAGS = re.compile(
-    r'<\s*+(/?+)([^\s<>]++)((?:\s*+[^= \t<>]*+\s*+="[^"<>]*+")*+)\s*+>'
+    r'<\s*+(/?+)([^\s>]++)((?:\s*+[^= \t>]*+\s*+="[^">]*+")*+)\s*+>'
 )
 _TAG_ATTRS = re.compile(r'\s*+([^= \t]*+)\s*+="([^"]*+)"')
 
 
-def _page_tokens(raw: str) -> list | None:
-    """The tokens ``_tokenize`` yields for ``raw``, or None when the patterns
-    reject it, which they do for every page the scanner fails on."""
+def _page_tokens(raw: str) -> list[tuple[str, dict[str, str], bool]]:
+    """(name, attributes, is_closing) of each tag of ``raw``, in order.
+
+    Raises MalformedDocumentError when anything but whitespace lies
+    outside the tags, which is also how a malformed tag shows.
+    """
     parts = _PAGE_TAGS.split(raw)
     if "".join(parts[::4]).strip():
-        return None
+        raise MalformedDocumentError("malformed tag or text outside tags")
     tokens = []
     for slash, name, attr_text in zip(parts[1::4], parts[2::4], parts[3::4]):
         attrs = {}
@@ -209,8 +159,7 @@ def parse_page(raw: str) -> ParsedPage:
     seen_similar: set[str] = set()
     # block state machine: expect market-page > metadata > similar > close
     state = "start"
-    tokens = _page_tokens(raw)
-    for name, attrs, closing in _tokenize(raw) if tokens is None else tokens:
+    for name, attrs, closing in _page_tokens(raw):
         if state == "start":
             if closing or name != "market-page":
                 raise MalformedDocumentError("page must open with market-page")
@@ -313,17 +262,10 @@ class DictMarket:
         return None
 
     @classmethod
-    def load(cls, pages_jsonl: str | Iterable[str]) -> "DictMarket":
+    def load(cls, path: str) -> "DictMarket":
         """Load from a market_pages.jsonl file ({"app": ..., "page": ...})."""
-        from pathlib import Path
-
-        lines = (
-            Path(pages_jsonl).read_text(encoding="utf-8").splitlines()
-            if isinstance(pages_jsonl, str)
-            else pages_jsonl
-        )
         pages = {}
-        for line in lines:
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
             if line.strip():
                 rec = json.loads(line)
                 pages[rec["app"]] = rec["page"]
@@ -385,41 +327,7 @@ class RemoteMarket:
         return b"".join(chunks).decode("utf-8")
 
 
-# --- frontier and crawl -----------------------------------------------------------
-
-
-class Frontier:
-    """FIFO crawl queue with an ever-growing seen set.
-
-    The seen check and the enqueue happen under one lock, so concurrent
-    discoveries of the same app cannot double-enqueue it.
-    """
-
-    def __init__(self):
-        self._queue: list[str] = []
-        self._head = 0
-        self._seen: set[str] = set()
-        self._lock = threading.Lock()
-
-    def try_enqueue(self, app: str) -> bool:
-        with self._lock:
-            if app in self._seen:
-                return False
-            self._seen.add(app)
-            self._queue.append(app)
-            return True
-
-    def pop(self) -> str | None:
-        with self._lock:
-            if self._head >= len(self._queue):
-                return None
-            app = self._queue[self._head]
-            self._head += 1
-            return app
-
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._queue) - self._head
+# --- crawl ---------------------------------------------------------------------
 
 
 @dataclass
@@ -457,16 +365,7 @@ class CrawlReport:
     frontier_exhausted: bool = False
 
     def to_record(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "pages_fetched": self.pages_fetched,
-            "snapshots_emitted": self.snapshots_emitted,
-            "not_found": self.not_found,
-            "fetch_errors": self.fetch_errors,
-            "parse_errors": self.parse_errors,
-            "workers_banned": self.workers_banned,
-            "frontier_exhausted": self.frontier_exhausted,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -476,58 +375,20 @@ class CrawlResult:
     workers: list[WorkerState]
 
 
-class _CrawlRun:
-    """Shared state of one crawl; workers call ``process_one``."""
-
-    def __init__(self, market: MarketEndpoint, config: CrawlConfig):
-        self.market = market
-        self.config = config
-        self.frontier = Frontier()
-        self.snapshots: list[AppSnapshot] = []
-        self.report = CrawlReport()
-        self._lock = threading.Lock()
-
-    def process_one(self, worker: WorkerState, app: str) -> None:
-        worker.attempts += 1
-        try:
-            response = self.market.fetch(app)
-        except OSError:
-            # endpoint errors count toward the 404/ban logic
-            with self._lock:
-                self.report.attempts += 1
-                self.report.fetch_errors += 1
-            worker.consecutive_404 += 1
-            self._maybe_ban(worker)
-            return
-        if response.strip() == NOT_FOUND:
-            with self._lock:
-                self.report.attempts += 1
-                self.report.not_found += 1
-            worker.consecutive_404 += 1
-            self._maybe_ban(worker)
-            return
-        worker.consecutive_404 = 0
-        try:
-            parsed = parse_page(response)
-        except (MissingFieldError, MalformedDocumentError):
-            with self._lock:
-                self.report.attempts += 1
-                self.report.pages_fetched += 1
-                self.report.parse_errors += 1
-            return
-        with self._lock:
-            self.report.attempts += 1
-            self.report.pages_fetched += 1
-            self.report.snapshots_emitted += 1
-            self.snapshots.append(parsed.snapshot)
-        for similar in parsed.similar:
-            self.frontier.try_enqueue(similar)
-
-    def _maybe_ban(self, worker: WorkerState) -> None:
-        if worker.consecutive_404 >= self.config.ban_threshold:
-            worker.active = False
-            with self._lock:
-                self.report.workers_banned += 1
+def _visit(market: MarketEndpoint, app: str) -> tuple[str, ParsedPage | None]:
+    """Fetch and parse ``app``'s page: the CrawlReport counter its outcome
+    adds to, and the parsed page when there is one."""
+    try:
+        response = market.fetch(app)
+    except (OSError, UnicodeDecodeError):
+        # a transport error or an undecodable reply counts toward the ban
+        return "fetch_errors", None
+    if response.strip() == NOT_FOUND:
+        return "not_found", None
+    try:
+        return "snapshots_emitted", parse_page(response)
+    except (MissingFieldError, MalformedDocumentError):
+        return "parse_errors", None
 
 
 def crawl(
@@ -539,9 +400,16 @@ def crawl(
 
     Each app is fetched at most once per crawl. A worker deactivates for
     the rest of the crawl once it sees ``ban_threshold`` consecutive
-    not-found (or transport-error) responses; a successful fetch resets
-    its counter. With one worker the crawl order is exactly breadth-first
-    from the seeds.
+    not-found (or fetch-error) responses; a page, even one that does not
+    parse, resets its counter. With one worker the crawl order is exactly
+    breadth-first from the seeds.
+
+    One condition guards the queue, the seen set, the report, the
+    snapshots and the count of fetches in flight; workers fetch and parse
+    outside it. A worker that finds the queue empty waits until it fills
+    or no fetch is in flight, since a fetch in flight may enqueue more
+    apps. The first exception a worker did not expect is raised once
+    every worker has stopped.
     """
     if not seeds:
         raise InvalidInputError("seeds must be non-empty")
@@ -549,49 +417,72 @@ def crawl(
         market.ping()
     except OSError as exc:
         raise CrawlFailedError(f"market endpoint unreachable: {exc}") from exc
-    run = _CrawlRun(market, config)
-    for seed in seeds:
-        run.frontier.try_enqueue(seed)
-    workers = [WorkerState(worker_id=i) for i in range(config.workers)]
-    _crawl_threaded(run, workers)
-    run.report.frontier_exhausted = run.frontier.pending() == 0
-    # snapshots stay in emission order: with one worker that is BFS order
-    return CrawlResult(snapshots=run.snapshots, report=run.report, workers=workers)
-
-
-def _crawl_threaded(run: _CrawlRun, workers: list[WorkerState]) -> None:
-    in_flight = [0]
-    active = [len(workers)]
+    queue = deque(dict.fromkeys(seeds))
+    seen = set(queue)
+    snapshots: list[AppSnapshot] = []
+    report = CrawlReport()
+    in_flight = 0
+    failures: list[BaseException] = []
     cond = threading.Condition()
 
-    def loop(worker: WorkerState) -> None:
-        while True:
-            app = None
-            with cond:
-                while worker.active and active[0] > 0:
-                    app = run.frontier.pop()
-                    if app is not None:
-                        in_flight[0] += 1
-                        break
-                    if in_flight[0] == 0:
-                        break
-                    cond.wait(timeout=0.05)
-                if app is None:
-                    return
-            run.process_one(worker, app)
-            with cond:
-                in_flight[0] -= 1
-                if not worker.active:
-                    active[0] -= 1
-                cond.notify_all()
-            if worker.active and run.config.politeness_delay_ms:
-                time.sleep(run.config.politeness_delay_ms / 1000.0)
+    def record(worker: WorkerState, outcome: str, parsed: ParsedPage | None) -> None:
+        report.attempts += 1
+        setattr(report, outcome, getattr(report, outcome) + 1)
+        if outcome in ("fetch_errors", "not_found"):
+            worker.consecutive_404 += 1
+            if worker.consecutive_404 >= config.ban_threshold:
+                worker.active = False
+                report.workers_banned += 1
+            return
+        worker.consecutive_404 = 0
+        report.pages_fetched += 1
+        if parsed is not None:
+            snapshots.append(parsed.snapshot)
+            for similar in parsed.similar:
+                if similar not in seen:
+                    seen.add(similar)
+                    queue.append(similar)
 
-    threads = [
-        threading.Thread(target=loop, args=(worker,), daemon=True)
-        for worker in workers
-    ]
+    def work(worker: WorkerState) -> None:
+        nonlocal in_flight
+        while worker.active:
+            with cond:
+                while not queue and in_flight:
+                    cond.wait()
+                if not queue:
+                    return
+                app = queue.popleft()
+                in_flight += 1
+            worker.attempts += 1
+            outcome = None
+            try:
+                outcome, parsed = _visit(market, app)
+            finally:
+                with cond:
+                    in_flight -= 1
+                    if outcome is not None:
+                        record(worker, outcome, parsed)
+                    cond.notify_all()
+            if worker.active and config.politeness_delay_ms:
+                time.sleep(config.politeness_delay_ms / 1000.0)
+
+    def run(worker: WorkerState) -> None:
+        try:
+            work(worker)
+        except BaseException as exc:
+            with cond:
+                failures.append(exc)
+                queue.clear()  # the crawl fails: stop the other workers
+                cond.notify_all()
+
+    workers = [WorkerState(worker_id=i) for i in range(config.workers)]
+    threads = [threading.Thread(target=run, args=(w,), daemon=True) for w in workers]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    if failures:
+        raise failures[0]
+    report.frontier_exhausted = not queue
+    # snapshots stay in emission order: with one worker that is BFS order
+    return CrawlResult(snapshots=snapshots, report=report, workers=workers)

@@ -928,16 +928,9 @@ class SnapStore:
         index = self._index(REVIEWS)
         return {app: len(rows) for app, rows in sorted(index.rows.items())}
 
-    def query_list_series(
-        self, list_type: ListType, window: TimeWindow | None = None
-    ) -> RankedListSeries:
-        """Observations of one list type within ``window``, time-sorted."""
-        index = self._index(TOPK)
-        rows = [
-            r
-            for r in index.rows.get(list_type.value, ())
-            if window is None or window.contains(index.times[r])
-        ]
+    def query_list_series(self, list_type: ListType) -> RankedListSeries:
+        """Observations of one list type, time-sorted."""
+        rows = self._index(TOPK).rows.get(list_type.value, ())
         return RankedListSeries(
             list_type=list_type,
             observations=tuple(self._read_records(TOPK, rows)),

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InsufficientDataError, InvalidInputError
-from .model import TopKObservation
 from .store import RankedListSeries
 
 
@@ -96,14 +95,8 @@ class SimilarityResult:
     n_max: float
 
 
-def _rankings(obs: TopKObservation | Sequence[str]) -> Sequence[str]:
-    if isinstance(obs, TopKObservation):
-        return obs.ranking
-    return obs
-
-
 def inverse_rank_measure(
-    prev: TopKObservation | Sequence[str], next: TopKObservation | Sequence[str]
+    prev_ranking: Sequence[str], next_ranking: Sequence[str]
 ) -> SimilarityResult:
     """Top-weighted similarity between consecutive rankings.
 
@@ -112,8 +105,6 @@ def inverse_rank_measure(
     past the other list's end. The normalizer is the largest value the
     numerator can attain at these two list lengths.
     """
-    prev_ranking = _rankings(prev)
-    next_ranking = _rankings(next)
     if not prev_ranking or not next_ranking:
         raise InvalidInputError("rankings must be non-empty")
     prev_rank = {app: i + 1 for i, app in enumerate(prev_ranking)}
@@ -247,5 +238,5 @@ def consecutive_similarity(series: RankedListSeries) -> list[tuple[int, float]]:
         raise InsufficientDataError("need at least 2 observations")
     out = []
     for prev, cur in zip(series.observations, series.observations[1:]):
-        out.append((cur.fetch_time, inverse_rank_measure(prev, cur).m))
+        out.append((cur.fetch_time, inverse_rank_measure(prev.ranking, cur.ranking).m))
     return out

@@ -16,7 +16,9 @@ from marketpulse.errors import (
     DegenerateTailError,
     InsufficientDataError,
     InvalidInputError,
+    MalformedDocumentError,
 )
+from marketpulse.harvester import unescape_attr
 from marketpulse.metrics import PowerLawFit, fit_power_law
 from marketpulse.model import (
     MAX_RANKING_LENGTH,
@@ -698,3 +700,66 @@ NONCANONICAL_TEXT_EDITS = {
         r'"(size_bytes|rating)":-?[0-9]+', r'"\1":' + "2" * 4400, line
     ),
 }
+
+
+# --- reference page tokenizer ---------------------------------------------------
+# A character scanner of the market page grammar: the tokens the compiled
+# patterns of harvester._page_tokens must give, and the pages they must reject.
+
+
+def _reference_tag(tag: str) -> tuple[str, dict[str, str], bool]:
+    """(name, attributes, is_closing) of one tag body (no angle brackets)."""
+    tag = tag.strip()
+    closing = tag.startswith("/")
+    if closing:
+        tag = tag[1:]
+    i = 0
+    while i < len(tag) and not tag[i].isspace():
+        i += 1
+    name = tag[:i]
+    if not name:
+        raise MalformedDocumentError("empty tag")
+    attrs: dict[str, str] = {}
+    while i < len(tag):
+        while i < len(tag) and tag[i].isspace():
+            i += 1
+        if i >= len(tag):
+            break
+        j = i
+        while j < len(tag) and tag[j] not in "= \t":
+            j += 1
+        attr = tag[i:j]
+        while j < len(tag) and tag[j].isspace():
+            j += 1
+        if j >= len(tag) or tag[j] != "=":
+            raise MalformedDocumentError(f"attribute {attr!r} has no value")
+        j += 1
+        if j >= len(tag) or tag[j] != '"':
+            raise MalformedDocumentError(f"attribute {attr!r} value not quoted")
+        j += 1
+        end = tag.find('"', j)
+        if end < 0:
+            raise MalformedDocumentError(f"attribute {attr!r} value unterminated")
+        attrs[attr] = unescape_attr(tag[j:end])
+        i = end + 1
+    return name, attrs, closing
+
+
+def reference_page_tokens(raw: str) -> list[tuple[str, dict[str, str], bool]]:
+    """The tags of ``raw`` in order; raises MalformedDocumentError on text
+    outside the tags or a malformed tag."""
+    tokens = []
+    pos = 0
+    while True:
+        start = raw.find("<", pos)
+        if start < 0:
+            if raw[pos:].strip():
+                raise MalformedDocumentError("stray text outside tags")
+            return tokens
+        if raw[pos:start].strip():
+            raise MalformedDocumentError("stray text between tags")
+        end = raw.find(">", start)
+        if end < 0:
+            raise MalformedDocumentError("unterminated tag")
+        tokens.append(_reference_tag(raw[start + 1 : end]))
+        pos = end + 1

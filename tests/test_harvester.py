@@ -1,4 +1,7 @@
+import random
 import re
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -14,14 +17,13 @@ from marketpulse.errors import (
 from marketpulse.harvester import (
     CrawlConfig,
     DictMarket,
-    Frontier,
     MarketServer,
     RemoteMarket,
     crawl,
     parse_page,
     render_page,
 )
-from conftest import make_snapshot
+from conftest import make_snapshot, reference_page_tokens
 
 
 def page_for(app, similar=(), **overrides):
@@ -92,20 +94,28 @@ class TestParsePage:
         assert parsed.snapshot.permissions == frozenset(permissions)
 
 
-# --- pattern tokenizer against the character scanner ---------------------------
+# --- pattern tokenizer against the reference scanner ---------------------------
 
 
 def _outcome(page):
+    """The parsed page, or the type of the error that rejects it."""
     try:
         return parse_page(page)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc)
 
 
-def _scanner_outcome(page):
-    """What ``parse_page`` gives when every page goes to the scanner."""
-    with mock.patch.object(harvester, "_page_tokens", lambda raw: None):
+def _reference_outcome(page):
+    """What ``parse_page`` gives when the reference scanner tokenizes."""
+    with mock.patch.object(harvester, "_page_tokens", reference_page_tokens):
         return _outcome(page)
+
+
+def _tokens_or_rejection(tokenize, page):
+    try:
+        return tokenize(page)
+    except MalformedDocumentError:
+        return "rejected"
 
 
 _RENDERED_TAG = re.compile(r'<(/?)([^ >]*)((?: [^ =]+="[^"]*")*)>')
@@ -167,8 +177,15 @@ _PAGE_EDITS = st.one_of(
 class TestPatternTokenizer:
     def test_rendered_pages_are_tokenized_by_the_patterns(self):
         page = page_for("com.a", ["com.b", "com.c"], title='A "quoted" <b> & title')
-        assert harvester._page_tokens(page) == list(harvester._tokenize(page))
+        assert harvester._page_tokens(page) == reference_page_tokens(page)
         assert len(harvester._page_tokens(page)) == 20
+
+    def test_raw_angle_bracket_in_attribute_value(self):
+        page = page_for("com.a", ["com.b"], title="a<b").replace("&lt;", "<")
+        assert 'content="a<b"' in page
+        assert harvester._page_tokens(page) == reference_page_tokens(page)
+        assert _outcome(page) == _reference_outcome(page)
+        assert parse_page(page).snapshot.title == "a<b"
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -180,32 +197,44 @@ class TestPatternTokenizer:
         page = page_for("com.a", similar, title=title)
         for edit in edits:
             page = _edit_page(page, edit)
-        tokens = harvester._page_tokens(page)
-        if tokens is not None:
-            assert tokens == list(harvester._tokenize(page))
-        assert _outcome(page) == _scanner_outcome(page)
-
-
-class TestFrontier:
-    def test_enqueue_once_ever(self):
-        frontier = Frontier()
-        assert frontier.try_enqueue("a")
-        assert not frontier.try_enqueue("a")
-        assert frontier.pop() == "a"
-        # popped items stay seen
-        assert not frontier.try_enqueue("a")
-        assert frontier.pop() is None
-
-    def test_fifo_order(self):
-        frontier = Frontier()
-        for x in "abc":
-            frontier.try_enqueue(x)
-        assert [frontier.pop() for _ in range(3)] == ["a", "b", "c"]
+        assert _tokens_or_rejection(harvester._page_tokens, page) == (
+            _tokens_or_rejection(reference_page_tokens, page)
+        )
+        assert _outcome(page) == _reference_outcome(page)
 
 
 def chain_market(graph):
     pages = {app: page_for(app, similar) for app, similar in graph.items()}
     return DictMarket(pages)
+
+
+def crawl_within(seconds, *args):
+    """``crawl(*args)`` in a thread joined with a timeout, so that a crawl
+    that hangs fails the test instead of stalling the run."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = crawl(*args)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"crawl still running after {seconds}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class UndecodableMarket(DictMarket):
+    """Serves its pages, but the reply for "bad" is not UTF-8."""
+
+    def fetch(self, app):
+        if app == "bad":
+            b"\xff".decode("utf-8")
+        return super().fetch(app)
 
 
 class TestCrawl:
@@ -294,6 +323,92 @@ class TestCrawl:
         )
         assert result.report.parse_errors == 5
         assert result.workers[0].active
+
+    def test_politeness_delay_after_every_fetch_of_an_active_worker(self):
+        market = chain_market({"com.a": [], "com.b": []})
+        with mock.patch.object(harvester.time, "sleep") as sleep:
+            result = crawl(
+                ["gone0", "com.a", "gone1", "gone2", "com.b"],
+                market,
+                CrawlConfig(workers=1, ban_threshold=2, politeness_delay_ms=7),
+            )
+        # a sleep after the 404, the page and the 404 that follow; none
+        # after the 404 that bans the worker, and no fetch after that
+        assert result.workers[0].attempts == 4
+        assert not result.workers[0].active
+        assert sleep.call_args_list == [mock.call(0.007)] * 3
+
+    def test_undecodable_reply_is_a_fetch_error(self):
+        market = UndecodableMarket({app: page_for(app) for app in ("com.a", "com.b")})
+        for workers in (1, 2):
+            result = crawl_within(
+                10, ["com.a", "bad", "com.b"], market,
+                CrawlConfig(workers=workers, politeness_delay_ms=0),
+            )
+            assert result.report.attempts == 3
+            assert result.report.fetch_errors == 1
+            assert result.report.snapshots_emitted == 2
+            assert result.report.frontier_exhausted
+
+    def test_undecodable_replies_count_toward_the_ban(self):
+        result = crawl(
+            ["bad", "com.a"],
+            UndecodableMarket({"com.a": page_for("com.a")}),
+            CrawlConfig(workers=1, ban_threshold=1, politeness_delay_ms=0),
+        )
+        assert result.report.workers_banned == 1
+        assert result.report.attempts == 1
+
+    def test_unexpected_worker_error_is_raised_after_every_worker_stops(self):
+        class BrokenMarket(DictMarket):
+            def fetch(self, app):
+                if app == "com.b":
+                    raise RuntimeError("market bug")
+                return super().fetch(app)
+
+        market = BrokenMarket({f"com.{x}": page_for(f"com.{x}") for x in "abcd"})
+        for workers in (1, 3):
+            with pytest.raises(RuntimeError, match="market bug"):
+                crawl_within(
+                    10, ["com.a", "com.b", "com.c", "com.d"], market,
+                    CrawlConfig(workers=workers, politeness_delay_ms=0),
+                )
+
+    def test_many_workers_fetch_each_reachable_app_once(self):
+        rng = random.Random(5)
+        apps = [f"com.app{i}" for i in range(300)]
+        graph = {app: rng.sample(apps, 4) + [f"gone.{app}"] for app in apps}
+        market = chain_market(graph)
+        fetched = []
+        serve = market.fetch
+
+        def fetch(app):
+            fetched.append(app)
+            return serve(app)
+
+        market.fetch = fetch
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = crawl_within(
+                60, apps[:3], market,
+                CrawlConfig(workers=8, ban_threshold=10**6, politeness_delay_ms=0),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        reachable = set(apps[:3])
+        stack = list(reachable)
+        while stack:
+            for linked in graph.get(stack.pop(), ()):
+                if linked not in reachable:
+                    reachable.add(linked)
+                    stack.append(linked)
+        assert sorted(fetched) == sorted(reachable)
+        report = result.report
+        assert report.attempts == len(reachable) == sum(w.attempts for w in result.workers)
+        assert report.snapshots_emitted + report.not_found == report.attempts
+        assert sorted(s.app for s in result.snapshots) == sorted(reachable & set(apps))
+        assert report.frontier_exhausted
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

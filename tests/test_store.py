@@ -119,16 +119,6 @@ class TestQueries:
         assert series.app == "com.absent"
         assert len(series) == 0
 
-    def test_list_series_window(self, store):
-        observations = [make_topk(["a", "b", "c"], hour=h) for h in range(10)]
-        ingest_records(store, "topk", observations)
-        window = TimeWindow(
-            observations[0].fetch_time, observations[4].fetch_time
-        )
-        series = store.query_list_series(ListType.FREE, window)
-        assert len(series) == 5
-        assert series.observations[0].ranking == ("a", "b", "c")
-
     def test_empty_store_gives_empty_list_series(self, store):
         assert len(store.query_list_series(ListType.PAID)) == 0
 

@@ -98,10 +98,10 @@ class TestInverseRankMeasure:
             result = inverse_rank_measure(prev, cur)
             assert in_unit_range(result)
 
-    def test_accepts_observations(self):
+    def test_observation_rankings(self):
         a = make_topk(["a", "b"], hour=0)
         b = make_topk(["b", "a"], hour=1)
-        assert inverse_rank_measure(a, b).m == pytest.approx(
+        assert inverse_rank_measure(a.ranking, b.ranking).m == pytest.approx(
             oracle_inverse_rank(["a", "b"], ["b", "a"])
         )
 
