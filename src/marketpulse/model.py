@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 SECONDS_PER_DAY = 86400
 SECONDS_PER_HOUR = 3600
@@ -154,14 +154,12 @@ def parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+
 def date_to_epoch(day: dt.date) -> int:
     """Epoch seconds of UTC midnight starting ``day``."""
-    return int(
-        dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc).timestamp()
-    )
-
-
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+    return (day.toordinal() - _EPOCH_ORDINAL) * SECONDS_PER_DAY
 
 
 def epoch_day_to_date(day: int) -> dt.date:
@@ -343,7 +341,10 @@ def review_line(rec: dict) -> tuple[tuple, bytes, None]:
 # without any is admitted. ``snapshot_text_state`` and ``review_text_state``
 # admit a line only when it is the canonical line of a record the codec
 # accepts, and raise ValueError for any other line, which is left to
-# json.loads and the codec and their rejection texts.
+# json.loads and the codec and their rejection texts. Ingest and the log scan
+# read snapshot states through a ``SnapshotStateMemo``: a line that repeats
+# its app's last admitted line but for the fetch_time digits takes that
+# line's state after only the two checks that read fetch_time.
 _KEY_TEXT = r'"([ !#-\[\]-~]*+)"'
 _STR_CHARS = r"(?:[ !#-\[\]-~]++|\\[ -~])*+"
 _STR_TEXT = '"(' + _STR_CHARS + ')"'
@@ -429,6 +430,51 @@ def snapshot_text_state(head: re.Match) -> tuple:
     ):
         raise ValueError("snapshot violates an invariant")
     return (price, lo, hi, rating_count, version, category, permission_set, updated)
+
+
+class SnapshotStateMemo:
+    """``snapshot_text_state`` that checks in full only the first line of
+    each run of an app's lines that differ in ``fetch_time`` alone.
+
+    Per app it keeps the last line that passed the full check, with its
+    fetch_time digits (head group 6) cut out, and that line's state key.
+    Every check but two reads only the cut text, so a line whose cut text
+    equals its app's is the canonical line of a valid record exactly when
+    its fetch_time is in the signed 64-bit range and not before the
+    last_updated day; it then takes the kept state after those two checks.
+    Any other line, or one that fails either, takes the full check, which
+    raises as it would have, and only a line that passes it is kept.
+
+    The cut texts and the states are two dicts keyed by app, so the memo
+    adds no object the garbage collector tracks per app or per line. A
+    state is kept as ``shared`` returns it: the equal state key the caller
+    holds already (its index's table), so the tuple and frozenset the full
+    check built for each line are freed, not kept.
+    """
+
+    __slots__ = ("_texts", "_states", "_shared")
+
+    def __init__(self, shared: Callable[[tuple], tuple]):
+        self._texts: dict[str, str] = {}
+        self._states: dict[str, tuple] = {}
+        self._shared = shared
+
+    def __call__(self, head: re.Match) -> tuple:
+        line = head.string
+        start, end = head.span(6)
+        cut = line[:start] + line[end:]
+        app = head[1]
+        if self._texts.get(app) == cut:
+            state = self._states[app]
+            fetch_time = int(head[6])
+            if (
+                fetch_time in _FETCH_TIME_RANGE
+                and (state[7] - _EPOCH_ORDINAL) * SECONDS_PER_DAY <= fetch_time
+            ):
+                return state
+        state = self._states[app] = self._shared(snapshot_text_state(head))
+        self._texts[app] = cut
+        return state
 
 
 def review_text(line: str) -> tuple[tuple, re.Match] | None:

@@ -57,6 +57,7 @@ from .model import (
     DownloadBucket,
     ListType,
     ReviewRecord,
+    SnapshotStateMemo,
     TimelineState,
     TopKObservation,
     parse_date,
@@ -67,7 +68,6 @@ from .model import (
     snapshot_from_trusted_record,
     snapshot_line,
     snapshot_text,
-    snapshot_text_state,
     topk_from_trusted_record,
     topk_line,
 )
@@ -244,29 +244,32 @@ _TRUSTED_DECODERS: dict[str, Callable] = {
     TOPK: topk_from_trusted_record,
 }
 # per-kind readers of a line in its kind's canonical text, without json.loads
-# (see model): line -> ((entity, time) key, head match) or None, and head
-# match -> state key, raising ValueError unless the line is the canonical
-# line of a record the codec accepts
-_TEXT_READERS: dict[str, tuple[Callable, Callable | None]] = {
-    SNAPSHOTS: (snapshot_text, snapshot_text_state),
-    REVIEWS: (review_text, review_text_state),
+# (see model): line -> ((entity, time) key, head match) or None, and, made
+# once per ingest or log scan from the log's index, head match -> state key,
+# raising ValueError unless the line is the canonical line of a record the
+# codec accepts. Snapshot states go through a memo per app (see model) that
+# keeps the index table's state keys.
+_TEXT_READERS: dict[str, tuple[Callable, Callable]] = {
+    SNAPSHOTS: (snapshot_text, lambda index: SnapshotStateMemo(index.table_value)),
+    REVIEWS: (review_text, lambda index: review_text_state),
     # top-k lines are always decoded
-    TOPK: (lambda line: None, None),
+    TOPK: (lambda line: None, lambda index: None),
 }
 
 
-def _admit(kind: str, line: str, raw: bytes | None, head) -> tuple:
+def _admit(kind: str, line: str, raw: bytes | None, head, read_state) -> tuple:
     """The (entity, time) key, canonical line and state key of ``line``, a
     line the kind's codec accepts; raises ValueError, TypeError or
     RecursionError, with the rejection text, for any other line.
 
     ``head`` is what the kind's text reader returned for the line, and
     ``raw`` the line's bytes with its newline when ``head`` is not None: a
-    line in canonical text is its own canonical line.
+    line in canonical text is its own canonical line. ``read_state`` is the
+    kind's state reader of this ingest or scan.
     """
     if head is not None:
         try:
-            return head[0], raw, _TEXT_READERS[kind][1](head[1])
+            return head[0], raw, read_state(head[1])
         except ValueError:
             pass  # decoded below, where the codec names the fault
     rec = json.loads(line)
@@ -350,16 +353,18 @@ class _LogIndex:
         self.skipped_tail = 0
         self.skipped_corrupt = 0
 
-    def _intern(self, value) -> int:
-        """Id of ``value`` in ``table``, added on first sight."""
+    def _table_ids(self) -> dict:
+        """``table`` value -> its id."""
         lookup = self._table_lookup
         if lookup is None:
             lookup = self._table_lookup = {v: i for i, v in enumerate(self.table)}
-        tag = lookup.get(value)
-        if tag is None:
-            tag = lookup[value] = len(self.table)
-            self.table.append(value)
-        return tag
+        return lookup
+
+    def table_value(self, value):
+        """The value of ``table`` equal to ``value``, or ``value`` if
+        there is none."""
+        tag = self._table_ids().get(value)
+        return value if tag is None else self.table[tag]
 
     def state_values(self) -> list[TimelineState]:
         """The ``TimelineState`` of every state id."""
@@ -404,32 +409,44 @@ class _LogIndex:
         row = rows[bisect.bisect_left(rows, place, key=order)]
         return row if order(row) == place else None
 
-    def add(self, key: tuple, offset: int, length: int, state) -> None:
-        """Index the line at ``offset`` with ``length`` under ``key``, its
-        (entity, time key) pair, which ``find`` does not hold; ``state`` is
-        its state key, as the kind's codec returned it. The line lies past
-        every indexed one."""
-        entity = key[0]
-        row = len(self.times)
-        self.times.append(key[1])
-        self.offsets.append(offset)
-        self.lengths.append(length)
-        if self.kind == SNAPSHOTS:
-            self.tags.append(self._intern(state))
-        elif self.kind == REVIEWS:
-            self.tags.append(self._intern(entity[1]))
-        rows = self.rows.get(entity[0])
-        if rows is None:
-            self.rows[entity[0]] = [row]
-            return
-        if type(rows) is range:
-            rows = self.rows[entity[0]] = list(rows)
-        place, order = self._order(key)
-        if order(rows[-1]) < place:
-            rows.append(row)
+    def extend(self, keys: Iterable, offsets: Iterable, lengths: Iterable, states: list) -> None:
+        """Index a batch of lines in log order: the i-th line, at the i-th
+        of ``offsets`` with the i-th of ``lengths``, under the i-th of
+        ``keys``, its (entity, time key) pair, which neither ``find`` nor
+        another line of the batch holds; ``states[i]`` is its state key, as
+        the kind's codec returned it. The lines lie past every indexed one."""
+        first = len(self.times)
+        self.times.extend([key[1] for key in keys])
+        self.offsets.extend(offsets)
+        self.lengths.extend(lengths)
+        if self.kind == REVIEWS:
+            # a review's tag is its review id, and its place (date, review id)
+            states = [entity[1] for entity, _ in keys]
+            order, places = self._review_order, list(zip(self.times[first:], states))
         else:
-            # a line appended out of key order goes to its key's place
-            rows.insert(bisect.bisect_left(rows, place, key=order), row)
+            order, places = self.times.__getitem__, self.times[first:]
+        if self.kind != TOPK:
+            lookup, table, tags = self._table_ids(), self.table, self.tags
+            for value in states:
+                tag = lookup.get(value)
+                if tag is None:
+                    tag = lookup[value] = len(table)
+                    table.append(value)
+                tags.append(tag)
+        rows_of = self.rows
+        for row, key, place in zip(itertools.count(first), keys, places):
+            group = key[0][0]
+            rows = rows_of.get(group)
+            if rows is None:
+                rows_of[group] = [row]
+                continue
+            if type(rows) is range:
+                rows = rows_of[group] = list(rows)
+            if order(rows[-1]) < place:
+                rows.append(row)
+            else:
+                # a line appended out of key order goes to its key's place
+                rows.insert(bisect.bisect_left(rows, place, key=order), row)
 
     def _gather(self) -> Callable:
         """column -> its values at every entity's rows in turn."""
@@ -651,7 +668,8 @@ class SnapStore:
         Any other committed line is skipped and counted, and so is a line
         whose (entity, time) an earlier line holds: the first line wins, as
         ingest would have kept it. A last line without its newline is an
-        uncommitted tail and stays unindexed.
+        uncommitted tail and stays unindexed. Admitted lines are indexed in
+        batches of up to ``_BATCH_LINES``.
         """
         path = self._log_path(kind)
         if not path.exists():
@@ -659,7 +677,13 @@ class SnapStore:
         index.skipped_tail = 0
         if path.stat().st_size <= index.scanned_bytes:
             return
-        read_text = _TEXT_READERS[kind][0]
+        read_text, state_reader = _TEXT_READERS[kind]
+        read_state = state_reader(index)
+        # (entity, time) -> offset of each admitted line not yet indexed, and
+        # the lengths and state keys of those lines in the same order
+        pending: dict[tuple, int] = {}
+        lengths: list[int] = []
+        states: list = []
         with self._io_lock, open(path, "rb") as f:
             f.seek(index.scanned_bytes)
             offset = index.scanned_bytes
@@ -672,14 +696,22 @@ class SnapStore:
                 index.digest.update(raw)
                 try:
                     line = raw.decode("utf-8")
-                    key, _, state = _admit(kind, line, raw, read_text(line))
+                    key, _, state = _admit(kind, line, raw, read_text(line), read_state)
                 except (TypeError, ValueError, RecursionError):
                     key = None
-                if key is None or index.find(key) is not None:
+                if key is None or key in pending or index.find(key) is not None:
                     index.skipped_corrupt += 1
                 else:
-                    index.add(key, offset, length, state)
+                    pending[key] = offset
+                    lengths.append(length)
+                    states.append(state)
+                    if len(pending) >= _BATCH_LINES:
+                        index.extend(pending, pending.values(), lengths, states)
+                        pending.clear()
+                        lengths.clear()
+                        states.clear()
                 offset += length
+            index.extend(pending, pending.values(), lengths, states)
             index.scanned_bytes = offset
 
     def _read_fd(self, kind: str) -> int:
@@ -723,7 +755,7 @@ class SnapStore:
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         report = IngestReport()
-        read_text = _TEXT_READERS[kind][0]
+        read_text, state_reader = _TEXT_READERS[kind]
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:
             try:
@@ -736,6 +768,7 @@ class SnapStore:
             # this one last looked must take part in the dedup
             index = self._index(kind)
             self._scan(kind, index)
+            read_state = state_reader(index)
             report.skipped_corrupt[kind] = index.skipped_corrupt
             if index.skipped_tail:
                 # drop the uncommitted tail of an interrupted write so new
@@ -780,7 +813,7 @@ class SnapStore:
                 elif not line.strip():
                     continue
                 try:
-                    key, canonical, state = _admit(kind, line, raw, head)
+                    key, canonical, state = _admit(kind, line, raw, head, read_state)
                 except (ValueError, TypeError, RecursionError) as exc:
                     report.rejected.append(Rejection(kind, line_no, str(exc)))
                     continue
@@ -835,10 +868,10 @@ class SnapStore:
             finally:
                 os.close(fd)
         index.digest.update(data)
-        for (key, raw), state in zip(batch.items(), states):
-            index.add(key, offset, len(raw), state)
-            offset += len(raw)
-        index.scanned_bytes = offset
+        lengths = list(map(len, batch.values()))
+        offsets = list(itertools.accumulate(lengths, initial=offset))
+        index.extend(batch, offsets[:-1], lengths, states)
+        index.scanned_bytes = offsets[-1]
 
     def _write_sidecar(self, kind: str, index: _LogIndex) -> None:
         """Persist ``index`` next to its log; called under the ingest lock.

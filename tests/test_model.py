@@ -464,3 +464,17 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_canonical_json_is_json_dumps_with_sorted_keys(value):
     assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _utc_midnight_timestamp(day):
+    return int(dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc).timestamp())
+
+
+@given(st.dates())
+def test_date_to_epoch_is_the_timestamp_of_utc_midnight(day):
+    assert date_to_epoch(day) == _utc_midnight_timestamp(day)
+
+
+def test_date_to_epoch_at_both_ends_of_the_date_range():
+    for day in (dt.date.min, dt.date(1969, 12, 31), dt.date(1970, 1, 1), dt.date.max):
+        assert date_to_epoch(day) == _utc_midnight_timestamp(day)

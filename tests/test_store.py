@@ -859,6 +859,101 @@ def test_ingest_gives_what_the_reference_path_gives_without_the_raw_byte_shortcu
             log = after.splitlines(keepends=True)
 
 
+def _last_updated_epoch(rec):
+    return date_to_epoch(dt.date.fromisoformat(rec["last_updated"]))
+
+
+# Twins of a valid snapshot record: the first ones differ from it in
+# fetch_time alone (later, earlier, equal, at and before the start of the
+# last_updated day, at both ends of the signed 64-bit range and past them
+# with 19 digits), the others in one more field too (a conflict, a new
+# state, or a record the codec rejects).
+_TWIN_EDITS = [
+    lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 3600},
+    lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 86400},
+    lambda rec: {**rec, "fetch_time": rec["fetch_time"] - 3600},
+    lambda rec: rec,
+    lambda rec: {**rec, "fetch_time": _last_updated_epoch(rec)},
+    lambda rec: {**rec, "fetch_time": _last_updated_epoch(rec) - 1},
+    lambda rec: {**rec, "fetch_time": 2**63 - 1},
+    lambda rec: {**rec, "fetch_time": 2**63},
+    lambda rec: {**rec, "fetch_time": -(2**63)},
+    lambda rec: {**rec, "fetch_time": 10**19 - 1},
+    lambda rec: {**rec, "fetch_time": -(10**19 - 1)},
+    lambda rec: {**rec, "rating_count": rec["rating_count"] + 1},
+    lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 7200, "version": "1.0.1"},
+    lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 7200, "price_cents": -5, "free": False},
+    lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 7200, "last_updated": "2030-01-01"},
+]
+
+
+@st.composite
+def _fetch_time_twin_lines(draw):
+    """Canonical lines of 2-3 apps, interleaved: per app, one or two valid
+    records, each followed by some of its twins in drawn order."""
+    queues = []
+    for app in ["com.a", "com.b", "com.c"][: draw(st.integers(2, 3))]:
+        queue = []
+        for _ in range(draw(st.integers(1, 2))):
+            rec = {
+                **_SNAPSHOT,
+                "app": app,
+                "fetch_time": _SNAPSHOT["fetch_time"] + draw(st.integers(0, 2)) * 86400,
+                "rating_count": draw(st.sampled_from([120, 121])),
+            }
+            queue.append(rec)
+            queue += [edit(rec) for edit in draw(st.lists(st.sampled_from(_TWIN_EDITS), max_size=6))]
+        queues.append(queue)
+    lines = []
+    while any(queues):
+        queue = draw(st.sampled_from([q for q in queues if q]))
+        lines.append(_canonical(queue.pop(0)) + "\n")
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fetch_time_twin_lines())
+def test_fetch_time_twins_give_what_the_reference_path_gives(lines):
+    # the state of a twin comes from its app's last admitted line, after
+    # the checks that read fetch_time
+    manifest = DatasetManifest(
+        name="t", currency="USD", observation_start=DAY0, observation_end=DAY0
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        SnapStore.create(root, manifest)
+        path, log = root / "snapshots.jsonl", []
+        # into the fresh store, then through a handle that loads the sidecar
+        # and one that scans the log
+        for reopened_by in ("create", "sidecar", "scan"):
+            if reopened_by == "scan":
+                (root / "snapshots.idx").unlink(missing_ok=True)
+            expected = _reference_ingest("snapshots", log, lines)
+            handle = SnapStore.open(root)
+            report = handle.ingest_lines("snapshots", lines)
+            after = path.read_text(encoding="utf-8")
+            assert (report.to_record(), report.skipped_corrupt["snapshots"], after) == expected
+            log = after.splitlines(keepends=True)
+            assert _index_state(handle) == _index_state(_full_scan(root, Path(tmp)))
+
+
+def test_scan_skips_a_fetch_time_twin_before_its_last_updated_day(tmp_path, manifest):
+    # the second valid line and the twin repeat the first but for fetch_time
+    later = {**_SNAPSHOT, "fetch_time": _SNAPSHOT["fetch_time"] + 86400}
+    valid = [_canonical(_SNAPSHOT) + "\n", _canonical(later) + "\n"]
+    twin = _canonical({**_SNAPSHOT, "fetch_time": _last_updated_epoch(_SNAPSHOT) - 1}) + "\n"
+    scanned = SnapStore.create(tmp_path / "scanned", manifest)
+    (scanned.root / "snapshots.jsonl").write_text("".join(valid) + twin)
+    index = SnapStore.open(scanned.root)._index("snapshots")
+    assert (index.sidecar_bytes, index.skipped_corrupt) == (0, 1)
+    ingested = SnapStore.create(tmp_path / "ingested", manifest)
+    assert ingested.ingest_lines("snapshots", valid).accepted["snapshots"] == 2
+    expected = ingested._index("snapshots")
+    assert _entity_rows(index) == _entity_rows(expected)
+    assert index.table == expected.table
+    assert index.state_values() == expected.state_values()
+
+
 # --- index sidecar -----------------------------------------------------------------
 
 
