@@ -14,20 +14,26 @@ of first use in the log. Each entity maps to its rows in key order: time,
 and for reviews (date, review id). Those rows are the one lookup structure:
 a line's key is found by bisection in its entity's rows, and app timelines
 and the newest state of every app are read without decoding a log line.
+Ingest reads the committed log alongside the lines it is given, so that a
+re-ingest of lines in the order they were committed is deduplicated by
+comparing bytes (``_CommittedLines``).
 
 After every ingest the writer persists the index as a ``<kind>.idx``
-sidecar (layout ``MPX6``: row counts per entity, then the columns in
-entity order, each entity's rows in key order), which names the log prefix
-it covers and a digest of those bytes. Opening a log loads the sidecar's
-columns as they are, verifies the digest and scans only the log past the
-covered prefix. A missing or mismatched sidecar, or one of an earlier
-layout, means scanning the whole log, so a reader always gets the index a
-full scan would build. Sidecars up to ``MPX3`` are ignored because the
-code that wrote them indexed lines the codec rejects, ``MPX4`` because it
-kept an entity's rows in log order, and ``MPX5`` because it kept an
-app's reviews of one date in log order, not in review id order. Readers
-never write to the store directory. Single writer, any number of readers;
-queries return immutable values.
+sidecar (layout ``MPX7``: row counts per entity, then the columns in
+entity order, each entity's rows in key order, and for snapshots the state
+table as binary columns), which names the log prefix it covers and a digest
+of those bytes. Opening a log loads the sidecar's columns as they are,
+verifies the digest and every length and id range, and scans only the log
+past the covered prefix; the state keys and ``TimelineState`` values are
+built from the table's columns when a command first needs them. A missing
+or mismatched sidecar, or one of an earlier layout, means scanning the
+whole log, so a reader always gets the index a full scan would build.
+Sidecars up to ``MPX3`` are ignored because the code that wrote them
+indexed lines the codec rejects, ``MPX4`` because it kept an entity's rows
+in log order, ``MPX5`` because it kept an app's reviews of one date in log
+order, not in review id order, and ``MPX6`` because its state table was
+JSON. Readers never write to the store directory. Single writer, any number
+of readers; queries return immutable values.
 """
 
 from __future__ import annotations
@@ -91,18 +97,29 @@ _BATCH_LINES = 1000
 # magic check and is ignored, as does one in an earlier layout. The digest
 # is sha1 over the covered log bytes followed by everything after the
 # header, so a change to either makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505836
+_SIDECAR_MAGIC = 0x4D505837
 # magic, covered log bytes, digest, entries, entities, skipped corrupt lines,
 # state table bytes
 _SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
 # per entry: time key, offset and length of the line, then the timeline
-# state id (snapshots) or the name id of the review id (reviews). The state
-# table is compact JSON, {"permission_names": [name, ...], "permissions":
-# [[name id, ...], ...], "states": [[price_cents, downloads_lo,
-# downloads_hi, rating_count, version, category, permission set id,
-# last_updated ordinal], ...]}.
+# state id (snapshots) or the name id of the review id (reviews)
 _ENTRY_CODES = {SNAPSHOTS: "qQII", REVIEWS: "qQII", TOPK: "qQI"}
 _NAME_END = b"\xff"
+# The state table is a header of four counts and the type code of each
+# column, then one column per field of the state keys in id order:
+# price_cents, downloads_lo, downloads_hi and rating_count, the string ids
+# of version and category, the id of the permission set and the
+# last_updated ordinal. Then come the name count of each permission set and
+# the string ids of the names of every set in turn, sorted by name, and
+# last the strings, each followed by the byte that ends a name. Each column
+# is written in the narrowest of 8, 16 or 32 unsigned bits, or 64 signed
+# bits, that holds its largest item.
+# states, permission sets, permission names over all sets, strings, codes
+_TABLE_HEADER = struct.Struct("=QQQQ10s")
+_STATE_COLUMNS = 8
+_TABLE_CODES = "BHIq"
+_INT64_MAX = 2**63 - 1
+_ORDINALS = range(1, dt.date.max.toordinal() + 1)
 
 
 @dataclass(frozen=True)
@@ -320,14 +337,229 @@ def _at(column: array, rows) -> Iterable[int]:
     return map(column.__getitem__, rows)
 
 
+def _read_columns(data: memoryview, pos: int, columns: list, sizes: list) -> int:
+    """Fill each of ``columns`` with ``sizes[i]`` items from ``data``, one
+    after the other from ``pos``; returns the position past the last, or
+    raises ValueError if ``data`` ends first."""
+    for column, size in zip(columns, sizes):
+        end = pos + column.itemsize * size
+        column.frombytes(data[pos:end])
+        if len(column) != size:
+            raise ValueError("sidecar column cut short")
+        pos = end
+    return pos
+
+
+def _past(column, bound: int) -> bool:
+    """Whether an item of ``column`` is ``bound`` or more."""
+    return max(column, default=-1) >= bound
+
+
+def _narrowest(column: array) -> array:
+    """``column``, of items none below 0, in the narrowest of the codes
+    ``_TABLE_CODES`` that holds its largest item."""
+    top = max(column, default=0)
+    code = next(
+        (code for code in _TABLE_CODES[:-1] if top < 1 << 8 * array(code).itemsize),
+        _TABLE_CODES[-1],
+    )
+    return column if column.typecode == code else array(code, column)
+
+
+class _StateTable:
+    """The distinct timeline-state keys of a snapshot log, in order of
+    first use, as the sidecar holds them: one column per key field, with
+    version and category as ids into ``strings`` and the permission set as
+    an id of a run of name ids (``sets``). The state keys and the
+    ``TimelineState`` values are built from the columns on first use. A
+    new state is kept as its key and written into the columns when the
+    table is next written or its values are read; the columns are then
+    64 bits wide, and one with a number past 64 bits becomes a list, so
+    that the table writes no sidecar.
+    """
+
+    def __init__(self):
+        self.columns = [array("q") for _ in range(_STATE_COLUMNS)]
+        self.strings: list[str] = []
+        # the name count of each permission set, and the string ids of the
+        # names of every set in turn
+        self.sets = [array("q"), array("q")]
+        # whether every column is 64 bits wide, as the columns of a table
+        # read from a sidecar become before their first new state
+        self._wide = True
+        # built on first use: the state key of each id and its inverse, the
+        # permission set of each id and its inverse, string -> id, and the
+        # TimelineState of each id
+        self._keys: list[tuple] | None = None
+        self._ids: dict | None = None
+        self._sets: list[frozenset] | None = None
+        self._set_ids: dict | None = None
+        self._string_ids: dict | None = None
+        self._values: list[TimelineState] = []
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self._keys is None else len(self._keys)
+
+    @classmethod
+    def from_bytes(cls, data: memoryview) -> "_StateTable":
+        """The table ``to_bytes`` wrote; raises ValueError unless every
+        length and every id is in range."""
+        states, sets, names, strings, codes = _TABLE_HEADER.unpack_from(data)
+        codes = codes.decode("ascii")
+        if not set(codes) <= set(_TABLE_CODES):
+            raise ValueError("state table column of an unknown type")
+        table = cls()
+        columns = [array(code) for code in codes]
+        pos = _read_columns(
+            data, _TABLE_HEADER.size, columns, [states] * _STATE_COLUMNS + [sets, names]
+        )
+        table.columns, table.sets, table._wide = columns[:-2], columns[-2:], False
+        text = bytes(data[pos:]).split(_NAME_END)
+        if len(text) != strings + 1 or text[-1]:
+            raise ValueError("state table strings do not match their count")
+        table.strings = [name.decode("utf-8", "surrogatepass") for name in text[:-1]]
+        versions, categories, permissions, days = table.columns[4:]
+        sizes, set_names = table.sets
+        if (
+            _past(versions, strings)
+            or _past(categories, strings)
+            or _past(permissions, sets)
+            or _past(set_names, strings)
+            or sum(sizes) != names
+            or (states and (min(days) < _ORDINALS.start or _past(days, _ORDINALS.stop)))
+        ):
+            raise ValueError("state table id out of range")
+        return table
+
+    def to_bytes(self) -> bytes | None:
+        """The table as the sidecar holds it, each column in the narrowest
+        type that holds it, or None if a number does not fit 64 bits."""
+        self._flush()
+        columns = [*self.columns, *self.sets]
+        if any(type(column) is not array for column in columns):
+            return None
+        columns = list(map(_narrowest, columns))
+        counts = (len(self), len(self.sets[0]), len(self.sets[1]), len(self.strings))
+        codes = "".join(column.typecode for column in columns).encode("ascii")
+        return (
+            _TABLE_HEADER.pack(*counts, codes)
+            + b"".join(column.tobytes() for column in columns)
+            + b"".join(
+                name.encode("utf-8", "surrogatepass") + _NAME_END for name in self.strings
+            )
+        )
+
+    def _permission_sets(self) -> list[frozenset]:
+        sets = self._sets
+        if sets is None:
+            strings, (sizes, names) = self.strings, self.sets
+            sets = self._sets = [
+                frozenset(map(strings.__getitem__, names[start:end]))
+                for start, end in itertools.pairwise(itertools.accumulate(sizes, initial=0))
+            ]
+        return sets
+
+    def _rows(self, first: int) -> list[tuple]:
+        """The state keys of the ids from ``first`` on, built from the
+        columns."""
+        strings, sets = self.strings, self._permission_sets()
+        return [
+            (price, lo, hi, ratings, strings[version], strings[category], sets[permissions], day)
+            for price, lo, hi, ratings, version, category, permissions, day in zip(
+                *(column[first:] for column in self.columns)
+            )
+        ]
+
+    def keys(self) -> list[tuple]:
+        """The state key of every id."""
+        if self._keys is None:
+            self._keys = self._rows(0)
+        return self._keys
+
+    def ids(self) -> dict:
+        """State key -> its id."""
+        if self._ids is None:
+            self._ids = {key: i for i, key in enumerate(self.keys())}
+        return self._ids
+
+    def append(self, key: tuple) -> None:
+        """Add ``key``, a state key that ``ids`` does not hold, as the next
+        id; the caller enters it in ``ids``."""
+        self.keys().append(key)
+
+    def values(self) -> list[TimelineState]:
+        """The ``TimelineState`` of every id."""
+        self._flush()
+        values = self._values
+        if len(values) < len(self):
+            values.extend(
+                TimelineState(
+                    price,
+                    DownloadBucket(lo, hi),
+                    ratings,
+                    version,
+                    category,
+                    permissions,
+                    dt.date.fromordinal(day),
+                )
+                for price, lo, hi, ratings, version, category, permissions, day in self._rows(
+                    len(values)
+                )
+            )
+        return values
+
+    def _string_id(self, string: str) -> int:
+        ids = self._string_ids
+        if ids is None:
+            ids = self._string_ids = {s: i for i, s in enumerate(self.strings)}
+        tag = ids.get(string)
+        if tag is None:
+            tag = ids[string] = len(self.strings)
+            self.strings.append(string)
+        return tag
+
+    def _set_id(self, permissions: frozenset) -> int:
+        ids = self._set_ids
+        if ids is None:
+            ids = self._set_ids = {s: i for i, s in enumerate(self._permission_sets())}
+        tag = ids.get(permissions)
+        if tag is None:
+            tag = ids[permissions] = len(self._sets)
+            self._sets.append(permissions)
+            self.sets[0].append(len(permissions))
+            self.sets[1].extend([self._string_id(name) for name in sorted(permissions)])
+        return tag
+
+    def _flush(self) -> None:
+        """Write the states added since the columns were last written into
+        them."""
+        first = len(self.columns[0])
+        if len(self) == first:
+            return
+        if not self._wide:
+            self.columns = [array("q", column) for column in self.columns]
+            self.sets = [array("q", column) for column in self.sets]
+            self._wide = True
+        string_id, set_id = self._string_id, self._set_id
+        new = list(zip(*(
+            (price, lo, hi, ratings, string_id(version), string_id(category), set_id(s), day)
+            for price, lo, hi, ratings, version, category, s, day in self._keys[first:]
+        )))
+        if max(map(max, new[:4])) > _INT64_MAX and type(self.columns[0]) is array:
+            self.columns[:4] = map(list, self.columns[:4])
+        for column, items in zip(self.columns, new):
+            column.extend(items)
+
+
 class _LogIndex:
     """Committed records of one log, as columns of rows grouped by entity.
 
     Row ``r`` is one indexed line: ``times[r]`` is its time key,
     ``offsets[r]`` and ``lengths[r]`` locate it in the log, and ``tags[r]``
-    (not kept for top-k) is an id into ``table``, the distinct state keys
-    ``snapshot_line`` returned (snapshots) or the distinct review ids
-    (reviews), each in order of first use in the log. ``rows`` maps each
+    (not kept for top-k) is an id into ``table``: a ``_StateTable`` of the
+    distinct state keys ``snapshot_line`` returned (snapshots) or the list
+    of distinct review ids (reviews), each in order of first use in the
+    log. ``rows`` maps each
     entity (app or list type) to its row numbers in key order: time, and
     (date, review id) for reviews. It is the only lookup structure: ``find``
     bisects it, and an entity's newest line is its last row. It holds a
@@ -340,11 +572,10 @@ class _LogIndex:
         self.kind = kind
         # the four columns of the snapshot and review logs; top-k keeps no tags
         self.times, self.offsets, self.lengths, self.tags = map(array, "qQII")
-        self.table: list = []
-        # table value -> id, built on first use by a scan or a writer
+        self._time_at = self.times.__getitem__
+        self.table: _StateTable | list = _StateTable() if kind == SNAPSHOTS else []
+        # review id -> id, built on first use by a scan or a writer
         self._table_lookup: dict | None = None
-        # TimelineState of each state id, built on first use by a query
-        self._state_values: list[TimelineState] = []
         # entity -> its row numbers in key order
         self.rows: dict = {}
         self.digest = hashlib.sha1()
@@ -355,59 +586,74 @@ class _LogIndex:
 
     def _table_ids(self) -> dict:
         """``table`` value -> its id."""
+        if self.kind == SNAPSHOTS:
+            return self.table.ids()
         lookup = self._table_lookup
         if lookup is None:
             lookup = self._table_lookup = {v: i for i, v in enumerate(self.table)}
         return lookup
 
-    def table_value(self, value):
-        """The value of ``table`` equal to ``value``, or ``value`` if
+    def table_value(self, value: tuple) -> tuple:
+        """The state key of ``table`` equal to ``value``, or ``value`` if
         there is none."""
-        tag = self._table_ids().get(value)
-        return value if tag is None else self.table[tag]
+        table = self.table
+        tag = table.ids().get(value)
+        return value if tag is None else table.keys()[tag]
 
     def state_values(self) -> list[TimelineState]:
         """The ``TimelineState`` of every state id."""
-        values = self._state_values
-        values.extend(
-            TimelineState(
-                price,
-                DownloadBucket(lo, hi),
-                ratings,
-                version,
-                category,
-                permissions,
-                dt.date.fromordinal(updated),
-            )
-            for price, lo, hi, ratings, version, category, permissions, updated in (
-                self.table[len(values):]
-            )
-        )
-        return values
+        return self.table.values()
 
-    def _review_order(self, row: int) -> tuple:
-        return self.times[row], self.table[self.tags[row]]
-
-    def _order(self, key: tuple) -> tuple:
-        """The place of ``key``, an (entity, time key) pair, in the key
-        order of its entity's rows, and the function giving a row's."""
-        entity, time_key = key
-        if self.kind == REVIEWS:
-            return (time_key, entity[1]), self._review_order
-        return time_key, self.times.__getitem__
+    def _review_place(self, rows, time_key: int, review_id: str) -> int:
+        """The position in ``rows``, the rows of an app's reviews, of the
+        first row whose key is not before (``time_key``, ``review_id``):
+        one bisection in (time, review id) order that compares review ids
+        only within the span of ``time_key``, at most two comparisons per
+        step, so that many reviews of one date cost no more than others."""
+        times, review_ids, tags = self.times, self.table, self.tags
+        lo, hi = 0, len(rows)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            row = rows[mid]
+            time = times[row]
+            if time == time_key:
+                before = review_ids[tags[row]] < review_id
+            else:
+                before = time < time_key
+            if before:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def find(self, key: tuple) -> int | None:
         """The row of the line indexed under ``key``, an (entity, time key)
         pair, or None; first line wins, since ``_scan`` indexes no later
-        line of a key."""
-        rows = self.rows.get(key[0][0])
+        line of a key. The rows a sidecar held are a range, bisected in
+        ``times`` itself."""
+        entity, time_key = key
+        rows = self.rows.get(entity[0])
         if rows is None:
             return None
-        place, order = self._order(key)
-        if order(rows[-1]) < place:
+        times = self.times
+        if times[rows[-1]] < time_key:
+            # past the entity's newest line, as a line in time order is
             return None
-        row = rows[bisect.bisect_left(rows, place, key=order)]
-        return row if order(row) == place else None
+        if self.kind == REVIEWS:
+            place = self._review_place(rows, time_key, entity[1])
+        elif type(rows) is range:
+            row = bisect.bisect_left(times, time_key, rows.start, rows.stop)
+            return row if row < rows.stop and times[row] == time_key else None
+        else:
+            place = bisect.bisect_left(rows, time_key, key=self._time_at)
+        if place == len(rows):
+            return None
+        row = rows[place]
+        if times[row] != time_key:
+            return None
+        if self.kind == REVIEWS and self.table[self.tags[row]] != entity[1]:
+            return None
+        return row
 
     def extend(self, keys: Iterable, offsets: Iterable, lengths: Iterable, states: list) -> None:
         """Index a batch of lines in log order: the i-th line, at the i-th
@@ -416,17 +662,17 @@ class _LogIndex:
         another line of the batch holds; ``states[i]`` is its state key, as
         the kind's codec returned it. The lines lie past every indexed one."""
         first = len(self.times)
-        self.times.extend([key[1] for key in keys])
+        times = self.times
+        times.extend([key[1] for key in keys])
         self.offsets.extend(offsets)
         self.lengths.extend(lengths)
-        if self.kind == REVIEWS:
-            # a review's tag is its review id, and its place (date, review id)
+        reviews = self.kind == REVIEWS
+        if reviews:
+            # a review's tag is its review id
             states = [entity[1] for entity, _ in keys]
-            order, places = self._review_order, list(zip(self.times[first:], states))
-        else:
-            order, places = self.times.__getitem__, self.times[first:]
+        table, tags = self.table, self.tags
         if self.kind != TOPK:
-            lookup, table, tags = self._table_ids(), self.table, self.tags
+            lookup = self._table_ids()
             for value in states:
                 tag = lookup.get(value)
                 if tag is None:
@@ -434,19 +680,24 @@ class _LogIndex:
                     table.append(value)
                 tags.append(tag)
         rows_of = self.rows
-        for row, key, place in zip(itertools.count(first), keys, places):
-            group = key[0][0]
+        for row, (entity, time_key) in zip(itertools.count(first), keys):
+            group = entity[0]
             rows = rows_of.get(group)
             if rows is None:
                 rows_of[group] = [row]
                 continue
             if type(rows) is range:
                 rows = rows_of[group] = list(rows)
-            if order(rows[-1]) < place:
+            last = times[rows[-1]]
+            if last < time_key or (
+                reviews and last == time_key and table[tags[rows[-1]]] < entity[1]
+            ):
                 rows.append(row)
-            else:
+            elif reviews:
                 # a line appended out of key order goes to its key's place
-                rows.insert(bisect.bisect_left(rows, place, key=order), row)
+                rows.insert(self._review_place(rows, time_key, entity[1]), row)
+            else:
+                rows.insert(bisect.bisect_left(rows, time_key, key=self._time_at), row)
 
     def _gather(self) -> Callable:
         """column -> its values at every entity's rows in turn."""
@@ -456,29 +707,13 @@ class _LogIndex:
         # itemgetter of one item returns it bare
         return lambda column: [column[r] for r in order]
 
-    def _state_table(self) -> bytes:
-        name_ids: dict[str, int] = {}
-        permission_ids: dict[frozenset, int] = {}
-        states = [
-            [*key[:6], permission_ids.setdefault(key[6], len(permission_ids)), key[7]]
-            for key in self.table
-        ]
-        permissions = [
-            [name_ids.setdefault(name, len(name_ids)) for name in sorted(p)]
-            for p in permission_ids
-        ]
-        return json.dumps(
-            {
-                "permission_names": list(name_ids),
-                "permissions": permissions,
-                "states": states,
-            },
-            separators=(",", ":"),
-        ).encode("ascii")
-
-    def to_sidecar(self) -> bytes:
-        """The sidecar covering the first ``scanned_bytes`` of the log."""
+    def to_sidecar(self) -> bytes | None:
+        """The sidecar covering the first ``scanned_bytes`` of the log, or
+        None if the state table does not fit the layout."""
         codes = _ENTRY_CODES[self.kind]
+        table = self.table.to_bytes() if self.kind == SNAPSHOTS else b""
+        if table is None:
+            return None
         gather = self._gather()
         columns = [
             array(code, gather(column))
@@ -487,7 +722,6 @@ class _LogIndex:
         names = list(self.rows)
         if self.kind == REVIEWS:
             names += self.table
-        table = self._state_table() if self.kind == SNAPSHOTS else b""
         body = (
             array("I", map(len, self.rows.values())).tobytes()
             + b"".join(column.tobytes() for column in columns)
@@ -510,7 +744,8 @@ class _LogIndex:
     @classmethod
     def from_sidecar(cls, kind: str, sidecar: Path, log: Path) -> "_LogIndex | None":
         """The index persisted in ``sidecar``, or None unless the sidecar is
-        intact and ``log`` still begins with the bytes it covers."""
+        intact, every length and id in it is in range, and ``log`` still
+        begins with the bytes it covers. No state key is built."""
         try:
             data = sidecar.read_bytes()
             magic, covered, digest, count, n_groups, skipped, table_bytes = (
@@ -523,26 +758,17 @@ class _LogIndex:
         index = cls(kind)
         body = memoryview(data)[_SIDECAR_HEADER.size:]
         counts = array("I")
-        columns = [counts, index.times, index.offsets, index.lengths, index.tags]
-        pos = 0
         try:
-            for column, size in zip(columns, [n_groups] + [count] * len(_ENTRY_CODES[kind])):
-                end = pos + column.itemsize * size
-                column.frombytes(body[pos:end])
-                if len(column) != size:
-                    return None
-                pos = end
+            pos = _read_columns(
+                body,
+                0,
+                [counts, index.times, index.offsets, index.lengths, index.tags],
+                [n_groups] + [count] * len(_ENTRY_CODES[kind]),
+            )
             if sum(counts) != count or 0 in counts:
                 return None
             if kind == SNAPSHOTS:
-                table = json.loads(bytes(body[pos:pos + table_bytes]))
-                names = table["permission_names"]
-                permission_sets = [
-                    frozenset([names[i] for i in p]) for p in table["permissions"]
-                ]
-                index.table = [
-                    (*row[:6], permission_sets[row[6]], row[7]) for row in table["states"]
-                ]
+                index.table = _StateTable.from_bytes(body[pos:pos + table_bytes])
             elif table_bytes:
                 return None
             pos += table_bytes
@@ -555,9 +781,9 @@ class _LogIndex:
                 index.table = review_ids
             elif review_ids:
                 return None
-            if max(index.tags, default=-1) >= len(index.table):
+            if _past(index.tags, len(index.table)):
                 return None
-        except (ValueError, TypeError, KeyError, IndexError):
+        except (ValueError, struct.error):
             return None
         sha = _hash_prefix(log, covered)
         if sha is None:
@@ -579,6 +805,53 @@ class _LogIndex:
         newest = [(group, rows[-1]) for group, rows in self.rows.items()]
         newest.sort(key=lambda pair: (times[pair[1]], offsets[pair[1]]))
         return newest
+
+
+class _CommittedLines:
+    """The committed lines of a log in log order, read alongside the lines
+    of an ingest, so that a re-ingest of lines in the order they were
+    committed costs a byte comparison per line. A line equal to the next
+    committed line is that line, and a copy of a stored record when the
+    index holds it: it is deduplicated with no decode and no lookup. A line
+    that differs leaves the cursor where it is, so the lines after it can
+    still meet theirs. Only the log prefix the index covered when the
+    ingest began is read, through the read handle, in chunks."""
+
+    _CHUNK = 1 << 20
+
+    def __init__(self, fd: int, index: _LogIndex):
+        self._fd, self._index, self._end = fd, index, index.scanned_bytes
+        # log bytes from the cursor on, the cursor's place in them and in
+        # the log, and the offsets of the indexed lines in log order from
+        # the first not before the cursor, sorted on the first match
+        self._buffer, self._pos, self._offset = b"", 0, 0
+        self._starts: array | None = None
+        self._next = 0
+
+    def take(self, line: bytes) -> bool:
+        """Whether ``line`` is the committed line at the cursor and the
+        index holds that line; the cursor passes the committed line
+        whenever ``line``, ending in its only newline, equals it."""
+        size = len(line)
+        if self._offset + size > self._end:
+            return False
+        if self._pos + size > len(self._buffer):
+            self._buffer = os.pread(
+                self._fd, min(self._end - self._offset, max(size, self._CHUNK)), self._offset
+            )
+            self._pos = 0
+        if not self._buffer.startswith(line, self._pos) or line.find(b"\n") != size - 1:
+            return False
+        offset = self._offset
+        self._pos += size
+        self._offset += size
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = array("Q", sorted(self._index.offsets))
+        if self._next < len(starts) and starts[self._next] == offset:
+            self._next += 1
+            return True
+        return False
 
 
 class SnapStore:
@@ -742,15 +1015,17 @@ class SnapStore:
     def ingest_lines(self, kind: str, lines: Iterable[str | bytes]) -> IngestReport:
         """Validate, dedup and append raw JSONL ``lines`` of one ``kind``.
 
-        A line given as bytes must be UTF-8. A line byte-identical to the
-        stored line under the key its canonical-text head names is
-        deduplicated at once. Every other line is admitted by ``_admit``,
-        or rejected with its text; a record whose (entity, time) is already
-        stored is then deduplicated when it holds the stored record
-        (``_same_payload``) and rejected as a conflict otherwise. Writes are
-        committed in batches; on an I/O failure the log is cut back to the
-        end of the last committed batch. The index sidecar is rewritten
-        after the last one.
+        A line given as bytes must be UTF-8. A line given as bytes that is
+        the next committed line, read in log order alongside ``lines``
+        (``_CommittedLines``), is deduplicated at once when the index holds
+        that line, and so is a line byte-identical to the stored line under
+        the key its canonical-text head names. Every other line is admitted
+        by ``_admit``, or rejected with its text; a record whose (entity,
+        time) is already stored is then deduplicated when it holds the
+        stored record (``_same_payload``) and rejected as a conflict
+        otherwise. Writes are committed in batches; on an I/O failure the
+        log is cut back to the end of the last committed batch. The index
+        sidecar is rewritten after the last one.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
@@ -781,31 +1056,40 @@ class SnapStore:
             batch: dict[tuple, bytes] = {}
             states: list[tuple] = []
 
+            find, lengths, offsets = index.find, index.lengths, index.offsets
+            fd = self._read_fd(kind)
+            committed = _CommittedLines(fd, index) if index.scanned_bytes else None
+
             def stored(key) -> bytes | None:
                 """The committed or batch line under ``key``, if any (a key
                 is in the batch only while it is not committed)."""
-                row = index.find(key)
+                row = find(key)
                 if row is None:
                     return batch.get(key)
-                return os.pread(self._read_fd(kind), index.lengths[row], index.offsets[row])
+                return os.pread(fd, lengths[row], offsets[row])
 
             for line_no, line in enumerate(lines, start=1):
+                raw = previous = None
                 if type(line) is bytes:
+                    if committed is not None and committed.take(line):
+                        report.deduplicated[kind] += 1
+                        continue
                     try:
-                        line = line.decode("utf-8")
+                        raw, line = line, line.decode("utf-8")
                     except UnicodeDecodeError as exc:
                         report.rejected.append(
                             Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
                         )
                         continue
                 head = read_text(line)
-                raw = previous = None
                 if head is not None:
-                    # past its ASCII head a line may hold a lone surrogate,
-                    # which the codec accepts
-                    raw = (line if line.endswith("\n") else line + "\n").encode(
-                        "utf-8", "surrogatepass"
-                    )
+                    if raw is None or not raw.endswith(b"\n"):
+                        # a line given as bytes with its newline is its own
+                        # encoding; past its ASCII head a line may hold a
+                        # lone surrogate, which the codec accepts
+                        raw = (line if line.endswith("\n") else line + "\n").encode(
+                            "utf-8", "surrogatepass"
+                        )
                     previous = stored(head[0])
                     if previous == raw:
                         report.deduplicated[kind] += 1
@@ -879,14 +1163,18 @@ class SnapStore:
         The sidecar is replaced atomically but not fsynced: after a crash a
         torn or stale one fails verification or covers a shorter prefix,
         and readers scan the rest of the log. For the same reason a failed
-        write only leaves the previous sidecar in place.
+        write, or a state table that does not fit the layout, only leaves
+        the previous sidecar in place.
         """
         if index.sidecar_bytes == index.scanned_bytes:
+            return
+        data = index.to_sidecar()
+        if data is None:
             return
         path = self._sidecar_path(kind)
         tmp = path.with_name(path.name + ".tmp")
         try:
-            tmp.write_bytes(index.to_sidecar())
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)

@@ -17,9 +17,14 @@ dataset of all three record kinds into an empty store. A seventh loads the
 ingests them once more into a store that has them all.
 Two more open a store of those 10k snapshots and list its apps, once from
 the index sidecar and once by a full scan of the log, with no sidecar.
-The last two load 20k reviews of one app on one day, their ids in shuffled
+Two more load 20k reviews of one app on one day, their ids in shuffled
 order, into an empty store and once more into a store that has them all:
 each line goes to its (date, review id) place among the app's rows.
+The last two take a week of a 10k-app market, the shape of a daily crawl
+merged into its history, where most states and permission sets are
+distinct: one re-ingests all its snapshots through a new handle each round,
+so that the sidecar load is timed with the lookups, and one ingests the
+last day into a store of the six days before it.
 """
 
 import itertools
@@ -273,3 +278,51 @@ def test_reingest_of_same_day_reviews_in_shuffled_id_order(benchmark, tmp_path, 
     report = benchmark(reingest)
     assert report.deduplicated["reviews"] == N_SAME_DAY
     assert report.accepted["reviews"] == report.total_rejected == 0
+
+
+@pytest.fixture(scope="module")
+def crawl_week():
+    """The snapshot lines of a week of a 10k-app market, and the time
+    before which the first six days lie."""
+    market = generate(simgen.MarketScript(seed=7, n_developers=6_000, observation_days=7))
+    assert len({s.app for s in market.snapshots}) >= N_LINES
+    last_day = max(s.fetch_time for s in market.snapshots) // 86400 * 86400
+    lines = [canonical_json(snapshot_to_record(s)) + "\n" for s in market.snapshots]
+    return market.manifest, lines, [s.fetch_time < last_day for s in market.snapshots]
+
+
+def test_reingest_of_a_week_of_a_10k_app_market_through_a_new_handle(
+    benchmark, tmp_path, crawl_week
+):
+    manifest, lines, _ = crawl_week
+    root = tmp_path / "store"
+    SnapStore.create(root, manifest).ingest_lines("snapshots", lines)
+
+    def reingest():
+        return SnapStore.open(root).ingest_lines("snapshots", lines)
+
+    report = benchmark.pedantic(reingest, rounds=7)
+    assert report.deduplicated["snapshots"] == len(lines)
+    assert report.accepted["snapshots"] == report.total_rejected == 0
+
+
+def test_ingest_of_one_day_into_a_10k_app_store(benchmark, tmp_path, crawl_week):
+    manifest, lines, before_last_day = crawl_week
+    days = [line for line, before in zip(lines, before_last_day) if before]
+    last_day = [line for line, before in zip(lines, before_last_day) if not before]
+    assert len(last_day) >= N_LINES
+    template = tmp_path / "template"
+    SnapStore.create(template, manifest).ingest_lines("snapshots", days)
+    fresh = itertools.count()
+
+    def populated_store():
+        root = tmp_path / f"store{next(fresh)}"
+        shutil.copytree(template, root)
+        return (SnapStore.open(root),), {}
+
+    def ingest(store):
+        return store.ingest_lines("snapshots", last_day)
+
+    report = benchmark.pedantic(ingest, setup=populated_store, rounds=7)
+    assert report.accepted["snapshots"] == len(last_day)
+    assert report.deduplicated["snapshots"] == report.total_rejected == 0

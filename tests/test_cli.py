@@ -399,6 +399,39 @@ def test_timeline_reports_decode_no_snapshot(dataset, monkeypatch):
     assert main(["timeline", "--store", str(dataset["store"]), "--app", app]) == 0
 
 
+def test_dedup_only_ingest_decodes_no_state(dataset, tmp_path, monkeypatch):
+    # every line of a re-ingest into the store that holds them all is
+    # deduplicated before admission, so the snapshot sidecar's state table
+    # is loaded and checked but no state key or TimelineState is built
+    store = tmp_path / "store"
+    shutil.copytree(dataset["store"], store)
+    logs = {p.name: p.read_bytes() for p in store.glob("*.jsonl")}
+
+    def reports(root):
+        out = tmp_path / f"reports-{root.name}"
+        for argv in (("metrics", "staleness"), ("metrics", "updates")):
+            assert main([*argv, "--store", str(root), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def refuse(table, first):
+        raise AssertionError("a dedup-only ingest built a state from the state table")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(store_mod._StateTable, "_rows", refuse)
+        report = SnapStore.open(store).ingest_dir(dataset["data"])
+    assert report.deduplicated == {
+        kind: logs[f"{kind}.jsonl"].count(b"\n") for kind in store_mod.KINDS
+    }
+    assert sum(report.accepted.values()) == 0 and report.rejected == []
+    assert {p.name: p.read_bytes() for p in store.glob("*.jsonl")} == logs
+    # the reports equal those of a full scan of the logs
+    scanned = tmp_path / "scanned"
+    shutil.copytree(store, scanned)
+    for path in scanned.glob("*.idx"):
+        path.unlink()
+    assert reports(store) == reports(scanned)
+
+
 def test_latest_states_are_the_states_of_the_latest_snapshots(dataset):
     store = SnapStore.open(dataset["store"])
     latest = store.latest_snapshots()

@@ -4,7 +4,9 @@ import fcntl
 import hashlib
 import itertools
 import json
+import math
 import os
+import random
 import shutil
 import struct
 import tempfile
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marketpulse.errors import ConcurrentWriteError, InvalidWindowError, StoreIOError
-from marketpulse.model import ListType, date_to_epoch, snapshot_to_record
+from marketpulse.model import DownloadBucket, ListType, date_to_epoch, snapshot_to_record
 from marketpulse import simgen
 from marketpulse import store as store_mod
 from marketpulse.store import KINDS, DatasetManifest, IngestReport, SnapStore, TimeWindow
@@ -859,6 +861,78 @@ def test_ingest_gives_what_the_reference_path_gives_without_the_raw_byte_shortcu
             log = after.splitlines(keepends=True)
 
 
+@st.composite
+def _replayed(draw, kind, log):
+    """``log``'s lines in log order, each dropped, taken once or twice, cut
+    from its newline or glued to the next, with drawn lines between them:
+    lines of a re-ingest that keep or break the committed order."""
+    lines = []
+    for i, line in enumerate(log):
+        for _ in range(draw(st.integers(0, 2))):
+            form = draw(st.sampled_from(["whole", "cut", "glued"]))
+            if form == "cut":
+                line = line[:-1]
+            elif form == "glued":
+                line += log[(i + 1) % len(log)]
+            lines.append(line)
+        if draw(st.booleans()):
+            lines.append(draw(_log_lines(kind)) + draw(st.sampled_from(["", "\n"])))
+    return lines
+
+
+def _as_bytes(line):
+    """``line`` as the bytes ingest reads from a file, when it is UTF-8."""
+    try:
+        return line.encode("utf-8")
+    except UnicodeEncodeError:
+        return line
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_replayed_committed_lines_give_what_the_reference_path_gives(data):
+    kind = data.draw(st.sampled_from(["snapshots", "reviews", "topk"]))
+    log = [line + "\n" for line in data.draw(st.lists(_log_lines(kind), max_size=6))]
+    manifest = DatasetManifest(
+        name="t", currency="USD", observation_start=DAY0, observation_end=DAY0
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        SnapStore.create(root, manifest)
+        path = root / f"{kind}.jsonl"
+        path.write_text("".join(log), encoding="utf-8")
+        # from a full scan of the log, then from the sidecar that ingest wrote
+        for _ in range(2):
+            lines = data.draw(_replayed(kind, log))
+            expected = _reference_ingest(kind, log, lines)
+            report = SnapStore.open(root).ingest_lines(kind, map(_as_bytes, lines))
+            after = path.read_text(encoding="utf-8")
+            assert (report.to_record(), report.skipped_corrupt[kind], after) == expected
+            log = after.splitlines(keepends=True)
+
+
+def test_reingest_in_committed_order_reads_no_key(tmp_path, market, monkeypatch):
+    # a re-ingest of the files a store was filled from meets each line as
+    # the next committed line: no head is read and no key looked up, and a
+    # top-k list is not decoded either
+    data = tmp_path / "data"
+    simgen.write_dataset(market_script(), data)
+    store = SnapStore.create(tmp_path / "store", market.manifest)
+    first = store.ingest_dir(data)
+    assert first.total_rejected == 0
+    logs = {p.name: p.read_bytes() for p in store.root.glob("*.jsonl")}
+    reopened = SnapStore.open(store.root)
+    for kind in KINDS:
+        reopened._index(kind)
+        monkeypatch.setitem(store_mod._TEXT_READERS, kind, (_refuse, lambda index: _refuse))
+    monkeypatch.setitem(store_mod._CODECS, "topk", _refuse)
+    monkeypatch.setattr(store_mod._LogIndex, "find", _refuse)
+    report = reopened.ingest_dir(data)
+    assert report.deduplicated == first.accepted and all(report.deduplicated.values())
+    assert sum(report.accepted.values()) == report.total_rejected == 0
+    assert {p.name: p.read_bytes() for p in store.root.glob("*.jsonl")} == logs
+
+
 def _last_updated_epoch(rec):
     return date_to_epoch(dt.date.fromisoformat(rec["last_updated"]))
 
@@ -950,7 +1024,7 @@ def test_scan_skips_a_fetch_time_twin_before_its_last_updated_day(tmp_path, mani
     assert ingested.ingest_lines("snapshots", valid).accepted["snapshots"] == 2
     expected = ingested._index("snapshots")
     assert _entity_rows(index) == _entity_rows(expected)
-    assert index.table == expected.table
+    assert index.table.keys() == expected.table.keys()
     assert index.state_values() == expected.state_values()
 
 
@@ -967,16 +1041,23 @@ def _full_scan(root, tmp_path):
     return SnapStore.open(copy)
 
 
+def _table_values(index):
+    """The state key (snapshots) or review id (reviews) of each id of
+    ``index``'s table."""
+    return index.table.keys() if index.kind == "snapshots" else index.table
+
+
 def _entity_rows(index):
     """(entity, time, offset, length, state key or review id) of every line
     ``index`` holds, entity by entity, each entity's lines in row order."""
+    values = _table_values(index)
     return [
         (
             group,
             index.times[r],
             index.offsets[r],
             index.lengths[r],
-            index.table[index.tags[r]] if index.kind != "topk" else None,
+            values[index.tags[r]] if index.kind != "topk" else None,
         )
         for group, rows in index.rows.items()
         for r in rows
@@ -1004,7 +1085,7 @@ def _index_state(store):
         state[kind] = (
             rows,
             keys,
-            index.table if kind == "snapshots" else None,
+            index.table.keys() if kind == "snapshots" else None,
             index.state_values() if kind == "snapshots" else None,
             index.scanned_bytes,
             index.skipped_corrupt,
@@ -1067,7 +1148,26 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
         assert columns == per_entry * len(entries) + 4 * len(index.rows)
     # the distinct timeline states are few next to the snapshots
     snapshots = loaded._index("snapshots")
-    assert 0 < len(snapshots.table) < len(snapshots.times) / 2
+    table = snapshots.table
+    assert 0 < len(table) < len(snapshots.times) / 2
+    # the state table is binary: its header, each state's eight columns and
+    # each of the two permission-set columns in the type its header names,
+    # the narrowest that holds the column, then the strings; smaller than
+    # the JSON table of MPX6
+    data = (root / "snapshots.idx").read_bytes()
+    at = store_mod._SIDECAR_HEADER.size + 4 * len(snapshots.rows) + 24 * len(snapshots.times)
+    codes = store_mod._TABLE_HEADER.unpack_from(data, at)[-1].decode()
+    assert all(array(code, [max(column, default=0)]) for code, column in zip(codes, table.columns))
+    width = [array(code).itemsize for code in codes]
+    assert store_mod._SIDECAR_HEADER.unpack_from(data)[-1] == (
+        store_mod._TABLE_HEADER.size
+        + sum(width[:8]) * len(table)
+        + width[8] * len(table.sets[0])
+        + width[9] * len(table.sets[1])
+        + sum(len(string.encode()) + 1 for string in table.strings)
+    )
+    assert sum(width[:8]) < 48
+    assert store_mod._SIDECAR_HEADER.unpack_from(data)[-1] < len(_json_state_table(table.keys()))
 
 
 def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
@@ -1085,6 +1185,114 @@ def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
     assert _sidecar_bytes(loaded) == _log_sizes(root)
     assert _index_state(loaded) == _index_state(scanned)
     assert _index_state(store) == _index_state(scanned)
+
+
+def _id_columns(data):
+    """(offset of its first item, type code, an id just out of range) of
+    each id column of the snapshots sidecar ``data``."""
+    header, table_header = store_mod._SIDECAR_HEADER, store_mod._TABLE_HEADER
+    _, _, _, entries, entities, _, _ = header.unpack_from(data)
+    tags = header.size + 4 * entities + 20 * entries
+    at = tags + 4 * entries
+    states, sets, _, strings, codes = table_header.unpack_from(data, at)
+    codes = codes.decode()
+    starts = list(itertools.accumulate(
+        (array(code).itemsize * (states if i < 8 else sets) for i, code in enumerate(codes)),
+        initial=at + table_header.size,
+    ))
+    return {
+        "state id": (tags, "I", states),
+        "version": (starts[4], codes[4], strings),
+        "category": (starts[5], codes[5], strings),
+        "permission set": (starts[6], codes[6], sets),
+        "last_updated ordinal": (starts[7], codes[7], 0),
+        "permission name": (starts[9], codes[9], strings),
+    }
+
+
+def _with_item(data, log, offset, code, value):
+    """The sidecar ``data`` with the item at ``offset`` set to ``value``
+    and its digest recomputed over ``log``, so that it is intact."""
+    header = store_mod._SIDECAR_HEADER
+    data = bytearray(data)
+    struct.pack_into("=" + code, data, offset, value)
+    covered = header.unpack_from(data)[1]
+    sha = hashlib.sha1(log.read_bytes()[:covered])
+    sha.update(data[header.size:])
+    struct.pack_into("=20s", data, 12, sha.digest())
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        "state id",
+        "version",
+        "category",
+        "permission set",
+        "permission name",
+        "last_updated ordinal",
+    ],
+)
+def test_intact_sidecar_with_an_id_out_of_range_is_rejected_at_open(tmp_path, market, column):
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    sidecar, log = root / "snapshots.idx", root / "snapshots.jsonl"
+    data = sidecar.read_bytes()
+    offset, code, bad = _id_columns(data)[column]
+    # the item rewritten as it was: the recomputed digest holds
+    same = struct.unpack_from("=" + code, data, offset)[0]
+    assert _with_item(data, log, offset, code, same) == data
+    sidecar.write_bytes(_with_item(data, log, offset, code, bad))
+    loaded = SnapStore.open(root)
+    assert _sidecar_bytes(loaded)["snapshots"] == 0
+    scanned = _full_scan(root, tmp_path)
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+
+
+def test_state_table_columns_widen_for_larger_items(tmp_path, manifest):
+    # the first sidecar holds the state columns in 8 and 16 bits but the
+    # ordinal; a handle over it adds items that need 16, 32 and 64 bits
+    store = SnapStore.create(tmp_path / "store", manifest)
+    ingest_records(store, "snapshots", [make_snapshot()])
+    handle = SnapStore.open(store.root)
+    table = handle._index("snapshots").table
+    assert [c.typecode for c in (*table.columns, *table.sets)] == list("BHHBBBBIBB")
+    big = make_snapshot(
+        day=DAY0 + dt.timedelta(days=1),
+        price_cents=70_000,
+        downloads=DownloadBucket(5_000_000_000, 10_000_000_000),
+        rating_count=300,
+        version="2.0.0",
+        permissions=frozenset(f"P{i}" for i in range(300)),
+    )
+    assert ingest_records(handle, "snapshots", [big]).accepted["snapshots"] == 1
+    table = SnapStore.open(store.root)._index("snapshots").table
+    assert [c.typecode for c in (*table.columns, *table.sets)] == list("IqqHBBBIHH")
+    scanned = _full_scan(store.root, tmp_path)
+    for reader in (handle, SnapStore.open(store.root)):
+        assert _index_state(reader) == _index_state(scanned)
+        assert _query_results(reader) == _query_results(scanned)
+
+
+def test_state_with_a_number_past_64_bits_keeps_the_previous_sidecar(tmp_path, manifest):
+    store = SnapStore.create(tmp_path / "store", manifest)
+    ingest_records(store, "snapshots", [make_snapshot()])
+    sidecar = (store.root / "snapshots.idx").read_bytes()
+    later = make_snapshot(day=DAY0 + dt.timedelta(days=1))
+    big = {**snapshot_to_record(later), "price_cents": 2**64, "free": False}
+    assert store.ingest_lines("snapshots", [_canonical(big)]).accepted["snapshots"] == 1
+    assert (store.root / "snapshots.idx").read_bytes() == sidecar
+    assert store.latest_states()[later.app].price_cents == 2**64
+    reopened = SnapStore.open(store.root)
+    index = reopened._index("snapshots")
+    assert 0 < index.sidecar_bytes < index.scanned_bytes
+    scanned = _full_scan(store.root, tmp_path)
+    for reader in (store, reopened):
+        assert _index_state(reader) == _index_state(scanned)
+        assert _query_results(reader) == _query_results(scanned)
+        assert reader.latest_states() == scanned.latest_states()
 
 
 def _remove(path):
@@ -1171,7 +1379,9 @@ def test_read_only_store_serves_every_query(tmp_path, market):
             path.chmod(0o755 if path.is_dir() else 0o644)
 
 
-_MPX1, _MPX2, _MPX3, _MPX4, _MPX5 = 0x4D505831, 0x4D505832, 0x4D505833, 0x4D505834, 0x4D505835
+_MPX1, _MPX2, _MPX3, _MPX4, _MPX5, _MPX6 = (
+    0x4D505831, 0x4D505832, 0x4D505833, 0x4D505834, 0x4D505835, 0x4D505836
+)
 
 
 def _log_order_records(index):
@@ -1183,6 +1393,26 @@ def _log_order_records(index):
         for group, time, offset, length, tag in _entity_rows(index)
     ]
     return sorted(records, key=lambda record: record[2])
+
+
+def _json_state_table(states):
+    """The state table of the layouts ``MPX2`` to ``MPX6`` for the state
+    keys ``states``: compact JSON, {"permission_names": [name, ...],
+    "permissions": [[name id, ...], ...], "states": [[price_cents,
+    downloads_lo, downloads_hi, rating_count, version, category, permission
+    set id, last_updated ordinal], ...]}."""
+    name_ids, permission_ids = {}, {}
+    rows = [
+        [*key[:6], permission_ids.setdefault(key[6], len(permission_ids)), key[7]]
+        for key in states
+    ]
+    permissions = [
+        [name_ids.setdefault(n, len(name_ids)) for n in sorted(p)] for p in permission_ids
+    ]
+    return json.dumps(
+        {"permission_names": list(name_ids), "permissions": permissions, "states": rows},
+        separators=(",", ":"),
+    ).encode("ascii")
 
 
 def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
@@ -1204,11 +1434,7 @@ def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
         columns[4].append(length)
         columns[5].append(states.setdefault(state, len(states)))
     with_states = kind == "snapshots" and magic != _MPX1
-    table = b""
-    if with_states:
-        index = store_mod._LogIndex(kind)
-        index.table = list(states)
-        table = index._state_table()
+    table = _json_state_table(states) if with_states else b""
     codes = "IIqQII" if with_states else "IIqQI"
     body = b"".join(array(code, column).tobytes() for code, column in zip(codes, columns))
     body += table + b"".join(name.encode() + b"\xff" for name in names)
@@ -1220,22 +1446,41 @@ def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
     return struct.pack("=IQ20sQQQQ", *fields, len(table)) + body
 
 
+def _json_table_sidecar(index, magic=_MPX6, order=None):
+    """The sidecar the ``MPX4``, ``MPX5`` or ``MPX6`` code wrote for
+    ``index``, with a valid digest (it does not cover the header): the
+    layout of ``MPX7`` with the state table in JSON, each entity's entries
+    in key order or, given ``order``, sorted by it."""
+    rows = [sorted(r, key=order) if order else list(r) for r in index.rows.values()]
+    flat = [r for group in rows for r in group]
+    columns = zip(
+        store_mod._ENTRY_CODES[index.kind], (index.times, index.offsets, index.lengths, index.tags)
+    )
+    names = list(index.rows) + (list(index.table) if index.kind == "reviews" else [])
+    table = _json_state_table(index.table.keys()) if index.kind == "snapshots" else b""
+    body = (
+        array("I", map(len, rows)).tobytes()
+        + b"".join(array(code, [column[r] for r in flat]).tobytes() for code, column in columns)
+        + table
+        + b"".join(name.encode("utf-8", "surrogatepass") + b"\xff" for name in names)
+    )
+    sha = index.digest.copy()
+    sha.update(body)
+    header = struct.pack(
+        "=IQ20sQQQQ", magic, index.scanned_bytes, sha.digest(), len(flat), len(rows),
+        index.skipped_corrupt, len(table),
+    )
+    return header + body
+
+
 def _reordered_sidecar(index, magic):
-    """The sidecar the ``MPX4`` or ``MPX5`` code wrote for ``index``: the
-    layout of today, with each entity's entries in log order (``MPX4``) or
-    in (time, offset) order (``MPX5``) rather than key order, and a valid
-    digest (it does not cover the header)."""
+    """The sidecar the ``MPX4`` or ``MPX5`` code wrote for ``index``, with
+    each entity's entries in log order (``MPX4``) or in (time, offset)
+    order (``MPX5``) rather than key order."""
     def order(r):
         return index.offsets[r] if magic == _MPX4 else (index.times[r], index.offsets[r])
 
-    rows = index.rows
-    index.rows = {group: sorted(r, key=order) for group, r in rows.items()}
-    try:
-        data = bytearray(index.to_sidecar())
-    finally:
-        index.rows = rows
-    struct.pack_into("=I", data, 0, magic)
-    return bytes(data)
+    return _json_table_sidecar(index, magic, order)
 
 
 def _assert_reingest_appends_nothing(root):
@@ -1251,7 +1496,7 @@ def _assert_reingest_appends_nothing(root):
         )
         if lines:
             current = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
-            assert current == store_mod._SIDECAR_MAGIC == 0x4D505836
+            assert current == store_mod._SIDECAR_MAGIC == 0x4D505837
     assert {p.name: p.read_bytes() for p in root.glob("*.jsonl")} == logs
 
 
@@ -1277,6 +1522,24 @@ def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
         reopened = SnapStore.open(root)
         assert _sidecar_bytes(reopened) == _log_sizes(root)
         assert _index_state(reopened) == _index_state(scanned)
+
+
+def test_sidecar_of_the_mpx6_layout_is_ignored_and_the_log_scanned(tmp_path, market):
+    # MPX6 held the state table as JSON; its sidecars are ignored, then
+    # replaced by the next ingest
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    scanned = _full_scan(root, tmp_path)
+    for kind in ("snapshots", "reviews", "topk"):
+        (root / f"{kind}.idx").write_bytes(_json_table_sidecar(scanned._index(kind)))
+    loaded = SnapStore.open(root)
+    assert _sidecar_bytes(loaded) == {"snapshots": 0, "reviews": 0, "topk": 0}
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+    _assert_reingest_appends_nothing(root)
+    reopened = SnapStore.open(root)
+    assert _sidecar_bytes(reopened) == _log_sizes(root)
+    assert _index_state(reopened) == _index_state(scanned)
 
 
 def _out_of_order_store(root, manifest):
@@ -1407,6 +1670,149 @@ def test_ingest_sequence_matches_a_dict_model_and_a_full_scan(batches):
             for reader in (handle, SnapStore.open(root)):
                 assert _index_state(reader) == _index_state(scanned)
                 assert _query_results(reader) == _query_results(scanned)
+
+
+# Canonical lines for ``find``: snapshots of two apps on seven days, and
+# reviews of two apps with 31 ids on two dates, so that one date holds many
+# reviews of one app. Draws repeat keys, and days and ids come in any order.
+_FIND_LINES = {
+    "snapshots": st.builds(
+        lambda app, day: _canonical(
+            snapshot_to_record(make_snapshot(app=app, day=DAY0 + dt.timedelta(days=day)))
+        ),
+        _APPS,
+        st.integers(0, 6),
+    ),
+    "reviews": st.builds(
+        lambda app, n, day: _canonical(
+            review_to_record(
+                make_review(app=app, review_id=f"r{n}", day=DAY0 + dt.timedelta(days=day))
+            )
+        ),
+        _APPS,
+        st.integers(0, 30),
+        st.integers(0, 1),
+    ),
+}
+
+
+def _find_probes(kind):
+    """Every key a line of ``_FIND_LINES[kind]`` can have, and keys next to
+    them that none has: another app, times just off, ids before, between
+    and after the drawn ones, dates before and after."""
+    apps = ["com.a", "com.b", "com.c"]
+    if kind == "snapshots":
+        times = [make_snapshot(day=DAY0 + dt.timedelta(days=d)).fetch_time for d in range(7)]
+        times += [times[0] - 1] + [t + 1 for t in times]
+        return [((app,), t) for app in apps for t in times]
+    dates = [date_to_epoch(DAY0 + dt.timedelta(days=d)) for d in range(-1, 3)]
+    ids = [f"r{n}" for n in range(31)] + ["r", "r00", "r99", "s"]
+    return [((app, i), t) for app in apps for i in ids for t in dates]
+
+
+def _assert_find_matches(store, kind, model):
+    """``find`` gives, for every probe key, the row of the line ``model``
+    holds under it, or None when it holds none."""
+    index = store._index(kind)
+    log = (store.root / f"{kind}.jsonl").read_bytes()
+    for key in _find_probes(kind):
+        row = index.find(key)
+        if key not in model:
+            assert row is None
+            continue
+        assert row is not None
+        assert log[index.offsets[row]:index.offsets[row] + index.lengths[row]] == model[key]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["snapshots", "reviews"]).flatmap(
+        lambda kind: st.tuples(
+            st.just(kind),
+            st.lists(st.lists(_FIND_LINES[kind], max_size=40), min_size=1, max_size=4),
+        )
+    )
+)
+def test_find_matches_a_dict_model_over_sidecar_and_appended_rows(case):
+    kind, batches = case
+    manifest = DatasetManifest(
+        name="t", currency="USD", observation_start=DAY0, observation_end=DAY0
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        SnapStore.create(root, manifest)
+        # (entity, time) -> the line stored under it: the first of its key
+        model = {}
+        for lines in batches:
+            # a new handle holds the rows of the sidecar as ranges
+            handle = SnapStore.open(root)
+            assert all(type(rows) is range for rows in handle._index(kind).rows.values())
+            _assert_find_matches(handle, kind, model)
+            handle.ingest_lines(kind, lines)
+            keys = [_reference_key(kind, line) for line in lines]
+            # the entities the batch added a line to hold lists
+            appended = {key[0][0] for key in keys if key not in model}
+            for key, line in zip(keys, lines):
+                model.setdefault(key, (line + "\n").encode())
+            rows = handle._index(kind).rows
+            assert all(type(rows[entity]) is list for entity in appended)
+            _assert_find_matches(handle, kind, model)
+
+
+_COMPARISONS = [0]
+
+
+def _counted(base):
+    """A subclass of ``base`` whose every comparison adds one to
+    ``_COMPARISONS``; it takes part in comparisons with plain ``base``
+    values on either side, since Python tries a subclass's reflected
+    method first."""
+    def compare(name):
+        method = getattr(base, name)
+
+        def counted(self, other):
+            _COMPARISONS[0] += 1
+            return method(self, other)
+
+        return counted
+
+    names = ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__")
+    methods = {name: compare(name) for name in names}
+    return type(f"Counted{base.__name__}", (base,), {**methods, "__hash__": base.__hash__})
+
+
+_CountedInt, _CountedStr = _counted(int), _counted(str)
+
+
+def test_find_among_many_same_day_reviews_of_one_app_makes_about_2_log2_n_comparisons(
+    tmp_path, manifest
+):
+    n = 5000
+    ids = [f"r{i:04d}" for i in range(n)]
+    random.Random(3).shuffle(ids)
+    root = tmp_path / "store"
+    SnapStore.create(root, manifest).ingest_lines(
+        "reviews", [_canonical(review_to_record(make_review(review_id=i))) for i in ids]
+    )
+    app, day = "com.example.app", date_to_epoch(DAY0)
+    later = ("r", "r2500a", "r5000")
+    bound = 2 * math.ceil(math.log2(n + len(later))) + 3
+    handle = SnapStore.open(root)
+    for kind_of_rows in (range, list):
+        index = handle._index("reviews")
+        assert type(index.rows[app]) is kind_of_rows
+        for review_id in ("r0000", "r1234", "r2500", "r4999", "r", "r2500a", "r5000"):
+            _COMPARISONS[0] = 0
+            row = index.find(((app, _CountedStr(review_id)), _CountedInt(day)))
+            assert math.log2(n) <= _COMPARISONS[0] <= bound
+            if kind_of_rows is range and review_id in later:
+                assert row is None
+            else:
+                assert row is not None and index.table[index.tags[row]] == review_id
+        # more reviews of the date turn the app's rows into a list
+        handle.ingest_lines(
+            "reviews", [_canonical(review_to_record(make_review(review_id=i))) for i in later]
+        )
 
 
 def _hand_written_snapshot_log(store, snapshots):

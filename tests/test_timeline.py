@@ -460,7 +460,7 @@ def test_store_states_fold_like_snapshots_over_hand_written_lines(tmp_path, mani
     store.ingest_lines("snapshots", [])
     reopened = SnapStore.open(root)
     assert reopened._index("snapshots").sidecar_bytes > 0
-    assert reopened._index("snapshots").table == store._index("snapshots").table
+    assert reopened._index("snapshots").table.keys() == store._index("snapshots").table.keys()
     assert _timelines_match_oracle(reopened) > 0
 
 
