@@ -6,6 +6,15 @@ status line. Pages are an HTML-like subset: a metadata block of
 ``<meta name="..." content="...">`` tags and a similar-apps block of
 ``<a class="similar" href="APPID">`` anchors.
 
+``parse_page`` has two ways in and one builder. A page in exactly
+``render_page``'s layout is read by one whole-page match of a pattern built
+from the same tuple of meta names, which yields the app, the meta values
+and the similar-app hrefs. Any other page goes through the tokenizer and
+the block state machine, the only reader that rejects a page's structure.
+Both ways hand those parts to one builder, which converts the field values
+and rejects a value that does not convert, so a page gives the same result
+or the same error either way.
+
 One compiled pattern tokenizes a page, and a second splits the attributes
 of each tag it matched. A page is tags with only whitespace between them.
 A tag is "<", optional whitespace, an optional "/", a name of one or more
@@ -149,14 +158,51 @@ def parse_page(raw: str) -> ParsedPage:
     """Extract the snapshot and the ordered, deduplicated similar-app list.
 
     Raises MissingFieldError when a required meta tag is absent and
-    MalformedDocumentError when the block structure is broken.
+    MalformedDocumentError when the block structure is broken or a field
+    value does not convert.
     """
+    parts = _layout_parts(raw)
+    if parts is None:
+        parts = _scanned_parts(raw)
+    return _build_page(*parts)
+
+
+# render_page's exact layout, one group per value. No value holds '"', "<"
+# or ">", so the tokenizer would read each tag of a matching page the same
+# way and find only the "\n" between tags: both ways give the same parts.
+_PAGE_LAYOUT = re.compile(
+    '<market-page app="([^"<>]*+)">\n<metadata>\n'
+    + "".join(
+        f'<meta name="{re.escape(name)}" content="([^"<>]*+)">\n' for name in _META_ORDER
+    )
+    + '</metadata>\n<similar>\n((?:<a class="similar" href="[^"<>]*+">\n)*+)'
+    '</similar>\n</market-page>\n'
+)
+_SIMILAR_HREF = re.compile('<a class="similar" href="([^"<>]*+)">\n')
+
+
+def _layout_parts(raw: str) -> tuple[str, dict[str, str], list[str]] | None:
+    """(app, metas, similar hrefs) of a page in render_page's layout, or
+    None for any other page."""
+    page = _PAGE_LAYOUT.fullmatch(raw)
+    if page is None:
+        return None
+    app, *values, block = page.groups()
+    similar = _SIMILAR_HREF.findall(block)
+    if "&" in raw:
+        app, *values = [unescape_attr(v) if "&" in v else v for v in (app, *values)]
+        similar = [unescape_attr(v) if "&" in v else v for v in similar]
+    return app, dict(zip(_META_ORDER, values)), similar
+
+
+def _scanned_parts(raw: str) -> tuple[str, dict[str, str], list[str]]:
+    """(app, metas, similar hrefs) of any page, from the tokenizer and the
+    block state machine; the only reader that rejects a page's structure."""
     if not raw or not raw.strip():
         raise MalformedDocumentError("empty page")
     app: str | None = None
     metas: dict[str, str] = {}
     similar: list[str] = []
-    seen_similar: set[str] = set()
     # block state machine: expect market-page > metadata > similar > close
     state = "start"
     for name, attrs, closing in _page_tokens(raw):
@@ -190,10 +236,7 @@ def parse_page(raw: str) -> ParsedPage:
             elif not closing and name == "a":
                 if attrs.get("class") != "similar" or "href" not in attrs:
                     raise MalformedDocumentError("anchor must be class=similar with href")
-                target = attrs["href"]
-                if target not in seen_similar:
-                    seen_similar.add(target)
-                    similar.append(target)
+                similar.append(attrs["href"])
             else:
                 raise MalformedDocumentError(f"unexpected tag {name!r} in similar")
         elif state == "end":
@@ -204,38 +247,43 @@ def parse_page(raw: str) -> ParsedPage:
             raise MalformedDocumentError("content after closing market-page")
     if state != "done":
         raise MalformedDocumentError(f"page truncated (in {state})")
+    return app, metas, similar
 
-    def need(name: str) -> str:
-        if name not in metas:
-            raise MissingFieldError(name)
-        return metas[name]
 
-    downloads = need("downloads")
+def _build_page(app: str, metas: dict[str, str], similar: list[str]) -> ParsedPage:
+    """The page of ``parse_page``'s parts: the one place that converts
+    field values. Fields are read in a fixed order, so the first absent
+    one is the MissingFieldError and the first bad value the
+    MalformedDocumentError."""
     try:
-        lo_text, _, hi_text = downloads.partition("-")
-        bucket = DownloadBucket(int(lo_text), int(hi_text))
-        price_cents = int(need("price"))
-        snapshot = AppSnapshot(
+        lo_text, _, hi_text = metas["downloads"].partition("-")
+        downloads = DownloadBucket(int(lo_text), int(hi_text))
+        price_cents = int(metas["price"])
+        # set like model.snapshot_from_trusted_record does: AppSnapshot's
+        # __init__ checks nothing, and as a frozen dataclass's it costs
+        # about a third of a parse
+        snapshot = object.__new__(AppSnapshot)
+        snapshot.__dict__.update(
             app=app,
-            fetch_time=int(need("fetch_time")),
-            title=need("title"),
-            developer=need("developer"),
-            category=need("category"),
+            fetch_time=int(metas["fetch_time"]),
+            title=metas["title"],
+            developer=metas["developer"],
+            category=metas["category"],
             price_cents=price_cents,
             free=price_cents == 0,
-            downloads=bucket,
-            rating_avg=float(need("rating_avg")),
-            rating_count=int(need("rating_count")),
-            version=need("version"),
-            last_updated=parse_date(need("last_updated")),
-            size_bytes=int(need("size_bytes")),
-            permissions=frozenset(p for p in need("permissions").split(";") if p),
+            downloads=downloads,
+            rating_avg=float(metas["rating_avg"]),
+            rating_count=int(metas["rating_count"]),
+            version=metas["version"],
+            last_updated=parse_date(metas["last_updated"]),
+            size_bytes=int(metas["size_bytes"]),
+            permissions=frozenset(p for p in metas["permissions"].split(";") if p),
         )
-    except MissingFieldError:
-        raise
+    except KeyError as exc:
+        raise MissingFieldError(exc.args[0]) from None
     except ValueError as exc:
         raise MalformedDocumentError(f"bad field value: {exc}") from None
-    return ParsedPage(snapshot=snapshot, similar=tuple(similar))
+    return ParsedPage(snapshot=snapshot, similar=tuple(dict.fromkeys(similar)))
 
 
 # --- market endpoints -----------------------------------------------------------
@@ -265,7 +313,9 @@ class DictMarket:
     def load(cls, path: str) -> "DictMarket":
         """Load from a market_pages.jsonl file ({"app": ..., "page": ...})."""
         pages = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        # split at "\n" only: str.splitlines also breaks at U+2028, U+2029
+        # and U+0085, which a JSON string may hold raw
+        for line in Path(path).read_text(encoding="utf-8").split("\n"):
             if line.strip():
                 rec = json.loads(line)
                 pages[rec["app"]] = rec["page"]

@@ -27,12 +27,9 @@ verifies the digest and every length and id range, and scans only the log
 past the covered prefix; the state keys and ``TimelineState`` values are
 built from the table's columns when a command first needs them. A missing
 or mismatched sidecar, or one of an earlier layout, means scanning the
-whole log, so a reader always gets the index a full scan would build.
-Sidecars up to ``MPX3`` are ignored because the code that wrote them
-indexed lines the codec rejects, ``MPX4`` because it kept an entity's rows
-in log order, ``MPX5`` because it kept an app's reviews of one date in log
-order, not in review id order, and ``MPX6`` because its state table was
-JSON. Readers never write to the store directory. Single writer, any number
+whole log, so a reader always gets the index a full scan would build
+(README "Store layout" says why each earlier layout is ignored). Readers
+never write to the store directory. Single writer, any number
 of readers; queries return immutable values.
 """
 

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marketpulse import harvester
+from marketpulse.cli import main
 from marketpulse.errors import (
     CrawlFailedError,
     InvalidInputError,
@@ -23,6 +25,7 @@ from marketpulse.harvester import (
     parse_page,
     render_page,
 )
+from marketpulse.model import DownloadBucket
 from conftest import make_snapshot, reference_page_tokens
 
 
@@ -201,6 +204,153 @@ class TestPatternTokenizer:
             _tokens_or_rejection(reference_page_tokens, page)
         )
         assert _outcome(page) == _reference_outcome(page)
+
+
+# --- the layout match against the tokenizer path -------------------------------
+
+
+def _conversion(parts_of, page):
+    """The page built from ``parts_of(page)``, or the type and text of the
+    error that rejects it."""
+    try:
+        return harvester._build_page(*parts_of(page))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _both_ways(page):
+    """(match path, tokenizer path) outcomes of a page in the layout."""
+    assert harvester._layout_parts(page) is not None, "page is off the layout"
+    return (
+        _conversion(harvester._layout_parts, page),
+        _conversion(harvester._scanned_parts, page),
+    )
+
+
+_AWKWARD_TEXT = st.text(
+    alphabet=st.sampled_from('ab &"<>;=/\t\néü中\u2028\u2029\x85😀'), max_size=12
+)
+_AWKWARD_APPS = st.sampled_from(
+    ["com.a", "com.b", "com.b&c", 'com."q"', "com.<x>", "com.b&amp;c", "com.ü"]
+)
+
+
+@st.composite
+def _snapshots(draw):
+    price = draw(st.integers(0, 10**6))
+    lo = draw(st.integers(0, 10**9))
+    return make_snapshot(
+        app=draw(_AWKWARD_APPS),
+        fetch_time=draw(st.integers(0, 2**40)),
+        title=draw(_AWKWARD_TEXT),
+        developer=draw(_AWKWARD_TEXT),
+        price_cents=price,
+        downloads=DownloadBucket(lo, lo + draw(st.integers(0, 10**9))),
+        rating_avg=draw(st.floats(0, 5, allow_nan=False)),
+        rating_count=draw(st.integers(0, 10**7)),
+        version=draw(_AWKWARD_TEXT),
+        last_updated=draw(st.dates()),
+        size_bytes=draw(st.integers(0, 10**10)),
+        permissions=frozenset(draw(st.sets(_AWKWARD_TEXT, max_size=4))),
+    )
+
+
+class TestLayoutMatch:
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot=_snapshots(), similar=st.lists(_AWKWARD_APPS, max_size=6))
+    def test_rendered_pages_parse_as_the_tokenizer_path_parses_them(self, snapshot, similar):
+        page = render_page(snapshot, similar)
+        matched, scanned = _both_ways(page)
+        assert matched == scanned
+        assert parse_page(page) == matched
+
+    def test_every_page_of_a_rendered_market_parses_without_the_tokenizer(self, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({
+            "seed": 5,
+            "n_developers": 80,
+            "observation_days": 2,
+            "scam_developers": [{"developer": "CloneWorks", "n_clones": 6}],
+        }))
+        data = tmp_path / "data"
+        argv = ["simulate", "--script", str(script), "--out", str(data), "--render-market", "3"]
+        assert main(argv) == 0
+        market = DictMarket.load(str(data / "market_pages.jsonl"))
+        seeds = (data / "seeds.txt").read_text(encoding="utf-8").split()
+        config = CrawlConfig(workers=2, politeness_delay_ms=0)
+        with mock.patch.object(harvester, "_page_tokens", side_effect=AssertionError):
+            result = crawl(seeds, market, config)
+        assert result.report.snapshots_emitted == len(market.pages) > 100
+        assert result.report.parse_errors == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda page: page.replace("\n", "\r\n"),
+            lambda page: page.replace(
+                '<meta name="title" content="A &lt;b&gt; app">\n<meta name="developer" content="Dev">',
+                '<meta name="developer" content="Dev">\n<meta name="title" content="A &lt;b&gt; app">',
+            ),
+            lambda page: page.replace("<meta name=", "<meta  name=", 1),
+            lambda page: page.replace("&lt;", "<"),
+        ],
+        ids=["crlf", "swapped-metas", "space-in-tag", "raw-angle-bracket"],
+    )
+    def test_pages_just_off_the_layout_take_the_tokenizer(self, edit):
+        page = page_for("com.a", ["com.b", "com.c", "com.b"], title="A <b> app", developer="Dev")
+        edited = edit(page)
+        assert edited != page and harvester._layout_parts(edited) is None
+        with mock.patch.object(
+            harvester, "_page_tokens", wraps=harvester._page_tokens
+        ) as tokens:
+            parsed = parse_page(edited)
+        tokens.assert_called_once_with(edited)
+        assert parsed == parse_page(page)
+        assert parsed.similar == ("com.b", "com.c")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("price", "1x"),
+            ("downloads", "1000"),
+            ("rating_avg", "4.2.1"),
+            ("rating_count", ""),
+            ("last_updated", "2012-13-01"),
+            ("fetch_time", "1e9"),
+        ],
+    )
+    def test_a_bad_value_in_the_layout_is_rejected_as_the_tokenizer_rejects_it(self, name, value):
+        page = re.sub(
+            f'<meta name="{name}" content="[^"]*">',
+            f'<meta name="{name}" content="{value}">',
+            page_for("com.a", ["com.b"]),
+        )
+        matched, scanned = _both_ways(page)
+        assert matched == scanned
+        assert matched[0] is MalformedDocumentError
+        with pytest.raises(MalformedDocumentError) as exc:
+            parse_page(page)
+        assert str(exc.value) == matched[1]
+
+
+class TestDictMarket:
+    def test_load_keeps_line_separators_inside_json_strings(self, tmp_path):
+        pages = {
+            "com.a": page_for("com.a", title="one\u2028two\u2029three\x85four"),
+            "com.b": page_for("com.b", ["com.a"]),
+        }
+        path = tmp_path / "market_pages.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"app": app, "page": page}, ensure_ascii=False) + "\n"
+                for app, page in pages.items()
+            ),
+            encoding="utf-8",
+        )
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        market = DictMarket.load(str(path))
+        assert market.pages == pages
+        assert parse_page(market.fetch("com.a")).snapshot.title == "one\u2028two\u2029three\x85four"
 
 
 def chain_market(graph):
