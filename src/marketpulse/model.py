@@ -223,8 +223,10 @@ _REVIEW_FIELDS = (
     ("rating", _INT), ("title", _STR), ("text", _STR),
 )
 _LIST_TYPES = frozenset(t.value for t in ListType)
-# fetch times are stored in a signed 64-bit column of the index sidecar
+# fetch times, and the state numbers (price_cents, downloads_lo and _hi,
+# rating_count), are stored in signed 64-bit columns of the index sidecar
 _FETCH_TIME_RANGE = range(-(2**63), 2**63)
+_INT64_MAX = 2**63 - 1
 
 
 def _fields(rec: dict, fields: tuple) -> dict:
@@ -261,16 +263,22 @@ def _snapshot_violations(
         violations.append("fetch_time outside the signed 64-bit range")
     if price < 0:
         violations.append("price_cents negative")
+    if price > _INT64_MAX:
+        violations.append("price_cents past the signed 64-bit range")
     if free != (price == 0):
         violations.append("free flag inconsistent with price_cents")
     if not 0.0 <= rating_avg <= 5.0:
         violations.append("rating_avg out of [0,5]")
     if rating_count < 0:
         violations.append("rating_count negative")
+    if rating_count > _INT64_MAX:
+        violations.append("rating_count past the signed 64-bit range")
     if lo < 0:
         violations.append("downloads lower bound negative")
     if lo >= hi:
         violations.append("downloads bucket empty (lo >= hi)")
+    if hi > _INT64_MAX:
+        violations.append("downloads_hi past the signed 64-bit range")
     if size < 0:
         violations.append("size_bytes negative")
     if (updated - _EPOCH_ORDINAL) * SECONDS_PER_DAY > fetch_time:

@@ -115,7 +115,6 @@ _NAME_END = b"\xff"
 _TABLE_HEADER = struct.Struct("=QQQQ10s")
 _STATE_COLUMNS = 8
 _TABLE_CODES = "BHIq"
-_INT64_MAX = 2**63 - 1
 _ORDINALS = range(1, dt.date.max.toordinal() + 1)
 
 
@@ -363,39 +362,72 @@ def _narrowest(column: array) -> array:
     return column if column.typecode == code else array(code, column)
 
 
-class _StateTable:
-    """The distinct timeline-state keys of a snapshot log, in order of
-    first use, as the sidecar holds them: one column per key field, with
-    version and category as ids into ``strings`` and the permission set as
-    an id of a run of name ids (``sets``). The state keys and the
-    ``TimelineState`` values are built from the columns on first use. A
-    new state is kept as its key and written into the columns when the
-    table is next written or its values are read; the columns are then
-    64 bits wide, and one with a number past 64 bits becomes a list, so
-    that the table writes no sidecar.
+class _Table:
+    """Distinct values, each with an id: its place in ``keys()``, the values
+    in order of first use. The inverse map ``ids()`` is built on first use.
+    """
+
+    def __init__(self, keys: list | None = None):
+        self._keys = [] if keys is None else keys
+        self._ids: dict | None = None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def keys(self) -> list:
+        """The value of every id."""
+        return self._keys
+
+    def ids(self) -> dict:
+        """Value -> its id."""
+        if self._ids is None:
+            self._ids = {key: i for i, key in enumerate(self.keys())}
+        return self._ids
+
+    def tag(self, value) -> int:
+        """The id of ``value``; a value that ``ids`` does not hold is added
+        as the next id."""
+        ids = self.ids()
+        tag = ids.get(value)
+        if tag is None:
+            tag = ids[value] = len(self)
+            self.append(value)
+        return tag
+
+    def append(self, value) -> None:
+        """Add ``value``, which ``ids`` does not hold, as the next id; the
+        caller enters it in ``ids``."""
+        self._keys.append(value)
+
+
+class _StateTable(_Table):
+    """The distinct timeline-state keys of a snapshot log, a ``_Table`` in
+    order of first use, as the sidecar holds them: one column per key field,
+    with version and category as ids into the ``strings`` table and the
+    permission set as an id of a run of name ids (``sets``). The state keys
+    and the ``TimelineState`` values are built from the columns on first
+    use. A new state is written into the columns as it is added; the
+    columns are then 64 bits wide.
     """
 
     def __init__(self):
+        super().__init__()
         self.columns = [array("q") for _ in range(_STATE_COLUMNS)]
-        self.strings: list[str] = []
+        self.strings = _Table()
         # the name count of each permission set, and the string ids of the
         # names of every set in turn
         self.sets = [array("q"), array("q")]
         # whether every column is 64 bits wide, as the columns of a table
         # read from a sidecar become before their first new state
         self._wide = True
-        # built on first use: the state key of each id and its inverse, the
-        # permission set of each id and its inverse, string -> id, and the
-        # TimelineState of each id
+        # built on first use: the state key of each id, the table of
+        # permission sets, and the TimelineState of each id
         self._keys: list[tuple] | None = None
-        self._ids: dict | None = None
-        self._sets: list[frozenset] | None = None
-        self._set_ids: dict | None = None
-        self._string_ids: dict | None = None
+        self._sets: _Table | None = None
         self._values: list[TimelineState] = []
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self._keys is None else len(self._keys)
+        return len(self.columns[0])
 
     @classmethod
     def from_bytes(cls, data: memoryview) -> "_StateTable":
@@ -414,7 +446,7 @@ class _StateTable:
         text = bytes(data[pos:]).split(_NAME_END)
         if len(text) != strings + 1 or text[-1]:
             raise ValueError("state table strings do not match their count")
-        table.strings = [name.decode("utf-8", "surrogatepass") for name in text[:-1]]
+        table.strings = _Table([name.decode("utf-8", "surrogatepass") for name in text[:-1]])
         versions, categories, permissions, days = table.columns[4:]
         sizes, set_names = table.sets
         if (
@@ -428,38 +460,35 @@ class _StateTable:
             raise ValueError("state table id out of range")
         return table
 
-    def to_bytes(self) -> bytes | None:
+    def to_bytes(self) -> bytes:
         """The table as the sidecar holds it, each column in the narrowest
-        type that holds it, or None if a number does not fit 64 bits."""
-        self._flush()
-        columns = [*self.columns, *self.sets]
-        if any(type(column) is not array for column in columns):
-            return None
-        columns = list(map(_narrowest, columns))
+        type that holds it."""
+        columns = list(map(_narrowest, [*self.columns, *self.sets]))
         counts = (len(self), len(self.sets[0]), len(self.sets[1]), len(self.strings))
         codes = "".join(column.typecode for column in columns).encode("ascii")
         return (
             _TABLE_HEADER.pack(*counts, codes)
             + b"".join(column.tobytes() for column in columns)
             + b"".join(
-                name.encode("utf-8", "surrogatepass") + _NAME_END for name in self.strings
+                name.encode("utf-8", "surrogatepass") + _NAME_END
+                for name in self.strings.keys()
             )
         )
 
-    def _permission_sets(self) -> list[frozenset]:
+    def _permission_sets(self) -> _Table:
         sets = self._sets
         if sets is None:
-            strings, (sizes, names) = self.strings, self.sets
-            sets = self._sets = [
+            strings, (sizes, names) = self.strings.keys(), self.sets
+            sets = self._sets = _Table([
                 frozenset(map(strings.__getitem__, names[start:end]))
                 for start, end in itertools.pairwise(itertools.accumulate(sizes, initial=0))
-            ]
+            ])
         return sets
 
     def _rows(self, first: int) -> list[tuple]:
         """The state keys of the ids from ``first`` on, built from the
         columns."""
-        strings, sets = self.strings, self._permission_sets()
+        strings, sets = self.strings.keys(), self._permission_sets().keys()
         return [
             (price, lo, hi, ratings, strings[version], strings[category], sets[permissions], day)
             for price, lo, hi, ratings, version, category, permissions, day in zip(
@@ -473,20 +502,28 @@ class _StateTable:
             self._keys = self._rows(0)
         return self._keys
 
-    def ids(self) -> dict:
-        """State key -> its id."""
-        if self._ids is None:
-            self._ids = {key: i for i, key in enumerate(self.keys())}
-        return self._ids
-
     def append(self, key: tuple) -> None:
-        """Add ``key``, a state key that ``ids`` does not hold, as the next
-        id; the caller enters it in ``ids``."""
-        self.keys().append(key)
+        """Write ``key``, a state key that ``ids`` does not hold, into the
+        columns as the next id; the caller enters it in ``ids``."""
+        keys, sets, string_tag = self.keys(), self._permission_sets(), self.strings.tag
+        if not self._wide:
+            self.columns = [array("q", column) for column in self.columns]
+            self.sets = [array("q", column) for column in self.sets]
+            self._wide = True
+        price, lo, hi, ratings, version, category, permissions, day = key
+        version, category = string_tag(version), string_tag(category)
+        new_set = len(sets)
+        set_tag = sets.tag(permissions)
+        if set_tag == new_set:
+            self.sets[0].append(len(permissions))
+            self.sets[1].extend([string_tag(name) for name in sorted(permissions)])
+        items = (price, lo, hi, ratings, version, category, set_tag, day)
+        for column, item in zip(self.columns, items):
+            column.append(item)
+        keys.append(key)
 
     def values(self) -> list[TimelineState]:
         """The ``TimelineState`` of every id."""
-        self._flush()
         values = self._values
         if len(values) < len(self):
             values.extend(
@@ -505,48 +542,6 @@ class _StateTable:
             )
         return values
 
-    def _string_id(self, string: str) -> int:
-        ids = self._string_ids
-        if ids is None:
-            ids = self._string_ids = {s: i for i, s in enumerate(self.strings)}
-        tag = ids.get(string)
-        if tag is None:
-            tag = ids[string] = len(self.strings)
-            self.strings.append(string)
-        return tag
-
-    def _set_id(self, permissions: frozenset) -> int:
-        ids = self._set_ids
-        if ids is None:
-            ids = self._set_ids = {s: i for i, s in enumerate(self._permission_sets())}
-        tag = ids.get(permissions)
-        if tag is None:
-            tag = ids[permissions] = len(self._sets)
-            self._sets.append(permissions)
-            self.sets[0].append(len(permissions))
-            self.sets[1].extend([self._string_id(name) for name in sorted(permissions)])
-        return tag
-
-    def _flush(self) -> None:
-        """Write the states added since the columns were last written into
-        them."""
-        first = len(self.columns[0])
-        if len(self) == first:
-            return
-        if not self._wide:
-            self.columns = [array("q", column) for column in self.columns]
-            self.sets = [array("q", column) for column in self.sets]
-            self._wide = True
-        string_id, set_id = self._string_id, self._set_id
-        new = list(zip(*(
-            (price, lo, hi, ratings, string_id(version), string_id(category), set_id(s), day)
-            for price, lo, hi, ratings, version, category, s, day in self._keys[first:]
-        )))
-        if max(map(max, new[:4])) > _INT64_MAX and type(self.columns[0]) is array:
-            self.columns[:4] = map(list, self.columns[:4])
-        for column, items in zip(self.columns, new):
-            column.extend(items)
-
 
 class _LogIndex:
     """Committed records of one log, as columns of rows grouped by entity.
@@ -554,9 +549,9 @@ class _LogIndex:
     Row ``r`` is one indexed line: ``times[r]`` is its time key,
     ``offsets[r]`` and ``lengths[r]`` locate it in the log, and ``tags[r]``
     (not kept for top-k) is an id into ``table``: a ``_StateTable`` of the
-    distinct state keys ``snapshot_line`` returned (snapshots) or the list
-    of distinct review ids (reviews), each in order of first use in the
-    log. ``rows`` maps each
+    distinct state keys ``snapshot_line`` returned (snapshots) or a
+    ``_Table`` of the distinct review ids (reviews), each in order of first
+    use in the log. ``rows`` maps each
     entity (app or list type) to its row numbers in key order: time, and
     (date, review id) for reviews. It is the only lookup structure: ``find``
     bisects it, and an entity's newest line is its last row. It holds a
@@ -570,9 +565,7 @@ class _LogIndex:
         # the four columns of the snapshot and review logs; top-k keeps no tags
         self.times, self.offsets, self.lengths, self.tags = map(array, "qQII")
         self._time_at = self.times.__getitem__
-        self.table: _StateTable | list = _StateTable() if kind == SNAPSHOTS else []
-        # review id -> id, built on first use by a scan or a writer
-        self._table_lookup: dict | None = None
+        self.table = _StateTable() if kind == SNAPSHOTS else _Table()
         # entity -> its row numbers in key order
         self.rows: dict = {}
         self.digest = hashlib.sha1()
@@ -581,15 +574,6 @@ class _LogIndex:
         self.skipped_tail = 0
         self.skipped_corrupt = 0
 
-    def _table_ids(self) -> dict:
-        """``table`` value -> its id."""
-        if self.kind == SNAPSHOTS:
-            return self.table.ids()
-        lookup = self._table_lookup
-        if lookup is None:
-            lookup = self._table_lookup = {v: i for i, v in enumerate(self.table)}
-        return lookup
-
     def table_value(self, value: tuple) -> tuple:
         """The state key of ``table`` equal to ``value``, or ``value`` if
         there is none."""
@@ -597,17 +581,13 @@ class _LogIndex:
         tag = table.ids().get(value)
         return value if tag is None else table.keys()[tag]
 
-    def state_values(self) -> list[TimelineState]:
-        """The ``TimelineState`` of every state id."""
-        return self.table.values()
-
     def _review_place(self, rows, time_key: int, review_id: str) -> int:
         """The position in ``rows``, the rows of an app's reviews, of the
         first row whose key is not before (``time_key``, ``review_id``):
         one bisection in (time, review id) order that compares review ids
         only within the span of ``time_key``, at most two comparisons per
         step, so that many reviews of one date cost no more than others."""
-        times, review_ids, tags = self.times, self.table, self.tags
+        times, review_ids, tags = self.times, self.table.keys(), self.tags
         lo, hi = 0, len(rows)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -648,7 +628,7 @@ class _LogIndex:
         row = rows[place]
         if times[row] != time_key:
             return None
-        if self.kind == REVIEWS and self.table[self.tags[row]] != entity[1]:
+        if self.kind == REVIEWS and self.table.keys()[self.tags[row]] != entity[1]:
             return None
         return row
 
@@ -667,15 +647,10 @@ class _LogIndex:
         if reviews:
             # a review's tag is its review id
             states = [entity[1] for entity, _ in keys]
-        table, tags = self.table, self.tags
+            review_ids = self.table.keys()
+        tags = self.tags
         if self.kind != TOPK:
-            lookup = self._table_ids()
-            for value in states:
-                tag = lookup.get(value)
-                if tag is None:
-                    tag = lookup[value] = len(table)
-                    table.append(value)
-                tags.append(tag)
+            tags.extend(map(self.table.tag, states))
         rows_of = self.rows
         for row, (entity, time_key) in zip(itertools.count(first), keys):
             group = entity[0]
@@ -687,7 +662,7 @@ class _LogIndex:
                 rows = rows_of[group] = list(rows)
             last = times[rows[-1]]
             if last < time_key or (
-                reviews and last == time_key and table[tags[rows[-1]]] < entity[1]
+                reviews and last == time_key and review_ids[tags[rows[-1]]] < entity[1]
             ):
                 rows.append(row)
             elif reviews:
@@ -704,13 +679,10 @@ class _LogIndex:
         # itemgetter of one item returns it bare
         return lambda column: [column[r] for r in order]
 
-    def to_sidecar(self) -> bytes | None:
-        """The sidecar covering the first ``scanned_bytes`` of the log, or
-        None if the state table does not fit the layout."""
+    def to_sidecar(self) -> bytes:
+        """The sidecar covering the first ``scanned_bytes`` of the log."""
         codes = _ENTRY_CODES[self.kind]
         table = self.table.to_bytes() if self.kind == SNAPSHOTS else b""
-        if table is None:
-            return None
         gather = self._gather()
         columns = [
             array(code, gather(column))
@@ -718,7 +690,7 @@ class _LogIndex:
         ]
         names = list(self.rows)
         if self.kind == REVIEWS:
-            names += self.table
+            names += self.table.keys()
         body = (
             array("I", map(len, self.rows.values())).tobytes()
             + b"".join(column.tobytes() for column in columns)
@@ -775,7 +747,7 @@ class _LogIndex:
             names = [name.decode("utf-8", "surrogatepass") for name in names[:-1]]
             groups, review_ids = names[:n_groups], names[n_groups:]
             if kind == REVIEWS:
-                index.table = review_ids
+                index.table = _Table(review_ids)
             elif review_ids:
                 return None
             if _past(index.tags, len(index.table)):
@@ -1160,14 +1132,11 @@ class SnapStore:
         The sidecar is replaced atomically but not fsynced: after a crash a
         torn or stale one fails verification or covers a shorter prefix,
         and readers scan the rest of the log. For the same reason a failed
-        write, or a state table that does not fit the layout, only leaves
-        the previous sidecar in place.
+        write only leaves the previous sidecar in place.
         """
         if index.sidecar_bytes == index.scanned_bytes:
             return
         data = index.to_sidecar()
-        if data is None:
-            return
         path = self._sidecar_path(kind)
         tmp = path.with_name(path.name + ".tmp")
         try:
@@ -1217,7 +1186,7 @@ class SnapStore:
         fetch_time order, from the index: no log line is read."""
         index = self._index(SNAPSHOTS)
         rows = index.rows.get(app, ())
-        values = index.state_values()
+        values = index.table.values()
         return AppStates(
             app=app,
             times=tuple(_at(index.times, rows)),
@@ -1233,7 +1202,7 @@ class SnapStore:
         """The timeline state of every app's newest snapshot, in the order
         of ``latest_snapshots``, from the index: no log line is read."""
         index = self._index(SNAPSHOTS)
-        values, tags = index.state_values(), index.tags
+        values, tags = index.table.values(), index.tags
         return {app: values[tags[r]] for app, r in index.newest()}
 
     def query_reviews(self, app: str) -> list[ReviewRecord]:

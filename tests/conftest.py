@@ -472,16 +472,22 @@ def validate_snapshot(s: AppSnapshot) -> list[str]:
         violations.append("fetch_time outside the signed 64-bit range")
     if s.price_cents < 0:
         violations.append("price_cents negative")
+    if s.price_cents >= 2**63:
+        violations.append("price_cents past the signed 64-bit range")
     if s.free != (s.price_cents == 0):
         violations.append("free flag inconsistent with price_cents")
     if not (0.0 <= s.rating_avg <= 5.0):
         violations.append("rating_avg out of [0,5]")
     if s.rating_count < 0:
         violations.append("rating_count negative")
+    if s.rating_count >= 2**63:
+        violations.append("rating_count past the signed 64-bit range")
     if s.downloads.lo < 0:
         violations.append("downloads lower bound negative")
     if s.downloads.lo >= s.downloads.hi:
         violations.append("downloads bucket empty (lo >= hi)")
+    if s.downloads.hi >= 2**63:
+        violations.append("downloads_hi past the signed 64-bit range")
     if s.size_bytes < 0:
         violations.append("size_bytes negative")
     if date_to_epoch(s.last_updated) > s.fetch_time:

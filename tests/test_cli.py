@@ -475,6 +475,29 @@ def test_failed_crawl_write_keeps_previous_output(dataset, tmp_path, monkeypatch
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_crawled_price_past_64_bits_is_rejected_at_ingest(tmp_path, capsys):
+    # a page may name any price; the store keeps prices in a signed 64-bit
+    # column, so ingest rejects the crawled line with the codec's reason
+    from marketpulse.harvester import render_page
+
+    snap = make_snapshot(price_cents=2**63)
+    page = render_page(snap, [])
+    assert '<meta name="price" content="9223372036854775808">' in page
+    market, seeds, out = tmp_path / "pages.jsonl", tmp_path / "seeds.txt", tmp_path / "crawl"
+    market.write_text(json.dumps({"app": snap.app, "page": page}) + "\n")
+    seeds.write_text(snap.app + "\n")
+    crawl = ["crawl", "--seeds", str(seeds), "--market", str(market), "--out", str(out)]
+    assert main([*crawl, "--politeness-delay-ms", "0"]) == 0
+    assert json.loads((out / "snapshots.jsonl").read_text())["price_cents"] == 2**63
+    capsys.readouterr()
+    assert main(["ingest", "--data", str(out), "--store", str(tmp_path / "store")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["accepted"]["snapshots"] == 0
+    assert report["rejected"] == [
+        {"kind": "snapshots", "line_no": 1, "reason": "price_cents past the signed 64-bit range"}
+    ]
+
+
 def test_metrics_price_matches_decoded_snapshots(dataset):
     # the price report reads states; recompute it from decoded snapshots
     code, out = run(dataset, "metrics", "price")

@@ -413,6 +413,25 @@ def test_line_codec_matches_the_reference_path_on_named_cases(kind, rec):
     _assert_line_matches_reference(kind, canonical_json(rec))
 
 
+@pytest.mark.parametrize("field", ["price_cents", "downloads_hi", "rating_count"])
+def test_state_numbers_are_bounded_to_the_signed_64_bit_range(field):
+    # the index keeps them in signed 64-bit columns; the codec and the text
+    # reader accept the top of the range and reject one past it by name
+    price = {"free": False} if field == "price_cents" else {}
+    top, past = (
+        canonical_json({**_SNAPSHOT, **price, field: value}) for value in (2**63 - 1, 2**63)
+    )
+    state = snapshot_line(json.loads(top))[2]
+    assert snapshot_text_state(snapshot_text(top)[1]) == state
+    assert 2**63 - 1 in state
+    with pytest.raises(ValueError, match=f"^{field} past the signed 64-bit range$"):
+        snapshot_line(json.loads(past))
+    with pytest.raises(ValueError):
+        snapshot_text_state(snapshot_text(past)[1])
+    for line in (top, past):
+        _assert_line_matches_reference("snapshots", line)
+
+
 # records whose canonical lines hold every text that NONCANONICAL_TEXT_EDITS
 # rewrites: characters the encoder escapes, a 0, a rating, dates and ints
 _ESCAPED_TEXT = "Caf\u00e9/A\x7f\b"

@@ -366,6 +366,36 @@ def test_failed_commit_leaves_no_part_of_the_batch(store, monkeypatch, failure):
     assert fresh._index("snapshots").skipped_corrupt == 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP direction 1 (store trust across handles): a reader that scans "
+    "between a batch's write and its truncation keeps the retracted lines",
+)
+def test_reader_that_scans_a_batch_whose_fsync_fails_matches_a_fresh_handle(store, monkeypatch):
+    def lines(apps):
+        return [_canonical(snapshot_to_record(make_snapshot(app=f"com.app{i}"))) for i in apps]
+
+    assert store.ingest_lines("snapshots", lines(range(10))).accepted["snapshots"] == 10
+    reader = SnapStore.open(store.root)
+    assert len(reader.apps()) == 10
+
+    def refresh_then_fail(fd):
+        reader.refresh()
+        _failing_fsync(fd)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_mod.os, "fsync", refresh_then_fail)
+        with pytest.raises(StoreIOError):
+            store.ingest_lines("snapshots", lines(range(10, 20)))
+    assert reader.apps() == SnapStore.open(store.root).apps()
+    assert store.ingest_lines("snapshots", lines(range(100, 120))).accepted["snapshots"] == 20
+    reader.refresh()
+    fresh = SnapStore.open(store.root)
+    assert reader.apps() == fresh.apps()
+    assert _entity_rows(reader._index("snapshots")) == _entity_rows(fresh._index("snapshots"))
+    assert reader.latest_snapshots() == fresh.latest_snapshots()
+
+
 def test_malformed_committed_line_is_skipped_and_counted(store):
     ingest_records(store, "snapshots", [make_snapshot(day=DAY0)])
     with open(store.root / "snapshots.jsonl", "ab") as f:
@@ -937,11 +967,18 @@ def _last_updated_epoch(rec):
     return date_to_epoch(dt.date.fromisoformat(rec["last_updated"]))
 
 
+def _at_64_bits(field, value):
+    """The edit of a snapshot record that sets the state number ``field``
+    to ``value`` (a price with its free flag)."""
+    return {field: value, "free": False} if field == "price_cents" else {field: value}
+
+
 # Twins of a valid snapshot record: the first ones differ from it in
 # fetch_time alone (later, earlier, equal, at and before the start of the
 # last_updated day, at both ends of the signed 64-bit range and past them
 # with 19 digits), the others in one more field too (a conflict, a new
-# state, or a record the codec rejects).
+# state, a state number at the top of the signed 64-bit range, or a record
+# the codec rejects).
 _TWIN_EDITS = [
     lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 3600},
     lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 86400},
@@ -958,6 +995,11 @@ _TWIN_EDITS = [
     lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 7200, "version": "1.0.1"},
     lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 7200, "price_cents": -5, "free": False},
     lambda rec: {**rec, "fetch_time": rec["fetch_time"] + 7200, "last_updated": "2030-01-01"},
+    *(
+        lambda rec, edit=edit: {**rec, "fetch_time": rec["fetch_time"] + 10800, **edit}
+        for field in ("price_cents", "downloads_hi", "rating_count")
+        for edit in (_at_64_bits(field, 2**63 - 1), _at_64_bits(field, 2**63))
+    ),
 ]
 
 
@@ -1025,7 +1067,7 @@ def test_scan_skips_a_fetch_time_twin_before_its_last_updated_day(tmp_path, mani
     expected = ingested._index("snapshots")
     assert _entity_rows(index) == _entity_rows(expected)
     assert index.table.keys() == expected.table.keys()
-    assert index.state_values() == expected.state_values()
+    assert index.table.values() == expected.table.values()
 
 
 # --- index sidecar -----------------------------------------------------------------
@@ -1041,16 +1083,10 @@ def _full_scan(root, tmp_path):
     return SnapStore.open(copy)
 
 
-def _table_values(index):
-    """The state key (snapshots) or review id (reviews) of each id of
-    ``index``'s table."""
-    return index.table.keys() if index.kind == "snapshots" else index.table
-
-
 def _entity_rows(index):
     """(entity, time, offset, length, state key or review id) of every line
     ``index`` holds, entity by entity, each entity's lines in row order."""
-    values = _table_values(index)
+    values = index.table.keys()
     return [
         (
             group,
@@ -1086,7 +1122,7 @@ def _index_state(store):
             rows,
             keys,
             index.table.keys() if kind == "snapshots" else None,
-            index.state_values() if kind == "snapshots" else None,
+            index.table.values() if kind == "snapshots" else None,
             index.scanned_bytes,
             index.skipped_corrupt,
             index.digest.digest(),
@@ -1164,7 +1200,7 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
         + sum(width[:8]) * len(table)
         + width[8] * len(table.sets[0])
         + width[9] * len(table.sets[1])
-        + sum(len(string.encode()) + 1 for string in table.strings)
+        + sum(len(string.encode()) + 1 for string in table.strings.keys())
     )
     assert sum(width[:8]) < 48
     assert store_mod._SIDECAR_HEADER.unpack_from(data)[-1] < len(_json_state_table(table.keys()))
@@ -1276,18 +1312,22 @@ def test_state_table_columns_widen_for_larger_items(tmp_path, manifest):
         assert _query_results(reader) == _query_results(scanned)
 
 
-def test_state_with_a_number_past_64_bits_keeps_the_previous_sidecar(tmp_path, manifest):
+@pytest.mark.parametrize("field", ["price_cents", "downloads_hi", "rating_count"])
+def test_state_with_a_number_past_64_bits_is_rejected_and_the_sidecar_covers_the_log(
+    tmp_path, manifest, field
+):
+    # the state table keeps the state numbers in signed 64-bit columns
     store = SnapStore.create(tmp_path / "store", manifest)
     ingest_records(store, "snapshots", [make_snapshot()])
-    sidecar = (store.root / "snapshots.idx").read_bytes()
-    later = make_snapshot(day=DAY0 + dt.timedelta(days=1))
-    big = {**snapshot_to_record(later), "price_cents": 2**64, "free": False}
-    assert store.ingest_lines("snapshots", [_canonical(big)]).accepted["snapshots"] == 1
-    assert (store.root / "snapshots.idx").read_bytes() == sidecar
-    assert store.latest_states()[later.app].price_cents == 2**64
+    later = snapshot_to_record(make_snapshot(day=DAY0 + dt.timedelta(days=1)))
+    top, past = ({**later, **_at_64_bits(field, value)} for value in (2**63 - 1, 2**63))
+    report = store.ingest_lines("snapshots", [_canonical(past), _canonical(top)])
+    assert [r.reason for r in report.rejected] == [f"{field} past the signed 64-bit range"]
+    assert report.accepted["snapshots"] == 1
+    assert snapshot_to_record(store.latest_snapshots()[later["app"]])[field] == 2**63 - 1
     reopened = SnapStore.open(store.root)
     index = reopened._index("snapshots")
-    assert 0 < index.sidecar_bytes < index.scanned_bytes
+    assert index.sidecar_bytes == index.scanned_bytes == _log_sizes(store.root)["snapshots"]
     scanned = _full_scan(store.root, tmp_path)
     for reader in (store, reopened):
         assert _index_state(reader) == _index_state(scanned)
@@ -1456,7 +1496,7 @@ def _json_table_sidecar(index, magic=_MPX6, order=None):
     columns = zip(
         store_mod._ENTRY_CODES[index.kind], (index.times, index.offsets, index.lengths, index.tags)
     )
-    names = list(index.rows) + (list(index.table) if index.kind == "reviews" else [])
+    names = list(index.rows) + (index.table.keys() if index.kind == "reviews" else [])
     table = _json_state_table(index.table.keys()) if index.kind == "snapshots" else b""
     body = (
         array("I", map(len, rows)).tobytes()
@@ -1808,7 +1848,7 @@ def test_find_among_many_same_day_reviews_of_one_app_makes_about_2_log2_n_compar
             if kind_of_rows is range and review_id in later:
                 assert row is None
             else:
-                assert row is not None and index.table[index.tags[row]] == review_id
+                assert row is not None and index.table.keys()[index.tags[row]] == review_id
         # more reviews of the date turn the app's rows into a list
         handle.ingest_lines(
             "reviews", [_canonical(review_to_record(make_review(review_id=i))) for i in later]
@@ -1875,19 +1915,35 @@ def test_sidecar_of_the_previous_magic_over_a_rejected_line_is_rebuilt(tmp_path,
     _assert_rebuilt_on_next_ingest(store, tmp_path)
 
 
-@pytest.mark.parametrize("kind", ["snapshots", "topk"])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("snapshots", "fetch_time"),
+        ("snapshots", "price_cents"),
+        ("snapshots", "downloads_hi"),
+        ("snapshots", "rating_count"),
+        ("topk", "fetch_time"),
+    ],
+)
 def test_committed_fetch_time_beyond_64_bits_is_skipped_and_the_sidecar_covers_the_log(
-    tmp_path, manifest, kind
+    tmp_path, manifest, kind, field
 ):
-    # the sidecar keeps fetch times in a signed 64-bit column
+    # the sidecar keeps fetch times, and the state numbers of its state
+    # table, in signed 64-bit columns
     store = SnapStore.create(tmp_path / "store", manifest)
     rec = _SNAPSHOT if kind == "snapshots" else _TOPK
-    # the first hour past the range
-    too_late = _canonical({**rec, "fetch_time": (2**63 // 3600 + 1) * 3600})
-    report = store.ingest_lines(kind, [too_late])
-    assert [r.reason for r in report.rejected] == ["fetch_time outside the signed 64-bit range"]
+    if field == "fetch_time":
+        # the first hour past the range
+        past = {"fetch_time": (2**63 // 3600 + 1) * 3600}
+        reason = "fetch_time outside the signed 64-bit range"
+    else:
+        past = _at_64_bits(field, 2**63)
+        reason = f"{field} past the signed 64-bit range"
+    too_far = _canonical({**rec, **past})
+    report = store.ingest_lines(kind, [too_far])
+    assert [r.reason for r in report.rejected] == [reason]
     log = store.root / f"{kind}.jsonl"
-    log.write_text(_canonical(rec) + "\n" + too_late + "\n")
+    log.write_text(_canonical(rec) + "\n" + too_far + "\n")
     reopened = SnapStore.open(store.root)
     index = reopened._index(kind)
     assert (index.sidecar_bytes, index.skipped_corrupt) == (0, 1)
