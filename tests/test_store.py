@@ -1312,6 +1312,31 @@ def test_state_table_columns_widen_for_larger_items(tmp_path, manifest):
         assert _query_results(reader) == _query_results(scanned)
 
 
+def test_state_with_a_number_past_64_bits_keeps_the_previous_sidecar(tmp_path, manifest):
+    # the rejected line appends nothing, so the sidecar already covers the log
+    store = SnapStore.create(tmp_path / "store", manifest)
+    ingest_records(store, "snapshots", [make_snapshot()])
+    sidecar = (store.root / "snapshots.idx").read_bytes()
+    logs = {p.name: p.read_bytes() for p in store.root.glob("*.jsonl")}
+    before = store.latest_states()
+    later = make_snapshot(day=DAY0 + dt.timedelta(days=1))
+    big = {**snapshot_to_record(later), "price_cents": 2**64, "free": False}
+    report = store.ingest_lines("snapshots", [_canonical(big)])
+    assert [r.reason for r in report.rejected] == ["price_cents past the signed 64-bit range"]
+    assert report.accepted["snapshots"] == 0
+    assert (store.root / "snapshots.idx").read_bytes() == sidecar
+    assert {p.name: p.read_bytes() for p in store.root.glob("*.jsonl")} == logs
+    assert store.latest_states() == before
+    reopened = SnapStore.open(store.root)
+    index = reopened._index("snapshots")
+    assert index.sidecar_bytes == index.scanned_bytes == _log_sizes(store.root)["snapshots"]
+    scanned = _full_scan(store.root, tmp_path)
+    for reader in (store, reopened):
+        assert _index_state(reader) == _index_state(scanned)
+        assert _query_results(reader) == _query_results(scanned)
+        assert reader.latest_states() == scanned.latest_states()
+
+
 @pytest.mark.parametrize("field", ["price_cents", "downloads_hi", "rating_count"])
 def test_state_with_a_number_past_64_bits_is_rejected_and_the_sidecar_covers_the_log(
     tmp_path, manifest, field
