@@ -340,26 +340,23 @@ def review_line(rec: dict) -> tuple[tuple, bytes, None]:
 # A line in the canonical text of its kind is read without json.loads. That
 # text is the line canonical_json writes for a record the codec accepts
 # whose strings need no escape: the kind's keys in sorted order, no spaces,
-# only printable ASCII. Its pattern comes in two parts. The head runs through
-# the key fields and gives the line's (entity, time) key, so that a copy of
-# a stored line is found at the cost of the head alone; the rest matches the
-# fields after it. Key strings (app, review_id) and dates must hold no
-# escape, so that their text is their value; other strings may, so that a
-# line with escapes is matched to its stored copy too, but only a line
-# without any is admitted. ``snapshot_text_state`` and ``review_text_state``
-# admit a line only when it is the canonical line of a record the codec
-# accepts, and raise ValueError for any other line, which is left to
-# json.loads and the codec and their rejection texts. Ingest and the log scan
-# read snapshot states through a ``SnapshotStateMemo``: a line that repeats
-# its app's last admitted line but for the fetch_time digits takes that
-# line's state after only the two checks that read fetch_time.
-_KEY_TEXT = r'"([ !#-\[\]-~]*+)"'
-_STR_CHARS = r"(?:[ !#-\[\]-~]++|\\[ -~])*+"
+# only printable ASCII. No string the patterns match holds an escape, so the
+# text of every string is its value. Its pattern comes in two parts. The head
+# runs through the key fields and gives the line's (entity, time) key; the
+# rest matches the fields after it. ``snapshot_text_state`` and
+# ``review_text_state`` admit a line only when it is the canonical line of a
+# record the codec accepts, and raise ValueError for any other line, which is
+# left to json.loads and the codec and their rejection texts. Ingest and the
+# log scan read snapshot states through a ``SnapshotStateMemo``, which is
+# what the head serves: a line that repeats its app's last admitted line but
+# for the fetch_time digits the head marks takes that line's state after only
+# the two checks that read fetch_time.
+_STR_CHARS = r"[ !#-\[\]-~]*+"
 _STR_TEXT = '"(' + _STR_CHARS + ')"'
 _INT_TEXT = r"(0|-?[1-9][0-9]*+)"
 _DATE_TEXT = r'"([0-9]{4}-[0-9]{2}-[0-9]{2})"'
 _SNAPSHOT_HEAD = re.compile(
-    r'\{"app":' + _KEY_TEXT
+    r'\{"app":' + _STR_TEXT
     + ',"category":' + _STR_TEXT
     + ',"developer":' + _STR_TEXT
     + ',"downloads_hi":' + _INT_TEXT
@@ -380,10 +377,10 @@ _SNAPSHOT_REST = re.compile(
     + r"\}\n?"
 )
 _REVIEW_HEAD = re.compile(
-    r'\{"app":' + _KEY_TEXT
+    r'\{"app":' + _STR_TEXT
     + ',"date":' + _DATE_TEXT
     + ',"rating":' + _INT_TEXT
-    + ',"review_id":' + _KEY_TEXT
+    + ',"review_id":' + _STR_TEXT
     + ","
 )
 _REVIEW_REST = re.compile(
@@ -395,10 +392,9 @@ _REVIEW_REST = re.compile(
 
 
 def _rest(pattern: re.Pattern, head: re.Match) -> re.Match:
-    """The match of ``pattern`` over the line after ``head``, when the line
-    holds no escape; raises ValueError otherwise."""
-    line = head.string
-    rest = None if "\\" in line else pattern.fullmatch(line, head.end())
+    """The match of ``pattern`` over the line after ``head``; raises
+    ValueError when there is none."""
+    rest = pattern.fullmatch(head.string, head.end())
     if rest is None:
         raise ValueError("not in canonical text")
     return rest

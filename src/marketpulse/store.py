@@ -14,9 +14,11 @@ of first use in the log. Each entity maps to its rows in key order: time,
 and for reviews (date, review id). Those rows are the one lookup structure:
 a line's key is found by bisection in its entity's rows, and app timelines
 and the newest state of every app are read without decoding a log line.
-Ingest reads the committed log alongside the lines it is given, so that a
-re-ingest of lines in the order they were committed is deduplicated by
-comparing bytes (``_CommittedLines``).
+Ingest reads a line given as str as its UTF-8 bytes. It reads the committed
+log alongside the lines it is given, so that a re-ingest of lines in the
+order they were committed is deduplicated by comparing bytes
+(``_CommittedLines``); any other line is admitted first, and then one
+lookup of its key finds a stored copy.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
 sidecar (layout ``MPX7``: row counts per entity, then the columns in
@@ -29,8 +31,10 @@ built from the table's columns when a command first needs them. A missing
 or mismatched sidecar, or one of an earlier layout, means scanning the
 whole log, so a reader always gets the index a full scan would build
 (README "Store layout" says why each earlier layout is ignored). Readers
-never write to the store directory. Single writer, any number
-of readers; queries return immutable values.
+never write to the store directory. Single writer, any number of readers;
+queries return immutable values. A reader scans a log under a shared
+``flock``, which the writer holds exclusively from a batch's write to its
+fsync, so a reader indexes only fsynced lines.
 """
 
 from __future__ import annotations
@@ -406,8 +410,9 @@ class _StateTable(_Table):
     with version and category as ids into the ``strings`` table and the
     permission set as an id of a run of name ids (``sets``). The state keys
     and the ``TimelineState`` values are built from the columns on first
-    use. A new state is written into the columns as it is added; the
-    columns are then 64 bits wide.
+    use. In memory the columns are 64 bits wide, so a new state is written
+    into them as it is added; ``to_bytes`` writes each in the narrowest
+    type that holds it.
     """
 
     def __init__(self):
@@ -417,9 +422,6 @@ class _StateTable(_Table):
         # the name count of each permission set, and the string ids of the
         # names of every set in turn
         self.sets = [array("q"), array("q")]
-        # whether every column is 64 bits wide, as the columns of a table
-        # read from a sidecar become before their first new state
-        self._wide = True
         # built on first use: the state key of each id, the table of
         # permission sets, and the TimelineState of each id
         self._keys: list[tuple] | None = None
@@ -442,13 +444,11 @@ class _StateTable(_Table):
         pos = _read_columns(
             data, _TABLE_HEADER.size, columns, [states] * _STATE_COLUMNS + [sets, names]
         )
-        table.columns, table.sets, table._wide = columns[:-2], columns[-2:], False
         text = bytes(data[pos:]).split(_NAME_END)
         if len(text) != strings + 1 or text[-1]:
             raise ValueError("state table strings do not match their count")
         table.strings = _Table([name.decode("utf-8", "surrogatepass") for name in text[:-1]])
-        versions, categories, permissions, days = table.columns[4:]
-        sizes, set_names = table.sets
+        versions, categories, permissions, days, sizes, set_names = columns[4:]
         if (
             _past(versions, strings)
             or _past(categories, strings)
@@ -458,6 +458,8 @@ class _StateTable(_Table):
             or (states and (min(days) < _ORDINALS.start or _past(days, _ORDINALS.stop)))
         ):
             raise ValueError("state table id out of range")
+        wide = [array("q", column) for column in columns]
+        table.columns, table.sets = wide[:-2], wide[-2:]
         return table
 
     def to_bytes(self) -> bytes:
@@ -506,10 +508,6 @@ class _StateTable(_Table):
         """Write ``key``, a state key that ``ids`` does not hold, into the
         columns as the next id; the caller enters it in ``ids``."""
         keys, sets, string_tag = self.keys(), self._permission_sets(), self.strings.tag
-        if not self._wide:
-            self.columns = [array("q", column) for column in self.columns]
-            self.sets = [array("q", column) for column in self.sets]
-            self._wide = True
         price, lo, hi, ratings, version, category, permissions, day = key
         version, category = string_tag(version), string_tag(category)
         new_set = len(sets)
@@ -779,30 +777,27 @@ class _LogIndex:
 class _CommittedLines:
     """The committed lines of a log in log order, read alongside the lines
     of an ingest, so that a re-ingest of lines in the order they were
-    committed costs a byte comparison per line. A line equal to the next
-    committed line is that line, and a copy of a stored record when the
-    index holds it: it is deduplicated with no decode and no lookup. A line
-    that differs leaves the cursor where it is, so the lines after it can
-    still meet theirs. Only the log prefix the index covered when the
-    ingest began is read, through the read handle, in chunks."""
+    committed costs a byte comparison per line. It is read only over a log
+    whose index holds every committed line, so a line equal to the next
+    committed line is a copy of a stored record: it is deduplicated with no
+    decode and no lookup. A line that differs leaves the cursor where it
+    is, so the lines after it can still meet theirs. Only the log prefix
+    the index covered when the ingest began is read, through the read
+    handle, in chunks."""
 
     _CHUNK = 1 << 20
 
-    def __init__(self, fd: int, index: _LogIndex):
-        self._fd, self._index, self._end = fd, index, index.scanned_bytes
-        # log bytes from the cursor on, the cursor's place in them and in
-        # the log, and the offsets of the indexed lines in log order from
-        # the first not before the cursor, sorted on the first match
+    def __init__(self, fd: int, end: int):
+        self._fd, self._end = fd, end
+        # log bytes from the cursor on, and the cursor's place in them and
+        # in the log
         self._buffer, self._pos, self._offset = b"", 0, 0
-        self._starts: array | None = None
-        self._next = 0
 
     def take(self, line: bytes) -> bool:
-        """Whether ``line`` is the committed line at the cursor and the
-        index holds that line; the cursor passes the committed line
-        whenever ``line``, ending in its only newline, equals it."""
+        """Whether ``line``, ending in its only newline, is the committed
+        line at the cursor; the cursor then passes it."""
         size = len(line)
-        if self._offset + size > self._end:
+        if not line.endswith(b"\n") or self._offset + size > self._end:
             return False
         if self._pos + size > len(self._buffer):
             self._buffer = os.pread(
@@ -811,16 +806,9 @@ class _CommittedLines:
             self._pos = 0
         if not self._buffer.startswith(line, self._pos) or line.find(b"\n") != size - 1:
             return False
-        offset = self._offset
         self._pos += size
         self._offset += size
-        starts = self._starts
-        if starts is None:
-            starts = self._starts = array("Q", sorted(self._index.offsets))
-        if self._next < len(starts) and starts[self._next] == offset:
-            self._next += 1
-            return True
-        return False
+        return True
 
 
 class SnapStore:
@@ -903,7 +891,7 @@ class SnapStore:
             if index is not None:
                 self._scan(kind, index)
 
-    def _scan(self, kind: str, index: _LogIndex) -> None:
+    def _scan(self, kind: str, index: _LogIndex, wait: bool = False) -> None:
         """Index the committed lines past ``index.scanned_bytes``.
 
         A line is indexed only when ``_admit`` admits it, as ingest does.
@@ -912,6 +900,9 @@ class SnapStore:
         ingest would have kept it. A last line without its newline is an
         uncommitted tail and stays unindexed. Admitted lines are indexed in
         batches of up to ``_BATCH_LINES``.
+
+        The log is read under a shared ``flock``; unless ``wait`` is set, a
+        scan that finds a batch holding it (``_commit``) keeps its prefix.
         """
         path = self._log_path(kind)
         if not path.exists():
@@ -927,6 +918,10 @@ class SnapStore:
         lengths: list[int] = []
         states: list = []
         with self._io_lock, open(path, "rb") as f:
+            try:
+                fcntl.flock(f, fcntl.LOCK_SH if wait else fcntl.LOCK_SH | fcntl.LOCK_NB)
+            except BlockingIOError:
+                return
             f.seek(index.scanned_bytes)
             offset = index.scanned_bytes
             for raw in f:
@@ -984,15 +979,14 @@ class SnapStore:
     def ingest_lines(self, kind: str, lines: Iterable[str | bytes]) -> IngestReport:
         """Validate, dedup and append raw JSONL ``lines`` of one ``kind``.
 
-        A line given as bytes must be UTF-8. A line given as bytes that is
-        the next committed line, read in log order alongside ``lines``
-        (``_CommittedLines``), is deduplicated at once when the index holds
-        that line, and so is a line byte-identical to the stored line under
-        the key its canonical-text head names. Every other line is admitted
-        by ``_admit``, or rejected with its text; a record whose (entity,
-        time) is already stored is then deduplicated when it holds the
-        stored record (``_same_payload``) and rejected as a conflict
-        otherwise. Writes are committed in batches; on an I/O failure the
+        A line given as str is read as its UTF-8 bytes, and a line that is
+        not UTF-8 is rejected. A line that is the next committed line, read
+        in log order alongside ``lines`` (``_CommittedLines``), is
+        deduplicated at once. Every other line is admitted by ``_admit``, or
+        rejected with its text, and then one lookup of its (entity, time)
+        finds a stored copy: a line that holds the stored record
+        (``_same_payload``) is deduplicated, and any other is rejected as a
+        conflict. Writes are committed in batches; on an I/O failure the
         log is cut back to the end of the last committed batch. The index
         sidecar is rewritten after the last one.
         """
@@ -1009,15 +1003,17 @@ class SnapStore:
                     "another ingest is in progress on this store"
                 ) from None
             # catch up under the lock: records other handles committed since
-            # this one last looked must take part in the dedup
+            # this one last looked must take part in the dedup (no batch of
+            # another writer holds the log now, so the scan never skips)
             index = self._index(kind)
-            self._scan(kind, index)
+            self._scan(kind, index, wait=True)
             read_state = state_reader(index)
             report.skipped_corrupt[kind] = index.skipped_corrupt
             if index.skipped_tail:
                 # drop the uncommitted tail of an interrupted write so new
                 # records never glue onto a partial line
                 with self._io_lock, open(self._log_path(kind), "r+b") as f:
+                    fcntl.flock(f, fcntl.LOCK_EX)
                     f.truncate(index.scanned_bytes)
                 index.skipped_tail = 0
             # (entity, time_key) -> canonical line, not yet committed, and
@@ -1027,7 +1023,10 @@ class SnapStore:
 
             find, lengths, offsets = index.find, index.lengths, index.offsets
             fd = self._read_fd(kind)
-            committed = _CommittedLines(fd, index) if index.scanned_bytes else None
+            # every committed line is indexed unless the scan skipped one
+            committed = None
+            if index.scanned_bytes and not index.skipped_corrupt:
+                committed = _CommittedLines(fd, index.scanned_bytes)
 
             def stored(key) -> bytes | None:
                 """The committed or batch line under ``key``, if any (a key
@@ -1037,43 +1036,31 @@ class SnapStore:
                     return batch.get(key)
                 return os.pread(fd, lengths[row], offsets[row])
 
-            for line_no, line in enumerate(lines, start=1):
-                raw = previous = None
-                if type(line) is bytes:
-                    if committed is not None and committed.take(line):
+            for line_no, raw in enumerate(lines, start=1):
+                try:
+                    # a str line is its UTF-8 bytes, so both take one path
+                    if type(raw) is str:
+                        raw = raw.encode("utf-8")
+                    if committed is not None and committed.take(raw):
                         report.deduplicated[kind] += 1
                         continue
-                    try:
-                        raw, line = line, line.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        report.rejected.append(
-                            Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
-                        )
-                        continue
-                head = read_text(line)
-                if head is not None:
-                    if raw is None or not raw.endswith(b"\n"):
-                        # a line given as bytes with its newline is its own
-                        # encoding; past its ASCII head a line may hold a
-                        # lone surrogate, which the codec accepts
-                        raw = (line if line.endswith("\n") else line + "\n").encode(
-                            "utf-8", "surrogatepass"
-                        )
-                    previous = stored(head[0])
-                    if previous == raw:
-                        report.deduplicated[kind] += 1
-                        continue
-                elif not line.strip():
+                    line = raw.decode("utf-8")
+                except UnicodeError as exc:
+                    report.rejected.append(
+                        Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
+                    )
                     continue
+                head = read_text(line)
+                if head is None and not line.strip():
+                    continue
+                if not raw.endswith(b"\n"):
+                    raw += b"\n"
                 try:
                     key, canonical, state = _admit(kind, line, raw, head, read_state)
                 except (ValueError, TypeError, RecursionError) as exc:
                     report.rejected.append(Rejection(kind, line_no, str(exc)))
                     continue
-                if head is None or key != head[0]:
-                    # _admit touches neither the batch nor the index, so the
-                    # line stored under the head's key is still current
-                    previous = stored(key)
+                previous = stored(key)
                 if previous is None:
                     batch[key] = canonical
                     states.append(state)
@@ -1107,6 +1094,8 @@ class SnapStore:
         with self._io_lock:
             fd = os.open(path, os.O_WRONLY | os.O_APPEND)
             try:
+                # held until the batch is fsynced or cut back (see _scan)
+                fcntl.flock(fd, fcntl.LOCK_EX)
                 offset = os.lseek(fd, 0, os.SEEK_END)
                 try:
                     pending = memoryview(data)

@@ -4,17 +4,21 @@ pytest collects ``test_*.py`` only, so run this file by name:
 
     PYTHONPATH=src python -m pytest tests/bench_ingest.py --benchmark-only
 
-Two cases ingest the same 10k canonical snapshot lines, as a simulated
-dataset holds them: once more into a store that already has every one of
-them (all deduplicated), and into an empty store (all accepted). A third
-re-ingests the reviews of a simulated dataset into a store that has them
-all, and a fourth loads 10k canonical review lines into an empty store. A
-fifth ingests 10k new canonical snapshot lines into a store that holds the
-60k before them, the shape of a daily crawl's ingest, where each line pays
-the lookup of its key and then its admission. A sixth ingests a simulated
-dataset of all three record kinds into an empty store. A seventh loads the
-1,440 top-k lists of that dataset into an empty store, and an eighth
-ingests them once more into a store that has them all.
+Every case gives ``ingest_lines`` bytes lines, as ``ingest_dir`` reads
+them from a file. Two cases ingest the same 10k canonical snapshot lines,
+as a simulated dataset holds them: once more into a store that already
+has every one of them (all deduplicated), and into an empty store (all
+accepted). A third re-ingests those lines in shuffled order, so that no
+line meets its committed copy in log order and each one is admitted and
+then looked up. A fourth re-ingests the reviews of a simulated dataset
+into a store that has them all, and a fifth loads 10k canonical review
+lines into an empty store. A sixth ingests 10k new canonical snapshot
+lines into a store that holds the 60k before them, the shape of a daily
+crawl's ingest, where each line pays its admission and then the lookup of
+its key. A seventh ingests a simulated dataset of all three record kinds
+into an empty store. An eighth loads the 1,440 top-k lists of that
+dataset into an empty store, and a ninth ingests them once more into a
+store that has them all.
 Two more open a store of those 10k snapshots and list its apps, once from
 the index sidecar and once by a full scan of the log, with no sidecar.
 Two more load 20k reviews of one app on one day, their ids in shuffled
@@ -28,7 +32,6 @@ last day into a store of the six days before it.
 """
 
 import itertools
-import json
 import random
 import shutil
 
@@ -55,7 +58,7 @@ def market():
 def lines(market):
     assert len(market.snapshots) >= N_LINES
     return [
-        json.dumps(snapshot_to_record(s), sort_keys=True, separators=(",", ":")) + "\n"
+        (canonical_json(snapshot_to_record(s)) + "\n").encode()
         for s in market.snapshots[:N_LINES]
     ]
 
@@ -66,6 +69,20 @@ def test_reingest_of_stored_lines(benchmark, tmp_path, market, lines):
 
     def reingest():
         return SnapStore.open(root).ingest_lines("snapshots", lines)
+
+    report = benchmark(reingest)
+    assert report.deduplicated["snapshots"] == N_LINES
+    assert report.accepted["snapshots"] == report.total_rejected == 0
+
+
+def test_reingest_of_stored_lines_in_shuffled_order(benchmark, tmp_path, market, lines):
+    root = tmp_path / "store"
+    SnapStore.create(root, market.manifest).ingest_lines("snapshots", lines)
+    shuffled = list(lines)
+    random.Random(5).shuffle(shuffled)
+
+    def reingest():
+        return SnapStore.open(root).ingest_lines("snapshots", shuffled)
 
     report = benchmark(reingest)
     assert report.deduplicated["snapshots"] == N_LINES
@@ -97,7 +114,10 @@ def large_market():
 
 
 def test_bulk_ingest_of_reviews_into_empty_store(benchmark, tmp_path, large_market):
-    reviews = [canonical_json(review_to_record(r)) + "\n" for r in large_market.reviews[:N_LINES]]
+    reviews = [
+        (canonical_json(review_to_record(r)) + "\n").encode()
+        for r in large_market.reviews[:N_LINES]
+    ]
     fresh = itertools.count()
 
     def empty_store():
@@ -113,7 +133,7 @@ def test_bulk_ingest_of_reviews_into_empty_store(benchmark, tmp_path, large_mark
 
 def test_ingest_of_new_snapshots_into_a_populated_store(benchmark, tmp_path, large_market):
     lines = [
-        canonical_json(snapshot_to_record(s)) + "\n"
+        (canonical_json(snapshot_to_record(s)) + "\n").encode()
         for s in large_market.snapshots[: 7 * N_LINES]
     ]
     template = tmp_path / "template"
@@ -152,7 +172,7 @@ def dataset(tmp_path_factory):
 
 
 def test_reingest_of_stored_reviews(benchmark, tmp_path, market, dataset):
-    reviews = (dataset / "reviews.jsonl").read_text().splitlines(keepends=True)
+    reviews = (dataset / "reviews.jsonl").read_bytes().splitlines(keepends=True)
     root = tmp_path / "store"
     SnapStore.create(root, market.manifest).ingest_lines("reviews", reviews)
 
@@ -181,7 +201,7 @@ def test_ingest_dir_of_three_kinds_into_empty_store(benchmark, tmp_path, market,
 
 
 def test_bulk_ingest_of_topk_lists_into_empty_store(benchmark, tmp_path, market, dataset):
-    topk = (dataset / "topk.jsonl").read_text().splitlines(keepends=True)
+    topk = (dataset / "topk.jsonl").read_bytes().splitlines(keepends=True)
     fresh = itertools.count()
 
     def empty_store():
@@ -196,7 +216,7 @@ def test_bulk_ingest_of_topk_lists_into_empty_store(benchmark, tmp_path, market,
 
 
 def test_reingest_of_stored_topk_lists(benchmark, tmp_path, market, dataset):
-    topk = (dataset / "topk.jsonl").read_text().splitlines(keepends=True)
+    topk = (dataset / "topk.jsonl").read_bytes().splitlines(keepends=True)
     root = tmp_path / "store"
     SnapStore.create(root, market.manifest).ingest_lines("topk", topk)
 
@@ -243,7 +263,9 @@ N_SAME_DAY = 20_000
 def same_day_reviews():
     ids = [f"r{i}" for i in range(N_SAME_DAY)]
     random.Random(5).shuffle(ids)
-    return [canonical_json(review_to_record(make_review(review_id=i))) + "\n" for i in ids]
+    return [
+        (canonical_json(review_to_record(make_review(review_id=i))) + "\n").encode() for i in ids
+    ]
 
 
 def _one_day_manifest():
@@ -287,7 +309,7 @@ def crawl_week():
     market = generate(simgen.MarketScript(seed=7, n_developers=6_000, observation_days=7))
     assert len({s.app for s in market.snapshots}) >= N_LINES
     last_day = max(s.fetch_time for s in market.snapshots) // 86400 * 86400
-    lines = [canonical_json(snapshot_to_record(s)) + "\n" for s in market.snapshots]
+    lines = [(canonical_json(snapshot_to_record(s)) + "\n").encode() for s in market.snapshots]
     return market.manifest, lines, [s.fetch_time < last_day for s in market.snapshots]
 
 

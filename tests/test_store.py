@@ -7,8 +7,11 @@ import json
 import math
 import os
 import random
+import select
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from array import array
 from pathlib import Path
@@ -366,16 +369,21 @@ def test_failed_commit_leaves_no_part_of_the_batch(store, monkeypatch, failure):
     assert fresh._index("snapshots").skipped_corrupt == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP direction 1 (store trust across handles): a reader that scans "
-    "between a batch's write and its truncation keeps the retracted lines",
-)
-def test_reader_that_scans_a_batch_whose_fsync_fails_matches_a_fresh_handle(store, monkeypatch):
-    def lines(apps):
-        return [_canonical(snapshot_to_record(make_snapshot(app=f"com.app{i}"))) for i in apps]
+def _app_lines(apps):
+    return [_canonical(snapshot_to_record(make_snapshot(app=f"com.app{i}"))) + "\n" for i in apps]
 
-    assert store.ingest_lines("snapshots", lines(range(10))).accepted["snapshots"] == 10
+
+def _assert_reader_matches_a_fresh_handle(store, reader):
+    assert store.ingest_lines("snapshots", _app_lines(range(100, 120))).accepted["snapshots"] == 20
+    reader.refresh()
+    fresh = SnapStore.open(store.root)
+    assert reader.apps() == fresh.apps()
+    assert _entity_rows(reader._index("snapshots")) == _entity_rows(fresh._index("snapshots"))
+    assert reader.latest_snapshots() == fresh.latest_snapshots()
+
+
+def test_reader_that_scans_a_batch_whose_fsync_fails_matches_a_fresh_handle(store, monkeypatch):
+    assert store.ingest_lines("snapshots", _app_lines(range(10))).accepted["snapshots"] == 10
     reader = SnapStore.open(store.root)
     assert len(reader.apps()) == 10
 
@@ -386,14 +394,65 @@ def test_reader_that_scans_a_batch_whose_fsync_fails_matches_a_fresh_handle(stor
     with monkeypatch.context() as patch:
         patch.setattr(store_mod.os, "fsync", refresh_then_fail)
         with pytest.raises(StoreIOError):
-            store.ingest_lines("snapshots", lines(range(10, 20)))
+            store.ingest_lines("snapshots", _app_lines(range(10, 20)))
     assert reader.apps() == SnapStore.open(store.root).apps()
-    assert store.ingest_lines("snapshots", lines(range(100, 120))).accepted["snapshots"] == 20
-    reader.refresh()
-    fresh = SnapStore.open(store.root)
-    assert reader.apps() == fresh.apps()
-    assert _entity_rows(reader._index("snapshots")) == _entity_rows(fresh._index("snapshots"))
-    assert reader.latest_snapshots() == fresh.latest_snapshots()
+    _assert_reader_matches_a_fresh_handle(store, reader)
+
+
+# A writer in another process: its batch is written and the log held
+# exclusively when it prints "ready"; once stdin closes, its fsync fails and
+# the batch is cut back.
+_WRITER_WHOSE_FSYNC_FAILS = """
+import errno, json, os, sys
+from marketpulse.errors import StoreIOError
+from marketpulse.store import SnapStore
+
+def hold_then_fail(fd):
+    print("ready", flush=True)
+    sys.stdin.read()
+    raise OSError(errno.EIO, "Input/output error")
+
+os.fsync = hold_then_fail
+try:
+    SnapStore.open(sys.argv[1]).ingest_lines("snapshots", json.loads(sys.argv[2]))
+except StoreIOError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_reader_in_another_process_skips_a_batch_held_by_the_writer(store):
+    assert store.ingest_lines("snapshots", _app_lines(range(10))).accepted["snapshots"] == 10
+    reader = SnapStore.open(store.root)
+    apps = reader.apps()
+    assert len(apps) == 10
+    src = str(Path(store_mod.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    writer = subprocess.Popen(
+        [
+            sys.executable, "-c", _WRITER_WHOSE_FSYNC_FAILS,
+            str(store.root), json.dumps(_app_lines(range(10, 20))),
+        ],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        assert select.select([writer.stdout], [], [], 60)[0], "the writer never got ready"
+        assert writer.stdout.readline() == "ready\n"
+        # the batch is in the log, and the reader's scan finds it held
+        log_size = (store.root / "snapshots.jsonl").stat().st_size
+        assert log_size > reader._index("snapshots").scanned_bytes
+        reader.refresh()
+        assert reader.apps() == apps
+        writer.communicate("", timeout=60)
+    finally:
+        writer.kill()
+        writer.wait(timeout=60)
+    assert writer.returncode == 0
+    assert reader.apps() == SnapStore.open(store.root).apps()
+    _assert_reader_matches_a_fresh_handle(store, reader)
 
 
 def test_malformed_committed_line_is_skipped_and_counted(store):
@@ -540,8 +599,7 @@ def test_bulk_ingest_of_a_market_decodes_no_snapshot_or_review_line(tmp_path, ma
 
 
 def test_ingest_of_new_canonical_lines_looks_up_each_key_once(tmp_path, market, monkeypatch):
-    # the line stored under a canonical line's head key answers both the
-    # byte-identical check and the dedup of the admitted record
+    # a new line is looked up once, by its admitted key
     data = tmp_path / "data"
     simgen.write_dataset(market_script(), data)
     lines = {
@@ -602,10 +660,14 @@ def test_changed_copy_of_a_stored_or_batched_record_is_a_conflict(store):
     ]
 
 
-def test_duplicates_in_a_batch_and_line_endings_count_as_before(store):
+@pytest.mark.parametrize("given_as", [str, bytes], ids=lambda t: t.__name__)
+def test_duplicates_in_a_batch_and_line_endings_count_as_before(store, given_as):
     a = _canonical(snapshot_to_record(make_snapshot(day=DAY0)))
     b = _canonical(snapshot_to_record(make_snapshot(day=DAY0 + dt.timedelta(days=1))))
-    lines = [a + "\n", a + "\n", a + "\r\n", a, b]  # b is a last line without "\n"
+    # a blank line is skipped; b is a last line without "\n"
+    lines = [a + "\n", a + "\n", a + "\r\n", "", a, b]
+    if given_as is bytes:
+        lines = [line.encode() for line in lines]
     report = store.ingest_lines("snapshots", lines)
     assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (2, 3)
     assert report.rejected == []
@@ -617,25 +679,33 @@ def test_duplicates_in_a_batch_and_line_endings_count_as_before(store):
     assert (store.root / "snapshots.jsonl").read_bytes() == log
 
 
-def test_line_with_a_lone_surrogate_dedupes_like_any_other(store):
+def _assert_raw_lone_surrogate_rejected_and_its_escape_dedupes(store, dumps):
+    # a str line is its UTF-8 bytes, and a raw lone surrogate has none: the
+    # line is rejected as its bytes would be; its escape is a valid line
     rec = {**_SNAPSHOT, "title": "broken \ud800 title"}
-    line = json.dumps(rec, ensure_ascii=False)
+    report = store.ingest_lines("snapshots", [dumps(rec, ensure_ascii=False)])
+    assert [r.reason.startswith("line is not valid UTF-8: ") for r in report.rejected] == [True]
+    assert report.accepted["snapshots"] == report.deduplicated["snapshots"] == 0
+    assert (store.root / "snapshots.jsonl").read_bytes() == b""
+    line = dumps(rec)
+    assert "\\ud800" in line
     for reingest in range(2):
         report = store.ingest_lines("snapshots", [line, line])
         assert report.accepted["snapshots"] == 1 - reingest
         assert report.deduplicated["snapshots"] == 1 + reingest
         assert report.rejected == []
+
+
+def test_line_with_a_lone_surrogate_dedupes_like_any_other(store):
+    _assert_raw_lone_surrogate_rejected_and_its_escape_dedupes(store, json.dumps)
 
 
 def test_line_with_a_lone_surrogate_after_a_canonical_head_dedupes(store):
     # the line begins as a canonical snapshot line does
-    rec = {**_SNAPSHOT, "title": "broken \ud800 title"}
-    line = json.dumps(rec, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    for reingest in range(2):
-        report = store.ingest_lines("snapshots", [line, line])
-        assert report.accepted["snapshots"] == 1 - reingest
-        assert report.deduplicated["snapshots"] == 1 + reingest
-        assert report.rejected == []
+    def dumps(rec, **kwargs):
+        return json.dumps(rec, **kwargs, sort_keys=True, separators=(",", ":"))
+
+    _assert_raw_lone_surrogate_rejected_and_its_escape_dedupes(store, dumps)
 
 
 def _without(rec, field):
@@ -1287,14 +1357,18 @@ def test_intact_sidecar_with_an_id_out_of_range_is_rejected_at_open(tmp_path, ma
     assert _query_results(loaded) == _query_results(scanned)
 
 
+def _table_codes(table):
+    """The type codes of the state table's columns as its sidecar holds them."""
+    return store_mod._TABLE_HEADER.unpack_from(table.to_bytes())[4].decode("ascii")
+
+
 def test_state_table_columns_widen_for_larger_items(tmp_path, manifest):
     # the first sidecar holds the state columns in 8 and 16 bits but the
     # ordinal; a handle over it adds items that need 16, 32 and 64 bits
     store = SnapStore.create(tmp_path / "store", manifest)
     ingest_records(store, "snapshots", [make_snapshot()])
     handle = SnapStore.open(store.root)
-    table = handle._index("snapshots").table
-    assert [c.typecode for c in (*table.columns, *table.sets)] == list("BHHBBBBIBB")
+    assert _table_codes(handle._index("snapshots").table) == "BHHBBBBIBB"
     big = make_snapshot(
         day=DAY0 + dt.timedelta(days=1),
         price_cents=70_000,
@@ -1304,8 +1378,7 @@ def test_state_table_columns_widen_for_larger_items(tmp_path, manifest):
         permissions=frozenset(f"P{i}" for i in range(300)),
     )
     assert ingest_records(handle, "snapshots", [big]).accepted["snapshots"] == 1
-    table = SnapStore.open(store.root)._index("snapshots").table
-    assert [c.typecode for c in (*table.columns, *table.sets)] == list("IqqHBBBIHH")
+    assert _table_codes(SnapStore.open(store.root)._index("snapshots").table) == "IqqHBBBIHH"
     scanned = _full_scan(store.root, tmp_path)
     for reader in (handle, SnapStore.open(store.root)):
         assert _index_state(reader) == _index_state(scanned)
