@@ -12,25 +12,21 @@ import csv
 import datetime as dt
 import json
 import os
-import statistics
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import MarketPulseError, StoreIOError
 from .model import (
     SECONDS_PER_DAY,
     ListType,
-    canonical_json,
+    canonical_snapshot_line,
     epoch_day_to_date,
     parse_date,
-    snapshot_to_record,
 )
-from .store import DatasetManifest, SnapStore
-from .timeline import (
-    build_app_timeline,
-    build_review_timeline,
-    timeline_csv_rows,
-)
+
+if TYPE_CHECKING:
+    from .store import SnapStore
 
 STORE_ENV_VAR = "MARKETPULSE_STORE"
 
@@ -112,10 +108,35 @@ def _store_path(args) -> Path:
 
 
 def _open_store(args) -> SnapStore:
+    from .store import SnapStore
+
     return SnapStore.open(_store_path(args))
 
 
+# Each command imports only the layers it uses. The timeline builders are
+# globals of this module, bound the first time a command needs them, and
+# every command calls them through these globals, so a builder rebound on
+# this module (the benchmark's tracer wraps them) is the one called.
+_TIMELINE_NAMES = ("build_app_timeline", "build_review_timeline", "timeline_csv_rows")
+
+
+def _import_timeline() -> None:
+    from . import timeline
+
+    for name in _TIMELINE_NAMES:
+        globals().setdefault(name, getattr(timeline, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: a builder read as an attribute before any command bound it
+    if name not in _TIMELINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _import_timeline()
+    return globals()[name]
+
+
 def _timelines(store: SnapStore):
+    _import_timeline()
     return [build_app_timeline(store.app_states(app)) for app in store.apps()]
 
 
@@ -140,6 +161,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .store import DatasetManifest, SnapStore
+
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise FileNotFoundError(f"data directory {data_dir} does not exist")
@@ -200,9 +223,13 @@ def cmd_crawl(args) -> int:
     out = Path(args.out)
 
     def write_snapshots(f):
-        # sorted so multi-worker crawls stay byte-deterministic
-        for snap in sorted(result.snapshots, key=lambda s: (s.fetch_time, s.app)):
-            f.write(canonical_json(snapshot_to_record(snap)) + "\n")
+        # sorted so multi-worker crawls stay byte-deterministic; a crawl
+        # fetches an app once, so no two lines share (fetch_time, app)
+        lines = sorted(
+            (snap.fetch_time, snap.app, canonical_snapshot_line(snap))
+            for snap in result.snapshots
+        )
+        f.writelines(line for _, _, line in lines)
 
     _replace_file(out / "snapshots.jsonl", write_snapshots)
     _write_json(out / "crawl_report.json", result.report.to_record())
@@ -211,6 +238,7 @@ def cmd_crawl(args) -> int:
 
 
 def cmd_timeline(args) -> int:
+    _import_timeline()
     store = _open_store(args)
     timeline = build_app_timeline(store.app_states(args.app))
     rows = timeline_csv_rows(timeline)
@@ -366,8 +394,11 @@ def cmd_metrics(args) -> int:
 
 
 def _metrics_price(args, store: SnapStore, out: Path) -> int:
+    import statistics
+
     from . import metrics
 
+    _import_timeline()
     reference = _reference_date(args, store)
     # a stored snapshot is free exactly when its price is 0 (checked at ingest)
     paid_latest = [
@@ -557,6 +588,7 @@ def cmd_anomaly(args) -> int:
     store = _open_store(args)
     out = Path(args.out)
     if args.what == "reviews":
+        _import_timeline()
         params = anomaly_mod.SpikeParams(
             window_days=args.window_days, mad_k=args.mad_k, min_abs=args.min_abs
         )

@@ -257,11 +257,12 @@ def _build_page(app: str, metas: dict[str, str], similar: list[str]) -> ParsedPa
     MalformedDocumentError."""
     try:
         lo_text, _, hi_text = metas["downloads"].partition("-")
-        downloads = DownloadBucket(int(lo_text), int(hi_text))
+        # the bucket, the snapshot and the page are set through __dict__, as
+        # model.snapshot_from_trusted_record sets a snapshot: their __init__
+        # checks nothing, and a frozen dataclass's costs a third of a parse
+        downloads = object.__new__(DownloadBucket)
+        downloads.__dict__.update(lo=int(lo_text), hi=int(hi_text))
         price_cents = int(metas["price"])
-        # set like model.snapshot_from_trusted_record does: AppSnapshot's
-        # __init__ checks nothing, and as a frozen dataclass's it costs
-        # about a third of a parse
         snapshot = object.__new__(AppSnapshot)
         snapshot.__dict__.update(
             app=app,
@@ -283,7 +284,9 @@ def _build_page(app: str, metas: dict[str, str], similar: list[str]) -> ParsedPa
         raise MissingFieldError(exc.args[0]) from None
     except ValueError as exc:
         raise MalformedDocumentError(f"bad field value: {exc}") from None
-    return ParsedPage(snapshot=snapshot, similar=tuple(dict.fromkeys(similar)))
+    page = object.__new__(ParsedPage)
+    page.__dict__.update(snapshot=snapshot, similar=tuple(dict.fromkeys(similar)))
+    return page
 
 
 # --- market endpoints -----------------------------------------------------------

@@ -538,27 +538,39 @@ def topk_line(rec: dict) -> tuple[tuple, bytes, None]:
     return ((list_type,), o["fetch_time"]), (canonical_json(o) + "\n").encode("utf-8"), None
 
 
-# --- record dicts of typed records -------------------------------------------
+# --- canonical lines of typed records -----------------------------------------
 
 
-def snapshot_to_record(s: AppSnapshot) -> dict:
-    return {
-        "app": s.app,
-        "fetch_time": s.fetch_time,
-        "title": s.title,
-        "developer": s.developer,
-        "category": s.category,
-        "price_cents": s.price_cents,
-        "free": s.free,
-        "downloads_lo": s.downloads.lo,
-        "downloads_hi": s.downloads.hi,
-        "rating_avg": s.rating_avg,
-        "rating_count": s.rating_count,
-        "version": s.version,
-        "last_updated": s.last_updated.isoformat(),
-        "size_bytes": s.size_bytes,
-        "permissions": sorted(s.permissions),
-    }
+_INFINITY = float("inf")
+
+
+def _json_float(x: float) -> str:
+    """The text json writes for the float ``x``."""
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def canonical_snapshot_line(s: AppSnapshot) -> str:
+    """The canonical line of ``s`` with its newline: what ``canonical_json``
+    writes for the snapshot's record (downloads as downloads_lo and _hi,
+    last_updated as its ISO date, permissions sorted), built straight from
+    the fields with the keys in sorted order."""
+    e = encode_basestring_ascii
+    permissions = ",".join(map(e, sorted(s.permissions)))
+    return (
+        f'{{"app":{e(s.app)},"category":{e(s.category)},"developer":{e(s.developer)}'
+        f',"downloads_hi":{s.downloads.hi},"downloads_lo":{s.downloads.lo}'
+        f',"fetch_time":{s.fetch_time},"free":{"true" if s.free else "false"}'
+        f',"last_updated":{e(s.last_updated.isoformat())},"permissions":[{permissions}]'
+        f',"price_cents":{s.price_cents},"rating_avg":{_json_float(s.rating_avg)}'
+        f',"rating_count":{s.rating_count},"size_bytes":{s.size_bytes}'
+        f',"title":{e(s.title)},"version":{e(s.version)}}}\n'
+    )
 
 
 # trusted decoders: no per-field type checks, for store lines validated at

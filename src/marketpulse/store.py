@@ -17,7 +17,8 @@ and the newest state of every app are read without decoding a log line.
 Ingest reads a line given as str as its UTF-8 bytes. It reads the committed
 log alongside the lines it is given, so that a re-ingest of lines in the
 order they were committed is deduplicated by comparing bytes
-(``_CommittedLines``); any other line is admitted first, and then one
+(``_CommittedLines``), a block of whole lines at a time where ``ingest_dir``
+reads them from a file; any other line is admitted first, and then one
 lookup of its key finds a stored copy.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
@@ -43,6 +44,7 @@ import bisect
 import datetime as dt
 import fcntl
 import hashlib
+import io
 import itertools
 import json
 import operator
@@ -52,7 +54,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import (
     ConcurrentWriteError,
@@ -88,6 +90,9 @@ _LOG_FILES = {kind: f"{kind}.jsonl" for kind in KINDS}
 _SIDECAR_FILES = {kind: f"{kind}.idx" for kind in KINDS}
 _MANIFEST_FILE = "manifest.json"
 _BATCH_LINES = 1000
+# ingest_dir reads a data file in blocks of this many bytes, each carried on
+# to the end of the line it stops in
+_BLOCK_BYTES = 1 << 20
 
 # A <kind>.idx sidecar is a header, the entry count of each entity, one
 # column per entry field in entity order (each entity's entries in key
@@ -303,6 +308,17 @@ def _same_payload(kind: str, committed: bytes, line: bytes) -> bool:
     index holds.
     """
     return committed == line or _CODECS[kind](json.loads(committed))[1] == line
+
+
+def _whole_line_blocks(f: BinaryIO) -> Iterator[tuple[bytes, Iterable[bytes]]]:
+    """Blocks of about ``_BLOCK_BYTES`` of ``f``, each carried on to the end
+    of the line it stops in, with their lines: cut at b"\\n" only, as
+    iterating ``f`` cuts them. Only the last block may end without a
+    newline."""
+    while block := f.read(_BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += f.readline()
+        yield block, io.BytesIO(block)
 
 
 def _fsync_path(path: Path, flags: int = os.O_RDONLY) -> None:
@@ -777,13 +793,13 @@ class _LogIndex:
 class _CommittedLines:
     """The committed lines of a log in log order, read alongside the lines
     of an ingest, so that a re-ingest of lines in the order they were
-    committed costs a byte comparison per line. It is read only over a log
-    whose index holds every committed line, so a line equal to the next
-    committed line is a copy of a stored record: it is deduplicated with no
-    decode and no lookup. A line that differs leaves the cursor where it
-    is, so the lines after it can still meet theirs. Only the log prefix
-    the index covered when the ingest began is read, through the read
-    handle, in chunks."""
+    committed costs a byte comparison per line, or per block of lines read
+    from a file. It is read only over a log whose index holds every
+    committed line, so a line equal to the next committed line is a copy of
+    a stored record: it is deduplicated with no decode and no lookup. A line
+    that differs leaves the cursor where it is, so the lines after it can
+    still meet theirs. Only the log prefix the index covered when the ingest
+    began is read, through the read handle, in chunks."""
 
     _CHUNK = 1 << 20
 
@@ -796,19 +812,35 @@ class _CommittedLines:
     def take(self, line: bytes) -> bool:
         """Whether ``line``, ending in its only newline, is the committed
         line at the cursor; the cursor then passes it."""
-        size = len(line)
-        if not line.endswith(b"\n") or self._offset + size > self._end:
+        if not self._at_cursor(line) or line.find(b"\n") != len(line) - 1:
+            return False
+        self._pos += len(line)
+        self._offset += len(line)
+        return True
+
+    def take_block(self, block: bytes) -> bool:
+        """Whether ``block``, whole lines each ending in a newline, is the
+        committed bytes at the cursor; the cursor then passes them. The
+        cursor is at the start of a committed line, so equal bytes are the
+        same lines."""
+        if not self._at_cursor(block):
+            return False
+        self._pos += len(block)
+        self._offset += len(block)
+        return True
+
+    def _at_cursor(self, data: bytes) -> bool:
+        """Whether ``data``, ending in a newline, is the committed bytes at
+        the cursor; the cursor stays where it is."""
+        size = len(data)
+        if not data.endswith(b"\n") or self._offset + size > self._end:
             return False
         if self._pos + size > len(self._buffer):
             self._buffer = os.pread(
                 self._fd, min(self._end - self._offset, max(size, self._CHUNK)), self._offset
             )
             self._pos = 0
-        if not self._buffer.startswith(line, self._pos) or line.find(b"\n") != size - 1:
-            return False
-        self._pos += size
-        self._offset += size
-        return True
+        return self._buffer.startswith(data, self._pos)
 
 
 class SnapStore:
@@ -990,6 +1022,15 @@ class SnapStore:
         log is cut back to the end of the last committed batch. The index
         sidecar is rewritten after the last one.
         """
+        return self._ingest(kind, lines, in_blocks=False)
+
+    def _ingest(self, kind: str, lines: Iterable, in_blocks: bool) -> IngestReport:
+        """``ingest_lines`` of ``lines``. With ``in_blocks``, ``lines`` is a
+        binary file, and while the committed lines are read alongside it is
+        read in blocks of whole lines (``_whole_line_blocks``): a block that
+        is the committed bytes at the cursor is deduplicated whole, and any
+        other is cut into lines at its newlines, each of which takes the
+        path of a line of ``ingest_lines``."""
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         report = IngestReport()
@@ -1036,51 +1077,62 @@ class SnapStore:
                     return batch.get(key)
                 return os.pread(fd, lengths[row], offsets[row])
 
-            for line_no, raw in enumerate(lines, start=1):
-                try:
-                    # a str line is its UTF-8 bytes, so both take one path
-                    if type(raw) is str:
-                        raw = raw.encode("utf-8")
-                    if committed is not None and committed.take(raw):
-                        report.deduplicated[kind] += 1
-                        continue
-                    line = raw.decode("utf-8")
-                except UnicodeError as exc:
-                    report.rejected.append(
-                        Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
-                    )
+            # (bytes of a block of whole lines, or None, and its lines)
+            blocks: Iterable[tuple[bytes | None, Iterable]] = [(None, lines)]
+            if in_blocks and committed is not None:
+                blocks = _whole_line_blocks(lines)
+            line_no = 0
+            for block, block_lines in blocks:
+                if block is not None and committed.take_block(block):
+                    passed = block.count(b"\n")
+                    report.deduplicated[kind] += passed
+                    line_no += passed
                     continue
-                head = read_text(line)
-                if head is None and not line.strip():
-                    continue
-                if not raw.endswith(b"\n"):
-                    raw += b"\n"
-                try:
-                    key, canonical, state = _admit(kind, line, raw, head, read_state)
-                except (ValueError, TypeError, RecursionError) as exc:
-                    report.rejected.append(Rejection(kind, line_no, str(exc)))
-                    continue
-                previous = stored(key)
-                if previous is None:
-                    batch[key] = canonical
-                    states.append(state)
-                    report.accepted[kind] += 1
-                    if len(batch) >= _BATCH_LINES:
-                        self._commit(kind, index, batch, states)
-                        batch.clear()
-                        states.clear()
-                elif _same_payload(kind, previous, canonical):
-                    report.deduplicated[kind] += 1
-                else:
-                    entity, time_key = key
-                    report.rejected.append(
-                        Rejection(
-                            kind,
-                            line_no,
-                            "conflicting payload for existing record "
-                            f"(entity {entity}, time {time_key})",
+                for line_no, raw in enumerate(block_lines, start=line_no + 1):
+                    try:
+                        # a str line is its UTF-8 bytes, so both take one path
+                        if type(raw) is str:
+                            raw = raw.encode("utf-8")
+                        if committed is not None and committed.take(raw):
+                            report.deduplicated[kind] += 1
+                            continue
+                        line = raw.decode("utf-8")
+                    except UnicodeError as exc:
+                        report.rejected.append(
+                            Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
                         )
-                    )
+                        continue
+                    head = read_text(line)
+                    if head is None and not line.strip():
+                        continue
+                    if not raw.endswith(b"\n"):
+                        raw += b"\n"
+                    try:
+                        key, canonical, state = _admit(kind, line, raw, head, read_state)
+                    except (ValueError, TypeError, RecursionError) as exc:
+                        report.rejected.append(Rejection(kind, line_no, str(exc)))
+                        continue
+                    previous = stored(key)
+                    if previous is None:
+                        batch[key] = canonical
+                        states.append(state)
+                        report.accepted[kind] += 1
+                        if len(batch) >= _BATCH_LINES:
+                            self._commit(kind, index, batch, states)
+                            batch.clear()
+                            states.clear()
+                    elif _same_payload(kind, previous, canonical):
+                        report.deduplicated[kind] += 1
+                    else:
+                        entity, time_key = key
+                        report.rejected.append(
+                            Rejection(
+                                kind,
+                                line_no,
+                                "conflicting payload for existing record "
+                                f"(entity {entity}, time {time_key})",
+                            )
+                        )
             if batch:
                 self._commit(kind, index, batch, states)
             self._write_sidecar(kind, index)
@@ -1137,7 +1189,9 @@ class SnapStore:
         index.sidecar_bytes = index.scanned_bytes
 
     def ingest_dir(self, data_dir: Path | str) -> IngestReport:
-        """Ingest the standard three JSONL logs found under ``data_dir``."""
+        """Ingest the standard three JSONL logs found under ``data_dir``,
+        each read in blocks of whole lines while the committed lines are
+        read alongside it (``_ingest``)."""
         data_dir = Path(data_dir)
         report = IngestReport()
         for kind in KINDS:
@@ -1146,7 +1200,7 @@ class SnapStore:
                 continue
             # read as bytes: ingest_lines rejects a line that is not UTF-8
             with open(path, "rb") as f:
-                report.merge(self.ingest_lines(kind, f))
+                report.merge(self._ingest(kind, f, in_blocks=True))
         return report
 
     # -- queries ----------------------------------------------------------

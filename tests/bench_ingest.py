@@ -24,11 +24,13 @@ the index sidecar and once by a full scan of the log, with no sidecar.
 Two more load 20k reviews of one app on one day, their ids in shuffled
 order, into an empty store and once more into a store that has them all:
 each line goes to its (date, review id) place among the app's rows.
-The last two take a week of a 10k-app market, the shape of a daily crawl
+The last three take a week of a 10k-app market, the shape of a daily crawl
 merged into its history, where most states and permission sets are
 distinct: one re-ingests all its snapshots through a new handle each round,
-so that the sidecar load is timed with the lookups, and one ingests the
-last day into a store of the six days before it.
+so that the sidecar load is timed with the lookups; one does the same
+through ``ingest_dir`` from a file that repeats the log, which it passes a
+block of lines at a time; and one ingests the last day into a store of the
+six days before it.
 """
 
 import itertools
@@ -38,11 +40,11 @@ import shutil
 import pytest
 
 from marketpulse import simgen
-from marketpulse.model import ListType, canonical_json, snapshot_to_record
+from marketpulse.model import ListType, canonical_json
 from marketpulse.simgen import TopKListConfig
 from marketpulse.store import KINDS, DatasetManifest, SnapStore
 
-from conftest import DAY0, generate, make_review, review_to_record
+from conftest import DAY0, generate, make_review, review_to_record, snapshot_to_record
 
 N_LINES = 10_000
 
@@ -322,6 +324,22 @@ def test_reingest_of_a_week_of_a_10k_app_market_through_a_new_handle(
 
     def reingest():
         return SnapStore.open(root).ingest_lines("snapshots", lines)
+
+    report = benchmark.pedantic(reingest, rounds=7)
+    assert report.deduplicated["snapshots"] == len(lines)
+    assert report.accepted["snapshots"] == report.total_rejected == 0
+
+
+def test_reingest_of_a_week_of_a_10k_app_market_from_a_file(benchmark, tmp_path, crawl_week):
+    manifest, lines, _ = crawl_week
+    root = tmp_path / "store"
+    SnapStore.create(root, manifest).ingest_lines("snapshots", lines)
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "snapshots.jsonl").write_bytes(b"".join(lines))
+
+    def reingest():
+        return SnapStore.open(root).ingest_dir(data)
 
     report = benchmark.pedantic(reingest, rounds=7)
     assert report.deduplicated["snapshots"] == len(lines)

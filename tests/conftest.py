@@ -36,7 +36,6 @@ from marketpulse.model import (
     parse_date,
     review_from_trusted_record,
     snapshot_from_trusted_record,
-    snapshot_to_record,
     topk_from_trusted_record,
     validate_app_id,
 )
@@ -297,6 +296,28 @@ def power_law_samples(rng, alpha: float, x_min: float, n: int) -> np.ndarray:
 def market():
     """A small simulated market with a top-k list."""
     return generate(market_script())
+
+
+def snapshot_to_record(s: AppSnapshot) -> dict:
+    """Reference record dict of a snapshot: ``canonical_json`` of it plus a
+    newline is ``model.canonical_snapshot_line(s)``."""
+    return {
+        "app": s.app,
+        "fetch_time": s.fetch_time,
+        "title": s.title,
+        "developer": s.developer,
+        "category": s.category,
+        "price_cents": s.price_cents,
+        "free": s.free,
+        "downloads_lo": s.downloads.lo,
+        "downloads_hi": s.downloads.hi,
+        "rating_avg": s.rating_avg,
+        "rating_count": s.rating_count,
+        "version": s.version,
+        "last_updated": s.last_updated.isoformat(),
+        "size_bytes": s.size_bytes,
+        "permissions": sorted(s.permissions),
+    }
 
 
 def review_to_record(r: ReviewRecord) -> dict:

@@ -12,10 +12,15 @@ import pytest
 from marketpulse import cli
 from marketpulse import store as store_mod
 from marketpulse.cli import main
-from marketpulse.model import snapshot_to_record
 from marketpulse.store import SnapStore
 
-from conftest import epoch_to_date, ingest_records, make_snapshot, timeline_state
+from conftest import (
+    epoch_to_date,
+    ingest_records,
+    make_snapshot,
+    snapshot_to_record,
+    timeline_state,
+)
 from test_timeline import oracle_timeline
 
 
@@ -339,11 +344,14 @@ def test_failed_report_write_keeps_previous_file(tmp_path, monkeypatch):
 
 _COMMAND_LAYERS = (
     "numpy",
+    "statistics",
     "marketpulse.simgen",
     "marketpulse.harvester",
     "marketpulse.anomaly",
     "marketpulse.metrics",
     "marketpulse.topk",
+    "marketpulse.store",
+    "marketpulse.timeline",
 )
 
 
@@ -366,15 +374,41 @@ def _layers_imported_by(statements: str) -> list[str]:
     return json.loads(proc.stdout)
 
 
-def test_cli_import_leaves_out_numpy_simgen_and_harvester():
+def test_cli_import_leaves_out_numpy_simgen_and_harvester(tmp_path):
     # only simulate needs simgen (and numpy), only crawl the harvester, and
     # each report command imports its own layer
     assert _layers_imported_by(
         "import marketpulse.cli as cli\n"
         "cli.build_parser().parse_args(['crawl', '--seeds', 's', '--market', 'm', '--out', 'o'])\n"
     ) == []
+    # a crawl loads no store and no timeline, and an ingest no timeline and
+    # no statistics
+    from marketpulse.harvester import render_page
+
+    market, seeds = tmp_path / "pages.jsonl", tmp_path / "seeds.txt"
+    page = render_page(make_snapshot(), [])
+    market.write_text(json.dumps({"app": "com.example.app", "page": page}) + "\n")
+    seeds.write_text("com.example.app\n")
+    out, store = tmp_path / "out", tmp_path / "store"
+    commands = {
+        "crawl": ["crawl", "--seeds", str(seeds), "--market", str(market), "--out", str(out)],
+        "ingest": ["ingest", "--data", str(out), "--store", str(store)],
+    }
+    for name, layers in (("crawl", ["marketpulse.harvester"]), ("ingest", ["marketpulse.store"])):
+        assert _layers_imported_by(
+            "import contextlib, io\n"
+            "import marketpulse.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({commands[name]!r}) == 0\n"
+        ) == layers
+    assert len(SnapStore.open(store).apps()) == 1
     # of simulate, only --render-market renders pages with the harvester
     assert "marketpulse.harvester" not in _layers_imported_by("import marketpulse.simgen\n")
+    # the package's re-exports load their module on first use
+    assert _layers_imported_by("from marketpulse import ListType\n") == []
+    assert _layers_imported_by(
+        "import marketpulse\nassert 'SnapStore' in marketpulse.__all__\nmarketpulse.SnapStore\n"
+    ) == ["marketpulse.store"]
 
 
 def test_timeline_reports_decode_no_snapshot(dataset, monkeypatch):
@@ -460,7 +494,7 @@ def test_failed_crawl_write_keeps_previous_output(dataset, tmp_path, monkeypatch
     assert sorted(before) == ["crawl_report.json", "snapshots.jsonl"]
     assert len(before["snapshots.jsonl"].splitlines()) == 8
     calls = []
-    encode = cli.snapshot_to_record
+    encode = cli.canonical_snapshot_line
 
     def failing(snap):
         calls.append(snap.app)
@@ -468,7 +502,7 @@ def test_failed_crawl_write_keeps_previous_output(dataset, tmp_path, monkeypatch
             raise OSError("injected write failure")
         return encode(snap)
 
-    monkeypatch.setattr(cli, "snapshot_to_record", failing)
+    monkeypatch.setattr(cli, "canonical_snapshot_line", failing)
     assert main(argv) == 2
     assert len(calls) == 4
     # same bytes, and no temp file left beside them

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from marketpulse.model import (
     DOWNLOAD_LADDER,
+    AppSnapshot,
     DownloadBucket,
     ListType,
     canonical_json,
+    canonical_snapshot_line,
     date_to_epoch,
     review_line,
     review_text,
@@ -18,7 +20,6 @@ from marketpulse.model import (
     snapshot_line,
     snapshot_text,
     snapshot_text_state,
-    snapshot_to_record,
     topk_line,
     validate_app_id,
 )
@@ -34,6 +35,7 @@ from conftest import (
     review_from_record,
     review_to_record,
     snapshot_from_record,
+    snapshot_to_record,
     topk_from_record,
     topk_to_record,
     validate_review,
@@ -483,6 +485,57 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_canonical_json_is_json_dumps_with_sorted_keys(value):
     assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# strings with what the encoder escapes: quotes, backslashes, control
+# characters, non-ASCII text, U+2028 and lone surrogates
+_ANY_TEXT = st.text(st.characters(blacklist_categories=())) | st.lists(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800", "\udc00", "a"])
+).map("".join)
+# integers at and past both ends of the signed 64-bit range
+_ANY_INT = st.integers() | st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**40])
+_ANY_RATING = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 5.0]
+)
+
+
+@given(
+    st.builds(
+        AppSnapshot,
+        app=_ANY_TEXT,
+        fetch_time=_ANY_INT,
+        title=_ANY_TEXT,
+        developer=_ANY_TEXT,
+        category=_ANY_TEXT,
+        price_cents=_ANY_INT,
+        free=st.booleans(),
+        downloads=st.builds(DownloadBucket, _ANY_INT, _ANY_INT),
+        rating_avg=_ANY_RATING,
+        rating_count=_ANY_INT,
+        version=_ANY_TEXT,
+        last_updated=st.dates(),
+        size_bytes=_ANY_INT,
+        permissions=st.frozensets(_ANY_TEXT, max_size=4),
+    )
+)
+def test_canonical_snapshot_line_is_the_canonical_json_of_the_record(snap):
+    assert canonical_snapshot_line(snap) == canonical_json(snapshot_to_record(snap)) + "\n"
+
+
+def test_canonical_snapshot_line_on_named_cases():
+    for rating, text in [
+        (float("nan"), "NaN"),
+        (float("inf"), "Infinity"),
+        (float("-inf"), "-Infinity"),
+        (-0.0, "-0.0"),
+        (5e-324, "5e-324"),
+        (5.0, "5.0"),
+    ]:
+        snap = make_snapshot(rating_avg=rating, permissions=frozenset(), title='"\\\u2028\ud800')
+        line = canonical_snapshot_line(snap)
+        assert line == canonical_json(snapshot_to_record(snap)) + "\n"
+        assert f'"rating_avg":{text},' in line and '"permissions":[],' in line
+        assert '"title":"\\"\\\\\\u2028\\ud800"' in line
 
 
 def _utc_midnight_timestamp(day):

@@ -29,7 +29,6 @@ from marketpulse.model import (
     PopularityClass,
     canonical_json,
     snapshot_from_trusted_record,
-    snapshot_to_record,
 )
 from marketpulse.simgen import (
     FraudCampaign,
@@ -61,6 +60,7 @@ from conftest import (
     reference_snapshot_lines,
     review_to_record,
     scan_x_min,
+    snapshot_to_record,
     states_of,
 )
 

@@ -2,6 +2,7 @@ import datetime as dt
 import errno
 import fcntl
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import random
 import select
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marketpulse.errors import ConcurrentWriteError, InvalidWindowError, StoreIOError
-from marketpulse.model import DownloadBucket, ListType, date_to_epoch, snapshot_to_record
+from marketpulse.model import DownloadBucket, ListType, date_to_epoch
 from marketpulse import simgen
 from marketpulse import store as store_mod
 from marketpulse.store import KINDS, DatasetManifest, IngestReport, SnapStore, TimeWindow
@@ -39,6 +41,7 @@ from conftest import (
     reference_line,
     review_to_record,
     snapshot_state_key,
+    snapshot_to_record,
     topk_to_record,
 )
 
@@ -252,7 +255,6 @@ def test_partial_tail_ignored_and_truncated_on_next_ingest(tmp_path, manifest):
 
 def test_thousand_simgen_snapshots_all_accepted(tmp_path, manifest):
     from marketpulse import simgen
-    from marketpulse.model import snapshot_to_record
 
     market = generate(
         simgen.MarketScript(seed=3, n_developers=80, observation_days=15)
@@ -453,6 +455,132 @@ def test_reader_in_another_process_skips_a_batch_held_by_the_writer(store):
     assert writer.returncode == 0
     assert reader.apps() == SnapStore.open(store.root).apps()
     _assert_reader_matches_a_fresh_handle(store, reader)
+
+
+# An ingest_dir in another process, of a data directory into a store:
+# ``hold`` holds its first batch, written and not yet fsynced, with the log
+# and the ingest lock, from printing "ready" until stdin closes; ``tear``
+# commits batches of 100 lines, writes its second batch up to the middle of
+# a line and is killed. It prints "busy" and exits 3 on ConcurrentWriteError,
+# else prints its report.
+_INGEST_IN_A_CHILD = """
+import json, os, signal, sys
+from marketpulse import store
+from marketpulse.errors import ConcurrentWriteError
+
+root, data, mode = sys.argv[1:]
+fsync, write = os.fsync, os.write
+
+def hold(fd):
+    os.fsync = fsync
+    print("ready", flush=True)
+    sys.stdin.read()
+    fsync(fd)
+
+writes = []
+
+def tear(fd, data):
+    writes.append(fd)
+    if len(writes) == 1:
+        return write(fd, data)
+    data = bytes(data)
+    write(fd, data[: data.index(b"\\n") // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if mode == "hold":
+    os.fsync = hold
+elif mode == "tear":
+    store._BATCH_LINES = 100
+    os.write = tear
+try:
+    report = store.SnapStore.open(root).ingest_dir(data)
+except ConcurrentWriteError:
+    print("busy", flush=True)
+    sys.exit(3)
+print(json.dumps(report.to_record()), flush=True)
+"""
+
+
+def _ingest_in_a_child(root, data, mode, **popen):
+    src = str(Path(store_mod.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen(
+        [sys.executable, "-c", _INGEST_IN_A_CHILD, str(root), str(data), mode],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **popen,
+    )
+
+
+def _logs(root):
+    return {kind: (root / f"{kind}.jsonl").read_bytes() for kind in KINDS}
+
+
+def test_two_processes_racing_an_ingest_store_each_record_once(tmp_path, market):
+    data = tmp_path / "data"
+    simgen.write_dataset(market_script(), data)
+    root = tmp_path / "store"
+    SnapStore.create(root, market.manifest)
+    first = _ingest_in_a_child(root, data, "hold", stdin=subprocess.PIPE)
+    try:
+        assert select.select([first.stdout], [], [], 60)[0], "the first writer never got ready"
+        assert first.stdout.readline() == "ready\n"
+        second = _ingest_in_a_child(root, data, "plain")
+        assert second.communicate(timeout=60)[0] == "busy\n"
+        assert second.returncode == 3
+        out = first.communicate("", timeout=60)[0]
+    finally:
+        first.kill()
+        first.wait(timeout=60)
+    assert first.returncode == 0
+    accepted = json.loads(out)["accepted"]
+    assert all(accepted.values()) and not json.loads(out)["rejected"]
+    retry = _ingest_in_a_child(root, data, "plain")
+    report = json.loads(retry.communicate(timeout=60)[0])
+    assert retry.returncode == 0
+    assert report["deduplicated"] == accepted
+    assert not any(report["accepted"].values()) and not report["rejected"]
+    # every data line is in its log once: the logs are the data files
+    assert _logs(root) == {kind: (data / f"{kind}.jsonl").read_bytes() for kind in KINDS}
+
+
+def test_ingest_after_a_writer_killed_mid_line_appends_the_rest_once(
+    tmp_path, market, monkeypatch
+):
+    data = tmp_path / "data"
+    simgen.write_dataset(market_script(), data)
+    root = tmp_path / "store"
+    SnapStore.create(root, market.manifest)
+    writer = _ingest_in_a_child(root, data, "tear")
+    writer.communicate(timeout=60)
+    assert writer.returncode == -signal.SIGKILL
+    lines = (data / "snapshots.jsonl").read_bytes().splitlines(keepends=True)
+    committed = b"".join(lines[:100])
+    torn = (root / "snapshots.jsonl").read_bytes()
+    assert torn.startswith(committed) and len(committed) < len(torn) < len(b"".join(lines[:101]))
+    # a reader sees the first batch and nothing of the torn one
+    reader = SnapStore.open(root)
+    assert len(reader._index("snapshots").times) == 100
+    assert sorted(reader.apps()) == sorted({json.loads(line)["app"] for line in lines[:100]})
+    # the next ingest cuts the torn tail, passes the committed lines in
+    # blocks and appends the rest once
+    taken_alone = []
+    take = store_mod._CommittedLines.take
+
+    def counted(self, line):
+        taken = take(self, line)
+        taken_alone.append(taken)
+        return taken
+
+    monkeypatch.setattr(store_mod, "_BLOCK_BYTES", 4096)
+    monkeypatch.setattr(store_mod._CommittedLines, "take", counted)
+    report = SnapStore.open(root).ingest_dir(data)
+    assert report.deduplicated == {"snapshots": 100, "reviews": 0, "topk": 0}
+    assert report.accepted["snapshots"] == len(lines) - 100 and report.total_rejected == 0
+    assert sum(taken_alone) < 20
+    assert _logs(root) == {kind: (data / f"{kind}.jsonl").read_bytes() for kind in KINDS}
+    assert len(SnapStore.open(root)._index("snapshots").times) == len(lines)
 
 
 def test_malformed_committed_line_is_skipped_and_counted(store):
@@ -1031,6 +1159,143 @@ def test_reingest_in_committed_order_reads_no_key(tmp_path, market, monkeypatch)
     assert report.deduplicated == first.accepted and all(report.deduplicated.values())
     assert sum(report.accepted.values()) == report.total_rejected == 0
     assert {p.name: p.read_bytes() for p in store.root.glob("*.jsonl")} == logs
+
+
+@pytest.mark.parametrize("block_bytes", [100, store_mod._BLOCK_BYTES])
+def test_reingest_through_ingest_dir_passes_blocks_with_no_line_work(
+    tmp_path, market, monkeypatch, block_bytes
+):
+    # a file that repeats its log is deduplicated a block at a time: no
+    # line is admitted and none is taken on its own
+    data = tmp_path / "data"
+    simgen.write_dataset(market_script(), data)
+    store = SnapStore.create(tmp_path / "store", market.manifest)
+    first = store.ingest_dir(data)
+    logs = {p.name: p.read_bytes() for p in store.root.iterdir()}
+    reopened = SnapStore.open(store.root)
+    for kind in KINDS:
+        reopened._index(kind)
+    monkeypatch.setattr(store_mod, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(store_mod, "_admit", _refuse)
+    monkeypatch.setattr(store_mod._CommittedLines, "take", _refuse)
+    report = reopened.ingest_dir(data)
+    assert report.deduplicated == first.accepted and all(report.deduplicated.values())
+    assert sum(report.accepted.values()) == report.total_rejected == 0
+    assert {p.name: p.read_bytes() for p in store.root.iterdir()} == logs
+
+
+def _split_lines(data: bytes) -> list[bytes]:
+    """The lines of ``data`` cut at b"\\n" only, as iterating a file cuts
+    them."""
+    return list(io.BytesIO(data))
+
+
+def _edit_line(lines, i, edit):
+    """``lines`` with its ``i``-th line, if there is one, replaced by
+    ``edit`` of it."""
+    return lines[:i] + [edit(line) for line in lines[i:i + 1]] + lines[i + 1:]
+
+
+# Edits of a data file that began as a copy of its log: each takes the
+# file's lines, a drawn line and a drawn place, and returns the new lines.
+_FILE_EDITS = {
+    "changed line": lambda lines, new, i: _edit_line(lines, i, lambda line: new),
+    "CRLF": lambda lines, new, i: _edit_line(lines, i, lambda line: line[:-1] + "\r\n"),
+    "lone CR": lambda lines, new, i: _edit_line(
+        lines, i, lambda line: line[: len(line) // 2] + "\r" + line[len(line) // 2:]
+    ),
+    "blank line": lambda lines, new, i: lines[:i] + ["\n"] + lines[i:],
+    "longer": lambda lines, new, i: lines + [new],
+    "shorter": lambda lines, new, i: lines[:-1],
+}
+
+
+@pytest.mark.parametrize("first_edit", sorted(_FILE_EDITS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ingest_dir_gives_what_its_lines_give_one_by_one(first_edit, data):
+    kind = data.draw(st.sampled_from(["snapshots", "reviews", "topk"]))
+    drawn = [_canonical(data.draw(_RECORDS[kind]))]
+    drawn += data.draw(st.lists(_log_lines(kind), max_size=7))
+    manifest = DatasetManifest(
+        name="t", currency="USD", observation_start=DAY0, observation_end=DAY0
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # the log holds the drawn lines that ingest, and a corrupt line or not
+        SnapStore.create(tmp / "a", manifest).ingest_lines(kind, drawn)
+        log = (tmp / "a" / f"{kind}.jsonl").read_text(encoding="utf-8")
+        if data.draw(st.booleans()):
+            with open(tmp / "a" / f"{kind}.jsonl", "a", encoding="utf-8") as f:
+                f.write('{"corrupt": true}\n')
+        if data.draw(st.booleans()):
+            (tmp / "a" / f"{kind}.idx").unlink(missing_ok=True)
+        shutil.copytree(tmp / "a", tmp / "b")
+        lines = [line + "\n" for line in log.split("\n")[:-1]]
+        edits = [first_edit] + data.draw(st.lists(st.sampled_from(sorted(_FILE_EDITS)), max_size=2))
+        for edit in edits:
+            new = data.draw(_log_lines(kind)) + "\n"
+            lines = _FILE_EDITS[edit](lines, new, data.draw(st.integers(0, len(lines))))
+        text = "".join(lines)
+        if text and data.draw(st.booleans()):
+            text = text[:-1]  # no final newline
+        (tmp / "data").mkdir()
+        (tmp / "data" / f"{kind}.jsonl").write_bytes(text.encode("utf-8", "surrogatepass"))
+        block_bytes = data.draw(st.sampled_from([1, 5, 64, 300, store_mod._BLOCK_BYTES]))
+        # from the log as it was, then once more from what the first ingest left
+        for _ in range(2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(store_mod, "_BLOCK_BYTES", block_bytes)
+                report = SnapStore.open(tmp / "a").ingest_dir(tmp / "data")
+            expected = SnapStore.open(tmp / "b").ingest_lines(
+                kind, _split_lines((tmp / "data" / f"{kind}.jsonl").read_bytes())
+            )
+            assert (report.to_record(), report.skipped_corrupt) == (
+                expected.to_record(),
+                expected.skipped_corrupt,
+            )
+            assert {p.name: p.read_bytes() for p in (tmp / "a").iterdir()} == {
+                p.name: p.read_bytes() for p in (tmp / "b").iterdir()
+            }
+
+
+def test_blocks_are_compared_only_with_the_prefix_the_ingest_began_with(store, monkeypatch):
+    # the lines an ingest appends are not read back as committed lines: a
+    # second copy of them in the file is admitted and found by its key
+    old, new = _app_lines(range(3)), _app_lines(range(3, 7))
+    store.ingest_lines("snapshots", old)
+    data = store.root.parent / "data"
+    data.mkdir()
+    (data / "snapshots.jsonl").write_text("".join(old + new + new))
+    admitted = []
+    admit = store_mod._admit
+
+    def counted(kind, line, *args):
+        admitted.append(line)
+        return admit(kind, line, *args)
+
+    monkeypatch.setattr(store_mod, "_BATCH_LINES", 2)
+    monkeypatch.setattr(store_mod, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(store_mod, "_admit", counted)
+    report = SnapStore.open(store.root).ingest_dir(data)
+    assert report.accepted["snapshots"] == 4 and report.deduplicated["snapshots"] == 7
+    assert admitted == new + new
+
+
+def test_block_of_lines_is_not_one_line_of_ingest_lines(store):
+    # ingest_lines takes each item it is given as one line: two committed
+    # lines given as one str are not deduplicated, and a file holding them
+    # is cut into its two lines
+    lines = _app_lines(range(2))
+    store.ingest_lines("snapshots", lines)
+    report = SnapStore.open(store.root).ingest_lines("snapshots", ["".join(lines)])
+    assert report.deduplicated["snapshots"] == 0
+    assert [r.line_no for r in report.rejected] == [1]
+    data = store.root.parent / "data"
+    data.mkdir()
+    (data / "snapshots.jsonl").write_text("".join(lines))
+    report = SnapStore.open(store.root).ingest_dir(data)
+    assert report.deduplicated["snapshots"] == 2 and report.total_rejected == 0
 
 
 def _last_updated_epoch(rec):

@@ -10,7 +10,6 @@ from marketpulse.model import (
     AttributeKind,
     DOWNLOAD_LADDER,
     DownloadBucket,
-    snapshot_to_record,
 )
 from marketpulse.store import AppSeries, AppStates, SnapStore
 from marketpulse.timeline import (
@@ -30,6 +29,7 @@ from conftest import (
     ingest_records,
     make_review,
     make_snapshot,
+    snapshot_to_record,
     states_of,
 )
 
