@@ -14,12 +14,11 @@ of first use in the log. Each entity maps to its rows in key order: time,
 and for reviews (date, review id). Those rows are the one lookup structure:
 a line's key is found by bisection in its entity's rows, and app timelines
 and the newest state of every app are read without decoding a log line.
-Ingest reads a line given as str as its UTF-8 bytes. It reads the committed
-log alongside the lines it is given, so that a re-ingest of lines in the
-order they were committed is deduplicated by comparing bytes
-(``_CommittedLines``), a block of whole lines at a time where ``ingest_dir``
-reads them from a file; any other line is admitted first, and then one
-lookup of its key finds a stored copy.
+Ingest reads each data file as bytes alongside the committed log, so that a
+re-ingest of lines in the order they were committed is deduplicated by
+comparing bytes, a block of whole lines at a time (``_CommittedLines``); any
+other line is admitted first, and then one lookup of its key finds a stored
+copy.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
 sidecar (layout ``MPX7``: row counts per entity, then the columns in
@@ -90,8 +89,9 @@ _LOG_FILES = {kind: f"{kind}.jsonl" for kind in KINDS}
 _SIDECAR_FILES = {kind: f"{kind}.idx" for kind in KINDS}
 _MANIFEST_FILE = "manifest.json"
 _BATCH_LINES = 1000
-# ingest_dir reads a data file in blocks of this many bytes, each carried on
-# to the end of the line it stops in
+# while the committed lines are read alongside a data file, ingest reads it
+# in blocks of this many bytes, each carried on to the end of the line it
+# stops in
 _BLOCK_BYTES = 1 << 20
 
 # A <kind>.idx sidecar is a header, the entry count of each entity, one
@@ -183,9 +183,6 @@ class AppSeries:
     app: str
     snapshots: tuple[AppSnapshot, ...]
 
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
 
 @dataclass(frozen=True)
 class AppStates:
@@ -204,9 +201,6 @@ class RankedListSeries:
     list_type: ListType
     observations: tuple[TopKObservation, ...]
 
-    def __len__(self) -> int:
-        return len(self.observations)
-
 
 @dataclass
 class Rejection:
@@ -217,7 +211,7 @@ class Rejection:
 
 @dataclass
 class IngestReport:
-    """Outcome counts of one ingest call, per record kind."""
+    """Outcome counts of one ingest, per record kind."""
 
     accepted: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
     deduplicated: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
@@ -225,13 +219,6 @@ class IngestReport:
     # malformed committed lines the index of each log skipped; kept out of
     # to_record() so the ingest summary format stays as it was
     skipped_corrupt: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
-
-    def merge(self, other: "IngestReport") -> None:
-        for kind in KINDS:
-            self.accepted[kind] += other.accepted[kind]
-            self.deduplicated[kind] += other.deduplicated[kind]
-            self.skipped_corrupt[kind] += other.skipped_corrupt[kind]
-        self.rejected.extend(other.rejected)
 
     @property
     def total_accepted(self) -> int:
@@ -791,15 +778,15 @@ class _LogIndex:
 
 
 class _CommittedLines:
-    """The committed lines of a log in log order, read alongside the lines
-    of an ingest, so that a re-ingest of lines in the order they were
-    committed costs a byte comparison per line, or per block of lines read
-    from a file. It is read only over a log whose index holds every
-    committed line, so a line equal to the next committed line is a copy of
-    a stored record: it is deduplicated with no decode and no lookup. A line
-    that differs leaves the cursor where it is, so the lines after it can
-    still meet theirs. Only the log prefix the index covered when the ingest
-    began is read, through the read handle, in chunks."""
+    """The committed lines of a log in log order, read alongside a data
+    file, so that a re-ingest of lines in the order they were committed
+    costs a byte comparison per block of lines. It is read only over a log
+    whose index holds every committed line, so lines equal to the committed
+    bytes at the cursor are copies of stored records: they are deduplicated
+    with no decode and no lookup. Lines that differ leave the cursor where
+    it is, so the lines after them can still meet theirs. Only the log
+    prefix the index covered when the ingest began is compared, through the
+    read handle, read in chunks."""
 
     _CHUNK = 1 << 20
 
@@ -809,38 +796,23 @@ class _CommittedLines:
         # in the log
         self._buffer, self._pos, self._offset = b"", 0, 0
 
-    def take(self, line: bytes) -> bool:
-        """Whether ``line``, ending in its only newline, is the committed
-        line at the cursor; the cursor then passes it."""
-        if not self._at_cursor(line) or line.find(b"\n") != len(line) - 1:
-            return False
-        self._pos += len(line)
-        self._offset += len(line)
-        return True
-
-    def take_block(self, block: bytes) -> bool:
-        """Whether ``block``, whole lines each ending in a newline, is the
-        committed bytes at the cursor; the cursor then passes them. The
+    def take(self, data: bytes) -> bool:
+        """Whether ``data``, whole lines cut at b"\\n" and ending in one, is
+        the committed bytes at the cursor; the cursor then passes them. The
         cursor is at the start of a committed line, so equal bytes are the
         same lines."""
-        if not self._at_cursor(block):
-            return False
-        self._pos += len(block)
-        self._offset += len(block)
-        return True
-
-    def _at_cursor(self, data: bytes) -> bool:
-        """Whether ``data``, ending in a newline, is the committed bytes at
-        the cursor; the cursor stays where it is."""
         size = len(data)
         if not data.endswith(b"\n") or self._offset + size > self._end:
             return False
         if self._pos + size > len(self._buffer):
-            self._buffer = os.pread(
-                self._fd, min(self._end - self._offset, max(size, self._CHUNK)), self._offset
-            )
+            # may read past the prefix: the bound above keeps to it
+            self._buffer = os.pread(self._fd, max(size, self._CHUNK), self._offset)
             self._pos = 0
-        return self._buffer.startswith(data, self._pos)
+        if not self._buffer.startswith(data, self._pos):
+            return False
+        self._pos += size
+        self._offset += size
+        return True
 
 
 class SnapStore:
@@ -905,8 +877,8 @@ class SnapStore:
         A sidecar that still matches the log stands in for scanning the
         prefix it covers. A store object caches its view of the committed
         log; appends made through the same object keep the index current,
-        while appends from other handles become visible after ``refresh()``,
-        reopening, or at this object's next ingest.
+        while appends from other handles become visible at this object's
+        next ingest, or to a store object opened after them.
         """
         index = self._indexes[kind]
         if index is None:
@@ -916,12 +888,6 @@ class SnapStore:
             self._scan(kind, index)
             self._indexes[kind] = index
         return index
-
-    def refresh(self) -> None:
-        """Pick up records committed by other writers since the last scan."""
-        for kind, index in self._indexes.items():
-            if index is not None:
-                self._scan(kind, index)
 
     def _scan(self, kind: str, index: _LogIndex, wait: bool = False) -> None:
         """Index the committed lines past ``index.scanned_bytes``.
@@ -1001,20 +967,18 @@ class SnapStore:
             for r in rows
         ]
 
-    def close(self) -> None:
-        for fd in self._read_handles.values():
-            os.close(fd)
-        self._read_handles.clear()
-
     # -- ingest -----------------------------------------------------------
 
-    def ingest_lines(self, kind: str, lines: Iterable[str | bytes]) -> IngestReport:
-        """Validate, dedup and append raw JSONL ``lines`` of one ``kind``.
+    def _ingest(self, kind: str, data: BinaryIO, report: IngestReport) -> None:
+        """Validate, dedup and append the JSONL lines of ``data``, a binary
+        file of one ``kind``, counting each outcome in ``report``.
 
-        A line given as str is read as its UTF-8 bytes, and a line that is
-        not UTF-8 is rejected. A line that is the next committed line, read
-        in log order alongside ``lines`` (``_CommittedLines``), is
-        deduplicated at once. Every other line is admitted by ``_admit``, or
+        A line that is not UTF-8 is rejected. While the committed lines are
+        read alongside ``data`` (``_CommittedLines``), it is read in blocks
+        of whole lines (``_whole_line_blocks``): a block that is the
+        committed bytes at the cursor is deduplicated whole, and any other is
+        cut into lines at b"\n", each deduplicated at once when it is the
+        next committed line. Every other line is admitted by ``_admit``, or
         rejected with its text, and then one lookup of its (entity, time)
         finds a stored copy: a line that holds the stored record
         (``_same_payload``) is deduplicated, and any other is rejected as a
@@ -1022,18 +986,8 @@ class SnapStore:
         log is cut back to the end of the last committed batch. The index
         sidecar is rewritten after the last one.
         """
-        return self._ingest(kind, lines, in_blocks=False)
-
-    def _ingest(self, kind: str, lines: Iterable, in_blocks: bool) -> IngestReport:
-        """``ingest_lines`` of ``lines``. With ``in_blocks``, ``lines`` is a
-        binary file, and while the committed lines are read alongside it is
-        read in blocks of whole lines (``_whole_line_blocks``): a block that
-        is the committed bytes at the cursor is deduplicated whole, and any
-        other is cut into lines at its newlines, each of which takes the
-        path of a line of ``ingest_lines``."""
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
-        report = IngestReport()
         read_text, state_reader = _TEXT_READERS[kind]
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:
@@ -1077,25 +1031,23 @@ class SnapStore:
                     return batch.get(key)
                 return os.pread(fd, lengths[row], offsets[row])
 
-            # (bytes of a block of whole lines, or None, and its lines)
-            blocks: Iterable[tuple[bytes | None, Iterable]] = [(None, lines)]
-            if in_blocks and committed is not None:
-                blocks = _whole_line_blocks(lines)
+            # (bytes of a block of whole lines, or None, and its lines): with
+            # no cursor, a bulk load does no block work
+            blocks: Iterable[tuple[bytes | None, Iterable]] = [(None, data)]
+            if committed is not None:
+                blocks = _whole_line_blocks(data)
             line_no = 0
             for block, block_lines in blocks:
-                if block is not None and committed.take_block(block):
+                if block is not None and committed.take(block):
                     passed = block.count(b"\n")
                     report.deduplicated[kind] += passed
                     line_no += passed
                     continue
                 for line_no, raw in enumerate(block_lines, start=line_no + 1):
+                    if committed is not None and committed.take(raw):
+                        report.deduplicated[kind] += 1
+                        continue
                     try:
-                        # a str line is its UTF-8 bytes, so both take one path
-                        if type(raw) is str:
-                            raw = raw.encode("utf-8")
-                        if committed is not None and committed.take(raw):
-                            report.deduplicated[kind] += 1
-                            continue
                         line = raw.decode("utf-8")
                     except UnicodeError as exc:
                         report.rejected.append(
@@ -1136,7 +1088,6 @@ class SnapStore:
             if batch:
                 self._commit(kind, index, batch, states)
             self._write_sidecar(kind, index)
-        return report
 
     def _commit(self, kind: str, index: _LogIndex, batch: dict, states: list) -> None:
         """Append and fsync ``batch``; on failure no byte of it stays.
@@ -1190,17 +1141,15 @@ class SnapStore:
 
     def ingest_dir(self, data_dir: Path | str) -> IngestReport:
         """Ingest the standard three JSONL logs found under ``data_dir``,
-        each read in blocks of whole lines while the committed lines are
-        read alongside it (``_ingest``)."""
+        each read as bytes (``_ingest``), into one report."""
         data_dir = Path(data_dir)
         report = IngestReport()
         for kind in KINDS:
             path = data_dir / _LOG_FILES[kind]
             if not path.exists():
                 continue
-            # read as bytes: ingest_lines rejects a line that is not UTF-8
             with open(path, "rb") as f:
-                report.merge(self._ingest(kind, f, in_blocks=True))
+                self._ingest(kind, f, report)
         return report
 
     # -- queries ----------------------------------------------------------

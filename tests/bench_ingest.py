@@ -4,8 +4,10 @@ pytest collects ``test_*.py`` only, so run this file by name:
 
     PYTHONPATH=src python -m pytest tests/bench_ingest.py --benchmark-only
 
-Every case gives ``ingest_lines`` bytes lines, as ``ingest_dir`` reads
-them from a file. Two cases ingest the same 10k canonical snapshot lines,
+Every case but two ingests bytes lines through the ``ingest_lines``
+helper of ``conftest``, which joins them into a file in memory and ingests
+it as ``ingest_dir`` ingests a data file; the two others call
+``ingest_dir`` itself. Two cases ingest the same 10k canonical snapshot lines,
 as a simulated dataset holds them: once more into a store that already
 has every one of them (all deduplicated), and into an empty store (all
 accepted). A third re-ingests those lines in shuffled order, so that no
@@ -44,7 +46,14 @@ from marketpulse.model import ListType, canonical_json
 from marketpulse.simgen import TopKListConfig
 from marketpulse.store import KINDS, DatasetManifest, SnapStore
 
-from conftest import DAY0, generate, make_review, review_to_record, snapshot_to_record
+from conftest import (
+    DAY0,
+    generate,
+    ingest_lines,
+    make_review,
+    review_to_record,
+    snapshot_to_record,
+)
 
 N_LINES = 10_000
 
@@ -67,10 +76,10 @@ def lines(market):
 
 def test_reingest_of_stored_lines(benchmark, tmp_path, market, lines):
     root = tmp_path / "store"
-    SnapStore.create(root, market.manifest).ingest_lines("snapshots", lines)
+    ingest_lines(SnapStore.create(root, market.manifest), "snapshots", lines)
 
     def reingest():
-        return SnapStore.open(root).ingest_lines("snapshots", lines)
+        return ingest_lines(SnapStore.open(root), "snapshots", lines)
 
     report = benchmark(reingest)
     assert report.deduplicated["snapshots"] == N_LINES
@@ -79,12 +88,12 @@ def test_reingest_of_stored_lines(benchmark, tmp_path, market, lines):
 
 def test_reingest_of_stored_lines_in_shuffled_order(benchmark, tmp_path, market, lines):
     root = tmp_path / "store"
-    SnapStore.create(root, market.manifest).ingest_lines("snapshots", lines)
+    ingest_lines(SnapStore.create(root, market.manifest), "snapshots", lines)
     shuffled = list(lines)
     random.Random(5).shuffle(shuffled)
 
     def reingest():
-        return SnapStore.open(root).ingest_lines("snapshots", shuffled)
+        return ingest_lines(SnapStore.open(root), "snapshots", shuffled)
 
     report = benchmark(reingest)
     assert report.deduplicated["snapshots"] == N_LINES
@@ -98,7 +107,7 @@ def test_bulk_ingest_into_empty_store(benchmark, tmp_path, market, lines):
         return (SnapStore.create(tmp_path / f"store{next(fresh)}", market.manifest),), {}
 
     def ingest(store):
-        return store.ingest_lines("snapshots", lines)
+        return ingest_lines(store, "snapshots", lines)
 
     report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
     assert report.accepted["snapshots"] == N_LINES
@@ -126,7 +135,7 @@ def test_bulk_ingest_of_reviews_into_empty_store(benchmark, tmp_path, large_mark
         return (SnapStore.create(tmp_path / f"store{next(fresh)}", large_market.manifest),), {}
 
     def ingest(store):
-        return store.ingest_lines("reviews", reviews)
+        return ingest_lines(store, "reviews", reviews)
 
     report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
     assert report.accepted["reviews"] == N_LINES
@@ -139,7 +148,7 @@ def test_ingest_of_new_snapshots_into_a_populated_store(benchmark, tmp_path, lar
         for s in large_market.snapshots[: 7 * N_LINES]
     ]
     template = tmp_path / "template"
-    SnapStore.create(template, large_market.manifest).ingest_lines("snapshots", lines[:-N_LINES])
+    ingest_lines(SnapStore.create(template, large_market.manifest), "snapshots", lines[:-N_LINES])
     fresh = itertools.count()
 
     def populated_store():
@@ -148,7 +157,7 @@ def test_ingest_of_new_snapshots_into_a_populated_store(benchmark, tmp_path, lar
         return (SnapStore.open(root),), {}
 
     def ingest(store):
-        return store.ingest_lines("snapshots", lines[-N_LINES:])
+        return ingest_lines(store, "snapshots", lines[-N_LINES:])
 
     report = benchmark.pedantic(ingest, setup=populated_store, rounds=5)
     assert report.accepted["snapshots"] == N_LINES
@@ -176,10 +185,10 @@ def dataset(tmp_path_factory):
 def test_reingest_of_stored_reviews(benchmark, tmp_path, market, dataset):
     reviews = (dataset / "reviews.jsonl").read_bytes().splitlines(keepends=True)
     root = tmp_path / "store"
-    SnapStore.create(root, market.manifest).ingest_lines("reviews", reviews)
+    ingest_lines(SnapStore.create(root, market.manifest), "reviews", reviews)
 
     def reingest():
-        return SnapStore.open(root).ingest_lines("reviews", reviews)
+        return ingest_lines(SnapStore.open(root), "reviews", reviews)
 
     report = benchmark(reingest)
     assert report.deduplicated["reviews"] == len(reviews) > 0
@@ -210,7 +219,7 @@ def test_bulk_ingest_of_topk_lists_into_empty_store(benchmark, tmp_path, market,
         return (SnapStore.create(tmp_path / f"store{next(fresh)}", market.manifest),), {}
 
     def ingest(store):
-        return store.ingest_lines("topk", topk)
+        return ingest_lines(store, "topk", topk)
 
     report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
     assert report.accepted["topk"] == len(topk) > 0
@@ -220,10 +229,10 @@ def test_bulk_ingest_of_topk_lists_into_empty_store(benchmark, tmp_path, market,
 def test_reingest_of_stored_topk_lists(benchmark, tmp_path, market, dataset):
     topk = (dataset / "topk.jsonl").read_bytes().splitlines(keepends=True)
     root = tmp_path / "store"
-    SnapStore.create(root, market.manifest).ingest_lines("topk", topk)
+    ingest_lines(SnapStore.create(root, market.manifest), "topk", topk)
 
     def reingest():
-        return SnapStore.open(root).ingest_lines("topk", topk)
+        return ingest_lines(SnapStore.open(root), "topk", topk)
 
     report = benchmark(reingest)
     assert report.deduplicated["topk"] == len(topk) > 0
@@ -233,7 +242,7 @@ def test_reingest_of_stored_topk_lists(benchmark, tmp_path, market, dataset):
 @pytest.fixture(scope="module")
 def snapshot_store(tmp_path_factory, market, lines):
     root = tmp_path_factory.mktemp("snapshots") / "store"
-    SnapStore.create(root, market.manifest).ingest_lines("snapshots", lines)
+    ingest_lines(SnapStore.create(root, market.manifest), "snapshots", lines)
     return root
 
 
@@ -285,7 +294,7 @@ def test_bulk_ingest_of_same_day_reviews_in_shuffled_id_order(
         return (SnapStore.create(tmp_path / f"store{next(fresh)}", _one_day_manifest()),), {}
 
     def ingest(store):
-        return store.ingest_lines("reviews", same_day_reviews)
+        return ingest_lines(store, "reviews", same_day_reviews)
 
     report = benchmark.pedantic(ingest, setup=empty_store, rounds=5)
     assert report.accepted["reviews"] == N_SAME_DAY
@@ -294,10 +303,10 @@ def test_bulk_ingest_of_same_day_reviews_in_shuffled_id_order(
 
 def test_reingest_of_same_day_reviews_in_shuffled_id_order(benchmark, tmp_path, same_day_reviews):
     root = tmp_path / "store"
-    SnapStore.create(root, _one_day_manifest()).ingest_lines("reviews", same_day_reviews)
+    ingest_lines(SnapStore.create(root, _one_day_manifest()), "reviews", same_day_reviews)
 
     def reingest():
-        return SnapStore.open(root).ingest_lines("reviews", same_day_reviews)
+        return ingest_lines(SnapStore.open(root), "reviews", same_day_reviews)
 
     report = benchmark(reingest)
     assert report.deduplicated["reviews"] == N_SAME_DAY
@@ -320,10 +329,10 @@ def test_reingest_of_a_week_of_a_10k_app_market_through_a_new_handle(
 ):
     manifest, lines, _ = crawl_week
     root = tmp_path / "store"
-    SnapStore.create(root, manifest).ingest_lines("snapshots", lines)
+    ingest_lines(SnapStore.create(root, manifest), "snapshots", lines)
 
     def reingest():
-        return SnapStore.open(root).ingest_lines("snapshots", lines)
+        return ingest_lines(SnapStore.open(root), "snapshots", lines)
 
     report = benchmark.pedantic(reingest, rounds=7)
     assert report.deduplicated["snapshots"] == len(lines)
@@ -333,7 +342,7 @@ def test_reingest_of_a_week_of_a_10k_app_market_through_a_new_handle(
 def test_reingest_of_a_week_of_a_10k_app_market_from_a_file(benchmark, tmp_path, crawl_week):
     manifest, lines, _ = crawl_week
     root = tmp_path / "store"
-    SnapStore.create(root, manifest).ingest_lines("snapshots", lines)
+    ingest_lines(SnapStore.create(root, manifest), "snapshots", lines)
     data = tmp_path / "data"
     data.mkdir()
     (data / "snapshots.jsonl").write_bytes(b"".join(lines))
@@ -352,7 +361,7 @@ def test_ingest_of_one_day_into_a_10k_app_store(benchmark, tmp_path, crawl_week)
     last_day = [line for line, before in zip(lines, before_last_day) if not before]
     assert len(last_day) >= N_LINES
     template = tmp_path / "template"
-    SnapStore.create(template, manifest).ingest_lines("snapshots", days)
+    ingest_lines(SnapStore.create(template, manifest), "snapshots", days)
     fresh = itertools.count()
 
     def populated_store():
@@ -361,7 +370,7 @@ def test_ingest_of_one_day_into_a_10k_app_store(benchmark, tmp_path, crawl_week)
         return (SnapStore.open(root),), {}
 
     def ingest(store):
-        return store.ingest_lines("snapshots", last_day)
+        return ingest_lines(store, "snapshots", last_day)
 
     report = benchmark.pedantic(ingest, setup=populated_store, rounds=7)
     assert report.accepted["snapshots"] == len(last_day)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from marketpulse.model import (
     topk_from_trusted_record,
     validate_app_id,
 )
-from marketpulse.store import AppSeries, AppStates, DatasetManifest, SnapStore
+from marketpulse.store import AppSeries, AppStates, DatasetManifest, IngestReport, SnapStore
 from marketpulse.timeline import ChangeEvent, diff_states
 from marketpulse.topk import SimilarityResult
 
@@ -347,10 +348,27 @@ TO_RECORD = {  # kind -> typed record to record dict
 }
 
 
+def _file_line(line: str | bytes) -> bytes:
+    """``line`` as a data file holds it: its bytes, ending in a newline. A
+    str is its UTF-8 bytes, and a lone surrogate in it its surrogate bytes,
+    which are not UTF-8, so ingest rejects the line as it would in a file."""
+    if isinstance(line, str):
+        line = line.encode("utf-8", "surrogatepass")
+    return line if line.endswith(b"\n") else line + b"\n"
+
+
+def ingest_lines(store: SnapStore, kind: str, lines) -> IngestReport:
+    """Ingest ``lines`` of ``kind``, str or bytes, from a data file that
+    holds them one after the other (``_file_line``)."""
+    report = IngestReport()
+    store._ingest(kind, io.BytesIO(b"".join(map(_file_line, lines))), report)
+    return report
+
+
 def ingest_records(store: SnapStore, kind: str, records):
-    """Ingest typed records of ``kind`` through ``store.ingest_lines``."""
+    """Ingest typed records of ``kind`` through ``ingest_lines``."""
     to_record = TO_RECORD[kind]
-    return store.ingest_lines(kind, (canonical_json(to_record(r)) for r in records))
+    return ingest_lines(store, kind, (canonical_json(to_record(r)) for r in records))
 
 
 def ingest_market(root, market, days=None) -> SnapStore:

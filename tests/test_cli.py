@@ -16,6 +16,7 @@ from marketpulse.store import SnapStore
 
 from conftest import (
     epoch_to_date,
+    ingest_lines,
     ingest_records,
     make_snapshot,
     snapshot_to_record,
@@ -228,7 +229,7 @@ def test_committed_line_nested_too_deep_to_decode_is_skipped_and_rejected(store,
     assert main(["metrics", "staleness", "--store", str(store.root), "--out", str(out)]) == 0
     assert json.loads((out / "staleness.json").read_text())["apps"] == 1
     assert SnapStore.open(store.root)._index("snapshots").skipped_corrupt == 1
-    report = SnapStore.open(store.root).ingest_lines("reviews", [nested])
+    report = ingest_lines(SnapStore.open(store.root), "reviews", [nested])
     assert [r.line_no for r in report.rejected] == [1]
     assert "recursion" in report.rejected[0].reason
 

@@ -2,7 +2,6 @@ import datetime as dt
 import errno
 import fcntl
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -32,6 +31,7 @@ from conftest import (
     DAY0,
     NONCANONICAL_TEXT_EDITS,
     generate,
+    ingest_lines,
     ingest_market,
     ingest_records,
     make_review,
@@ -53,22 +53,22 @@ def _lines(records, encoder):
 class TestIngest:
     def test_same_line_twice_dedupes(self, store):
         line = json.dumps(snapshot_to_record(make_snapshot()))
-        report = store.ingest_lines("snapshots", [line, line])
+        report = ingest_lines(store, "snapshots", [line, line])
         assert report.accepted["snapshots"] == 1
         assert report.deduplicated["snapshots"] == 1
         assert report.total_rejected == 0
 
     def test_reingesting_later_also_dedupes(self, store):
         line = json.dumps(snapshot_to_record(make_snapshot()))
-        store.ingest_lines("snapshots", [line])
-        report = store.ingest_lines("snapshots", [line])
+        ingest_lines(store, "snapshots", [line])
+        report = ingest_lines(store, "snapshots", [line])
         assert report.accepted["snapshots"] == 0
         assert report.deduplicated["snapshots"] == 1
 
     def test_rating_out_of_range_rejected(self, store):
         rec = review_to_record(make_review())
         rec["rating"] = 6
-        report = store.ingest_lines("reviews", [json.dumps(rec)])
+        report = ingest_lines(store, "reviews", [json.dumps(rec)])
         assert report.accepted["reviews"] == 0
         assert len(report.rejected) == 1
         assert "rating out of range" in report.rejected[0].reason
@@ -76,14 +76,15 @@ class TestIngest:
 
     def test_malformed_line_rejected_with_line_number(self, store):
         good = json.dumps(snapshot_to_record(make_snapshot()))
-        report = store.ingest_lines("snapshots", [good, "{not json"])
+        report = ingest_lines(store, "snapshots", [good, "{not json"])
         assert report.accepted["snapshots"] == 1
         assert report.rejected[0].line_no == 2
 
     def test_conflicting_payload_rejected(self, store):
         snap = make_snapshot()
         changed = make_snapshot(rating_count=999)
-        report = store.ingest_lines(
+        report = ingest_lines(
+            store,
             "snapshots",
             _lines([snap, changed], snapshot_to_record),
         )
@@ -94,7 +95,7 @@ class TestIngest:
     def test_review_id_conflict_rejected(self, store):
         a = make_review(review_id="r1", rating=5)
         b = make_review(review_id="r1", rating=1)
-        report = store.ingest_lines("reviews", _lines([a, b], review_to_record))
+        report = ingest_lines(store, "reviews", _lines([a, b], review_to_record))
         assert report.accepted["reviews"] == 1
         assert "conflicting payload" in report.rejected[0].reason
 
@@ -103,11 +104,11 @@ class TestIngest:
         ingest_records(store, "snapshots", snaps)
         reopened = SnapStore.open(store.root)
         series = reopened.query_app_series("com.example.app")
-        assert len(series) == 3
+        assert len(series.snapshots) == 3
 
     def test_unknown_kind_raises(self, store):
         with pytest.raises(ValueError):
-            store.ingest_lines("nonsense", [])
+            ingest_lines(store, "nonsense", [])
 
 
 class TestQueries:
@@ -116,7 +117,7 @@ class TestQueries:
         ingest_records(store, "snapshots", [make_snapshot(day=d) for d in days])
         window = TimeWindow(date_to_epoch(days[0]), date_to_epoch(days[1]) + 86399)
         series = store.query_app_series("com.example.app", window)
-        assert len(series) == 2
+        assert len(series.snapshots) == 2
 
     def test_inverted_window_raises(self, store):
         with pytest.raises(InvalidWindowError):
@@ -125,10 +126,10 @@ class TestQueries:
     def test_unknown_app_gives_empty_series(self, store):
         series = store.query_app_series("com.absent")
         assert series.app == "com.absent"
-        assert len(series) == 0
+        assert len(series.snapshots) == 0
 
     def test_empty_store_gives_empty_list_series(self, store):
-        assert len(store.query_list_series(ListType.PAID)) == 0
+        assert len(store.query_list_series(ListType.PAID).observations) == 0
 
     def test_latest_snapshots(self, store):
         ingest_records(
@@ -249,7 +250,7 @@ def test_partial_tail_ignored_and_truncated_on_next_ingest(tmp_path, manifest):
     assert report.accepted["snapshots"] == 1
     fresh = SnapStore.open(store.root)
     series = fresh.query_app_series("com.example.app")
-    assert len(series) == 2
+    assert len(series.snapshots) == 2
     assert "com.broken" not in fresh.apps()
 
 
@@ -264,21 +265,12 @@ def test_thousand_simgen_snapshots_all_accepted(tmp_path, manifest):
     lines = [
         json.dumps(snapshot_to_record(s)) for s in market.snapshots[:1000]
     ]
-    report = store.ingest_lines("snapshots", lines)
+    report = ingest_lines(store, "snapshots", lines)
     assert report.accepted["snapshots"] == 1000
     assert report.total_rejected == 0
 
 
 # --- writer correctness ------------------------------------------------------------
-
-
-def test_refresh_picks_up_commits_of_another_handle(store):
-    other = SnapStore.open(store.root)
-    assert store.apps() == []
-    ingest_records(other, "snapshots", [make_snapshot()])
-    assert store.apps() == []
-    store.refresh()
-    assert store.apps() == ["com.example.app"]
 
 
 def test_stale_handle_does_not_append_a_duplicate(store):
@@ -367,7 +359,7 @@ def test_failed_commit_leaves_no_part_of_the_batch(store, monkeypatch, failure):
     assert data.startswith(committed) and data.endswith(b"\n")
     assert len([json.loads(line) for line in data.splitlines()]) == 4
     fresh = SnapStore.open(store.root)
-    assert len(fresh.query_app_series("com.example.app")) == 4
+    assert len(fresh.query_app_series("com.example.app").snapshots) == 4
     assert fresh._index("snapshots").skipped_corrupt == 0
 
 
@@ -376,8 +368,9 @@ def _app_lines(apps):
 
 
 def _assert_reader_matches_a_fresh_handle(store, reader):
-    assert store.ingest_lines("snapshots", _app_lines(range(100, 120))).accepted["snapshots"] == 20
-    reader.refresh()
+    assert ingest_lines(store, "snapshots", _app_lines(range(100, 120))).accepted["snapshots"] == 20
+    # the reader catches up at its next ingest, of no lines
+    ingest_lines(reader, "snapshots", [])
     fresh = SnapStore.open(store.root)
     assert reader.apps() == fresh.apps()
     assert _entity_rows(reader._index("snapshots")) == _entity_rows(fresh._index("snapshots"))
@@ -385,88 +378,34 @@ def _assert_reader_matches_a_fresh_handle(store, reader):
 
 
 def test_reader_that_scans_a_batch_whose_fsync_fails_matches_a_fresh_handle(store, monkeypatch):
-    assert store.ingest_lines("snapshots", _app_lines(range(10))).accepted["snapshots"] == 10
+    assert ingest_lines(store, "snapshots", _app_lines(range(10))).accepted["snapshots"] == 10
     reader = SnapStore.open(store.root)
-    assert len(reader.apps()) == 10
 
-    def refresh_then_fail(fd):
-        reader.refresh()
+    def scan_then_fail(fd):
+        # the reader's first scan meets the batch written and not yet fsynced
+        assert len(reader.apps()) == 10
         _failing_fsync(fd)
 
     with monkeypatch.context() as patch:
-        patch.setattr(store_mod.os, "fsync", refresh_then_fail)
+        patch.setattr(store_mod.os, "fsync", scan_then_fail)
         with pytest.raises(StoreIOError):
-            store.ingest_lines("snapshots", _app_lines(range(10, 20)))
-    assert reader.apps() == SnapStore.open(store.root).apps()
-    _assert_reader_matches_a_fresh_handle(store, reader)
-
-
-# A writer in another process: its batch is written and the log held
-# exclusively when it prints "ready"; once stdin closes, its fsync fails and
-# the batch is cut back.
-_WRITER_WHOSE_FSYNC_FAILS = """
-import errno, json, os, sys
-from marketpulse.errors import StoreIOError
-from marketpulse.store import SnapStore
-
-def hold_then_fail(fd):
-    print("ready", flush=True)
-    sys.stdin.read()
-    raise OSError(errno.EIO, "Input/output error")
-
-os.fsync = hold_then_fail
-try:
-    SnapStore.open(sys.argv[1]).ingest_lines("snapshots", json.loads(sys.argv[2]))
-except StoreIOError:
-    sys.exit(0)
-sys.exit(1)
-"""
-
-
-def test_reader_in_another_process_skips_a_batch_held_by_the_writer(store):
-    assert store.ingest_lines("snapshots", _app_lines(range(10))).accepted["snapshots"] == 10
-    reader = SnapStore.open(store.root)
-    apps = reader.apps()
-    assert len(apps) == 10
-    src = str(Path(store_mod.__file__).parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    writer = subprocess.Popen(
-        [
-            sys.executable, "-c", _WRITER_WHOSE_FSYNC_FAILS,
-            str(store.root), json.dumps(_app_lines(range(10, 20))),
-        ],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    try:
-        assert select.select([writer.stdout], [], [], 60)[0], "the writer never got ready"
-        assert writer.stdout.readline() == "ready\n"
-        # the batch is in the log, and the reader's scan finds it held
-        log_size = (store.root / "snapshots.jsonl").stat().st_size
-        assert log_size > reader._index("snapshots").scanned_bytes
-        reader.refresh()
-        assert reader.apps() == apps
-        writer.communicate("", timeout=60)
-    finally:
-        writer.kill()
-        writer.wait(timeout=60)
-    assert writer.returncode == 0
+            ingest_lines(store, "snapshots", _app_lines(range(10, 20)))
     assert reader.apps() == SnapStore.open(store.root).apps()
     _assert_reader_matches_a_fresh_handle(store, reader)
 
 
 # An ingest_dir in another process, of a data directory into a store:
 # ``hold`` holds its first batch, written and not yet fsynced, with the log
-# and the ingest lock, from printing "ready" until stdin closes; ``tear``
-# commits batches of 100 lines, writes its second batch up to the middle of
-# a line and is killed. It prints "busy" and exits 3 on ConcurrentWriteError,
-# else prints its report.
+# and the ingest lock, from printing "ready" until stdin closes; ``fail``
+# holds it the same way, then its fsync fails and the batch is cut back;
+# ``tear`` commits batches of 100 lines, writes its second batch up to the
+# middle of a line and is killed. It prints "busy" and exits 3 on
+# ConcurrentWriteError, prints "failed" and exits 4 on StoreIOError, else
+# prints its report.
 _INGEST_IN_A_CHILD = """
-import json, os, signal, sys
+import errno, json, os, signal, sys
 from marketpulse import store
-from marketpulse.errors import ConcurrentWriteError
+from marketpulse.errors import ConcurrentWriteError, StoreIOError
 
 root, data, mode = sys.argv[1:]
 fsync, write = os.fsync, os.write
@@ -475,6 +414,8 @@ def hold(fd):
     os.fsync = fsync
     print("ready", flush=True)
     sys.stdin.read()
+    if mode == "fail":
+        raise OSError(errno.EIO, "Input/output error")
     fsync(fd)
 
 writes = []
@@ -487,7 +428,7 @@ def tear(fd, data):
     write(fd, data[: data.index(b"\\n") // 2])
     os.kill(os.getpid(), signal.SIGKILL)
 
-if mode == "hold":
+if mode in ("hold", "fail"):
     os.fsync = hold
 elif mode == "tear":
     store._BATCH_LINES = 100
@@ -497,6 +438,9 @@ try:
 except ConcurrentWriteError:
     print("busy", flush=True)
     sys.exit(3)
+except StoreIOError:
+    print("failed", flush=True)
+    sys.exit(4)
 print(json.dumps(report.to_record()), flush=True)
 """
 
@@ -511,6 +455,31 @@ def _ingest_in_a_child(root, data, mode, **popen):
         env={**os.environ, "PYTHONPATH": path},
         **popen,
     )
+
+
+def test_reader_in_another_process_skips_a_batch_held_by_the_writer(store, tmp_path):
+    assert ingest_lines(store, "snapshots", _app_lines(range(10))).accepted["snapshots"] == 10
+    apps = SnapStore.open(store.root).apps()
+    assert len(apps) == 10
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "snapshots.jsonl").write_text("".join(_app_lines(range(10, 20))))
+    writer = _ingest_in_a_child(store.root, data, "fail", stdin=subprocess.PIPE)
+    try:
+        assert select.select([writer.stdout], [], [], 60)[0], "the writer never got ready"
+        assert writer.stdout.readline() == "ready\n"
+        # the batch is in the log, and a reader's scan finds it held
+        reader = SnapStore.open(store.root)
+        assert reader.apps() == apps
+        log_size = (store.root / "snapshots.jsonl").stat().st_size
+        assert log_size > reader._index("snapshots").scanned_bytes
+        out = writer.communicate("", timeout=60)[0]
+    finally:
+        writer.kill()
+        writer.wait(timeout=60)
+    assert (out, writer.returncode) == ("failed\n", 4)
+    assert reader.apps() == SnapStore.open(store.root).apps()
+    _assert_reader_matches_a_fresh_handle(store, reader)
 
 
 def _logs(root):
@@ -565,12 +534,13 @@ def test_ingest_after_a_writer_killed_mid_line_appends_the_rest_once(
     assert sorted(reader.apps()) == sorted({json.loads(line)["app"] for line in lines[:100]})
     # the next ingest cuts the torn tail, passes the committed lines in
     # blocks and appends the rest once
-    taken_alone = []
+    passed = []
     take = store_mod._CommittedLines.take
 
-    def counted(self, line):
-        taken = take(self, line)
-        taken_alone.append(taken)
+    def counted(self, data):
+        taken = take(self, data)
+        if taken:
+            passed.append(data)
         return taken
 
     monkeypatch.setattr(store_mod, "_BLOCK_BYTES", 4096)
@@ -578,7 +548,7 @@ def test_ingest_after_a_writer_killed_mid_line_appends_the_rest_once(
     report = SnapStore.open(root).ingest_dir(data)
     assert report.deduplicated == {"snapshots": 100, "reviews": 0, "topk": 0}
     assert report.accepted["snapshots"] == len(lines) - 100 and report.total_rejected == 0
-    assert sum(taken_alone) < 20
+    assert b"".join(passed) == committed and len(passed) < 20
     assert _logs(root) == {kind: (data / f"{kind}.jsonl").read_bytes() for kind in KINDS}
     assert len(SnapStore.open(root)._index("snapshots").times) == len(lines)
 
@@ -594,7 +564,7 @@ def test_malformed_committed_line_is_skipped_and_counted(store):
     assert set(report.to_record()) == {"accepted", "deduplicated", "rejected"}
     fresh = SnapStore.open(store.root)
     assert fresh._index("snapshots").skipped_corrupt == 1
-    assert len(fresh.query_app_series("com.example.app")) == 2
+    assert len(fresh.query_app_series("com.example.app").snapshots) == 2
 
 
 def _canonical(rec) -> str:
@@ -615,7 +585,7 @@ def test_duplicate_key_in_committed_log_keeps_the_first_line(tmp_path, manifest)
     assert build_app_timeline(reopened.app_states("com.example.app")).events == ()
     assert reopened._index("snapshots").skipped_corrupt == 1
     # ingest keeps the first line too: the second is a conflict
-    report = reopened.ingest_lines("snapshots", [second])
+    report = ingest_lines(reopened, "snapshots", [second])
     assert report.accepted["snapshots"] == 0
     assert [r.reason for r in report.rejected] == [
         f"conflicting payload for existing record (entity ('com.example.app',), "
@@ -669,12 +639,12 @@ def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch)
     with monkeypatch.context() as refusing:
         refusing.setattr(json, "loads", _refuse)
         for kind in ("snapshots", "reviews"):
-            with open(data / f"{kind}.jsonl", encoding="utf-8") as f:
-                report.merge(reopened.ingest_lines(kind, f))
-        # a line without its newline is a byte-identical copy too
-        assert reopened.ingest_lines("snapshots", [last]).deduplicated["snapshots"] == 1
-    with open(data / "topk.jsonl", encoding="utf-8") as f:
-        report.merge(reopened.ingest_lines("topk", f))
+            with open(data / f"{kind}.jsonl", "rb") as f:
+                reopened._ingest(kind, f, report)
+        # a copy of a line out of committed order is found by its key
+        assert ingest_lines(reopened, "snapshots", [last]).deduplicated["snapshots"] == 1
+    with open(data / "topk.jsonl", "rb") as f:
+        reopened._ingest("topk", f, report)
     assert report.accepted == {"snapshots": 0, "reviews": 0, "topk": 0}
     assert report.deduplicated == first.accepted
     assert all(report.deduplicated.values())
@@ -690,7 +660,7 @@ def test_reingest_of_lines_with_escapes_outside_their_keys_decodes_no_line(store
     assert all("\\u" in line and '\\"' in line for line in lines.values())
     monkeypatch.setattr(json, "loads", _refuse)
     for kind, line in lines.items():
-        report = store.ingest_lines(kind, [line])
+        report = ingest_lines(store, kind, [line])
         assert (report.accepted[kind], report.deduplicated[kind]) == (0, 1)
 
 
@@ -708,8 +678,8 @@ def test_bulk_ingest_of_a_market_decodes_no_snapshot_or_review_line(tmp_path, ma
     with monkeypatch.context() as refusing:
         refusing.setattr(json, "loads", _refuse)
         for kind in ("snapshots", "reviews"):
-            assert store.ingest_lines(kind, lines[kind]).accepted[kind] == len(lines[kind]) > 0
-    store.ingest_lines("topk", lines["topk"])
+            assert ingest_lines(store, kind, lines[kind]).accepted[kind] == len(lines[kind]) > 0
+    ingest_lines(store, "topk", lines["topk"])
     assert {kind: (store.root / f"{kind}.jsonl").read_bytes() for kind in KINDS} == expected
     # the same logs and index sidecars as a store filled from typed records
     by_records = ingest_market(tmp_path / "by_records", market)
@@ -743,7 +713,7 @@ def test_ingest_of_new_canonical_lines_looks_up_each_key_once(tmp_path, market, 
     monkeypatch.setattr(store_mod._LogIndex, "find", counting_find)
     store = SnapStore.create(tmp_path / "store", market.manifest)
     for kind in KINDS:
-        assert store.ingest_lines(kind, lines[kind]).accepted[kind] == len(lines[kind]) > 0
+        assert ingest_lines(store, kind, lines[kind]).accepted[kind] == len(lines[kind]) > 0
     assert calls == {kind: len(lines[kind]) for kind in KINDS}
 
 
@@ -758,9 +728,9 @@ def _padded(rec):
 @pytest.mark.parametrize("form", [_reordered_with_spaces, _padded], ids=lambda f: f.__name__)
 def test_non_canonical_copy_of_a_stored_record_dedupes(store, form):
     rec = snapshot_to_record(make_snapshot())
-    store.ingest_lines("snapshots", [_canonical(rec)])
+    ingest_lines(store, "snapshots", [_canonical(rec)])
     log = (store.root / "snapshots.jsonl").read_bytes()
-    report = SnapStore.open(store.root).ingest_lines("snapshots", [form(rec)])
+    report = ingest_lines(SnapStore.open(store.root), "snapshots", [form(rec)])
     assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 1)
     assert report.rejected == []
     assert (store.root / "snapshots.jsonl").read_bytes() == log
@@ -775,13 +745,13 @@ def test_changed_copy_of_a_stored_or_batched_record_is_a_conflict(store):
         f"(entity ('com.example.app',), time {snap.fetch_time})"
     )
     # against the batch, then against the committed log
-    report = store.ingest_lines("snapshots", [line, changed])
+    report = ingest_lines(store, "snapshots", [line, changed])
     assert [(r.line_no, r.reason) for r in report.rejected] == [(2, reason)]
-    report = SnapStore.open(store.root).ingest_lines("snapshots", [changed])
+    report = ingest_lines(SnapStore.open(store.root), "snapshots", [changed])
     assert [(r.line_no, r.reason) for r in report.rejected] == [(1, reason)]
     review = review_to_record(make_review())
-    store.ingest_lines("reviews", [_canonical(review)])
-    report = store.ingest_lines("reviews", [_canonical({**review, "text": "changed"})])
+    ingest_lines(store, "reviews", [_canonical(review)])
+    report = ingest_lines(store, "reviews", [_canonical({**review, "text": "changed"})])
     assert [r.reason for r in report.rejected] == [
         "conflicting payload for existing record "
         f"(entity ('com.example.app', 'r1'), time {date_to_epoch(DAY0)})"
@@ -792,33 +762,33 @@ def test_changed_copy_of_a_stored_or_batched_record_is_a_conflict(store):
 def test_duplicates_in_a_batch_and_line_endings_count_as_before(store, given_as):
     a = _canonical(snapshot_to_record(make_snapshot(day=DAY0)))
     b = _canonical(snapshot_to_record(make_snapshot(day=DAY0 + dt.timedelta(days=1))))
-    # a blank line is skipped; b is a last line without "\n"
+    # a blank line is skipped; the lines without "\n" get one in the file
     lines = [a + "\n", a + "\n", a + "\r\n", "", a, b]
     if given_as is bytes:
         lines = [line.encode() for line in lines]
-    report = store.ingest_lines("snapshots", lines)
+    report = ingest_lines(store, "snapshots", lines)
     assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (2, 3)
     assert report.rejected == []
     log = (store.root / "snapshots.jsonl").read_bytes()
     assert log == (a + "\n" + b + "\n").encode()
-    report = SnapStore.open(store.root).ingest_lines("snapshots", lines)
+    report = ingest_lines(SnapStore.open(store.root), "snapshots", lines)
     assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 5)
     assert report.rejected == []
     assert (store.root / "snapshots.jsonl").read_bytes() == log
 
 
 def _assert_raw_lone_surrogate_rejected_and_its_escape_dedupes(store, dumps):
-    # a str line is its UTF-8 bytes, and a raw lone surrogate has none: the
-    # line is rejected as its bytes would be; its escape is a valid line
+    # a raw lone surrogate reaches the store as its surrogate bytes, which
+    # are not UTF-8: the line is rejected as in a file; its escape is valid
     rec = {**_SNAPSHOT, "title": "broken \ud800 title"}
-    report = store.ingest_lines("snapshots", [dumps(rec, ensure_ascii=False)])
+    report = ingest_lines(store, "snapshots", [dumps(rec, ensure_ascii=False)])
     assert [r.reason.startswith("line is not valid UTF-8: ") for r in report.rejected] == [True]
     assert report.accepted["snapshots"] == report.deduplicated["snapshots"] == 0
     assert (store.root / "snapshots.jsonl").read_bytes() == b""
     line = dumps(rec)
     assert "\\ud800" in line
     for reingest in range(2):
-        report = store.ingest_lines("snapshots", [line, line])
+        report = ingest_lines(store, "snapshots", [line, line])
         assert report.accepted["snapshots"] == 1 - reingest
         assert report.deduplicated["snapshots"] == 1 + reingest
         assert report.rejected == []
@@ -872,8 +842,8 @@ _TOPK = topk_to_record(make_topk(["a", "b"]))
 def test_line_with_a_bad_key_or_field_keeps_its_rejection_text(store, kind, rec, reason):
     # the valid record under the same key is stored already
     valid = {"snapshots": _SNAPSHOT, "reviews": _REVIEW, "topk": _TOPK}[kind]
-    store.ingest_lines(kind, [_canonical(valid)])
-    report = store.ingest_lines(kind, [_canonical(rec)])
+    ingest_lines(store, kind, [_canonical(valid)])
+    report = ingest_lines(store, kind, [_canonical(rec)])
     assert [(r.kind, r.line_no, r.reason) for r in report.rejected] == [(kind, 1, reason)]
     assert report.accepted[kind] == report.deduplicated[kind] == 0
 
@@ -886,7 +856,7 @@ def test_copy_of_a_committed_line_the_codec_rejects_is_rejected(store):
     log = (store.root / "snapshots.jsonl").read_bytes()
     # neither a byte-identical nor a reformatted copy is deduplicated
     for copy in (line, json.dumps(rec)):
-        report = SnapStore.open(store.root).ingest_lines("snapshots", [copy])
+        report = ingest_lines(SnapStore.open(store.root), "snapshots", [copy])
         assert [r.reason for r in report.rejected] == ["price_cents negative"]
         assert report.accepted["snapshots"] == report.deduplicated["snapshots"] == 0
         assert report.skipped_corrupt["snapshots"] == 1
@@ -895,7 +865,7 @@ def test_copy_of_a_committed_line_the_codec_rejects_is_rejected(store):
     reopened = SnapStore.open(store.root)
     assert reopened.apps() == []
     assert reopened.latest_snapshots() == {}
-    assert len(reopened.query_app_series(rec["app"])) == 0
+    assert len(reopened.query_app_series(rec["app"]).snapshots) == 0
 
 
 def test_copy_of_a_hand_written_line_dedupes_against_its_canonical_form(store):
@@ -905,7 +875,7 @@ def test_copy_of_a_hand_written_line_dedupes_against_its_canonical_form(store):
     log = (store.root / "snapshots.jsonl").read_bytes()
     canonical = _canonical({**rec, "permissions": ["INTERNET", "VIBRATE"], "rating_avg": 4.0})
     for line in (json.dumps(rec), canonical):
-        report = SnapStore.open(store.root).ingest_lines("snapshots", [line])
+        report = ingest_lines(SnapStore.open(store.root), "snapshots", [line])
         assert (report.accepted["snapshots"], report.deduplicated["snapshots"]) == (0, 1)
         assert report.rejected == []
     assert (store.root / "snapshots.jsonl").read_bytes() == log
@@ -1083,7 +1053,7 @@ def test_ingest_gives_what_the_reference_path_gives_without_the_raw_byte_shortcu
         # from a full scan of the log, then from the sidecar that ingest wrote
         for _ in range(2):
             expected = _reference_ingest(kind, log, lines)
-            report = SnapStore.open(root).ingest_lines(kind, lines)
+            report = ingest_lines(SnapStore.open(root), kind, lines)
             after = path.read_text(encoding="utf-8")
             assert (report.to_record(), report.skipped_corrupt[kind], after) == expected
             log = after.splitlines(keepends=True)
@@ -1092,8 +1062,9 @@ def test_ingest_gives_what_the_reference_path_gives_without_the_raw_byte_shortcu
 @st.composite
 def _replayed(draw, kind, log):
     """``log``'s lines in log order, each dropped, taken once or twice, cut
-    from its newline or glued to the next, with drawn lines between them:
-    lines of a re-ingest that keep or break the committed order."""
+    from its newline or glued to the next, with drawn lines between them,
+    cut into lines as a data file that holds them one after the other cuts
+    them: lines of a re-ingest that keep or break the committed order."""
     lines = []
     for i, line in enumerate(log):
         for _ in range(draw(st.integers(0, 2))):
@@ -1105,15 +1076,8 @@ def _replayed(draw, kind, log):
             lines.append(line)
         if draw(st.booleans()):
             lines.append(draw(_log_lines(kind)) + draw(st.sampled_from(["", "\n"])))
-    return lines
-
-
-def _as_bytes(line):
-    """``line`` as the bytes ingest reads from a file, when it is UTF-8."""
-    try:
-        return line.encode("utf-8")
-    except UnicodeEncodeError:
-        return line
+    text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+    return [line + "\n" for line in text.split("\n")[:-1]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1133,7 +1097,7 @@ def test_replayed_committed_lines_give_what_the_reference_path_gives(data):
         for _ in range(2):
             lines = data.draw(_replayed(kind, log))
             expected = _reference_ingest(kind, log, lines)
-            report = SnapStore.open(root).ingest_lines(kind, map(_as_bytes, lines))
+            report = ingest_lines(SnapStore.open(root), kind, lines)
             after = path.read_text(encoding="utf-8")
             assert (report.to_record(), report.skipped_corrupt[kind], after) == expected
             log = after.splitlines(keepends=True)
@@ -1165,8 +1129,8 @@ def test_reingest_in_committed_order_reads_no_key(tmp_path, market, monkeypatch)
 def test_reingest_through_ingest_dir_passes_blocks_with_no_line_work(
     tmp_path, market, monkeypatch, block_bytes
 ):
-    # a file that repeats its log is deduplicated a block at a time: no
-    # line is admitted and none is taken on its own
+    # a file that repeats its log is deduplicated a block at a time: one
+    # take per block, and no line is admitted
     data = tmp_path / "data"
     simgen.write_dataset(market_script(), data)
     store = SnapStore.create(tmp_path / "store", market.manifest)
@@ -1175,19 +1139,34 @@ def test_reingest_through_ingest_dir_passes_blocks_with_no_line_work(
     reopened = SnapStore.open(store.root)
     for kind in KINDS:
         reopened._index(kind)
+    taken = []
+    take = store_mod._CommittedLines.take
+
+    def counted(self, data):
+        taken.append((data, take(self, data)))
+        return taken[-1][1]
+
     monkeypatch.setattr(store_mod, "_BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(store_mod, "_admit", _refuse)
-    monkeypatch.setattr(store_mod._CommittedLines, "take", _refuse)
+    monkeypatch.setattr(store_mod._CommittedLines, "take", counted)
     report = reopened.ingest_dir(data)
     assert report.deduplicated == first.accepted and all(report.deduplicated.values())
     assert sum(report.accepted.values()) == report.total_rejected == 0
     assert {p.name: p.read_bytes() for p in store.root.iterdir()} == logs
+    files = [(data / f"{kind}.jsonl").read_bytes() for kind in KINDS]
+    assert [ok for _, ok in taken] == [True] * sum(_block_count(f, block_bytes) for f in files)
+    assert b"".join(block for block, _ in taken) == b"".join(files)
 
 
-def _split_lines(data: bytes) -> list[bytes]:
-    """The lines of ``data`` cut at b"\\n" only, as iterating a file cuts
-    them."""
-    return list(io.BytesIO(data))
+def _block_count(data: bytes, size: int) -> int:
+    """The number of blocks of ``size`` bytes in ``data``, each carried on
+    to the end of the line it stops in."""
+    count = pos = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos + size - 1)
+        pos = len(data) if end < 0 else end + 1
+        count += 1
+    return count
 
 
 def _edit_line(lines, i, edit):
@@ -1223,7 +1202,7 @@ def test_ingest_dir_gives_what_its_lines_give_one_by_one(first_edit, data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # the log holds the drawn lines that ingest, and a corrupt line or not
-        SnapStore.create(tmp / "a", manifest).ingest_lines(kind, drawn)
+        ingest_lines(SnapStore.create(tmp / "a", manifest), kind, drawn)
         log = (tmp / "a" / f"{kind}.jsonl").read_text(encoding="utf-8")
         if data.draw(st.booleans()):
             with open(tmp / "a" / f"{kind}.jsonl", "a", encoding="utf-8") as f:
@@ -1247,9 +1226,10 @@ def test_ingest_dir_gives_what_its_lines_give_one_by_one(first_edit, data):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(store_mod, "_BLOCK_BYTES", block_bytes)
                 report = SnapStore.open(tmp / "a").ingest_dir(tmp / "data")
-            expected = SnapStore.open(tmp / "b").ingest_lines(
-                kind, _split_lines((tmp / "data" / f"{kind}.jsonl").read_bytes())
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                # blocks of one line: each line is taken on its own
+                patch.setattr(store_mod, "_BLOCK_BYTES", 1)
+                expected = SnapStore.open(tmp / "b").ingest_dir(tmp / "data")
             assert (report.to_record(), report.skipped_corrupt) == (
                 expected.to_record(),
                 expected.skipped_corrupt,
@@ -1263,7 +1243,7 @@ def test_blocks_are_compared_only_with_the_prefix_the_ingest_began_with(store, m
     # the lines an ingest appends are not read back as committed lines: a
     # second copy of them in the file is admitted and found by its key
     old, new = _app_lines(range(3)), _app_lines(range(3, 7))
-    store.ingest_lines("snapshots", old)
+    ingest_lines(store, "snapshots", old)
     data = store.root.parent / "data"
     data.mkdir()
     (data / "snapshots.jsonl").write_text("".join(old + new + new))
@@ -1280,22 +1260,6 @@ def test_blocks_are_compared_only_with_the_prefix_the_ingest_began_with(store, m
     report = SnapStore.open(store.root).ingest_dir(data)
     assert report.accepted["snapshots"] == 4 and report.deduplicated["snapshots"] == 7
     assert admitted == new + new
-
-
-def test_block_of_lines_is_not_one_line_of_ingest_lines(store):
-    # ingest_lines takes each item it is given as one line: two committed
-    # lines given as one str are not deduplicated, and a file holding them
-    # is cut into its two lines
-    lines = _app_lines(range(2))
-    store.ingest_lines("snapshots", lines)
-    report = SnapStore.open(store.root).ingest_lines("snapshots", ["".join(lines)])
-    assert report.deduplicated["snapshots"] == 0
-    assert [r.line_no for r in report.rejected] == [1]
-    data = store.root.parent / "data"
-    data.mkdir()
-    (data / "snapshots.jsonl").write_text("".join(lines))
-    report = SnapStore.open(store.root).ingest_dir(data)
-    assert report.deduplicated["snapshots"] == 2 and report.total_rejected == 0
 
 
 def _last_updated_epoch(rec):
@@ -1381,7 +1345,7 @@ def test_fetch_time_twins_give_what_the_reference_path_gives(lines):
                 (root / "snapshots.idx").unlink(missing_ok=True)
             expected = _reference_ingest("snapshots", log, lines)
             handle = SnapStore.open(root)
-            report = handle.ingest_lines("snapshots", lines)
+            report = ingest_lines(handle, "snapshots", lines)
             after = path.read_text(encoding="utf-8")
             assert (report.to_record(), report.skipped_corrupt["snapshots"], after) == expected
             log = after.splitlines(keepends=True)
@@ -1398,7 +1362,7 @@ def test_scan_skips_a_fetch_time_twin_before_its_last_updated_day(tmp_path, mani
     index = SnapStore.open(scanned.root)._index("snapshots")
     assert (index.sidecar_bytes, index.skipped_corrupt) == (0, 1)
     ingested = SnapStore.create(tmp_path / "ingested", manifest)
-    assert ingested.ingest_lines("snapshots", valid).accepted["snapshots"] == 2
+    assert ingest_lines(ingested, "snapshots", valid).accepted["snapshots"] == 2
     expected = ingested._index("snapshots")
     assert _entity_rows(index) == _entity_rows(expected)
     assert index.table.keys() == expected.table.keys()
@@ -1659,7 +1623,7 @@ def test_state_with_a_number_past_64_bits_keeps_the_previous_sidecar(tmp_path, m
     before = store.latest_states()
     later = make_snapshot(day=DAY0 + dt.timedelta(days=1))
     big = {**snapshot_to_record(later), "price_cents": 2**64, "free": False}
-    report = store.ingest_lines("snapshots", [_canonical(big)])
+    report = ingest_lines(store, "snapshots", [_canonical(big)])
     assert [r.reason for r in report.rejected] == ["price_cents past the signed 64-bit range"]
     assert report.accepted["snapshots"] == 0
     assert (store.root / "snapshots.idx").read_bytes() == sidecar
@@ -1684,7 +1648,7 @@ def test_state_with_a_number_past_64_bits_is_rejected_and_the_sidecar_covers_the
     ingest_records(store, "snapshots", [make_snapshot()])
     later = snapshot_to_record(make_snapshot(day=DAY0 + dt.timedelta(days=1)))
     top, past = ({**later, **_at_64_bits(field, value)} for value in (2**63 - 1, 2**63))
-    report = store.ingest_lines("snapshots", [_canonical(past), _canonical(top)])
+    report = ingest_lines(store, "snapshots", [_canonical(past), _canonical(top)])
     assert [r.reason for r in report.rejected] == [f"{field} past the signed 64-bit range"]
     assert report.accepted["snapshots"] == 1
     assert snapshot_to_record(store.latest_snapshots()[later["app"]])[field] == 2**63 - 1
@@ -1893,7 +1857,7 @@ def _assert_reingest_appends_nothing(root):
     store, logs = SnapStore.open(root), {p.name: p.read_bytes() for p in root.glob("*.jsonl")}
     for kind in ("snapshots", "reviews", "topk"):
         lines = logs[f"{kind}.jsonl"].splitlines(keepends=True)
-        report = store.ingest_lines(kind, lines)
+        report = ingest_lines(store, kind, lines)
         assert (report.accepted[kind], report.deduplicated[kind], report.rejected) == (
             0, len(lines), []
         )
@@ -2065,7 +2029,7 @@ def test_ingest_sequence_matches_a_dict_model_and_a_full_scan(batches):
         for kind, lines in batches:
             expected = _reference_ingest(kind, logs[kind], lines)
             handle = SnapStore.open(root)
-            report = handle.ingest_lines(kind, lines)
+            report = ingest_lines(handle, kind, lines)
             after = (root / f"{kind}.jsonl").read_text(encoding="utf-8")
             assert (report.to_record(), report.skipped_corrupt[kind], after) == expected
             logs[kind] = after.splitlines(keepends=True)
@@ -2151,7 +2115,7 @@ def test_find_matches_a_dict_model_over_sidecar_and_appended_rows(case):
             handle = SnapStore.open(root)
             assert all(type(rows) is range for rows in handle._index(kind).rows.values())
             _assert_find_matches(handle, kind, model)
-            handle.ingest_lines(kind, lines)
+            ingest_lines(handle, kind, lines)
             keys = [_reference_key(kind, line) for line in lines]
             # the entities the batch added a line to hold lists
             appended = {key[0][0] for key in keys if key not in model}
@@ -2194,7 +2158,8 @@ def test_find_among_many_same_day_reviews_of_one_app_makes_about_2_log2_n_compar
     ids = [f"r{i:04d}" for i in range(n)]
     random.Random(3).shuffle(ids)
     root = tmp_path / "store"
-    SnapStore.create(root, manifest).ingest_lines(
+    ingest_lines(
+        SnapStore.create(root, manifest),
         "reviews", [_canonical(review_to_record(make_review(review_id=i))) for i in ids]
     )
     app, day = "com.example.app", date_to_epoch(DAY0)
@@ -2213,7 +2178,8 @@ def test_find_among_many_same_day_reviews_of_one_app_makes_about_2_log2_n_compar
             else:
                 assert row is not None and index.table.keys()[index.tags[row]] == review_id
         # more reviews of the date turn the app's rows into a list
-        handle.ingest_lines(
+        ingest_lines(
+            handle,
             "reviews", [_canonical(review_to_record(make_review(review_id=i))) for i in later]
         )
 
@@ -2233,7 +2199,7 @@ def _hand_written_snapshot_log(store, snapshots):
 
 def _assert_rebuilt_on_next_ingest(store, tmp_path):
     log = store.root / "snapshots.jsonl"
-    SnapStore.open(store.root).ingest_lines("snapshots", [])
+    ingest_lines(SnapStore.open(store.root), "snapshots", [])
     sidecar = (store.root / "snapshots.idx").read_bytes()
     assert struct.unpack_from("=I", sidecar)[0] == store_mod._SIDECAR_MAGIC
     loaded = SnapStore.open(store.root)
@@ -2303,7 +2269,7 @@ def test_committed_fetch_time_beyond_64_bits_is_skipped_and_the_sidecar_covers_t
         past = _at_64_bits(field, 2**63)
         reason = f"{field} past the signed 64-bit range"
     too_far = _canonical({**rec, **past})
-    report = store.ingest_lines(kind, [too_far])
+    report = ingest_lines(store, kind, [too_far])
     assert [r.reason for r in report.rejected] == [reason]
     log = store.root / f"{kind}.jsonl"
     log.write_text(_canonical(rec) + "\n" + too_far + "\n")
@@ -2312,7 +2278,7 @@ def test_committed_fetch_time_beyond_64_bits_is_skipped_and_the_sidecar_covers_t
     assert (index.sidecar_bytes, index.skipped_corrupt) == (0, 1)
     assert len(index.times) == 1
     other = {**rec, "fetch_time": rec["fetch_time"] + 3600}
-    assert reopened.ingest_lines(kind, [_canonical(other)]).accepted[kind] == 1
+    assert ingest_lines(reopened, kind, [_canonical(other)]).accepted[kind] == 1
     covered = SnapStore.open(store.root)._index(kind)
     assert covered.sidecar_bytes == log.stat().st_size
     assert (len(covered.times), covered.skipped_corrupt) == (2, 1)

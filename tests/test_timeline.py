@@ -25,6 +25,7 @@ from conftest import (
     InvalidPairError,
     diff_snapshots,
     epoch_to_date,
+    ingest_lines,
     ingest_market,
     ingest_records,
     make_review,
@@ -420,7 +421,8 @@ def test_store_states_fold_like_snapshots_after_another_handle_ingests(tmp_path,
     second = SnapStore.open(root)
     second.app_states(first.apps()[0])
     ingest_records(second, "snapshots", market.snapshots)
-    first.refresh()
+    # the first handle catches up at its next ingest, of no lines
+    ingest_lines(first, "snapshots", [])
     # the writer's states come from its commits, the reader's from a scan
     for store in (first, second, SnapStore.open(root)):
         assert _timelines_match_oracle(store) > 0
@@ -457,7 +459,7 @@ def test_store_states_fold_like_snapshots_over_hand_written_lines(tmp_path, mani
     store = SnapStore.open(root)
     assert _timelines_match_oracle(store) > 0
     # the states survive a sidecar round trip (an ingest writes one)
-    store.ingest_lines("snapshots", [])
+    ingest_lines(store, "snapshots", [])
     reopened = SnapStore.open(root)
     assert reopened._index("snapshots").sidecar_bytes > 0
     assert reopened._index("snapshots").table.keys() == store._index("snapshots").table.keys()
