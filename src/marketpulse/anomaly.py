@@ -50,22 +50,6 @@ class SpikeEvent:
     score: float  # count / max(baseline, 1)
 
 
-def _dense_daily_counts(timeline: ReviewTimeline) -> list[tuple[dt.date, int, int]]:
-    """(day, positive, negative) for every day from first to last, zeros filled."""
-    if not timeline.days:
-        return []
-    by_day = {d.day: (d.positive, d.negative) for d in timeline.days}
-    first = timeline.days[0].day
-    last = timeline.days[-1].day
-    out = []
-    day = first
-    while day <= last:
-        pos, neg = by_day.get(day, (0, 0))
-        out.append((day, pos, neg))
-        day += dt.timedelta(days=1)
-    return out
-
-
 def detect_review_spikes(
     timeline: ReviewTimeline, params: SpikeParams = SpikeParams()
 ) -> list[SpikeEvent]:
@@ -76,12 +60,17 @@ def detect_review_spikes(
     available prefix, so the very first day is tested against the bare
     min_abs floor.
     """
-    dense = _dense_daily_counts(timeline)
+    if not timeline.days:
+        return []
+    first = timeline.days[0].day.toordinal()
+    size = timeline.days[-1].day.toordinal() - first + 1
+    positive, negative = [0] * size, [0] * size
+    for d in timeline.days:
+        offset = d.day.toordinal() - first
+        positive[offset], negative[offset] = d.positive, d.negative
     spikes = []
-    for polarity, column in ((Polarity.POSITIVE, 1), (Polarity.NEGATIVE, 2)):
-        counts = [row[column] for row in dense]
-        for i, (day, *_) in enumerate(dense):
-            count = counts[i]
+    for polarity, counts in ((Polarity.POSITIVE, positive), (Polarity.NEGATIVE, negative)):
+        for i, count in enumerate(counts):
             if count <= 0 or count < params.min_abs:
                 # below the threshold whatever the window holds
                 continue
@@ -96,7 +85,7 @@ def detect_review_spikes(
                 spikes.append(
                     SpikeEvent(
                         app=timeline.app,
-                        day=day,
+                        day=dt.date.fromordinal(first + i),
                         polarity=polarity,
                         count=count,
                         baseline=float(baseline),

@@ -65,6 +65,13 @@ def _write_json(path: Path, payload) -> None:
     _replace_file(path, lambda f: f.write(text))
 
 
+def _report(path: Path, payload, summary=None) -> None:
+    """Write ``payload`` to ``path`` and print ``summary``, or the payload
+    when there is none, as one line of JSON."""
+    _write_json(path, payload)
+    print(json.dumps(payload if summary is None else summary, sort_keys=True))
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     def write(f):
         writer = csv.writer(f)
@@ -232,8 +239,7 @@ def cmd_crawl(args) -> int:
         f.writelines(line for _, _, line in lines)
 
     _replace_file(out / "snapshots.jsonl", write_snapshots)
-    _write_json(out / "crawl_report.json", result.report.to_record())
-    print(json.dumps(result.report.to_record(), sort_keys=True))
+    _report(out / "crawl_report.json", result.report.to_record())
     return EXIT_OK
 
 
@@ -280,8 +286,7 @@ def cmd_metrics(args) -> int:
             "window_days": args.window_days,
             "reference": reference.isoformat(),
         }
-        _write_json(out / "staleness.json", payload)
-        print(json.dumps(payload, sort_keys=True))
+        _report(out / "staleness.json", payload)
     elif args.what == "popularity":
         counts = {klass.value: 0 for klass in metrics.PopularityClass}
         rows = []
@@ -302,8 +307,7 @@ def cmd_metrics(args) -> int:
                 k: (v / total if total else None) for k, v in counts.items()
             },
         }
-        _write_json(out / "popularity.json", payload)
-        print(json.dumps(payload, sort_keys=True))
+        _report(out / "popularity.json", payload)
     elif args.what == "updates":
         rows = []
         update_counts = []
@@ -325,8 +329,7 @@ def cmd_metrics(args) -> int:
             "updated_at_least_once": updated,
             "updated_share": updated / len(update_counts) if update_counts else None,
         }
-        _write_json(out / "updates.json", payload)
-        print(json.dumps(payload, sort_keys=True))
+        _report(out / "updates.json", payload)
     elif args.what == "price":
         return _metrics_price(args, store, out)
     elif args.what == "association":
@@ -347,12 +350,10 @@ def cmd_metrics(args) -> int:
                 for kb in matrix.kinds
             },
         }
-        _write_json(out / "association.json", payload)
-        print(
-            json.dumps(
-                {"universe_size": matrix.universe_size, "kinds": kinds},
-                sort_keys=True,
-            )
+        _report(
+            out / "association.json",
+            payload,
+            {"universe_size": matrix.universe_size, "kinds": kinds},
         )
     elif args.what == "powerlaw":
         latest = store.latest_snapshots()
@@ -388,8 +389,7 @@ def cmd_metrics(args) -> int:
             )
         except MarketPulseError:
             payload["downloads_ratings_slope"] = None
-        _write_json(out / "powerlaw.json", payload)
-        print(json.dumps(payload, sort_keys=True))
+        _report(out / "powerlaw.json", payload)
     return EXIT_OK
 
 
@@ -470,8 +470,7 @@ def _metrics_price(args, store: SnapStore, out: Path) -> int:
         "decomposition_period": args.period,
         "decomposition_error": decomposition_error,
     }
-    _write_json(out / "price.json", payload)
-    print(json.dumps(payload, sort_keys=True))
+    _report(out / "price.json", payload)
     return EXIT_OK
 
 
@@ -553,8 +552,7 @@ def cmd_topk(args) -> int:
             "m_sd": stats.m_sd,
             "o_first_last": stats.o_first_last,
         }
-        _write_json(out / f"overlap_{tag}_{first}_{last}.json", payload)
-        print(json.dumps(payload, sort_keys=True))
+        _report(out / f"overlap_{tag}_{first}_{last}.json", payload)
     elif args.what == "occupancy":
         occupancy = topk_mod.rank_occupancy(series)
         _write_csv(
@@ -577,8 +575,7 @@ def cmd_topk(args) -> int:
             "list": list_type.value,
             "mean_hours": {str(r): means[r] for r in sorted(means)},
         }
-        _write_json(out / f"lifetime_{tag}.json", payload)
-        print(json.dumps(payload, sort_keys=True))
+        _report(out / f"lifetime_{tag}.json", payload)
     return EXIT_OK
 
 
@@ -625,8 +622,7 @@ def cmd_anomaly(args) -> int:
                 }
             )
         payload = {"spikes": len(all_spikes), "apps": per_app}
-        _write_json(out / "review_spikes.json", payload)
-        print(json.dumps({"spikes": len(all_spikes)}, sort_keys=True))
+        _report(out / "review_spikes.json", payload, {"spikes": len(all_spikes)})
     elif args.what == "permissions":
         policy = (
             anomaly_mod.DangerousPermissionPolicy.load(args.policy)
@@ -653,13 +649,11 @@ def cmd_anomaly(args) -> int:
                 {"day": f.day.isoformat(), "kind": f.kind.value, "detail": list(f.detail)}
             )
         payload = {"flags": len(flags), "apps": per_app}
-        _write_json(out / "permission_flags.json", payload)
-        print(json.dumps({"flags": len(flags)}, sort_keys=True))
+        _report(out / "permission_flags.json", payload, {"flags": len(flags)})
     elif args.what == "decoupling":
         rate = anomaly_mod.permission_version_decoupling_rate(_timelines(store))
         payload = {"decoupling_rate": rate}
-        _write_json(out / "decoupling.json", payload)
-        print(json.dumps(payload, sort_keys=True))
+        _report(out / "decoupling.json", payload)
     elif args.what == "scam":
         clusters = anomaly_mod.scam_pattern_scan(store.latest_snapshots().values())
         payload = {
@@ -674,8 +668,7 @@ def cmd_anomaly(args) -> int:
                 for c in clusters
             ]
         }
-        _write_json(out / "scam_clusters.json", payload)
-        print(json.dumps({"clusters": len(clusters)}, sort_keys=True))
+        _report(out / "scam_clusters.json", payload, {"clusters": len(clusters)})
     elif args.what == "flags":
         if not args.flags:
             raise _UsageError("anomaly flags requires --flags FILE")
@@ -689,8 +682,7 @@ def cmd_anomaly(args) -> int:
             rows,
         )
         payload = {"apps": len(joined), "selected": sum(f.selected for f in joined)}
-        _write_json(out / "external_flags.json", payload)
-        print(json.dumps(payload, sort_keys=True))
+        _report(out / "external_flags.json", payload)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import bisect
 import datetime as dt
 import hashlib
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -29,6 +29,7 @@ from .model import (
     ListType,
     PopularityClass,
     canonical_json,
+    canonical_snapshot_line,
     date_to_epoch,
     parse_date,
     snapshot_from_trusted_record,
@@ -321,54 +322,42 @@ def _scam_slug(scam: ScamDeveloperScript) -> str:
     return "".join(ch.lower() for ch in scam.developer if ch.isalnum()) or "scam"
 
 
+def _per_class(convert):
+    """Converter of a {popularity class: value} mapping."""
+    return lambda rec: {PopularityClass(klass): convert(v) for klass, v in rec.items()}
+
+
+# script key -> converter from its JSON form; any other key is taken as it is
+_SCRIPT_VALUES = {
+    "observation_start": parse_date,
+    "topk_lists": lambda rec: {ListType(k): TopKListConfig(**v) for k, v in rec.items()},
+    "fraud_campaigns": lambda recs: tuple(FraudCampaign(**c) for c in recs),
+    "scam_developers": lambda recs: tuple(ScamDeveloperScript(**s) for s in recs),
+    "popularity_mix": _per_class(float),
+    "review_rates": _per_class(float),
+    "update_gap_model": _per_class(lambda v: UpdateGapModel(**v)),
+    "price_change_model": lambda v: PriceChangeModel(**v),
+    "permission_change_model": lambda v: PermissionChangeModel(**v),
+}
+
+
 def script_from_record(rec: dict) -> MarketScript:
     """Build a MarketScript from its JSON dict form (unknown keys rejected)."""
+    if not isinstance(rec, dict):
+        raise ConfigError("script must be a JSON object")
     known = {f.name for f in dataclass_fields(MarketScript)}
     unknown = set(rec) - known
     if unknown:
         raise ConfigError(f"unknown script keys: {sorted(unknown)}")
     kwargs = dict(rec)
-    if "observation_start" in kwargs:
-        kwargs["observation_start"] = parse_date(kwargs["observation_start"])
-    if "topk_lists" in kwargs:
-        kwargs["topk_lists"] = {
-            ListType(name): TopKListConfig(**cfg)
-            for name, cfg in kwargs["topk_lists"].items()
-        }
-    if "fraud_campaigns" in kwargs:
-        kwargs["fraud_campaigns"] = tuple(
-            FraudCampaign(**c) for c in kwargs["fraud_campaigns"]
-        )
-    if "scam_developers" in kwargs:
-        kwargs["scam_developers"] = tuple(
-            ScamDeveloperScript(**s) for s in kwargs["scam_developers"]
-        )
-    if "popularity_mix" in kwargs:
-        kwargs["popularity_mix"] = {
-            PopularityClass(klass): float(v)
-            for klass, v in kwargs["popularity_mix"].items()
-        }
-    if "review_rates" in kwargs:
-        kwargs["review_rates"] = {
-            PopularityClass(klass): float(v)
-            for klass, v in kwargs["review_rates"].items()
-        }
-    if "update_gap_model" in kwargs:
-        kwargs["update_gap_model"] = {
-            PopularityClass(klass): UpdateGapModel(**v)
-            for klass, v in kwargs["update_gap_model"].items()
-        }
-    if "price_change_model" in kwargs:
-        kwargs["price_change_model"] = PriceChangeModel(**kwargs["price_change_model"])
-    if "permission_change_model" in kwargs:
-        kwargs["permission_change_model"] = PermissionChangeModel(
-            **kwargs["permission_change_model"]
-        )
     try:
+        for key, convert in _SCRIPT_VALUES.items():
+            if key in kwargs:
+                kwargs[key] = convert(kwargs[key])
         script = MarketScript(**kwargs)
-    except TypeError as exc:
+        script.validate()
+    except (TypeError, AttributeError) as exc:
         raise ConfigError(str(exc)) from None
-    script.validate()
     return script
 
 
@@ -862,15 +851,13 @@ def _snapshot_lines(plan: _MarketPlan) -> Iterator[list[str]]:
     texts = []  # (head, tail) of each app's state on the current day
     switches: dict[int, list] = {}  # day index -> [(app position, (head, tail))]
     for pos, p in enumerate(apps):
-        state = {
-            "price_cents": p.price0,
-            "downloads": p.bucket0,
-            "rating_count": p.rating_count0,
-            "version": p.version0,
-            "permissions": p.permissions0,
-            "category": p.category,
-            "last_updated": p.last_updated0,
-        }
+        snap = AppSnapshot(
+            app=p.app, fetch_time=0, title=p.title, developer=p.developer,
+            category=p.category, price_cents=p.price0, free=p.price0 == 0,
+            downloads=p.bucket0, rating_avg=p.rating_avg, rating_count=p.rating_count0,
+            version=p.version0, last_updated=p.last_updated0, size_bytes=p.size_bytes,
+            permissions=p.permissions0,
+        )
         # a change takes effect on the first snapshot day on or after its
         # day (plans put each on a snapshot day after the first); within one
         # day the changes apply in plan order, then the update days
@@ -881,10 +868,11 @@ def _snapshot_lines(plan: _MarketPlan) -> Iterator[list[str]]:
         for day in p.update_days:
             i = bisect.bisect_left(days, day)
             updates.setdefault(i, []).append(("last_updated", day))
-        texts.append(_snapshot_text(p, state))
+        texts.append(_snapshot_text(snap))
         for i in sorted(updates):
-            state.update(updates[i])
-            switches.setdefault(i, []).append((pos, _snapshot_text(p, state)))
+            new = dict(updates[i])
+            snap = replace(snap, **new, free=new.get("price_cents", snap.price_cents) == 0)
+            switches.setdefault(i, []).append((pos, _snapshot_text(snap)))
     for i, day in enumerate(days):
         for pos, text in switches.get(i, ()):
             texts[pos] = text
@@ -892,31 +880,12 @@ def _snapshot_lines(plan: _MarketPlan) -> Iterator[list[str]]:
         yield [head + fetch_time + tail for head, tail in texts]
 
 
-def _snapshot_text(p: _AppPlan, state: dict) -> tuple[str, str]:
-    """The canonical line of ``p`` in ``state``, split around its
-    ``fetch_time`` value. A quote inside a JSON string is escaped, so the
-    first ``"fetch_time":`` is the key."""
-    text = canonical_json(
-        {
-            "app": p.app,
-            "fetch_time": 0,
-            "title": p.title,
-            "developer": p.developer,
-            "category": state["category"],
-            "price_cents": state["price_cents"],
-            "free": state["price_cents"] == 0,
-            "downloads_lo": state["downloads"].lo,
-            "downloads_hi": state["downloads"].hi,
-            "rating_avg": p.rating_avg,
-            "rating_count": state["rating_count"],
-            "version": state["version"],
-            "last_updated": state["last_updated"].isoformat(),
-            "size_bytes": p.size_bytes,
-            "permissions": sorted(state["permissions"]),
-        }
-    )
-    head, tail = text.split('"fetch_time":0,', 1)
-    return head + '"fetch_time":', "," + tail + "\n"
+def _snapshot_text(snap: AppSnapshot) -> tuple[str, str]:
+    """The canonical line of ``snap``, whose ``fetch_time`` is 0, split
+    around its ``fetch_time`` value. A quote inside a JSON string is
+    escaped, so the first ``"fetch_time":`` is the key."""
+    head, tail = canonical_snapshot_line(snap).split('"fetch_time":0,', 1)
+    return head + '"fetch_time":', "," + tail
 
 
 def _review_lines(plan: _MarketPlan) -> list[str]:
@@ -1081,9 +1050,10 @@ def write_dataset(
     Writes manifest.json, snapshots.jsonl, reviews.jsonl, topk.jsonl and
     ground_truth.json; with ``render_market_seeds`` > 0 also renders
     market_pages.jsonl plus a seeds.txt so a crawl can run against the
-    final day's market state. Every line is in the store's canonical text
-    (``canonical_json``), so an ingest stores it as it is. Returns the
-    ground-truth record.
+    final day's market state. Every line is in the store's canonical text,
+    so an ingest stores it as it is: snapshot lines come from
+    ``canonical_snapshot_line``, as the crawl writes them, and the other
+    lines from ``canonical_json``. Returns the ground-truth record.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

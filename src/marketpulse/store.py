@@ -50,6 +50,7 @@ import operator
 import os
 import struct
 import threading
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -954,6 +955,7 @@ class SnapStore:
         if fd is None:
             fd = os.open(self._log_path(kind), os.O_RDONLY)
             self._read_handles[kind] = fd
+            weakref.finalize(self, os.close, fd)
         return fd
 
     def _read_records(self, kind: str, rows) -> list:
@@ -986,8 +988,6 @@ class SnapStore:
         log is cut back to the end of the last committed batch. The index
         sidecar is rewritten after the last one.
         """
-        if kind not in KINDS:
-            raise ValueError(f"unknown record kind {kind!r}")
         read_text, state_reader = _TEXT_READERS[kind]
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:

@@ -14,7 +14,6 @@ from marketpulse.anomaly import (
     ScamParams,
     SpikeEvent,
     SpikeParams,
-    _dense_daily_counts,
     detect_review_spikes,
     join_external_flags,
     permission_flags,
@@ -144,6 +143,22 @@ class TestSpikes:
         )
         params = SpikeParams(window_days=window_days, mad_k=mad_k, min_abs=min_abs)
         assert detect_review_spikes(timeline, params) == _reference_spikes(timeline, params)
+
+
+def _dense_daily_counts(timeline):
+    """(day, positive, negative) for every day from first to last, zeros filled."""
+    if not timeline.days:
+        return []
+    by_day = {d.day: (d.positive, d.negative) for d in timeline.days}
+    first = timeline.days[0].day
+    last = timeline.days[-1].day
+    out = []
+    day = first
+    while day <= last:
+        pos, neg = by_day.get(day, (0, 0))
+        out.append((day, pos, neg))
+        day += dt.timedelta(days=1)
+    return out
 
 
 def _reference_spikes(timeline, params):

@@ -257,6 +257,25 @@ class TestExitCodes:
         bad.write_text(json.dumps({"seed": 1, "wrong_key": True}))
         assert main(["simulate", "--script", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "script",
+        [
+            {"topk_lists": {"Free": {"lenght": 5}}},
+            {"fraud_campaigns": [{"ap": 1}]},
+            {"observation_start": 20141024},
+            [1, 2],
+        ],
+        ids=["topk_key", "campaign_key", "date_type", "list"],
+    )
+    def test_malformed_script_is_validation_error(self, tmp_path, capsys, script):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(script))
+        assert main(["simulate", "--script", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if isinstance(script, list):
+            assert err == "error: script must be a JSON object\n"
+
     def test_env_var_default_store(self, dataset, monkeypatch, tmp_path):
         monkeypatch.setenv("MARKETPULSE_STORE", str(dataset["store"]))
         code = main(["metrics", "popularity", "--out", str(tmp_path / "r")])

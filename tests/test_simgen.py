@@ -28,6 +28,7 @@ from marketpulse.model import (
     ListType,
     PopularityClass,
     canonical_json,
+    canonical_snapshot_line,
     snapshot_from_trusted_record,
 )
 from marketpulse.simgen import (
@@ -235,11 +236,11 @@ class TestLines:
         plan = simgen.plan_market(script)
         calls = []
 
-        def counting_canonical_json(value):
-            calls.append(value)
-            return canonical_json(value)
+        def counting_canonical_snapshot_line(snap):
+            calls.append(snap)
+            return canonical_snapshot_line(snap)
 
-        monkeypatch.setattr(simgen, "canonical_json", counting_canonical_json)
+        monkeypatch.setattr(simgen, "canonical_snapshot_line", counting_canonical_snapshot_line)
         lines = [line for day_lines in simgen._snapshot_lines(plan) for line in day_lines]
         # every change and update lands on a snapshot day; an app's changes
         # of one day make one new state
@@ -401,6 +402,22 @@ class TestScriptCodec:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown script keys"):
             script_from_record({"seed": 1, "bogus": 2})
+
+    @pytest.mark.parametrize(
+        "rec, message",
+        [
+            ({"topk_lists": {"Free": {"lenght": 5}}}, "'lenght'"),
+            ({"topk_lists": [5]}, "items"),
+            ({"fraud_campaigns": [{"ap": 1}]}, "'ap'"),
+            ({"observation_start": 20141024}, "str"),
+            ({"n_developers": "5"}, "'<'"),
+            ([1, 2], "^script must be a JSON object$"),
+        ],
+        ids=["topk_key", "topk_lists_type", "campaign_key", "date_type", "int_type", "list"],
+    )
+    def test_malformed_script_is_a_config_error(self, rec, message):
+        with pytest.raises(ConfigError, match=message):
+            script_from_record(rec)
 
     def test_bad_mix_rejected(self):
         with pytest.raises(ConfigError, match="popularity_mix"):

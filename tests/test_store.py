@@ -1,6 +1,7 @@
 import datetime as dt
 import errno
 import fcntl
+import gc
 import hashlib
 import itertools
 import json
@@ -105,10 +106,6 @@ class TestIngest:
         reopened = SnapStore.open(store.root)
         series = reopened.query_app_series("com.example.app")
         assert len(series.snapshots) == 3
-
-    def test_unknown_kind_raises(self, store):
-        with pytest.raises(ValueError):
-            ingest_lines(store, "nonsense", [])
 
 
 class TestQueries:
@@ -286,6 +283,23 @@ def test_stale_handle_does_not_append_a_duplicate(store):
         for s in SnapStore.open(store.root).query_app_series("com.example.app").snapshots
     ]
     assert times == [first.fetch_time, second.fetch_time]
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_dropped_handles_close_their_read_fds(store):
+    ingest_records(store, "snapshots", [make_snapshot()])
+    ingest_records(store, "reviews", [make_review()])
+    ingest_records(store, "topk", [make_topk(["com.example.app"])])
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        handle = SnapStore.open(store.root)
+        assert handle.query_app_series("com.example.app").snapshots
+        assert handle.query_reviews("com.example.app")
+        assert handle.query_list_series(ListType.FREE).observations
+        del handle
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_ingest_while_another_holds_the_lock_raises_and_writes_nothing(

@@ -1,8 +1,8 @@
 """The package's surface is what the CLI or the benchmark reaches.
 
-Every public top-level function or class of ``src/marketpulse``, and every
+Every top-level function or class of ``src/marketpulse``, and every
 method and property of every class there (private ones included, dunders
-excluded), must be named somewhere in ``src/marketpulse`` or ``perfbench``
+such as a module's ``__getattr__`` excluded), must be named somewhere in ``src/marketpulse`` or ``perfbench``
 outside its own definition: as a name, an attribute or an import alias. A
 name that only tests reach belongs in the tests. ``ALLOWED`` names the
 methods that code outside both reaches, each with its reason.
@@ -32,12 +32,16 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _public_definitions(module: ast.Module) -> list:
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _top_level_definitions(module: ast.Module) -> list:
     return [
         node
         for node in module.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and not _dunder(node.name)
     ]
 
 
@@ -50,7 +54,7 @@ def _methods(module: ast.Module) -> list:
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _dunder(node.name)
     ]
 
 
@@ -76,8 +80,8 @@ def _names_used(tree: ast.AST, skip: set) -> set:
 @functools.cache
 def definitions() -> dict:
     """``module.name`` or ``module.Class.method`` -> whether product or
-    benchmark code names it, for each public top-level definition and each
-    method of the package."""
+    benchmark code names it, for each top-level definition and each method
+    of the package."""
     modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
     trees = [*modules.values(), *(_parse(path) for path in sorted(PERFBENCH.glob("*.py")))]
     names = [_names_used(tree, set()) for tree in trees]
@@ -91,7 +95,7 @@ def definitions() -> dict:
 
     found = {}
     for path, module in modules.items():
-        for definition in _public_definitions(module):
+        for definition in _top_level_definitions(module):
             found[f"{path.stem}.{definition.name}"] = reached(path, definition)
         for cls, method in _methods(module):
             found[f"{path.stem}.{cls}.{method.name}"] = reached(path, method)
@@ -123,14 +127,18 @@ def test_the_scan_sees_definitions_and_references():
         "class _Private:\n"
         "    def _helper(self): pass\n"
         "def _private(): pass\n"
+        "def _unreached(): return _unreached()\n"
+        "def __getattr__(name): pass\n"
         "x = used() + m.Attr + Attr().called()\n"
     )
-    names = [d.name for d in _public_definitions(tree)]
-    assert names == ["used", "recursive", "Attr"]
+    names = [d.name for d in _top_level_definitions(tree)]
+    assert names == ["used", "recursive", "Attr", "_Private", "_private", "_unreached"]
     recursive = tree.body[3]
     used = _names_used(tree, {recursive})
     assert {"used", "Attr", "imported"} <= used
     assert "recursive" not in used
+    unreached_private = tree.body[7]
+    assert "_unreached" not in _names_used(tree, {unreached_private})
     methods = _methods(tree)
     assert [(cls, method.name) for cls, method in methods] == [
         ("Attr", "called"),
