@@ -36,7 +36,7 @@ class SpikeParams:
     min_abs: int = 20
 
     def __post_init__(self):
-        if self.window_days < 1 or self.mad_k < 0 or self.min_abs < 0:
+        if self.window_days < 1 or not 0 <= self.mad_k < float("inf") or self.min_abs < 0:
             raise ConfigError("invalid spike detection parameters")
 
 

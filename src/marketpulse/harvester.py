@@ -257,12 +257,11 @@ def _build_page(app: str, metas: dict[str, str], similar: list[str]) -> ParsedPa
     MalformedDocumentError."""
     try:
         lo_text, _, hi_text = metas["downloads"].partition("-")
-        # the bucket, the snapshot and the page are set through __dict__, as
+        downloads = DownloadBucket(int(lo_text), int(hi_text))
+        price_cents = int(metas["price"])
+        # the snapshot and the page are set through __dict__, as
         # model.snapshot_from_trusted_record sets a snapshot: their __init__
         # checks nothing, and a frozen dataclass's costs a third of a parse
-        downloads = object.__new__(DownloadBucket)
-        downloads.__dict__.update(lo=int(lo_text), hi=int(hi_text))
-        price_cents = int(metas["price"])
         snapshot = object.__new__(AppSnapshot)
         snapshot.__dict__.update(
             app=app,

@@ -81,8 +81,7 @@ DOWNLOAD_LADDER: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class DownloadBucket:
+class DownloadBucket(NamedTuple):
     """A download-count range as exposed by the market (lo inclusive)."""
 
     lo: int
@@ -256,8 +255,7 @@ def _strings(rec: dict, name: str) -> list:
 def _snapshot_violations(
     app, fetch_time, price, free, rating_avg, rating_count, lo, hi, size, updated
 ) -> list[str]:
-    """Every invariant a snapshot violates; ``updated`` is the date ordinal
-    of last_updated."""
+    """Every invariant a snapshot violates; ``updated`` is last_updated."""
     violations = validate_app_id(app)
     if fetch_time not in _FETCH_TIME_RANGE:
         violations.append("fetch_time outside the signed 64-bit range")
@@ -281,7 +279,7 @@ def _snapshot_violations(
         violations.append("downloads_hi past the signed 64-bit range")
     if size < 0:
         violations.append("size_bytes negative")
-    if (updated - _EPOCH_ORDINAL) * SECONDS_PER_DAY > fetch_time:
+    if date_to_epoch(updated) > fetch_time:
         violations.append("last_updated in future")
     return violations
 
@@ -296,33 +294,30 @@ def _review_violations(app, review_id, rating) -> list[str]:
     return violations
 
 
-def snapshot_line(rec: dict) -> tuple[tuple, bytes, tuple]:
+def snapshot_line(rec: dict) -> tuple[tuple, bytes, TimelineState]:
     """The ((app,), fetch_time) key of a snapshots.jsonl record, its
-    canonical line and its timeline-state key: the ``TimelineState`` fields,
-    downloads as lo and hi and last_updated as a date ordinal."""
+    canonical line and its ``TimelineState``."""
     permissions = _strings(rec, "permissions")
     permission_set = frozenset(permissions)
     if len(permission_set) != len(permissions):
         raise ValueError("permissions has duplicates")
     s = _fields(rec, _SNAPSHOT_FIELDS)
     price, lo, hi = s["price_cents"], s["downloads_lo"], s["downloads_hi"]
-    updated = s["last_updated"].toordinal()
     violations = _snapshot_violations(
         s["app"], s["fetch_time"], price, s["free"], s["rating_avg"], s["rating_count"],
-        lo, hi, s["size_bytes"], updated,
+        lo, hi, s["size_bytes"], s["last_updated"],
     )
     if violations:
         raise ValueError("; ".join(violations))
     # in [0,5] now, so float() of an integer cannot overflow
     s["rating_avg"] = float(s["rating_avg"])
-    state = (price, lo, hi, s["rating_count"], s["version"], s["category"])
+    state = TimelineState(
+        price, DownloadBucket(lo, hi), s["rating_count"], s["version"], s["category"],
+        permission_set, s["last_updated"],
+    )
     s["last_updated"] = s["last_updated"].isoformat()
     s["permissions"] = sorted(permissions)
-    return (
-        ((s["app"],), s["fetch_time"]),
-        (canonical_json(s) + "\n").encode("utf-8"),
-        (*state, permission_set, updated),
-    )
+    return ((s["app"],), s["fetch_time"]), (canonical_json(s) + "\n").encode("utf-8"), state
 
 
 def review_line(rec: dict) -> tuple[tuple, bytes, None]:
@@ -409,10 +404,9 @@ def snapshot_text(line: str) -> tuple[tuple, re.Match] | None:
     return ((head[1],), int(head[6])), head
 
 
-def snapshot_text_state(head: re.Match) -> tuple:
-    """What ``snapshot_line`` returns as the state key of the line of
-    ``head``, which is then its canonical line; raises ValueError when it is
-    not."""
+def snapshot_text_state(head: re.Match) -> TimelineState:
+    """What ``snapshot_line`` returns as the state of the line of ``head``,
+    which is then its canonical line; raises ValueError when it is not."""
     free, updated, permissions, price, rating_avg, rating_count, size, _, version = (
         _rest(_SNAPSHOT_REST, head).groups()
     )
@@ -424,7 +418,7 @@ def snapshot_text_state(head: re.Match) -> tuple:
     if repr(rating) != rating_avg:
         raise ValueError("rating_avg not in its shortest form")
     # a YYYY-MM-DD text that parses is the ISO form of its date
-    updated = dt.date.fromisoformat(updated).toordinal()
+    updated = dt.date.fromisoformat(updated)
     permissions = permissions[1:-1].split('","') if permissions else []
     permission_set = frozenset(permissions)
     if sorted(permission_set) != permissions:
@@ -433,7 +427,9 @@ def snapshot_text_state(head: re.Match) -> tuple:
         app, fetch_time, price, free == "true", rating, rating_count, lo, hi, size, updated
     ):
         raise ValueError("snapshot violates an invariant")
-    return (price, lo, hi, rating_count, version, category, permission_set, updated)
+    return TimelineState(
+        price, DownloadBucket(lo, hi), rating_count, version, category, permission_set, updated
+    )
 
 
 class SnapshotStateMemo:
@@ -441,7 +437,7 @@ class SnapshotStateMemo:
     each run of an app's lines that differ in ``fetch_time`` alone.
 
     Per app it keeps the last line that passed the full check, with its
-    fetch_time digits (head group 6) cut out, and that line's state key.
+    fetch_time digits (head group 6) cut out, and that line's state.
     Every check but two reads only the cut text, so a line whose cut text
     equals its app's is the canonical line of a valid record exactly when
     its fetch_time is in the signed 64-bit range and not before the
@@ -451,19 +447,19 @@ class SnapshotStateMemo:
 
     The cut texts and the states are two dicts keyed by app, so the memo
     adds no object the garbage collector tracks per app or per line. A
-    state is kept as ``shared`` returns it: the equal state key the caller
-    holds already (its index's table), so the tuple and frozenset the full
-    check built for each line are freed, not kept.
+    state is kept as ``shared`` returns it: the equal state the caller holds
+    already (its index's table), so the objects the full check built for
+    each line are freed, not kept.
     """
 
     __slots__ = ("_texts", "_states", "_shared")
 
-    def __init__(self, shared: Callable[[tuple], tuple]):
+    def __init__(self, shared: Callable[[TimelineState], TimelineState]):
         self._texts: dict[str, str] = {}
-        self._states: dict[str, tuple] = {}
+        self._states: dict[str, TimelineState] = {}
         self._shared = shared
 
-    def __call__(self, head: re.Match) -> tuple:
+    def __call__(self, head: re.Match) -> TimelineState:
         line = head.string
         start, end = head.span(6)
         cut = line[:start] + line[end:]
@@ -471,10 +467,7 @@ class SnapshotStateMemo:
         if self._texts.get(app) == cut:
             state = self._states[app]
             fetch_time = int(head[6])
-            if (
-                fetch_time in _FETCH_TIME_RANGE
-                and (state[7] - _EPOCH_ORDINAL) * SECONDS_PER_DAY <= fetch_time
-            ):
+            if fetch_time in _FETCH_TIME_RANGE and date_to_epoch(state.last_updated) <= fetch_time:
                 return state
         state = self._states[app] = self._shared(snapshot_text_state(head))
         self._texts[app] = cut
@@ -496,7 +489,7 @@ def review_text(line: str) -> tuple[tuple, re.Match] | None:
 
 
 def review_text_state(head: re.Match) -> None:
-    """What ``review_line`` returns as the state key of the line of ``head``
+    """What ``review_line`` returns as the state of the line of ``head``
     (None), which is then its canonical line; raises ValueError when it is
     not."""
     _rest(_REVIEW_REST, head)

@@ -349,6 +349,14 @@ def script_from_record(rec: dict) -> MarketScript:
     unknown = set(rec) - known
     if unknown:
         raise ConfigError(f"unknown script keys: {sorted(unknown)}")
+    # a scalar value has its default's type; a boolean is no int, and a
+    # float may be given as any number
+    for f in dataclass_fields(MarketScript):
+        want = type(f.default)
+        if f.name in rec and want in (int, float, str):
+            given = type(rec[f.name])
+            if given is not want and (want, given) != (float, int):
+                raise ConfigError(f"script key {f.name!r} must be of type {want.__name__}")
     kwargs = dict(rec)
     try:
         for key, convert in _SCRIPT_VALUES.items():
@@ -372,7 +380,7 @@ def load_script(path: Path | str) -> MarketScript:
 class _PlannedChange:
     day: dt.date
     kind: AttributeKind
-    field: str  # state key
+    field: str  # the AppSnapshot field it changes
     old: object
     new: object
 

@@ -26,8 +26,8 @@ entity order, each entity's rows in key order, and for snapshots the state
 table as binary columns), which names the log prefix it covers and a digest
 of those bytes. Opening a log loads the sidecar's columns as they are,
 verifies the digest and every length and id range, and scans only the log
-past the covered prefix; the state keys and ``TimelineState`` values are
-built from the table's columns when a command first needs them. A missing
+past the covered prefix; the ``TimelineState``s are built from the
+table's columns when a command first needs them. A missing
 or mismatched sidecar, or one of an earlier layout, means scanning the
 whole log, so a reader always gets the index a full scan would build
 (README "Store layout" says why each earlier layout is ignored). Readers
@@ -113,7 +113,7 @@ _SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
 _ENTRY_CODES = {SNAPSHOTS: "qQII", REVIEWS: "qQII", TOPK: "qQI"}
 _NAME_END = b"\xff"
 # The state table is a header of four counts and the type code of each
-# column, then one column per field of the state keys in id order:
+# column, then one column per field of the states in id order:
 # price_cents, downloads_lo, downloads_hi and rating_count, the string ids
 # of version and category, the id of the permission set and the
 # last_updated ordinal. Then come the name count of each permission set and
@@ -241,7 +241,7 @@ class IngestReport:
 
 
 # per-kind line codecs: record dict -> ((entity, time) key, canonical line,
-# state key or None); they raise ValueError naming what is wrong with the record
+# state or None); they raise ValueError naming what is wrong with the record
 _CODECS: dict[str, Callable] = {
     SNAPSHOTS: snapshot_line,
     REVIEWS: review_line,
@@ -255,10 +255,10 @@ _TRUSTED_DECODERS: dict[str, Callable] = {
 }
 # per-kind readers of a line in its kind's canonical text, without json.loads
 # (see model): line -> ((entity, time) key, head match) or None, and, made
-# once per ingest or log scan from the log's index, head match -> state key,
+# once per ingest or log scan from the log's index, head match -> state,
 # raising ValueError unless the line is the canonical line of a record the
 # codec accepts. Snapshot states go through a memo per app (see model) that
-# keeps the index table's state keys.
+# keeps the index table's states.
 _TEXT_READERS: dict[str, tuple[Callable, Callable]] = {
     SNAPSHOTS: (snapshot_text, lambda index: SnapshotStateMemo(index.table_value)),
     REVIEWS: (review_text, lambda index: review_text_state),
@@ -268,7 +268,7 @@ _TEXT_READERS: dict[str, tuple[Callable, Callable]] = {
 
 
 def _admit(kind: str, line: str, raw: bytes | None, head, read_state) -> tuple:
-    """The (entity, time) key, canonical line and state key of ``line``, a
+    """The (entity, time) key, canonical line and state of ``line``, a
     line the kind's codec accepts; raises ValueError, TypeError or
     RecursionError, with the rejection text, for any other line.
 
@@ -409,14 +409,14 @@ class _Table:
 
 
 class _StateTable(_Table):
-    """The distinct timeline-state keys of a snapshot log, a ``_Table`` in
-    order of first use, as the sidecar holds them: one column per key field,
-    with version and category as ids into the ``strings`` table and the
-    permission set as an id of a run of name ids (``sets``). The state keys
-    and the ``TimelineState`` values are built from the columns on first
-    use. In memory the columns are 64 bits wide, so a new state is written
-    into them as it is added; ``to_bytes`` writes each in the narrowest
-    type that holds it.
+    """The distinct ``TimelineState``s of a snapshot log, a ``_Table`` in
+    order of first use, as the sidecar holds them: one column per field
+    (downloads as lo and hi, last_updated as its ordinal), with version and
+    category as ids into the ``strings`` table and the permission set as an
+    id of a run of name ids (``sets``). The states are built from the
+    columns on first use. In memory the columns are 64 bits wide, so a new
+    state is written into them as it is added; ``to_bytes`` writes each in
+    the narrowest type that holds it.
     """
 
     def __init__(self):
@@ -426,11 +426,10 @@ class _StateTable(_Table):
         # the name count of each permission set, and the string ids of the
         # names of every set in turn
         self.sets = [array("q"), array("q")]
-        # built on first use: the state key of each id, the table of
-        # permission sets, and the TimelineState of each id
-        self._keys: list[tuple] | None = None
+        # built on first use: the state of each id and the table of
+        # permission sets
+        self._keys: list[TimelineState] | None = None
         self._sets: _Table | None = None
-        self._values: list[TimelineState] = []
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -491,58 +490,36 @@ class _StateTable(_Table):
             ])
         return sets
 
-    def _rows(self, first: int) -> list[tuple]:
-        """The state keys of the ids from ``first`` on, built from the
-        columns."""
-        strings, sets = self.strings.keys(), self._permission_sets().keys()
-        return [
-            (price, lo, hi, ratings, strings[version], strings[category], sets[permissions], day)
-            for price, lo, hi, ratings, version, category, permissions, day in zip(
-                *(column[first:] for column in self.columns)
-            )
-        ]
-
-    def keys(self) -> list[tuple]:
-        """The state key of every id."""
+    def keys(self) -> list[TimelineState]:
+        """The state of every id."""
         if self._keys is None:
-            self._keys = self._rows(0)
+            strings, sets = self.strings.keys(), self._permission_sets().keys()
+            prices, los, his, ratings, versions, categories, permissions, days = self.columns
+            # tuple.__new__ skips the named tuples' Python-level __new__, so
+            # map and zip build every state in C
+            new = tuple.__new__
+            self._keys = list(map(new, itertools.repeat(TimelineState), zip(
+                prices, map(new, itertools.repeat(DownloadBucket), zip(los, his)), ratings,
+                map(strings.__getitem__, versions), map(strings.__getitem__, categories),
+                map(sets.__getitem__, permissions), map(dt.date.fromordinal, days),
+            )))
         return self._keys
 
-    def append(self, key: tuple) -> None:
-        """Write ``key``, a state key that ``ids`` does not hold, into the
-        columns as the next id; the caller enters it in ``ids``."""
+    def append(self, state: TimelineState) -> None:
+        """Write ``state``, which ``ids`` does not hold, into the columns as
+        the next id; the caller enters it in ``ids``."""
         keys, sets, string_tag = self.keys(), self._permission_sets(), self.strings.tag
-        price, lo, hi, ratings, version, category, permissions, day = key
+        price, (lo, hi), ratings, version, category, permissions, updated = state
         version, category = string_tag(version), string_tag(category)
         new_set = len(sets)
         set_tag = sets.tag(permissions)
         if set_tag == new_set:
             self.sets[0].append(len(permissions))
             self.sets[1].extend([string_tag(name) for name in sorted(permissions)])
-        items = (price, lo, hi, ratings, version, category, set_tag, day)
+        items = (price, lo, hi, ratings, version, category, set_tag, updated.toordinal())
         for column, item in zip(self.columns, items):
             column.append(item)
-        keys.append(key)
-
-    def values(self) -> list[TimelineState]:
-        """The ``TimelineState`` of every id."""
-        values = self._values
-        if len(values) < len(self):
-            values.extend(
-                TimelineState(
-                    price,
-                    DownloadBucket(lo, hi),
-                    ratings,
-                    version,
-                    category,
-                    permissions,
-                    dt.date.fromordinal(day),
-                )
-                for price, lo, hi, ratings, version, category, permissions, day in self._rows(
-                    len(values)
-                )
-            )
-        return values
+        keys.append(state)
 
 
 class _LogIndex:
@@ -551,7 +528,7 @@ class _LogIndex:
     Row ``r`` is one indexed line: ``times[r]`` is its time key,
     ``offsets[r]`` and ``lengths[r]`` locate it in the log, and ``tags[r]``
     (not kept for top-k) is an id into ``table``: a ``_StateTable`` of the
-    distinct state keys ``snapshot_line`` returned (snapshots) or a
+    distinct states ``snapshot_line`` returned (snapshots) or a
     ``_Table`` of the distinct review ids (reviews), each in order of first
     use in the log. ``rows`` maps each
     entity (app or list type) to its row numbers in key order: time, and
@@ -576,9 +553,9 @@ class _LogIndex:
         self.skipped_tail = 0
         self.skipped_corrupt = 0
 
-    def table_value(self, value: tuple) -> tuple:
-        """The state key of ``table`` equal to ``value``, or ``value`` if
-        there is none."""
+    def table_value(self, value: TimelineState) -> TimelineState:
+        """The state of ``table`` equal to ``value``, or ``value`` if there
+        is none."""
         table = self.table
         tag = table.ids().get(value)
         return value if tag is None else table.keys()[tag]
@@ -638,7 +615,7 @@ class _LogIndex:
         """Index a batch of lines in log order: the i-th line, at the i-th
         of ``offsets`` with the i-th of ``lengths``, under the i-th of
         ``keys``, its (entity, time key) pair, which neither ``find`` nor
-        another line of the batch holds; ``states[i]`` is its state key, as
+        another line of the batch holds; ``states[i]`` is its state, as
         the kind's codec returned it. The lines lie past every indexed one."""
         first = len(self.times)
         times = self.times
@@ -716,7 +693,7 @@ class _LogIndex:
     def from_sidecar(cls, kind: str, sidecar: Path, log: Path) -> "_LogIndex | None":
         """The index persisted in ``sidecar``, or None unless the sidecar is
         intact, every length and id in it is in range, and ``log`` still
-        begins with the bytes it covers. No state key is built."""
+        begins with the bytes it covers. No state is built."""
         try:
             data = sidecar.read_bytes()
             magic, covered, digest, count, n_groups, skipped, table_bytes = (
@@ -912,7 +889,7 @@ class SnapStore:
         read_text, state_reader = _TEXT_READERS[kind]
         read_state = state_reader(index)
         # (entity, time) -> offset of each admitted line not yet indexed, and
-        # the lengths and state keys of those lines in the same order
+        # the lengths and states of those lines in the same order
         pending: dict[tuple, int] = {}
         lengths: list[int] = []
         states: list = []
@@ -1012,9 +989,9 @@ class SnapStore:
                     f.truncate(index.scanned_bytes)
                 index.skipped_tail = 0
             # (entity, time_key) -> canonical line, not yet committed, and
-            # the state keys of snapshot lines in the same order
+            # the states of snapshot lines in the same order
             batch: dict[tuple, bytes] = {}
-            states: list[tuple] = []
+            states: list[TimelineState] = []
 
             find, lengths, offsets = index.find, index.lengths, index.offsets
             fd = self._read_fd(kind)
@@ -1091,7 +1068,7 @@ class SnapStore:
 
     def _commit(self, kind: str, index: _LogIndex, batch: dict, states: list) -> None:
         """Append and fsync ``batch``; on failure no byte of it stays.
-        ``states`` holds the state key of each line (None but for snapshots)."""
+        ``states`` holds the state of each line (None but for snapshots)."""
         data = b"".join(batch.values())
         path = self._log_path(kind)
         with self._io_lock:
@@ -1178,11 +1155,11 @@ class SnapStore:
         fetch_time order, from the index: no log line is read."""
         index = self._index(SNAPSHOTS)
         rows = index.rows.get(app, ())
-        values = index.table.values()
+        states = index.table.keys()
         return AppStates(
             app=app,
             times=tuple(_at(index.times, rows)),
-            states=tuple(map(values.__getitem__, _at(index.tags, rows))),
+            states=tuple(map(states.__getitem__, _at(index.tags, rows))),
         )
 
     def latest_snapshots(self) -> dict[str, AppSnapshot]:
@@ -1194,8 +1171,8 @@ class SnapStore:
         """The timeline state of every app's newest snapshot, in the order
         of ``latest_snapshots``, from the index: no log line is read."""
         index = self._index(SNAPSHOTS)
-        values, tags = index.table.values(), index.tags
-        return {app: values[tags[r]] for app, r in index.newest()}
+        states, tags = index.table.keys(), index.tags
+        return {app: states[tags[r]] for app, r in index.newest()}
 
     def query_reviews(self, app: str) -> list[ReviewRecord]:
         """Reviews of ``app`` sorted by (date, review_id): the key order of

@@ -214,6 +214,8 @@ def lifetime_at_rank(
     if mode not in ("at_rank", "list_lifetime"):
         raise InvalidInputError(f"unknown lifetime mode {mode!r}")
     wanted = set(ranks)
+    if min(wanted, default=1) < 1:
+        raise InvalidInputError(f"rank {min(wanted)} below 1")
     occupants: dict[int, dict[str, int]] = {r: {} for r in wanted}
     presence: dict[str, int] = {}
     for obs in series.observations:

@@ -561,19 +561,6 @@ def validate_topk(o: TopKObservation) -> list[str]:
     return violations
 
 
-def snapshot_state_key(s: AppSnapshot) -> tuple:
-    return (
-        s.price_cents,
-        s.downloads.lo,
-        s.downloads.hi,
-        s.rating_count,
-        s.version,
-        s.category,
-        s.permissions,
-        s.last_updated.toordinal(),
-    )
-
-
 _REFERENCE_PATHS = {
     "snapshots": (snapshot_from_record, validate_snapshot, snapshot_to_record),
     "reviews": (review_from_record, validate_review, review_to_record),
@@ -581,8 +568,8 @@ _REFERENCE_PATHS = {
 }
 
 
-def reference_line(kind: str, rec: dict) -> tuple[bytes, tuple | None]:
-    """The canonical line and state key the line codec of ``kind``
+def reference_line(kind: str, rec: dict) -> tuple[bytes, TimelineState | None]:
+    """The canonical line and state the line codec of ``kind``
     (``marketpulse.model.snapshot_line``, ``review_line`` or ``topk_line``)
     returns for ``rec``, by the reference path; raises ValueError with the
     same message."""
@@ -592,7 +579,7 @@ def reference_line(kind: str, rec: dict) -> tuple[bytes, tuple | None]:
     if violations:
         raise ValueError("; ".join(violations))
     line = json.dumps(encode(record), sort_keys=True, separators=(",", ":")) + "\n"
-    state = snapshot_state_key(record) if kind == "snapshots" else None
+    state = timeline_state(record) if kind == "snapshots" else None
     return line.encode("utf-8"), state
 
 

@@ -119,6 +119,9 @@ class TestSpikes:
     def test_param_validation(self):
         with pytest.raises(ConfigError):
             SpikeParams(window_days=0)
+        for mad_k in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="^invalid spike detection parameters$"):
+                SpikeParams(mad_k=mad_k)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -124,6 +124,13 @@ class TestPipelineCommands:
         payload = json.loads((out / "lifetime_free.json").read_text())
         assert set(payload["mean_hours"]) == {"1", "5", "15"}
 
+    def test_topk_lifetime_rank_below_one_is_validation_error(self, dataset, capsys):
+        for ranks in ("0", "1,-1"):
+            code, _ = run(dataset, "topk", "lifetime", "--list", "Free", "--ranks", ranks)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "below 1" in err and "Traceback" not in err
+
     def test_anomaly_reviews_recovers_campaign(self, dataset):
         code, out = run(dataset, "anomaly", "reviews")
         assert code == 0
@@ -263,9 +270,20 @@ class TestExitCodes:
             {"topk_lists": {"Free": {"lenght": 5}}},
             {"fraud_campaigns": [{"ap": 1}]},
             {"observation_start": 20141024},
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"seed": True},
+            {"observation_days": 2.5},
+            {"n_developers": 3.5},
+            {"snapshot_cadence_days": "2"},
+            {"permission_churn_apps": 1.5},
+            {"name": 5},
             [1, 2],
         ],
-        ids=["topk_key", "campaign_key", "date_type", "list"],
+        ids=[
+            "topk_key", "campaign_key", "date_type", "seed_str", "seed_float", "seed_bool",
+            "days_float", "developers_float", "cadence_str", "churn_float", "name_int", "list",
+        ],
     )
     def test_malformed_script_is_validation_error(self, tmp_path, capsys, script):
         bad = tmp_path / "bad.json"
@@ -456,7 +474,7 @@ def test_timeline_reports_decode_no_snapshot(dataset, monkeypatch):
 def test_dedup_only_ingest_decodes_no_state(dataset, tmp_path, monkeypatch):
     # every line of a re-ingest into the store that holds them all is
     # deduplicated before admission, so the snapshot sidecar's state table
-    # is loaded and checked but no state key or TimelineState is built
+    # is loaded and checked but no TimelineState is built
     store = tmp_path / "store"
     shutil.copytree(dataset["store"], store)
     logs = {p.name: p.read_bytes() for p in store.glob("*.jsonl")}
@@ -467,11 +485,11 @@ def test_dedup_only_ingest_decodes_no_state(dataset, tmp_path, monkeypatch):
             assert main([*argv, "--store", str(root), "--out", str(out)]) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def refuse(table, first):
+    def refuse(table):
         raise AssertionError("a dedup-only ingest built a state from the state table")
 
     with monkeypatch.context() as patched:
-        patched.setattr(store_mod._StateTable, "_rows", refuse)
+        patched.setattr(store_mod._StateTable, "keys", refuse)
         report = SnapStore.open(store).ingest_dir(dataset["data"])
     assert report.deduplicated == {
         kind: logs[f"{kind}.jsonl"].count(b"\n") for kind in store_mod.KINDS

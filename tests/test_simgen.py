@@ -410,14 +410,32 @@ class TestScriptCodec:
             ({"topk_lists": [5]}, "items"),
             ({"fraud_campaigns": [{"ap": 1}]}, "'ap'"),
             ({"observation_start": 20141024}, "str"),
-            ({"n_developers": "5"}, "'<'"),
+            ({"n_developers": "5"}, "^script key 'n_developers' must be of type int$"),
+            ({"seed": "x"}, "^script key 'seed' must be of type int$"),
+            ({"seed": 1.5}, "^script key 'seed' must be of type int$"),
+            ({"seed": True}, "^script key 'seed' must be of type int$"),
+            ({"observation_days": 2.5}, "^script key 'observation_days' must be of type int$"),
+            ({"n_developers": 3.5}, "^script key 'n_developers' must be of type int$"),
+            ({"snapshot_cadence_days": "2"}, "'snapshot_cadence_days' must be of type int$"),
+            ({"permission_churn_apps": 1.5}, "'permission_churn_apps' must be of type int$"),
+            ({"name": 5}, "^script key 'name' must be of type str$"),
+            ({"decoupling_rate": "0.1"}, "^script key 'decoupling_rate' must be of type float$"),
+            ({"stale_fraction": False}, "^script key 'stale_fraction' must be of type float$"),
             ([1, 2], "^script must be a JSON object$"),
         ],
-        ids=["topk_key", "topk_lists_type", "campaign_key", "date_type", "int_type", "list"],
+        ids=[
+            "topk_key", "topk_lists_type", "campaign_key", "date_type", "int_type",
+            "seed_str", "seed_float", "seed_bool", "days_float", "developers_float",
+            "cadence_str", "churn_float", "name_int", "rate_str", "rate_bool", "list",
+        ],
     )
     def test_malformed_script_is_a_config_error(self, rec, message):
         with pytest.raises(ConfigError, match=message):
             script_from_record(rec)
+
+    def test_a_number_of_either_json_type_is_a_float_value(self):
+        script = script_from_record({"decoupling_rate": 0, "stale_fraction": 1})
+        assert (script.decoupling_rate, script.stale_fraction) == (0, 1)
 
     def test_bad_mix_rejected(self):
         with pytest.raises(ConfigError, match="popularity_mix"):

@@ -41,8 +41,8 @@ from conftest import (
     market_script,
     reference_line,
     review_to_record,
-    snapshot_state_key,
     snapshot_to_record,
+    timeline_state,
     topk_to_record,
 )
 
@@ -1380,7 +1380,6 @@ def test_scan_skips_a_fetch_time_twin_before_its_last_updated_day(tmp_path, mani
     expected = ingested._index("snapshots")
     assert _entity_rows(index) == _entity_rows(expected)
     assert index.table.keys() == expected.table.keys()
-    assert index.table.values() == expected.table.values()
 
 
 # --- index sidecar -----------------------------------------------------------------
@@ -1435,7 +1434,6 @@ def _index_state(store):
             rows,
             keys,
             index.table.keys() if kind == "snapshots" else None,
-            index.table.values() if kind == "snapshots" else None,
             index.scanned_bytes,
             index.skipped_corrupt,
             index.digest.digest(),
@@ -1777,15 +1775,16 @@ def _log_order_records(index):
 
 
 def _json_state_table(states):
-    """The state table of the layouts ``MPX2`` to ``MPX6`` for the state
-    keys ``states``: compact JSON, {"permission_names": [name, ...],
-    "permissions": [[name id, ...], ...], "states": [[price_cents,
+    """The state table of the layouts ``MPX2`` to ``MPX6`` for the
+    ``TimelineState``s ``states``: compact JSON, {"permission_names":
+    [name, ...], "permissions": [[name id, ...], ...], "states": [[price_cents,
     downloads_lo, downloads_hi, rating_count, version, category, permission
     set id, last_updated ordinal], ...]}."""
     name_ids, permission_ids = {}, {}
     rows = [
-        [*key[:6], permission_ids.setdefault(key[6], len(permission_ids)), key[7]]
-        for key in states
+        [s.price_cents, s.downloads.lo, s.downloads.hi, s.rating_count, s.version, s.category,
+         permission_ids.setdefault(s.permissions, len(permission_ids)), s.last_updated.toordinal()]
+        for s in states
     ]
     permissions = [
         [name_ids.setdefault(n, len(name_ids)) for n in sorted(p)] for p in permission_ids
@@ -2206,7 +2205,7 @@ def _hand_written_snapshot_log(store, snapshots):
     (store.root / "snapshots.jsonl").write_text("".join(lines))
     offsets = itertools.accumulate(map(len, lines[:-1]), initial=0)
     return [
-        ((snap.app,), snap.fetch_time, offset, len(line), snapshot_state_key(snap))
+        ((snap.app,), snap.fetch_time, offset, len(line), timeline_state(snap))
         for snap, line, offset in zip(snapshots, lines, offsets)
     ]
 

@@ -281,6 +281,12 @@ class TestLifetimeAtRank:
         dist = lifetime_at_rank(series_of(rankings), [1])
         assert sorted(dist[1]) == [1, 3]
 
+    def test_rank_below_one_raises(self):
+        # rank 0 or -1 would read from the end of each list
+        for ranks in ([0], [1, -1]):
+            with pytest.raises(InvalidInputError, match="below 1"):
+                lifetime_at_rank(series_of([["a", "b"]]), ranks)
+
 
 def test_consecutive_similarity_static():
     ranking = [f"s{i}" for i in range(8)]
