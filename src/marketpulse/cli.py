@@ -46,6 +46,17 @@ class _UsageError(Exception):
     pass
 
 
+def _days(text: str) -> int:
+    """A window length in days: a whole number, 0 or more."""
+    try:
+        days = int(text)
+    except ValueError:
+        days = -1
+    if days < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number of days, 0 or more: {text!r}")
+    return days
+
+
 def _replace_file(path: Path, write) -> None:
     """Run ``write(f)`` on a temp file beside ``path``, then rename it over
     ``path``: a failed write leaves the previous file whole."""
@@ -738,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--store", default=None)
     p.add_argument("--out", default="reports")
-    p.add_argument("--window-days", type=int, default=365)
+    p.add_argument("--window-days", type=_days, default=365)
     p.add_argument("--reference", default=None, help="YYYY-MM-DD")
     p.add_argument("--xmin", type=float, default=1.0)
     p.add_argument("--period", type=int, default=7)
@@ -771,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mad-k", type=float, default=5.0)
     p.add_argument("--min-abs", type=int, default=20)
     p.add_argument("--window-days", type=int, default=30)
-    p.add_argument("--churn-window-days", type=int, default=7)
+    p.add_argument("--churn-window-days", type=_days, default=7)
     p.set_defaults(func=cmd_anomaly)
 
     return parser

@@ -241,8 +241,8 @@ def fit_power_law(
     """
     import numpy as np
 
-    if x_min <= 0:
-        raise InvalidInputError("x_min must be positive")
+    if not 0 < x_min < math.inf:
+        raise InvalidInputError(f"x_min must be positive and finite, got {x_min}")
     x = np.asarray(samples, dtype=float)
     tail = np.sort(x[x >= x_min])
     n = len(tail)

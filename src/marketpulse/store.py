@@ -21,12 +21,12 @@ other line is admitted first, and then one lookup of its key finds a stored
 copy.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
-sidecar (layout ``MPX7``: row counts per entity, then the columns in
-entity order, each entity's rows in key order, and for snapshots the state
+sidecar (layout ``MPX8``: row counts per entity, then every entity's row
+numbers in key order, the columns in log order, and for snapshots the state
 table as binary columns), which names the log prefix it covers and a digest
-of those bytes. Opening a log loads the sidecar's columns as they are,
-verifies the digest and every length and id range, and scans only the log
-past the covered prefix; the ``TimelineState``s are built from the
+of those bytes. Opening a log loads the sidecar's columns as memory holds
+them, verifies the digest and every length and id range, and scans only the
+log past the covered prefix; the ``TimelineState``s are built from the
 table's columns when a command first needs them. A missing
 or mismatched sidecar, or one of an earlier layout, means scanning the
 whole log, so a reader always gets the index a full scan would build
@@ -46,7 +46,6 @@ import hashlib
 import io
 import itertools
 import json
-import operator
 import os
 import struct
 import threading
@@ -95,22 +94,20 @@ _BATCH_LINES = 1000
 # stops in
 _BLOCK_BYTES = 1 << 20
 
-# A <kind>.idx sidecar is a header, the entry count of each entity, one
-# column per entry field in entity order (each entity's entries in key
-# order), the state table (snapshots only), then the entity names and, for
-# reviews, the distinct review ids in order of first use in the log, each
-# followed by a byte that UTF-8 never uses. Columns are arrays in native
-# byte order: a sidecar from a machine of the other byte order fails the
-# magic check and is ignored, as does one in an earlier layout. The digest
-# is sha1 over the covered log bytes followed by everything after the
-# header, so a change to either makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505837
+# A <kind>.idx sidecar is a header, the entry count of each entity, the row
+# numbers of every entity in turn (each entity's in key order), one column
+# per entry field in log order, the state table (snapshots only), then the
+# entity names and, for reviews, the distinct review ids in order of first
+# use in the log, each followed by a byte that UTF-8 never uses. Columns are
+# arrays in native byte order, as ``_LogIndex`` holds them: a sidecar from a
+# machine of the other byte order fails the magic check and is ignored, as
+# does one in an earlier layout. The digest is sha1 over the covered log
+# bytes followed by everything after the header, so a change to either
+# makes readers scan the log instead.
+_SIDECAR_MAGIC = 0x4D505838
 # magic, covered log bytes, digest, entries, entities, skipped corrupt lines,
 # state table bytes
 _SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
-# per entry: time key, offset and length of the line, then the timeline
-# state id (snapshots) or the name id of the review id (reviews)
-_ENTRY_CODES = {SNAPSHOTS: "qQII", REVIEWS: "qQII", TOPK: "qQI"}
 _NAME_END = b"\xff"
 # The state table is a header of four counts and the type code of each
 # column, then one column per field of the states in id order:
@@ -334,13 +331,6 @@ def _hash_prefix(path: Path, length: int):
     return sha
 
 
-def _at(column: array, rows) -> Iterable[int]:
-    """The values of ``column`` at ``rows``; a range of rows is a slice."""
-    if type(rows) is range:
-        return column[rows.start:rows.stop]
-    return map(column.__getitem__, rows)
-
-
 def _read_columns(data: memoryview, pos: int, columns: list, sizes: list) -> int:
     """Fill each of ``columns`` with ``sizes[i]`` items from ``data``, one
     after the other from ``pos``; returns the position past the last, or
@@ -525,23 +515,24 @@ class _StateTable(_Table):
 class _LogIndex:
     """Committed records of one log, as columns of rows grouped by entity.
 
-    Row ``r`` is one indexed line: ``times[r]`` is its time key,
-    ``offsets[r]`` and ``lengths[r]`` locate it in the log, and ``tags[r]``
-    (not kept for top-k) is an id into ``table``: a ``_StateTable`` of the
-    distinct states ``snapshot_line`` returned (snapshots) or a
-    ``_Table`` of the distinct review ids (reviews), each in order of first
-    use in the log. ``rows`` maps each
-    entity (app or list type) to its row numbers in key order: time, and
+    Row ``r`` is one indexed line, in log order: ``times[r]`` is its time
+    key, ``offsets[r]`` and ``lengths[r]`` locate it in the log, and
+    ``tags[r]`` (not kept for top-k) is an id into ``table``: a
+    ``_StateTable`` of the distinct states ``snapshot_line`` returned
+    (snapshots) or a ``_Table`` of the distinct review ids (reviews), each
+    in order of first use in the log. ``rows`` maps each entity (app or list
+    type) to an ``array("I")`` of its row numbers in key order: time, and
     (date, review id) for reviews. It is the only lookup structure: ``find``
-    bisects it, and an entity's newest line is its last row. It holds a
-    ``range`` for the rows a sidecar held, a list once a line is added.
-    ``digest`` is the sha1 state over the first ``scanned_bytes`` bytes of
-    the log; ``sidecar_bytes`` is the prefix the sidecar on disk covers.
+    bisects it, and an entity's newest line is its last row. The sidecar
+    holds these arrays and columns as they are. ``digest`` is the sha1
+    state over the first ``scanned_bytes`` bytes of the log;
+    ``sidecar_bytes`` is the prefix the sidecar on disk covers.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
-        # the four columns of the snapshot and review logs; top-k keeps no tags
+        # the four columns of the snapshot and review logs; top-k keeps no
+        # tags, so its tag column stays empty
         self.times, self.offsets, self.lengths, self.tags = map(array, "qQII")
         self._time_at = self.times.__getitem__
         self.table = _StateTable() if kind == SNAPSHOTS else _Table()
@@ -585,8 +576,7 @@ class _LogIndex:
     def find(self, key: tuple) -> int | None:
         """The row of the line indexed under ``key``, an (entity, time key)
         pair, or None; first line wins, since ``_scan`` indexes no later
-        line of a key. The rows a sidecar held are a range, bisected in
-        ``times`` itself."""
+        line of a key."""
         entity, time_key = key
         rows = self.rows.get(entity[0])
         if rows is None:
@@ -597,9 +587,6 @@ class _LogIndex:
             return None
         if self.kind == REVIEWS:
             place = self._review_place(rows, time_key, entity[1])
-        elif type(rows) is range:
-            row = bisect.bisect_left(times, time_key, rows.start, rows.stop)
-            return row if row < rows.stop and times[row] == time_key else None
         else:
             place = bisect.bisect_left(rows, time_key, key=self._time_at)
         if place == len(rows):
@@ -635,10 +622,8 @@ class _LogIndex:
             group = entity[0]
             rows = rows_of.get(group)
             if rows is None:
-                rows_of[group] = [row]
+                rows_of[group] = array("I", (row,))
                 continue
-            if type(rows) is range:
-                rows = rows_of[group] = list(rows)
             last = times[rows[-1]]
             if last < time_key or (
                 reviews and last == time_key and review_ids[tags[rows[-1]]] < entity[1]
@@ -650,28 +635,16 @@ class _LogIndex:
             else:
                 rows.insert(bisect.bisect_left(rows, time_key, key=self._time_at), row)
 
-    def _gather(self) -> Callable:
-        """column -> its values at every entity's rows in turn."""
-        order = list(itertools.chain.from_iterable(self.rows.values()))
-        if len(order) > 1:
-            return operator.itemgetter(*order)
-        # itemgetter of one item returns it bare
-        return lambda column: [column[r] for r in order]
-
     def to_sidecar(self) -> bytes:
         """The sidecar covering the first ``scanned_bytes`` of the log."""
-        codes = _ENTRY_CODES[self.kind]
         table = self.table.to_bytes() if self.kind == SNAPSHOTS else b""
-        gather = self._gather()
-        columns = [
-            array(code, gather(column))
-            for code, column in zip(codes, (self.times, self.offsets, self.lengths, self.tags))
-        ]
         names = list(self.rows)
         if self.kind == REVIEWS:
             names += self.table.keys()
+        columns = (self.times, self.offsets, self.lengths, self.tags)
         body = (
             array("I", map(len, self.rows.values())).tobytes()
+            + b"".join(rows.tobytes() for rows in self.rows.values())
             + b"".join(column.tobytes() for column in columns)
             + table
             + b"".join(name.encode("utf-8", "surrogatepass") + _NAME_END for name in names)
@@ -705,15 +678,15 @@ class _LogIndex:
             return None
         index = cls(kind)
         body = memoryview(data)[_SIDECAR_HEADER.size:]
-        counts = array("I")
+        counts, order = array("I"), array("I")
         try:
             pos = _read_columns(
                 body,
                 0,
-                [counts, index.times, index.offsets, index.lengths, index.tags],
-                [n_groups] + [count] * len(_ENTRY_CODES[kind]),
+                [counts, order, index.times, index.offsets, index.lengths, index.tags],
+                [n_groups, count, count, count, count, count if kind != TOPK else 0],
             )
-            if sum(counts) != count or 0 in counts:
+            if sum(counts) != count or 0 in counts or _past(order, count):
                 return None
             if kind == SNAPSHOTS:
                 index.table = _StateTable.from_bytes(body[pos:pos + table_bytes])
@@ -741,7 +714,7 @@ class _LogIndex:
         if sha.digest() != digest:
             return None
         bounds = list(itertools.accumulate(counts, initial=0))
-        index.rows = dict(zip(groups, map(range, bounds, bounds[1:])))
+        index.rows = {group: order[a:b] for group, a, b in zip(groups, bounds, bounds[1:])}
         index.scanned_bytes = index.sidecar_bytes = covered
         index.skipped_corrupt = skipped
         return index
@@ -1158,8 +1131,8 @@ class SnapStore:
         states = index.table.keys()
         return AppStates(
             app=app,
-            times=tuple(_at(index.times, rows)),
-            states=tuple(map(states.__getitem__, _at(index.tags, rows))),
+            times=tuple(map(index.times.__getitem__, rows)),
+            states=tuple(map(states.__getitem__, map(index.tags.__getitem__, rows))),
         )
 
     def latest_snapshots(self) -> dict[str, AppSnapshot]:

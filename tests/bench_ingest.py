@@ -26,13 +26,15 @@ the index sidecar and once by a full scan of the log, with no sidecar.
 Two more load 20k reviews of one app on one day, their ids in shuffled
 order, into an empty store and once more into a store that has them all:
 each line goes to its (date, review id) place among the app's rows.
-The last three take a week of a 10k-app market, the shape of a daily crawl
+Three more take a week of a 10k-app market, the shape of a daily crawl
 merged into its history, where most states and permission sets are
 distinct: one re-ingests all its snapshots through a new handle each round,
 so that the sidecar load is timed with the lookups; one does the same
 through ``ingest_dir`` from a file that repeats the log, which it passes a
 block of lines at a time; and one ingests the last day into a store of the
-six days before it.
+six days before it. A last one reads the states of every app of that week
+(``app_states``) from a store opened from its sidecar, the read that pays
+for each entity's rows being one array of row numbers.
 """
 
 import itertools
@@ -375,3 +377,24 @@ def test_ingest_of_one_day_into_a_10k_app_store(benchmark, tmp_path, crawl_week)
     report = benchmark.pedantic(ingest, setup=populated_store, rounds=7)
     assert report.accepted["snapshots"] == len(last_day)
     assert report.deduplicated["snapshots"] == report.total_rejected == 0
+
+
+def test_app_states_of_every_app_of_a_store_opened_from_its_sidecar(
+    benchmark, tmp_path, crawl_week
+):
+    manifest, lines, _ = crawl_week
+    root = tmp_path / "store"
+    ingest_lines(SnapStore.create(root, manifest), "snapshots", lines)
+
+    def opened_store():
+        store = SnapStore.open(root)
+        # loads the index from the sidecar and builds the state table
+        store.latest_states()
+        return (store,), {}
+
+    def read(store):
+        return [store.app_states(app) for app in store.apps()]
+
+    states = benchmark.pedantic(read, setup=opened_store, rounds=7)
+    assert SnapStore.open(root)._index("snapshots").sidecar_bytes > 0
+    assert sum(len(s.times) for s in states) == len(lines)

@@ -294,6 +294,29 @@ class TestExitCodes:
         if isinstance(script, list):
             assert err == "error: script must be a JSON object\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "staleness", "--window-days", "-5"],
+            ["metrics", "price", "--window-days", "-1"],
+            ["anomaly", "permissions", "--churn-window-days", "-3"],
+        ],
+        ids=["staleness", "price", "churn"],
+    )
+    @pytest.mark.parametrize("stored", ["empty", "market"])
+    def test_negative_window_is_validation_error(self, dataset, tmp_path, capsys, argv, stored):
+        store = dataset["store"]
+        if stored == "empty":
+            empty, store = tmp_path / "empty", tmp_path / "store"
+            empty.mkdir()
+            assert main(["ingest", "--data", str(empty), "--store", str(store)]) == 0
+        out = tmp_path / "reports"
+        assert main([*argv, "--store", str(store), "--out", str(out)]) == 1
+        assert "a whole number of days, 0 or more" in capsys.readouterr().err
+        assert not out.exists()
+        # a window of 0 days is a window
+        assert main([*argv[:-1], "0", "--store", str(store), "--out", str(out)]) == 0
+
     def test_env_var_default_store(self, dataset, monkeypatch, tmp_path):
         monkeypatch.setenv("MARKETPULSE_STORE", str(dataset["store"]))
         code = main(["metrics", "popularity", "--out", str(tmp_path / "r")])

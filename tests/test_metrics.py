@@ -223,6 +223,11 @@ class TestPowerLaw:
         with pytest.raises(DegenerateTailError):
             fit_power_law([4.0, 4.0, 4.0], x_min=4.0)
 
+    @pytest.mark.parametrize("x_min", [-1.0, 0.0, math.nan, math.inf])
+    def test_x_min_not_positive_and_finite_is_rejected(self, x_min):
+        with pytest.raises(InvalidInputError, match="x_min must be positive and finite"):
+            fit_power_law([1.0, 2.0, 3.0], x_min=x_min)
+
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
             fit_power_law([5.0], x_min=1.0)

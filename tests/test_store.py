@@ -1416,6 +1416,8 @@ def _index_state(store):
     state = {}
     for kind in ("snapshots", "reviews", "topk"):
         index = store._index(kind)
+        # one row form: every entity's rows are one array of row numbers
+        assert all(type(r) is array and r.typecode == "I" for r in index.rows.values())
         rows = _entity_rows(index)
         # (entity, time) -> (offset, length) of its line
         keys = {
@@ -1439,6 +1441,19 @@ def _index_state(store):
             index.digest.digest(),
         )
     return state
+
+
+def _index_columns(store):
+    """The columns of every log's index as memory holds them, in log order,
+    and each entity's row numbers."""
+    return {
+        kind: (
+            (index.times, index.offsets, index.lengths, index.tags),
+            list(index.rows.items()),
+        )
+        for kind in ("snapshots", "reviews", "topk")
+        for index in [store._index(kind)]
+    }
 
 
 def _query_results(store):
@@ -1476,9 +1491,13 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
     assert _sidecar_bytes(loaded) == _log_sizes(root)
     assert _sidecar_bytes(scanned) == {"snapshots": 0, "reviews": 0, "topk": 0}
     assert _index_state(loaded) == _index_state(scanned)
+    # the sidecar holds the columns as memory does: a loaded index is the
+    # scanned one column for column
+    assert _index_columns(loaded) == _index_columns(scanned)
     assert _query_results(loaded) == _query_results(scanned)
-    # per entry 24 bytes (snapshots, reviews) or 20 (top-k), plus 4 per entity
-    for kind, per_entry in (("snapshots", 24), ("reviews", 24), ("topk", 20)):
+    # per entry 28 bytes (snapshots, reviews) or 24 (top-k): its row number,
+    # then its columns; plus 4 per entity
+    for kind, per_entry in (("snapshots", 28), ("reviews", 28), ("topk", 24)):
         index = loaded._index(kind)
         entries = _entity_rows(index)
         names = list(index.rows)
@@ -1502,7 +1521,7 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
     # the narrowest that holds the column, then the strings; smaller than
     # the JSON table of MPX6
     data = (root / "snapshots.idx").read_bytes()
-    at = store_mod._SIDECAR_HEADER.size + 4 * len(snapshots.rows) + 24 * len(snapshots.times)
+    at = store_mod._SIDECAR_HEADER.size + 4 * len(snapshots.rows) + 28 * len(snapshots.times)
     codes = store_mod._TABLE_HEADER.unpack_from(data, at)[-1].decode()
     assert all(array(code, [max(column, default=0)]) for code, column in zip(codes, table.columns))
     width = [array(code).itemsize for code in codes]
@@ -1532,6 +1551,7 @@ def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
     assert _sidecar_bytes(loaded) == _log_sizes(root)
     assert _index_state(loaded) == _index_state(scanned)
     assert _index_state(store) == _index_state(scanned)
+    assert _index_columns(loaded) == _index_columns(store) == _index_columns(scanned)
 
 
 def _id_columns(data):
@@ -1539,7 +1559,9 @@ def _id_columns(data):
     each id column of the snapshots sidecar ``data``."""
     header, table_header = store_mod._SIDECAR_HEADER, store_mod._TABLE_HEADER
     _, _, _, entries, entities, _, _ = header.unpack_from(data)
-    tags = header.size + 4 * entities + 20 * entries
+    # the row numbers follow the entry counts; then times, offsets, lengths
+    rows = header.size + 4 * entities
+    tags = rows + 24 * entries
     at = tags + 4 * entries
     states, sets, _, strings, codes = table_header.unpack_from(data, at)
     codes = codes.decode()
@@ -1548,6 +1570,7 @@ def _id_columns(data):
         initial=at + table_header.size,
     ))
     return {
+        "row number": (rows, "I", entries),
         "state id": (tags, "I", states),
         "version": (starts[4], codes[4], strings),
         "category": (starts[5], codes[5], strings),
@@ -1573,6 +1596,7 @@ def _with_item(data, log, offset, code, value):
 @pytest.mark.parametrize(
     "column",
     [
+        "row number",
         "state id",
         "version",
         "category",
@@ -1758,8 +1782,8 @@ def test_read_only_store_serves_every_query(tmp_path, market):
             path.chmod(0o755 if path.is_dir() else 0o644)
 
 
-_MPX1, _MPX2, _MPX3, _MPX4, _MPX5, _MPX6 = (
-    0x4D505831, 0x4D505832, 0x4D505833, 0x4D505834, 0x4D505835, 0x4D505836
+_MPX1, _MPX2, _MPX3, _MPX4, _MPX5, _MPX6, _MPX7 = (
+    0x4D505831, 0x4D505832, 0x4D505833, 0x4D505834, 0x4D505835, 0x4D505836, 0x4D505837
 )
 
 
@@ -1826,18 +1850,22 @@ def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
     return struct.pack("=IQ20sQQQQ", *fields, len(table)) + body
 
 
-def _json_table_sidecar(index, magic=_MPX6, order=None):
-    """The sidecar the ``MPX4``, ``MPX5`` or ``MPX6`` code wrote for
-    ``index``, with a valid digest (it does not cover the header): the
-    layout of ``MPX7`` with the state table in JSON, each entity's entries
-    in key order or, given ``order``, sorted by it."""
+def _entity_order_sidecar(index, magic, order=None):
+    """The sidecar the ``MPX4`` to ``MPX7`` code wrote for ``index``, with a
+    valid digest (it does not cover the header): after the entry count of
+    each entity, one column per entry field in entity order, each entity's
+    entries in key order or, given ``order``, sorted by it; the state table
+    in JSON before ``MPX7`` and binary in it, then the names."""
     rows = [sorted(r, key=order) if order else list(r) for r in index.rows.values()]
     flat = [r for group in rows for r in group]
     columns = zip(
-        store_mod._ENTRY_CODES[index.kind], (index.times, index.offsets, index.lengths, index.tags)
+        "qQII" if index.kind != "topk" else "qQI",
+        (index.times, index.offsets, index.lengths, index.tags),
     )
     names = list(index.rows) + (index.table.keys() if index.kind == "reviews" else [])
-    table = _json_state_table(index.table.keys()) if index.kind == "snapshots" else b""
+    table = b""
+    if index.kind == "snapshots":
+        table = index.table.to_bytes() if magic == _MPX7 else _json_state_table(index.table.keys())
     body = (
         array("I", map(len, rows)).tobytes()
         + b"".join(array(code, [column[r] for r in flat]).tobytes() for code, column in columns)
@@ -1860,7 +1888,7 @@ def _reordered_sidecar(index, magic):
     def order(r):
         return index.offsets[r] if magic == _MPX4 else (index.times[r], index.offsets[r])
 
-    return _json_table_sidecar(index, magic, order)
+    return _entity_order_sidecar(index, magic, order)
 
 
 def _assert_reingest_appends_nothing(root):
@@ -1876,7 +1904,7 @@ def _assert_reingest_appends_nothing(root):
         )
         if lines:
             current = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
-            assert current == store_mod._SIDECAR_MAGIC == 0x4D505837
+            assert current == store_mod._SIDECAR_MAGIC == 0x4D505838
     assert {p.name: p.read_bytes() for p in root.glob("*.jsonl")} == logs
 
 
@@ -1904,14 +1932,12 @@ def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
         assert _index_state(reopened) == _index_state(scanned)
 
 
-def test_sidecar_of_the_mpx6_layout_is_ignored_and_the_log_scanned(tmp_path, market):
-    # MPX6 held the state table as JSON; its sidecars are ignored, then
-    # replaced by the next ingest
-    root = tmp_path / "store"
-    ingest_market(root, market)
-    scanned = _full_scan(root, tmp_path)
+def _assert_layout_ignored_then_replaced(root, scanned, magic):
+    """Sidecars of the entity-order layout ``magic`` over the logs under
+    ``root`` are ignored and the logs scanned; the next ingest writes the
+    current layout, which loads as ``scanned`` column for column."""
     for kind in ("snapshots", "reviews", "topk"):
-        (root / f"{kind}.idx").write_bytes(_json_table_sidecar(scanned._index(kind)))
+        (root / f"{kind}.idx").write_bytes(_entity_order_sidecar(scanned._index(kind), magic))
     loaded = SnapStore.open(root)
     assert _sidecar_bytes(loaded) == {"snapshots": 0, "reviews": 0, "topk": 0}
     assert _index_state(loaded) == _index_state(scanned)
@@ -1920,6 +1946,23 @@ def test_sidecar_of_the_mpx6_layout_is_ignored_and_the_log_scanned(tmp_path, mar
     reopened = SnapStore.open(root)
     assert _sidecar_bytes(reopened) == _log_sizes(root)
     assert _index_state(reopened) == _index_state(scanned)
+    assert _index_columns(reopened) == _index_columns(scanned)
+
+
+def test_sidecar_of_the_mpx6_layout_is_ignored_and_the_log_scanned(tmp_path, market):
+    # MPX6 held the state table as JSON; its sidecars are ignored, then
+    # replaced by the next ingest
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    _assert_layout_ignored_then_replaced(root, _full_scan(root, tmp_path), _MPX6)
+
+
+def test_sidecar_of_the_mpx7_layout_is_ignored_and_the_log_scanned(tmp_path, market):
+    # MPX7 held the columns in entity order, which memory does not; its
+    # sidecars are ignored, then replaced by the next ingest
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    _assert_layout_ignored_then_replaced(root, _full_scan(root, tmp_path), _MPX7)
 
 
 def _out_of_order_store(root, manifest):
@@ -2124,18 +2167,20 @@ def test_find_matches_a_dict_model_over_sidecar_and_appended_rows(case):
         # (entity, time) -> the line stored under it: the first of its key
         model = {}
         for lines in batches:
-            # a new handle holds the rows of the sidecar as ranges
+            # a new handle holds the rows the sidecar held, each entity's
+            # one array of row numbers
             handle = SnapStore.open(root)
-            assert all(type(rows) is range for rows in handle._index(kind).rows.values())
+            rows = handle._index(kind).rows
+            assert all(type(r) is array and r.typecode == "I" for r in rows.values())
             _assert_find_matches(handle, kind, model)
             ingest_lines(handle, kind, lines)
             keys = [_reference_key(kind, line) for line in lines]
-            # the entities the batch added a line to hold lists
-            appended = {key[0][0] for key in keys if key not in model}
             for key, line in zip(keys, lines):
                 model.setdefault(key, (line + "\n").encode())
-            rows = handle._index(kind).rows
-            assert all(type(rows[entity]) is list for entity in appended)
+            # the entities the batch added a line to, new or loaded, keep
+            # that form
+            assert all(type(r) is array and r.typecode == "I" for r in rows.values())
+            assert {key[0][0] for key in keys} <= rows.keys()
             _assert_find_matches(handle, kind, model)
 
 
@@ -2179,18 +2224,19 @@ def test_find_among_many_same_day_reviews_of_one_app_makes_about_2_log2_n_compar
     later = ("r", "r2500a", "r5000")
     bound = 2 * math.ceil(math.log2(n + len(later))) + 3
     handle = SnapStore.open(root)
-    for kind_of_rows in (range, list):
+    for appended in (False, True):
         index = handle._index("reviews")
-        assert type(index.rows[app]) is kind_of_rows
+        assert index.sidecar_bytes > 0
+        assert type(index.rows[app]) is array and len(index.rows[app]) == n + appended * len(later)
         for review_id in ("r0000", "r1234", "r2500", "r4999", "r", "r2500a", "r5000"):
             _COMPARISONS[0] = 0
             row = index.find(((app, _CountedStr(review_id)), _CountedInt(day)))
             assert math.log2(n) <= _COMPARISONS[0] <= bound
-            if kind_of_rows is range and review_id in later:
+            if not appended and review_id in later:
                 assert row is None
             else:
                 assert row is not None and index.table.keys()[index.tags[row]] == review_id
-        # more reviews of the date turn the app's rows into a list
+        # more reviews of the date are placed among the rows the sidecar held
         ingest_lines(
             handle,
             "reviews", [_canonical(review_to_record(make_review(review_id=i))) for i in later]
