@@ -46,15 +46,21 @@ class _UsageError(Exception):
     pass
 
 
-def _days(text: str) -> int:
-    """A window length in days: a whole number, 0 or more."""
-    try:
-        days = int(text)
-    except ValueError:
-        days = -1
-    if days < 0:
-        raise argparse.ArgumentTypeError(f"expected a whole number of days, 0 or more: {text!r}")
-    return days
+def _count(noun: str):
+    """The argparse type of a count of ``noun``: a whole number, 0 or more."""
+
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number of {noun}, 0 or more: {text!r}"
+            )
+        return count
+
+    return parse
 
 
 def _replace_file(path: Path, write) -> None:
@@ -709,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument(
         "--render-market",
-        type=int,
+        type=_count("seeds"),
         default=0,
         metavar="N_SEEDS",
         help="also render crawlable market pages with this many seeds",
@@ -749,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--store", default=None)
     p.add_argument("--out", default="reports")
-    p.add_argument("--window-days", type=_days, default=365)
+    p.add_argument("--window-days", type=_count("days"), default=365)
     p.add_argument("--reference", default=None, help="YYYY-MM-DD")
     p.add_argument("--xmin", type=float, default=1.0)
     p.add_argument("--period", type=int, default=7)
@@ -782,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mad-k", type=float, default=5.0)
     p.add_argument("--min-abs", type=int, default=20)
     p.add_argument("--window-days", type=int, default=30)
-    p.add_argument("--churn-window-days", type=_days, default=7)
+    p.add_argument("--churn-window-days", type=_count("days"), default=7)
     p.set_defaults(func=cmd_anomaly)
 
     return parser
@@ -796,16 +802,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except StoreIOError as exc:
+    except (StoreIOError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MarketPulseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, KeyError) as exc:
+    except (MarketPulseError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -44,6 +44,7 @@ from .errors import (
     InvalidInputError,
     MalformedDocumentError,
     MissingFieldError,
+    ParseError,
 )
 from .model import AppSnapshot, DownloadBucket, parse_date
 
@@ -313,13 +314,24 @@ class DictMarket:
 
     @classmethod
     def load(cls, path: str) -> "DictMarket":
-        """Load from a market_pages.jsonl file ({"app": ..., "page": ...})."""
+        """Load from a market_pages.jsonl file ({"app": ..., "page": ...});
+        raises ParseError naming the line unless each line is a JSON object
+        with a string app and a string page."""
         pages = {}
         # split at "\n" only: str.splitlines also breaks at U+2028, U+2029
         # and U+0085, which a JSON string may hold raw
-        for line in Path(path).read_text(encoding="utf-8").split("\n"):
+        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
             if line.strip():
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(str(exc), line_no) from None
+                if not (
+                    isinstance(rec, dict)
+                    and type(rec.get("app")) is str
+                    and type(rec.get("page")) is str
+                ):
+                    raise ParseError("expected an object with string app and page", line_no)
                 pages[rec["app"]] = rec["page"]
         return cls(pages)
 

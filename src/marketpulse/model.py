@@ -320,16 +320,16 @@ def snapshot_line(rec: dict) -> tuple[tuple, bytes, TimelineState]:
     return ((s["app"],), s["fetch_time"]), (canonical_json(s) + "\n").encode("utf-8"), state
 
 
-def review_line(rec: dict) -> tuple[tuple, bytes, None]:
-    """The ((app, review_id), date epoch) key of a reviews.jsonl record and
-    its canonical line (reviews have no state)."""
+def review_line(rec: dict) -> tuple[tuple, bytes, int]:
+    """The ((app,), review_id) key of a reviews.jsonl record, its canonical
+    line and, as its state, its date epoch."""
     r = _fields(rec, _REVIEW_FIELDS)
     violations = _review_violations(r["app"], r["review_id"], r["rating"])
     if violations:
         raise ValueError("; ".join(violations))
-    key = (r["app"], r["review_id"]), date_to_epoch(r["date"])
+    day = date_to_epoch(r["date"])
     r["date"] = r["date"].isoformat()
-    return key, (canonical_json(r) + "\n").encode("utf-8"), None
+    return ((r["app"],), r["review_id"]), (canonical_json(r) + "\n").encode("utf-8"), day
 
 
 # A line in the canonical text of its kind is read without json.loads. That
@@ -337,15 +337,15 @@ def review_line(rec: dict) -> tuple[tuple, bytes, None]:
 # whose strings need no escape: the kind's keys in sorted order, no spaces,
 # only printable ASCII. No string the patterns match holds an escape, so the
 # text of every string is its value. Its pattern comes in two parts. The head
-# runs through the key fields and gives the line's (entity, time) key; the
-# rest matches the fields after it. ``snapshot_text_state`` and
-# ``review_text_state`` admit a line only when it is the canonical line of a
-# record the codec accepts, and raise ValueError for any other line, which is
-# left to json.loads and the codec and their rejection texts. Ingest and the
-# log scan read snapshot states through a ``SnapshotStateMemo``, which is
-# what the head serves: a line that repeats its app's last admitted line but
-# for the fetch_time digits the head marks takes that line's state after only
-# the two checks that read fetch_time.
+# runs through the key fields and gives the line's key; the rest matches the
+# fields after it. ``snapshot_text_state`` and ``review_text_state`` admit a
+# line only when it is the canonical line of a record the codec accepts, and
+# raise ValueError for any other line, which is left to json.loads and the
+# codec and their rejection texts. Ingest and the log scan read snapshot
+# states through a ``SnapshotStateMemo``, which is what the head serves: a
+# line that repeats its app's last admitted line but for the fetch_time
+# digits the head marks takes that line's state after only the two checks
+# that read fetch_time.
 _STR_CHARS = r"[ !#-\[\]-~]*+"
 _STR_TEXT = '"(' + _STR_CHARS + ')"'
 _INT_TEXT = r"(0|-?[1-9][0-9]*+)"
@@ -475,28 +475,24 @@ class SnapshotStateMemo:
 
 
 def review_text(line: str) -> tuple[tuple, re.Match] | None:
-    """The ((app, review_id), date epoch) key of ``line`` and the match of
-    its head, when the line begins as a canonical review line does; else
-    None."""
+    """The ((app,), review_id) key of ``line`` and the match of its head,
+    when the line begins as a canonical review line does; else None."""
     head = _REVIEW_HEAD.match(line)
     if head is None:
         return None
-    try:
-        day = dt.date.fromisoformat(head[2])
-    except ValueError:
-        return None
-    return ((head[1], head[4]), date_to_epoch(day)), head
+    return ((head[1],), head[4]), head
 
 
-def review_text_state(head: re.Match) -> None:
+def review_text_state(head: re.Match) -> int:
     """What ``review_line`` returns as the state of the line of ``head``
-    (None), which is then its canonical line; raises ValueError when it is
-    not."""
+    (its date epoch), which is then its canonical line; raises ValueError
+    when it is not."""
     _rest(_REVIEW_REST, head)
-    app, _, rating, review_id = head.groups()
+    app, day, rating, review_id = head.groups()
     if _review_violations(app, review_id, int(rating)):
         raise ValueError("review violates an invariant")
-    return None
+    # a YYYY-MM-DD text that parses is the ISO form of its date
+    return date_to_epoch(dt.date.fromisoformat(day))
 
 
 def topk_line(rec: dict) -> tuple[tuple, bytes, None]:

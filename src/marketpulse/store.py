@@ -4,16 +4,19 @@ Three newline-delimited JSON logs plus a JSON manifest live in one
 directory, and the logs are the only source of truth. Ingest and the log
 scan admit a line by one rule (``_admit``): its kind's line codec must
 accept it, and a line in its kind's canonical text is admitted by its
-pattern with no decode or encode. The index of each log holds every
-admitted line (the first one of each entity and time) and skips and counts
-any other. In memory the index is columns with one row per line: time
-key, byte offset and length, then the review id (reviews) or the id of the
-snapshot's timeline state (the fields change events and update days are
-computed from), with the distinct states and review ids in tables in order
-of first use in the log. Each entity maps to its rows in key order: time,
-and for reviews (date, review id). Those rows are the one lookup structure:
-a line's key is found by bisection in its entity's rows, and app timelines
-and the newest state of every app are read without decoding a log line.
+pattern with no decode or encode. A line's key is its record's identity,
+(entity, order value): ((app,), fetch_time) for a snapshot, ((app,),
+review_id) for a review and ((list_type,), fetch_time) for a top-k list.
+The index of each log holds every admitted line (the first one of each
+key) and skips and counts any other. In memory the index is columns with
+one row per line: time (a review's date), byte offset and length, then the
+review id (reviews) or the id of the snapshot's timeline state (the fields
+change events and update days are computed from), with the distinct states
+and review ids in tables in order of first use in the log. Each entity
+maps to its rows in order of their order values. Those rows are the one
+lookup structure: a line's key is found by one bisection in its entity's
+rows, and app timelines and the newest state of every app are read
+without decoding a log line.
 Ingest reads each data file as bytes alongside the committed log, so that a
 re-ingest of lines in the order they were committed is deduplicated by
 comparing bytes, a block of whole lines at a time (``_CommittedLines``); any
@@ -21,7 +24,7 @@ other line is admitted first, and then one lookup of its key finds a stored
 copy.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
-sidecar (layout ``MPX8``: row counts per entity, then every entity's row
+sidecar (layout ``MPX9``: row counts per entity, then every entity's row
 numbers in key order, the columns in log order, and for snapshots the state
 table as binary columns), which names the log prefix it covers and a digest
 of those bytes. Opening a log loads the sidecar's columns as memory holds
@@ -104,7 +107,7 @@ _BLOCK_BYTES = 1 << 20
 # does one in an earlier layout. The digest is sha1 over the covered log
 # bytes followed by everything after the header, so a change to either
 # makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505838
+_SIDECAR_MAGIC = 0x4D505839
 # magic, covered log bytes, digest, entries, entities, skipped corrupt lines,
 # state table bytes
 _SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
@@ -237,8 +240,9 @@ class IngestReport:
         }
 
 
-# per-kind line codecs: record dict -> ((entity, time) key, canonical line,
-# state or None); they raise ValueError naming what is wrong with the record
+# per-kind line codecs: record dict -> ((entity, order value) key, canonical
+# line, state: a snapshot's TimelineState, a review's date epoch, or None for
+# top-k); they raise ValueError naming what is wrong with the record
 _CODECS: dict[str, Callable] = {
     SNAPSHOTS: snapshot_line,
     REVIEWS: review_line,
@@ -251,11 +255,11 @@ _TRUSTED_DECODERS: dict[str, Callable] = {
     TOPK: topk_from_trusted_record,
 }
 # per-kind readers of a line in its kind's canonical text, without json.loads
-# (see model): line -> ((entity, time) key, head match) or None, and, made
-# once per ingest or log scan from the log's index, head match -> state,
-# raising ValueError unless the line is the canonical line of a record the
-# codec accepts. Snapshot states go through a memo per app (see model) that
-# keeps the index table's states.
+# (see model): line -> (key, head match) or None, and, made once per ingest
+# or log scan from the log's index, head match -> state, raising ValueError
+# unless the line is the canonical line of a record the codec accepts.
+# Snapshot states go through a memo per app (see model) that keeps the index
+# table's states.
 _TEXT_READERS: dict[str, tuple[Callable, Callable]] = {
     SNAPSHOTS: (snapshot_text, lambda index: SnapshotStateMemo(index.table_value)),
     REVIEWS: (review_text, lambda index: review_text_state),
@@ -265,9 +269,9 @@ _TEXT_READERS: dict[str, tuple[Callable, Callable]] = {
 
 
 def _admit(kind: str, line: str, raw: bytes | None, head, read_state) -> tuple:
-    """The (entity, time) key, canonical line and state of ``line``, a
-    line the kind's codec accepts; raises ValueError, TypeError or
-    RecursionError, with the rejection text, for any other line.
+    """The key, canonical line and state of ``line``, a line the kind's
+    codec accepts; raises ValueError, TypeError or RecursionError, with the
+    rejection text, for any other line.
 
     ``head`` is what the kind's text reader returned for the line, and
     ``raw`` the line's bytes with its newline when ``head`` is not None: a
@@ -516,15 +520,16 @@ class _LogIndex:
     """Committed records of one log, as columns of rows grouped by entity.
 
     Row ``r`` is one indexed line, in log order: ``times[r]`` is its time
-    key, ``offsets[r]`` and ``lengths[r]`` locate it in the log, and
-    ``tags[r]`` (not kept for top-k) is an id into ``table``: a
-    ``_StateTable`` of the distinct states ``snapshot_line`` returned
-    (snapshots) or a ``_Table`` of the distinct review ids (reviews), each
-    in order of first use in the log. ``rows`` maps each entity (app or list
-    type) to an ``array("I")`` of its row numbers in key order: time, and
-    (date, review id) for reviews. It is the only lookup structure: ``find``
-    bisects it, and an entity's newest line is its last row. The sidecar
-    holds these arrays and columns as they are. ``digest`` is the sha1
+    (a review's date epoch), ``offsets[r]`` and ``lengths[r]`` locate it
+    in the log, and ``tags[r]`` (not kept for top-k) is an id into
+    ``table``: a ``_StateTable`` of the distinct states ``snapshot_line``
+    returned (snapshots) or a ``_Table`` of the distinct review ids
+    (reviews), each in order of first use in the log. ``rows`` maps each
+    entity (app or list type) to an ``array("I")`` of its row numbers
+    sorted by ``row_key``: time, and review id for reviews. It is the only
+    lookup structure: ``find`` bisects it, and the newest line of an app's
+    snapshots or of a list type is its last row. The sidecar holds these
+    arrays and columns as they are. ``digest`` is the sha1
     state over the first ``scanned_bytes`` bytes of the log;
     ``sidecar_bytes`` is the prefix the sidecar on disk covers.
     """
@@ -534,8 +539,13 @@ class _LogIndex:
         # the four columns of the snapshot and review logs; top-k keeps no
         # tags, so its tag column stays empty
         self.times, self.offsets, self.lengths, self.tags = map(array, "qQII")
-        self._time_at = self.times.__getitem__
         self.table = _StateTable() if kind == SNAPSHOTS else _Table()
+        # the order value of a row, by which its entity's rows are sorted:
+        # its time, or a review's review id
+        self.row_key = self.times.__getitem__
+        if kind == REVIEWS:
+            review_ids, tags = self.table.keys(), self.tags
+            self.row_key = lambda row: review_ids[tags[row]]
         # entity -> its row numbers in key order
         self.rows: dict = {}
         self.digest = hashlib.sha1()
@@ -551,89 +561,45 @@ class _LogIndex:
         tag = table.ids().get(value)
         return value if tag is None else table.keys()[tag]
 
-    def _review_place(self, rows, time_key: int, review_id: str) -> int:
-        """The position in ``rows``, the rows of an app's reviews, of the
-        first row whose key is not before (``time_key``, ``review_id``):
-        one bisection in (time, review id) order that compares review ids
-        only within the span of ``time_key``, at most two comparisons per
-        step, so that many reviews of one date cost no more than others."""
-        times, review_ids, tags = self.times, self.table.keys(), self.tags
-        lo, hi = 0, len(rows)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            row = rows[mid]
-            time = times[row]
-            if time == time_key:
-                before = review_ids[tags[row]] < review_id
-            else:
-                before = time < time_key
-            if before:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def find(self, key: tuple) -> int | None:
-        """The row of the line indexed under ``key``, an (entity, time key)
-        pair, or None; first line wins, since ``_scan`` indexes no later
-        line of a key."""
-        entity, time_key = key
+        """The row of the line indexed under ``key``, an (entity, order
+        value) pair, or None: one bisection of the entity's rows by
+        ``row_key``. First line wins, since ``_scan`` indexes no later line
+        of a key."""
+        entity, value = key
         rows = self.rows.get(entity[0])
         if rows is None:
             return None
-        times = self.times
-        if times[rows[-1]] < time_key:
-            # past the entity's newest line, as a line in time order is
-            return None
-        if self.kind == REVIEWS:
-            place = self._review_place(rows, time_key, entity[1])
-        else:
-            place = bisect.bisect_left(rows, time_key, key=self._time_at)
-        if place == len(rows):
-            return None
-        row = rows[place]
-        if times[row] != time_key:
-            return None
-        if self.kind == REVIEWS and self.table.keys()[self.tags[row]] != entity[1]:
-            return None
-        return row
+        row_key = self.row_key
+        # the first row not before ``value``, or else the last
+        row = rows[bisect.bisect_left(rows, value, 0, len(rows) - 1, key=row_key)]
+        return row if row_key(row) == value else None
 
     def extend(self, keys: Iterable, offsets: Iterable, lengths: Iterable, states: list) -> None:
         """Index a batch of lines in log order: the i-th line, at the i-th
         of ``offsets`` with the i-th of ``lengths``, under the i-th of
-        ``keys``, its (entity, time key) pair, which neither ``find`` nor
-        another line of the batch holds; ``states[i]`` is its state, as
-        the kind's codec returned it. The lines lie past every indexed one."""
+        ``keys``, its (entity, order value) pair, which neither ``find``
+        nor another line of the batch holds; ``states[i]`` is its state, as
+        the kind's codec returned it: a review's date goes to ``times`` and
+        its review id to ``tags``. The lines lie past every indexed one."""
         first = len(self.times)
-        times = self.times
-        times.extend([key[1] for key in keys])
+        values = [key[1] for key in keys]
+        times, tagged = (states, values) if self.kind == REVIEWS else (values, states)
+        self.times.extend(times)
         self.offsets.extend(offsets)
         self.lengths.extend(lengths)
-        reviews = self.kind == REVIEWS
-        if reviews:
-            # a review's tag is its review id
-            states = [entity[1] for entity, _ in keys]
-            review_ids = self.table.keys()
-        tags = self.tags
         if self.kind != TOPK:
-            tags.extend(map(self.table.tag, states))
-        rows_of = self.rows
-        for row, (entity, time_key) in zip(itertools.count(first), keys):
-            group = entity[0]
-            rows = rows_of.get(group)
+            self.tags.extend(map(self.table.tag, tagged))
+        rows_of, row_key = self.rows, self.row_key
+        for row, (entity, value) in zip(itertools.count(first), keys):
+            rows = rows_of.get(entity[0])
             if rows is None:
-                rows_of[group] = array("I", (row,))
-                continue
-            last = times[rows[-1]]
-            if last < time_key or (
-                reviews and last == time_key and review_ids[tags[rows[-1]]] < entity[1]
-            ):
+                rows_of[entity[0]] = array("I", (row,))
+            elif row_key(rows[-1]) < value:
                 rows.append(row)
-            elif reviews:
-                # a line appended out of key order goes to its key's place
-                rows.insert(self._review_place(rows, time_key, entity[1]), row)
             else:
-                rows.insert(bisect.bisect_left(rows, time_key, key=self._time_at), row)
+                # a line appended out of key order goes to its key's place
+                rows.insert(bisect.bisect_left(rows, value, key=row_key), row)
 
     def to_sidecar(self) -> bytes:
         """The sidecar covering the first ``scanned_bytes`` of the log."""
@@ -699,7 +665,8 @@ class _LogIndex:
             names = [name.decode("utf-8", "surrogatepass") for name in names[:-1]]
             groups, review_ids = names[:n_groups], names[n_groups:]
             if kind == REVIEWS:
-                index.table = _Table(review_ids)
+                # filled in place, as ``row_key`` reads this list
+                index.table.keys().extend(review_ids)
             elif review_ids:
                 return None
             if _past(index.tags, len(index.table)):
@@ -845,10 +812,11 @@ class SnapStore:
 
         A line is indexed only when ``_admit`` admits it, as ingest does.
         Any other committed line is skipped and counted, and so is a line
-        whose (entity, time) an earlier line holds: the first line wins, as
-        ingest would have kept it. A last line without its newline is an
-        uncommitted tail and stays unindexed. Admitted lines are indexed in
-        batches of up to ``_BATCH_LINES``.
+        whose key an earlier line holds (a review of the same app and
+        review_id on any date): the first line wins, as ingest would have
+        kept it. A last line without its newline is an uncommitted tail and
+        stays unindexed. Admitted lines are indexed in batches of up to
+        ``_BATCH_LINES``.
 
         The log is read under a shared ``flock``; unless ``wait`` is set, a
         scan that finds a batch holding it (``_commit``) keeps its prefix.
@@ -861,8 +829,8 @@ class SnapStore:
             return
         read_text, state_reader = _TEXT_READERS[kind]
         read_state = state_reader(index)
-        # (entity, time) -> offset of each admitted line not yet indexed, and
-        # the lengths and states of those lines in the same order
+        # key -> offset of each admitted line not yet indexed, and the
+        # lengths and states of those lines in the same order
         pending: dict[tuple, int] = {}
         lengths: list[int] = []
         states: list = []
@@ -931,10 +899,9 @@ class SnapStore:
         committed bytes at the cursor is deduplicated whole, and any other is
         cut into lines at b"\n", each deduplicated at once when it is the
         next committed line. Every other line is admitted by ``_admit``, or
-        rejected with its text, and then one lookup of its (entity, time)
-        finds a stored copy: a line that holds the stored record
-        (``_same_payload``) is deduplicated, and any other is rejected as a
-        conflict. Writes are committed in batches; on an I/O failure the
+        rejected with its text, and then one lookup of its key finds a
+        stored copy: a line that holds the stored record (``_same_payload``)
+        is deduplicated, and any other is rejected as a conflict. Writes are committed in batches; on an I/O failure the
         log is cut back to the end of the last committed batch. The index
         sidecar is rewritten after the last one.
         """
@@ -961,10 +928,10 @@ class SnapStore:
                     fcntl.flock(f, fcntl.LOCK_EX)
                     f.truncate(index.scanned_bytes)
                 index.skipped_tail = 0
-            # (entity, time_key) -> canonical line, not yet committed, and
-            # the states of snapshot lines in the same order
+            # key -> canonical line, not yet committed, and the states of
+            # those lines in the same order
             batch: dict[tuple, bytes] = {}
-            states: list[TimelineState] = []
+            states: list = []
 
             find, lengths, offsets = index.find, index.lengths, index.offsets
             fd = self._read_fd(kind)
@@ -1026,13 +993,14 @@ class SnapStore:
                     elif _same_payload(kind, previous, canonical):
                         report.deduplicated[kind] += 1
                     else:
-                        entity, time_key = key
+                        entity, value = key
+                        noun = "review_id" if kind == REVIEWS else "time"
                         report.rejected.append(
                             Rejection(
                                 kind,
                                 line_no,
                                 "conflicting payload for existing record "
-                                f"(entity {entity}, time {time_key})",
+                                f"(entity {entity}, {noun} {value!r})",
                             )
                         )
             if batch:
@@ -1041,7 +1009,7 @@ class SnapStore:
 
     def _commit(self, kind: str, index: _LogIndex, batch: dict, states: list) -> None:
         """Append and fsync ``batch``; on failure no byte of it stays.
-        ``states`` holds the state of each line (None but for snapshots)."""
+        ``states`` holds the state of each line, as its codec returned it."""
         data = b"".join(batch.values())
         path = self._log_path(kind)
         with self._io_lock:
@@ -1148,8 +1116,8 @@ class SnapStore:
         return {app: states[tags[r]] for app, r in index.newest()}
 
     def query_reviews(self, app: str) -> list[ReviewRecord]:
-        """Reviews of ``app`` sorted by (date, review_id): the key order of
-        the app's rows."""
+        """Reviews of ``app`` sorted by review_id: the order of the app's
+        rows."""
         return self._read_records(REVIEWS, self._index(REVIEWS).rows.get(app, ()))
 
     def review_counts(self) -> dict[str, int]:

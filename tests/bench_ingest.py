@@ -25,7 +25,7 @@ Two more open a store of those 10k snapshots and list its apps, once from
 the index sidecar and once by a full scan of the log, with no sidecar.
 Two more load 20k reviews of one app on one day, their ids in shuffled
 order, into an empty store and once more into a store that has them all:
-each line goes to its (date, review id) place among the app's rows.
+each line goes to its review id place among the app's rows.
 Three more take a week of a 10k-app market, the shape of a daily crawl
 merged into its history, where most states and permission sets are
 distinct: one re-ingests all its snapshots through a new handle each round,

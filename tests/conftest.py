@@ -568,10 +568,11 @@ _REFERENCE_PATHS = {
 }
 
 
-def reference_line(kind: str, rec: dict) -> tuple[bytes, TimelineState | None]:
+def reference_line(kind: str, rec: dict) -> tuple[bytes, TimelineState | int | None]:
     """The canonical line and state the line codec of ``kind``
     (``marketpulse.model.snapshot_line``, ``review_line`` or ``topk_line``)
-    returns for ``rec``, by the reference path; raises ValueError with the
+    returns for ``rec``, by the reference path: a snapshot's timeline state,
+    a review's date epoch, or None for top-k; raises ValueError with the
     same message."""
     decode, validate, encode = _REFERENCE_PATHS[kind]
     record = decode(rec)
@@ -579,7 +580,11 @@ def reference_line(kind: str, rec: dict) -> tuple[bytes, TimelineState | None]:
     if violations:
         raise ValueError("; ".join(violations))
     line = json.dumps(encode(record), sort_keys=True, separators=(",", ":")) + "\n"
-    state = timeline_state(record) if kind == "snapshots" else None
+    state = None
+    if kind == "snapshots":
+        state = timeline_state(record)
+    elif kind == "reviews":
+        state = date_to_epoch(record.date)
     return line.encode("utf-8"), state
 
 

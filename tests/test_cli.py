@@ -317,6 +317,34 @@ class TestExitCodes:
         # a window of 0 days is a window
         assert main([*argv[:-1], "0", "--store", str(store), "--out", str(out)]) == 0
 
+    def test_negative_render_market_count_is_validation_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["simulate", "--script", str(dataset["script"]), "--out", str(out)]
+        assert main([*argv, "--render-market", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --render-market: expected a whole number of seeds, 0 or more" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ['["x"]', '{"app":"com.a","page":["x"]}', '{"app":5,"page":"404"}', "[" * 100_000],
+        ids=["array", "page_array", "app_int", "nested"],
+    )
+    def test_malformed_market_page_line_is_validation_error(self, tmp_path, line):
+        market, seeds, out = tmp_path / "pages.jsonl", tmp_path / "seeds.txt", tmp_path / "crawl"
+        market.write_text(json.dumps({"app": "com.b", "page": "404"}) + "\n" + line + "\n")
+        seeds.write_text("com.a\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "marketpulse.cli", "crawl", "--seeds", str(seeds),
+             "--market", str(market), "--politeness-delay-ms", "0", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: line 2: ") and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_env_var_default_store(self, dataset, monkeypatch, tmp_path):
         monkeypatch.setenv("MARKETPULSE_STORE", str(dataset["store"]))
         code = main(["metrics", "popularity", "--out", str(tmp_path / "r")])

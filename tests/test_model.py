@@ -241,8 +241,9 @@ def _reference_outcome(kind, rec):
 
 
 def _decoded_key(kind, rec):
+    """The record's identity: (entity, order value)."""
     if kind == "reviews":
-        return (rec["app"], rec["review_id"]), date_to_epoch(dt.date.fromisoformat(rec["date"]))
+        return (rec["app"],), rec["review_id"]
     return (rec["list_type" if kind == "topk" else "app"],), rec["fetch_time"]
 
 
@@ -274,7 +275,7 @@ _TEXT_READERS = {
 def _assert_line_matches_reference(kind, line):
     """json.loads and the codec give the reference outcome of ``line``, and
     so does the canonical-text reader wherever it admits the line: the line
-    itself, its state key and its decoded (entity, time) key. The codec's
+    itself, its state and its decoded (entity, order value) key. The codec's
     key is the decoded key of every record it accepts."""
     try:
         rec = json.loads(line)
