@@ -1124,9 +1124,11 @@ def render_mock_market(
 
     if not snapshots:
         raise ConfigError("render_mock_market needs at least one snapshot")
+    if n_seeds < 1:
+        raise ConfigError(f"render_mock_market needs at least one seed, not {n_seeds}")
     by_id = {s.app: s for s in snapshots}
     apps = sorted(by_id)
-    n_seeds = max(1, min(n_seeds, len(apps)))
+    n_seeds = min(n_seeds, len(apps))
     seeds = apps[:n_seeds]
     rng = keyed_rng(seed, "mock-market")
     graph: dict[str, list[str]] = {app: [] for app in apps}

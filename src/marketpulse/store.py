@@ -24,13 +24,14 @@ other line is admitted first, and then one lookup of its key finds a stored
 copy.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
-sidecar (layout ``MPX9``: row counts per entity, then every entity's row
-numbers in key order, the columns in log order, and for snapshots the state
-table as binary columns), which names the log prefix it covers and a digest
-of those bytes. Opening a log loads the sidecar's columns as memory holds
-them, verifies the digest and every length and id range, and scans only the
-log past the covered prefix; the ``TimelineState``s are built from the
-table's columns when a command first needs them. A missing
+sidecar (layout ``MPXA``: row counts per entity, then every entity's row
+numbers in key order, the columns in log order, for snapshots the state
+table's columns, and last every string), which names the log prefix it
+covers and a digest of those bytes. Every column is stored as memory holds
+it, in a type fixed per column. Opening a log loads the sidecar's columns
+as they are, verifies the digest and every length and id range, and scans
+only the log past the covered prefix; the ``TimelineState``s are built
+from the table's columns when a command first needs them. A missing
 or mismatched sidecar, or one of an earlier layout, means scanning the
 whole log, so a reader always gets the index a full scan would build
 (README "Store layout" says why each earlier layout is ignored). Readers
@@ -97,34 +98,30 @@ _BATCH_LINES = 1000
 # stops in
 _BLOCK_BYTES = 1 << 20
 
-# A <kind>.idx sidecar is a header, the entry count of each entity, the row
-# numbers of every entity in turn (each entity's in key order), one column
-# per entry field in log order, the state table (snapshots only), then the
-# entity names and, for reviews, the distinct review ids in order of first
-# use in the log, each followed by a byte that UTF-8 never uses. Columns are
-# arrays in native byte order, as ``_LogIndex`` holds them: a sidecar from a
-# machine of the other byte order fails the magic check and is ignored, as
+# A <kind>.idx sidecar is a header, its counts, the entry count of each
+# entity, the row numbers of every entity in turn (each entity's in key
+# order), one column per entry field in log order, the state table's columns
+# (snapshots only), then the strings: the entity names, then the strings of
+# the index's table (the review ids, or the state table's strings), each
+# followed by a byte that UTF-8 never uses. Columns are arrays in native
+# byte order, as ``_LogIndex`` and ``_StateTable`` hold them: a sidecar from
+# a machine of the other byte order fails the magic check and is ignored, as
 # does one in an earlier layout. The digest is sha1 over the covered log
-# bytes followed by everything after the header, so a change to either
-# makes readers scan the log instead.
-_SIDECAR_MAGIC = 0x4D505839
-# magic, covered log bytes, digest, entries, entities, skipped corrupt lines,
-# state table bytes
-_SIDECAR_HEADER = struct.Struct("=IQ20sQQQQ")
+# bytes followed by everything after the header, the counts too, so a change
+# to either makes readers scan the log instead.
+_SIDECAR_MAGIC = 0x4D505841
+# magic, covered log bytes, digest
+_SIDECAR_HEADER = struct.Struct("=IQ20s")
+# entries, entities, skipped corrupt lines, then states, permission sets and
+# permission names over all sets (all three 0 but for snapshots)
+_SIDECAR_COUNTS = struct.Struct("=QQQQQQ")
 _NAME_END = b"\xff"
-# The state table is a header of four counts and the type code of each
-# column, then one column per field of the states in id order:
-# price_cents, downloads_lo, downloads_hi and rating_count, the string ids
-# of version and category, the id of the permission set and the
-# last_updated ordinal. Then come the name count of each permission set and
-# the string ids of the names of every set in turn, sorted by name, and
-# last the strings, each followed by the byte that ends a name. Each column
-# is written in the narrowest of 8, 16 or 32 unsigned bits, or 64 signed
-# bits, that holds its largest item.
-# states, permission sets, permission names over all sets, strings, codes
-_TABLE_HEADER = struct.Struct("=QQQQ10s")
-_STATE_COLUMNS = 8
-_TABLE_CODES = "BHIq"
+# The type of each state table column, in sidecar order: price_cents,
+# downloads_lo, downloads_hi and rating_count, which the codec bounds to
+# signed 64 bits; the string ids of version and category, the permission-set
+# id and the last_updated ordinal; then the name count of each permission set
+# and the string ids of the names of every set in turn, sorted by name.
+_STATE_CODES = "qqqqIIIIII"
 _ORDINALS = range(1, dt.date.max.toordinal() + 1)
 
 
@@ -353,17 +350,6 @@ def _past(column, bound: int) -> bool:
     return max(column, default=-1) >= bound
 
 
-def _narrowest(column: array) -> array:
-    """``column``, of items none below 0, in the narrowest of the codes
-    ``_TABLE_CODES`` that holds its largest item."""
-    top = max(column, default=0)
-    code = next(
-        (code for code in _TABLE_CODES[:-1] if top < 1 << 8 * array(code).itemsize),
-        _TABLE_CODES[-1],
-    )
-    return column if column.typecode == code else array(code, column)
-
-
 class _Table:
     """Distinct values, each with an id: its place in ``keys()``, the values
     in order of first use. The inverse map ``ids()`` is built on first use.
@@ -404,22 +390,22 @@ class _Table:
 
 class _StateTable(_Table):
     """The distinct ``TimelineState``s of a snapshot log, a ``_Table`` in
-    order of first use, as the sidecar holds them: one column per field
-    (downloads as lo and hi, last_updated as its ordinal), with version and
-    category as ids into the ``strings`` table and the permission set as an
-    id of a run of name ids (``sets``). The states are built from the
-    columns on first use. In memory the columns are 64 bits wide, so a new
-    state is written into them as it is added; ``to_bytes`` writes each in
-    the narrowest type that holds it.
+    order of first use, as memory and the sidecar hold them: one column per
+    field (downloads as lo and hi, last_updated as its ordinal), with
+    version and category as ids into the ``strings`` table and the
+    permission set as an id of a run of name ids (``sets``), each column of
+    the type ``_STATE_CODES`` gives it. The states are built from the
+    columns on first use; a new state is written into the columns as it is
+    added.
     """
 
     def __init__(self):
         super().__init__()
-        self.columns = [array("q") for _ in range(_STATE_COLUMNS)]
-        self.strings = _Table()
         # the name count of each permission set, and the string ids of the
         # names of every set in turn
-        self.sets = [array("q"), array("q")]
+        *self.columns, sizes, names = map(array, _STATE_CODES)
+        self.sets = [sizes, names]
+        self.strings = _Table()
         # built on first use: the state of each id and the table of
         # permission sets
         self._keys: list[TimelineState] | None = None
@@ -428,50 +414,18 @@ class _StateTable(_Table):
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    @classmethod
-    def from_bytes(cls, data: memoryview) -> "_StateTable":
-        """The table ``to_bytes`` wrote; raises ValueError unless every
-        length and every id is in range."""
-        states, sets, names, strings, codes = _TABLE_HEADER.unpack_from(data)
-        codes = codes.decode("ascii")
-        if not set(codes) <= set(_TABLE_CODES):
-            raise ValueError("state table column of an unknown type")
-        table = cls()
-        columns = [array(code) for code in codes]
-        pos = _read_columns(
-            data, _TABLE_HEADER.size, columns, [states] * _STATE_COLUMNS + [sets, names]
-        )
-        text = bytes(data[pos:]).split(_NAME_END)
-        if len(text) != strings + 1 or text[-1]:
-            raise ValueError("state table strings do not match their count")
-        table.strings = _Table([name.decode("utf-8", "surrogatepass") for name in text[:-1]])
-        versions, categories, permissions, days, sizes, set_names = columns[4:]
-        if (
+    def in_range(self) -> bool:
+        """Whether every id in the columns is in range, the set sizes add up
+        to the name count and every ordinal is a date."""
+        strings, (sizes, names) = len(self.strings), self.sets
+        versions, categories, permissions, days = self.columns[4:]
+        return not (
             _past(versions, strings)
             or _past(categories, strings)
-            or _past(permissions, sets)
-            or _past(set_names, strings)
-            or sum(sizes) != names
-            or (states and (min(days) < _ORDINALS.start or _past(days, _ORDINALS.stop)))
-        ):
-            raise ValueError("state table id out of range")
-        wide = [array("q", column) for column in columns]
-        table.columns, table.sets = wide[:-2], wide[-2:]
-        return table
-
-    def to_bytes(self) -> bytes:
-        """The table as the sidecar holds it, each column in the narrowest
-        type that holds it."""
-        columns = list(map(_narrowest, [*self.columns, *self.sets]))
-        counts = (len(self), len(self.sets[0]), len(self.sets[1]), len(self.strings))
-        codes = "".join(column.typecode for column in columns).encode("ascii")
-        return (
-            _TABLE_HEADER.pack(*counts, codes)
-            + b"".join(column.tobytes() for column in columns)
-            + b"".join(
-                name.encode("utf-8", "surrogatepass") + _NAME_END
-                for name in self.strings.keys()
-            )
+            or _past(permissions, len(sizes))
+            or _past(names, strings)
+            or sum(sizes) != len(names)
+            or (days and (min(days) < _ORDINALS.start or _past(days, _ORDINALS.stop)))
         )
 
     def _permission_sets(self) -> _Table:
@@ -529,7 +483,9 @@ class _LogIndex:
     sorted by ``row_key``: time, and review id for reviews. It is the only
     lookup structure: ``find`` bisects it, and the newest line of an app's
     snapshots or of a list type is its last row. The sidecar holds these
-    arrays and columns as they are. ``digest`` is the sha1
+    arrays and columns as they are, then the entity names and ``strings``:
+    the state table's strings (snapshots) or the review ids (reviews).
+    ``digest`` is the sha1
     state over the first ``scanned_bytes`` bytes of the log;
     ``sidecar_bytes`` is the prefix the sidecar on disk covers.
     """
@@ -540,6 +496,8 @@ class _LogIndex:
         # tags, so its tag column stays empty
         self.times, self.offsets, self.lengths, self.tags = map(array, "qQII")
         self.table = _StateTable() if kind == SNAPSHOTS else _Table()
+        # the table's strings; top-k's table stays empty
+        self.strings = self.table.strings if kind == SNAPSHOTS else self.table
         # the order value of a row, by which its entity's rows are sorted:
         # its time, or a review's review id
         self.row_key = self.times.__getitem__
@@ -563,7 +521,8 @@ class _LogIndex:
 
     def find(self, key: tuple) -> int | None:
         """The row of the line indexed under ``key``, an (entity, order
-        value) pair, or None: one bisection of the entity's rows by
+        value) pair, or None: one comparison with the entity's last row
+        and, unless the key is past it, one bisection of its rows by
         ``row_key``. First line wins, since ``_scan`` indexes no later line
         of a key."""
         entity, value = key
@@ -571,6 +530,9 @@ class _LogIndex:
         if rows is None:
             return None
         row_key = self.row_key
+        if row_key(rows[-1]) < value:
+            # past the last row, as most lines of an ingest are
+            return None
         # the first row not before ``value``, or else the last
         row = rows[bisect.bisect_left(rows, value, 0, len(rows) - 1, key=row_key)]
         return row if row_key(row) == value else None
@@ -601,32 +563,32 @@ class _LogIndex:
                 # a line appended out of key order goes to its key's place
                 rows.insert(bisect.bisect_left(rows, value, key=row_key), row)
 
+    def columns(self) -> list[array]:
+        """Every column the sidecar holds, in its order: the entry columns,
+        then the state table's (snapshots)."""
+        columns = [self.times, self.offsets, self.lengths, self.tags]
+        if self.kind == SNAPSHOTS:
+            columns += [*self.table.columns, *self.table.sets]
+        return columns
+
     def to_sidecar(self) -> bytes:
         """The sidecar covering the first ``scanned_bytes`` of the log."""
-        table = self.table.to_bytes() if self.kind == SNAPSHOTS else b""
-        names = list(self.rows)
-        if self.kind == REVIEWS:
-            names += self.table.keys()
-        columns = (self.times, self.offsets, self.lengths, self.tags)
+        table = (0, 0, 0)
+        if self.kind == SNAPSHOTS:
+            table = (len(self.table), *map(len, self.table.sets))
         body = (
-            array("I", map(len, self.rows.values())).tobytes()
+            _SIDECAR_COUNTS.pack(len(self.times), len(self.rows), self.skipped_corrupt, *table)
+            + array("I", map(len, self.rows.values())).tobytes()
             + b"".join(rows.tobytes() for rows in self.rows.values())
-            + b"".join(column.tobytes() for column in columns)
-            + table
-            + b"".join(name.encode("utf-8", "surrogatepass") + _NAME_END for name in names)
+            + b"".join(column.tobytes() for column in self.columns())
+            + b"".join(
+                name.encode("utf-8", "surrogatepass") + _NAME_END
+                for name in itertools.chain(self.rows, self.strings.keys())
+            )
         )
         sha = self.digest.copy()
         sha.update(body)
-        header = _SIDECAR_HEADER.pack(
-            _SIDECAR_MAGIC,
-            self.scanned_bytes,
-            sha.digest(),
-            len(self.times),
-            len(self.rows),
-            self.skipped_corrupt,
-            len(table),
-        )
-        return header + body
+        return _SIDECAR_HEADER.pack(_SIDECAR_MAGIC, self.scanned_bytes, sha.digest()) + body
 
     @classmethod
     def from_sidecar(cls, kind: str, sidecar: Path, log: Path) -> "_LogIndex | None":
@@ -635,12 +597,13 @@ class _LogIndex:
         begins with the bytes it covers. No state is built."""
         try:
             data = sidecar.read_bytes()
-            magic, covered, digest, count, n_groups, skipped, table_bytes = (
-                _SIDECAR_HEADER.unpack_from(data)
+            magic, covered, digest = _SIDECAR_HEADER.unpack_from(data)
+            count, n_groups, skipped, states, sets, set_names = _SIDECAR_COUNTS.unpack_from(
+                data, _SIDECAR_HEADER.size
             )
         except (OSError, struct.error):
             return None
-        if magic != _SIDECAR_MAGIC:
+        if magic != _SIDECAR_MAGIC or (kind != SNAPSHOTS and (states or sets or set_names)):
             return None
         index = cls(kind)
         body = memoryview(data)[_SIDECAR_HEADER.size:]
@@ -648,30 +611,28 @@ class _LogIndex:
         try:
             pos = _read_columns(
                 body,
-                0,
-                [counts, order, index.times, index.offsets, index.lengths, index.tags],
-                [n_groups, count, count, count, count, count if kind != TOPK else 0],
+                _SIDECAR_COUNTS.size,
+                [counts, order, *index.columns()],
+                [n_groups, count, count, count, count, count if kind != TOPK else 0]
+                + [states] * (len(_STATE_CODES) - 2)
+                + [sets, set_names],
             )
             if sum(counts) != count or 0 in counts or _past(order, count):
                 return None
-            if kind == SNAPSHOTS:
-                index.table = _StateTable.from_bytes(body[pos:pos + table_bytes])
-            elif table_bytes:
-                return None
-            pos += table_bytes
             names = bytes(body[pos:]).split(_NAME_END)
             if len(names) <= n_groups or names[-1]:
                 return None
             names = [name.decode("utf-8", "surrogatepass") for name in names[:-1]]
-            groups, review_ids = names[:n_groups], names[n_groups:]
-            if kind == REVIEWS:
-                # filled in place, as ``row_key`` reads this list
-                index.table.keys().extend(review_ids)
-            elif review_ids:
+            groups, strings = names[:n_groups], names[n_groups:]
+            if kind == TOPK and strings:
                 return None
+            # filled in place, as ``row_key`` reads the review ids
+            index.strings.keys().extend(strings)
             if _past(index.tags, len(index.table)):
                 return None
-        except (ValueError, struct.error):
+            if kind == SNAPSHOTS and not index.table.in_range():
+                return None
+        except ValueError:
             return None
         sha = _hash_prefix(log, covered)
         if sha is None:

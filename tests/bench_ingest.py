@@ -32,9 +32,11 @@ distinct: one re-ingests all its snapshots through a new handle each round,
 so that the sidecar load is timed with the lookups; one does the same
 through ``ingest_dir`` from a file that repeats the log, which it passes a
 block of lines at a time; and one ingests the last day into a store of the
-six days before it. A last one reads the states of every app of that week
+six days before it. One more reads the states of every app of that week
 (``app_states``) from a store opened from its sidecar, the read that pays
-for each entity's rows being one array of row numbers.
+for each entity's rows being one array of row numbers. A last one opens
+that store and reads the newest state of every app (``latest_states``):
+the sidecar load, with its checks, and the build of the state table.
 """
 
 import itertools
@@ -398,3 +400,17 @@ def test_app_states_of_every_app_of_a_store_opened_from_its_sidecar(
     states = benchmark.pedantic(read, setup=opened_store, rounds=7)
     assert SnapStore.open(root)._index("snapshots").sidecar_bytes > 0
     assert sum(len(s.times) for s in states) == len(lines)
+
+
+def test_latest_states_of_a_store_opened_from_its_sidecar(benchmark, tmp_path, crawl_week):
+    manifest, lines, _ = crawl_week
+    root = tmp_path / "store"
+    ingest_lines(SnapStore.create(root, manifest), "snapshots", lines)
+
+    def read():
+        return SnapStore.open(root).latest_states()
+
+    states = benchmark.pedantic(read, rounds=7)
+    store = SnapStore.open(root)
+    assert store._index("snapshots").sidecar_bytes > 0
+    assert list(states) == list(store.latest_states()) and len(states) == len(store.apps())

@@ -811,6 +811,12 @@ class TestMockMarket:
         leaves = [app for app, sim in mock.graph.items() if not sim]
         assert leaves  # tree with no extra links has leaves
 
+    @pytest.mark.parametrize("n_seeds", [0, -3])
+    def test_fewer_than_one_seed_is_a_config_error(self, n_seeds):
+        market = generate(small_script(n_developers=10, observation_days=2))
+        with pytest.raises(ConfigError, match=f"at least one seed, not {n_seeds}"):
+            render_mock_market(market.snapshots, n_seeds=n_seeds)
+
     def test_slope_closure(self):
         market = generate(small_script(seed=20120401, n_developers=700, observation_days=2))
         latest = {s.app: s for s in market.snapshots}

@@ -1523,13 +1523,22 @@ def _index_state(store):
 
 
 def _index_columns(store):
-    """The columns of every log's index as memory holds them, in log order,
-    and each entity's row numbers."""
+    """The columns of every log's index as memory holds them, with their
+    types, in log order (for snapshots, then the state table's columns and
+    sets in id order), each entity's row numbers, and the strings of its
+    table: the state table's, or the review ids."""
+    def columns(index):
+        table = [*index.table.columns, *index.table.sets] if index.kind == "snapshots" else []
+        return [
+            (column.typecode, column)
+            for column in (index.times, index.offsets, index.lengths, index.tags, *table)
+        ]
+
+    def strings(index):
+        return index.table.strings.keys() if index.kind == "snapshots" else index.table.keys()
+
     return {
-        kind: (
-            (index.times, index.offsets, index.lengths, index.tags),
-            list(index.rows.items()),
-        )
+        kind: (columns(index), list(index.rows.items()), strings(index))
         for kind in ("snapshots", "reviews", "topk")
         for index in [store._index(kind)]
     }
@@ -1574,45 +1583,43 @@ def test_sidecar_index_equals_full_scan(tmp_path, market):
     # scanned one column for column
     assert _index_columns(loaded) == _index_columns(scanned)
     assert _query_results(loaded) == _query_results(scanned)
-    # per entry 28 bytes (snapshots, reviews) or 24 (top-k): its row number,
-    # then its columns; plus 4 per entity
+    # the sidecar holds every column in the type memory gives it, and every
+    # string once, last: after the header and its six counts, 4 bytes per
+    # entity, per entry 28 bytes (snapshots, reviews) or 24 (top-k) for its
+    # row number and its columns, per state 48 bytes (four 8-byte numbers
+    # and four 4-byte ids), 4 per permission set and per permission name,
+    # then each string with its end byte
+    header, counts = store_mod._SIDECAR_HEADER, store_mod._SIDECAR_COUNTS
     for kind, per_entry in (("snapshots", 28), ("reviews", 28), ("topk", 24)):
         index = loaded._index(kind)
-        entries = _entity_rows(index)
-        names = list(index.rows)
-        if kind == "reviews":
-            names += dict.fromkeys(e[4] for e in entries)
-        header = store_mod._SIDECAR_HEADER
-        table = header.unpack_from((root / f"{kind}.idx").read_bytes())[-1]
-        columns = (
-            (root / f"{kind}.idx").stat().st_size
-            - header.size
-            - table
-            - sum(len(name.encode()) + 1 for name in names)
+        data = (root / f"{kind}.idx").read_bytes()
+        table = (0, 0, 0)
+        strings = list(index.rows)
+        if kind == "snapshots":
+            table = (len(index.table), len(index.table.sets[0]), len(index.table.sets[1]))
+            strings += index.table.strings.keys()
+        elif kind == "reviews":
+            strings += dict.fromkeys(e[4] for e in _entity_rows(index))
+        entries = len(index.times)
+        assert counts.unpack_from(data, header.size) == (
+            entries, len(index.rows), index.skipped_corrupt, *table
         )
-        assert columns == per_entry * len(entries) + 4 * len(index.rows)
+        trailer = b"".join(string.encode() + b"\xff" for string in strings)
+        assert data.endswith(trailer)
+        assert len(data) == (
+            header.size
+            + counts.size
+            + 4 * len(index.rows)
+            + per_entry * entries
+            + 48 * table[0]
+            + 4 * (table[1] + table[2])
+            + len(trailer)
+        )
     # the distinct timeline states are few next to the snapshots
     snapshots = loaded._index("snapshots")
     table = snapshots.table
     assert 0 < len(table) < len(snapshots.times) / 2
-    # the state table is binary: its header, each state's eight columns and
-    # each of the two permission-set columns in the type its header names,
-    # the narrowest that holds the column, then the strings; smaller than
-    # the JSON table of MPX6
-    data = (root / "snapshots.idx").read_bytes()
-    at = store_mod._SIDECAR_HEADER.size + 4 * len(snapshots.rows) + 28 * len(snapshots.times)
-    codes = store_mod._TABLE_HEADER.unpack_from(data, at)[-1].decode()
-    assert all(array(code, [max(column, default=0)]) for code, column in zip(codes, table.columns))
-    width = [array(code).itemsize for code in codes]
-    assert store_mod._SIDECAR_HEADER.unpack_from(data)[-1] == (
-        store_mod._TABLE_HEADER.size
-        + sum(width[:8]) * len(table)
-        + width[8] * len(table.sets[0])
-        + width[9] * len(table.sets[1])
-        + sum(len(string.encode()) + 1 for string in table.strings.keys())
-    )
-    assert sum(width[:8]) < 48
-    assert store_mod._SIDECAR_HEADER.unpack_from(data)[-1] < len(_json_state_table(table.keys()))
+    assert "".join(c.typecode for c in [*table.columns, *table.sets]) == "qqqqIIIIII"
 
 
 def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
@@ -1636,35 +1643,39 @@ def test_index_of_several_batches_equals_full_scan(tmp_path, manifest):
 def _id_columns(data):
     """(offset of its first item, type code, an id just out of range) of
     each id column of the snapshots sidecar ``data``."""
-    header, table_header = store_mod._SIDECAR_HEADER, store_mod._TABLE_HEADER
-    _, _, _, entries, entities, _, _ = header.unpack_from(data)
+    header, counts = store_mod._SIDECAR_HEADER, store_mod._SIDECAR_COUNTS
+    entries, entities, _, states, sets, names = counts.unpack_from(data, header.size)
     # the row numbers follow the entry counts; then times, offsets, lengths
-    rows = header.size + 4 * entities
+    # and the state ids; then four 8-byte and four 4-byte columns per state,
+    # the set sizes, the set names and the strings
+    rows = header.size + counts.size + 4 * entities
     tags = rows + 24 * entries
-    at = tags + 4 * entries
-    states, sets, _, strings, codes = table_header.unpack_from(data, at)
-    codes = codes.decode()
-    starts = list(itertools.accumulate(
-        (array(code).itemsize * (states if i < 8 else sets) for i, code in enumerate(codes)),
-        initial=at + table_header.size,
-    ))
+    table = tags + 4 * entries
+    set_names = table + 48 * states + 4 * sets
+    strings = data[set_names + 4 * names:].count(b"\xff") - entities
     return {
         "row number": (rows, "I", entries),
         "state id": (tags, "I", states),
-        "version": (starts[4], codes[4], strings),
-        "category": (starts[5], codes[5], strings),
-        "permission set": (starts[6], codes[6], sets),
-        "last_updated ordinal": (starts[7], codes[7], 0),
-        "permission name": (starts[9], codes[9], strings),
+        "version": (table + 32 * states, "I", strings),
+        "category": (table + 36 * states, "I", strings),
+        "permission set": (table + 40 * states, "I", sets),
+        "last_updated ordinal": (table + 44 * states, "I", 0),
+        "permission name": (set_names, "I", strings),
     }
 
 
 def _with_item(data, log, offset, code, value):
     """The sidecar ``data`` with the item at ``offset`` set to ``value``
     and its digest recomputed over ``log``, so that it is intact."""
-    header = store_mod._SIDECAR_HEADER
     data = bytearray(data)
     struct.pack_into("=" + code, data, offset, value)
+    return _redigested(data, log)
+
+
+def _redigested(data, log):
+    """The sidecar ``data`` with its digest recomputed over ``log``."""
+    header = store_mod._SIDECAR_HEADER
+    data = bytearray(data)
     covered = header.unpack_from(data)[1]
     sha = hashlib.sha1(log.read_bytes()[:covered])
     sha.update(data[header.size:])
@@ -1701,18 +1712,95 @@ def test_intact_sidecar_with_an_id_out_of_range_is_rejected_at_open(tmp_path, ma
     assert _query_results(loaded) == _query_results(scanned)
 
 
-def _table_codes(table):
-    """The type codes of the state table's columns as its sidecar holds them."""
-    return store_mod._TABLE_HEADER.unpack_from(table.to_bytes())[4].decode("ascii")
+# the sidecar's counts, in order, after its header
+_COUNTS = ("entries", "entities", "skipped", "states", "sets", "names")
 
 
-def test_state_table_columns_widen_for_larger_items(tmp_path, manifest):
-    # the first sidecar holds the state columns in 8 and 16 bits but the
-    # ordinal; a handle over it adds items that need 16, 32 and 64 bits
+def _count_at(field):
+    """The offset in a sidecar of its count ``field``."""
+    return store_mod._SIDECAR_HEADER.size + 8 * _COUNTS.index(field)
+
+
+def _with_count(data, log, field, value):
+    """The sidecar ``data`` with its count ``field`` set to ``value`` and its
+    digest recomputed over ``log``, so that it is intact."""
+    return _with_item(data, log, _count_at(field), "Q", value)
+
+
+def _assert_sidecar_ignored(root, tmp_path, kind):
+    """A handle on ``root`` scans the whole ``kind`` log, and reads as one
+    over no sidecar."""
+    loaded = SnapStore.open(root)
+    assert _sidecar_bytes(loaded)[kind] == 0
+    scanned = _full_scan(root, tmp_path)
+    assert _index_state(loaded) == _index_state(scanned)
+    assert _query_results(loaded) == _query_results(scanned)
+
+
+@pytest.mark.parametrize("field", ["states", "sets", "names"])
+@pytest.mark.parametrize("kind", ["reviews", "topk"])
+def test_intact_sidecar_of_a_log_without_states_with_table_counts_is_rejected_at_open(
+    tmp_path, market, kind, field
+):
+    # only the snapshot log has a state table
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    sidecar, log = root / f"{kind}.idx", root / f"{kind}.jsonl"
+    sidecar.write_bytes(_with_count(sidecar.read_bytes(), log, field, 1))
+    _assert_sidecar_ignored(root, tmp_path, kind)
+
+
+def test_intact_topk_sidecar_with_strings_after_its_entity_names_is_rejected_at_open(
+    tmp_path, market
+):
+    # a top-k index has no table, so no string follows the list types
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    sidecar, log = root / "topk.idx", root / "topk.jsonl"
+    sidecar.write_bytes(_redigested(sidecar.read_bytes() + b"x\xff", log))
+    _assert_sidecar_ignored(root, tmp_path, "topk")
+
+
+@pytest.mark.parametrize("past_the_body", [False, True], ids=["by_one", "past_the_body"])
+@pytest.mark.parametrize("field", ["states", "sets", "names"])
+def test_intact_sidecar_with_a_table_count_too_large_is_rejected_at_open(
+    tmp_path, market, field, past_the_body
+):
+    # one more item per column of the count shifts every later column and
+    # the strings; a count past the body cuts a column short
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    sidecar, log = root / "snapshots.idx", root / "snapshots.jsonl"
+    data = sidecar.read_bytes()
+    count = struct.unpack_from("=Q", data, _count_at(field))[0]
+    sidecar.write_bytes(_with_count(data, log, field, len(data) if past_the_body else count + 1))
+    _assert_sidecar_ignored(root, tmp_path, "snapshots")
+
+
+@pytest.mark.parametrize("field", _COUNTS)
+def test_sidecar_with_a_count_changed_fails_the_digest(tmp_path, market, field):
+    # the digest covers the counts; no other check could tell a changed
+    # count of skipped lines
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    sidecar = root / "snapshots.idx"
+    data = bytearray(sidecar.read_bytes())
+    offset = _count_at(field)
+    struct.pack_into("=Q", data, offset, struct.unpack_from("=Q", data, offset)[0] + 1)
+    sidecar.write_bytes(bytes(data))
+    _assert_sidecar_ignored(root, tmp_path, "snapshots")
+
+
+def test_state_of_64_bit_numbers_added_over_a_sidecar_is_read_as_a_full_scan(
+    tmp_path, manifest
+):
+    # the first sidecar holds one state of small numbers; a handle over it
+    # adds one whose downloads need 64 bits and whose other items are
+    # larger, into the columns of the types memory and the sidecar hold
     store = SnapStore.create(tmp_path / "store", manifest)
     ingest_records(store, "snapshots", [make_snapshot()])
     handle = SnapStore.open(store.root)
-    assert _table_codes(handle._index("snapshots").table) == "BHHBBBBIBB"
+    assert handle._index("snapshots").sidecar_bytes > 0
     big = make_snapshot(
         day=DAY0 + dt.timedelta(days=1),
         price_cents=70_000,
@@ -1722,11 +1810,13 @@ def test_state_table_columns_widen_for_larger_items(tmp_path, manifest):
         permissions=frozenset(f"P{i}" for i in range(300)),
     )
     assert ingest_records(handle, "snapshots", [big]).accepted["snapshots"] == 1
-    assert _table_codes(SnapStore.open(store.root)._index("snapshots").table) == "IqqHBBBIHH"
     scanned = _full_scan(store.root, tmp_path)
+    assert scanned.latest_states()[big.app] == timeline_state(big)
     for reader in (handle, SnapStore.open(store.root)):
         assert _index_state(reader) == _index_state(scanned)
+        assert _index_columns(reader) == _index_columns(scanned)
         assert _query_results(reader) == _query_results(scanned)
+        assert reader.latest_states() == scanned.latest_states()
 
 
 def test_state_with_a_number_past_64_bits_keeps_the_previous_sidecar(tmp_path, manifest):
@@ -1861,7 +1951,7 @@ def test_read_only_store_serves_every_query(tmp_path, market):
             path.chmod(0o755 if path.is_dir() else 0o644)
 
 
-_MPX1, _MPX2, _MPX3, _MPX4, _MPX5, _MPX6, _MPX7, _MPX8 = range(0x4D505831, 0x4D505839)
+_MPX1, _MPX2, _MPX3, _MPX4, _MPX5, _MPX6, _MPX7, _MPX8, _MPX9 = range(0x4D505831, 0x4D50583A)
 
 
 def _log_order_records(index):
@@ -1894,6 +1984,31 @@ def _json_state_table(states):
         {"permission_names": list(name_ids), "permissions": permissions, "states": rows},
         separators=(",", ":"),
     ).encode("ascii")
+
+
+def _narrow_state_table(table):
+    """The state table ``table`` as the ``MPX7`` to ``MPX9`` code wrote it:
+    a header of the counts of states, permission sets, permission names over
+    all sets and strings, and the type code of each column; the columns in
+    the order of ``_STATE_CODES``, each in the narrowest of 8, 16 or 32
+    unsigned bits, or 64 signed bits, that holds its largest item; then the
+    strings, each followed by 0xff."""
+    columns = [*table.columns, *table.sets]
+    codes = "".join(
+        next(
+            (code for code in "BHI" if max(column, default=0) < 1 << 8 * array(code).itemsize),
+            "q",
+        )
+        for column in columns
+    )
+    counts = (len(table), len(table.sets[0]), len(table.sets[1]), len(table.strings))
+    return (
+        struct.pack("=QQQQ10s", *counts, codes.encode("ascii"))
+        + b"".join(array(code, column).tobytes() for code, column in zip(codes, columns))
+        + b"".join(
+            string.encode("utf-8", "surrogatepass") + b"\xff" for string in table.strings.keys()
+        )
+    )
 
 
 def _earlier_layout_sidecar(kind, magic, log, records, skipped=0):
@@ -1942,7 +2057,10 @@ def _entity_order_sidecar(index, magic, order=None):
     names = list(index.rows) + (index.table.keys() if index.kind == "reviews" else [])
     table = b""
     if index.kind == "snapshots":
-        table = index.table.to_bytes() if magic == _MPX7 else _json_state_table(index.table.keys())
+        table = (
+            _narrow_state_table(index.table) if magic == _MPX7
+            else _json_state_table(index.table.keys())
+        )
     body = (
         array("I", map(len, rows)).tobytes()
         + b"".join(array(code, [column[r] for r in flat]).tobytes() for code, column in columns)
@@ -1958,18 +2076,24 @@ def _entity_order_sidecar(index, magic, order=None):
     return header + body
 
 
-def _date_order_sidecar(index):
-    """The sidecar the ``MPX8`` code wrote for ``index``, with a valid
-    digest: the current layout, but with each app's review rows in (date,
-    review id) order rather than review id order."""
+def _narrow_table_sidecar(index, magic):
+    """The sidecar the ``MPX8`` or ``MPX9`` code wrote for ``index``, with a
+    valid digest (it does not cover the header): a header that ends with the
+    byte length of the state table, the entry count of each entity, every
+    entity's row numbers, the columns in log order, the state table
+    (``_narrow_state_table``), then the entity names and the review ids.
+    ``MPX9`` held each app's review rows in review id order, ``MPX8`` in
+    (date, review id) order."""
     review_ids = index.table.keys() if index.kind == "reviews" else []
 
-    def order(r):
+    def by_date(r):
         return (index.times[r], review_ids[index.tags[r]]) if review_ids else index.times[r]
 
-    rows = [array("I", sorted(r, key=order)) for r in index.rows.values()]
+    rows = [
+        array("I", sorted(r, key=by_date)) if magic == _MPX8 else r for r in index.rows.values()
+    ]
     columns = (index.times, index.offsets, index.lengths, index.tags)
-    table = index.table.to_bytes() if index.kind == "snapshots" else b""
+    table = _narrow_state_table(index.table) if index.kind == "snapshots" else b""
     body = (
         array("I", map(len, rows)).tobytes()
         + b"".join(r.tobytes() for r in rows)
@@ -1981,7 +2105,7 @@ def _date_order_sidecar(index):
     sha = index.digest.copy()
     sha.update(body)
     header = struct.pack(
-        "=IQ20sQQQQ", _MPX8, index.scanned_bytes, sha.digest(), len(index.times), len(rows),
+        "=IQ20sQQQQ", magic, index.scanned_bytes, sha.digest(), len(index.times), len(rows),
         index.skipped_corrupt, len(table),
     )
     return header + body
@@ -2010,7 +2134,7 @@ def _assert_reingest_appends_nothing(root):
         )
         if lines:
             current = struct.unpack_from("=I", (root / f"{kind}.idx").read_bytes())[0]
-            assert current == store_mod._SIDECAR_MAGIC == 0x4D505839
+            assert current == store_mod._SIDECAR_MAGIC == 0x4D505841
     assert {p.name: p.read_bytes() for p in root.glob("*.jsonl")} == logs
 
 
@@ -2039,12 +2163,15 @@ def test_previous_format_sidecar_is_ignored_then_replaced(tmp_path, market):
 
 
 def _assert_layout_ignored_then_replaced(root, scanned, magic):
-    """Sidecars of the layout ``magic`` (``MPX6`` to ``MPX8``) over the logs
+    """Sidecars of the layout ``magic`` (``MPX6`` to ``MPX9``) over the logs
     under ``root`` are ignored and the logs scanned; the next ingest writes
     the current layout, which loads as ``scanned`` column for column."""
     for kind in ("snapshots", "reviews", "topk"):
         index = scanned._index(kind)
-        old = _date_order_sidecar(index) if magic == _MPX8 else _entity_order_sidecar(index, magic)
+        old = (
+            _narrow_table_sidecar(index, magic) if magic >= _MPX8
+            else _entity_order_sidecar(index, magic)
+        )
         (root / f"{kind}.idx").write_bytes(old)
     loaded = SnapStore.open(root)
     assert _sidecar_bytes(loaded) == {"snapshots": 0, "reviews": 0, "topk": 0}
@@ -2089,6 +2216,15 @@ def test_sidecar_of_the_mpx8_layout_is_ignored_and_the_log_scanned(tmp_path, man
     # the two orders differ for some app
     assert any(sorted(rows, key=by_date) != list(rows) for rows in reviews.rows.values())
     _assert_layout_ignored_then_replaced(root, scanned, _MPX8)
+
+
+def test_sidecar_of_the_mpx9_layout_is_ignored_and_the_log_scanned(tmp_path, market):
+    # MPX9 held the state table in a second form: each column in its
+    # narrowest type, with the table's own header and strings; its sidecars
+    # are ignored, then replaced by the next ingest
+    root = tmp_path / "store"
+    ingest_market(root, market)
+    _assert_layout_ignored_then_replaced(root, _full_scan(root, tmp_path), _MPX9)
 
 
 def _out_of_order_store(root, manifest):
@@ -2355,16 +2491,21 @@ def test_find_among_many_same_day_reviews_of_one_app_makes_about_log2_n_comparis
     )
     app = "com.example.app"
     later = ("r", "r2500a", "r5000")
-    # one bisection of the app's rows by review id, then one equality test
+    # one comparison with the last row; then, unless the key is past it, one
+    # bisection of the app's rows by review id and one equality test
     bound = math.ceil(math.log2(n + len(later))) + 3
     handle = SnapStore.open(root)
     for appended in (False, True):
         index = handle._index("reviews")
         assert index.sidecar_bytes > 0
         assert type(index.rows[app]) is array and len(index.rows[app]) == n + appended * len(later)
-        for review_id in ("r0000", "r1234", "r2500", "r4999", "r", "r2500a", "r5000"):
+        last = "r5000" if appended else "r4999"
+        for review_id in ("r0000", "r1234", "r2500", "r4999", "r", "r2500a", "r5000", "s"):
             _COMPARISONS[0] = 0
             row = index.find(((app,), _CountedStr(review_id)))
+            if review_id > last:
+                assert (_COMPARISONS[0], row) == (1, None)
+                continue
             assert math.log2(n) <= _COMPARISONS[0] <= bound
             if not appended and review_id in later:
                 assert row is None
