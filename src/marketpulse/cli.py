@@ -224,12 +224,13 @@ def cmd_crawl(args) -> int:
         for line in Path(args.seeds).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
+    # an existing path is a dataset directory or a pages file; any other
+    # value with a colon is host:port
     market_arg = str(args.market)
-    if Path(market_arg).is_dir():
-        market = harvester.DictMarket.load(
-            str(Path(market_arg) / "market_pages.jsonl")
-        )
-    elif ":" in market_arg:
+    market_path = Path(market_arg)
+    if market_path.is_dir():
+        market = harvester.DictMarket.load(str(market_path / "market_pages.jsonl"))
+    elif ":" in market_arg and not market_path.exists():
         host, _, port = market_arg.rpartition(":")
         market = harvester.RemoteMarket(host, int(port))
     else:

@@ -32,7 +32,6 @@ from .model import (
     canonical_snapshot_line,
     date_to_epoch,
     parse_date,
-    snapshot_from_trusted_record,
 )
 from .store import DatasetManifest
 from .timeline import format_event_value
@@ -388,19 +387,9 @@ class _PlannedChange:
 @dataclass
 class _AppPlan:
     app: str
-    developer: str
-    title: str
-    category: str
+    first: AppSnapshot  # the state on the first snapshot day, fetch_time 0
     klass: PopularityClass
     stale: bool
-    price0: int
-    bucket0: DownloadBucket
-    rating_avg: float
-    rating_count0: int
-    version0: str
-    size_bytes: int
-    last_updated0: dt.date
-    permissions0: frozenset
     update_days: list = field(default_factory=list)
     changes: list = field(default_factory=list)  # _PlannedChange, sorted by day
     review_base_daily: float = 0.0
@@ -448,8 +437,7 @@ def _plan_app(
     rng = keyed_rng(script.seed, f"app:{app_id}")
     mix = [script.popularity_mix.get(c, 0.0) for c in _CLASS_ORDER]
     klass = _CLASS_ORDER[int(rng.choice(len(_CLASS_ORDER), p=mix))]
-    bucket0 = DOWNLOAD_LADDER[_choice(rng, _CLASS_BUCKETS[klass])]
-    bucket0 = DownloadBucket(*bucket0)
+    bucket0 = DownloadBucket(*DOWNLOAD_LADDER[_choice(rng, _CLASS_BUCKETS[klass])])
 
     end = script.observation_end
     window = DEFAULT_STALENESS_WINDOW_DAYS
@@ -482,31 +470,21 @@ def _plan_app(
     )
 
     rating_count0 = max(
-        0,
-        int(
-            round(
-                bucket0.midpoint()
-                * RATING_DOWNLOAD_RATIO
-                * rng.uniform(0.9, 1.1)
-            )
-        ),
+        0, int(round(bucket0.midpoint() * RATING_DOWNLOAD_RATIO * rng.uniform(0.9, 1.1)))
     )
 
-    plan = _AppPlan(
-        app=app_id,
-        developer=developer,
-        title=title,
-        category=_choice(rng, CATEGORIES),
-        klass=klass,
-        stale=stale,
-        price0=price0,
-        bucket0=bucket0,
-        rating_avg=round(float(rng.uniform(2.5, 5.0)), 1),
-        rating_count0=rating_count0,
-        version0=_version_string(0),
+    # keyword arguments are evaluated in the order written: the draws of
+    # category, rating_avg and size_bytes come in that order
+    first = AppSnapshot(
+        app=app_id, fetch_time=0, title=title, developer=developer,
+        category=_choice(rng, CATEGORIES), price_cents=price0, free=price0 == 0,
+        downloads=bucket0, rating_avg=round(float(rng.uniform(2.5, 5.0)), 1),
+        rating_count=rating_count0, version=_version_string(0),
         size_bytes=int(rng.integers(300_000, 80_000_000)),
-        last_updated0=last_updated0,
-        permissions0=permissions0,
+        last_updated=last_updated0, permissions=permissions0,
+    )
+    plan = _AppPlan(
+        app=app_id, first=first, klass=klass, stale=stale,
         review_base_daily=script.review_rates.get(klass, 0.1),
         scam_cluster=scam.developer if scam is not None else None,
     )
@@ -533,7 +511,8 @@ def _plan_app(
             if snapped >= snapshot_days[-1]:
                 break
 
-    non_update_days = [d for d in eligible if d not in set(plan.update_days)]
+    update_set = set(plan.update_days)
+    non_update_days = [d for d in eligible if d not in update_set]
 
     changes: list[_PlannedChange] = []
     version_n = 0
@@ -645,7 +624,7 @@ def _plan_app(
 
     # one within-class downloads bump for a small share of apps
     if rng.random() < DOWNLOADS_GROWTH_FRACTION:
-        idx = DOWNLOAD_LADDER.index((plan.bucket0.lo, plan.bucket0.hi))
+        idx = DOWNLOAD_LADDER.index((bucket0.lo, bucket0.hi))
         if idx + 1 < len(DOWNLOAD_LADDER):
             next_bucket = DownloadBucket(*DOWNLOAD_LADDER[idx + 1])
             if classify_popularity(next_bucket) is klass and non_update_days:
@@ -655,7 +634,7 @@ def _plan_app(
                         day=day,
                         kind=AttributeKind.DOWNLOADS_UP,
                         field="downloads",
-                        old=plan.bucket0,
+                        old=bucket0,
                         new=next_bucket,
                     )
                 )
@@ -680,13 +659,13 @@ def _plan_app(
     # rare category change
     if rng.random() < CATEGORY_CHANGE_FRACTION and eligible:
         day = _choice(rng, eligible)
-        others = [c for c in CATEGORIES if c != plan.category]
+        others = [c for c in CATEGORIES if c != first.category]
         changes.append(
             _PlannedChange(
                 day=day,
                 kind=AttributeKind.CATEGORY_CHANGE,
                 field="category",
-                old=plan.category,
+                old=first.category,
                 new=_choice(rng, others),
             )
         )
@@ -711,19 +690,25 @@ def _snap_to_cadence(
 
 
 def _inject_permission_churn(plan: _AppPlan, snapshot_days: list) -> bool:
-    """Script the remove-then-re-add-next-day dangerous permission pattern."""
+    """Script the remove-then-re-add-next-day dangerous permission pattern.
+
+    An app that holds fewer than two dangerous permissions at first gets
+    the first ones it lacks, which only an app without planned permission
+    changes can take: theirs chain from its first set. The plan is edited
+    only when the pattern is injected."""
     eligible = snapshot_days[1:]
     if len(eligible) < 2:
         return False
-    dangerous_held = sorted(set(plan.permissions0) & set(DANGEROUS_PERMISSIONS))
-    if len(dangerous_held) < 2:
-        extra = [p for p in DANGEROUS_PERMISSIONS if p not in plan.permissions0]
-        plan.permissions0 = frozenset(
-            set(plan.permissions0) | set(extra[: 2 - len(dangerous_held)])
-        )
-        dangerous_held = sorted(set(plan.permissions0) & set(DANGEROUS_PERMISSIONS))
-    pair = dangerous_held[:2]
-    taken = {c.day for c in plan.changes if c.field == "permissions"}
+    planned = [c for c in plan.changes if c.field == "permissions"]
+    permissions = plan.first.permissions
+    held = len(permissions & set(DANGEROUS_PERMISSIONS))
+    if held < 2:
+        if planned:
+            return False
+        extra = [p for p in DANGEROUS_PERMISSIONS if p not in permissions]
+        permissions = permissions | set(extra[: 2 - held])
+    pair = sorted(permissions & set(DANGEROUS_PERMISSIONS))[:2]
+    taken = {c.day for c in planned}
     day_remove = None
     for i in range(len(eligible) - 1):
         a, b = eligible[i], eligible[i + 1]
@@ -733,11 +718,11 @@ def _inject_permission_churn(plan: _AppPlan, snapshot_days: list) -> bool:
             break
     if day_remove is None:
         return False
-    # replay permission changes up to day_remove to get the live set
-    current = set(plan.permissions0)
-    for change in plan.changes:
-        if change.field == "permissions" and change.day < day_remove:
-            current = set(change.new)
+    # keep the pattern clean: skip apps with later permission events
+    if any(c.day >= day_remove for c in planned):
+        return False
+    # the live set on day_remove
+    current = set(planned[-1].new if planned else permissions)
     if not set(pair) <= current or len(current) - 2 < 1:
         return False
     after_remove = frozenset(current - set(pair))
@@ -758,10 +743,7 @@ def _inject_permission_churn(plan: _AppPlan, snapshot_days: list) -> bool:
             new=after_readd,
         ),
     ]
-    # rebase later permission changes on the restored set (same membership)
-    for change in plan.changes:
-        if change.field == "permissions" and change.day >= day_remove:
-            return False  # keep the pattern clean: skip apps with later events
+    plan.first = replace(plan.first, permissions=permissions)
     plan.changes = sorted(
         plan.changes + inject, key=lambda c: (c.day, c.field)
     )
@@ -846,6 +828,31 @@ def plan_market(script: MarketScript) -> _MarketPlan:
 # --- rendering ----------------------------------------------------------------
 
 
+def _app_states(plan: _AppPlan, days: list) -> list[tuple[int, AppSnapshot]]:
+    """The snapshot-day index and snapshot (``fetch_time`` 0) of each state
+    of ``plan``, in day order, from ``plan.first`` on day 0.
+
+    A change takes effect on the first snapshot day on or after its day
+    (plans put each on a snapshot day after the first); within one day the
+    changes apply in plan order, then the update days.
+    """
+    updates: dict[int, list] = {}
+    for change in plan.changes:
+        updates.setdefault(bisect.bisect_left(days, change.day), []).append(
+            (change.field, change.new)
+        )
+    for day in plan.update_days:
+        updates.setdefault(bisect.bisect_left(days, day), []).append(("last_updated", day))
+    states = [(0, plan.first)]
+    for i in sorted(updates):
+        new = dict(updates[i])
+        snap = states[-1][1]
+        states.append(
+            (i, replace(snap, **new, free=new.get("price_cents", snap.price_cents) == 0))
+        )
+    return states
+
+
 def _snapshot_lines(plan: _MarketPlan) -> Iterator[list[str]]:
     """Canonical snapshot lines: one list per snapshot day, in day order,
     each sorted by app.
@@ -855,31 +862,12 @@ def _snapshot_lines(plan: _MarketPlan) -> Iterator[list[str]]:
     that text with the day's fetch time put in.
     """
     days = plan.snapshot_days
-    apps = sorted(plan.apps, key=lambda p: p.app)
     texts = []  # (head, tail) of each app's state on the current day
     switches: dict[int, list] = {}  # day index -> [(app position, (head, tail))]
-    for pos, p in enumerate(apps):
-        snap = AppSnapshot(
-            app=p.app, fetch_time=0, title=p.title, developer=p.developer,
-            category=p.category, price_cents=p.price0, free=p.price0 == 0,
-            downloads=p.bucket0, rating_avg=p.rating_avg, rating_count=p.rating_count0,
-            version=p.version0, last_updated=p.last_updated0, size_bytes=p.size_bytes,
-            permissions=p.permissions0,
-        )
-        # a change takes effect on the first snapshot day on or after its
-        # day (plans put each on a snapshot day after the first); within one
-        # day the changes apply in plan order, then the update days
-        updates: dict[int, list] = {}
-        for change in p.changes:
-            i = bisect.bisect_left(days, change.day)
-            updates.setdefault(i, []).append((change.field, change.new))
-        for day in p.update_days:
-            i = bisect.bisect_left(days, day)
-            updates.setdefault(i, []).append(("last_updated", day))
-        texts.append(_snapshot_text(snap))
-        for i in sorted(updates):
-            new = dict(updates[i])
-            snap = replace(snap, **new, free=new.get("price_cents", snap.price_cents) == 0)
+    for pos, p in enumerate(sorted(plan.apps, key=lambda p: p.app)):
+        (_, first), *later = _app_states(p, days)
+        texts.append(_snapshot_text(first))
+        for i, snap in later:
             switches.setdefault(i, []).append((pos, _snapshot_text(snap)))
     for i, day in enumerate(days):
         for pos, text in switches.get(i, ()):
@@ -955,7 +943,7 @@ def _iter_topk_records(plan: _MarketPlan) -> Iterator[dict]:
     if not script.topk_lists:
         return iter(())
     pool = sorted(
-        plan.apps, key=lambda p: (-p.bucket0.lo, p.app)
+        plan.apps, key=lambda p: (-p.first.downloads.lo, p.app)
     )  # best candidates first
     pool_ids = [p.app for p in pool]
     hours = script.observation_days * 24
@@ -985,7 +973,7 @@ def _iter_topk_records(plan: _MarketPlan) -> Iterator[dict]:
                 }
             )
             u = rng.random(length)
-            dead_positions = [i for i in range(length) if u[i] < churn[i]]
+            dead_positions = np.flatnonzero(u < churn).tolist()
             if len(dead_positions) > len(off_list):
                 dead_positions = dead_positions[: len(off_list)]
             if not dead_positions:
@@ -1013,14 +1001,15 @@ def _truth_record(plan: _MarketPlan) -> dict:
     dev_app_counts: dict[str, int] = {}
     apps = {}
     for p in plan.apps:
-        dev_app_counts[p.developer] = dev_app_counts.get(p.developer, 0) + 1
+        developer = p.first.developer
+        dev_app_counts[developer] = dev_app_counts.get(developer, 0) + 1
         fraud_days = sorted(
             (start + dt.timedelta(days=offset), c.polarity, c.daily_volume)
             for c in p.campaigns
             for offset in range(c.start_day, c.start_day + c.duration_days)
         )
         apps[p.app] = {
-            "developer": p.developer,
+            "developer": developer,
             "class": p.klass.value,
             "stale": p.stale,
             "update_days": [d.isoformat() for d in p.update_days],
@@ -1058,7 +1047,8 @@ def write_dataset(
     Writes manifest.json, snapshots.jsonl, reviews.jsonl, topk.jsonl and
     ground_truth.json; with ``render_market_seeds`` > 0 also renders
     market_pages.jsonl plus a seeds.txt so a crawl can run against the
-    final day's market state. Every line is in the store's canonical text,
+    market of the last snapshot day: each app's last planned state,
+    fetched that day. Every line is in the store's canonical text,
     so an ingest stores it as it is: snapshot lines come from
     ``canonical_snapshot_line``, as the crawl writes them, and the other
     lines from ``canonical_json``. Returns the ground-truth record.
@@ -1071,8 +1061,8 @@ def write_dataset(
         encoding="utf-8",
     )
     with open(out / "snapshots.jsonl", "w", encoding="utf-8") as f:
-        for day_lines in _snapshot_lines(plan):
-            f.writelines(day_lines)
+        for lines in _snapshot_lines(plan):
+            f.writelines(lines)
     with open(out / "reviews.jsonl", "w", encoding="utf-8") as f:
         f.writelines(_review_lines(plan))
     with open(out / "topk.jsonl", "w", encoding="utf-8") as f:
@@ -1083,9 +1073,10 @@ def write_dataset(
         json.dumps(truth, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
     if render_market_seeds:
-        # day_lines holds the last snapshot day's lines
+        days = plan.snapshot_days
+        fetch_time = date_to_epoch(days[-1]) + _SNAPSHOT_HOUR_OFFSET
         market = render_mock_market(
-            [snapshot_from_trusted_record(json.loads(line)) for line in day_lines],
+            [replace(_app_states(p, days)[-1][1], fetch_time=fetch_time) for p in plan.apps],
             n_seeds=render_market_seeds,
             seed=script.seed,
         )

@@ -1057,11 +1057,11 @@ class SnapStore:
         fetch_time order, from the index: no log line is read."""
         index = self._index(SNAPSHOTS)
         rows = index.rows.get(app, ())
-        states = index.table.keys()
+        times, tags, states = index.times, index.tags, index.table.keys()
         return AppStates(
             app=app,
-            times=tuple(map(index.times.__getitem__, rows)),
-            states=tuple(map(states.__getitem__, map(index.tags.__getitem__, rows))),
+            times=tuple([times[r] for r in rows]),
+            states=tuple([states[tags[r]] for r in rows]),
         )
 
     def latest_snapshots(self) -> dict[str, AppSnapshot]:

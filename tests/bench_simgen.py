@@ -6,9 +6,10 @@ pytest collects ``test_*.py`` only, so run this file by name:
 
 All cases use perfbench's market-30d script: the acceptance suite's
 big_script() market at 1,500 developers (2,428 apps, 30 days). The first
-writes its whole dataset, as ``marketpulse simulate`` does; the other two
-build only its 72,840 snapshot lines and its review lines from a plan
-made once.
+two write its whole dataset, as ``marketpulse simulate`` does, the second
+with the mock market of ``--render-market 5`` (market_pages.jsonl and
+seeds.txt); the other two build only its 72,840 snapshot lines and its
+review lines from a plan made once.
 """
 
 import itertools
@@ -52,6 +53,19 @@ def test_write_dataset(benchmark, tmp_path, script):
 
     truth = benchmark.pedantic(write, rounds=3)
     assert len(truth["app_ids"]) == 2_428
+
+
+def test_write_dataset_render_market(benchmark, tmp_path, script):
+    fresh = itertools.count()
+
+    def write():
+        return simgen.write_dataset(
+            script, tmp_path / f"data{next(fresh)}", render_market_seeds=5
+        )
+
+    truth = benchmark.pedantic(write, rounds=3)
+    assert len(truth["app_ids"]) == 2_428
+    assert (tmp_path / "data0" / "market_pages.jsonl").stat().st_size > 0
 
 
 def test_snapshot_lines(benchmark, plan):

@@ -603,13 +603,13 @@ def reference_snapshot_lines(plan) -> list[str]:
     pointers = {}
     for p in apps:
         states[p.app] = {
-            "price_cents": p.price0,
-            "downloads": p.bucket0,
-            "rating_count": p.rating_count0,
-            "version": p.version0,
-            "permissions": p.permissions0,
-            "category": p.category,
-            "last_updated": p.last_updated0,
+            "price_cents": p.first.price_cents,
+            "downloads": p.first.downloads,
+            "rating_count": p.first.rating_count,
+            "version": p.first.version,
+            "permissions": p.first.permissions,
+            "category": p.first.category,
+            "last_updated": p.first.last_updated,
         }
         pointers[p.app] = 0
     update_pointers = {p.app: 0 for p in apps}
@@ -631,18 +631,18 @@ def reference_snapshot_lines(plan) -> list[str]:
             rec = {
                 "app": p.app,
                 "fetch_time": fetch_time,
-                "title": p.title,
-                "developer": p.developer,
+                "title": p.first.title,
+                "developer": p.first.developer,
                 "category": state["category"],
                 "price_cents": state["price_cents"],
                 "free": state["price_cents"] == 0,
                 "downloads_lo": state["downloads"].lo,
                 "downloads_hi": state["downloads"].hi,
-                "rating_avg": p.rating_avg,
+                "rating_avg": p.first.rating_avg,
                 "rating_count": state["rating_count"],
                 "version": state["version"],
                 "last_updated": state["last_updated"].isoformat(),
-                "size_bytes": p.size_bytes,
+                "size_bytes": p.first.size_bytes,
                 "permissions": sorted(state["permissions"]),
             }
             lines.append(canonical_json(rec) + "\n")

@@ -210,6 +210,21 @@ class TestPipelineCommands:
         code = main(["ingest", "--data", str(out), "--store", str(store2)])
         assert code == 0
 
+    def test_crawl_reads_an_existing_pages_file_whose_path_holds_a_colon(self, dataset, tmp_path):
+        # an existing path wins over host:port
+        pages = tmp_path / "colon" / "run:1" / "market_pages.jsonl"
+        pages.parent.mkdir(parents=True)
+        shutil.copy(dataset["data"] / "market_pages.jsonl", pages)
+        out = tmp_path / "crawl"
+        code = main(
+            ["crawl", "--seeds", str(dataset["data"] / "seeds.txt"), "--market", str(pages),
+             "--politeness-delay-ms", "0", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads((out / "crawl_report.json").read_text())
+        apps = json.loads((dataset["data"] / "ground_truth.json").read_text())["app_ids"]
+        assert report["snapshots_emitted"] == len(apps)
+
 
 def test_committed_line_without_a_title_is_skipped_by_every_report(store, tmp_path):
     valid = [make_snapshot(app=f"com.valid{i}") for i in range(2)]

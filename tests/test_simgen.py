@@ -1,4 +1,6 @@
+import copy
 import datetime as dt
+import itertools
 import json
 import tempfile
 from collections import Counter
@@ -55,7 +57,9 @@ from marketpulse.timeline import (
 from marketpulse.topk import lifetime_at_rank, rank_occupancy
 
 from conftest import (
+    DAY0,
     generate,
+    make_snapshot,
     power_law_samples,
     reference_review_lines,
     reference_snapshot_lines,
@@ -543,7 +547,7 @@ def test_ground_truth_file_records_the_plan(tmp_path):
 
     plan = simgen.plan_market(script)
     assert truth["app_ids"] == [p.app for p in plan.apps]
-    assert truth["dev_app_counts"] == Counter(p.developer for p in plan.apps)
+    assert truth["dev_app_counts"] == Counter(p.first.developer for p in plan.apps)
     assert sorted(truth["apps"]) == sorted(truth["app_ids"])
     fraud_days = planned_fraud_days(plan)
     for p in plan.apps:
@@ -565,7 +569,7 @@ def test_ground_truth_file_records_the_plan(tmp_path):
             record["permission_events"],
             record["decoupled_events"],
         ) == (
-            p.developer,
+            p.first.developer,
             p.klass.value,
             p.stale,
             p.scam_cluster,
@@ -695,6 +699,57 @@ class TestDecoupling:
     def test_churn_needs_room(self):
         with pytest.raises(ConfigError, match="churn"):
             simgen.plan_market(small_script(observation_days=1, permission_churn_apps=1))
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            MarketScript(seed=4, n_developers=100, observation_days=180, permission_churn_apps=146),
+            MarketScript(seed=10, n_developers=40, observation_days=180, permission_churn_apps=20),
+        ],
+        ids=["seed4", "seed10"],
+    )
+    def test_permission_events_chain_from_the_first_snapshot(self, script, tmp_path):
+        # a churn app that lacks dangerous permissions at first is given
+        # some only when its pattern is injected
+        truth = write_dataset(script, tmp_path)
+        with open(tmp_path / "snapshots.jsonl", encoding="utf-8") as f:
+            first_day = [json.loads(line) for line in itertools.islice(f, len(truth["app_ids"]))]
+        first = {rec["app"]: ";".join(rec["permissions"]) for rec in first_day}
+        olds = {
+            app: [e["old"] for e in record["events"] if e["kind"].startswith("permissions")]
+            for app, record in truth["apps"].items()
+        }
+        assert sum(bool(o) for o in olds.values()) > 10
+        assert {app: o[0] for app, o in olds.items() if o} == {
+            app: first[app] for app, o in olds.items() if o
+        }
+        for p in simgen.plan_market(script).apps:
+            permissions = p.first.permissions
+            for change in p.changes:
+                if change.field == "permissions":
+                    assert change.old == permissions, p.app
+                    permissions = change.new
+
+    def test_churn_skips_an_app_whose_planned_permissions_start_narrower(self):
+        # widening the first set to two dangerous permissions would break
+        # the chain into the planned change of day 1
+        days = [DAY0 + dt.timedelta(days=i) for i in range(5)]
+        held = frozenset({"CAMERA", "INTERNET", "VIBRATE"})
+        plan = simgen._AppPlan(
+            app="com.example.app",
+            first=make_snapshot(fetch_time=0, permissions=held),
+            klass=PopularityClass.POPULAR,
+            stale=False,
+            changes=[
+                simgen._PlannedChange(
+                    days[1], AttributeKind.PERMISSIONS_UP, "permissions",
+                    held, held | {"ACCESS_COARSE_LOCATION"},
+                )
+            ],
+        )
+        before = copy.deepcopy(plan)
+        assert not simgen._inject_permission_churn(plan, days)
+        assert plan == before
 
 
 class TestScamDevelopers:
