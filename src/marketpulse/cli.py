@@ -225,13 +225,14 @@ def cmd_crawl(args) -> int:
         if line.strip()
     ]
     # an existing path is a dataset directory or a pages file; any other
-    # value with a colon is host:port
+    # value whose text after its last colon is all digits is host:port, and
+    # the rest are pages files
     market_arg = str(args.market)
     market_path = Path(market_arg)
+    host, colon, port = market_arg.rpartition(":")
     if market_path.is_dir():
         market = harvester.DictMarket.load(str(market_path / "market_pages.jsonl"))
-    elif ":" in market_arg and not market_path.exists():
-        host, _, port = market_arg.rpartition(":")
+    elif colon and port.isascii() and port.isdigit() and not market_path.exists():
         market = harvester.RemoteMarket(host, int(port))
     else:
         market = harvester.DictMarket.load(market_arg)
@@ -553,7 +554,7 @@ def cmd_topk(args) -> int:
                 {
                     "list": list_type.value,
                     "pairs": len(pairs),
-                    "m_mean": sum(m for _, m in pairs) / len(pairs),
+                    "m_mean": sum(m for _, m in pairs) / len(pairs) if pairs else None,
                 }
             )
         )
@@ -733,7 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--market",
         required=True,
-        help="host:port, a market_pages.jsonl file, or a dataset directory",
+        help="a dataset directory, a market_pages.jsonl file, or host:port "
+        "(a value that is no existing path and ends in a colon and digits)",
     )
     p.add_argument("--workers", type=int, default=1)
     # unset means the harvester's default, applied in cmd_crawl so that

@@ -332,24 +332,21 @@ def review_line(rec: dict) -> tuple[tuple, bytes, int]:
     return ((r["app"],), r["review_id"]), (canonical_json(r) + "\n").encode("utf-8"), day
 
 
-# A line in the canonical text of its kind is read without json.loads. That
-# text is the line canonical_json writes for a record the codec accepts
-# whose strings need no escape: the kind's keys in sorted order, no spaces,
-# only printable ASCII. No string the patterns match holds an escape, so the
-# text of every string is its value. Its pattern comes in two parts. The head
-# runs through the key fields and gives the line's key; the rest matches the
-# fields after it. ``snapshot_text_state`` and ``review_text_state`` admit a
-# line only when it is the canonical line of a record the codec accepts, and
-# raise ValueError for any other line, which is left to json.loads and the
-# codec and their rejection texts. Ingest and the log scan read snapshot
-# states through a ``SnapshotStateMemo``, which is what the head serves: a
-# line that repeats its app's last admitted line but for the fetch_time
-# digits the head marks takes that line's state after only the two checks
-# that read fetch_time.
+# A line reader admits one line of its kind: ``read(line, raw)``, where
+# ``raw`` is the line's UTF-8 bytes with its newline, returns what json.loads
+# and the kind's codec return for the line, or raises what they raise. A line
+# in the canonical text of its kind (the line canonical_json writes for a
+# record the codec accepts whose strings need no escape: its keys in sorted
+# order, no spaces, only printable ASCII) is admitted by its pattern and is
+# its own canonical line, with no decode and no encode; no string the
+# patterns match holds an escape, so the text of every string is its value.
+# Any other line is left to json.loads and the codec.
 _STR_CHARS = r"[ !#-\[\]-~]*+"
 _STR_TEXT = '"(' + _STR_CHARS + ')"'
 _INT_TEXT = r"(0|-?[1-9][0-9]*+)"
 _DATE_TEXT = r'"([0-9]{4}-[0-9]{2}-[0-9]{2})"'
+# the snapshot pattern comes in two parts: the head runs through fetch_time,
+# which is all a twin (see SnapshotLineReader) needs matched
 _SNAPSHOT_HEAD = re.compile(
     r'\{"app":' + _STR_TEXT
     + ',"category":' + _STR_TEXT
@@ -371,45 +368,33 @@ _SNAPSHOT_REST = re.compile(
     + ',"version":' + _STR_TEXT
     + r"\}\n?"
 )
-_REVIEW_HEAD = re.compile(
+_REVIEW_TEXT = re.compile(
     r'\{"app":' + _STR_TEXT
     + ',"date":' + _DATE_TEXT
     + ',"rating":' + _INT_TEXT
     + ',"review_id":' + _STR_TEXT
-    + ","
-)
-_REVIEW_REST = re.compile(
-    '"reviewer_id":' + _STR_TEXT
+    + ',"reviewer_id":' + _STR_TEXT
     + ',"text":' + _STR_TEXT
     + ',"title":' + _STR_TEXT
     + r"\}\n?"
 )
 
 
-def _rest(pattern: re.Pattern, head: re.Match) -> re.Match:
-    """The match of ``pattern`` over the line after ``head``; raises
-    ValueError when there is none."""
-    rest = pattern.fullmatch(head.string, head.end())
-    if rest is None:
-        raise ValueError("not in canonical text")
-    return rest
+def _record(line: str) -> dict:
+    """The JSON object of ``line``; raises ValueError for any other line."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("record must be a JSON object")
+    return rec
 
 
-def snapshot_text(line: str) -> tuple[tuple, re.Match] | None:
-    """The ((app,), fetch_time) key of ``line`` and the match of its head,
-    when the line begins as a canonical snapshot line does; else None."""
-    head = _SNAPSHOT_HEAD.match(line)
-    if head is None:
-        return None
-    return ((head[1],), int(head[6])), head
-
-
-def snapshot_text_state(head: re.Match) -> TimelineState:
+def _snapshot_text_state(head: re.Match) -> TimelineState:
     """What ``snapshot_line`` returns as the state of the line of ``head``,
     which is then its canonical line; raises ValueError when it is not."""
-    free, updated, permissions, price, rating_avg, rating_count, size, _, version = (
-        _rest(_SNAPSHOT_REST, head).groups()
-    )
+    rest = _SNAPSHOT_REST.fullmatch(head.string, head.end())
+    if rest is None:
+        raise ValueError("not in canonical text")
+    free, updated, permissions, price, rating_avg, rating_count, size, _, version = rest.groups()
     app, category, _, hi, lo, fetch_time = head.groups()
     hi, lo, fetch_time, price, rating_count, size = (
         int(hi), int(lo), int(fetch_time), int(price), int(rating_count), int(size)
@@ -432,20 +417,23 @@ def snapshot_text_state(head: re.Match) -> TimelineState:
     )
 
 
-class SnapshotStateMemo:
-    """``snapshot_text_state`` that checks in full only the first line of
-    each run of an app's lines that differ in ``fetch_time`` alone.
+class SnapshotLineReader:
+    """The line reader of snapshots.jsonl, which checks a line in canonical
+    text in full only when it is the first of a run of its app's lines
+    that differ in ``fetch_time`` alone.
 
     Per app it keeps the last line that passed the full check, with its
     fetch_time digits (head group 6) cut out, and that line's state.
     Every check but two reads only the cut text, so a line whose cut text
-    equals its app's is the canonical line of a valid record exactly when
-    its fetch_time is in the signed 64-bit range and not before the
-    last_updated day; it then takes the kept state after those two checks.
-    Any other line, or one that fails either, takes the full check, which
-    raises as it would have, and only a line that passes it is kept.
+    equals its app's (a twin) is the canonical line of a valid record
+    exactly when its fetch_time is in the signed 64-bit range and not
+    before the last_updated day; it then takes the kept state after those
+    two checks. Any other line in canonical text, or a twin that fails
+    either, takes the full check, and only a line that passes it is kept.
+    A line that fails it, or is not in canonical text, goes to json.loads
+    and ``snapshot_line``.
 
-    The cut texts and the states are two dicts keyed by app, so the memo
+    The cut texts and the states are two dicts keyed by app, so the reader
     adds no object the garbage collector tracks per app or per line. A
     state is kept as ``shared`` returns it: the equal state the caller holds
     already (its index's table), so the objects the full check built for
@@ -459,40 +447,46 @@ class SnapshotStateMemo:
         self._states: dict[str, TimelineState] = {}
         self._shared = shared
 
-    def __call__(self, head: re.Match) -> TimelineState:
-        line = head.string
-        start, end = head.span(6)
-        cut = line[:start] + line[end:]
-        app = head[1]
-        if self._texts.get(app) == cut:
-            state = self._states[app]
-            fetch_time = int(head[6])
-            if fetch_time in _FETCH_TIME_RANGE and date_to_epoch(state.last_updated) <= fetch_time:
-                return state
-        state = self._states[app] = self._shared(snapshot_text_state(head))
-        self._texts[app] = cut
-        return state
+    def __call__(self, line: str, raw: bytes) -> tuple[tuple, bytes, TimelineState]:
+        head = _SNAPSHOT_HEAD.match(line)
+        if head is not None:
+            start, end = head.span(6)
+            cut = line[:start] + line[end:]
+            app, fetch_time = head[1], int(head[6])
+            if self._texts.get(app) == cut:
+                state = self._states[app]
+                if fetch_time in _FETCH_TIME_RANGE and (
+                    date_to_epoch(state.last_updated) <= fetch_time
+                ):
+                    return ((app,), fetch_time), raw, state
+            try:
+                state = _snapshot_text_state(head)
+            except ValueError:
+                pass  # decoded below, where the codec names the fault
+            else:
+                state = self._states[app] = self._shared(state)
+                self._texts[app] = cut
+                return ((app,), fetch_time), raw, state
+        return snapshot_line(_record(line))
 
 
-def review_text(line: str) -> tuple[tuple, re.Match] | None:
-    """The ((app,), review_id) key of ``line`` and the match of its head,
-    when the line begins as a canonical review line does; else None."""
-    head = _REVIEW_HEAD.match(line)
-    if head is None:
-        return None
-    return ((head[1],), head[4]), head
+def read_review_line(line: str, raw: bytes) -> tuple[tuple, bytes, int]:
+    """The line reader of reviews.jsonl."""
+    text = _REVIEW_TEXT.fullmatch(line)
+    if text is not None:
+        app, day, rating, review_id = text.group(1, 2, 3, 4)
+        try:
+            if not _review_violations(app, review_id, int(rating)):
+                # a YYYY-MM-DD text that parses is the ISO form of its date
+                return ((app,), review_id), raw, date_to_epoch(dt.date.fromisoformat(day))
+        except ValueError:
+            pass  # decoded below, where the codec names the fault
+    return review_line(_record(line))
 
 
-def review_text_state(head: re.Match) -> int:
-    """What ``review_line`` returns as the state of the line of ``head``
-    (its date epoch), which is then its canonical line; raises ValueError
-    when it is not."""
-    _rest(_REVIEW_REST, head)
-    app, day, rating, review_id = head.groups()
-    if _review_violations(app, review_id, int(rating)):
-        raise ValueError("review violates an invariant")
-    # a YYYY-MM-DD text that parses is the ISO form of its date
-    return date_to_epoch(dt.date.fromisoformat(day))
+def read_topk_line(line: str, raw: bytes) -> tuple[tuple, bytes, None]:
+    """The line reader of topk.jsonl: every line is decoded."""
+    return topk_line(_record(line))
 
 
 def topk_line(rec: dict) -> tuple[tuple, bytes, None]:

@@ -2,9 +2,9 @@
 
 Three newline-delimited JSON logs plus a JSON manifest live in one
 directory, and the logs are the only source of truth. Ingest and the log
-scan admit a line by one rule (``_admit``): its kind's line codec must
-accept it, and a line in its kind's canonical text is admitted by its
-pattern with no decode or encode. A line's key is its record's identity,
+scan admit a line through its kind's line reader (``_READERS``, defined in
+``model``), which returns what json.loads and the kind's codec return for
+it, or raises their rejection. A line's key is its record's identity,
 (entity, order value): ((app,), fetch_time) for a snapshot, ((app,),
 review_id) for a review and ((list_type,), fetch_time) for a top-k list.
 The index of each log holds every admitted line (the first one of each
@@ -33,12 +33,11 @@ as they are, verifies the digest and every length and id range, and scans
 only the log past the covered prefix; the ``TimelineState``s are built
 from the table's columns when a command first needs them. A missing
 or mismatched sidecar, or one of an earlier layout, means scanning the
-whole log, so a reader always gets the index a full scan would build
-(README "Store layout" says why each earlier layout is ignored). Readers
-never write to the store directory. Single writer, any number of readers;
-queries return immutable values. A reader scans a log under a shared
-``flock``, which the writer holds exclusively from a batch's write to its
-fsync, so a reader indexes only fsynced lines.
+whole log, so a reader always gets the index a full scan would build.
+Readers never write to the store directory. Single writer, any number of
+readers; queries return immutable values. A reader scans a log under a
+shared ``flock``, which the writer holds exclusively from a batch's write
+to its fsync, so a reader indexes only fsynced lines.
 """
 
 from __future__ import annotations
@@ -69,19 +68,15 @@ from .model import (
     DownloadBucket,
     ListType,
     ReviewRecord,
-    SnapshotStateMemo,
+    SnapshotLineReader,
     TimelineState,
     TopKObservation,
     parse_date,
+    read_review_line,
+    read_topk_line,
     review_from_trusted_record,
-    review_line,
-    review_text,
-    review_text_state,
     snapshot_from_trusted_record,
-    snapshot_line,
-    snapshot_text,
     topk_from_trusted_record,
-    topk_line,
 )
 
 SNAPSHOTS = "snapshots"
@@ -237,63 +232,33 @@ class IngestReport:
         }
 
 
-# per-kind line codecs: record dict -> ((entity, order value) key, canonical
-# line, state: a snapshot's TimelineState, a review's date epoch, or None for
-# top-k); they raise ValueError naming what is wrong with the record
-_CODECS: dict[str, Callable] = {
-    SNAPSHOTS: snapshot_line,
-    REVIEWS: review_line,
-    TOPK: topk_line,
-}
 # store-owned lines were validated at ingest; queries skip the field checks
 _TRUSTED_DECODERS: dict[str, Callable] = {
     SNAPSHOTS: snapshot_from_trusted_record,
     REVIEWS: review_from_trusted_record,
     TOPK: topk_from_trusted_record,
 }
-# per-kind readers of a line in its kind's canonical text, without json.loads
-# (see model): line -> (key, head match) or None, and, made once per ingest
-# or log scan from the log's index, head match -> state, raising ValueError
-# unless the line is the canonical line of a record the codec accepts.
-# Snapshot states go through a memo per app (see model) that keeps the index
-# table's states.
-_TEXT_READERS: dict[str, tuple[Callable, Callable]] = {
-    SNAPSHOTS: (snapshot_text, lambda index: SnapshotStateMemo(index.table_value)),
-    REVIEWS: (review_text, lambda index: review_text_state),
-    # top-k lines are always decoded
-    TOPK: (lambda line: None, lambda index: None),
+# per-kind line readers (see model), each made once per ingest or log scan
+# from the log's index: (line, its bytes with the newline) -> ((entity, order
+# value) key, canonical line, state: a snapshot's TimelineState, a review's
+# date epoch, or None for top-k), raising ValueError, TypeError or
+# RecursionError with the rejection text. The snapshot reader keeps the
+# index table's states.
+_READERS: dict[str, Callable[[_LogIndex], Callable]] = {
+    SNAPSHOTS: lambda index: SnapshotLineReader(index.table_value),
+    REVIEWS: lambda index: read_review_line,
+    TOPK: lambda index: read_topk_line,
 }
 
 
-def _admit(kind: str, line: str, raw: bytes | None, head, read_state) -> tuple:
-    """The key, canonical line and state of ``line``, a line the kind's
-    codec accepts; raises ValueError, TypeError or RecursionError, with the
-    rejection text, for any other line.
-
-    ``head`` is what the kind's text reader returned for the line, and
-    ``raw`` the line's bytes with its newline when ``head`` is not None: a
-    line in canonical text is its own canonical line. ``read_state`` is the
-    kind's state reader of this ingest or scan.
-    """
-    if head is not None:
-        try:
-            return head[0], raw, read_state(head[1])
-        except ValueError:
-            pass  # decoded below, where the codec names the fault
-    rec = json.loads(line)
-    if not isinstance(rec, dict):
-        raise ValueError("record must be a JSON object")
-    return _CODECS[kind](rec)
-
-
-def _same_payload(kind: str, committed: bytes, line: bytes) -> bool:
+def _same_payload(read: Callable, committed: bytes, line: bytes) -> bool:
     """Whether a committed log line holds the same record as canonical ``line``.
 
     Lines this store writes are canonical already; a line written another
-    way is canonicalised by the kind's codec, which accepts every line the
-    index holds.
+    way is canonicalised by ``read``, the kind's line reader, which admits
+    every line the index holds.
     """
-    return committed == line or _CODECS[kind](json.loads(committed))[1] == line
+    return committed == line or read(committed.decode("utf-8"), committed)[1] == line
 
 
 def _whole_line_blocks(f: BinaryIO) -> Iterator[tuple[bytes, Iterable[bytes]]]:
@@ -771,12 +736,12 @@ class SnapStore:
     def _scan(self, kind: str, index: _LogIndex, wait: bool = False) -> None:
         """Index the committed lines past ``index.scanned_bytes``.
 
-        A line is indexed only when ``_admit`` admits it, as ingest does.
-        Any other committed line is skipped and counted, and so is a line
-        whose key an earlier line holds (a review of the same app and
-        review_id on any date): the first line wins, as ingest would have
-        kept it. A last line without its newline is an uncommitted tail and
-        stays unindexed. Admitted lines are indexed in batches of up to
+        A line is indexed only when the kind's line reader admits it, as
+        ingest does. Any other committed line is skipped and counted, and so
+        is a line whose key an earlier line holds (a review of the same app
+        and review_id on any date): the first line wins, as ingest would
+        have kept it. A last line without its newline is an uncommitted tail
+        and stays unindexed. Admitted lines are indexed in batches of up to
         ``_BATCH_LINES``.
 
         The log is read under a shared ``flock``; unless ``wait`` is set, a
@@ -788,8 +753,7 @@ class SnapStore:
         index.skipped_tail = 0
         if path.stat().st_size <= index.scanned_bytes:
             return
-        read_text, state_reader = _TEXT_READERS[kind]
-        read_state = state_reader(index)
+        read = _READERS[kind](index)
         # key -> offset of each admitted line not yet indexed, and the
         # lengths and states of those lines in the same order
         pending: dict[tuple, int] = {}
@@ -810,8 +774,7 @@ class SnapStore:
                     break
                 index.digest.update(raw)
                 try:
-                    line = raw.decode("utf-8")
-                    key, _, state = _admit(kind, line, raw, read_text(line), read_state)
+                    key, _, state = read(raw.decode("utf-8"), raw)
                 except (TypeError, ValueError, RecursionError):
                     key = None
                 if key is None or key in pending or index.find(key) is not None:
@@ -859,14 +822,14 @@ class SnapStore:
         of whole lines (``_whole_line_blocks``): a block that is the
         committed bytes at the cursor is deduplicated whole, and any other is
         cut into lines at b"\n", each deduplicated at once when it is the
-        next committed line. Every other line is admitted by ``_admit``, or
-        rejected with its text, and then one lookup of its key finds a
-        stored copy: a line that holds the stored record (``_same_payload``)
-        is deduplicated, and any other is rejected as a conflict. Writes are committed in batches; on an I/O failure the
-        log is cut back to the end of the last committed batch. The index
-        sidecar is rewritten after the last one.
+        next committed line. Every other line goes through the kind's line
+        reader: a line it rejects is rejected with its text, or skipped when
+        blank, and one it admits is looked up by its key once. A line that
+        holds the stored record (``_same_payload``) is deduplicated, and any
+        other is rejected as a conflict. Writes are committed in batches; on
+        an I/O failure the log is cut back to the end of the last committed
+        batch. The index sidecar is rewritten after the last one.
         """
-        read_text, state_reader = _TEXT_READERS[kind]
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:
             try:
@@ -880,7 +843,7 @@ class SnapStore:
             # another writer holds the log now, so the scan never skips)
             index = self._index(kind)
             self._scan(kind, index, wait=True)
-            read_state = state_reader(index)
+            read = _READERS[kind](index)
             report.skipped_corrupt[kind] = index.skipped_corrupt
             if index.skipped_tail:
                 # drop the uncommitted tail of an interrupted write so new
@@ -932,15 +895,13 @@ class SnapStore:
                             Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
                         )
                         continue
-                    head = read_text(line)
-                    if head is None and not line.strip():
-                        continue
                     if not raw.endswith(b"\n"):
                         raw += b"\n"
                     try:
-                        key, canonical, state = _admit(kind, line, raw, head, read_state)
+                        key, canonical, state = read(line, raw)
                     except (ValueError, TypeError, RecursionError) as exc:
-                        report.rejected.append(Rejection(kind, line_no, str(exc)))
+                        if line.strip():
+                            report.rejected.append(Rejection(kind, line_no, str(exc)))
                         continue
                     previous = stored(key)
                     if previous is None:
@@ -951,7 +912,7 @@ class SnapStore:
                             self._commit(kind, index, batch, states)
                             batch.clear()
                             states.clear()
-                    elif _same_payload(kind, previous, canonical):
+                    elif _same_payload(read, previous, canonical):
                         report.deduplicated[kind] += 1
                     else:
                         entity, value = key

@@ -235,10 +235,13 @@ def lifetime_at_rank(
 
 
 def consecutive_similarity(series: RankedListSeries) -> list[tuple[int, float]]:
-    """(fetch_time of the later observation, M) for each consecutive pair."""
+    """(fetch_time of the later observation, M) for each consecutive pair
+    whose rankings are both non-empty: M is not defined for an empty
+    ranking, and ``overlap_stats`` leaves such pairs out of its mean too."""
     if len(series.observations) < 2:
         raise InsufficientDataError("need at least 2 observations")
-    out = []
-    for prev, cur in zip(series.observations, series.observations[1:]):
-        out.append((cur.fetch_time, inverse_rank_measure(prev.ranking, cur.ranking).m))
-    return out
+    return [
+        (cur.fetch_time, inverse_rank_measure(prev.ranking, cur.ranking).m)
+        for prev, cur in zip(series.observations, series.observations[1:])
+        if prev.ranking and cur.ranking
+    ]

@@ -19,6 +19,7 @@ from conftest import (
     ingest_lines,
     ingest_records,
     make_snapshot,
+    make_topk,
     snapshot_to_record,
     timeline_state,
 )
@@ -224,6 +225,32 @@ class TestPipelineCommands:
         report = json.loads((out / "crawl_report.json").read_text())
         apps = json.loads((dataset["data"] / "ground_truth.json").read_text())["app_ids"]
         assert report["snapshots_emitted"] == len(apps)
+
+    @pytest.mark.parametrize("market", ["nope/run:1/x.jsonl", "localhost:notaport", "nope.jsonl"])
+    def test_crawl_names_a_missing_pages_file(self, tmp_path, capsys, market):
+        # a value is host:port only when its port is all digits
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("com.a\n")
+        market = str(tmp_path / market)
+        argv = ["crawl", "--seeds", str(seeds), "--market", market, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: [Errno 2] No such file or directory") and market in err
+
+
+def test_topk_similarity_with_no_pair_of_non_empty_rankings_has_no_mean(store, tmp_path, capsys):
+    # empty rankings alternate with a non-empty one, so every pair has an
+    # empty side: overlap and similarity both leave every pair out
+    rankings = [[], ["a", "b", "c"]] * 2
+    ingest_records(store, "topk", [make_topk(r, hour=h) for h, r in enumerate(rankings)])
+    out = tmp_path / "reports"
+    argv = ["--list", "Free", "--store", str(store.root), "--out", str(out)]
+    assert main(["topk", "overlap", *argv, "--slice", "1..3"]) == 0
+    assert json.loads((out / "overlap_free_1_3.json").read_text())["o_mean"] == 0
+    capsys.readouterr()
+    assert main(["topk", "similarity", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == {"list": "Free", "pairs": 0, "m_mean": None}
+    assert (out / "similarity_free.csv").read_text().splitlines() == ["fetch_time,m"]
 
 
 def test_committed_line_without_a_title_is_skipped_by_every_report(store, tmp_path):

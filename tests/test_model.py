@@ -11,15 +11,14 @@ from marketpulse.model import (
     AppSnapshot,
     DownloadBucket,
     ListType,
+    SnapshotLineReader,
     canonical_json,
     canonical_snapshot_line,
     date_to_epoch,
+    read_review_line,
+    read_topk_line,
     review_line,
-    review_text,
-    review_text_state,
     snapshot_line,
-    snapshot_text,
-    snapshot_text_state,
     topk_line,
     validate_app_id,
 )
@@ -266,17 +265,26 @@ def _assert_codec_matches_reference(kind, rec):
     assert _codec_outcome(kind, rec) == expected
 
 
-_TEXT_READERS = {
-    "snapshots": (snapshot_text, snapshot_text_state),
-    "reviews": (review_text, review_text_state),
+# a fresh line reader of each kind; the snapshot reader's state table is
+# the states it admits
+_READERS = {
+    "snapshots": lambda: SnapshotLineReader(lambda state: state),
+    "reviews": lambda: read_review_line,
+    "topk": lambda: read_topk_line,
 }
+
+
+def _read(kind, line):
+    """What a fresh line reader of ``kind`` returns for ``line``."""
+    raw = (line if line.endswith("\n") else line + "\n").encode("utf-8", "surrogatepass")
+    return _READERS[kind]()(line, raw)
 
 
 def _assert_line_matches_reference(kind, line):
     """json.loads and the codec give the reference outcome of ``line``, and
-    so does the canonical-text reader wherever it admits the line: the line
-    itself, its state and its decoded (entity, order value) key. The codec's
-    key is the decoded key of every record it accepts."""
+    so does a fresh line reader: the line's canonical form, its state and
+    its decoded (entity, order value) key, or the same rejection text. The
+    codec's key is the decoded key of every record it accepts."""
     try:
         rec = json.loads(line)
     except ValueError as exc:
@@ -284,16 +292,13 @@ def _assert_line_matches_reference(kind, line):
     else:
         expected = _reference_outcome(kind, rec)
         assert _codec_outcome(kind, rec) == expected
-    reader = _TEXT_READERS.get(kind)
-    matched = reader and reader[0](line)
-    if not matched:
-        return
     try:
-        state = reader[1](matched[1])
-    except ValueError:
-        return
-    assert ((line if line.endswith("\n") else line + "\n").encode(), state) == expected
-    assert matched[0] == _decoded_key(kind, rec)
+        key, canonical, state = _read(kind, line)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert (canonical, state) == expected
+        assert key == _decoded_key(kind, rec)
 
 
 _RANKING_481 = [f"com.app{i}" for i in range(481)]
@@ -418,19 +423,20 @@ def test_line_codec_matches_the_reference_path_on_named_cases(kind, rec):
 
 @pytest.mark.parametrize("field", ["price_cents", "downloads_hi", "rating_count"])
 def test_state_numbers_are_bounded_to_the_signed_64_bit_range(field):
-    # the index keeps them in signed 64-bit columns; the codec and the text
+    # the index keeps them in signed 64-bit columns; the codec and the line
     # reader accept the top of the range and reject one past it by name
     price = {"free": False} if field == "price_cents" else {}
     top, past = (
         canonical_json({**_SNAPSHOT, **price, field: value}) for value in (2**63 - 1, 2**63)
     )
     state = snapshot_line(json.loads(top))[2]
-    assert snapshot_text_state(snapshot_text(top)[1]) == state
+    assert _read("snapshots", top) == (
+        ((_SNAPSHOT["app"],), _SNAPSHOT["fetch_time"]), (top + "\n").encode(), state
+    )
     assert 2**63 - 1 in (state.price_cents, state.downloads.hi, state.rating_count)
-    with pytest.raises(ValueError, match=f"^{field} past the signed 64-bit range$"):
-        snapshot_line(json.loads(past))
-    with pytest.raises(ValueError):
-        snapshot_text_state(snapshot_text(past)[1])
+    for read in (lambda line: snapshot_line(json.loads(line)), lambda line: _read("snapshots", line)):
+        with pytest.raises(ValueError, match=f"^{field} past the signed 64-bit range$"):
+            read(past)
     for line in (top, past):
         _assert_line_matches_reference("snapshots", line)
 

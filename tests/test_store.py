@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from marketpulse.errors import ConcurrentWriteError, InvalidWindowError, StoreIOError
 from marketpulse.model import DownloadBucket, ListType, date_to_epoch
-from marketpulse import simgen
+from marketpulse import model as model_mod, simgen
 from marketpulse import store as store_mod
 from marketpulse.store import KINDS, DatasetManifest, IngestReport, SnapStore, TimeWindow
 from marketpulse.timeline import build_app_timeline
@@ -644,8 +644,8 @@ def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch)
     reopened = SnapStore.open(store.root)
     for kind in ("snapshots", "reviews", "topk"):
         assert reopened._index(kind).sidecar_bytes > 0
-    for kind in ("snapshots", "reviews"):
-        monkeypatch.setitem(store_mod._CODECS, kind, _refuse)
+    monkeypatch.setattr(model_mod, "snapshot_line", _refuse)
+    monkeypatch.setattr(model_mod, "review_line", _refuse)
     monkeypatch.setattr(json, "dumps", _refuse)
     # snapshots and reviews are not even decoded; top-k lists are decoded
     # and run their codec, and their canonical line equals the stored one
@@ -776,6 +776,23 @@ def test_changed_copy_of_a_stored_or_batched_record_is_a_conflict(store):
         f"conflicting payload for existing record (entity ('{topk['list_type']}',), "
         f"time {topk['fetch_time']})"
     ]
+
+
+def test_twin_of_a_stored_line_after_a_conflict_takes_the_stored_state(store, tmp_path):
+    # the conflict makes the ingest read the stored line through its line
+    # reader, and the next line repeats that stored line but for fetch_time
+    rec = snapshot_to_record(make_snapshot())
+    ingest_lines(store, "snapshots", [_canonical(rec)])
+    conflict = _canonical({**rec, "rating_count": rec["rating_count"] + 1})
+    twin = _canonical({**rec, "fetch_time": rec["fetch_time"] + 3600})
+    reopened = SnapStore.open(store.root)
+    report = ingest_lines(reopened, "snapshots", [conflict, twin])
+    assert [r.line_no for r in report.rejected] == [1]
+    assert report.rejected[0].reason.startswith("conflicting payload for existing record")
+    assert report.accepted["snapshots"] == 1
+    states = reopened.app_states(rec["app"]).states
+    assert states[0] is states[1]
+    assert _index_columns(reopened) == _index_columns(_full_scan(store.root, tmp_path))
 
 
 # an edited review comes back with its review_id and a new date: the same
@@ -1198,8 +1215,8 @@ def test_replayed_committed_lines_give_what_the_reference_path_gives(data):
 
 def test_reingest_in_committed_order_reads_no_key(tmp_path, market, monkeypatch):
     # a re-ingest of the files a store was filled from meets each line as
-    # the next committed line: no head is read and no key looked up, and a
-    # top-k list is not decoded either
+    # the next committed line: no line is read and no key looked up, so no
+    # top-k list is decoded either
     data = tmp_path / "data"
     simgen.write_dataset(market_script(), data)
     store = SnapStore.create(tmp_path / "store", market.manifest)
@@ -1209,8 +1226,7 @@ def test_reingest_in_committed_order_reads_no_key(tmp_path, market, monkeypatch)
     reopened = SnapStore.open(store.root)
     for kind in KINDS:
         reopened._index(kind)
-        monkeypatch.setitem(store_mod._TEXT_READERS, kind, (_refuse, lambda index: _refuse))
-    monkeypatch.setitem(store_mod._CODECS, "topk", _refuse)
+        monkeypatch.setitem(store_mod._READERS, kind, lambda index: _refuse)
     monkeypatch.setattr(store_mod._LogIndex, "find", _refuse)
     report = reopened.ingest_dir(data)
     assert report.deduplicated == first.accepted and all(report.deduplicated.values())
@@ -1240,7 +1256,8 @@ def test_reingest_through_ingest_dir_passes_blocks_with_no_line_work(
         return taken[-1][1]
 
     monkeypatch.setattr(store_mod, "_BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(store_mod, "_admit", _refuse)
+    for kind in KINDS:
+        monkeypatch.setitem(store_mod._READERS, kind, lambda index: _refuse)
     monkeypatch.setattr(store_mod._CommittedLines, "take", counted)
     report = reopened.ingest_dir(data)
     assert report.deduplicated == first.accepted and all(report.deduplicated.values())
@@ -1341,15 +1358,20 @@ def test_blocks_are_compared_only_with_the_prefix_the_ingest_began_with(store, m
     data.mkdir()
     (data / "snapshots.jsonl").write_text("".join(old + new + new))
     admitted = []
-    admit = store_mod._admit
+    reader = store_mod._READERS["snapshots"]
 
-    def counted(kind, line, *args):
-        admitted.append(line)
-        return admit(kind, line, *args)
+    def counted(index):
+        read = reader(index)
+
+        def counting(line, raw):
+            admitted.append(line)
+            return read(line, raw)
+
+        return counting
 
     monkeypatch.setattr(store_mod, "_BATCH_LINES", 2)
     monkeypatch.setattr(store_mod, "_BLOCK_BYTES", 1)
-    monkeypatch.setattr(store_mod, "_admit", counted)
+    monkeypatch.setitem(store_mod._READERS, "snapshots", counted)
     report = SnapStore.open(store.root).ingest_dir(data)
     assert report.accepted["snapshots"] == 4 and report.deduplicated["snapshots"] == 7
     assert admitted == new + new

@@ -295,6 +295,18 @@ def test_consecutive_similarity_static():
     assert all(m == 1.0 for _, m in pairs)
 
 
+def test_consecutive_similarity_leaves_out_pairs_with_an_empty_ranking():
+    # as overlap_stats leaves them out of m_mean
+    abc = ["a", "b", "c"]
+    series = series_of([abc, abc, [], abc, ["c", "b", "a"]])
+    times = [obs.fetch_time for obs in series.observations]
+    pairs = consecutive_similarity(series)
+    assert [t for t, _ in pairs] == [times[1], times[4]]
+    assert pairs[0][1] == 1.0 and pairs[1][1] < 1.0
+    assert consecutive_similarity(series_of([[], abc, [], abc])) == []
+    assert overlap_stats(series_of([[], abc, [], abc]), 1, 3).o_mean == 0
+
+
 def test_lifetime_list_mode_counts_whole_presence():
     rankings = [["a", "b"], ["b", "a"], ["a", "c"]]
     at_rank = lifetime_at_rank(series_of(rankings), [1])
