@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import statistics
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import ConfigError, ParseError
 from .model import AppSnapshot, AttributeKind
-from .timeline import AppTimeline, ReviewTimeline
+
+if TYPE_CHECKING:
+    from .timeline import AppTimeline, ReviewTimeline
 
 
 class Polarity(str, Enum):
@@ -26,22 +26,25 @@ class Polarity(str, Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class SpikeParams:
+class _SpikeFields(NamedTuple):
+    window_days: int
+    mad_k: float
+    min_abs: int
+
+
+class SpikeParams(_SpikeFields):
     """A day spikes when its count >= max(min_abs, median + mad_k * MAD)
     over the trailing window of that polarity's daily counts."""
 
-    window_days: int = 30
-    mad_k: float = 5.0
-    min_abs: int = 20
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.window_days < 1 or not 0 <= self.mad_k < float("inf") or self.min_abs < 0:
+    def __new__(cls, window_days=30, mad_k=5.0, min_abs=20):
+        if window_days < 1 or not 0 <= mad_k < float("inf") or min_abs < 0:
             raise ConfigError("invalid spike detection parameters")
+        return tuple.__new__(cls, (window_days, mad_k, min_abs))
 
 
-@dataclass(frozen=True)
-class SpikeEvent:
+class SpikeEvent(NamedTuple):
     app: str
     day: dt.date
     polarity: Polarity
@@ -60,6 +63,8 @@ def detect_review_spikes(
     available prefix, so the very first day is tested against the bare
     min_abs floor.
     """
+    import statistics
+
     if not timeline.days:
         return []
     first = timeline.days[0].day.toordinal()
@@ -105,19 +110,17 @@ class PermissionFlagKind(str, Enum):
     CHANGE_WITHOUT_VERSION_CHANGE = "ChangeWithoutVersionChange"
 
 
-@dataclass(frozen=True)
-class PermissionFlag:
+class PermissionFlag(NamedTuple):
     app: str
     day: dt.date
     kind: PermissionFlagKind
     detail: tuple[str, ...]  # permission names involved, sorted
 
 
-@dataclass(frozen=True)
-class DangerousPermissionPolicy:
+class DangerousPermissionPolicy(NamedTuple):
     """Names classified as dangerous, loaded from a one-per-line config file."""
 
-    dangerous: frozenset[str] = field(default_factory=frozenset)
+    dangerous: frozenset[str] = frozenset()
 
     @classmethod
     def load(cls, path: Path | str) -> "DangerousPermissionPolicy":
@@ -232,15 +235,13 @@ def permission_version_decoupling_rate(
 # --- scam-clone clusters ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScamParams:
+class ScamParams(NamedTuple):
     min_cluster: int = 5
     price_band_cents: tuple[int, int] = (100, 299)
     title_similarity: float = 0.8
 
 
-@dataclass(frozen=True)
-class ScamCluster:
+class ScamCluster(NamedTuple):
     developer: str
     apps: tuple[str, ...]
     price_min_cents: int
@@ -320,8 +321,7 @@ _MIN_FLAGS = 3
 _MIN_REVIEWS = 10
 
 
-@dataclass(frozen=True)
-class FlaggedApp:
+class FlaggedApp(NamedTuple):
     app: str
     flag_count: int
     review_count: int

@@ -63,6 +63,17 @@ def _count(noun: str):
     return parse
 
 
+def _ranks(text: str) -> list[int]:
+    """The argparse type of ``--ranks``: one or more comma-separated whole
+    numbers. A rank below 1 passes here; the report refuses it."""
+    try:
+        return [int(rank) for rank in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected one or more comma-separated whole numbers: {text!r}"
+        ) from None
+
+
 def _replace_file(path: Path, write) -> None:
     """Run ``write(f)`` on a temp file beside ``path``, then rename it over
     ``path``: a failed write leaves the previous file whole."""
@@ -581,8 +592,7 @@ def cmd_topk(args) -> int:
         )
         print(json.dumps({"list": list_type.value, "ranks": len(occupancy)}))
     elif args.what == "lifetime":
-        ranks = [int(r) for r in args.ranks.split(",") if r]
-        dist = topk_mod.lifetime_at_rank(series, ranks, mode=args.lifetime_mode)
+        dist = topk_mod.lifetime_at_rank(series, args.ranks, mode=args.lifetime_mode)
         rows = []
         means = {}
         for rank in sorted(dist):
@@ -773,7 +783,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="reports")
     p.add_argument("--list", required=True, choices=[lt.value for lt in ListType])
     p.add_argument("--slice", default="top24", help="top24 | last25 | a..b")
-    p.add_argument("--ranks", default="1,50,100,200,400")
+    p.add_argument(
+        "--ranks",
+        type=_ranks,
+        default="1,50,100,200,400",
+        help="lifetime: one or more comma-separated rank positions (default %(default)s)",
+    )
     p.add_argument("--per-episode", action="store_true")
     p.add_argument(
         "--lifetime-mode", choices=["at_rank", "list_lifetime"], default="at_rank"

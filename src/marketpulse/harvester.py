@@ -35,9 +35,8 @@ import socketserver
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .errors import (
     CrawlFailedError,
@@ -149,8 +148,7 @@ def _page_tokens(raw: str) -> list[tuple[str, dict[str, str], bool]]:
     return tokens
 
 
-@dataclass(frozen=True)
-class ParsedPage:
+class ParsedPage(NamedTuple):
     snapshot: AppSnapshot
     similar: tuple[str, ...]
 
@@ -260,33 +258,27 @@ def _build_page(app: str, metas: dict[str, str], similar: list[str]) -> ParsedPa
         lo_text, _, hi_text = metas["downloads"].partition("-")
         downloads = DownloadBucket(int(lo_text), int(hi_text))
         price_cents = int(metas["price"])
-        # the snapshot and the page are set through __dict__, as
-        # model.snapshot_from_trusted_record sets a snapshot: their __init__
-        # checks nothing, and a frozen dataclass's costs a third of a parse
-        snapshot = object.__new__(AppSnapshot)
-        snapshot.__dict__.update(
-            app=app,
-            fetch_time=int(metas["fetch_time"]),
-            title=metas["title"],
-            developer=metas["developer"],
-            category=metas["category"],
-            price_cents=price_cents,
-            free=price_cents == 0,
-            downloads=downloads,
-            rating_avg=float(metas["rating_avg"]),
-            rating_count=int(metas["rating_count"]),
-            version=metas["version"],
-            last_updated=parse_date(metas["last_updated"]),
-            size_bytes=int(metas["size_bytes"]),
-            permissions=frozenset(p for p in metas["permissions"].split(";") if p),
-        )
+        snapshot = tuple.__new__(AppSnapshot, (
+            app,
+            int(metas["fetch_time"]),
+            metas["title"],
+            metas["developer"],
+            metas["category"],
+            price_cents,
+            price_cents == 0,
+            downloads,
+            float(metas["rating_avg"]),
+            int(metas["rating_count"]),
+            metas["version"],
+            parse_date(metas["last_updated"]),
+            int(metas["size_bytes"]),
+            frozenset(p for p in metas["permissions"].split(";") if p),
+        ))
     except KeyError as exc:
         raise MissingFieldError(exc.args[0]) from None
     except ValueError as exc:
         raise MalformedDocumentError(f"bad field value: {exc}") from None
-    page = object.__new__(ParsedPage)
-    page.__dict__.update(snapshot=snapshot, similar=tuple(dict.fromkeys(similar)))
-    return page
+    return tuple.__new__(ParsedPage, (snapshot, tuple(dict.fromkeys(similar))))
 
 
 # --- market endpoints -----------------------------------------------------------
@@ -394,49 +386,60 @@ class RemoteMarket:
 # --- crawl ---------------------------------------------------------------------
 
 
-@dataclass
 class WorkerState:
-    worker_id: int
-    consecutive_404: int = 0
-    active: bool = True
-    attempts: int = 0
+    def __init__(self, worker_id: int):
+        self.worker_id = worker_id
+        self.consecutive_404 = 0
+        self.active = True
+        self.attempts = 0
 
 
-@dataclass(frozen=True)
-class CrawlConfig:
-    workers: int = 1
-    ban_threshold: int = DEFAULT_BAN_THRESHOLD
-    politeness_delay_ms: int = DEFAULT_POLITENESS_MS
+class _CrawlFields(NamedTuple):
+    workers: int
+    ban_threshold: int
+    politeness_delay_ms: int
 
-    def __post_init__(self):
-        if self.workers < 1:
+
+class CrawlConfig(_CrawlFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        workers=1,
+        ban_threshold=DEFAULT_BAN_THRESHOLD,
+        politeness_delay_ms=DEFAULT_POLITENESS_MS,
+    ):
+        if workers < 1:
             raise InvalidInputError("workers must be >= 1")
-        if self.ban_threshold < 1:
+        if ban_threshold < 1:
             raise InvalidInputError("ban_threshold must be >= 1")
-        if self.politeness_delay_ms < 0:
+        if politeness_delay_ms < 0:
             raise InvalidInputError("politeness_delay_ms must be >= 0")
+        return tuple.__new__(cls, (workers, ban_threshold, politeness_delay_ms))
 
 
-@dataclass
 class CrawlReport:
-    attempts: int = 0
-    pages_fetched: int = 0
-    snapshots_emitted: int = 0
-    not_found: int = 0
-    fetch_errors: int = 0
-    parse_errors: int = 0
-    workers_banned: int = 0
-    frontier_exhausted: bool = False
+    def __init__(self):
+        self.attempts = 0
+        self.pages_fetched = 0
+        self.snapshots_emitted = 0
+        self.not_found = 0
+        self.fetch_errors = 0
+        self.parse_errors = 0
+        self.workers_banned = 0
+        self.frontier_exhausted = False
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
-@dataclass
 class CrawlResult:
-    snapshots: list[AppSnapshot]
-    report: CrawlReport
-    workers: list[WorkerState]
+    def __init__(
+        self, snapshots: list[AppSnapshot], report: CrawlReport, workers: list[WorkerState]
+    ):
+        self.snapshots = snapshots
+        self.report = report
+        self.workers = workers
 
 
 def _visit(market: MarketEndpoint, app: str) -> tuple[str, ParsedPage | None]:

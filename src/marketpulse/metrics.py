@@ -8,10 +8,8 @@ from __future__ import annotations
 import bisect
 import datetime as dt
 import math
-import statistics
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateTailError,
@@ -19,10 +17,11 @@ from .errors import (
     InvalidInputError,
 )
 from .model import AttributeKind, DownloadBucket, PopularityClass
-from .timeline import AppTimeline
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .timeline import AppTimeline
 
 #: Class boundaries on the download-bucket lower bound (half-open).
 POPULAR_MIN_DOWNLOADS = 1_000
@@ -36,8 +35,7 @@ class Staleness(str, Enum):
     STALE = "Stale"
 
 
-@dataclass(frozen=True)
-class StalenessVerdict:
+class StalenessVerdict(NamedTuple):
     status: Staleness
     window_days: int
     reference: dt.date
@@ -77,8 +75,7 @@ def classify_popularity(bucket: DownloadBucket) -> PopularityClass:
 # --- update cadence -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UpdateStats:
+class UpdateStats(NamedTuple):
     update_count: int
     aui_days: float | None  # mean gap between consecutive update days
 
@@ -119,6 +116,8 @@ def price_dispersion_cov(prices: Sequence[int | float]) -> float | None:
     None when undefined (no prices, or zero mean). Free apps must be
     excluded by the caller.
     """
+    import statistics
+
     if any(p < 0 for p in prices):
         raise InvalidInputError("prices must be non-negative")
     if not prices:
@@ -130,8 +129,7 @@ def price_dispersion_cov(prices: Sequence[int | float]) -> float | None:
     return sigma / mean
 
 
-@dataclass(frozen=True)
-class PriceMedians:
+class PriceMedians(NamedTuple):
     """Median price over all paid apps vs over active paid apps only."""
 
     all_paid_cents: float | None
@@ -144,6 +142,8 @@ def median_price_split(
     window_days: int = DEFAULT_STALENESS_WINDOW_DAYS,
 ) -> PriceMedians:
     """Medians of (price_cents, last_updated) pairs, all vs active-only."""
+    import statistics
+
     all_prices = [p for p, _ in priced]
     active_prices = [
         p
@@ -159,8 +159,7 @@ def median_price_split(
 # --- seasonal decomposition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Classical additive decomposition: observed = trend + seasonal + remainder.
 
     ``trend`` and ``remainder`` are NaN at the floor(period/2) edge points
@@ -223,8 +222,7 @@ def seasonal_trend_decompose(
 # --- power-law fitting --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     alpha: float
     x_min: float
     n_tail: int
@@ -278,8 +276,7 @@ def downloads_ratings_slope(
 # --- attribute-change association ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttributeEventSet:
+class AttributeEventSet(NamedTuple):
     """The (day, app) tuples on which one attribute moved one way."""
 
     kind: AttributeKind
@@ -329,8 +326,7 @@ ASSOCIATION_KINDS: tuple[AttributeKind, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AssociationMatrix:
+class AssociationMatrix(NamedTuple):
     """Symmetric table of Yule Q values keyed by attribute-kind pairs."""
 
     kinds: tuple[AttributeKind, ...]

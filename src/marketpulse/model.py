@@ -10,7 +10,6 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, NamedTuple
@@ -91,8 +90,7 @@ class DownloadBucket(NamedTuple):
         return (self.lo + self.hi) / 2.0
 
 
-@dataclass(frozen=True)
-class AppSnapshot:
+class AppSnapshot(NamedTuple):
     """One timestamped observation of one app's market metadata."""
 
     app: str
@@ -108,7 +106,7 @@ class AppSnapshot:
     version: str
     last_updated: dt.date
     size_bytes: int
-    permissions: frozenset[str] = field(default_factory=frozenset)
+    permissions: frozenset[str] = frozenset()
 
 
 class TimelineState(NamedTuple):
@@ -124,8 +122,7 @@ class TimelineState(NamedTuple):
     last_updated: dt.date
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
+class ReviewRecord(NamedTuple):
     """One user review; ``review_id`` is unique within an app."""
 
     app: str
@@ -137,8 +134,7 @@ class ReviewRecord:
     text: str
 
 
-@dataclass(frozen=True)
-class TopKObservation:
+class TopKObservation(NamedTuple):
     """One hourly observation of a ranked list (rank 1 first)."""
 
     list_type: ListType
@@ -311,10 +307,10 @@ def snapshot_line(rec: dict) -> tuple[tuple, bytes, TimelineState]:
         raise ValueError("; ".join(violations))
     # in [0,5] now, so float() of an integer cannot overflow
     s["rating_avg"] = float(s["rating_avg"])
-    state = TimelineState(
-        price, DownloadBucket(lo, hi), s["rating_count"], s["version"], s["category"],
-        permission_set, s["last_updated"],
-    )
+    state = tuple.__new__(TimelineState, (
+        price, tuple.__new__(DownloadBucket, (lo, hi)), s["rating_count"], s["version"],
+        s["category"], permission_set, s["last_updated"],
+    ))
     s["last_updated"] = s["last_updated"].isoformat()
     s["permissions"] = sorted(permissions)
     return ((s["app"],), s["fetch_time"]), (canonical_json(s) + "\n").encode("utf-8"), state
@@ -412,9 +408,10 @@ def _snapshot_text_state(head: re.Match) -> TimelineState:
         app, fetch_time, price, free == "true", rating, rating_count, lo, hi, size, updated
     ):
         raise ValueError("snapshot violates an invariant")
-    return TimelineState(
-        price, DownloadBucket(lo, hi), rating_count, version, category, permission_set, updated
-    )
+    return tuple.__new__(TimelineState, (
+        price, tuple.__new__(DownloadBucket, (lo, hi)), rating_count, version, category,
+        permission_set, updated,
+    ))
 
 
 class SnapshotLineReader:
@@ -557,50 +554,43 @@ def canonical_snapshot_line(s: AppSnapshot) -> str:
 
 
 # trusted decoders: no per-field type checks, for store lines validated at
-# ingest and for simulator records; built via __dict__ to skip the frozen
-# dataclass's per-field __setattr__ overhead on bulk reads
+# ingest and for simulator records; each builds its record with
+# tuple.__new__, in field order, which skips the named tuple's Python-level
+# __new__
 
 
 def snapshot_from_trusted_record(rec: dict) -> AppSnapshot:
-    snap = object.__new__(AppSnapshot)
-    snap.__dict__.update(
-        app=rec["app"],
-        fetch_time=rec["fetch_time"],
-        title=rec["title"],
-        developer=rec["developer"],
-        category=rec["category"],
-        price_cents=rec["price_cents"],
-        free=rec["free"],
-        downloads=DownloadBucket(rec["downloads_lo"], rec["downloads_hi"]),
-        rating_avg=rec["rating_avg"],
-        rating_count=rec["rating_count"],
-        version=rec["version"],
-        last_updated=dt.date.fromisoformat(rec["last_updated"]),
-        size_bytes=rec["size_bytes"],
-        permissions=frozenset(rec["permissions"]),
-    )
-    return snap
+    return tuple.__new__(AppSnapshot, (
+        rec["app"],
+        rec["fetch_time"],
+        rec["title"],
+        rec["developer"],
+        rec["category"],
+        rec["price_cents"],
+        rec["free"],
+        tuple.__new__(DownloadBucket, (rec["downloads_lo"], rec["downloads_hi"])),
+        rec["rating_avg"],
+        rec["rating_count"],
+        rec["version"],
+        dt.date.fromisoformat(rec["last_updated"]),
+        rec["size_bytes"],
+        frozenset(rec["permissions"]),
+    ))
 
 
 def review_from_trusted_record(rec: dict) -> ReviewRecord:
-    review = object.__new__(ReviewRecord)
-    review.__dict__.update(
-        app=rec["app"],
-        review_id=rec["review_id"],
-        reviewer_id=rec["reviewer_id"],
-        date=dt.date.fromisoformat(rec["date"]),
-        rating=rec["rating"],
-        title=rec["title"],
-        text=rec["text"],
-    )
-    return review
+    return tuple.__new__(ReviewRecord, (
+        rec["app"],
+        rec["review_id"],
+        rec["reviewer_id"],
+        dt.date.fromisoformat(rec["date"]),
+        rec["rating"],
+        rec["title"],
+        rec["text"],
+    ))
 
 
 def topk_from_trusted_record(rec: dict) -> TopKObservation:
-    obs = object.__new__(TopKObservation)
-    obs.__dict__.update(
-        list_type=ListType(rec["list_type"]),
-        fetch_time=rec["fetch_time"],
-        ranking=tuple(rec["ranking"]),
-    )
-    return obs
+    return tuple.__new__(TopKObservation, (
+        ListType(rec["list_type"]), rec["fetch_time"], tuple(rec["ranking"])
+    ))

@@ -13,7 +13,7 @@ import bisect
 import datetime as dt
 import hashlib
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -743,7 +743,7 @@ def _inject_permission_churn(plan: _AppPlan, snapshot_days: list) -> bool:
             new=after_readd,
         ),
     ]
-    plan.first = replace(plan.first, permissions=permissions)
+    plan.first = plan.first._replace(permissions=permissions)
     plan.changes = sorted(
         plan.changes + inject, key=lambda c: (c.day, c.field)
     )
@@ -848,14 +848,16 @@ def _app_states(plan: _AppPlan, days: list) -> list[tuple[int, AppSnapshot]]:
         new = dict(updates[i])
         snap = states[-1][1]
         states.append(
-            (i, replace(snap, **new, free=new.get("price_cents", snap.price_cents) == 0))
+            (i, snap._replace(**new, free=new.get("price_cents", snap.price_cents) == 0))
         )
     return states
 
 
-def _snapshot_lines(plan: _MarketPlan) -> Iterator[list[str]]:
+def _snapshot_lines(plan: _MarketPlan, last: list | None = None) -> Iterator[list[str]]:
     """Canonical snapshot lines: one list per snapshot day, in day order,
-    each sorted by app.
+    each sorted by app. When ``last`` is a list, each app's last state
+    (``fetch_time`` 0) is appended to it, in app order, before the first
+    day's lines are yielded.
 
     Between two of its state changes an app's lines differ only in
     ``fetch_time``, so each state of an app is encoded once, and a line is
@@ -865,10 +867,13 @@ def _snapshot_lines(plan: _MarketPlan) -> Iterator[list[str]]:
     texts = []  # (head, tail) of each app's state on the current day
     switches: dict[int, list] = {}  # day index -> [(app position, (head, tail))]
     for pos, p in enumerate(sorted(plan.apps, key=lambda p: p.app)):
-        (_, first), *later = _app_states(p, days)
+        states = _app_states(p, days)
+        (_, first), *later = states
         texts.append(_snapshot_text(first))
         for i, snap in later:
             switches.setdefault(i, []).append((pos, _snapshot_text(snap)))
+        if last is not None:
+            last.append(states[-1][1])
     for i, day in enumerate(days):
         for pos, text in switches.get(i, ()):
             texts[pos] = text
@@ -1060,8 +1065,9 @@ def write_dataset(
         json.dumps(plan.manifest.to_record(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
+    last: list[AppSnapshot] = []  # each app's last state, for the mock market
     with open(out / "snapshots.jsonl", "w", encoding="utf-8") as f:
-        for lines in _snapshot_lines(plan):
+        for lines in _snapshot_lines(plan, last):
             f.writelines(lines)
     with open(out / "reviews.jsonl", "w", encoding="utf-8") as f:
         f.writelines(_review_lines(plan))
@@ -1073,10 +1079,9 @@ def write_dataset(
         json.dumps(truth, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
     if render_market_seeds:
-        days = plan.snapshot_days
-        fetch_time = date_to_epoch(days[-1]) + _SNAPSHOT_HOUR_OFFSET
+        fetch_time = date_to_epoch(plan.snapshot_days[-1]) + _SNAPSHOT_HOUR_OFFSET
         market = render_mock_market(
-            [replace(_app_states(p, days)[-1][1], fetch_time=fetch_time) for p in plan.apps],
+            [snap._replace(fetch_time=fetch_time) for snap in last],
             n_seeds=render_market_seeds,
             seed=script.seed,
         )

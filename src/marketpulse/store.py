@@ -54,9 +54,8 @@ import struct
 import threading
 import weakref
 from array import array
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     ConcurrentWriteError,
@@ -120,19 +119,27 @@ _STATE_CODES = "qqqqIIIIII"
 _ORDINALS = range(1, dt.date.max.toordinal() + 1)
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Dataset-level metadata recorded once, not per record."""
-
+class _ManifestFields(NamedTuple):
     name: str
     currency: str
     observation_start: dt.date
     observation_end: dt.date
-    snapshot_cadence_hint: str = ""
+    snapshot_cadence_hint: str
 
-    def __post_init__(self):
-        if self.observation_start > self.observation_end:
+
+class DatasetManifest(_ManifestFields):
+    """Dataset-level metadata recorded once, not per record."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name, currency, observation_start, observation_end, snapshot_cadence_hint=""
+    ):
+        if observation_start > observation_end:
             raise ValueError("observation_start after observation_end")
+        return tuple.__new__(
+            cls, (name, currency, observation_start, observation_end, snapshot_cadence_hint)
+        )
 
     def to_record(self) -> dict:
         return {
@@ -154,31 +161,33 @@ class DatasetManifest:
         )
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """Inclusive [start, end] range in epoch seconds."""
-
+class _WindowFields(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.end < self.start:
-            raise InvalidWindowError(f"window end {self.end} before start {self.start}")
+
+class TimeWindow(_WindowFields):
+    """Inclusive [start, end] range in epoch seconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, start, end):
+        if end < start:
+            raise InvalidWindowError(f"window end {end} before start {start}")
+        return tuple.__new__(cls, (start, end))
 
     def contains(self, ts: int) -> bool:
         return self.start <= ts <= self.end
 
 
-@dataclass(frozen=True)
-class AppSeries:
+class AppSeries(NamedTuple):
     """All snapshots of one app, strictly increasing in fetch_time."""
 
     app: str
     snapshots: tuple[AppSnapshot, ...]
 
 
-@dataclass(frozen=True)
-class AppStates:
+class AppStates(NamedTuple):
     """The timeline states of one app's snapshots with their fetch times,
     in fetch_time order."""
 
@@ -187,31 +196,29 @@ class AppStates:
     states: tuple[TimelineState, ...]
 
 
-@dataclass(frozen=True)
-class RankedListSeries:
+class RankedListSeries(NamedTuple):
     """All observations of one list type, strictly increasing in fetch_time."""
 
     list_type: ListType
     observations: tuple[TopKObservation, ...]
 
 
-@dataclass
-class Rejection:
+class Rejection(NamedTuple):
     kind: str
     line_no: int
     reason: str
 
 
-@dataclass
 class IngestReport:
     """Outcome counts of one ingest, per record kind."""
 
-    accepted: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
-    deduplicated: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
-    rejected: list = field(default_factory=list)
-    # malformed committed lines the index of each log skipped; kept out of
-    # to_record() so the ingest summary format stays as it was
-    skipped_corrupt: dict = field(default_factory=lambda: {k: 0 for k in KINDS})
+    def __init__(self):
+        self.accepted = dict.fromkeys(KINDS, 0)
+        self.deduplicated = dict.fromkeys(KINDS, 0)
+        self.rejected: list[Rejection] = []
+        # malformed committed lines the index of each log skipped; kept out
+        # of to_record() so the ingest summary format stays as it was
+        self.skipped_corrupt = dict.fromkeys(KINDS, 0)
 
     @property
     def total_accepted(self) -> int:

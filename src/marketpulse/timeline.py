@@ -12,8 +12,7 @@ which the store keeps interned in its index.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import InvalidInputError
 from .model import (
@@ -26,8 +25,7 @@ from .model import (
 from .store import AppStates
 
 
-@dataclass(frozen=True)
-class ChangeEvent:
+class ChangeEvent(NamedTuple):
     """One attribute change of one app on one UTC day.
 
     ``old``/``new`` hold the attribute values (ints, strings, download
@@ -53,8 +51,7 @@ class ChangeEvent:
         return frozenset()
 
 
-@dataclass(frozen=True)
-class AppTimeline:
+class AppTimeline(NamedTuple):
     """Ordered change events plus update days for one app."""
 
     app: str
@@ -62,16 +59,14 @@ class AppTimeline:
     update_days: tuple[dt.date, ...]
 
 
-@dataclass(frozen=True)
-class DayReviewCounts:
+class DayReviewCounts(NamedTuple):
     day: dt.date
     positive: int
     negative: int
     neutral: int
 
 
-@dataclass(frozen=True)
-class ReviewTimeline:
+class ReviewTimeline(NamedTuple):
     """Per-day review polarity counts; days without reviews are implicit zeros."""
 
     app: str

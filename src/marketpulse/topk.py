@@ -6,15 +6,13 @@ Smaller rank numbers are better everywhere (rank 1 is the top).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InsufficientDataError, InvalidInputError
 from .store import RankedListSeries
 
 
-@dataclass(frozen=True)
-class LifecycleSummary:
+class LifecycleSummary(NamedTuple):
     """One app's life on one ranked list.
 
     debut/peak/exit are rank positions; hrs2peak and tothrs count
@@ -81,8 +79,7 @@ def lifecycle_summaries(
     return summaries
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
+class SimilarityResult(NamedTuple):
     """Inverse rank measure between two rankings: m = 1 - n_raw / n_max.
 
     m is 1 for identical lists and 0 for disjoint equal-length lists.
@@ -132,8 +129,7 @@ def inverse_rank_measure(
     return SimilarityResult(m=1.0 - n_raw / n_max, n_raw=n_raw, n_max=n_max)
 
 
-@dataclass(frozen=True)
-class OverlapStats:
+class OverlapStats(NamedTuple):
     """Stability of one rank slice over a series of observations."""
 
     o_mean: float

@@ -403,8 +403,8 @@ def store(tmp_path, manifest) -> SnapStore:
 
 # --- reference record path -----------------------------------------------------
 # The reference for the line codecs of marketpulse.model: decode the record
-# dict into a dataclass with per-field checks, validate the dataclass, turn
-# it back into a dict and dump that.
+# dict into a record with per-field checks, validate the record, turn it
+# back into a dict and dump that.
 
 
 def _expect_str(rec: dict, key: str) -> str:

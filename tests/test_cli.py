@@ -132,6 +132,16 @@ class TestPipelineCommands:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "below 1" in err and "Traceback" not in err
 
+    def test_topk_lifetime_ranks_must_be_whole_numbers(self, dataset, capsys):
+        for ranks in ("abc", ",,", "", "1,", "1,,5", "1.5"):
+            code, _ = run(dataset, "topk", "lifetime", "--list", "Free", "--ranks", ranks)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ") and err.endswith(
+                "error: argument --ranks: expected one or more comma-separated whole "
+                f"numbers: {ranks!r}\n"
+            )
+
     def test_anomaly_reviews_recovers_campaign(self, dataset):
         code, out = run(dataset, "anomaly", "reviews")
         assert code == 0
@@ -486,14 +496,14 @@ _COMMAND_LAYERS = (
 )
 
 
-def _layers_imported_by(statements: str) -> list[str]:
-    """The command layers in sys.modules after a new interpreter runs
-    ``statements``."""
+def _layers_imported_by(statements: str, layers=_COMMAND_LAYERS) -> list[str]:
+    """The modules of ``layers`` in sys.modules after a new interpreter
+    runs ``statements``."""
     src = Path(cli.__file__).resolve().parent.parent
     code = (
         "import json, sys\n"
         f"{statements}"
-        f"print(json.dumps([m for m in {_COMMAND_LAYERS!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {layers!r} if m in sys.modules]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -540,6 +550,21 @@ def test_cli_import_leaves_out_numpy_simgen_and_harvester(tmp_path):
     assert _layers_imported_by(
         "import marketpulse\nassert 'SnapStore' in marketpulse.__all__\nmarketpulse.SnapStore\n"
     ) == ["marketpulse.store"]
+
+
+@pytest.mark.parametrize("group", ["store", "timeline", "metrics", "anomaly", "topk", "harvester"])
+def test_command_groups_import_no_dataclasses(group):
+    # records are named tuples: no command process imports dataclasses, or
+    # the inspect module it pulls in, or generates dataclass methods
+    assert _layers_imported_by(
+        f"import marketpulse.cli, marketpulse.{group}\n", ("dataclasses", "inspect")
+    ) == []
+
+
+def test_metrics_imports_statistics_and_the_timeline_layer_only_when_used():
+    assert _layers_imported_by(
+        "import marketpulse.cli, marketpulse.metrics\n", ("statistics", "marketpulse.timeline")
+    ) == []
 
 
 def test_timeline_reports_decode_no_snapshot(dataset, monkeypatch):

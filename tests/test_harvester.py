@@ -561,10 +561,19 @@ class TestCrawl:
         assert report.frontier_exhausted
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^workers must be >= 1$"):
             CrawlConfig(workers=0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^ban_threshold must be >= 1$"):
             CrawlConfig(ban_threshold=0)
+        with pytest.raises(InvalidInputError, match="^politeness_delay_ms must be >= 0$"):
+            CrawlConfig(politeness_delay_ms=-1)
+        with pytest.raises(InvalidInputError, match="^workers must be >= 1$"):
+            CrawlConfig(0, 3, 0)
+        config = CrawlConfig(workers=2)
+        assert config == (2, harvester.DEFAULT_BAN_THRESHOLD, harvester.DEFAULT_POLITENESS_MS)
+        for name in ("workers", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(config, name, 1)
 
 
 class TestRemoteTransport:

@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from marketpulse import model
 from marketpulse.model import (
     DOWNLOAD_LADDER,
     AppSnapshot,
@@ -205,6 +206,31 @@ def test_topk_record_round_trip(ranking, list_type):
     obs = make_topk(ranking, list_type=list_type)
     rec = topk_to_record(obs)
     assert topk_from_record(json.loads(json.dumps(rec))) == obs
+
+
+def test_trusted_decoders_build_the_records_the_reference_path_builds():
+    snap, review, obs = make_snapshot(), make_review(), make_topk(["a", "b"])
+    for decode, to_record, record in (
+        (model.snapshot_from_trusted_record, snapshot_to_record, snap),
+        (model.review_from_trusted_record, review_to_record, review),
+        (model.topk_from_trusted_record, topk_to_record, obs),
+    ):
+        decoded = decode(json.loads(json.dumps(to_record(record))))
+        assert type(decoded) is type(record) and decoded == record
+    decoded = model.snapshot_from_trusted_record(snapshot_to_record(snap))
+    assert type(decoded.downloads) is DownloadBucket
+
+
+def test_records_are_frozen_named_tuples():
+    snap = make_snapshot()
+    # a record is the tuple of its fields, so it hashes as that tuple
+    assert snap == tuple(getattr(snap, name) for name in snap._fields)
+    assert hash(snap) == hash(tuple(snap))
+    for record, name in ((snap, "price_cents"), (make_review(), "rating"), (make_topk([]), "ranking")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_decode_rejects_missing_field():

@@ -147,7 +147,39 @@ class TestQueries:
         assert len(store.query_reviews("com.example.app")) == 4
 
 
+def test_validated_store_records_refuse_bad_fields_when_built():
+    start, end = dt.date(2014, 1, 2), dt.date(2014, 1, 1)
+    with pytest.raises(ValueError, match="^observation_start after observation_end$"):
+        DatasetManifest("m", "USD", start, end)
+    with pytest.raises(ValueError, match="^observation_start after observation_end$"):
+        DatasetManifest.from_record(
+            {"name": "m", "currency": "USD", "observation_start": "2014-01-02",
+             "observation_end": "2014-01-01"}
+        )
+    with pytest.raises(InvalidWindowError, match="^window end 50 before start 100$"):
+        TimeWindow(100, 50)
+    with pytest.raises(InvalidWindowError, match="^window end 50 before start 100$"):
+        TimeWindow(start=100, end=50)
+    assert TimeWindow(7, 7) == (7, 7) and TimeWindow(7, 7).contains(7)
+    manifest = DatasetManifest("m", "USD", end, start)
+    assert manifest == ("m", "USD", end, start, "")
+    assert DatasetManifest.from_record(manifest.to_record()) == manifest
+
+
+def test_store_records_are_frozen():
+    manifest = DatasetManifest("m", "USD", dt.date(2014, 1, 1), dt.date(2014, 1, 2))
+    window = TimeWindow(0, 10)
+    for record, name in ((manifest, "name"), (manifest, "observation_end"), (window, "end")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        # the validated records keep no instance dict either
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    assert window == (0, 10) and manifest.name == "m"
+
+
 # --- property tests --------------------------------------------------------------
+
 
 
 @st.composite
