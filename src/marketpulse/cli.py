@@ -46,21 +46,33 @@ class _UsageError(Exception):
     pass
 
 
-def _count(noun: str):
-    """The argparse type of a count of ``noun``: a whole number, 0 or more."""
+def _count(noun: str, least: int = 0):
+    """The argparse type of a count of ``noun``: a whole number, ``least``
+    or more."""
 
     def parse(text: str) -> int:
         try:
             count = int(text)
         except ValueError:
-            count = -1
-        if count < 0:
+            count = least - 1
+        if count < least:
             raise argparse.ArgumentTypeError(
-                f"expected a whole number of {noun}, 0 or more: {text!r}"
+                f"expected a whole number of {noun}, {least} or more: {text!r}"
             )
         return count
 
     return parse
+
+
+def _factor(text: str) -> float:
+    """The argparse type of a finite number, 0 or more."""
+    try:
+        factor = float(text)
+    except ValueError:
+        factor = -1.0
+    if not 0 <= factor < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number, 0 or more: {text!r}")
+    return factor
 
 
 def _ranks(text: str) -> list[int]:
@@ -287,9 +299,12 @@ def cmd_timeline(args) -> int:
 
 
 def _reference_date(args, store: SnapStore):
+    """``--reference``, or else the later of the manifest's observation_end
+    and the UTC day of the newest snapshot fetch_time."""
     if args.reference:
         return parse_date(args.reference)
-    return store.manifest.observation_end
+    end, newest = store.manifest.observation_end, store.newest_fetch_day()
+    return end if newest is None else max(end, newest)
 
 
 def cmd_metrics(args) -> int:
@@ -769,7 +784,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=None)
     p.add_argument("--out", default="reports")
     p.add_argument("--window-days", type=_count("days"), default=365)
-    p.add_argument("--reference", default=None, help="YYYY-MM-DD")
+    p.add_argument(
+        "--reference",
+        default=None,
+        help="staleness and price: the day to measure from, YYYY-MM-DD (default: the "
+        "later of the manifest's observation_end and the UTC day of the newest snapshot)",
+    )
     p.add_argument("--xmin", type=float, default=1.0)
     p.add_argument("--period", type=int, default=7)
     p.set_defaults(func=cmd_metrics)
@@ -803,9 +823,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="reports")
     p.add_argument("--policy", default=None, help="dangerous-permission list file")
     p.add_argument("--flags", default=None, help="external flags CSV (app,flag_count)")
-    p.add_argument("--mad-k", type=float, default=5.0)
-    p.add_argument("--min-abs", type=int, default=20)
-    p.add_argument("--window-days", type=int, default=30)
+    p.add_argument("--mad-k", type=_factor, default=5.0)
+    p.add_argument("--min-abs", type=_count("reviews"), default=20)
+    p.add_argument("--window-days", type=_count("days", least=1), default=30)
     p.add_argument("--churn-window-days", type=_count("days"), default=7)
     p.set_defaults(func=cmd_anomaly)
 

@@ -17,11 +17,10 @@ maps to its rows in order of their order values. Those rows are the one
 lookup structure: a line's key is found by one bisection in its entity's
 rows, and app timelines and the newest state of every app are read
 without decoding a log line.
-Ingest reads each data file as bytes alongside the committed log, so that a
-re-ingest of lines in the order they were committed is deduplicated by
-comparing bytes, a block of whole lines at a time (``_CommittedLines``); any
-other line is admitted first, and then one lookup of its key finds a stored
-copy.
+Ingest reads each data file as bytes: the lines at its start that repeat
+the committed log are deduplicated a block at a time by comparing bytes
+(``_committed_run``), and every later line is admitted and then looked up
+by its key once.
 
 After every ingest the writer persists the index as a ``<kind>.idx``
 sidecar (layout ``MPXA``: row counts per entity, then every entity's row
@@ -55,7 +54,7 @@ import threading
 import weakref
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from .errors import (
     ConcurrentWriteError,
@@ -63,6 +62,7 @@ from .errors import (
     StoreIOError,
 )
 from .model import (
+    SECONDS_PER_DAY,
     AppSnapshot,
     DownloadBucket,
     ListType,
@@ -70,6 +70,7 @@ from .model import (
     SnapshotLineReader,
     TimelineState,
     TopKObservation,
+    epoch_day_to_date,
     parse_date,
     read_review_line,
     read_topk_line,
@@ -87,9 +88,8 @@ _LOG_FILES = {kind: f"{kind}.jsonl" for kind in KINDS}
 _SIDECAR_FILES = {kind: f"{kind}.idx" for kind in KINDS}
 _MANIFEST_FILE = "manifest.json"
 _BATCH_LINES = 1000
-# while the committed lines are read alongside a data file, ingest reads it
-# in blocks of this many bytes, each carried on to the end of the line it
-# stops in
+# ingest compares a data file with the committed log in blocks of this many
+# bytes, each carried on to the end of the line it stops in
 _BLOCK_BYTES = 1 << 20
 
 # A <kind>.idx sidecar is a header, its counts, the entry count of each
@@ -117,6 +117,7 @@ _NAME_END = b"\xff"
 # and the string ids of the names of every set in turn, sorted by name.
 _STATE_CODES = "qqqqIIIIII"
 _ORDINALS = range(1, dt.date.max.toordinal() + 1)
+_LAST_EPOCH_DAY = (dt.date.max - dt.date(1970, 1, 1)).days
 
 
 class _ManifestFields(NamedTuple):
@@ -268,15 +269,28 @@ def _same_payload(read: Callable, committed: bytes, line: bytes) -> bool:
     return committed == line or read(committed.decode("utf-8"), committed)[1] == line
 
 
-def _whole_line_blocks(f: BinaryIO) -> Iterator[tuple[bytes, Iterable[bytes]]]:
-    """Blocks of about ``_BLOCK_BYTES`` of ``f``, each carried on to the end
-    of the line it stops in, with their lines: cut at b"\\n" only, as
-    iterating ``f`` cuts them. Only the last block may end without a
-    newline."""
-    while block := f.read(_BLOCK_BYTES):
+def _committed_run(data: BinaryIO, fd: int, end: int) -> int:
+    """The length of the longest run of whole lines at the start of ``data``
+    equal to the first bytes, up to ``end``, of the log read through ``fd``;
+    ``data`` is left at the run's end. Blocks of ``_BLOCK_BYTES``, each
+    carried on to the end of a line, are compared whole, and the first that
+    differs line by line, cut at b"\\n" only, as iterating ``data`` cuts it."""
+    run = 0
+    while run < end and (block := data.read(_BLOCK_BYTES)):
         if not block.endswith(b"\n"):
-            block += f.readline()
-        yield block, io.BytesIO(block)
+            block += data.readline()
+        log = os.pread(fd, min(len(block), end - run), run)
+        if block == log and block.endswith(b"\n"):
+            run += len(block)
+            continue
+        start = run
+        for line in io.BytesIO(block):
+            if not (line.endswith(b"\n") and log.startswith(line, run - start)):
+                break
+            run += len(line)
+        break
+    data.seek(run)
+    return run
 
 
 def _fsync_path(path: Path, flags: int = os.O_RDONLY) -> None:
@@ -628,44 +642,6 @@ class _LogIndex:
         return newest
 
 
-class _CommittedLines:
-    """The committed lines of a log in log order, read alongside a data
-    file, so that a re-ingest of lines in the order they were committed
-    costs a byte comparison per block of lines. It is read only over a log
-    whose index holds every committed line, so lines equal to the committed
-    bytes at the cursor are copies of stored records: they are deduplicated
-    with no decode and no lookup. Lines that differ leave the cursor where
-    it is, so the lines after them can still meet theirs. Only the log
-    prefix the index covered when the ingest began is compared, through the
-    read handle, read in chunks."""
-
-    _CHUNK = 1 << 20
-
-    def __init__(self, fd: int, end: int):
-        self._fd, self._end = fd, end
-        # log bytes from the cursor on, and the cursor's place in them and
-        # in the log
-        self._buffer, self._pos, self._offset = b"", 0, 0
-
-    def take(self, data: bytes) -> bool:
-        """Whether ``data``, whole lines cut at b"\\n" and ending in one, is
-        the committed bytes at the cursor; the cursor then passes them. The
-        cursor is at the start of a committed line, so equal bytes are the
-        same lines."""
-        size = len(data)
-        if not data.endswith(b"\n") or self._offset + size > self._end:
-            return False
-        if self._pos + size > len(self._buffer):
-            # may read past the prefix: the bound above keeps to it
-            self._buffer = os.pread(self._fd, max(size, self._CHUNK), self._offset)
-            self._pos = 0
-        if not self._buffer.startswith(data, self._pos):
-            return False
-        self._pos += size
-        self._offset += size
-        return True
-
-
 class SnapStore:
     """Directory-backed append-log store. See module docstring."""
 
@@ -824,18 +800,16 @@ class SnapStore:
         """Validate, dedup and append the JSONL lines of ``data``, a binary
         file of one ``kind``, counting each outcome in ``report``.
 
-        A line that is not UTF-8 is rejected. While the committed lines are
-        read alongside ``data`` (``_CommittedLines``), it is read in blocks
-        of whole lines (``_whole_line_blocks``): a block that is the
-        committed bytes at the cursor is deduplicated whole, and any other is
-        cut into lines at b"\n", each deduplicated at once when it is the
-        next committed line. Every other line goes through the kind's line
-        reader: a line it rejects is rejected with its text, or skipped when
-        blank, and one it admits is looked up by its key once. A line that
-        holds the stored record (``_same_payload``) is deduplicated, and any
-        other is rejected as a conflict. Writes are committed in batches; on
-        an I/O failure the log is cut back to the end of the last committed
-        batch. The index sidecar is rewritten after the last one.
+        When the index holds every committed line, the lines that repeat
+        the log from its start (``_committed_run``) are deduplicated unread,
+        as many as the index rows they cover. Every later line takes one
+        path: it is rejected if it is not UTF-8 or the kind's line reader
+        refuses it (skipped when blank), and else its key is looked up once;
+        a line that holds the stored record (``_same_payload``) is
+        deduplicated, and any other is rejected as a conflict. Writes are
+        committed in batches; on an I/O failure the log is cut back to the
+        end of the last committed batch. The index sidecar is rewritten
+        after the last one.
         """
         lock_path = self.root / ".ingest.lock"
         with open(lock_path, "w") as lock_file:
@@ -866,10 +840,6 @@ class SnapStore:
 
             find, lengths, offsets = index.find, index.lengths, index.offsets
             fd = self._read_fd(kind)
-            # every committed line is indexed unless the scan skipped one
-            committed = None
-            if index.scanned_bytes and not index.skipped_corrupt:
-                committed = _CommittedLines(fd, index.scanned_bytes)
 
             def stored(key) -> bytes | None:
                 """The committed or batch line under ``key``, if any (a key
@@ -879,59 +849,49 @@ class SnapStore:
                     return batch.get(key)
                 return os.pread(fd, lengths[row], offsets[row])
 
-            # (bytes of a block of whole lines, or None, and its lines): with
-            # no cursor, a bulk load does no block work
-            blocks: Iterable[tuple[bytes | None, Iterable]] = [(None, data)]
-            if committed is not None:
-                blocks = _whole_line_blocks(data)
-            line_no = 0
-            for block, block_lines in blocks:
-                if block is not None and committed.take(block):
-                    passed = block.count(b"\n")
-                    report.deduplicated[kind] += passed
-                    line_no += passed
+            # every committed line has a row, in log order, unless the scan
+            # skipped one: then no line is passed unread
+            end = 0 if index.skipped_corrupt else index.scanned_bytes
+            line_no = bisect.bisect_left(offsets, _committed_run(data, fd, end))
+            report.deduplicated[kind] += line_no
+            for line_no, raw in enumerate(data, start=line_no + 1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeError as exc:
+                    report.rejected.append(
+                        Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
+                    )
                     continue
-                for line_no, raw in enumerate(block_lines, start=line_no + 1):
-                    if committed is not None and committed.take(raw):
-                        report.deduplicated[kind] += 1
-                        continue
-                    try:
-                        line = raw.decode("utf-8")
-                    except UnicodeError as exc:
-                        report.rejected.append(
-                            Rejection(kind, line_no, f"line is not valid UTF-8: {exc}")
+                if not raw.endswith(b"\n"):
+                    raw += b"\n"
+                try:
+                    key, canonical, state = read(line, raw)
+                except (ValueError, TypeError, RecursionError) as exc:
+                    if line.strip():
+                        report.rejected.append(Rejection(kind, line_no, str(exc)))
+                    continue
+                previous = stored(key)
+                if previous is None:
+                    batch[key] = canonical
+                    states.append(state)
+                    report.accepted[kind] += 1
+                    if len(batch) >= _BATCH_LINES:
+                        self._commit(kind, index, batch, states)
+                        batch.clear()
+                        states.clear()
+                elif _same_payload(read, previous, canonical):
+                    report.deduplicated[kind] += 1
+                else:
+                    entity, value = key
+                    noun = "review_id" if kind == REVIEWS else "time"
+                    report.rejected.append(
+                        Rejection(
+                            kind,
+                            line_no,
+                            "conflicting payload for existing record "
+                            f"(entity {entity}, {noun} {value!r})",
                         )
-                        continue
-                    if not raw.endswith(b"\n"):
-                        raw += b"\n"
-                    try:
-                        key, canonical, state = read(line, raw)
-                    except (ValueError, TypeError, RecursionError) as exc:
-                        if line.strip():
-                            report.rejected.append(Rejection(kind, line_no, str(exc)))
-                        continue
-                    previous = stored(key)
-                    if previous is None:
-                        batch[key] = canonical
-                        states.append(state)
-                        report.accepted[kind] += 1
-                        if len(batch) >= _BATCH_LINES:
-                            self._commit(kind, index, batch, states)
-                            batch.clear()
-                            states.clear()
-                    elif _same_payload(read, previous, canonical):
-                        report.deduplicated[kind] += 1
-                    else:
-                        entity, value = key
-                        noun = "review_id" if kind == REVIEWS else "time"
-                        report.rejected.append(
-                            Rejection(
-                                kind,
-                                line_no,
-                                "conflicting payload for existing record "
-                                f"(entity {entity}, {noun} {value!r})",
-                            )
-                        )
+                    )
             if batch:
                 self._commit(kind, index, batch, states)
             self._write_sidecar(kind, index)
@@ -1043,6 +1003,15 @@ class SnapStore:
         index = self._index(SNAPSHOTS)
         states, tags = index.table.keys(), index.tags
         return {app: states[tags[r]] for app, r in index.newest()}
+
+    def newest_fetch_day(self) -> dt.date | None:
+        """The UTC day of the newest snapshot fetch_time (``date.max`` past
+        it), or None with no snapshot, from the index: no line is read."""
+        index = self._index(SNAPSHOTS)
+        newest = max((index.times[rows[-1]] for rows in index.rows.values()), default=None)
+        if newest is None:
+            return None
+        return epoch_day_to_date(min(newest // SECONDS_PER_DAY, _LAST_EPOCH_DAY))
 
     def query_reviews(self, app: str) -> list[ReviewRecord]:
         """Reviews of ``app`` sorted by review_id: the order of the app's

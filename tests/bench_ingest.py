@@ -26,13 +26,17 @@ the index sidecar and once by a full scan of the log, with no sidecar.
 Two more load 20k reviews of one app on one day, their ids in shuffled
 order, into an empty store and once more into a store that has them all:
 each line goes to its review id place among the app's rows.
-Three more take a week of a 10k-app market, the shape of a daily crawl
+Five more take a week of a 10k-app market, the shape of a daily crawl
 merged into its history, where most states and permission sets are
 distinct: one re-ingests all its snapshots through a new handle each round,
 so that the sidecar load is timed with the lookups; one does the same
 through ``ingest_dir`` from a file that repeats the log, which it passes a
-block of lines at a time; and one ingests the last day into a store of the
-six days before it. One more reads the states of every app of that week
+block of lines at a time; one does the same from that file with a blank
+line inserted as its second line, so that every line after it is admitted
+and looked up; one ingests the last day into a store of the six days
+before it; and one ingests the whole week from one file into a store of
+those six days, which passes them as a prefix of the log and admits the
+last day. One more reads the states of every app of that week
 (``app_states``) from a store opened from its sidecar, the read that pays
 for each entity's rows being one array of row numbers. A last one opens
 that store and reads the newest state of every app (``latest_states``):
@@ -357,6 +361,49 @@ def test_reingest_of_a_week_of_a_10k_app_market_from_a_file(benchmark, tmp_path,
     report = benchmark.pedantic(reingest, rounds=7)
     assert report.deduplicated["snapshots"] == len(lines)
     assert report.accepted["snapshots"] == report.total_rejected == 0
+
+
+def test_reingest_of_a_week_with_a_blank_second_line_from_a_file(benchmark, tmp_path, crawl_week):
+    manifest, lines, _ = crawl_week
+    root = tmp_path / "store"
+    ingest_lines(SnapStore.create(root, manifest), "snapshots", lines)
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "snapshots.jsonl").write_bytes(b"".join([lines[0], b"\n", *lines[1:]]))
+
+    def reingest():
+        return SnapStore.open(root).ingest_dir(data)
+
+    report = benchmark.pedantic(reingest, rounds=7)
+    assert report.deduplicated["snapshots"] == len(lines)
+    assert report.accepted["snapshots"] == report.total_rejected == 0
+
+
+def test_ingest_of_a_week_into_a_store_of_its_first_six_days_from_a_file(
+    benchmark, tmp_path, crawl_week
+):
+    manifest, lines, before_last_day = crawl_week
+    days = [line for line, before in zip(lines, before_last_day) if before]
+    assert lines[: len(days)] == days
+    template = tmp_path / "template"
+    ingest_lines(SnapStore.create(template, manifest), "snapshots", days)
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "snapshots.jsonl").write_bytes(b"".join(lines))
+    fresh = itertools.count()
+
+    def populated_store():
+        root = tmp_path / f"store{next(fresh)}"
+        shutil.copytree(template, root)
+        return (SnapStore.open(root),), {}
+
+    def ingest(store):
+        return store.ingest_dir(data)
+
+    report = benchmark.pedantic(ingest, setup=populated_store, rounds=7)
+    assert report.deduplicated["snapshots"] == len(days)
+    assert report.accepted["snapshots"] == len(lines) - len(days)
+    assert report.total_rejected == 0
 
 
 def test_ingest_of_one_day_into_a_10k_app_store(benchmark, tmp_path, crawl_week):

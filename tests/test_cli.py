@@ -718,3 +718,121 @@ def test_metrics_price_matches_decoded_snapshots(dataset):
     assert observed == [
         (day.isoformat(), statistics.fmean(daily[day])) for day in sorted(daily)
     ]
+
+
+@pytest.fixture(scope="module")
+def week(tmp_path_factory):
+    """A 5-developer, 7-day dataset with a crawlable market of 2 seeds."""
+    root = tmp_path_factory.mktemp("week")
+    script = root / "script.json"
+    script.write_text(json.dumps({"seed": 3, "n_developers": 5, "observation_days": 7}))
+    data = root / "data"
+    argv = ["simulate", "--script", str(script), "--out", str(data), "--render-market", "2"]
+    assert main(argv) == 0
+    return data
+
+
+def _default_reference(store, tmp_path) -> str:
+    """The reference that ``metrics staleness`` and ``metrics price`` take
+    by default on ``store``; both must exit 0."""
+    out = tmp_path / "reports"
+    for what in ("staleness", "price"):
+        assert main(["metrics", what, "--store", str(store), "--out", str(out)]) == 0
+    return json.loads((out / "staleness.json").read_text())["reference"]
+
+
+def test_default_reference_follows_a_later_ingest(week, tmp_path):
+    # days 1-6 come with a manifest that ends on day 6, and day 7 with the
+    # full one: the store's manifest stays as the first ingest wrote it
+    manifest = json.loads((week / "manifest.json").read_text())
+    assert (manifest["observation_start"], manifest["observation_end"]) == (
+        "2014-10-24",
+        "2014-10-30",
+    )
+    lines = (week / "snapshots.jsonl").read_text().splitlines(keepends=True)
+    last = max(json.loads(line)["fetch_time"] for line in lines)
+    days16, day7, store = tmp_path / "days16", tmp_path / "day7", tmp_path / "store"
+    days16.mkdir()
+    day7.mkdir()
+    shutil.copy(week / "reviews.jsonl", days16)
+    shutil.copy(week / "topk.jsonl", days16)
+    (days16 / "manifest.json").write_text(
+        json.dumps({**manifest, "observation_end": "2014-10-29"})
+    )
+    (days16 / "snapshots.jsonl").write_text(
+        "".join(line for line in lines if json.loads(line)["fetch_time"] != last)
+    )
+    shutil.copy(week / "manifest.json", day7)
+    (day7 / "snapshots.jsonl").write_text(
+        "".join(line for line in lines if json.loads(line)["fetch_time"] == last)
+    )
+    assert main(["ingest", "--data", str(days16), "--store", str(store)]) == 0
+    assert _default_reference(store, tmp_path) == "2014-10-29"
+    assert main(["ingest", "--data", str(day7), "--store", str(store)]) == 0
+    assert SnapStore.open(store).manifest.observation_end.isoformat() == "2014-10-29"
+    assert _default_reference(store, tmp_path) == "2014-10-30"
+
+
+def test_default_reference_of_a_crawl_is_its_fetch_day(week, tmp_path, capsys):
+    # a crawl writes no manifest, so the store gets the placeholder span
+    crawled, store = tmp_path / "crawled", tmp_path / "store"
+    argv = ["crawl", "--seeds", str(week / "seeds.txt"), "--market", str(week)]
+    assert main([*argv, "--politeness-delay-ms", "0", "--out", str(crawled)]) == 0
+    assert main(["ingest", "--data", str(crawled), "--store", str(store)]) == 0
+    assert SnapStore.open(store).manifest.observation_end.isoformat() == "1970-01-01"
+    times = [json.loads(line)["fetch_time"] for line in open(crawled / "snapshots.jsonl")]
+    assert len(set(times)) == 1
+    assert _default_reference(store, tmp_path) == epoch_to_date(times[0]).isoformat()
+    assert "error" not in capsys.readouterr().err
+
+
+def test_default_reference_keeps_a_manifest_end_past_the_last_snapshot(tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(
+        json.dumps(
+            {"seed": 3, "n_developers": 5, "observation_days": 25, "snapshot_cadence_days": 10}
+        )
+    )
+    data, store = tmp_path / "data", tmp_path / "store"
+    assert main(["simulate", "--script", str(script), "--out", str(data)]) == 0
+    assert main(["ingest", "--data", str(data), "--store", str(store)]) == 0
+    # snapshots on days 1, 11 and 21 of 25
+    assert SnapStore.open(store).newest_fetch_day().isoformat() == "2014-11-13"
+    assert _default_reference(store, tmp_path) == "2014-11-17"
+
+
+def test_default_reference_of_an_empty_store_is_the_manifest_end(week, tmp_path):
+    data, store = tmp_path / "data", tmp_path / "store"
+    data.mkdir()
+    shutil.copy(week / "manifest.json", data)
+    assert main(["ingest", "--data", str(data), "--store", str(store)]) == 0
+    assert SnapStore.open(store).newest_fetch_day() is None
+    assert _default_reference(store, tmp_path) == "2014-10-30"
+
+
+@pytest.mark.parametrize(
+    "flag, value, expected",
+    [
+        ("--window-days", "0", "expected a whole number of days, 1 or more: '0'"),
+        ("--window-days", "1.5", "expected a whole number of days, 1 or more: '1.5'"),
+        ("--min-abs", "-1", "expected a whole number of reviews, 0 or more: '-1'"),
+        ("--mad-k", "nan", "expected a finite number, 0 or more: 'nan'"),
+        ("--mad-k", "inf", "expected a finite number, 0 or more: 'inf'"),
+        ("--mad-k", "-0.5", "expected a finite number, 0 or more: '-0.5'"),
+        ("--mad-k", "x", "expected a finite number, 0 or more: 'x'"),
+    ],
+)
+def test_anomaly_reviews_flag_out_of_range_names_the_flag(
+    dataset, tmp_path, capsys, flag, value, expected
+):
+    out = tmp_path / "reports"
+    argv = ["anomaly", "reviews", flag, value, "--store", str(dataset["store"]), "--out", str(out)]
+    assert main(argv) == 1
+    assert f"error: argument {flag}: {expected}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_anomaly_reviews_takes_the_smallest_flag_values(dataset, tmp_path):
+    out = tmp_path / "reports"
+    argv = ["anomaly", "reviews", "--window-days", "1", "--min-abs", "0", "--mad-k", "0"]
+    assert main([*argv, "--store", str(dataset["store"]), "--out", str(out)]) == 0

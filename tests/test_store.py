@@ -578,25 +578,34 @@ def test_ingest_after_a_writer_killed_mid_line_appends_the_rest_once(
     reader = SnapStore.open(root)
     assert len(reader._index("snapshots").times) == 100
     assert sorted(reader.apps()) == sorted({json.loads(line)["app"] for line in lines[:100]})
-    # the next ingest cuts the torn tail, passes the committed lines in
-    # blocks and appends the rest once
-    passed = []
-    take = store_mod._CommittedLines.take
-
-    def counted(self, data):
-        taken = take(self, data)
-        if taken:
-            passed.append(data)
-        return taken
-
+    # the next ingest cuts the torn tail, passes the committed lines with no
+    # line read and appends the rest once
+    writer = SnapStore.open(root)
+    writer._index("snapshots")  # scans the committed lines
     monkeypatch.setattr(store_mod, "_BLOCK_BYTES", 4096)
-    monkeypatch.setattr(store_mod._CommittedLines, "take", counted)
-    report = SnapStore.open(root).ingest_dir(data)
+    read = _reading(monkeypatch, "snapshots")
+    report = writer.ingest_dir(data)
     assert report.deduplicated == {"snapshots": 100, "reviews": 0, "topk": 0}
     assert report.accepted["snapshots"] == len(lines) - 100 and report.total_rejected == 0
-    assert b"".join(passed) == committed and len(passed) < 20
+    assert read == lines[100:]
     assert _logs(root) == {kind: (data / f"{kind}.jsonl").read_bytes() for kind in KINDS}
     assert len(SnapStore.open(root)._index("snapshots").times) == len(lines)
+
+
+def test_newest_fetch_day_comes_from_the_index(store, monkeypatch):
+    assert store.newest_fetch_day() is None
+    later = DAY0 + dt.timedelta(days=3)
+    snaps = [make_snapshot(app="com.b", day=later, hour=23), make_snapshot(app="com.a", day=DAY0)]
+    ingest_records(store, "snapshots", snaps)
+    reopened = SnapStore.open(store.root)
+    reopened._index("snapshots")
+    monkeypatch.setattr(os, "pread", _refuse)
+    assert reopened.newest_fetch_day() == later
+
+
+def test_newest_fetch_day_past_the_last_date_is_the_last_date(store):
+    ingest_records(store, "snapshots", [make_snapshot(fetch_time=2**63 - 1)])
+    assert SnapStore.open(store.root).newest_fetch_day() == dt.date.max
 
 
 def test_malformed_committed_line_is_skipped_and_counted(store):
@@ -649,6 +658,24 @@ def test_duplicate_key_in_committed_log_keeps_the_first_line(tmp_path, manifest)
 
 def _refuse(*args, **kwargs):
     raise AssertionError("a duplicate line was decoded, validated or encoded")
+
+
+def _reading(monkeypatch, kind):
+    """The list that the ``kind`` line reader of every later ingest or scan
+    appends the bytes of each line it reads to."""
+    read, reader = [], store_mod._READERS[kind]
+
+    def counted(index):
+        line_reader = reader(index)
+
+        def counting(line, raw):
+            read.append(raw)
+            return line_reader(line, raw)
+
+        return counting
+
+    monkeypatch.setitem(store_mod._READERS, kind, counted)
+    return read
 
 
 def test_reingest_of_a_market_decodes_and_encodes_no_line(tmp_path, monkeypatch):
@@ -1271,7 +1298,7 @@ def test_reingest_through_ingest_dir_passes_blocks_with_no_line_work(
     tmp_path, market, monkeypatch, block_bytes
 ):
     # a file that repeats its log is deduplicated a block at a time: one
-    # take per block, and no line is admitted
+    # log read per block, and no line is read or looked up
     data = tmp_path / "data"
     simgen.write_dataset(market_script(), data)
     store = SnapStore.create(tmp_path / "store", market.manifest)
@@ -1280,24 +1307,75 @@ def test_reingest_through_ingest_dir_passes_blocks_with_no_line_work(
     reopened = SnapStore.open(store.root)
     for kind in KINDS:
         reopened._index(kind)
-    taken = []
-    take = store_mod._CommittedLines.take
+    preads = []
+    pread = os.pread
 
-    def counted(self, data):
-        taken.append((data, take(self, data)))
-        return taken[-1][1]
+    def counted(fd, size, offset):
+        preads.append((fd, pread(fd, size, offset)))
+        return preads[-1][1]
 
     monkeypatch.setattr(store_mod, "_BLOCK_BYTES", block_bytes)
     for kind in KINDS:
         monkeypatch.setitem(store_mod._READERS, kind, lambda index: _refuse)
-    monkeypatch.setattr(store_mod._CommittedLines, "take", counted)
+    monkeypatch.setattr(store_mod._LogIndex, "find", _refuse)
+    monkeypatch.setattr(os, "pread", counted)
     report = reopened.ingest_dir(data)
+    monkeypatch.undo()
     assert report.deduplicated == first.accepted and all(report.deduplicated.values())
     assert sum(report.accepted.values()) == report.total_rejected == 0
     assert {p.name: p.read_bytes() for p in store.root.iterdir()} == logs
-    files = [(data / f"{kind}.jsonl").read_bytes() for kind in KINDS]
-    assert [ok for _, ok in taken] == [True] * sum(_block_count(f, block_bytes) for f in files)
-    assert b"".join(block for block, _ in taken) == b"".join(files)
+    for kind in KINDS:
+        file = (data / f"{kind}.jsonl").read_bytes()
+        read = [chunk for fd, chunk in preads if fd == reopened._read_handles[kind]]
+        assert len(read) <= _block_count(file, block_bytes) + 1
+        assert b"".join(read) == file
+
+
+def test_a_file_that_is_the_log_and_new_lines_appends_only_the_new_ones(
+    tmp_path, market, monkeypatch
+):
+    data = tmp_path / "data"
+    simgen.write_dataset(market_script(), data)
+    lines = (data / "snapshots.jsonl").read_bytes().splitlines(keepends=True)
+    head = tmp_path / "head"
+    head.mkdir()
+    (head / "snapshots.jsonl").write_bytes(b"".join(lines[:150]))
+    store = SnapStore.create(tmp_path / "store", market.manifest)
+    assert store.ingest_dir(head).accepted["snapshots"] == 150
+    monkeypatch.setattr(store_mod, "_BLOCK_BYTES", 1000)
+    read = _reading(monkeypatch, "snapshots")
+    report = SnapStore.open(store.root).ingest_dir(data)
+    assert report.deduplicated["snapshots"] == 150 and report.total_rejected == 0
+    assert report.accepted["snapshots"] == len(lines) - 150
+    assert read == lines[150:]
+    assert (store.root / "snapshots.jsonl").read_bytes() == b"".join(lines)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, store_mod._BLOCK_BYTES])
+@pytest.mark.parametrize(
+    "tail, passed",
+    [
+        (b'{"app": 7}\n', 12),
+        (b"\xff\n", 12),
+        (b'{"app": 7}', 12),
+        # a committed line cut short is no copy of it: the run holds whole
+        # lines only
+        (-5, 11),
+    ],
+    ids=["malformed", "not_utf8", "no_newline", "cut_short"],
+)
+def test_a_rejected_line_after_the_committed_lines_is_numbered_after_them(
+    store, monkeypatch, block_bytes, tail, passed
+):
+    log = "".join(_app_lines(range(12))).encode()
+    ingest_lines(store, "snapshots", log.splitlines(keepends=True))
+    data = store.root.parent / "data"
+    data.mkdir()
+    (data / "snapshots.jsonl").write_bytes(log[:tail] if isinstance(tail, int) else log + tail)
+    monkeypatch.setattr(store_mod, "_BLOCK_BYTES", block_bytes)
+    report = SnapStore.open(store.root).ingest_dir(data)
+    assert report.deduplicated["snapshots"] == passed
+    assert [(r.kind, r.line_no) for r in report.rejected] == [("snapshots", passed + 1)]
 
 
 def _block_count(data: bytes, size: int) -> int:
@@ -1369,8 +1447,8 @@ def test_ingest_dir_gives_what_its_lines_give_one_by_one(first_edit, data):
                 patch.setattr(store_mod, "_BLOCK_BYTES", block_bytes)
                 report = SnapStore.open(tmp / "a").ingest_dir(tmp / "data")
             with pytest.MonkeyPatch.context() as patch:
-                # blocks of one line: each line is taken on its own
-                patch.setattr(store_mod, "_BLOCK_BYTES", 1)
+                # no line is passed by the prefix compare: each one is admitted
+                patch.setattr(store_mod, "_committed_run", lambda data, fd, end: 0)
                 expected = SnapStore.open(tmp / "b").ingest_dir(tmp / "data")
             assert (report.to_record(), report.skipped_corrupt) == (
                 expected.to_record(),
@@ -1389,24 +1467,12 @@ def test_blocks_are_compared_only_with_the_prefix_the_ingest_began_with(store, m
     data = store.root.parent / "data"
     data.mkdir()
     (data / "snapshots.jsonl").write_text("".join(old + new + new))
-    admitted = []
-    reader = store_mod._READERS["snapshots"]
-
-    def counted(index):
-        read = reader(index)
-
-        def counting(line, raw):
-            admitted.append(line)
-            return read(line, raw)
-
-        return counting
-
     monkeypatch.setattr(store_mod, "_BATCH_LINES", 2)
     monkeypatch.setattr(store_mod, "_BLOCK_BYTES", 1)
-    monkeypatch.setitem(store_mod._READERS, "snapshots", counted)
+    admitted = _reading(monkeypatch, "snapshots")
     report = SnapStore.open(store.root).ingest_dir(data)
     assert report.accepted["snapshots"] == 4 and report.deduplicated["snapshots"] == 7
-    assert admitted == new + new
+    assert admitted == [line.encode() for line in new + new]
 
 
 def _last_updated_epoch(rec):
